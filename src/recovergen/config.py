@@ -20,6 +20,8 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional
 
+from .envs import make_env
+
 
 class ConfigError(ValueError):
     """Bad configuration file or option."""
@@ -89,6 +91,20 @@ class PipelineConfig:
             raise ConfigError("l_blend and chunk_len must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        rc = self.relabel
+        if rc.population < 1:
+            raise ConfigError("relabel.population must be >= 1")
+        if not 0.0 < rc.elite_frac <= 1.0:
+            raise ConfigError("relabel.elite_frac must lie in (0, 1]")
+        if rc.horizon < 1:
+            raise ConfigError("relabel.horizon must be >= 1")
+        try:
+            env_horizon = make_env(self.env, **self.env_overrides).horizon
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"environment '{self.env}': {exc}") from exc
+        if rc.horizon > env_horizon:
+            raise ConfigError(f"relabel.horizon ({rc.horizon}) exceeds the environment "
+                              f"horizon ({env_horizon})")
 
 
 _SECTIONS = {"sampler": SamplerConfig, "curator": CuratorConfig, "relabel": RelabelConfig}

@@ -1,4 +1,4 @@
-"""Deterministic toy simulators and the rollout machinery.
+"""Deterministic toy simulators and the batched rollout kernel.
 
 Two desk-scale environments are provided:
 
@@ -8,8 +8,18 @@ Two desk-scale environments are provided:
 * ``PointReach`` -- a single point mass with position-target actions and a
   terminal goal ball; an analytic fixture used mainly by the tests.
 
-Both environments are immutable descriptions; ``step`` is a pure function
-of (state, action, env_params), so rollouts are reproducible bit-for-bit.
+Both environments are immutable descriptions.  ``step(states (n, d_s),
+actions (n, d_a), params)`` advances many rows at once and is a pure
+function of its inputs; ``params`` is one ``EnvParams`` for every row or
+one per row, and a 1-D state gives a 1-D result.  ``rollout_batch`` runs
+open-loop plans for many rows, each for its own number of steps, and
+``success_batch`` evaluates the success predicate on final states.
+``rollout`` and ``rollout_with_resume`` are its one-row forms.
+
+Each row's result is bitwise identical to the one-row scalar dynamics,
+whatever the batch size or the row's position in it.  Where numpy's
+elementwise function may differ from Python's ``math`` in the last ulp
+(``arctan2``, ``hypot``), ``math`` is used for the rows it matters for.
 
 Caveat on the contact model: when fewer than two effectors touch the
 block, the block simply does not move.  This "block freezes" rule is a
@@ -18,17 +28,18 @@ deliberate stand-in for full rigid-body contact resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import Pose, PoseSequence, blend_prefix, reanchor_trajectory
+from .geometry import Pose, blend_prefix, reanchor_trajectory
 
 
 @dataclass(frozen=True)
 class EnvParams:
-    """Per-episode randomized physical parameters."""
+    """Per-episode randomized physical parameters.  A batched ``step``
+    also accepts one whose fields are (n,) arrays, one entry per row."""
 
     mass: float = 1.0
     friction_scale: float = 1.0
@@ -57,12 +68,11 @@ class Trajectory:
         return len(self.actions)
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap to (-pi, pi]."""
-    out = math.fmod(theta + math.pi, 2.0 * math.pi)
-    if out <= 0.0:
-        out += 2.0 * math.pi
-    return out - math.pi
+def wrap_angle(theta):
+    """Wrap to (-pi, pi]; elementwise over an array."""
+    out = np.fmod(np.asarray(theta, dtype=float) + math.pi, 2.0 * math.pi)
+    out = np.where(out <= 0.0, out + 2.0 * math.pi, out) - math.pi
+    return out if out.ndim else float(out)
 
 
 def success_rotate(traj: Trajectory, theta_des: float, eps_theta: float,
@@ -71,6 +81,36 @@ def success_rotate(traj: Trajectory, theta_des: float, eps_theta: float,
     eps_theta."""
     theta_t = float(traj.states[-1][theta_index])
     return abs(wrap_angle(theta_t - theta_des)) < eps_theta
+
+
+def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Elementwise min(max(x, lo), hi) with Python's tie and NaN rules."""
+    x = np.where(lo > x, lo, x)
+    return np.where(hi < x, hi, x)
+
+
+def _hypot(x: np.ndarray, y: np.ndarray, near: float) -> np.ndarray:
+    """Elementwise math.hypot(x, y).  np.hypot can differ from it in the
+    last ulp, so values close to ``near``, the bound the caller compares
+    them with, are recomputed with math.hypot."""
+    h = np.hypot(x, y)
+    for i in np.flatnonzero(np.abs(h - near) <= 1e-12 * abs(near)):
+        h[i] = math.hypot(x[i], y[i])
+    return h
+
+
+ParamsArg = Union[EnvParams, Sequence[EnvParams]]
+
+
+def _param_rows(params: ParamsArg, name: str, n: int) -> np.ndarray:
+    """Field ``name`` as an (n,) array from one EnvParams (scalar or
+    per-row fields) or from a sequence of one EnvParams per row."""
+    if isinstance(params, EnvParams):
+        return np.broadcast_to(np.asarray(getattr(params, name), dtype=float), (n,))
+    values = np.array([getattr(p, name) for p in params], dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"expected one EnvParams per row ({n}), got {len(values)}")
+    return values
 
 
 def randomize_env_params(mass_range, friction_range, rng: np.random.Generator) -> EnvParams:
@@ -103,11 +143,17 @@ class Environment:
     def reset(self, variant: Pose, params: EnvParams) -> np.ndarray:
         raise NotImplementedError
 
-    def step(self, state: np.ndarray, action: np.ndarray, params: EnvParams) -> np.ndarray:
+    def step(self, state: np.ndarray, action: np.ndarray, params: ParamsArg) -> np.ndarray:
+        """Advance states (n, d_s) by actions (n, d_a); a 1-D state gives
+        a 1-D result."""
+        raise NotImplementedError
+
+    def success_batch(self, final_states: np.ndarray) -> np.ndarray:
+        """Success predicate on final states (n, d_s), as (n,) bools."""
         raise NotImplementedError
 
     def success(self, traj: Trajectory) -> bool:
-        raise NotImplementedError
+        return bool(self.success_batch(traj.states[-1:])[0])
 
     def psi(self, states: np.ndarray) -> np.ndarray:
         """Task-relevant subspace of one state (d_s,) or a batch (n, d_s)."""
@@ -143,6 +189,45 @@ class Environment:
         raise NotImplementedError
 
 
+def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
+                  params: ParamsArg, lengths=None) -> Tuple[np.ndarray, np.ndarray]:
+    """Execute open-loop plans for n rows at once.
+
+    ``s0s`` is (n, d_s) and ``actions`` (n, L, d_a); ``params`` is one
+    EnvParams for every row or one per row.  Row i takes ``lengths[i]``
+    steps (L by default, each in [1, L]) and then holds its final state.
+    Returns the states (n, L + 1, d_s) and each row's success (n,).
+
+    Rows are stepped in order of descending length and each step advances
+    only the rows still running, so the env work is sum(lengths) steps.
+    """
+    s0s = np.asarray(s0s, dtype=float)
+    actions = np.asarray(actions, dtype=float)
+    if actions.ndim != 3 or actions.shape[1] < 1 or actions.shape[2] != env.action_dim \
+            or s0s.shape != (len(actions), env.state_dim):
+        raise ValueError(f"expected s0s (n, {env.state_dim}) and actions (n, L >= 1, "
+                         f"{env.action_dim}), got {s0s.shape} and {actions.shape}")
+    n, horizon = actions.shape[:2]
+    lengths = np.full(n, horizon) if lengths is None else np.asarray(lengths)
+    if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > horizon):
+        raise ValueError(f"lengths must give each of the {n} rows 1..{horizon} steps")
+    order = np.argsort(-lengths, kind="stable")
+    running = (lengths[:, None] > np.arange(horizon)).sum(axis=0)
+    by_row = {f.name: _param_rows(params, f.name, n)[order] for f in fields(EnvParams)}
+    s = s0s[order]
+    acts = actions[order]
+    out = np.empty((n, horizon + 1, env.state_dim))
+    out[:, 0] = s
+    for t in range(horizon):
+        k = running[t]
+        p = EnvParams(**{name: v[:k] for name, v in by_row.items()})
+        s[:k] = env.step(s[:k], acts[:k, t], p)
+        out[:, t + 1] = s
+    states = np.empty_like(out)
+    states[order] = out
+    return states, env.success_batch(states[:, -1])
+
+
 def rollout(env: Environment, s0: np.ndarray, actions: np.ndarray,
             params: EnvParams, origin: Optional[np.ndarray] = None,
             variant: int = 0) -> Trajectory:
@@ -151,16 +236,10 @@ def rollout(env: Environment, s0: np.ndarray, actions: np.ndarray,
     if actions.shape != (env.horizon, env.action_dim):
         raise ValueError(
             f"expected actions of shape ({env.horizon}, {env.action_dim}), got {actions.shape}")
-    states = np.empty((env.horizon + 1, env.state_dim))
-    states[0] = s0
-    s = np.asarray(s0, dtype=float)
-    for t in range(env.horizon):
-        s = env.step(s, actions[t], params)
-        states[t + 1] = s
-    traj = Trajectory(states=states, actions=actions.copy(), success=False,
+    states, success = rollout_batch(env, np.asarray(s0, dtype=float)[None], actions[None],
+                                    params)
+    return Trajectory(states=states[0], actions=actions.copy(), success=bool(success[0]),
                       env_params=params, origin=origin, variant=variant)
-    traj.success = bool(env.success(traj))
-    return traj
 
 
 def rollout_with_resume(env: Environment, s_t: np.ndarray, prefix: np.ndarray,
@@ -173,26 +252,10 @@ def rollout_with_resume(env: Environment, s_t: np.ndarray, prefix: np.ndarray,
     if n < 1 or n > env.horizon:
         raise ValueError("prefix plus suffix must cover a positive span within the horizon")
     actions = np.concatenate([prefix, suffix], axis=0)
-    states = np.empty((n + 1, env.state_dim))
-    states[0] = s_t
-    s = np.asarray(s_t, dtype=float)
-    for t in range(n):
-        s = env.step(s, actions[t], params)
-        states[t + 1] = s
-    traj = Trajectory(states=states, actions=actions, success=False, env_params=params)
-    traj.success = bool(env.success(traj))
-    return traj
-
-
-def _rect_distance(px: float, py: float, hx: float, hy: float) -> float:
-    """Distance from a point (block frame) to the solid rectangle."""
-    dx = abs(px) - hx
-    dy = abs(py) - hy
-    if dx <= 0.0 and dy <= 0.0:
-        return 0.0
-    dx = max(dx, 0.0)
-    dy = max(dy, 0.0)
-    return math.hypot(dx, dy)
+    states, success = rollout_batch(env, np.asarray(s_t, dtype=float)[None], actions[None],
+                                    params)
+    return Trajectory(states=states[0], actions=actions, success=bool(success[0]),
+                      env_params=params)
 
 
 @dataclass(frozen=True)
@@ -241,51 +304,56 @@ class PlanarBlockRotate(Environment):
                          self.reset_left[0], self.reset_left[1],
                          self.reset_right[0], self.reset_right[1]])
 
-    def _in_contact(self, ex, ey, bx, by, bth):
-        c = math.cos(-bth)
-        s = math.sin(-bth)
-        dx = ex - bx
-        dy = ey - by
-        px = c * dx - s * dy
-        py = s * dx + c * dy
-        return _rect_distance(px, py, self.half_extents[0], self.half_extents[1]) \
-            <= self.contact_margin
+    def _both_in_contact(self, bx, by, bth, lx, ly, rx, ry) -> np.ndarray:
+        """Rows whose two effectors are both within contact_margin of the
+        solid rectangle (distance 0 inside it)."""
+        c = np.cos(-bth)
+        s = np.sin(-bth)
+        both = np.ones(len(bx), dtype=bool)
+        for ex, ey in ((lx, ly), (rx, ry)):
+            dx = ex - bx
+            dy = ey - by
+            px = c * dx - s * dy
+            py = s * dx + c * dy
+            gap_x = np.maximum(np.abs(px) - self.half_extents[0], 0.0)
+            gap_y = np.maximum(np.abs(py) - self.half_extents[1], 0.0)
+            both &= _hypot(gap_x, gap_y, self.contact_margin) <= self.contact_margin
+        return both
 
-    def step(self, state, action, params: EnvParams):
-        bx, by, bth, lx, ly, rx, ry = (float(v) for v in state)
-        a = action
-        amax = self.a_max
-        dlx = min(max(float(a[0]), -amax), amax)
-        dly = min(max(float(a[1]), -amax), amax)
-        drx = min(max(float(a[2]), -amax), amax)
-        dry = min(max(float(a[3]), -amax), amax)
-        nlx, nly = lx + dlx, ly + dly
-        nrx, nry = rx + drx, ry + dry
-
-        if self._in_contact(lx, ly, bx, by, bth) and self._in_contact(rx, ry, bx, by, bth):
+    def step(self, state, action, params: ParamsArg):
+        state = np.asarray(state, dtype=float)
+        rows = np.atleast_2d(state)
+        out = rows.copy()
+        out[:, 3:] += _clamp(np.asarray(action, dtype=float), -self.a_max, self.a_max)
+        i = np.flatnonzero(self._both_in_contact(*rows.T))
+        if len(i):
             # two-point rigid planar fit: old (l, r) -> new (l, r)
+            bx, by, bth, lx, ly, rx, ry = rows[i].T
+            nlx, nly, nrx, nry = out[i, 3:].T
             cox = 0.5 * (lx + rx)
             coy = 0.5 * (ly + ry)
             cnx = 0.5 * (nlx + nrx)
             cny = 0.5 * (nly + nry)
             ux, uy = rx - lx, ry - ly
             vx, vy = nrx - nlx, nry - nly
-            dth = math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
-            slip = min(max(params.friction_scale, 0.0), 1.0)
+            # math.atan2 per row: np.arctan2 differs from it in the last ulp
+            dth = np.array([math.atan2(a, b) for a, b in
+                            zip((ux * vy - uy * vx).tolist(), (ux * vx + uy * vy).tolist())])
+            slip = _clamp(_param_rows(params, "friction_scale", len(rows))[i], 0.0, 1.0)
             sth = slip * dth
-            c = math.cos(sth)
-            s = math.sin(sth)
+            c = np.cos(sth)
+            s = np.sin(sth)
             # rotate block about the old effector centroid, translate by the
             # slip-scaled centroid motion
             relx, rely = bx - cox, by - coy
-            bx = c * relx - s * rely + cox + slip * (cnx - cox)
-            by = s * relx + c * rely + coy + slip * (cny - coy)
-            bth = wrap_angle(bth + sth)
+            out[i, 0] = c * relx - s * rely + cox + slip * (cnx - cox)
+            out[i, 1] = s * relx + c * rely + coy + slip * (cny - coy)
+            out[i, 2] = wrap_angle(bth + sth)
+        return out if state.ndim == 2 else out[0]
 
-        return np.array([bx, by, bth, nlx, nly, nrx, nry])
-
-    def success(self, traj: Trajectory) -> bool:
-        return success_rotate(traj, self.theta_des, self.eps_theta, theta_index=2)
+    def success_batch(self, final_states: np.ndarray) -> np.ndarray:
+        theta = np.asarray(final_states, dtype=float)[:, 2]
+        return np.abs(wrap_angle(theta - self.theta_des)) < self.eps_theta
 
     def psi(self, states):
         return np.asarray(states, dtype=float)
@@ -347,16 +415,15 @@ class PointReach(Environment):
         gx, gy, _ = variant.translation
         return np.array([self.start[0], self.start[1], gx, gy])
 
-    def step(self, state, action, params: EnvParams):
-        x, y, gx, gy = (float(v) for v in state)
-        amax = self.a_max
-        dx = min(max(float(action[0]), -amax), amax)
-        dy = min(max(float(action[1]), -amax), amax)
-        return np.array([x + dx, y + dy, gx, gy])
+    def step(self, state, action, params: ParamsArg):
+        state = np.asarray(state, dtype=float)
+        out = np.atleast_2d(state).copy()
+        out[:, :2] += _clamp(np.asarray(action, dtype=float), -self.a_max, self.a_max)
+        return out if state.ndim == 2 else out[0]
 
-    def success(self, traj: Trajectory) -> bool:
-        x, y, gx, gy = traj.states[-1]
-        return math.hypot(x - gx, y - gy) < self.eps_p
+    def success_batch(self, final_states: np.ndarray) -> np.ndarray:
+        x, y, gx, gy = np.asarray(final_states, dtype=float).T
+        return _hypot(x - gx, y - gy, self.eps_p) < self.eps_p
 
     def psi(self, states):
         states = np.asarray(states, dtype=float)

@@ -75,9 +75,10 @@ class Rotation:
         return v + 2.0 * np.cross(u, np.cross(u, v) + w * v)
 
     def angle(self) -> float:
-        """Rotation angle in [0, pi]."""
-        w = min(1.0, max(-1.0, float(self.wxyz[0])))
-        return 2.0 * np.arccos(abs(w))
+        """Rotation angle in [0, pi].  The half-angle is taken as
+        atan2(|xyz|, |w|), which stays accurate for tiny angles where
+        arccos(|w|) rounds to 0."""
+        return 2.0 * float(np.arctan2(np.linalg.norm(self.wxyz[1:]), abs(self.wxyz[0])))
 
     def angle_to(self, other: "Rotation") -> float:
         return self.inverse().multiply(other).angle()

@@ -22,11 +22,11 @@ import numpy as np
 from . import curator as cur
 from . import sampler as smp
 from .config import PipelineConfig, config_parameters
-from .curator import TubeBounds, TubeUnavailableError
-from .dataset_io import (DatasetManifest, DatasetRecord, dataset_stats,
+from .curator import TubeBounds
+from .dataset_io import (DatasetFormatError, DatasetManifest, DatasetRecord,
                          export_pairs, load_trajectories, serialize, _atomic_write)
 from .envs import (Environment, Trajectory, augmented_demo_actions, make_env,
-                   rollout)
+                   rollout, rollout_batch)
 from .geometry import Pose, compose, sample_object_perturbation
 from .relabel import CemConfig, RelabelTarget, relabel_dataset
 
@@ -274,17 +274,16 @@ def run_spatial_only(cfg: PipelineConfig) -> Tuple[List[DatasetRecord], RunRepor
     seeds = root.spawn(cfg.n_variants + 2)
     poses = sample_variant_poses(env, cfg, np.random.default_rng(seeds[0]))
 
-    variants = []
-    rollouts: List[Trajectory] = []
-    for i, (pose, seed) in enumerate(zip(poses, seeds[1:1 + cfg.n_variants])):
-        rng = np.random.default_rng(seed)
-        params = env.sample_env_params(rng)
-        actions = augmented_demo_actions(env, pose, cfg.l_blend)
-        traj = rollout(env, env.reset(pose, params), actions, params, variant=i)
-        rollouts.append(traj)
-        vr = VariantResult(index=i, pose=pose, curated=[traj],
-                           n_generated=1, n_successful=int(traj.success))
-        variants.append(vr)
+    params = [env.sample_env_params(np.random.default_rng(seed))
+              for seed in seeds[1:1 + cfg.n_variants]]
+    actions = np.array([augmented_demo_actions(env, pose, cfg.l_blend) for pose in poses])
+    states, success = rollout_batch(
+        env, np.array([env.reset(pose, p) for pose, p in zip(poses, params)]), actions, params)
+    rollouts = [Trajectory(states=states[i], actions=actions[i], success=bool(success[i]),
+                           env_params=params[i], variant=i) for i in range(len(poses))]
+    variants = [VariantResult(index=i, pose=pose, curated=[traj], n_generated=1,
+                              n_successful=int(traj.success))
+                for i, (pose, traj) in enumerate(zip(poses, rollouts))]
 
     records = export_pairs(rollouts, [], cfg.chunk_len, observe=env.observe)
     manifest = _manifest(cfg, env, "baseline")
@@ -307,6 +306,9 @@ def _binomial_ci(successes: int, trials: int) -> Tuple[float, float]:
     return (max(0.0, p - half), min(1.0, p + half))
 
 
+_REPLAY_BLOCK = 1024   # replay rows per rollout batch
+
+
 def evaluate_replay(dataset_dir: str, n_trials: int, seed: int = 0) -> Dict:
     """Open-loop replay of a dataset's stored nominal plans.
 
@@ -324,18 +326,23 @@ def evaluate_replay(dataset_dir: str, n_trials: int, seed: int = 0) -> Dict:
     if not trajs:
         raise PipelineError(f"{dataset_dir}: no trajectories to replay")
 
-    stored_ok = 0
-    for traj in trajs:
-        replay = rollout(env, traj.states[0], traj.actions, traj.env_params)
-        stored_ok += int(replay.success)
+    shape = (env.horizon, env.action_dim)
+    if any(traj.actions.shape != shape for traj in trajs):
+        raise DatasetFormatError(f"{dataset_dir}: stored plans must have actions of "
+                                 f"shape {shape}")
+    s0s = np.array([traj.states[0] for traj in trajs])
+    actions = np.array([traj.actions for traj in trajs])
+    stored_ok = int(np.sum(rollout_batch(env, s0s, actions,
+                                         [traj.env_params for traj in trajs])[1]))
 
+    # fresh draws cycle through the stored plans, one batch per block of
+    # trials so memory stays bounded for any n_trials
     rng = np.random.default_rng(seed)
     fresh_ok = 0
-    for i in range(n_trials):
-        traj = trajs[i % len(trajs)]
-        params = env.sample_env_params(rng)
-        replay = rollout(env, traj.states[0], traj.actions, params)
-        fresh_ok += int(replay.success)
+    for lo in range(0, n_trials, _REPLAY_BLOCK):
+        rows = np.arange(lo, min(lo + _REPLAY_BLOCK, n_trials)) % len(trajs)
+        params = [env.sample_env_params(rng) for _ in rows]
+        fresh_ok += int(np.sum(rollout_batch(env, s0s[rows], actions[rows], params)[1]))
 
     return {
         "dataset": dataset_dir,

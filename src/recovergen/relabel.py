@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .curator import TubeBounds, state_distances
-from .envs import Environment, Trajectory, rollout_with_resume
+from .envs import Environment, Trajectory, rollout_batch
 
 log = logging.getLogger(__name__)
 
@@ -104,29 +104,113 @@ def _per_trajectory(expert_states, n: int) -> list:
     return [expert_states] * n
 
 
+# one relabel point's fixed context: (trajectory, timestep, tube, expert states)
+_Point = Tuple[Trajectory, int, TubeBounds, np.ndarray]
+
+
+def _continuations(env: Environment, cfg: CemConfig, points: Sequence[_Point],
+                   chunks: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Roll out every candidate chunk of every point in one batch: the
+    chunk from the risky state, then the reference plan's remainder.
+    ``chunks[j]`` is (m_j, H * d_a); rows are stacked in point order."""
+    h = cfg.horizon
+    lengths = np.concatenate([np.full(len(u), traj.horizon - t)
+                              for (traj, t, _, _), u in zip(points, chunks)])
+    actions = np.zeros((len(lengths), lengths.max(), env.action_dim))
+    s0s = np.empty((len(lengths), env.state_dim))
+    params = []
+    row = 0
+    for (traj, t, _, _), u in zip(points, chunks):
+        rows = slice(row, row + len(u))
+        actions[rows, :h] = u.reshape(len(u), h, env.action_dim)
+        actions[rows, h:traj.horizon - t] = traj.actions[t + h:]
+        s0s[rows] = traj.states[t]
+        params += [traj.env_params] * len(u)
+        row += len(u)
+    return rollout_batch(env, s0s, actions, params, lengths)
+
+
+def _costs(env: Environment, cfg: CemConfig, points: Sequence[_Point],
+           chunks: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Relabel cost of every candidate chunk of every point (see
+    ``relabel_cost``), with one rollout batch for all of them."""
+    h = cfg.horizon
+    costs = [cfg.w_ref * np.sum((u - traj.actions[t:t + h].reshape(-1)) ** 2, axis=1)
+             for (traj, t, _, _), u in zip(points, chunks)]
+    if cfg.w_fail <= 0 and cfg.w_tube <= 0:
+        return costs
+    states, success = _continuations(env, cfg, points, chunks)
+    row = 0
+    for j, ((_, _, tube, expert), u) in enumerate(zip(points, chunks)):
+        rows = slice(row, row + len(u))
+        row += len(u)
+        if cfg.w_fail > 0:
+            costs[j] = np.where(success[rows], costs[j], costs[j] + cfg.w_fail)
+        if cfg.w_tube > 0:
+            span = states[rows, 1:h + 1].reshape(-1, env.state_dim)
+            if h == 1:
+                # a one-row product takes BLAS's matrix-vector path, whose
+                # rounding differs from the matrix-matrix one; keep it
+                d = np.concatenate([state_distances(x[None], expert, env.psi, env.psi_scales)
+                                    for x in span])
+            else:
+                d = state_distances(span, expert, env.psi, env.psi_scales)
+            excess = np.maximum(d.reshape(len(u), h) - tube.r_max, 0.0)
+            costs[j] = costs[j] + cfg.w_tube * np.sum(excess ** 2, axis=1)
+    return costs
+
+
 def relabel_cost(u: np.ndarray, traj: Trajectory, t: int, tube: TubeBounds,
                  env: Environment, cfg: CemConfig, expert_states) -> float:
     """J = w_fail [continuation fails] + w_tube sum relu(d - r_max)^2 over
     the corrected span + w_ref ||u - u_ref||^2."""
-    u = np.asarray(u, dtype=float).reshape(cfg.horizon, env.action_dim)
-    u_ref = traj.actions[t:t + cfg.horizon]
-    j = cfg.w_ref * float(np.sum((u - u_ref) ** 2))
-    if cfg.w_fail > 0 or cfg.w_tube > 0:
-        cont = rollout_with_resume(env, traj.states[t], u,
-                                   traj.actions[t + cfg.horizon:], traj.env_params)
-        if cfg.w_fail > 0 and not cont.success:
-            j += cfg.w_fail
-        if cfg.w_tube > 0:
-            d = state_distances(cont.states[1:cfg.horizon + 1], expert_states,
-                                env.psi, env.psi_scales)
-            j += cfg.w_tube * float(np.sum(np.maximum(d - tube.r_max, 0.0) ** 2))
-    return j
+    u = np.asarray(u, dtype=float).reshape(1, cfg.horizon * env.action_dim)
+    return float(_costs(env, cfg, [(traj, t, tube, expert_states)], [u])[0][0])
 
 
-def _continuation_success(u, traj, t, env, cfg) -> bool:
-    cont = rollout_with_resume(env, traj.states[t], u,
-                               traj.actions[t + cfg.horizon:], traj.env_params)
-    return cont.success
+def _cem_lockstep(env: Environment, cfg: CemConfig, points: Sequence[RelabelPoint],
+                  context: Sequence[_Point],
+                  rngs: Sequence[np.random.Generator]) -> List[Optional[RelabelTarget]]:
+    """Cross-entropy search at every point at once: each iteration rolls
+    out all points' populations in one batch, while each point keeps its
+    own mean, spread, best candidate and random stream."""
+    for traj, t, _, _ in context:
+        if t < 0 or t + cfg.horizon > traj.horizon:
+            raise ValueError("relabel point does not leave room for a full chunk")
+    dim = cfg.horizon * env.action_dim
+    means = [traj.actions[t:t + cfg.horizon].reshape(-1).copy() for traj, t, _, _ in context]
+    stds = [np.full(dim, cfg.init_std) for _ in context]
+    best_us = [m.copy() for m in means]
+    best_costs = [float(c[0]) for c in _costs(env, cfg, context, [m[None] for m in means])]
+    for _ in range(cfg.iterations):
+        pops = []
+        for mean, std, rng in zip(means, stds, rngs):
+            pop = mean + std * rng.standard_normal((cfg.population, dim))
+            pop[0] = mean  # keep the current mean in the population
+            pops.append(pop)
+        for j, (pop, costs) in enumerate(zip(pops, _costs(env, cfg, context, pops))):
+            order = np.argsort(costs, kind="stable")
+            if costs[order[0]] < best_costs[j]:
+                best_costs[j] = float(costs[order[0]])
+                best_us[j] = pop[order[0]].copy()
+            elites = pop[order[:cfg.n_elites]]
+            means[j] = elites.mean(axis=0)
+            stds[j] = np.maximum(elites.std(axis=0), cfg.std_floor)
+
+    _, success = _continuations(env, cfg, context, [u[None] for u in best_us])
+    targets: List[Optional[RelabelTarget]] = []
+    for point, (traj, t, _, _), u, cost, ok in zip(points, context, best_us, best_costs,
+                                                   success):
+        if not ok:
+            log.info("relabel point (traj %d, t %d) found no successful correction",
+                     point.trajectory_id, t)
+            targets.append(None)
+            continue
+        obs = env.observe(traj.states[t], traj.states[0])
+        targets.append(RelabelTarget(observation=obs,
+                                     chunk=u.reshape(cfg.horizon, env.action_dim),
+                                     point=point, cost=cost))
+    return targets
 
 
 def cem_optimize(point: RelabelPoint, traj: Trajectory, env: Environment,
@@ -135,36 +219,7 @@ def cem_optimize(point: RelabelPoint, traj: Trajectory, env: Environment,
     """Cross-entropy search for a corrective chunk around the reference
     segment.  Keeps the best candidate ever seen; emits a target only if
     its full continuation succeeds."""
-    t = point.t
-    if t < 0 or t + cfg.horizon > traj.horizon:
-        raise ValueError("relabel point does not leave room for a full chunk")
-    dim = cfg.horizon * env.action_dim
-    mean = traj.actions[t:t + cfg.horizon].reshape(-1).copy()
-    std = np.full(dim, cfg.init_std)
-
-    best_u = mean.copy()
-    best_cost = relabel_cost(best_u, traj, t, tube, env, cfg, expert_states)
-    for _ in range(cfg.iterations):
-        pop = mean + std * rng.standard_normal((cfg.population, dim))
-        pop[0] = mean  # keep the current mean in the population
-        costs = np.array([relabel_cost(u, traj, t, tube, env, cfg, expert_states)
-                          for u in pop])
-        order = np.argsort(costs, kind="stable")
-        if costs[order[0]] < best_cost:
-            best_cost = float(costs[order[0]])
-            best_u = pop[order[0]].copy()
-        elites = pop[order[:cfg.n_elites]]
-        mean = elites.mean(axis=0)
-        std = np.maximum(elites.std(axis=0), cfg.std_floor)
-
-    if not _continuation_success(best_u, traj, t, env, cfg):
-        log.info("relabel point (traj %d, t %d) found no successful correction",
-                 point.trajectory_id, t)
-        return None
-    obs = env.observe(traj.states[t], traj.states[0])
-    return RelabelTarget(observation=obs,
-                         chunk=best_u.reshape(cfg.horizon, env.action_dim),
-                         point=point, cost=best_cost)
+    return _cem_lockstep(env, cfg, [point], [(traj, point.t, tube, expert_states)], [rng])[0]
 
 
 def relabel_dataset(curated: Sequence[Trajectory], env: Environment,
@@ -182,12 +237,9 @@ def relabel_dataset(curated: Sequence[Trajectory], env: Environment,
     tubes = list(tube) if isinstance(tube, (list, tuple)) else [tube] * len(curated)
     points = select_risky_states(curated, expert_list, env.psi, env.psi_scales,
                                  k_rel, min_sep, cfg.horizon)
-    seeds = rng.spawn(len(points)) if points else []
-    targets = []
-    for point, sub_rng in zip(points, seeds):
-        traj = curated[point.trajectory_id]
-        target = cem_optimize(point, traj, env, tubes[point.trajectory_id], cfg,
-                              sub_rng, expert_list[point.trajectory_id])
-        if target is not None:
-            targets.append(target)
-    return targets
+    if not points:
+        return []
+    context = [(curated[p.trajectory_id], p.t, tubes[p.trajectory_id],
+                expert_list[p.trajectory_id]) for p in points]
+    targets = _cem_lockstep(env, cfg, points, context, rng.spawn(len(points)))
+    return [target for target in targets if target is not None]

@@ -8,11 +8,11 @@ diagonal Gaussian that the curator refits between iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .envs import Environment, EnvParams, Trajectory, rollout
+from .envs import Environment, Trajectory, rollout_batch
 from .geometry import Pose
 
 
@@ -115,17 +115,18 @@ def sample_batch(q: Proposal, n: int, rng: np.random.Generator) -> List[np.ndarr
 
 def generate_success_batch(env: Environment, variant: Pose, q: Proposal, n: int,
                            rng: np.random.Generator, variant_index: int = 0) -> SuccessBatch:
-    """Sample n plans, roll each out under freshly randomized per-episode
-    physical parameters, and keep only the successful trajectories."""
+    """Sample n plans, roll them out in one batch, each under freshly
+    randomized per-episode physical parameters, and keep only the
+    successful trajectories."""
     draws = sample_batch(q, n, rng)
-    members = []
-    for c in draws:
-        params = env.sample_env_params(rng)
-        s0 = env.reset(variant, params)
-        actions = decode(q.reshape(c), env.horizon)
-        traj = rollout(env, s0, actions, params, origin=c, variant=variant_index)
-        if traj.success:
-            members.append((traj, c))
+    params = [env.sample_env_params(rng) for _ in draws]
+    s0s = np.array([env.reset(variant, p) for p in params])
+    actions = np.array([decode(q.reshape(c), env.horizon) for c in draws])
+    states, success = rollout_batch(env, s0s, actions, params)
+    members = [(Trajectory(states=states[i].copy(), actions=actions[i].copy(), success=True,
+                           env_params=params[i], origin=draws[i], variant=variant_index),
+                draws[i])
+               for i in np.flatnonzero(success)]
     return SuccessBatch(members=members, n_sampled=n)
 
 

@@ -1,6 +1,7 @@
 """Acceptance suite: the twelve release criteria, each at its stated
 tolerance.  Every test prints a one-line PASS marker so the suite doubles
 as a human-readable checklist (`pytest -s tests/test_acceptance.py`)."""
+import hashlib
 import itertools
 import math
 import time
@@ -39,6 +40,37 @@ def generated(tmp_path_factory):
 
 def _report(name, detail=""):
     print(f"ACCEPTANCE PASS: {name}" + (f" ({detail})" if detail else ""))
+
+
+# sha256 of every output file of the seed-7 default run (the ``generated``
+# fixture, equal to ``recovergen generate --seed 7 --jobs 1``)
+GOLDEN_DIGESTS = {
+    "manifest": "000654ad38ebefe55c10adb272a7f9cdd8b64845a3e93f4c6889e029b138ed4a",
+    "records": "6ee524e2f1258fb0883cf0a5e515049248b373272b0ba1db666fe0f82fe33aec",
+    "report.jsonl": "4a161e2f496cca156eb01763267a703ccbbb5bcfd76fcf304dcec2b4832c96ee",
+    "report.txt": "7b22373813e7d8b110ab61897b0ce07b4351f68f8d0a5ac63a4d003e9f6eac1e",
+    "trajectories": "14b4ae7d7e033f98932ee74aa8402a8407cc7bb9c7180aa7563bfb8e415c3aa0",
+}
+
+
+def test_golden_digest_of_default_run(generated):
+    """The default run's output bytes are pinned: a change that is meant
+    to keep behaviour (a refactor, a faster kernel) must keep them.
+
+    The digests were recorded with numpy 2.4.6 on x86-64 Linux, with
+    glibc's libm and OpenBLAS 0.3.31; they pin the last bits of those
+    libraries' sin, cos, atan2, hypot and matrix products as well.  On a
+    platform whose libm or BLAS rounds differently this test can fail
+    while the program is correct; re-record the digests there from a
+    known-good commit.  An intentional change to the output bytes
+    re-records them and says so in CHANGES.md."""
+    cfg, _, _, _ = generated
+    got = {}
+    for name in GOLDEN_DIGESTS:
+        with open(f"{cfg.out_dir}/{name}", "rb") as fh:
+            got[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert got == GOLDEN_DIGESTS
+    _report("golden digest", "5 output files byte-identical")
 
 
 # ---------------------------------------------------------------------------

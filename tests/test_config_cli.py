@@ -166,6 +166,25 @@ def test_cli_unknown_key_exit_code(capsys):
     assert main(["generate", "--set", "bogus.key=1"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("sets, message", [
+    (["relabel.population=0"], "relabel.population"),
+    (["relabel.elite_frac=0"], "relabel.elite_frac"),
+    (["relabel.elite_frac=1.5"], "relabel.elite_frac"),
+    (["relabel.horizon=0"], "relabel.horizon"),
+    (["env.horizon=20", "relabel.horizon=21"], "exceeds the environment horizon"),
+    (["env.no_such_constant=1"], "environment"),
+])
+def test_cli_relabel_and_env_config_fail_before_any_rollout(tmp_path, capsys, sets,
+                                                           message):
+    out = tmp_path / "never"
+    argv = ["generate", "--out", str(out)]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_no_data_exit_code(tmp_path, capsys):
     # impossible goal far outside reach: every variant starves
     rc = main(["generate", "--env", "point_reach", "--out", str(tmp_path / "x"),

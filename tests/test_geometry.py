@@ -67,6 +67,12 @@ def test_angle_of_z_rotation():
     assert np.isclose(Rotation.about_z(-0.7).angle(), 0.7, atol=ATOL)
 
 
+@pytest.mark.parametrize("phi", [1e-12, 2e-9, 1e-6, np.pi - 1e-9])
+def test_angle_accurate_at_the_edges(phi):
+    # arccos(|w|) loses every angle below ~1e-8 rad to rounding
+    assert np.isclose(Rotation.about_z(phi).angle(), phi, rtol=1e-9, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Pose composition
 

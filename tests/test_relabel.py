@@ -7,7 +7,7 @@ from recovergen.envs import (PlanarBlockRotate, PointReach, Trajectory,
                              augmented_demo_actions, rollout,
                              rollout_with_resume)
 from recovergen.geometry import Pose
-from recovergen.relabel import (CemConfig, RelabelPoint, cem_optimize,
+from recovergen.relabel import (CemConfig, RelabelPoint, _costs, cem_optimize,
                                 relabel_cost, relabel_dataset,
                                 select_risky_states)
 
@@ -226,6 +226,41 @@ def test_cem_unreachable_goal_emits_nothing():
                        TubeBounds(0.0, 100.0), cfg, np.random.default_rng(0),
                        traj.states)
     assert out is None
+
+
+@pytest.mark.parametrize("horizon", [1, 15])
+def test_population_costs_equal_one_candidate_costs(horizon):
+    # the batched cost of a whole population, rows of several lengths and
+    # points, equals relabel_cost taken one candidate at a time, bitwise
+    env, traj, expert = _block_fixture()
+    cfg = CemConfig(horizon=horizon)
+    tube = TubeBounds(0.0, 0.05)
+    rng = np.random.default_rng(4)
+    points = [(traj, t, tube, expert) for t in (3, 20, traj.horizon - horizon)]
+    chunks = [traj.actions[t:t + horizon].reshape(-1)
+              + 0.01 * rng.standard_normal((9, horizon * env.action_dim))
+              for _, t, _, _ in points]
+    batched = _costs(env, cfg, points, chunks)
+    for (_, t, _, _), pop, costs in zip(points, chunks, batched):
+        one_by_one = [relabel_cost(u, traj, t, tube, env, cfg, expert) for u in pop]
+        assert costs.tolist() == one_by_one
+    assert any(c > 0 for costs in batched for c in costs)
+
+
+def test_relabel_dataset_equals_points_optimized_one_at_a_time():
+    env, traj, expert = _block_fixture()
+    cfg = CemConfig(population=12, iterations=3, init_std=0.005, horizon=15)
+    tube = TubeBounds(0.0, 0.05)
+    targets = relabel_dataset([traj], env, tube, cfg, np.random.default_rng(3),
+                              expert, k_rel=3)
+    points = select_risky_states([traj], expert, env.psi, env.psi_scales, 3,
+                                 cfg.horizon, cfg.horizon)
+    alone = [cem_optimize(point, traj, env, tube, cfg, rng, expert)
+             for point, rng in zip(points, np.random.default_rng(3).spawn(len(points)))]
+    alone = [a for a in alone if a is not None]
+    assert len(targets) == len(alone) > 1
+    for a, b in zip(alone, targets):
+        assert a.point == b.point and np.array_equal(a.chunk, b.chunk) and a.cost == b.cost
 
 
 # ---------------------------------------------------------------------------
