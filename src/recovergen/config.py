@@ -91,6 +91,10 @@ class PipelineConfig:
             raise ConfigError("l_blend and chunk_len must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.sampler.m_points < 2:
+            raise ConfigError("sampler.m_points must be >= 2")
+        if self.curator.temperature <= 0:
+            raise ConfigError("curator.temperature must be > 0")
         rc = self.relabel
         if rc.population < 1:
             raise ConfigError("relabel.population must be >= 1")
@@ -102,9 +106,11 @@ class PipelineConfig:
             env_horizon = make_env(self.env, **self.env_overrides).horizon
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"environment '{self.env}': {exc}") from exc
-        if rc.horizon > env_horizon:
-            raise ConfigError(f"relabel.horizon ({rc.horizon}) exceeds the environment "
-                              f"horizon ({env_horizon})")
+        for name, length in [("relabel.horizon", rc.horizon), ("chunk_len", self.chunk_len),
+                             ("curator.k_dct + 1", self.curator.k_dct + 1)]:
+            if length > env_horizon:
+                raise ConfigError(f"{name} ({length}) exceeds the environment "
+                                  f"horizon ({env_horizon})")
 
 
 _SECTIONS = {"sampler": SamplerConfig, "curator": CuratorConfig, "relabel": RelabelConfig}

@@ -8,17 +8,26 @@ Layout under the output directory:
   replay/debugging
 
 Numbers are written with shortest round-trip decimals, so a serialize /
-deserialize round trip is bitwise lossless.  Files are written to a
-temporary name and renamed, and the manifest pins the expected line
-counts, so a truncated file is detected instead of yielding a partial
-dataset.
+deserialize round trip is bitwise lossless.  ``records`` and
+``trajectories`` go through one writer that works in blocks of
+``_BLOCK_LINES`` lines: within a block, each distinct float row (the last
+axis of an array, told apart by bit pattern, so ``-0.0`` and ``0.0`` keep
+their own text) is formatted once by a single ``json.dumps`` call, each
+line is joined from those row texts, and the block is streamed to disk
+before the next one is built.  The bytes equal those of ``json.dumps``
+on each line's dict.  Files are written to a temporary name and renamed,
+and the manifest pins the expected line counts, so a truncated file is
+detected instead of yielding a partial dataset.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import operator
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +52,8 @@ class DatasetRecord:
     def __post_init__(self):
         if self.source not in ("curated", "relabeled"):
             raise ValueError(f"bad record source {self.source!r}")
+        self.trajectory_id = operator.index(self.trajectory_id)
+        self.t = operator.index(self.t)
         self.observation = np.asarray(self.observation, dtype=float)
         self.action_chunk = np.asarray(self.action_chunk, dtype=float)
         if self.action_chunk.size == 0:
@@ -106,10 +117,18 @@ def export_pairs(curated: Sequence[Trajectory], relabels: Sequence[RelabelTarget
 # serialization
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to a temporary file and rename it to ``path``.
+    If producing a chunk fails, the temporary file is removed and
+    ``path`` keeps its previous content."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        fh.write(text)
+        try:
+            fh.writelines(chunks)
+        except BaseException:
+            fh.close()
+            os.unlink(tmp)
+            raise
     os.replace(tmp, path)
 
 
@@ -167,27 +186,76 @@ def _parse_manifest(path: str) -> DatasetManifest:
     return DatasetManifest(**fields)
 
 
-def _record_line(rec: DatasetRecord) -> str:
-    return json.dumps({
-        "traj": rec.trajectory_id,
-        "t": rec.t,
-        "source": rec.source,
-        "obs": rec.observation.tolist(),
-        "chunk": rec.action_chunk.tolist(),
-    })
+_BLOCK_LINES = 1024
 
 
-def _traj_line(i: int, traj: Trajectory) -> str:
-    return json.dumps({
-        "id": i,
-        "variant": traj.variant,
-        "success": bool(traj.success),
-        "mass": traj.env_params.mass,
-        "friction_scale": traj.env_params.friction_scale,
-        "states": traj.states.tolist(),
-        "actions": traj.actions.tolist(),
-        "origin": None if traj.origin is None else np.asarray(traj.origin).tolist(),
-    })
+def _row_texts(rows: np.ndarray) -> List[str]:
+    """JSON text of each row of a 2-D float64 array.  Rows are keyed by
+    their bytes, and the distinct ones are formatted by one ``json.dumps``
+    call, so the spelling is json's (``NaN``, ``-0.0``, shortest repr)."""
+    n, width = rows.shape
+    if width == 0:
+        return ["[]"] * n
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * width))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    body = json.dumps(rows[first].tolist())          # "[[a, b], [c, d]]"
+    distinct = ["[" + s + "]" for s in body[2:-2].split("], [")]
+    return [distinct[i] for i in inverse.tolist()]
+
+
+def _nest(texts: List[str], start: int, shape: Tuple[int, ...]) -> str:
+    """JSON text of an array of ``shape`` whose rows are ``texts[start:]``."""
+    if len(shape) < 2:
+        return texts[start] if shape else texts[start][1:-1]
+    if len(shape) == 2:
+        return "[" + ", ".join(texts[start:start + shape[0]]) + "]"
+    step = math.prod(shape[1:-1])
+    return "[" + ", ".join(_nest(texts, start + i * step, shape[1:])
+                           for i in range(shape[0])) + "]"
+
+
+def _format_block(lines: Sequence[Sequence]) -> str:
+    """Text of a block of lines, each a sequence of literal strings and
+    float arrays."""
+    rows: Dict[int, List[np.ndarray]] = {}    # row width -> arrays, in order
+    used: Dict[int, int] = {}                 # row width -> rows registered
+    layout: List = []                         # str, or (width, first row, shape)
+    for parts in lines:
+        for part in parts:
+            if isinstance(part, str):
+                layout.append(part)
+                continue
+            a = np.asarray(part, dtype=np.float64)
+            width = a.shape[-1] if a.ndim else 1
+            n = math.prod(a.shape[:-1]) if a.ndim else 1
+            start = used.get(width, 0)
+            rows.setdefault(width, []).append(a.reshape(n, width))
+            layout.append((width, start, a.shape))
+            used[width] = start + n
+    texts = {w: _row_texts(np.concatenate(arrays)) for w, arrays in rows.items()}
+    return "".join(p if isinstance(p, str) else _nest(texts[p[0]], p[1], p[2])
+                   for p in layout)
+
+
+def _json_lines(lines: Iterable[Sequence]) -> Iterator[str]:
+    """Stream lines block by block; see the module docstring."""
+    it = iter(lines)
+    while block := list(itertools.islice(it, _BLOCK_LINES)):
+        yield _format_block(block)
+
+
+def _record_parts(rec: DatasetRecord) -> tuple:
+    return (f'{{"traj": {rec.trajectory_id:d}, "t": {rec.t:d}, '
+            f'"source": "{rec.source}", "obs": ', rec.observation,
+            ', "chunk": ', rec.action_chunk, "}\n")
+
+
+def _trajectory_parts(i: int, traj: Trajectory) -> tuple:
+    head = json.dumps({"id": i, "variant": traj.variant, "success": bool(traj.success),
+                       "mass": traj.env_params.mass,
+                       "friction_scale": traj.env_params.friction_scale})
+    return (head[:-1] + ', "states": ', traj.states, ', "actions": ', traj.actions,
+            ', "origin": ', "null" if traj.origin is None else traj.origin, "}\n")
 
 
 def serialize(records: Sequence[DatasetRecord], manifest: DatasetManifest,
@@ -197,12 +265,13 @@ def serialize(records: Sequence[DatasetRecord], manifest: DatasetManifest,
     manifest.n_records = len(records)
     if trajectories is not None:
         manifest.n_trajectories = len(trajectories)
-    _atomic_write(os.path.join(out_dir, "manifest"), _manifest_lines(manifest))
+    _atomic_write(os.path.join(out_dir, "manifest"), [_manifest_lines(manifest)])
     _atomic_write(os.path.join(out_dir, "records"),
-                  "".join(_record_line(r) + "\n" for r in records))
+                  _json_lines(map(_record_parts, records)))
     if trajectories is not None:
         _atomic_write(os.path.join(out_dir, "trajectories"),
-                      "".join(_traj_line(i, t) + "\n" for i, t in enumerate(trajectories)))
+                      _json_lines(itertools.starmap(_trajectory_parts,
+                                                    enumerate(trajectories))))
 
 
 def _read_jsonl(path: str, expected: int):

@@ -213,9 +213,8 @@ def _write_report(out_dir: str, report: RunReport) -> None:
     text.append(f"totals: generated {totals['generated']}, "
                 f"successful {totals['successful']}, selected {totals['selected']}, "
                 f"relabeled {report.n_relabeled}, records {report.n_records}")
-    _atomic_write(os.path.join(out_dir, "report.txt"), "\n".join(text) + "\n")
-    _atomic_write(os.path.join(out_dir, "report.jsonl"),
-                  "".join(json.dumps(r) + "\n" for r in rows))
+    _atomic_write(os.path.join(out_dir, "report.txt"), ["\n".join(text) + "\n"])
+    _atomic_write(os.path.join(out_dir, "report.jsonl"), (json.dumps(r) + "\n" for r in rows))
 
 
 def run_pgdg(cfg: PipelineConfig) -> Tuple[List[DatasetRecord], RunReport]:

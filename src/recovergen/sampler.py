@@ -8,6 +8,7 @@ diagonal Gaussian that the curator refits between iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -16,9 +17,11 @@ from .envs import Environment, Trajectory, rollout_batch
 from .geometry import Pose
 
 
+@lru_cache(maxsize=32)
 def interp_matrix(horizon: int, m_points: int) -> np.ndarray:
     """(T, M) matrix W with decode(C) = W @ C: piecewise-linear
-    interpolation of M knots placed at t_j = j (T-1)/(M-1)."""
+    interpolation of M knots placed at t_j = j (T-1)/(M-1).  Memoised per
+    (T, M); the returned array is read-only, since callers share it."""
     if m_points < 2:
         raise ValueError("need at least 2 control points")
     if horizon < 1:
@@ -31,6 +34,7 @@ def interp_matrix(horizon: int, m_points: int) -> np.ndarray:
     rows = np.arange(horizon)
     mat[rows, idx] = 1.0 - w
     mat[rows, idx + 1] += w
+    mat.flags.writeable = False
     return mat
 
 

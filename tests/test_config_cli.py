@@ -173,6 +173,11 @@ def test_cli_unknown_key_exit_code(capsys):
     (["relabel.horizon=0"], "relabel.horizon"),
     (["env.horizon=20", "relabel.horizon=21"], "exceeds the environment horizon"),
     (["env.no_such_constant=1"], "environment"),
+    (["env.horizon=20", "chunk_len=21"], "chunk_len (21) exceeds the environment horizon"),
+    (["curator.temperature=0"], "curator.temperature"),
+    (["curator.temperature=-0.5"], "curator.temperature"),
+    (["env.horizon=20", "chunk_len=10", "curator.k_dct=20"], "curator.k_dct + 1 (21) exceeds"),
+    (["sampler.m_points=1"], "sampler.m_points"),
 ])
 def test_cli_relabel_and_env_config_fail_before_any_rollout(tmp_path, capsys, sets,
                                                            message):

@@ -1,8 +1,13 @@
 """Dataset assembly, serialization round-trips, and corruption handling."""
+import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from recovergen.dataset_io import (DatasetFormatError, DatasetManifest,
                                    DatasetRecord, dataset_stats, deserialize,
@@ -159,6 +164,177 @@ def test_missing_trajectory_dump_rejected(tmp_path):
     serialize([], make_manifest(), str(tmp_path))
     with pytest.raises(DatasetFormatError, match="missing"):
         load_trajectories(str(tmp_path))
+
+
+# ---------------------------------------------------------------------------
+# writer bytes against the per-line json.dumps encoder it replaced
+
+
+def oracle_record_line(rec):
+    return json.dumps({
+        "traj": rec.trajectory_id,
+        "t": rec.t,
+        "source": rec.source,
+        "obs": rec.observation.tolist(),
+        "chunk": rec.action_chunk.tolist(),
+    })
+
+
+def oracle_traj_line(i, traj):
+    return json.dumps({
+        "id": i,
+        "variant": traj.variant,
+        "success": bool(traj.success),
+        "mass": traj.env_params.mass,
+        "friction_scale": traj.env_params.friction_scale,
+        "states": traj.states.tolist(),
+        "actions": traj.actions.tolist(),
+        "origin": None if traj.origin is None else np.asarray(traj.origin).tolist(),
+    })
+
+
+def assert_bytes_match_oracle(records, trajectories=None):
+    with tempfile.TemporaryDirectory() as out:
+        serialize(records, make_manifest(), out, trajectories=trajectories)
+        with open(os.path.join(out, "records")) as fh:
+            assert fh.read() == "".join(oracle_record_line(r) + "\n" for r in records)
+        if trajectories is not None:
+            with open(os.path.join(out, "trajectories")) as fh:
+                assert fh.read() == "".join(oracle_traj_line(i, t) + "\n"
+                                            for i, t in enumerate(trajectories))
+
+
+EDGE_VALUES = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
+               1e16, 1e-7, 1e22, 3.0, -2.0, 0.1, 1.0 / 3.0, 2.0 ** 53]
+floats = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(width=64))
+few_floats = st.sampled_from(EDGE_VALUES[:6])     # forces repeated rows
+
+
+def float_arrays(shape):
+    return st.one_of(hnp.arrays(np.float64, shape, elements=floats),
+                     hnp.arrays(np.float64, shape, elements=few_floats))
+
+
+@st.composite
+def record_lists(draw):
+    d_obs, d_a = draw(st.integers(0, 5)), draw(st.integers(1, 3))
+    records = []
+    for i in range(draw(st.integers(0, 6))):
+        actions = draw(float_arrays((draw(st.integers(1, 6)), d_a)))
+        k = draw(st.integers(1, len(actions)))
+        for t in range(len(actions) - k + 1):
+            records.append(DatasetRecord(observation=draw(float_arrays(d_obs)),
+                                         action_chunk=actions[t:t + k],
+                                         source="curated", trajectory_id=i, t=t))
+        if draw(st.booleans()):
+            chunk = draw(float_arrays((draw(st.integers(1, 4)), d_a)))
+            records.append(DatasetRecord(observation=draw(float_arrays(d_obs)),
+                                         action_chunk=chunk, source="relabeled",
+                                         trajectory_id=i, t=draw(st.integers(0, 9))))
+    return records
+
+
+@st.composite
+def trajectory_lists(draw):
+    d_s, d_a = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    trajs = []
+    for i in range(draw(st.integers(0, 4))):
+        horizon = draw(st.integers(1, 5))
+        origin = draw(st.one_of(st.none(), float_arrays(draw(st.integers(0, 6)))))
+        trajs.append(Trajectory(states=draw(float_arrays((horizon + 1, d_s))),
+                                actions=draw(float_arrays((horizon, d_a))),
+                                success=draw(st.booleans()),
+                                env_params=EnvParams(mass=draw(floats),
+                                                     friction_scale=draw(floats)),
+                                origin=origin, variant=draw(st.integers(0, 50))))
+    return trajs
+
+
+@given(record_lists(), trajectory_lists())
+@settings(max_examples=200, deadline=None)
+def test_writer_bytes_equal_json_dumps_oracle(records, trajectories):
+    assert_bytes_match_oracle(records, trajectories)
+
+
+def test_writer_edge_values_keep_their_own_text():
+    # rows equal by value but not by bit pattern must not share text
+    obs = np.array(EDGE_VALUES)
+    chunk = np.array([[-0.0, 0.0], [0.0, -0.0], [np.nan, np.inf], [-np.inf, 5e-324],
+                      [1e16, 1e-7], [4.0, -7.0], [0.0, 0.0], [-0.0, -0.0]])
+    records = [DatasetRecord(observation=obs, action_chunk=chunk[i:i + 2],
+                             source="curated", trajectory_id=0, t=i) for i in range(7)]
+    records.append(DatasetRecord(observation=-obs, action_chunk=chunk[::-1],
+                                 source="relabeled", trajectory_id=0, t=3))
+    assert_bytes_match_oracle(records)
+    with tempfile.TemporaryDirectory() as out:
+        serialize(records, make_manifest(), out)
+        with open(os.path.join(out, "records")) as fh:
+            text = fh.read()
+    assert "[-0.0, 0.0]" in text and "[0.0, -0.0]" in text
+    assert "NaN" in text and "-Infinity" in text and "5e-324" in text and "1e+16" in text
+
+
+def test_writer_mixes_relabeled_and_curated_chunk_lengths():
+    trajs = [make_traj(horizon=12, seed=i) for i in range(3)]
+    targets = [RelabelTarget(observation=np.arange(6.0) + i,
+                             chunk=make_traj(horizon=7, seed=10 + i).actions,
+                             point=RelabelPoint(i, 2 * i, 0.5), cost=0.1)
+               for i in range(3)]
+    records = export_pairs(trajs, targets, chunk_len=4)
+    assert {r.action_chunk.shape for r in records} == {(4, 2), (7, 2)}
+    assert_bytes_match_oracle(records, trajs)
+
+
+def test_writer_one_dimensional_and_scalar_arrays():
+    records = [DatasetRecord(observation=np.float64(2.5), action_chunk=np.array([1.0, -0.0]),
+                             source="curated", trajectory_id=0, t=0),
+               DatasetRecord(observation=np.zeros(0), action_chunk=np.ones((2, 2, 3)),
+                             source="relabeled", trajectory_id=1, t=4)]
+    assert_bytes_match_oracle(records)
+
+
+def test_writer_empty_record_list():
+    assert_bytes_match_oracle([], [])
+
+
+def test_writer_blocks_split_a_trajectorys_windows(monkeypatch):
+    from recovergen import dataset_io
+    trajs = [make_traj(horizon=40, seed=i) for i in range(40)]
+    for traj in trajs:
+        traj.actions[::3] = 0.0          # repeated rows within and across blocks
+    records = export_pairs(trajs, [], chunk_len=5)
+    assert len(records) > 1024 and 1024 % 36 != 0    # 36 windows per trajectory
+    assert_bytes_match_oracle(records, trajs)
+    monkeypatch.setattr(dataset_io, "_BLOCK_LINES", 7)
+    assert_bytes_match_oracle(records, trajs)
+
+
+def test_writer_trajectories_with_and_without_origin():
+    trajs = [make_traj(seed=i, variant=i) for i in range(4)]
+    trajs[1].origin = None
+    trajs[3].origin = None
+    assert_bytes_match_oracle(export_pairs(trajs, [], chunk_len=3), trajs)
+
+
+def test_failed_write_keeps_previous_file_and_no_temp_file(tmp_path):
+    trajs = [make_traj(horizon=40, seed=i) for i in range(40)]
+    records = export_pairs(trajs, [], chunk_len=5)
+    serialize(records[:10], make_manifest(), str(tmp_path))
+    before = (tmp_path / "records").read_bytes()
+    records[-1].t = 2.5                  # fails to format in the second block
+    with pytest.raises(ValueError):
+        serialize(records, make_manifest(), str(tmp_path))
+    assert (tmp_path / "records").read_bytes() == before
+    assert not (tmp_path / "records.tmp").exists()
+
+
+def test_record_ids_must_be_integers():
+    rec = DatasetRecord(observation=np.zeros(2), action_chunk=np.ones((1, 1)),
+                        source="curated", trajectory_id=np.int64(3), t=np.int32(4))
+    assert type(rec.trajectory_id) is int and type(rec.t) is int
+    with pytest.raises(TypeError):
+        DatasetRecord(observation=np.zeros(2), action_chunk=np.ones((1, 1)),
+                      source="curated", trajectory_id=0, t=1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,14 @@ def test_interp_matrix_rows_sum_to_one():
     assert np.all(w >= 0.0)
 
 
+def test_interp_matrix_is_shared_and_read_only():
+    w = interp_matrix(23, 6)
+    assert interp_matrix(23, 6) is w
+    with pytest.raises(ValueError):
+        w[0, 0] = 5.0
+    assert interp_matrix(23, 7) is not w
+
+
 # ---------------------------------------------------------------------------
 # least-squares fit
 
