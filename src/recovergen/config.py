@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional
 
@@ -111,6 +112,9 @@ class PipelineConfig:
             if length > env_horizon:
                 raise ConfigError(f"{name} ({length}) exceeds the environment "
                                   f"horizon ({env_horizon})")
+        if env_horizon + 1 - self.l_blend < 2:
+            raise ConfigError(f"l_blend ({self.l_blend}) leaves fewer than 2 demo poses "
+                              f"in the environment horizon ({env_horizon})")
 
 
 _SECTIONS = {"sampler": SamplerConfig, "curator": CuratorConfig, "relabel": RelabelConfig}
@@ -130,8 +134,25 @@ def _set_field(obj, name: str, value, where: str) -> None:
     current = getattr(obj, name)
     if isinstance(current, tuple) and isinstance(value, list):
         value = tuple(value)
-    setattr(obj, name, type(current)(value) if isinstance(current, (int, float, str))
-            and not isinstance(current, bool) else value)
+    elif isinstance(current, (int, float)):
+        value = _number(type(current), value, where)
+    elif isinstance(current, str):
+        value = str(value)
+    setattr(obj, name, value)
+
+
+def _number(kind: type, value, where: str):
+    """``value`` as an int or float field value.  Booleans are refused,
+    and an int field takes only exact integers (``2`` or ``2.0``, not
+    ``1.7``), instead of truncating them."""
+    if not isinstance(value, bool):
+        if kind is float and isinstance(value, numbers.Real):
+            return float(value)
+        if kind is int and (isinstance(value, numbers.Integral)
+                            or isinstance(value, float) and value.is_integer()):
+            return int(value)
+    raise ConfigError(f"'{where}' expects {'an integer' if kind is int else 'a number'}, "
+                      f"got {value!r}")
 
 
 def apply_option(cfg: PipelineConfig, key: str, value) -> None:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.fft import dct as _dct
 
 from .envs import Trajectory
 from .sampler import Proposal, SuccessBatch
@@ -138,7 +137,10 @@ def dct_embed(traj: Trajectory, psi: Callable, scales, t_tilde: int,
     [psi(s_t)/scales ; a_t]: pad (repeating the last feature) or truncate
     to t_tilde rows, apply the orthonormal DCT-II per column, drop the DC
     row, and keep the next k_dct coefficient rows, vectorized
-    column-major."""
+    column-major.  scipy is imported here, on the first embedding, so
+    the commands that only read a dataset never load it."""
+    from scipy.fft import dct
+
     if k_dct + 1 > t_tilde:
         raise ValueError("k_dct must leave room below t_tilde (k_dct + 1 <= t_tilde)")
     feats = _normalized_psi(traj.states[:-1], psi, scales)
@@ -150,7 +152,7 @@ def dct_embed(traj: Trajectory, psi: Callable, scales, t_tilde: int,
         x = np.concatenate([x, pad], axis=0)
     elif len(x) > t_tilde:
         x = x[:t_tilde]
-    coeffs = _dct(x, type=2, axis=0, norm="ortho")
+    coeffs = dct(x, type=2, axis=0, norm="ortho")
     return coeffs[1:k_dct + 1].reshape(-1, order="F")
 
 

@@ -15,9 +15,15 @@ axis of an array, told apart by bit pattern, so ``-0.0`` and ``0.0`` keep
 their own text) is formatted once by a single ``json.dumps`` call, each
 line is joined from those row texts, and the block is streamed to disk
 before the next one is built.  The bytes equal those of ``json.dumps``
-on each line's dict.  Files are written to a temporary name and renamed,
-and the manifest pins the expected line counts, so a truncated file is
-detected instead of yielding a partial dataset.
+on each line's dict.  Files are written to temporary names and renamed
+once all are complete, the manifest last, and the manifest pins the
+expected line counts, so a truncated file is detected instead of
+yielding a partial dataset.
+
+The reader streams too: ``deserialize`` and ``load_trajectories`` parse
+one line at a time and turn it into its ``DatasetRecord`` or
+``Trajectory`` at once, so the parsed JSON of a whole file is never held.
+Nothing on the read path imports scipy.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,10 +123,9 @@ def export_pairs(curated: Sequence[Trajectory], relabels: Sequence[RelabelTarget
 # serialization
 
 
-def _atomic_write(path: str, chunks: Iterable[str]) -> None:
-    """Write the chunks to a temporary file and rename it to ``path``.
-    If producing a chunk fails, the temporary file is removed and
-    ``path`` keeps its previous content."""
+def _write_temp(path: str, chunks: Iterable[str]) -> str:
+    """Write the chunks to ``path + ".tmp"`` and return that name.  If
+    producing a chunk fails, the temporary file is removed."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         try:
@@ -129,7 +134,13 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
             fh.close()
             os.unlink(tmp)
             raise
-    os.replace(tmp, path)
+    return tmp
+
+
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to a temporary file and rename it to ``path``, so
+    ``path`` keeps its previous content if producing a chunk fails."""
+    os.replace(_write_temp(path, chunks), path)
 
 
 def _manifest_lines(manifest: DatasetManifest) -> str:
@@ -260,49 +271,78 @@ def _trajectory_parts(i: int, traj: Trajectory) -> tuple:
 
 def serialize(records: Sequence[DatasetRecord], manifest: DatasetManifest,
               out_dir: str, trajectories: Optional[Sequence[Trajectory]] = None) -> None:
-    """Write manifest, records, and the optional raw trajectory dump."""
+    """Write records, the optional raw trajectory dump and the manifest.
+    Each goes to a temporary file first; they are renamed into place only
+    once all are complete, the manifest last, since it pins the line
+    counts of the others.  So a failure while producing any file leaves
+    the previous dataset whole and readable."""
     os.makedirs(out_dir, exist_ok=True)
     manifest.n_records = len(records)
+    files = [("records", _json_lines(map(_record_parts, records)))]
     if trajectories is not None:
         manifest.n_trajectories = len(trajectories)
-    _atomic_write(os.path.join(out_dir, "manifest"), [_manifest_lines(manifest)])
-    _atomic_write(os.path.join(out_dir, "records"),
-                  _json_lines(map(_record_parts, records)))
-    if trajectories is not None:
-        _atomic_write(os.path.join(out_dir, "trajectories"),
-                      _json_lines(itertools.starmap(_trajectory_parts,
-                                                    enumerate(trajectories))))
+        files.append(("trajectories", _json_lines(itertools.starmap(
+            _trajectory_parts, enumerate(trajectories)))))
+    files.append(("manifest", [_manifest_lines(manifest)]))
+    temps: List[str] = []
+    try:
+        for name, chunks in files:
+            temps.append(_write_temp(os.path.join(out_dir, name), chunks))
+    except BaseException:
+        for tmp in temps:
+            os.unlink(tmp)
+        raise
+    for (name, _), tmp in zip(files, temps):
+        os.replace(tmp, os.path.join(out_dir, name))
 
 
-def _read_jsonl(path: str, expected: int):
-    rows = []
+def _read_jsonl(path: str, expected: int, build: Callable[[Dict], object]) -> Iterator:
+    """Yield ``build(row)`` for each non-blank line of ``path``, one line at
+    a time, so the parsed JSON of the whole file is never held.  A line
+    that is not JSON or that ``build`` rejects raises DatasetFormatError
+    with its line number; a line count other than ``expected`` raises it
+    once the file ends."""
+    count = 0
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
+            if raw.isspace():
                 continue
             try:
-                rows.append(json.loads(raw))
+                row = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(
                     f"{path}: line {lineno}, offset {exc.pos}: {exc.msg}") from exc
-    if len(rows) != expected:
+            try:
+                item = build(row)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DatasetFormatError(f"{path}: line {lineno}: bad record: {exc!r}") from exc
+            count += 1
+            yield item
+    if count != expected:
         raise DatasetFormatError(
-            f"{path}: expected {expected} lines per manifest, found {len(rows)} (truncated?)")
-    return rows
+            f"{path}: expected {expected} lines per manifest, found {count} (truncated?)")
+
+
+def _record_from_row(row: Dict) -> DatasetRecord:
+    return DatasetRecord(observation=np.array(row["obs"], dtype=float),
+                         action_chunk=np.array(row["chunk"], dtype=float),
+                         source=row["source"], trajectory_id=row["traj"], t=row["t"])
+
+
+def _trajectory_from_row(row: Dict) -> Trajectory:
+    return Trajectory(
+        states=np.array(row["states"], dtype=float),
+        actions=np.array(row["actions"], dtype=float),
+        success=bool(row["success"]),
+        env_params=EnvParams(mass=row["mass"], friction_scale=row["friction_scale"]),
+        origin=None if row["origin"] is None else np.array(row["origin"], dtype=float),
+        variant=int(row["variant"]))
 
 
 def deserialize(out_dir: str) -> Tuple[List[DatasetRecord], DatasetManifest]:
     manifest = _parse_manifest(os.path.join(out_dir, "manifest"))
-    rows = _read_jsonl(os.path.join(out_dir, "records"), manifest.n_records)
-    records = []
-    for row in rows:
-        try:
-            records.append(DatasetRecord(
-                observation=np.array(row["obs"], dtype=float),
-                action_chunk=np.array(row["chunk"], dtype=float),
-                source=row["source"], trajectory_id=row["traj"], t=row["t"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"{out_dir}/records: bad record: {exc}") from exc
+    records = list(_read_jsonl(os.path.join(out_dir, "records"), manifest.n_records,
+                               _record_from_row))
     return records, manifest
 
 
@@ -311,17 +351,7 @@ def load_trajectories(out_dir: str) -> List[Trajectory]:
     path = os.path.join(out_dir, "trajectories")
     if not os.path.exists(path):
         raise DatasetFormatError(f"{path}: trajectory dump missing")
-    rows = _read_jsonl(path, manifest.n_trajectories)
-    out = []
-    for row in rows:
-        out.append(Trajectory(
-            states=np.array(row["states"], dtype=float),
-            actions=np.array(row["actions"], dtype=float),
-            success=bool(row["success"]),
-            env_params=EnvParams(mass=row["mass"], friction_scale=row["friction_scale"]),
-            origin=None if row["origin"] is None else np.array(row["origin"], dtype=float),
-            variant=int(row["variant"])))
-    return out
+    return list(_read_jsonl(path, manifest.n_trajectories, _trajectory_from_row))
 
 
 # ---------------------------------------------------------------------------

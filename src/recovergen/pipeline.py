@@ -357,12 +357,23 @@ def evaluate_replay(dataset_dir: str, n_trials: int, seed: int = 0) -> Dict:
 def compare_replay(pgdg_dir: str, baseline_dir: str, n_trials: int,
                    seed: int = 0) -> Dict:
     """Replay comparison between a curated dataset and the spatial-only
-    baseline; the gap is curated stored-parameter success minus the
-    baseline's fresh-parameter success."""
+    baseline.  ``gap`` is curated stored-parameter success minus the
+    baseline's fresh-parameter success; ``gap_fresh`` compares like with
+    like, curated minus baseline fresh-parameter success, with a 95%
+    normal-approximation CI for a difference of two proportions."""
     ours = evaluate_replay(pgdg_dir, n_trials, seed)
     base = evaluate_replay(baseline_dir, n_trials, seed)
+    p, q = ours["fresh_success_rate"], base["fresh_success_rate"]
+    gap_fresh = p - q
+    if n_trials:
+        half = 1.96 * math.sqrt((p * (1.0 - p) + q * (1.0 - q)) / n_trials)
+        ci = (max(-1.0, gap_fresh - half), min(1.0, gap_fresh + half))
+    else:
+        ci = (-1.0, 1.0)
     return {
         "curated": ours,
         "baseline": base,
         "gap": ours["stored_success_rate"] - base["fresh_success_rate"],
+        "gap_fresh": gap_fresh,
+        "gap_fresh_ci95": ci,
     }

@@ -73,6 +73,44 @@ def test_golden_digest_of_default_run(generated):
     _report("golden digest", "5 output files byte-identical")
 
 
+# stats and evaluate only read a dataset and must not pay for scipy's import;
+# generate loads it on its first embedding and still gives the golden bytes
+SCIPY_FREE_SCRIPT = """
+import sys
+from recovergen.cli import main
+dataset, out = sys.argv[1:]
+steps = [("import", None),
+         ("stats", ["stats", dataset, "--json"]),
+         ("evaluate", ["evaluate", dataset, "--compare", dataset, "--trials", "20"])]
+for step, argv in steps:
+    if argv is not None:
+        assert main(argv) == 0, step
+    assert "scipy" not in sys.modules, f"scipy imported by {step}"
+assert main(["generate", "--seed", "7", "--jobs", "1", "--out", out]) == 0
+assert "scipy" in sys.modules
+"""
+
+
+def test_read_only_commands_do_not_import_scipy(generated, tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import recovergen
+    cfg, _, _, _ = generated
+    src = os.path.dirname(os.path.dirname(recovergen.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = tmp_path / "fresh"
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_SCRIPT, cfg.out_dir, str(out)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in GOLDEN_DIGESTS}
+    assert got == GOLDEN_DIGESTS
+    _report("read-only commands", "no scipy import; generate golden in a fresh process")
+
+
 # ---------------------------------------------------------------------------
 
 

@@ -190,6 +190,40 @@ def test_cli_relabel_and_env_config_fail_before_any_rollout(tmp_path, capsys, se
     assert not out.exists()
 
 
+def test_cli_l_blend_too_long_for_horizon_fails_before_any_rollout(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert main(["generate", "--out", str(out), "--set", "l_blend=100"]) == EXIT_CONFIG
+    assert "l_blend (100) leaves fewer than 2 demo poses" in capsys.readouterr().err
+    assert not out.exists()
+    # the longest blend that still leaves two demo poses is accepted
+    assert load_config(None, {"env.horizon": 20, "chunk_len": 10, "l_blend": 19}).l_blend == 19
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_variants", "1.7"), ("seed", "2.9"), ("samples", "true"), ("iterations", "false"),
+    ("relabel.population", "64.5"), ("seed", "abc"), ("seed", "[1]"),
+    ("curator.q_min", "true"), ("curator.q_min", "low"),
+])
+def test_numeric_keys_reject_inexact_or_non_numeric_values(key, value):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        load_config(None, {key: value})
+
+
+def test_integer_keys_take_exact_integers():
+    cfg = load_config(None, {"n_variants": "2.0", "relabel.population": "1e2", "seed": 9,
+                             "curator.q_min": "0"})
+    assert (cfg.n_variants, cfg.relabel.population, cfg.seed) == (2, 100, 9)
+    assert all(type(v) is int for v in (cfg.n_variants, cfg.relabel.population, cfg.seed))
+    assert type(cfg.curator.q_min) is float and cfg.curator.q_min == 0.0
+
+
+def test_cli_fractional_integer_exits_2(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert main(["generate", "--out", str(out), "--set", "n_variants=1.7"]) == EXIT_CONFIG
+    assert "'n_variants' expects an integer, got 1.7" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_no_data_exit_code(tmp_path, capsys):
     # impossible goal far outside reach: every variant starves
     rc = main(["generate", "--env", "point_reach", "--out", str(tmp_path / "x"),

@@ -1,6 +1,7 @@
 """Dataset assembly, serialization round-trips, and corruption handling."""
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -335,6 +336,206 @@ def test_record_ids_must_be_integers():
     with pytest.raises(TypeError):
         DatasetRecord(observation=np.zeros(2), action_chunk=np.ones((1, 1)),
                       source="curated", trajectory_id=0, t=1.5)
+
+
+def test_failed_records_write_keeps_previous_dataset_readable(tmp_path):
+    trajs = [make_traj(horizon=40, seed=i) for i in range(40)]
+    records = export_pairs(trajs, [], chunk_len=5)
+    serialize(records[:10], make_manifest(), str(tmp_path), trajectories=trajs[:2])
+    before = {name: (tmp_path / name).read_bytes()
+              for name in ("manifest", "records", "trajectories")}
+    records[-1].t = 2.5                  # fails to format in the second block
+    with pytest.raises(ValueError):
+        serialize(records, make_manifest(), str(tmp_path), trajectories=trajs)
+    records[-1].t = 0
+    trajs[-1].variant = object()         # records succeed, trajectories fail
+    with pytest.raises(TypeError):
+        serialize(records, make_manifest(), str(tmp_path), trajectories=trajs)
+    assert before == {name: (tmp_path / name).read_bytes() for name in before}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+    assert len(deserialize(str(tmp_path))[0]) == 10
+    assert len(load_trajectories(str(tmp_path))) == 2
+
+
+# ---------------------------------------------------------------------------
+# reader against the whole-file reader it replaced, and its error paths
+
+
+def oracle_read_jsonl(path):
+    with open(path) as fh:
+        return [json.loads(raw) for raw in fh if raw.strip()]
+
+
+def oracle_deserialize(out_dir):
+    rows = oracle_read_jsonl(os.path.join(out_dir, "records"))
+    return [DatasetRecord(observation=np.array(row["obs"], dtype=float),
+                          action_chunk=np.array(row["chunk"], dtype=float),
+                          source=row["source"], trajectory_id=row["traj"], t=row["t"])
+            for row in rows]
+
+
+def oracle_load_trajectories(out_dir):
+    rows = oracle_read_jsonl(os.path.join(out_dir, "trajectories"))
+    return [Trajectory(states=np.array(row["states"], dtype=float),
+                       actions=np.array(row["actions"], dtype=float),
+                       success=bool(row["success"]),
+                       env_params=EnvParams(mass=row["mass"],
+                                            friction_scale=row["friction_scale"]),
+                       origin=None if row["origin"] is None
+                       else np.array(row["origin"], dtype=float),
+                       variant=int(row["variant"]))
+            for row in rows]
+
+
+def same_value(a, b):
+    """Bitwise for arrays (dtype, shape, bytes); type and repr otherwise,
+    so NaN equals NaN and -0.0 differs from 0.0."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes())
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def assert_reader_matches_oracle(records, trajectories):
+    with tempfile.TemporaryDirectory() as out:
+        serialize(records, make_manifest(), out, trajectories=trajectories)
+        got, want = deserialize(out)[0], oracle_deserialize(out)
+        assert len(got) == len(want) == len(records)
+        for a, b in zip(got, want):
+            for name in ("observation", "action_chunk", "source", "trajectory_id", "t"):
+                assert same_value(getattr(a, name), getattr(b, name)), name
+        got, want = load_trajectories(out), oracle_load_trajectories(out)
+        assert len(got) == len(want) == len(trajectories)
+        for a, b in zip(got, want):
+            for name in ("states", "actions", "success", "origin", "variant"):
+                assert same_value(getattr(a, name), getattr(b, name)), name
+            for name in ("mass", "friction_scale"):
+                assert same_value(getattr(a.env_params, name), getattr(b.env_params, name))
+
+
+@given(record_lists(), trajectory_lists())
+@settings(max_examples=100, deadline=None)
+def test_reader_equals_whole_file_oracle(records, trajectories):
+    assert_reader_matches_oracle(records, trajectories)
+
+
+def test_reader_equals_oracle_across_blocks_and_edge_values():
+    trajs = [make_traj(horizon=40, seed=i, variant=i % 3) for i in range(30)]
+    trajs[4].origin = None
+    trajs[7].states[3] = [-0.0, np.nan, np.inf]
+    assert_reader_matches_oracle(export_pairs(trajs, [], chunk_len=5), trajs)
+
+
+def _dataset(tmp_path):
+    trajs = [make_traj(seed=i, variant=i) for i in range(3)]
+    serialize(export_pairs(trajs, [], chunk_len=4), make_manifest(), str(tmp_path),
+              trajectories=trajs)
+    return str(tmp_path)
+
+
+READERS = {"records": deserialize, "trajectories": load_trajectories}
+ARRAY_KEY = {"records": "chunk", "trajectories": "actions"}
+
+
+def _edit_line(path, lineno, edit):
+    with open(path) as fh:
+        lines = fh.readlines()
+    row = json.loads(lines[lineno - 1])
+    edit(row)
+    lines[lineno - 1] = json.dumps(row) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
+def _rewrite(path, edit):
+    with open(path) as fh:
+        lines = fh.readlines()
+    with open(path, "w") as fh:
+        fh.writelines(edit(lines))
+
+
+def _raises_naming(path, *patterns):
+    return pytest.raises(DatasetFormatError,
+                         match=".*".join(re.escape(p) for p in (path,) + patterns))
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_reader_reports_line_and_offset_of_non_json(tmp_path, name):
+    out = _dataset(tmp_path)
+    path = os.path.join(out, name)
+    _rewrite(path, lambda lines: lines[:2] + [lines[2][:10] + "###garbage\n"] + lines[3:])
+    with _raises_naming(path, "line 3, offset 10"):
+        READERS[name](out)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_reader_rejects_missing_key(tmp_path, name):
+    out = _dataset(tmp_path)
+    path = os.path.join(out, name)
+    _edit_line(path, 2, lambda row: row.pop(ARRAY_KEY[name]))
+    with _raises_naming(path, "line 2: bad record", ARRAY_KEY[name]):
+        READERS[name](out)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_reader_rejects_ragged_array(tmp_path, name):
+    out = _dataset(tmp_path)
+    path = os.path.join(out, name)
+    _edit_line(path, 1, lambda row: row.update({ARRAY_KEY[name]: [[1.0, 2.0], [3.0]]}))
+    with _raises_naming(path, "line 1: bad record"):
+        READERS[name](out)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_reader_rejects_empty_chunk(tmp_path, name):
+    out = _dataset(tmp_path)
+    path = os.path.join(out, name)
+    _edit_line(path, 3, lambda row: row.update({ARRAY_KEY[name]: []}))
+    with _raises_naming(path, "line 3: bad record"):
+        READERS[name](out)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_reader_rejects_too_few_and_too_many_lines(tmp_path, name):
+    out = _dataset(tmp_path)
+    path = os.path.join(out, name)
+    with open(path) as fh:
+        lines = fh.readlines()
+    n = len(lines)
+    _rewrite(path, lambda lines: lines[:-1])
+    with _raises_naming(path, f"expected {n} lines per manifest, found {n - 1}"):
+        READERS[name](out)
+    _rewrite(path, lambda _: lines + lines[:2])
+    with _raises_naming(path, f"expected {n} lines per manifest, found {n + 2}"):
+        READERS[name](out)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_reader_skips_blank_lines_without_counting_them(tmp_path, name):
+    out = _dataset(tmp_path)
+    path = os.path.join(out, name)
+    want = READERS[name](out)
+    _rewrite(path, lambda lines: ["\n"] + lines[:2] + ["   \n", "\t\n"] + lines[2:] + ["\n"])
+    got = READERS[name](out)
+    if name == "records":
+        got, want = got[0], want[0]
+    assert len(got) == len(want)
+    key = "action_chunk" if name == "records" else "actions"
+    assert all(np.array_equal(getattr(a, key), getattr(b, key)) for a, b in zip(got, want))
+    # line numbers count the blank lines
+    _rewrite(path, lambda lines: lines[:4] + ["{broken\n"] + lines[5:])
+    with _raises_naming(path, "line 5, offset 1"):
+        READERS[name](out)
+
+
+def test_reader_bad_record_is_reported_before_a_wrong_line_count(tmp_path):
+    # the reader streams, so a bad record is found before the file ends
+    out = _dataset(tmp_path)
+    path = os.path.join(out, "records")
+    _edit_line(path, 1, lambda row: row.pop("obs"))
+    _rewrite(path, lambda lines: lines[:-1])
+    with _raises_naming(path, "line 1: bad record"):
+        deserialize(out)
 
 
 # ---------------------------------------------------------------------------

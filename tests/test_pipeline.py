@@ -183,6 +183,25 @@ def test_compare_replay_gap(tmp_path):
     assert out["gap"] >= 0.0
 
 
+def test_compare_replay_fresh_gap_and_ci(tmp_path):
+    # two small planar baselines: fresh physics makes both rates lie in (0, 1)
+    for name, seed in (("a", 1), ("b", 2)):
+        run_spatial_only(PipelineConfig(out_dir=str(tmp_path / name), seed=seed,
+                                        n_variants=8))
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    out = compare_replay(a, b, n_trials=40, seed=2)
+    p = out["curated"]["fresh_success_rate"]
+    q = out["baseline"]["fresh_success_rate"]
+    assert 0.0 < p < 1.0 and 0.0 < q < 1.0
+    assert out["gap_fresh"] == p - q
+    assert out["gap"] == out["curated"]["stored_success_rate"] - q
+    half = 1.96 * np.sqrt((p * (1 - p) + q * (1 - q)) / 40)
+    lo, hi = out["gap_fresh_ci95"]
+    assert np.isclose(lo, p - q - half) and np.isclose(hi, p - q + half)
+    empty = compare_replay(a, b, n_trials=0)
+    assert empty["gap_fresh"] == 0.0 and empty["gap_fresh_ci95"] == (-1.0, 1.0)
+
+
 def test_evaluate_respects_env_overrides_in_manifest(tmp_path):
     cfg = fast_cfg(tmp_path / "ds")
     cfg.env_overrides = {"horizon": 20}
