@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from .envs import Trajectory
-from .sampler import Proposal, SuccessBatch
+from .sampler import Proposal
 
 
 class TubeUnavailableError(RuntimeError):
@@ -45,6 +46,15 @@ def _normalized_psi(states, psi: Callable, scales) -> np.ndarray:
     return feats / np.asarray(scales, dtype=float)
 
 
+def _sq_distances(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """(n, m) squared Euclidean distances between the rows of x and e,
+    expanded as ||x||^2 - 2 x.e + ||e||^2 and floored at 0.  Pass the same
+    array twice for the pairwise case, so that numpy takes its symmetric
+    (syrk) product."""
+    d2 = np.sum(x * x, axis=1)[:, None] - 2.0 * x @ e.T + np.sum(e * e, axis=1)[None, :]
+    return np.maximum(d2, 0.0)
+
+
 def state_distances(states, expert_states, psi: Callable, scales) -> np.ndarray:
     """Per-state nearest-neighbor distance to the expert manifold in the
     normalized task subspace; vectorized over a batch of states."""
@@ -53,8 +63,7 @@ def state_distances(states, expert_states, psi: Callable, scales) -> np.ndarray:
         raise ValueError("expert state sequence must be non-empty")
     x = _normalized_psi(states, psi, scales)          # (n, d)
     e = _normalized_psi(expert_states, psi, scales)   # (m, d)
-    d2 = np.sum(x * x, axis=1)[:, None] - 2.0 * x @ e.T + np.sum(e * e, axis=1)[None, :]
-    return np.sqrt(np.maximum(d2.min(axis=1), 0.0))
+    return np.sqrt(_sq_distances(x, e).min(axis=1))
 
 
 def manifold_distance(s, expert_states, psi: Callable, scales) -> float:
@@ -121,13 +130,17 @@ def tube_reward(traj: Trajectory, tube: TubeBounds, expert_states,
 # trajectory embedding and diversity selection
 
 
+@lru_cache(maxsize=32)
 def dct2_matrix(n: int) -> np.ndarray:
-    """Orthonormal type-II DCT matrix: D[k, t] = s_k cos(pi (2t+1) k / 2n)."""
+    """Orthonormal type-II DCT matrix: D[k, t] = s_k cos(pi (2t+1) k / 2n).
+    Memoised per n; the returned array is read-only, since callers share
+    it."""
     t = np.arange(n)
     k = np.arange(n)[:, None]
     d = np.cos(np.pi * (2 * t + 1) * k / (2 * n))
     d[0] *= np.sqrt(1.0 / n)
     d[1:] *= np.sqrt(2.0 / n)
+    d.flags.writeable = False
     return d
 
 
@@ -137,10 +150,7 @@ def dct_embed(traj: Trajectory, psi: Callable, scales, t_tilde: int,
     [psi(s_t)/scales ; a_t]: pad (repeating the last feature) or truncate
     to t_tilde rows, apply the orthonormal DCT-II per column, drop the DC
     row, and keep the next k_dct coefficient rows, vectorized
-    column-major.  scipy is imported here, on the first embedding, so
-    the commands that only read a dataset never load it."""
-    from scipy.fft import dct
-
+    column-major."""
     if k_dct + 1 > t_tilde:
         raise ValueError("k_dct must leave room below t_tilde (k_dct + 1 <= t_tilde)")
     feats = _normalized_psi(traj.states[:-1], psi, scales)
@@ -152,8 +162,8 @@ def dct_embed(traj: Trajectory, psi: Callable, scales, t_tilde: int,
         x = np.concatenate([x, pad], axis=0)
     elif len(x) > t_tilde:
         x = x[:t_tilde]
-    coeffs = dct(x, type=2, axis=0, norm="ortho")
-    return coeffs[1:k_dct + 1].reshape(-1, order="F")
+    coeffs = dct2_matrix(t_tilde)[1:k_dct + 1] @ x
+    return coeffs.reshape(-1, order="F")
 
 
 def median_pairwise_distance(embeddings: Sequence[np.ndarray]) -> float:
@@ -161,9 +171,8 @@ def median_pairwise_distance(embeddings: Sequence[np.ndarray]) -> float:
     e = np.asarray(embeddings, dtype=float)
     if len(e) < 2:
         return 1.0
-    d2 = np.sum(e * e, axis=1)[:, None] - 2.0 * e @ e.T + np.sum(e * e, axis=1)[None, :]
     iu = np.triu_indices(len(e), k=1)
-    med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
+    med = float(np.median(np.sqrt(_sq_distances(e, e)[iu])))
     return med if med > 0.0 else 1.0
 
 
@@ -175,9 +184,7 @@ def build_kernel(embeddings: Sequence[np.ndarray], sigma_rbf: float) -> np.ndarr
     e = np.asarray(embeddings, dtype=float)
     if e.ndim != 2:
         raise ValueError("embeddings must have equal lengths")
-    sq = np.sum(e * e, axis=1)
-    d2 = np.maximum(sq[:, None] - 2.0 * e @ e.T + sq[None, :], 0.0)
-    kernel = np.exp(-d2 / (2.0 * sigma_rbf ** 2))
+    kernel = np.exp(-_sq_distances(e, e) / (2.0 * sigma_rbf ** 2))
     kernel = 0.5 * (kernel + kernel.T)
     np.fill_diagonal(kernel, 1.0)
     return kernel

@@ -23,7 +23,6 @@ yielding a partial dataset.
 The reader streams too: ``deserialize`` and ``load_trajectories`` parse
 one line at a time and turn it into its ``DatasetRecord`` or
 ``Trajectory`` at once, so the parsed JSON of a whole file is never held.
-Nothing on the read path imports scipy.
 """
 from __future__ import annotations
 

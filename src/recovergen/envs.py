@@ -28,6 +28,7 @@ deliberate stand-in for full rigid-body contact resolution.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Tuple, Union
 
@@ -60,6 +61,7 @@ class Trajectory:
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=float)
         self.actions = np.asarray(self.actions, dtype=float)
+        self.variant = operator.index(self.variant)
         if len(self.states) != len(self.actions) + 1:
             raise ValueError("need len(states) == len(actions) + 1")
 

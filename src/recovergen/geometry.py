@@ -3,10 +3,19 @@
 Rotations are stored as unit quaternions (w, x, y, z) canonicalized to
 w >= 0 so that pose equality is unambiguous.  All operations are pure;
 randomized ones take an explicit numpy Generator.
+
+Both environments are planar (yaw only, z = 0), yet the quaternion form
+stays on purpose: the stored data depend on its exact rounding.  A
+variant's yaw is read back as 2 atan2(z, w) of a normalised half-angle
+quaternion, and demo poses are re-anchored through ``Rotation.apply``
+and ``slerp``.  An SE(2) (x, y, yaw) rewrite would compute the same
+values along a different path, move output bits and change every
+generated dataset.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -42,13 +51,6 @@ class Rotation:
     def about_z(angle: float) -> "Rotation":
         h = 0.5 * angle
         return Rotation(_canonicalize(np.array([np.cos(h), 0.0, 0.0, np.sin(h)])))
-
-    @staticmethod
-    def about_axis(axis: np.ndarray, angle: float) -> "Rotation":
-        axis = np.asarray(axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
-        h = 0.5 * angle
-        return Rotation(_canonicalize(np.concatenate(([np.cos(h)], np.sin(h) * axis))))
 
     def __post_init__(self):
         object.__setattr__(self, "wxyz", _canonicalize(self.wxyz))
@@ -113,18 +115,12 @@ class Pose:
 
     def yaw(self) -> float:
         """Rotation angle about z, valid for planar (z-axis) rotations."""
-        w, _, _, z = self.wxyz_wrapped()
+        w, _, _, z = self.rotation.wxyz
         return 2.0 * np.arctan2(z, w)
-
-    def wxyz_wrapped(self) -> np.ndarray:
-        return self.rotation.wxyz
 
     def allclose(self, other: "Pose", atol: float = _UNIT_TOL) -> bool:
         return (self.rotation.allclose(other.rotation, atol=atol)
                 and bool(np.allclose(self.translation, other.translation, atol=atol)))
-
-
-PoseSequence = list  # ordered list of Pose, length >= 1
 
 
 def compose(a: Pose, b: Pose) -> Pose:
@@ -169,7 +165,7 @@ def sample_object_perturbation(trans_range, yaw_range: float,
     return Pose(Rotation.about_z(dth), dp)
 
 
-def reanchor_trajectory(demo_ee: PoseSequence, demo_obj0: Pose, new_obj0: Pose) -> PoseSequence:
+def reanchor_trajectory(demo_ee: List[Pose], demo_obj0: Pose, new_obj0: Pose) -> List[Pose]:
     """Re-express a demonstrated effector pose sequence relative to a new
     initial object pose, preserving the object-relative motion."""
     if len(demo_ee) == 0:
@@ -178,7 +174,7 @@ def reanchor_trajectory(demo_ee: PoseSequence, demo_obj0: Pose, new_obj0: Pose) 
     return [compose(m, p) for p in demo_ee]
 
 
-def blend_prefix(reset: Pose, first: Pose, l_blend: int) -> PoseSequence:
+def blend_prefix(reset: Pose, first: Pose, l_blend: int) -> List[Pose]:
     """Short approach segment from the reset pose to the first trajectory
     pose: linear in translation, slerp in rotation.  Returns l_blend + 1
     poses with endpoints reset and first."""

@@ -28,7 +28,7 @@ from .dataset_io import (DatasetFormatError, DatasetManifest, DatasetRecord,
 from .envs import (Environment, Trajectory, augmented_demo_actions, make_env,
                    rollout, rollout_batch)
 from .geometry import Pose, compose, sample_object_perturbation
-from .relabel import CemConfig, RelabelTarget, relabel_dataset
+from .relabel import CemConfig, relabel_dataset
 
 log = logging.getLogger(__name__)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,23 +63,23 @@ class CemConfig:
         return max(1, int(round(self.population * self.elite_frac)))
 
 
-def select_risky_states(curated: Sequence[Trajectory], expert_states,
+def select_risky_states(curated: Sequence[Trajectory], expert_states: Sequence[np.ndarray],
                         psi: Callable, scales, k_rel: int, min_sep: int,
                         horizon_h: int) -> List[RelabelPoint]:
     """Globally top-k_rel states by distance-to-expert, greedy in
     descending risk, enforcing a minimum temporal separation within each
-    trajectory.  Timesteps are clipped so a full H-step prefix fits."""
+    trajectory.  Timesteps are clipped so a full H-step prefix fits.
+    ``expert_states[i]`` is the expert state sequence of ``curated[i]``."""
     if k_rel < 0 or min_sep < 1:
         raise ValueError("need k_rel >= 0 and min_sep >= 1")
     if k_rel == 0:
         return []
-    expert_list = _per_trajectory(expert_states, len(curated))
     candidates = []
     for i, traj in enumerate(curated):
         t_hi = traj.horizon - horizon_h
         if t_hi < 0:
             continue
-        d = state_distances(traj.states, expert_list[i], psi, scales)
+        d = state_distances(traj.states, expert_states[i], psi, scales)
         for t in range(len(d)):
             candidates.append((float(d[t]), i, min(t, t_hi)))
     # descending risk; deterministic tie-break by trajectory then timestep
@@ -95,13 +95,6 @@ def select_risky_states(curated: Sequence[Trajectory], expert_states,
         slots.append(t)
         chosen.append(RelabelPoint(trajectory_id=i, t=t, risk=risk))
     return chosen
-
-
-def _per_trajectory(expert_states, n: int) -> list:
-    if isinstance(expert_states, (list, tuple)) and len(expert_states) == n \
-            and all(np.asarray(e).ndim == 2 for e in expert_states):
-        return list(expert_states)
-    return [expert_states] * n
 
 
 # one relabel point's fixed context: (trajectory, timestep, tube, expert states)
@@ -223,23 +216,24 @@ def cem_optimize(point: RelabelPoint, traj: Trajectory, env: Environment,
 
 
 def relabel_dataset(curated: Sequence[Trajectory], env: Environment,
-                    tube: Union[TubeBounds, Sequence[TubeBounds]], cfg: CemConfig,
-                    rng: np.random.Generator, expert_states,
+                    tube: Sequence[TubeBounds], cfg: CemConfig,
+                    rng: np.random.Generator, expert_states: Sequence[np.ndarray],
                     k_rel: int = 10, min_sep: Optional[int] = None) -> List[RelabelTarget]:
     """Select the riskiest states across the curated set and optimize a
     corrective chunk at each; failed points are dropped with a logged
-    diagnostic.  Outputs are ordered by selection rank."""
+    diagnostic.  ``tube[i]`` and ``expert_states[i]`` belong to
+    ``curated[i]``.  Outputs are ordered by selection rank."""
     if len(curated) == 0:
         raise ValueError("curated set must be non-empty")
+    if len(tube) != len(curated) or len(expert_states) != len(curated):
+        raise ValueError("need one tube and one expert state sequence per trajectory")
     if min_sep is None:
         min_sep = cfg.horizon
-    expert_list = _per_trajectory(expert_states, len(curated))
-    tubes = list(tube) if isinstance(tube, (list, tuple)) else [tube] * len(curated)
-    points = select_risky_states(curated, expert_list, env.psi, env.psi_scales,
+    points = select_risky_states(curated, expert_states, env.psi, env.psi_scales,
                                  k_rel, min_sep, cfg.horizon)
     if not points:
         return []
-    context = [(curated[p.trajectory_id], p.t, tubes[p.trajectory_id],
-                expert_list[p.trajectory_id]) for p in points]
+    context = [(curated[p.trajectory_id], p.t, tube[p.trajectory_id],
+                expert_states[p.trajectory_id]) for p in points]
     targets = _cem_lockstep(env, cfg, points, context, rng.spawn(len(points)))
     return [target for target in targets if target is not None]

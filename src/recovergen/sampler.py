@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -76,22 +76,18 @@ class Proposal:
 
 @dataclass
 class SuccessBatch:
-    """Successful rollouts of one iteration, each with its generating
-    control-point vector."""
+    """Successful rollouts of one iteration; each trajectory's ``origin``
+    is its generating control-point vector."""
 
-    members: List[Tuple[Trajectory, np.ndarray]]
+    trajectories: List[Trajectory]
     n_sampled: int
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def trajectories(self) -> List[Trajectory]:
-        return [t for t, _ in self.members]
+        return len(self.trajectories)
 
     @property
     def control_points(self) -> List[np.ndarray]:
-        return [c for _, c in self.members]
+        return [t.origin for t in self.trajectories]
 
 
 def init_proposal(demo_actions: np.ndarray, m_points: int, sigma0,
@@ -127,11 +123,11 @@ def generate_success_batch(env: Environment, variant: Pose, q: Proposal, n: int,
     s0s = np.array([env.reset(variant, p) for p in params])
     actions = np.array([decode(q.reshape(c), env.horizon) for c in draws])
     states, success = rollout_batch(env, s0s, actions, params)
-    members = [(Trajectory(states=states[i].copy(), actions=actions[i].copy(), success=True,
-                           env_params=params[i], origin=draws[i], variant=variant_index),
-                draws[i])
-               for i in np.flatnonzero(success)]
-    return SuccessBatch(members=members, n_sampled=n)
+    trajectories = [Trajectory(states=states[i].copy(), actions=actions[i].copy(),
+                               success=True, env_params=params[i], origin=draws[i],
+                               variant=variant_index)
+                    for i in np.flatnonzero(success)]
+    return SuccessBatch(trajectories=trajectories, n_sampled=n)
 
 
 def widen(q: Proposal, factor: float) -> Proposal:

@@ -73,25 +73,35 @@ def test_golden_digest_of_default_run(generated):
     _report("golden digest", "5 output files byte-identical")
 
 
-# stats and evaluate only read a dataset and must not pay for scipy's import;
-# generate loads it on its first embedding and still gives the golden bytes
-SCIPY_FREE_SCRIPT = """
+# recovergen is numpy-only: no command may import scipy.  The fresh process
+# makes every scipy import fail, and generate must still give the golden bytes
+NO_SCIPY_SCRIPT = """
 import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy import blocked: {name}")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
 from recovergen.cli import main
-dataset, out = sys.argv[1:]
+dataset, base, out = sys.argv[1:]
 steps = [("import", None),
          ("stats", ["stats", dataset, "--json"]),
-         ("evaluate", ["evaluate", dataset, "--compare", dataset, "--trials", "20"])]
+         ("baseline", ["baseline", "--seed", "7", "--set", "n_variants=4", "--out", base]),
+         ("evaluate", ["evaluate", dataset, "--compare", base, "--trials", "20"]),
+         ("generate", ["generate", "--seed", "7", "--jobs", "1", "--out", out])]
 for step, argv in steps:
     if argv is not None:
         assert main(argv) == 0, step
     assert "scipy" not in sys.modules, f"scipy imported by {step}"
-assert main(["generate", "--seed", "7", "--jobs", "1", "--out", out]) == 0
-assert "scipy" in sys.modules
 """
 
 
-def test_read_only_commands_do_not_import_scipy(generated, tmp_path):
+def test_no_command_imports_scipy(generated, tmp_path):
     import os
     import subprocess
     import sys
@@ -102,13 +112,14 @@ def test_read_only_commands_do_not_import_scipy(generated, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = tmp_path / "fresh"
-    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_SCRIPT, cfg.out_dir, str(out)],
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, cfg.out_dir,
+                           str(tmp_path / "base"), str(out)],
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in GOLDEN_DIGESTS}
     assert got == GOLDEN_DIGESTS
-    _report("read-only commands", "no scipy import; generate golden in a fresh process")
+    _report("numpy-only", "no command imports scipy; generate golden in a fresh process")
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +310,9 @@ def test_criterion_09_relabel_validation():
     assert traj.success
     cfg = CemConfig(population=16, iterations=3, init_std=0.005, horizon=15)
     k_rel = 10
-    targets = relabel_dataset([traj, traj], env, TubeBounds(0.0, 100.0), cfg,
+    targets = relabel_dataset([traj, traj], env, [TubeBounds(0.0, 100.0)] * 2, cfg,
                               np.random.default_rng(SEED),
-                              [traj.states, traj.states], k_rel=k_rel)
+                              [traj.states] * 2, k_rel=k_rel)
     assert 0 < len(targets) <= k_rel
     curated = [traj, traj]
     per_traj = {}

@@ -224,6 +224,14 @@ def test_dct2_matrix_is_orthonormal():
         assert np.allclose(d @ d.T, np.eye(n), atol=1e-10)
 
 
+def test_dct2_matrix_is_shared_and_read_only():
+    d = dct2_matrix(21)
+    assert dct2_matrix(21) is d
+    with pytest.raises(ValueError):
+        d[1, 0] = 5.0
+    assert dct2_matrix(22) is not d
+
+
 def test_dct_embed_constant_sequence_is_zero():
     traj = make_traj(np.full((13, 2), 0.7), actions=np.full((12, 1), -0.2))
     phi = dct_embed(traj, IDENT, [1.0, 1.0], t_tilde=12, k_dct=5)
@@ -253,7 +261,11 @@ def test_dct_embed_matches_direct_matrix_transform():
     traj = make_traj(states, actions)
     scales = np.array([0.5, 2.0])
     x = np.concatenate([states[:-1] / scales, actions], axis=1)
-    oracle = (dct2_matrix(t_tilde) @ x)[1:k_dct + 1].reshape(-1, order="F")
+    # explicit cosine sum: sqrt(2/n) sum_t x_t cos(pi (2t+1) k / 2n), k >= 1
+    oracle = [math.sqrt(2.0 / t_tilde)
+              * sum(x[t, col] * math.cos(math.pi * (2 * t + 1) * k / (2 * t_tilde))
+                    for t in range(t_tilde))
+              for col in range(x.shape[1]) for k in range(1, k_dct + 1)]
     phi = dct_embed(traj, IDENT, scales, t_tilde=t_tilde, k_dct=k_dct)
     assert np.allclose(phi, oracle, atol=1e-10)
 

@@ -338,6 +338,15 @@ def test_record_ids_must_be_integers():
                       source="curated", trajectory_id=0, t=1.5)
 
 
+def test_trajectory_variant_must_be_an_integer(tmp_path):
+    trajs = [make_traj(seed=0), make_traj(seed=1, variant=np.int64(2)), make_traj(seed=2)]
+    assert type(trajs[1].variant) is int
+    serialize([], make_manifest(), str(tmp_path), trajectories=trajs)
+    assert [t.variant for t in load_trajectories(str(tmp_path))] == [0, 2, 0]
+    with pytest.raises(TypeError):
+        make_traj(variant=1.5)
+
+
 def test_failed_records_write_keeps_previous_dataset_readable(tmp_path):
     trajs = [make_traj(horizon=40, seed=i) for i in range(40)]
     records = export_pairs(trajs, [], chunk_len=5)

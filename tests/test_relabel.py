@@ -46,14 +46,14 @@ def test_cem_config_validation():
 def test_select_empty_when_k_zero():
     traj = line_traj(np.linspace(0, 1, 21))
     experts = np.array([[0.0]])
-    assert select_risky_states([traj], experts, IDENT, [1.0], 0, 5, 5) == []
+    assert select_risky_states([traj], [experts], IDENT, [1.0], 0, 5, 5) == []
 
 
 def test_select_picks_global_maxima_in_risk_order():
     experts = np.array([[0.0]])
     a = line_traj([0.0] * 15 + [0.9] + [0.0] * 10)   # spike risk 0.9 at t=15
     b = line_traj([0.0] * 5 + [0.5] + [0.0] * 20)    # spike risk 0.5 at t=5
-    pts = select_risky_states([a, b], experts, IDENT, [1.0], 2, 5, 5)
+    pts = select_risky_states([a, b], [experts] * 2, IDENT, [1.0], 2, 5, 5)
     assert (pts[0].trajectory_id, pts[0].t) == (0, 15)
     assert (pts[1].trajectory_id, pts[1].t) == (1, 5)
     assert pts[0].risk >= pts[1].risk
@@ -64,7 +64,7 @@ def test_select_min_separation_suppresses_nearby_spike():
     vals = [0.0] * 26
     vals[10], vals[13] = 0.9, 0.8  # spikes 3 steps apart
     traj = line_traj(vals)
-    pts = select_risky_states([traj], experts, IDENT, [1.0], 2, 5, 5)
+    pts = select_risky_states([traj], [experts], IDENT, [1.0], 2, 5, 5)
     same = [p for p in pts if p.trajectory_id == 0]
     ts = [p.t for p in same]
     assert 10 in ts and 13 not in ts
@@ -77,24 +77,32 @@ def test_select_clips_timestep_for_full_chunk():
     experts = np.array([[0.0]])
     vals = [0.0] * 25 + [1.0]  # riskiest state is the terminal one
     traj = line_traj(vals)
-    pts = select_risky_states([traj], experts, IDENT, [1.0], 1, 5, horizon_h=10)
+    pts = select_risky_states([traj], [experts], IDENT, [1.0], 1, 5, horizon_h=10)
     assert pts[0].t == traj.horizon - 10
 
 
 def test_select_returns_fewer_when_not_enough_points():
     experts = np.array([[0.0]])
     traj = line_traj(np.linspace(0, 1, 12))
-    pts = select_risky_states([traj], experts, IDENT, [1.0], 50, 6, 4)
+    pts = select_risky_states([traj], [experts], IDENT, [1.0], 50, 6, 4)
     assert 0 < len(pts) < 50
     ts = sorted(p.t for p in pts)
     assert all(b - a >= 6 for a, b in zip(ts, ts[1:]))
 
 
+def test_select_measures_each_trajectory_against_its_own_expert():
+    traj = line_traj([0.0] * 26)
+    near, far = np.array([[0.1]]), np.array([[0.7]])
+    pts = select_risky_states([traj, traj], [near, far], IDENT, [1.0], 2, 30, 5)
+    assert [p.trajectory_id for p in pts] == [1, 0]
+    assert np.isclose(pts[0].risk, 0.7) and np.isclose(pts[1].risk, 0.1)
+
+
 def test_select_rejects_bad_args():
     with pytest.raises(ValueError):
-        select_risky_states([], np.array([[0.0]]), IDENT, [1.0], -1, 5, 5)
+        select_risky_states([], [], IDENT, [1.0], -1, 5, 5)
     with pytest.raises(ValueError):
-        select_risky_states([], np.array([[0.0]]), IDENT, [1.0], 3, 0, 5)
+        select_risky_states([], [], IDENT, [1.0], 3, 0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +259,9 @@ def test_relabel_dataset_equals_points_optimized_one_at_a_time():
     env, traj, expert = _block_fixture()
     cfg = CemConfig(population=12, iterations=3, init_std=0.005, horizon=15)
     tube = TubeBounds(0.0, 0.05)
-    targets = relabel_dataset([traj], env, tube, cfg, np.random.default_rng(3),
-                              expert, k_rel=3)
-    points = select_risky_states([traj], expert, env.psi, env.psi_scales, 3,
+    targets = relabel_dataset([traj], env, [tube], cfg, np.random.default_rng(3),
+                              [expert], k_rel=3)
+    points = select_risky_states([traj], [expert], env.psi, env.psi_scales, 3,
                                  cfg.horizon, cfg.horizon)
     alone = [cem_optimize(point, traj, env, tube, cfg, rng, expert)
              for point, rng in zip(points, np.random.default_rng(3).spawn(len(points)))]
@@ -270,8 +278,8 @@ def test_relabel_dataset_equals_points_optimized_one_at_a_time():
 def test_relabel_dataset_targets_validate_and_separate():
     env, traj, expert = _block_fixture()
     cfg = CemConfig(population=16, iterations=3, init_std=0.005, horizon=15)
-    targets = relabel_dataset([traj], env, TubeBounds(0.0, 100.0), cfg,
-                              np.random.default_rng(3), expert, k_rel=4)
+    targets = relabel_dataset([traj], env, [TubeBounds(0.0, 100.0)], cfg,
+                              np.random.default_rng(3), [expert], k_rel=4)
     assert 0 < len(targets) <= 4
     seen = {}
     for tgt in targets:
@@ -291,8 +299,17 @@ def test_relabel_dataset_rejects_empty_curated():
     env = PointReach()
     cfg = CemConfig()
     with pytest.raises(ValueError):
-        relabel_dataset([], env, TubeBounds(0.0, 1.0), cfg,
-                        np.random.default_rng(0), np.array([[0.0, 0.0]]))
+        relabel_dataset([], env, [], cfg, np.random.default_rng(0), [])
+
+
+def test_relabel_dataset_needs_one_tube_and_expert_per_trajectory():
+    env, traj, expert = _block_fixture()
+    cfg = CemConfig(population=4, iterations=1, horizon=15)
+    tube = TubeBounds(0.0, 100.0)
+    for tubes, experts in (([tube], [expert] * 2), ([tube] * 2, [expert])):
+        with pytest.raises(ValueError, match="per trajectory"):
+            relabel_dataset([traj, traj], env, tubes, cfg, np.random.default_rng(0),
+                            experts)
 
 
 def test_relabel_dataset_deterministic():
@@ -300,8 +317,8 @@ def test_relabel_dataset_deterministic():
     cfg = CemConfig(population=8, iterations=2, init_std=0.005, horizon=15)
     runs = []
     for _ in range(2):
-        tgts = relabel_dataset([traj], env, TubeBounds(0.0, 100.0), cfg,
-                               np.random.default_rng(5), expert, k_rel=3)
+        tgts = relabel_dataset([traj], env, [TubeBounds(0.0, 100.0)], cfg,
+                               np.random.default_rng(5), [expert], k_rel=3)
         runs.append(tgts)
     assert len(runs[0]) == len(runs[1])
     for a, b in zip(*runs):

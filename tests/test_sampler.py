@@ -203,10 +203,10 @@ def test_success_batch_members_revalidate():
     batch = generate_success_batch(env, env.demo_object_pose(), q, 30,
                                    np.random.default_rng(1))
     assert 0 < len(batch) <= 30
-    for traj, c in batch.members:
+    for traj, c in zip(batch.trajectories, batch.control_points):
         assert traj.success
         assert env.success(traj)  # re-evaluation agrees
-        assert c.shape == (12,)
+        assert c is traj.origin and c.shape == (12,)
 
 
 def test_success_batch_deterministic():
@@ -217,6 +217,6 @@ def test_success_batch_deterministic():
     b = generate_success_batch(env, env.demo_object_pose(), q, 20,
                                np.random.default_rng(2))
     assert len(a) == len(b)
-    for (ta, ca), (tb, cb) in zip(a.members, b.members):
+    for ta, tb in zip(a.trajectories, b.trajectories):
         assert np.array_equal(ta.states, tb.states)
-        assert np.array_equal(ca, cb)
+        assert np.array_equal(ta.origin, tb.origin)
