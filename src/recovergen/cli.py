@@ -17,7 +17,7 @@ import json
 import sys
 
 from .config import ConfigError, load_config
-from .dataset_io import DatasetFormatError, dataset_stats, deserialize, format_stats
+from .dataset_io import DatasetFormatError, dataset_stats, format_stats, read_manifest
 from .pipeline import (PipelineError, compare_replay, evaluate_replay,
                        run_pgdg, run_spatial_only)
 
@@ -95,8 +95,7 @@ def main(argv=None) -> int:
                 out = evaluate_replay(args.dataset, args.trials, args.seed)
             print(json.dumps(out, indent=2))
         elif args.command == "stats":
-            records, manifest = deserialize(args.dataset)
-            stats = dataset_stats(manifest, records)
+            stats = dataset_stats(read_manifest(args.dataset))
             print(json.dumps(stats, indent=2) if args.json else format_stats(stats), end="")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,11 +1,19 @@
 """Dataset assembly and on-disk persistence.
 
-Layout under the output directory:
+Layout under the output directory (dataset format 2):
 
-* ``manifest``      -- plain-text ``key = value`` run metadata
-* ``records``       -- line-delimited JSON, one supervision pair per line
-* ``trajectories``  -- line-delimited JSON raw trajectory dump for
-  replay/debugging
+* ``manifest``      -- plain-text ``key = value`` run metadata; its
+  ``format`` is 2 and its ``chunk_len`` is the curated window length
+* ``trajectories``  -- line-delimited JSON, one curated trajectory per line
+* ``records``       -- line-delimited JSON, one relabeled supervision pair
+  per line
+
+A curated record is the window ``observe(states[t], states[0])``,
+``actions[t:t + chunk_len]`` of a stored trajectory, so it is not stored
+again: ``deserialize`` rebuilds the curated records from ``trajectories``
+through ``export_pairs``, the function that built them before writing,
+and appends the relabeled records.  A manifest of any other ``format``
+(or none) is rejected.
 
 Numbers are written with shortest round-trip decimals, so a serialize /
 deserialize round trip is bitwise lossless.  ``records`` and
@@ -20,9 +28,9 @@ once all are complete, the manifest last, and the manifest pins the
 expected line counts, so a truncated file is detected instead of
 yielding a partial dataset.
 
-The reader streams too: ``deserialize`` and ``load_trajectories`` parse
-one line at a time and turn it into its ``DatasetRecord`` or
-``Trajectory`` at once, so the parsed JSON of a whole file is never held.
+The reader streams too: each line is parsed and turned into its
+``DatasetRecord`` or ``Trajectory`` at once, so the parsed JSON of a whole
+file is never held.  ``read_manifest`` alone parses no floats.
 """
 from __future__ import annotations
 
@@ -32,12 +40,15 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .envs import EnvParams, Trajectory
+from .envs import Environment, EnvParams, Trajectory, make_env
 from .relabel import RelabelTarget
+
+
+FORMAT = 2   # the one dataset format this module writes and reads
 
 
 class DatasetFormatError(ValueError):
@@ -84,6 +95,7 @@ class DatasetManifest:
     n_relabeled: int = 0
     n_records: int = 0
     n_trajectories: int = 0
+    chunk_len: int = 1                # length of each curated window
     final_tubes: List[Tuple[float, float]] = field(default_factory=list)
 
     @property
@@ -93,22 +105,29 @@ class DatasetManifest:
         return 1.0 - self.n_selected / self.n_successful
 
 
-def export_pairs(curated: Sequence[Trajectory], relabels: Sequence[RelabelTarget],
-                 chunk_len: int, observe=None) -> List[DatasetRecord]:
-    """One standard record per window start t in [0, T - k] per curated
-    trajectory, plus one record per relabeled target."""
+def _windows(curated: Sequence[Trajectory], chunk_len: int) -> Iterator[Tuple[int, int]]:
+    """(trajectory index, window start t) of every curated window, t in
+    [0, T - k] per trajectory, in order."""
     if chunk_len < 1:
         raise ValueError("chunk_len must be >= 1")
-    records = []
     for i, traj in enumerate(curated):
         if chunk_len > traj.horizon:
             raise ValueError("chunk length exceeds trajectory horizon")
-        for t in range(traj.horizon - chunk_len + 1):
-            obs = (observe(traj.states[t], traj.states[0]) if observe is not None
-                   else np.concatenate([traj.states[t], traj.states[0]]))
-            records.append(DatasetRecord(observation=obs,
-                                         action_chunk=traj.actions[t:t + chunk_len],
-                                         source="curated", trajectory_id=i, t=t))
+        yield from ((i, t) for t in range(traj.horizon - chunk_len + 1))
+
+
+def export_pairs(curated: Sequence[Trajectory], relabels: Sequence[RelabelTarget],
+                 chunk_len: int, observe=None) -> List[DatasetRecord]:
+    """One standard record per curated window, plus one record per
+    relabeled target."""
+    records = []
+    for i, t in _windows(curated, chunk_len):
+        states = curated[i].states
+        obs = (observe(states[t], states[0]) if observe is not None
+               else np.concatenate([states[t], states[0]]))
+        records.append(DatasetRecord(observation=obs,
+                                     action_chunk=curated[i].actions[t:t + chunk_len],
+                                     source="curated", trajectory_id=i, t=t))
     for target in relabels:
         records.append(DatasetRecord(observation=target.observation,
                                      action_chunk=target.chunk,
@@ -144,6 +163,7 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 
 def _manifest_lines(manifest: DatasetManifest) -> str:
     lines = [
+        f"format = {FORMAT}",
         f"env_name = {manifest.env_name}",
         f"seed = {manifest.seed}",
         f"source = {manifest.source}",
@@ -156,6 +176,7 @@ def _manifest_lines(manifest: DatasetManifest) -> str:
         f"n_relabeled = {manifest.n_relabeled}",
         f"n_records = {manifest.n_records}",
         f"n_trajectories = {manifest.n_trajectories}",
+        f"chunk_len = {manifest.chunk_len}",
         f"env_config = {json.dumps(manifest.env_config, sort_keys=True)}",
         f"parameters = {json.dumps(manifest.parameters, sort_keys=True)}",
         f"final_tubes = {json.dumps(manifest.final_tubes)}",
@@ -163,13 +184,17 @@ def _manifest_lines(manifest: DatasetManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
-_INT_KEYS = {"seed", "iterations", "samples_per_iteration", "n_variants",
+_INT_KEYS = {"format", "seed", "iterations", "samples_per_iteration", "n_variants",
              "n_generated", "n_successful", "n_selected", "n_relabeled",
-             "n_records", "n_trajectories"}
-_JSON_KEYS = {"env_config", "parameters", "final_tubes"}
+             "n_records", "n_trajectories", "chunk_len"}
+_STR_KEYS = {"env_name", "source"}
+_JSON_KEYS = {"env_config": dict, "parameters": dict, "final_tubes": list}
 
 
-def _parse_manifest(path: str) -> DatasetManifest:
+def read_manifest(out_dir: str) -> DatasetManifest:
+    """Parse and check ``out_dir/manifest``; every fault, an unknown key
+    or a ``format`` other than 2 included, raises DatasetFormatError."""
+    path = os.path.join(out_dir, "manifest")
     fields: Dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -186,13 +211,25 @@ def _parse_manifest(path: str) -> DatasetManifest:
                     fields[key] = int(value)
                 elif key in _JSON_KEYS:
                     fields[key] = json.loads(value)
-                else:
+                    if not isinstance(fields[key], _JSON_KEYS[key]):
+                        raise ValueError(f"{key} must be a {_JSON_KEYS[key].__name__}")
+                elif key in _STR_KEYS:
                     fields[key] = value
-            except (ValueError, json.JSONDecodeError) as exc:
+                else:
+                    raise ValueError(f"unknown key {key!r}")
+            except ValueError as exc:
                 raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from exc
+    fmt = fields.pop("format", None)
+    if fmt != FORMAT:
+        raise DatasetFormatError(f"{path}: dataset format {fmt} is not supported "
+                                 f"(only format {FORMAT} is read)")
     if "env_name" not in fields or "n_records" not in fields:
         raise DatasetFormatError(f"{path}: missing required manifest keys")
-    fields["final_tubes"] = [tuple(t) for t in fields.get("final_tubes", [])]
+    tubes = fields.get("final_tubes", [])
+    if not all(isinstance(t, list) and len(t) == 2
+               and all(isinstance(x, (int, float)) for x in t) for t in tubes):
+        raise DatasetFormatError(f"{path}: final_tubes must be [r_min, r_max] pairs")
+    fields["final_tubes"] = [tuple(t) for t in tubes]
     return DatasetManifest(**fields)
 
 
@@ -268,21 +305,40 @@ def _trajectory_parts(i: int, traj: Trajectory) -> tuple:
             ', "origin": ', "null" if traj.origin is None else traj.origin, "}\n")
 
 
+def _relabeled_tail(records: Sequence[DatasetRecord], trajectories: Sequence[Trajectory],
+                    chunk_len: int) -> Sequence[DatasetRecord]:
+    """The records after the curated windows of ``trajectories``.  The
+    reader rebuilds those windows, so ``records`` must start with exactly
+    them, in order, and hold only relabeled records after them."""
+    windows = [("curated", i, t, (chunk_len,)) for i, t in _windows(trajectories, chunk_len)]
+    head, tail = records[:len(windows)], records[len(windows):]
+    if ([(r.source, r.trajectory_id, r.t, r.action_chunk.shape[:1]) for r in head] != windows
+            or any(r.source != "relabeled" for r in tail)):
+        raise ValueError("records must be the chunk_len windows of the trajectories, "
+                         "in order, followed by relabeled records only")
+    return tail
+
+
 def serialize(records: Sequence[DatasetRecord], manifest: DatasetManifest,
-              out_dir: str, trajectories: Optional[Sequence[Trajectory]] = None) -> None:
-    """Write records, the optional raw trajectory dump and the manifest.
-    Each goes to a temporary file first; they are renamed into place only
-    once all are complete, the manifest last, since it pins the line
+              out_dir: str, trajectories: Sequence[Trajectory] = ()) -> None:
+    """Write a dataset: ``records`` as ``export_pairs`` builds them from
+    ``trajectories`` and ``manifest.chunk_len`` (curated windows first,
+    then relabeled records).  Only the relabeled records go to ``records``;
+    the curated ones are rebuilt on read from ``trajectories``.
+
+    Each file goes to a temporary file first; they are renamed into place
+    only once all are complete, the manifest last, since it pins the line
     counts of the others.  So a failure while producing any file leaves
     the previous dataset whole and readable."""
+    relabeled = _relabeled_tail(records, trajectories, manifest.chunk_len)
     os.makedirs(out_dir, exist_ok=True)
     manifest.n_records = len(records)
-    files = [("records", _json_lines(map(_record_parts, records)))]
-    if trajectories is not None:
-        manifest.n_trajectories = len(trajectories)
-        files.append(("trajectories", _json_lines(itertools.starmap(
-            _trajectory_parts, enumerate(trajectories)))))
-    files.append(("manifest", [_manifest_lines(manifest)]))
+    manifest.n_relabeled = len(relabeled)
+    manifest.n_trajectories = len(trajectories)
+    files = [("records", _json_lines(map(_record_parts, relabeled))),
+             ("trajectories", _json_lines(itertools.starmap(
+                 _trajectory_parts, enumerate(trajectories)))),
+             ("manifest", [_manifest_lines(manifest)])]
     temps: List[str] = []
     try:
         for name, chunks in files:
@@ -323,6 +379,8 @@ def _read_jsonl(path: str, expected: int, build: Callable[[Dict], object]) -> It
 
 
 def _record_from_row(row: Dict) -> DatasetRecord:
+    if row["source"] != "relabeled":
+        raise ValueError(f"source {row['source']!r}: only relabeled records are stored")
     return DatasetRecord(observation=np.array(row["obs"], dtype=float),
                          action_chunk=np.array(row["chunk"], dtype=float),
                          source=row["source"], trajectory_id=row["traj"], t=row["t"])
@@ -338,31 +396,56 @@ def _trajectory_from_row(row: Dict) -> Trajectory:
         variant=int(row["variant"]))
 
 
+def open_dataset(out_dir: str) -> Tuple[DatasetManifest, Environment, List[Trajectory]]:
+    """The manifest, the environment it describes and the trajectory dump,
+    with the manifest parsed once.  An ``env_config`` the environment
+    rejects raises DatasetFormatError."""
+    manifest = read_manifest(out_dir)
+    env_config = {k: (tuple(v) if isinstance(v, list) else v)
+                  for k, v in manifest.env_config.items() if k != "name"}
+    try:
+        env = make_env(manifest.env_name, **env_config)
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"{os.path.join(out_dir, 'manifest')}: "
+                                 f"environment: {exc}") from exc
+    path = os.path.join(out_dir, "trajectories")
+    if not os.path.exists(path):
+        raise DatasetFormatError(f"{path}: trajectory dump missing")
+    return manifest, env, list(_read_jsonl(path, manifest.n_trajectories,
+                                           _trajectory_from_row))
+
+
 def deserialize(out_dir: str) -> Tuple[List[DatasetRecord], DatasetManifest]:
-    manifest = _parse_manifest(os.path.join(out_dir, "manifest"))
-    records = list(_read_jsonl(os.path.join(out_dir, "records"), manifest.n_records,
+    """Every record, as ``serialize`` was given them: the curated windows
+    rebuilt from ``trajectories`` (their chunks are views of the
+    trajectory's actions, as ``export_pairs`` makes them), then the
+    relabeled records."""
+    manifest, env, trajectories = open_dataset(out_dir)
+    try:
+        records = export_pairs(trajectories, [], manifest.chunk_len, observe=env.observe)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{out_dir}: chunk_len {manifest.chunk_len}: {exc}") from exc
+    if manifest.n_records != len(records) + manifest.n_relabeled:
+        raise DatasetFormatError(
+            f"{os.path.join(out_dir, 'manifest')}: n_records {manifest.n_records} is not "
+            f"{len(records)} curated + {manifest.n_relabeled} relabeled")
+    records.extend(_read_jsonl(os.path.join(out_dir, "records"), manifest.n_relabeled,
                                _record_from_row))
     return records, manifest
 
 
 def load_trajectories(out_dir: str) -> List[Trajectory]:
-    manifest = _parse_manifest(os.path.join(out_dir, "manifest"))
-    path = os.path.join(out_dir, "trajectories")
-    if not os.path.exists(path):
-        raise DatasetFormatError(f"{path}: trajectory dump missing")
-    return list(_read_jsonl(path, manifest.n_trajectories, _trajectory_from_row))
+    return open_dataset(out_dir)[2]
 
 
 # ---------------------------------------------------------------------------
 # reporting
 
 
-def dataset_stats(manifest: DatasetManifest, records: Sequence[DatasetRecord]) -> Dict:
-    """Machine-readable summary; render with format_stats for humans."""
+def dataset_stats(manifest: DatasetManifest) -> Dict:
+    """Machine-readable summary from the manifest alone; render with
+    format_stats for humans."""
     rewards = manifest.parameters.get("reward_histogram")
-    by_source = {"curated": 0, "relabeled": 0}
-    for rec in records:
-        by_source[rec.source] += 1
     return {
         "env": manifest.env_name,
         "source": manifest.source,
@@ -371,8 +454,8 @@ def dataset_stats(manifest: DatasetManifest, records: Sequence[DatasetRecord]) -
         "selected": manifest.n_selected,
         "omission_fraction": manifest.omission_fraction,
         "relabeled": manifest.n_relabeled,
-        "records_curated": by_source["curated"],
-        "records_relabeled": by_source["relabeled"],
+        "records_curated": manifest.n_records - manifest.n_relabeled,
+        "records_relabeled": manifest.n_relabeled,
         "final_tubes": list(manifest.final_tubes),
         "reward_histogram": rewards,
     }

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import curator as cur
 from . import sampler as smp
-from .config import PipelineConfig, config_parameters
+from .config import ConfigError, PipelineConfig, config_parameters
 from .curator import TubeBounds
 from .dataset_io import (DatasetFormatError, DatasetManifest, DatasetRecord,
-                         export_pairs, load_trajectories, serialize, _atomic_write)
+                         export_pairs, open_dataset, serialize, _atomic_write)
 from .envs import (Environment, Trajectory, augmented_demo_actions, make_env,
                    rollout, rollout_batch)
 from .geometry import Pose, compose, sample_object_perturbation
@@ -190,7 +190,7 @@ def _manifest(cfg: PipelineConfig, env: Environment, source: str) -> DatasetMani
     return DatasetManifest(env_name=env.name, env_config=env_config, seed=cfg.seed,
                            source=source, iterations=cfg.iterations,
                            samples_per_iteration=cfg.samples,
-                           n_variants=cfg.n_variants,
+                           n_variants=cfg.n_variants, chunk_len=cfg.chunk_len,
                            parameters=config_parameters(cfg))
 
 
@@ -251,7 +251,6 @@ def run_pgdg(cfg: PipelineConfig) -> Tuple[List[DatasetRecord], RunReport]:
     manifest.n_generated = sum(v.n_generated for v in variants)
     manifest.n_successful = sum(v.n_successful for v in variants)
     manifest.n_selected = len(curated)
-    manifest.n_relabeled = len(targets)
     manifest.final_tubes = [(v.final_tube.r_min, v.final_tube.r_max) for v in active]
     serialize(records, manifest, cfg.out_dir, trajectories=curated)
 
@@ -315,13 +314,9 @@ def evaluate_replay(dataset_dir: str, n_trials: int, seed: int = 0) -> Dict:
     parameters and under fresh randomized parameters (n_trials draws,
     cycling through the stored trajectories), with 95% binomial CIs.
     """
-    from .dataset_io import _parse_manifest
-    import os
-    manifest = _parse_manifest(os.path.join(dataset_dir, "manifest"))
-    env_config = {k: (tuple(v) if isinstance(v, list) else v)
-                  for k, v in manifest.env_config.items() if k != "name"}
-    env = make_env(manifest.env_name, **env_config)
-    trajs = load_trajectories(dataset_dir)
+    if n_trials < 0:
+        raise ConfigError(f"trials must be >= 0, got {n_trials}")
+    manifest, env, trajs = open_dataset(dataset_dir)
     if not trajs:
         raise PipelineError(f"{dataset_dir}: no trajectories to replay")
 

@@ -45,8 +45,8 @@ def _report(name, detail=""):
 # sha256 of every output file of the seed-7 default run (the ``generated``
 # fixture, equal to ``recovergen generate --seed 7 --jobs 1``)
 GOLDEN_DIGESTS = {
-    "manifest": "000654ad38ebefe55c10adb272a7f9cdd8b64845a3e93f4c6889e029b138ed4a",
-    "records": "6ee524e2f1258fb0883cf0a5e515049248b373272b0ba1db666fe0f82fe33aec",
+    "manifest": "4cd31e6a16b655225a385ec690dbfebe51ad32fe5bc06c6bae34be64ff7fa206",
+    "records": "7d1e64bd6b33a382f995f9a6863aff5e883a7499c8cf1186de203ac221970811",
     "report.jsonl": "4a161e2f496cca156eb01763267a703ccbbb5bcfd76fcf304dcec2b4832c96ee",
     "report.txt": "7b22373813e7d8b110ab61897b0ce07b4351f68f8d0a5ac63a4d003e9f6eac1e",
     "trajectories": "14b4ae7d7e033f98932ee74aa8402a8407cc7bb9c7180aa7563bfb8e415c3aa0",
@@ -71,6 +71,55 @@ def test_golden_digest_of_default_run(generated):
             got[name] = hashlib.sha256(fh.read()).hexdigest()
     assert got == GOLDEN_DIGESTS
     _report("golden digest", "5 output files byte-identical")
+
+
+# sha256 of the same run's ``records`` in dataset format 1, which stored
+# every curated window as well as the relabeled records
+FORMAT_1_RECORDS_DIGEST = "6ee524e2f1258fb0883cf0a5e515049248b373272b0ba1db666fe0f82fe33aec"
+
+
+def test_rebuilt_records_encode_to_the_format_1_file(generated):
+    """Format 2 stores only the relabeled records and rebuilds the curated
+    windows from ``trajectories``.  Encoded line by line with the
+    ``json.dumps`` oracle, the records ``deserialize`` returns give the
+    format-1 file byte for byte, so rebuilding loses nothing."""
+    from recovergen.dataset_io import deserialize
+    from test_dataset import oracle_record_line
+    cfg, records, _, _ = generated
+    rebuilt, manifest = deserialize(cfg.out_dir)
+    assert len(rebuilt) == len(records) == manifest.n_records
+    text = "".join(oracle_record_line(r) + "\n" for r in rebuilt)
+    assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_1_RECORDS_DIGEST
+    _report("format 2 lossless", f"{len(rebuilt)} rebuilt records encode to format 1")
+
+
+def test_bench_inspect_dataset_passes_on_the_golden_run(generated):
+    """The benchmark checks each output directory with
+    ``bench/inspect_dataset.py``; it must keep reading the dataset."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import recovergen
+    cfg, _, _, _ = generated
+    src = os.path.dirname(os.path.dirname(recovergen.__file__))
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "bench", "inspect_dataset.py")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, script, cfg.out_dir], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    m = report["manifest"]
+    assert report["stats_exit"] == 0 and report["all_success"]
+    assert report["records_loaded"] == m["n_records"] > m["n_relabeled"] > 0
+    assert report["trajectories_loaded"] == m["n_trajectories"] == m["n_selected"]
+    st = report["stats"]
+    assert (st["records_curated"] + st["records_relabeled"], st["records_relabeled"]) \
+        == (m["n_records"], m["n_relabeled"])
+    _report("bench inspect", f"{report['records_loaded']} records loaded")
 
 
 # recovergen is numpy-only: no command may import scipy.  The fresh process

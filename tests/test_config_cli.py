@@ -1,6 +1,8 @@
 """Configuration parsing and the command-line surface (exit codes, file
 formats, overrides)."""
 import json
+import re
+import shutil
 
 import pytest
 
@@ -250,3 +252,60 @@ def test_cli_config_file_flag(tmp_path, capsys):
     assert main(["generate", "--config", str(cfg_path), "--out", str(out),
                  "--seed", "2"]) == EXIT_OK
     assert (out / "manifest").exists()
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small") / "ds"
+    assert main(_fast_args(out, ["--set", "relabel.k_rel=2"])) == EXIT_OK
+    return out
+
+
+def _copy_with_manifest_edit(src, dst, edit):
+    shutil.copytree(src, dst)
+    manifest = dst / "manifest"
+    manifest.write_text(edit(manifest.read_text()))
+    return dst
+
+
+@pytest.mark.parametrize("edit, commands", [
+    (lambda text: text + "foo = 1\n", ["stats", "evaluate"]),
+    (lambda text: re.sub(r"final_tubes = .*", "final_tubes = 5", text), ["stats", "evaluate"]),
+    (lambda text: text.replace("env_config = {", 'env_config = {"bogus": 1, '), ["evaluate"]),
+    (lambda text: text.replace("format = 2\n", ""), ["stats", "evaluate"]),
+    (lambda text: text.replace("format = 2", "format = 1"), ["stats", "evaluate"]),
+])
+def test_cli_manifest_faults_exit_4(small_dataset, tmp_path, capsys, edit, commands):
+    bad = _copy_with_manifest_edit(small_dataset, tmp_path / "bad", edit)
+    for command in commands:
+        argv = [command, str(bad)] + (["--trials", "2"] if command == "evaluate" else [])
+        assert main(argv) == EXIT_IO, command
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "Traceback" not in err
+
+
+def test_cli_evaluate_rejects_negative_trials(small_dataset, capsys):
+    assert main(["evaluate", str(small_dataset), "--trials", "-5"]) == EXIT_CONFIG
+    assert "trials must be >= 0" in capsys.readouterr().err
+    assert main(["evaluate", str(small_dataset), "--compare", str(small_dataset),
+                 "--trials", "-1"]) == EXIT_CONFIG
+    capsys.readouterr()
+    assert main(["evaluate", str(small_dataset), "--trials", "0"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["fresh_success_rate"] == 0.0 and report["fresh_ci95"] == [0.0, 1.0]
+
+
+def test_cli_stats_reads_the_manifest_only(small_dataset, capsys, monkeypatch):
+    from recovergen import dataset_io
+    want = dataset_io.deserialize(str(small_dataset))
+    counts = {"records_curated": sum(r.source == "curated" for r in want[0]),
+              "records_relabeled": sum(r.source == "relabeled" for r in want[0])}
+    assert counts["records_relabeled"] == want[1].n_relabeled > 0
+
+    def fail(*args, **kwargs):
+        raise AssertionError("stats parsed a data file")
+    for name in ("deserialize", "load_trajectories", "open_dataset", "_read_jsonl"):
+        monkeypatch.setattr(dataset_io, name, fail)
+    assert main(["stats", str(small_dataset), "--json"]) == EXIT_OK
+    stats = json.loads(capsys.readouterr().out)
+    assert {k: stats[k] for k in counts} == counts

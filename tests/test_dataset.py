@@ -1,4 +1,5 @@
 """Dataset assembly, serialization round-trips, and corruption handling."""
+import dataclasses
 import json
 import os
 import re
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from recovergen.dataset_io import (DatasetFormatError, DatasetManifest,
-                                   DatasetRecord, dataset_stats, deserialize,
-                                   export_pairs, format_stats,
-                                   load_trajectories, serialize)
+                                   DatasetRecord, _json_lines, _record_parts,
+                                   dataset_stats, deserialize, export_pairs,
+                                   format_stats, load_trajectories, read_manifest,
+                                   serialize)
 from recovergen.envs import EnvParams, Trajectory
 from recovergen.relabel import RelabelPoint, RelabelTarget
 
@@ -32,6 +34,11 @@ def make_manifest(**kw):
                 n_successful=8, n_selected=6)
     base.update(kw)
     return DatasetManifest(**base)
+
+
+def as_relabeled(records):
+    """The same values as relabeled records, which ``records`` stores."""
+    return [dataclasses.replace(r, source="relabeled") for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +98,7 @@ def test_round_trip_bitwise(tmp_path):
     records = export_pairs(trajs, [], chunk_len=4)
     manifest = make_manifest(final_tubes=[(0.1, 0.5)],
                              parameters={"sampler.m_points": 16},
-                             env_config={"horizon": 30})
+                             env_config={"horizon": 30}, chunk_len=4)
     serialize(records, manifest, str(tmp_path), trajectories=trajs)
     records2, manifest2 = deserialize(str(tmp_path))
     assert len(records2) == len(records)
@@ -121,7 +128,7 @@ def test_large_round_trip(tmp_path):
     trajs = [make_traj(horizon=40, seed=i) for i in range(30)]
     records = export_pairs(trajs, [], chunk_len=5)
     assert len(records) > 1000
-    serialize(records, make_manifest(), str(tmp_path), trajectories=trajs)
+    serialize(records, make_manifest(chunk_len=5), str(tmp_path), trajectories=trajs)
     records2, _ = deserialize(str(tmp_path))
     assert all(np.array_equal(a.action_chunk, b.action_chunk)
                for a, b in zip(records, records2))
@@ -130,7 +137,8 @@ def test_large_round_trip(tmp_path):
 def test_truncated_records_detected(tmp_path):
     trajs = [make_traj()]
     records = export_pairs(trajs, [], chunk_len=4)
-    serialize(records, make_manifest(), str(tmp_path), trajectories=trajs)
+    records += as_relabeled(records)
+    serialize(records, make_manifest(chunk_len=4), str(tmp_path), trajectories=trajs)
     path = os.path.join(tmp_path, "records")
     with open(path) as fh:
         lines = fh.readlines()
@@ -143,7 +151,8 @@ def test_truncated_records_detected(tmp_path):
 def test_malformed_line_reports_location(tmp_path):
     trajs = [make_traj()]
     records = export_pairs(trajs, [], chunk_len=4)
-    serialize(records, make_manifest(), str(tmp_path), trajectories=trajs)
+    records += as_relabeled(records)
+    serialize(records, make_manifest(chunk_len=4), str(tmp_path), trajectories=trajs)
     path = os.path.join(tmp_path, "records")
     with open(path) as fh:
         lines = fh.readlines()
@@ -156,15 +165,18 @@ def test_malformed_line_reports_location(tmp_path):
 
 def test_missing_manifest_keys_rejected(tmp_path):
     with open(tmp_path / "manifest", "w") as fh:
-        fh.write("seed = 1\n")
-    with pytest.raises(DatasetFormatError):
+        fh.write("format = 2\nseed = 1\n")
+    with pytest.raises(DatasetFormatError, match="missing required"):
         deserialize(str(tmp_path))
 
 
 def test_missing_trajectory_dump_rejected(tmp_path):
     serialize([], make_manifest(), str(tmp_path))
+    os.remove(tmp_path / "trajectories")
     with pytest.raises(DatasetFormatError, match="missing"):
         load_trajectories(str(tmp_path))
+    with pytest.raises(DatasetFormatError, match="missing"):
+        deserialize(str(tmp_path))
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +206,23 @@ def oracle_traj_line(i, traj):
     })
 
 
-def assert_bytes_match_oracle(records, trajectories=None):
+def oracle_text(records):
+    return "".join(oracle_record_line(r) + "\n" for r in records)
+
+
+def assert_bytes_match_oracle(records, trajectories=()):
+    """The writer's text of any records, curated or relabeled, and the
+    files of a dataset that stores the relabeled ones, equal the oracle's."""
+    assert "".join(_json_lines(map(_record_parts, records))) == oracle_text(records)
+    relabeled = [r for r in records if r.source == "relabeled"]
     with tempfile.TemporaryDirectory() as out:
-        serialize(records, make_manifest(), out, trajectories=trajectories)
+        serialize(export_pairs(trajectories, [], 1) + relabeled, make_manifest(), out,
+                  trajectories=trajectories)
         with open(os.path.join(out, "records")) as fh:
-            assert fh.read() == "".join(oracle_record_line(r) + "\n" for r in records)
-        if trajectories is not None:
-            with open(os.path.join(out, "trajectories")) as fh:
-                assert fh.read() == "".join(oracle_traj_line(i, t) + "\n"
-                                            for i, t in enumerate(trajectories))
+            assert fh.read() == oracle_text(relabeled)
+        with open(os.path.join(out, "trajectories")) as fh:
+            assert fh.read() == "".join(oracle_traj_line(i, t) + "\n"
+                                        for i, t in enumerate(trajectories))
 
 
 EDGE_VALUES = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
@@ -267,10 +287,7 @@ def test_writer_edge_values_keep_their_own_text():
     records.append(DatasetRecord(observation=-obs, action_chunk=chunk[::-1],
                                  source="relabeled", trajectory_id=0, t=3))
     assert_bytes_match_oracle(records)
-    with tempfile.TemporaryDirectory() as out:
-        serialize(records, make_manifest(), out)
-        with open(os.path.join(out, "records")) as fh:
-            text = fh.read()
+    text = "".join(_json_lines(map(_record_parts, records)))
     assert "[-0.0, 0.0]" in text and "[0.0, -0.0]" in text
     assert "NaN" in text and "-Infinity" in text and "5e-324" in text and "1e+16" in text
 
@@ -319,7 +336,7 @@ def test_writer_trajectories_with_and_without_origin():
 
 def test_failed_write_keeps_previous_file_and_no_temp_file(tmp_path):
     trajs = [make_traj(horizon=40, seed=i) for i in range(40)]
-    records = export_pairs(trajs, [], chunk_len=5)
+    records = as_relabeled(export_pairs(trajs, [], chunk_len=5))
     serialize(records[:10], make_manifest(), str(tmp_path))
     before = (tmp_path / "records").read_bytes()
     records[-1].t = 2.5                  # fails to format in the second block
@@ -341,7 +358,7 @@ def test_record_ids_must_be_integers():
 def test_trajectory_variant_must_be_an_integer(tmp_path):
     trajs = [make_traj(seed=0), make_traj(seed=1, variant=np.int64(2)), make_traj(seed=2)]
     assert type(trajs[1].variant) is int
-    serialize([], make_manifest(), str(tmp_path), trajectories=trajs)
+    serialize(export_pairs(trajs, [], 1), make_manifest(), str(tmp_path), trajectories=trajs)
     assert [t.variant for t in load_trajectories(str(tmp_path))] == [0, 2, 0]
     with pytest.raises(TypeError):
         make_traj(variant=1.5)
@@ -349,20 +366,23 @@ def test_trajectory_variant_must_be_an_integer(tmp_path):
 
 def test_failed_records_write_keeps_previous_dataset_readable(tmp_path):
     trajs = [make_traj(horizon=40, seed=i) for i in range(40)]
-    records = export_pairs(trajs, [], chunk_len=5)
-    serialize(records[:10], make_manifest(), str(tmp_path), trajectories=trajs[:2])
+    relabeled = as_relabeled(export_pairs(trajs, [], chunk_len=5))
+    serialize(export_pairs(trajs[:2], [], 5) + relabeled[:10], make_manifest(chunk_len=5),
+              str(tmp_path), trajectories=trajs[:2])
     before = {name: (tmp_path / name).read_bytes()
               for name in ("manifest", "records", "trajectories")}
-    records[-1].t = 2.5                  # fails to format in the second block
+    relabeled[-1].t = 2.5                # fails to format in the second block
     with pytest.raises(ValueError):
-        serialize(records, make_manifest(), str(tmp_path), trajectories=trajs)
-    records[-1].t = 0
+        serialize(export_pairs(trajs, [], 5) + relabeled, make_manifest(chunk_len=5),
+                  str(tmp_path), trajectories=trajs)
+    relabeled[-1].t = 0
     trajs[-1].variant = object()         # records succeed, trajectories fail
     with pytest.raises(TypeError):
-        serialize(records, make_manifest(), str(tmp_path), trajectories=trajs)
+        serialize(export_pairs(trajs, [], 5) + relabeled, make_manifest(chunk_len=5),
+                  str(tmp_path), trajectories=trajs)
     assert before == {name: (tmp_path / name).read_bytes() for name in before}
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
-    assert len(deserialize(str(tmp_path))[0]) == 10
+    assert len(deserialize(str(tmp_path))[0]) == 2 * 36 + 10
     assert len(load_trajectories(str(tmp_path))) == 2
 
 
@@ -375,12 +395,20 @@ def oracle_read_jsonl(path):
         return [json.loads(raw) for raw in fh if raw.strip()]
 
 
-def oracle_deserialize(out_dir):
+def oracle_deserialize(out_dir, chunk_len):
+    """The whole-file reader on format 2: each stored trajectory's windows,
+    then the stored relabeled records."""
+    curated = [DatasetRecord(observation=np.concatenate([traj.states[t], traj.states[0]]),
+                             action_chunk=traj.actions[t:t + chunk_len], source="curated",
+                             trajectory_id=i, t=t)
+               for i, traj in enumerate(oracle_load_trajectories(out_dir))
+               for t in range(traj.horizon - chunk_len + 1)]
     rows = oracle_read_jsonl(os.path.join(out_dir, "records"))
-    return [DatasetRecord(observation=np.array(row["obs"], dtype=float),
-                          action_chunk=np.array(row["chunk"], dtype=float),
-                          source=row["source"], trajectory_id=row["traj"], t=row["t"])
-            for row in rows]
+    return curated + [DatasetRecord(observation=np.array(row["obs"], dtype=float),
+                                    action_chunk=np.array(row["chunk"], dtype=float),
+                                    source=row["source"], trajectory_id=row["traj"],
+                                    t=row["t"])
+                      for row in rows]
 
 
 def oracle_load_trajectories(out_dir):
@@ -405,10 +433,10 @@ def same_value(a, b):
     return type(a) is type(b) and repr(a) == repr(b)
 
 
-def assert_reader_matches_oracle(records, trajectories):
+def assert_reader_matches_oracle(records, trajectories, chunk_len):
     with tempfile.TemporaryDirectory() as out:
-        serialize(records, make_manifest(), out, trajectories=trajectories)
-        got, want = deserialize(out)[0], oracle_deserialize(out)
+        serialize(records, make_manifest(chunk_len=chunk_len), out, trajectories=trajectories)
+        got, want = deserialize(out)[0], oracle_deserialize(out, chunk_len)
         assert len(got) == len(want) == len(records)
         for a, b in zip(got, want):
             for name in ("observation", "action_chunk", "source", "trajectory_id", "t"):
@@ -422,22 +450,34 @@ def assert_reader_matches_oracle(records, trajectories):
                 assert same_value(getattr(a.env_params, name), getattr(b.env_params, name))
 
 
-@given(record_lists(), trajectory_lists())
+@st.composite
+def datasets(draw):
+    """(records, trajectories, chunk_len): the curated windows of the drawn
+    trajectories, then the relabeled records of a drawn record list."""
+    trajectories = draw(trajectory_lists())
+    chunk_len = draw(st.integers(1, min((t.horizon for t in trajectories), default=1)))
+    relabeled = [r for r in draw(record_lists()) if r.source == "relabeled"]
+    return export_pairs(trajectories, [], chunk_len) + relabeled, trajectories, chunk_len
+
+
+@given(datasets())
 @settings(max_examples=100, deadline=None)
-def test_reader_equals_whole_file_oracle(records, trajectories):
-    assert_reader_matches_oracle(records, trajectories)
+def test_reader_equals_whole_file_oracle(dataset):
+    assert_reader_matches_oracle(*dataset)
 
 
 def test_reader_equals_oracle_across_blocks_and_edge_values():
     trajs = [make_traj(horizon=40, seed=i, variant=i % 3) for i in range(30)]
     trajs[4].origin = None
     trajs[7].states[3] = [-0.0, np.nan, np.inf]
-    assert_reader_matches_oracle(export_pairs(trajs, [], chunk_len=5), trajs)
+    records = export_pairs(trajs, [], chunk_len=5)
+    assert_reader_matches_oracle(records + as_relabeled(records), trajs, 5)
 
 
 def _dataset(tmp_path):
     trajs = [make_traj(seed=i, variant=i) for i in range(3)]
-    serialize(export_pairs(trajs, [], chunk_len=4), make_manifest(), str(tmp_path),
+    records = export_pairs(trajs, [], chunk_len=4)
+    serialize(records + as_relabeled(records[:5]), make_manifest(chunk_len=4), str(tmp_path),
               trajectories=trajs)
     return str(tmp_path)
 
@@ -548,6 +588,116 @@ def test_reader_bad_record_is_reported_before_a_wrong_line_count(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# format 2: curated windows rebuilt from trajectories, strict manifest
+
+
+def _set_manifest_line(out, key, value=None):
+    """Replace the ``key`` line of the manifest, drop it (value None), or
+    append it when absent."""
+    path = os.path.join(out, "manifest")
+    with open(path) as fh:
+        lines = [ln for ln in fh if ln.partition("=")[0].strip() != key]
+    if value is not None:
+        lines.append(f"{key} = {value}\n")
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
+ALL_READERS = [read_manifest, deserialize, load_trajectories]
+
+
+def test_manifest_pins_format_and_chunk_len(tmp_path):
+    out = _dataset(tmp_path)
+    with open(os.path.join(out, "manifest")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "format = 2" and "chunk_len = 4" in lines
+    assert read_manifest(out).chunk_len == 4
+    with open(os.path.join(out, "records")) as fh:
+        assert len(fh.readlines()) == 5           # the relabeled records only
+
+
+@pytest.mark.parametrize("value", [None, "1", "3"])
+def test_any_format_but_2_is_rejected(tmp_path, value):
+    out = _dataset(tmp_path)
+    _set_manifest_line(out, "format", value)
+    for reader in ALL_READERS:
+        with pytest.raises(DatasetFormatError, match=f"format {value} is not supported"):
+            reader(out)
+
+
+def test_truncated_trajectories_detected_by_both_readers(tmp_path):
+    out = _dataset(tmp_path)
+    path = os.path.join(out, "trajectories")
+    _rewrite(path, lambda lines: lines[:-1])
+    for reader in (deserialize, load_trajectories):
+        with _raises_naming(path, "expected 3 lines per manifest, found 2 (truncated?)"):
+            reader(out)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("foo", "1", "unknown key 'foo'"),
+    ("final_tubes", "5", "final_tubes must be a list"),
+    ("final_tubes", "[[0.1]]", "final_tubes must be"),
+    ("final_tubes", '[["a", 0.2]]', "final_tubes must be"),
+    ("env_config", "[]", "env_config must be a dict"),
+    ("parameters", "3", "parameters must be a dict"),
+    ("n_records", "x", "invalid literal"),
+    ("env_config", "{bad", "line"),
+])
+def test_manifest_faults_raise_dataset_format_error(tmp_path, key, value, message):
+    out = _dataset(tmp_path)
+    _set_manifest_line(out, key, value)
+    for reader in ALL_READERS:
+        with pytest.raises(DatasetFormatError, match=re.escape(message)):
+            reader(out)
+
+
+@pytest.mark.parametrize("env_config, env_name", [('{"bogus": 1}', "point_reach"),
+                                                  ("{}", "no_such_env")])
+def test_environment_the_manifest_rejects_is_a_format_error(tmp_path, env_config, env_name):
+    out = _dataset(tmp_path)
+    _set_manifest_line(out, "env_config", env_config)
+    _set_manifest_line(out, "env_name", env_name)
+    for reader in (deserialize, load_trajectories):
+        with pytest.raises(DatasetFormatError, match="environment"):
+            reader(out)
+
+
+@pytest.mark.parametrize("key, value", [("n_records", 27), ("chunk_len", 0),
+                                        ("chunk_len", 11)])
+def test_deserialize_checks_counts_and_chunk_len(tmp_path, key, value):
+    out = _dataset(tmp_path)                       # 3 x 7 windows + 5 relabeled
+    _set_manifest_line(out, key, value)
+    with pytest.raises(DatasetFormatError, match="n_records|chunk_len"):
+        deserialize(out)
+
+
+def test_records_file_holds_relabeled_records_only(tmp_path):
+    out = _dataset(tmp_path)
+    path = os.path.join(out, "records")
+    _edit_line(path, 2, lambda row: row.update({"source": "curated"}))
+    with _raises_naming(path, "line 2: bad record", "only relabeled"):
+        deserialize(out)
+
+
+def test_serialize_needs_the_trajectories_windows_first(tmp_path):
+    trajs = [make_traj(seed=i) for i in range(2)]
+    records = export_pairs(trajs, [], chunk_len=4)
+    relabeled = as_relabeled(records[:2])
+    bad = [(records, (), 4),                          # curated without trajectories
+           (records[:-1] + relabeled, trajs, 4),      # a window missing
+           (relabeled + records, trajs, 4),           # relabeled before curated
+           (records[::-1], trajs, 4),                 # windows out of order
+           (records + relabeled, trajs, 3),           # windows of another length
+           (records + records[:1], trajs, 4)]         # a curated record after them
+    for recs, trajectories, k in bad:
+        with pytest.raises(ValueError, match="windows of the trajectories"):
+            serialize(recs, make_manifest(chunk_len=k), str(tmp_path),
+                      trajectories=trajectories)
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
 # stats
 
 
@@ -557,13 +707,15 @@ def test_omission_fraction():
     assert make_manifest(n_successful=0, n_selected=0).omission_fraction == 0.0
 
 
-def test_dataset_stats_counts_and_render():
+def test_dataset_stats_counts_and_render(tmp_path):
     trajs = [make_traj(horizon=8)]
     target = RelabelTarget(observation=np.zeros(6), chunk=np.ones((3, 2)),
                            point=RelabelPoint(0, 1, 0.2), cost=0.0)
     records = export_pairs(trajs, [target], chunk_len=4)
-    manifest = make_manifest(n_relabeled=1, final_tubes=[(0.05, 0.2)])
-    stats = dataset_stats(manifest, records)
+    manifest = make_manifest(final_tubes=[(0.05, 0.2)], chunk_len=4)
+    serialize(records, manifest, str(tmp_path), trajectories=trajs)
+    stats = dataset_stats(read_manifest(str(tmp_path)))
+    assert stats == dataset_stats(manifest)
     assert stats["records_curated"] == 5
     assert stats["records_relabeled"] == 1
     assert np.isclose(stats["omission_fraction"], 1.0 - 6 / 8)

@@ -167,10 +167,10 @@ def test_evaluate_replay_deterministic(tmp_path):
 def test_evaluate_replay_missing_dump(tmp_path):
     os.makedirs(tmp_path / "empty")
     with open(tmp_path / "empty" / "manifest", "w") as fh:
-        fh.write("env_name = point_reach\nn_records = 0\nn_trajectories = 0\n"
+        fh.write("format = 2\nenv_name = point_reach\nn_records = 0\nn_trajectories = 0\n"
                  "env_config = {}\n")
     from recovergen.dataset_io import DatasetFormatError
-    with pytest.raises((PipelineError, DatasetFormatError)):
+    with pytest.raises((PipelineError, DatasetFormatError), match="dump missing"):
         evaluate_replay(str(tmp_path / "empty"), n_trials=5)
 
 
