@@ -29,7 +29,7 @@ def main():
 
     cfg = PipelineConfig(env=args.env, out_dir=gen_dir, seed=args.seed,
                          jobs=args.jobs)
-    _, report = run_pgdg(cfg)
+    report = run_pgdg(cfg)
     totals = report.totals
     print(f"generate: {totals['selected']} curated of "
           f"{totals['successful']} successful / {totals['generated']} sampled, "
@@ -37,7 +37,7 @@ def main():
 
     base_cfg = PipelineConfig(env=args.env, out_dir=base_dir, seed=args.seed,
                               n_variants=args.baseline_variants)
-    _, base_report = run_spatial_only(base_cfg)
+    base_report = run_spatial_only(base_cfg)
     print(f"baseline: {base_report.totals['successful']} successful of "
           f"{base_report.totals['generated']} replays")
 

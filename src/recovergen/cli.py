@@ -82,9 +82,9 @@ def main(argv=None) -> int:
         if args.command in ("generate", "baseline"):
             cfg = _load_run_config(args)
             runner = run_pgdg if args.command == "generate" else run_spatial_only
-            records, report = runner(cfg)
+            report = runner(cfg)
             totals = report.totals
-            print(f"wrote {len(records)} records to {cfg.out_dir} "
+            print(f"wrote {report.n_records} records to {cfg.out_dir} "
                   f"(generated {totals['generated']}, successful {totals['successful']}, "
                   f"selected {totals['selected']}, relabeled {report.n_relabeled}) "
                   f"in {report.wall_time_s:.1f}s")

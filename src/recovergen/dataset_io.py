@@ -1,46 +1,43 @@
 """Dataset assembly and on-disk persistence.
 
-Layout under the output directory (dataset format 2):
+Layout under the output directory (dataset format 3):
 
-* ``manifest``      -- plain-text ``key = value`` run metadata; its
-  ``format`` is 2 and its ``chunk_len`` is the curated window length
-* ``trajectories``  -- line-delimited JSON, one curated trajectory per line
-* ``records``       -- line-delimited JSON, one relabeled supervision pair
-  per line
+* ``manifest``          -- plain-text ``key = value`` run metadata; its
+  ``format`` is 3, its ``chunk_len`` is the curated window length, and its
+  ``n_trajectories`` and ``n_relabeled`` are the row counts of the arrays
+* ``trajectories.npy``  -- one row per curated trajectory, with the fields
+  ``variant`` ``<i8``, ``success`` ``?``, ``mass`` ``<f8``,
+  ``friction_scale`` ``<f8``, ``states`` ``<f8 (T+1, d_s)``, ``actions``
+  ``<f8 (T, d_a)`` and, when the trajectories have origins, ``origin``
+  ``<f8 (P,)``
+* ``records.npy``       -- one row per relabeled supervision pair, with the
+  fields ``traj`` ``<i8``, ``t`` ``<i8``, ``obs`` ``<f8 (2 d_s,)`` and
+  ``chunk`` ``<f8 (H, d_a)``
+
+Both arrays are structured NumPy ``.npy`` files (the NEP 1 format) holding
+raw little-endian numbers, so a round trip is bitwise lossless, and
+``np.load(path, allow_pickle=False)`` opens either one without this package.
 
 A curated record is the window ``observe(states[t], states[0])``,
 ``actions[t:t + chunk_len]`` of a stored trajectory, so it is not stored
-again: ``deserialize`` rebuilds the curated records from ``trajectories``
-through ``export_pairs``, the function that built them before writing,
-and appends the relabeled records.  A manifest of any other ``format``
-(or none) is rejected.
+again: ``deserialize`` rebuilds the curated records from the trajectories
+through ``export_pairs``, then appends the relabeled records.
 
-Numbers are written with shortest round-trip decimals, so a serialize /
-deserialize round trip is bitwise lossless.  ``records`` and
-``trajectories`` go through one writer that works in blocks of
-``_BLOCK_LINES`` lines: within a block, each distinct float row (the last
-axis of an array, told apart by bit pattern, so ``-0.0`` and ``0.0`` keep
-their own text) is formatted once by a single ``json.dumps`` call, each
-line is joined from those row texts, and the block is streamed to disk
-before the next one is built.  The bytes equal those of ``json.dumps``
-on each line's dict.  Files are written to temporary names and renamed
-once all are complete, the manifest last, and the manifest pins the
-expected line counts, so a truncated file is detected instead of
-yielding a partial dataset.
-
-The reader streams too: each line is parsed and turned into its
-``DatasetRecord`` or ``Trajectory`` at once, so the parsed JSON of a whole
-file is never held.  ``read_manifest`` alone parses no floats.
+Files are written to temporary names and renamed once all are complete, the
+manifest last.  Every reader reads the manifest, both arrays and checks them
+whole: each array's fields and dtypes, its shapes against the manifest's
+environment and ``chunk_len``, and its row count against the manifest.  A
+truncated, foreign or pickled file and a ``format`` other than 3 raise
+DatasetFormatError; nothing is returned from a dataset that fails a check.
+``read_manifest`` alone reads no array.
 """
 from __future__ import annotations
 
-import itertools
 import json
-import math
 import operator
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import IO, Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +45,14 @@ from .envs import Environment, EnvParams, Trajectory, make_env
 from .relabel import RelabelTarget
 
 
-FORMAT = 2   # the one dataset format this module writes and reads
+FORMAT = 3   # the one dataset format this module writes and reads
+
+# field -> (dtype, axes per row), in file order; ``origin`` is optional
+_TRAJECTORY_FIELDS = {"variant": ("<i8", 0), "success": ("?", 0), "mass": ("<f8", 0),
+                      "friction_scale": ("<f8", 0), "states": ("<f8", 2),
+                      "actions": ("<f8", 2), "origin": ("<f8", 1)}
+_RECORD_FIELDS = {"traj": ("<i8", 0), "t": ("<i8", 0), "obs": ("<f8", 1),
+                  "chunk": ("<f8", 2)}
 
 
 class DatasetFormatError(ValueError):
@@ -105,15 +109,13 @@ class DatasetManifest:
         return 1.0 - self.n_selected / self.n_successful
 
 
-def _windows(curated: Sequence[Trajectory], chunk_len: int) -> Iterator[Tuple[int, int]]:
-    """(trajectory index, window start t) of every curated window, t in
-    [0, T - k] per trajectory, in order."""
+def _window_count(horizon: int, chunk_len: int) -> int:
+    """Number of curated windows, starts t in [0, T - k], of one trajectory."""
     if chunk_len < 1:
         raise ValueError("chunk_len must be >= 1")
-    for i, traj in enumerate(curated):
-        if chunk_len > traj.horizon:
-            raise ValueError("chunk length exceeds trajectory horizon")
-        yield from ((i, t) for t in range(traj.horizon - chunk_len + 1))
+    if chunk_len > horizon:
+        raise ValueError("chunk length exceeds trajectory horizon")
+    return horizon - chunk_len + 1
 
 
 def export_pairs(curated: Sequence[Trajectory], relabels: Sequence[RelabelTarget],
@@ -121,13 +123,14 @@ def export_pairs(curated: Sequence[Trajectory], relabels: Sequence[RelabelTarget
     """One standard record per curated window, plus one record per
     relabeled target."""
     records = []
-    for i, t in _windows(curated, chunk_len):
-        states = curated[i].states
-        obs = (observe(states[t], states[0]) if observe is not None
-               else np.concatenate([states[t], states[0]]))
-        records.append(DatasetRecord(observation=obs,
-                                     action_chunk=curated[i].actions[t:t + chunk_len],
-                                     source="curated", trajectory_id=i, t=t))
+    for i, traj in enumerate(curated):
+        states = traj.states
+        for t in range(_window_count(traj.horizon, chunk_len)):
+            obs = (observe(states[t], states[0]) if observe is not None
+                   else np.concatenate([states[t], states[0]]))
+            records.append(DatasetRecord(observation=obs,
+                                         action_chunk=traj.actions[t:t + chunk_len],
+                                         source="curated", trajectory_id=i, t=t))
     for target in relabels:
         records.append(DatasetRecord(observation=target.observation,
                                      action_chunk=target.chunk,
@@ -141,13 +144,13 @@ def export_pairs(curated: Sequence[Trajectory], relabels: Sequence[RelabelTarget
 # serialization
 
 
-def _write_temp(path: str, chunks: Iterable[str]) -> str:
-    """Write the chunks to ``path + ".tmp"`` and return that name.  If
-    producing a chunk fails, the temporary file is removed."""
+def _write_temp(path: str, write: Callable[[IO], object], mode: str = "w") -> str:
+    """Open ``path + ".tmp"``, let ``write`` fill it and return that name.
+    If ``write`` fails, the temporary file is removed."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with open(tmp, mode) as fh:
         try:
-            fh.writelines(chunks)
+            write(fh)
         except BaseException:
             fh.close()
             os.unlink(tmp)
@@ -156,9 +159,9 @@ def _write_temp(path: str, chunks: Iterable[str]) -> str:
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
-    """Write the chunks to a temporary file and rename it to ``path``, so
-    ``path`` keeps its previous content if producing a chunk fails."""
-    os.replace(_write_temp(path, chunks), path)
+    """Write the text chunks to a temporary file and rename it to ``path``,
+    so ``path`` keeps its previous content if producing a chunk fails."""
+    os.replace(_write_temp(path, lambda fh: fh.writelines(chunks)), path)
 
 
 def _manifest_lines(manifest: DatasetManifest) -> str:
@@ -192,10 +195,12 @@ _JSON_KEYS = {"env_config": dict, "parameters": dict, "final_tubes": list}
 
 
 def read_manifest(out_dir: str) -> DatasetManifest:
-    """Parse and check ``out_dir/manifest``; every fault, an unknown key
-    or a ``format`` other than 2 included, raises DatasetFormatError."""
+    """Parse and check ``out_dir/manifest``; every fault, an unknown or
+    repeated key or a ``format`` other than 3 included, raises
+    DatasetFormatError."""
     path = os.path.join(out_dir, "manifest")
     fields: Dict = {}
+    first_line: Dict[str, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -206,6 +211,10 @@ def read_manifest(out_dir: str) -> DatasetManifest:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
+            if key in first_line:
+                raise DatasetFormatError(f"{path}: line {lineno}: duplicate key {key!r}, "
+                                         f"first set on line {first_line[key]}")
+            first_line[key] = lineno
             try:
                 if key in _INT_KEYS:
                     fields[key] = int(value)
@@ -233,204 +242,183 @@ def read_manifest(out_dir: str) -> DatasetManifest:
     return DatasetManifest(**fields)
 
 
-_BLOCK_LINES = 1024
+def _column(fields: Dict[str, Tuple[str, int]], name: str, values: Sequence) -> np.ndarray:
+    """The values of one field stacked as an (n, ...) array.  Every value
+    must have one shape, with the field's number of axes."""
+    dtype, ndim = fields[name]
+    shapes = {np.shape(v) for v in values}
+    if len(shapes) > 1 or any(len(s) != ndim for s in shapes):
+        raise ValueError(f"{name}: every row needs one shape of {ndim} axes, "
+                         f"got {sorted(shapes)}")
+    shape = shapes.pop() if shapes else (0,) * ndim
+    return np.array(values, dtype=dtype).reshape((len(values),) + shape)
 
 
-def _row_texts(rows: np.ndarray) -> List[str]:
-    """JSON text of each row of a 2-D float64 array.  Rows are keyed by
-    their bytes, and the distinct ones are formatted by one ``json.dumps``
-    call, so the spelling is json's (``NaN``, ``-0.0``, shortest repr)."""
-    n, width = rows.shape
-    if width == 0:
-        return ["[]"] * n
-    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * width))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    body = json.dumps(rows[first].tolist())          # "[[a, b], [c, d]]"
-    distinct = ["[" + s + "]" for s in body[2:-2].split("], [")]
-    return [distinct[i] for i in inverse.tolist()]
+def _table(fields: Dict[str, Tuple[str, int]], columns: Dict[str, Sequence]) -> np.ndarray:
+    """One structured row per item, from each field's values."""
+    stacked = {name: _column(fields, name, values) for name, values in columns.items()}
+    n = len(next(iter(stacked.values())))
+    table = np.empty(n, np.dtype([(name, fields[name][0], col.shape[1:])
+                                  for name, col in stacked.items()]))
+    for name, col in stacked.items():
+        table[name] = col
+    return table
 
 
-def _nest(texts: List[str], start: int, shape: Tuple[int, ...]) -> str:
-    """JSON text of an array of ``shape`` whose rows are ``texts[start:]``."""
-    if len(shape) < 2:
-        return texts[start] if shape else texts[start][1:-1]
-    if len(shape) == 2:
-        return "[" + ", ".join(texts[start:start + shape[0]]) + "]"
-    step = math.prod(shape[1:-1])
-    return "[" + ", ".join(_nest(texts, start + i * step, shape[1:])
-                           for i in range(shape[0])) + "]"
+def _npy_writer(table: np.ndarray) -> Callable[[IO], None]:
+    return lambda fh: np.lib.format.write_array(fh, table, allow_pickle=False)
 
 
-def _format_block(lines: Sequence[Sequence]) -> str:
-    """Text of a block of lines, each a sequence of literal strings and
-    float arrays."""
-    rows: Dict[int, List[np.ndarray]] = {}    # row width -> arrays, in order
-    used: Dict[int, int] = {}                 # row width -> rows registered
-    layout: List = []                         # str, or (width, first row, shape)
-    for parts in lines:
-        for part in parts:
-            if isinstance(part, str):
-                layout.append(part)
-                continue
-            a = np.asarray(part, dtype=np.float64)
-            width = a.shape[-1] if a.ndim else 1
-            n = math.prod(a.shape[:-1]) if a.ndim else 1
-            start = used.get(width, 0)
-            rows.setdefault(width, []).append(a.reshape(n, width))
-            layout.append((width, start, a.shape))
-            used[width] = start + n
-    texts = {w: _row_texts(np.concatenate(arrays)) for w, arrays in rows.items()}
-    return "".join(p if isinstance(p, str) else _nest(texts[p[0]], p[1], p[2])
-                   for p in layout)
+def serialize(manifest: DatasetManifest, out_dir: str, trajectories: Sequence[Trajectory],
+              relabeled: Sequence[DatasetRecord] = ()) -> None:
+    """Write a dataset: ``trajectories`` and the ``relabeled`` records.
+    The curated windows of length ``manifest.chunk_len`` are not written;
+    readers rebuild them from the trajectories.  Sets the manifest's
+    ``n_trajectories``, ``n_relabeled`` and ``n_records`` (windows plus
+    relabeled records).
 
+    Raises ValueError before any file is written when the trajectories or
+    the records differ in shape, when only some trajectories have an
+    origin, when a record is not relabeled, or when ``chunk_len`` does not
+    fit the trajectories.  Each file goes to a temporary file first; they
+    are renamed into place only once all are complete, the manifest last,
+    since it pins the row counts of the others.  So a failure while
+    writing any file leaves the previous dataset whole and readable."""
+    if any(r.source != "relabeled" for r in relabeled):
+        raise ValueError("only relabeled records are stored; curated windows are "
+                         "rebuilt from the trajectories")
+    columns = {"variant": [t.variant for t in trajectories],
+               "success": [bool(t.success) for t in trajectories],
+               "mass": [t.env_params.mass for t in trajectories],
+               "friction_scale": [t.env_params.friction_scale for t in trajectories],
+               "states": [t.states for t in trajectories],
+               "actions": [t.actions for t in trajectories]}
+    if any(t.origin is not None for t in trajectories):
+        columns["origin"] = [t.origin for t in trajectories]   # a None has shape ()
+    trajectory_table = _table(_TRAJECTORY_FIELDS, columns)
+    record_table = _table(_RECORD_FIELDS, {"traj": [r.trajectory_id for r in relabeled],
+                                           "t": [r.t for r in relabeled],
+                                           "obs": [r.observation for r in relabeled],
+                                           "chunk": [r.action_chunk for r in relabeled]})
+    horizon = trajectory_table.dtype["actions"].shape[0]
+    windows = len(trajectories) * _window_count(horizon, manifest.chunk_len) if trajectories else 0
 
-def _json_lines(lines: Iterable[Sequence]) -> Iterator[str]:
-    """Stream lines block by block; see the module docstring."""
-    it = iter(lines)
-    while block := list(itertools.islice(it, _BLOCK_LINES)):
-        yield _format_block(block)
-
-
-def _record_parts(rec: DatasetRecord) -> tuple:
-    return (f'{{"traj": {rec.trajectory_id:d}, "t": {rec.t:d}, '
-            f'"source": "{rec.source}", "obs": ', rec.observation,
-            ', "chunk": ', rec.action_chunk, "}\n")
-
-
-def _trajectory_parts(i: int, traj: Trajectory) -> tuple:
-    head = json.dumps({"id": i, "variant": traj.variant, "success": bool(traj.success),
-                       "mass": traj.env_params.mass,
-                       "friction_scale": traj.env_params.friction_scale})
-    return (head[:-1] + ', "states": ', traj.states, ', "actions": ', traj.actions,
-            ', "origin": ', "null" if traj.origin is None else traj.origin, "}\n")
-
-
-def _relabeled_tail(records: Sequence[DatasetRecord], trajectories: Sequence[Trajectory],
-                    chunk_len: int) -> Sequence[DatasetRecord]:
-    """The records after the curated windows of ``trajectories``.  The
-    reader rebuilds those windows, so ``records`` must start with exactly
-    them, in order, and hold only relabeled records after them."""
-    windows = [("curated", i, t, (chunk_len,)) for i, t in _windows(trajectories, chunk_len)]
-    head, tail = records[:len(windows)], records[len(windows):]
-    if ([(r.source, r.trajectory_id, r.t, r.action_chunk.shape[:1]) for r in head] != windows
-            or any(r.source != "relabeled" for r in tail)):
-        raise ValueError("records must be the chunk_len windows of the trajectories, "
-                         "in order, followed by relabeled records only")
-    return tail
-
-
-def serialize(records: Sequence[DatasetRecord], manifest: DatasetManifest,
-              out_dir: str, trajectories: Sequence[Trajectory] = ()) -> None:
-    """Write a dataset: ``records`` as ``export_pairs`` builds them from
-    ``trajectories`` and ``manifest.chunk_len`` (curated windows first,
-    then relabeled records).  Only the relabeled records go to ``records``;
-    the curated ones are rebuilt on read from ``trajectories``.
-
-    Each file goes to a temporary file first; they are renamed into place
-    only once all are complete, the manifest last, since it pins the line
-    counts of the others.  So a failure while producing any file leaves
-    the previous dataset whole and readable."""
-    relabeled = _relabeled_tail(records, trajectories, manifest.chunk_len)
     os.makedirs(out_dir, exist_ok=True)
-    manifest.n_records = len(records)
+    manifest.n_records = windows + len(relabeled)
     manifest.n_relabeled = len(relabeled)
     manifest.n_trajectories = len(trajectories)
-    files = [("records", _json_lines(map(_record_parts, relabeled))),
-             ("trajectories", _json_lines(itertools.starmap(
-                 _trajectory_parts, enumerate(trajectories)))),
-             ("manifest", [_manifest_lines(manifest)])]
+    files = [("records.npy", "wb", _npy_writer(record_table)),
+             ("trajectories.npy", "wb", _npy_writer(trajectory_table)),
+             ("manifest", "w", lambda fh: fh.write(_manifest_lines(manifest)))]
     temps: List[str] = []
     try:
-        for name, chunks in files:
-            temps.append(_write_temp(os.path.join(out_dir, name), chunks))
+        for name, mode, write in files:
+            temps.append(_write_temp(os.path.join(out_dir, name), write, mode))
     except BaseException:
         for tmp in temps:
             os.unlink(tmp)
         raise
-    for (name, _), tmp in zip(files, temps):
+    for (name, _, _), tmp in zip(files, temps):
         os.replace(tmp, os.path.join(out_dir, name))
 
 
-def _read_jsonl(path: str, expected: int, build: Callable[[Dict], object]) -> Iterator:
-    """Yield ``build(row)`` for each non-blank line of ``path``, one line at
-    a time, so the parsed JSON of the whole file is never held.  A line
-    that is not JSON or that ``build`` rejects raises DatasetFormatError
-    with its line number; a line count other than ``expected`` raises it
-    once the file ends."""
-    count = 0
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if raw.isspace():
-                continue
-            try:
-                row = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}, offset {exc.pos}: {exc.msg}") from exc
-            try:
-                item = build(row)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DatasetFormatError(f"{path}: line {lineno}: bad record: {exc!r}") from exc
-            count += 1
-            yield item
-    if count != expected:
-        raise DatasetFormatError(
-            f"{path}: expected {expected} lines per manifest, found {count} (truncated?)")
+def _load_table(path: str, fields: Dict[str, Tuple[str, int]], rows: int) -> np.ndarray:
+    """The structured array in ``path``, refused unless it is a 1-D array
+    of ``rows`` rows with exactly ``fields`` (``origin`` may be absent),
+    each of its dtype and number of axes."""
+    try:
+        with open(path, "rb") as fh:
+            table = np.load(fh, allow_pickle=False)
+    except FileNotFoundError as exc:
+        raise DatasetFormatError(f"{path}: file missing") from exc
+    except (ValueError, EOFError) as exc:
+        raise DatasetFormatError(f"{path}: not a readable .npy array: {exc}") from exc
+    if not isinstance(table, np.ndarray) or table.ndim != 1 or table.dtype.names is None:
+        raise DatasetFormatError(f"{path}: not a 1-D structured .npy array")
+    names = table.dtype.names
+    want = tuple(name for name in fields if name != "origin" or name in names)
+    if names != want:
+        raise DatasetFormatError(f"{path}: fields {names}, expected {want}")
+    expected = np.dtype([(name, fields[name][0], table.dtype[name].shape) for name in want])
+    if table.dtype != expected or any(table.dtype[name].ndim != fields[name][1]
+                                      for name in want):
+        raise DatasetFormatError(f"{path}: fields {table.dtype.descr} are not of the "
+                                 f"types {[(n, *fields[n]) for n in want]} (dtype, axes)")
+    if len(table) != rows:
+        raise DatasetFormatError(f"{path}: {len(table)} rows, the manifest says {rows}")
+    return table
 
 
-def _record_from_row(row: Dict) -> DatasetRecord:
-    if row["source"] != "relabeled":
-        raise ValueError(f"source {row['source']!r}: only relabeled records are stored")
-    return DatasetRecord(observation=np.array(row["obs"], dtype=float),
-                         action_chunk=np.array(row["chunk"], dtype=float),
-                         source=row["source"], trajectory_id=row["traj"], t=row["t"])
-
-
-def _trajectory_from_row(row: Dict) -> Trajectory:
-    return Trajectory(
-        states=np.array(row["states"], dtype=float),
-        actions=np.array(row["actions"], dtype=float),
-        success=bool(row["success"]),
-        env_params=EnvParams(mass=row["mass"], friction_scale=row["friction_scale"]),
-        origin=None if row["origin"] is None else np.array(row["origin"], dtype=float),
-        variant=int(row["variant"]))
-
-
-def open_dataset(out_dir: str) -> Tuple[DatasetManifest, Environment, List[Trajectory]]:
-    """The manifest, the environment it describes and the trajectory dump,
-    with the manifest parsed once.  An ``env_config`` the environment
-    rejects raises DatasetFormatError."""
+def _open(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray, np.ndarray]:
+    """The manifest, its environment and the two arrays, each checked
+    against the manifest; see the module docstring."""
     manifest = read_manifest(out_dir)
+    manifest_path = os.path.join(out_dir, "manifest")
     env_config = {k: (tuple(v) if isinstance(v, list) else v)
                   for k, v in manifest.env_config.items() if k != "name"}
     try:
         env = make_env(manifest.env_name, **env_config)
     except (TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"{os.path.join(out_dir, 'manifest')}: "
-                                 f"environment: {exc}") from exc
-    path = os.path.join(out_dir, "trajectories")
-    if not os.path.exists(path):
-        raise DatasetFormatError(f"{path}: trajectory dump missing")
-    return manifest, env, list(_read_jsonl(path, manifest.n_trajectories,
-                                           _trajectory_from_row))
+        raise DatasetFormatError(f"{manifest_path}: environment: {exc}") from exc
+    path = os.path.join(out_dir, "trajectories.npy")
+    trajectories = _load_table(path, _TRAJECTORY_FIELDS, manifest.n_trajectories)
+    states, actions = trajectories.dtype["states"].shape, trajectories.dtype["actions"].shape
+    windows = 0
+    if len(trajectories):
+        if states != (actions[0] + 1, env.state_dim) or actions[1] != env.action_dim:
+            raise DatasetFormatError(
+                f"{path}: states {states} and actions {actions} do not fit {env.name} "
+                f"(d_s {env.state_dim}, d_a {env.action_dim})")
+        try:
+            windows = len(trajectories) * _window_count(actions[0], manifest.chunk_len)
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}: chunk_len {manifest.chunk_len}: {exc}") from exc
+    path = os.path.join(out_dir, "records.npy")
+    records = _load_table(path, _RECORD_FIELDS, manifest.n_relabeled)
+    obs, chunk = records.dtype["obs"].shape, records.dtype["chunk"].shape
+    if len(records) and (obs != (2 * env.state_dim,) or chunk[0] < 1
+                         or chunk[1] != env.action_dim):
+        raise DatasetFormatError(f"{path}: obs {obs} and chunk {chunk} do not fit {env.name} "
+                                 f"(d_s {env.state_dim}, d_a {env.action_dim})")
+    if manifest.n_records != windows + len(records):
+        raise DatasetFormatError(f"{manifest_path}: n_records {manifest.n_records} is not "
+                                 f"{windows} curated + {len(records)} relabeled")
+    return manifest, env, trajectories, records
+
+
+def _trajectories(table: np.ndarray) -> List[Trajectory]:
+    states = np.ascontiguousarray(table["states"])
+    actions = np.ascontiguousarray(table["actions"])
+    origins = (np.ascontiguousarray(table["origin"]) if "origin" in table.dtype.names
+               else [None] * len(table))
+    return [Trajectory(states=s, actions=a, success=ok,
+                       env_params=EnvParams(mass=m, friction_scale=f), origin=o, variant=v)
+            for s, a, ok, m, f, o, v in zip(
+                states, actions, table["success"].tolist(), table["mass"].tolist(),
+                table["friction_scale"].tolist(), origins, table["variant"].tolist())]
+
+
+def open_dataset(out_dir: str) -> Tuple[DatasetManifest, Environment, List[Trajectory]]:
+    """The manifest, the environment it describes and the stored
+    trajectories, with the manifest parsed once and the whole dataset
+    checked.  An ``env_config`` the environment rejects raises
+    DatasetFormatError."""
+    manifest, env, trajectories, _ = _open(out_dir)
+    return manifest, env, _trajectories(trajectories)
 
 
 def deserialize(out_dir: str) -> Tuple[List[DatasetRecord], DatasetManifest]:
-    """Every record, as ``serialize`` was given them: the curated windows
-    rebuilt from ``trajectories`` (their chunks are views of the
-    trajectory's actions, as ``export_pairs`` makes them), then the
-    relabeled records."""
-    manifest, env, trajectories = open_dataset(out_dir)
-    try:
-        records = export_pairs(trajectories, [], manifest.chunk_len, observe=env.observe)
-    except ValueError as exc:
-        raise DatasetFormatError(f"{out_dir}: chunk_len {manifest.chunk_len}: {exc}") from exc
-    if manifest.n_records != len(records) + manifest.n_relabeled:
-        raise DatasetFormatError(
-            f"{os.path.join(out_dir, 'manifest')}: n_records {manifest.n_records} is not "
-            f"{len(records)} curated + {manifest.n_relabeled} relabeled")
-    records.extend(_read_jsonl(os.path.join(out_dir, "records"), manifest.n_relabeled,
-                               _record_from_row))
+    """Every record: the curated windows rebuilt from the trajectories
+    (their chunks are views of the trajectory's actions, as
+    ``export_pairs`` makes them), then the relabeled records."""
+    manifest, env, trajectories, relabeled = _open(out_dir)
+    records = export_pairs(_trajectories(trajectories), [], manifest.chunk_len,
+                           observe=env.observe)
+    obs, chunks = np.ascontiguousarray(relabeled["obs"]), np.ascontiguousarray(relabeled["chunk"])
+    records.extend(DatasetRecord(observation=o, action_chunk=c, source="relabeled",
+                                 trajectory_id=i, t=t)
+                   for o, c, i, t in zip(obs, chunks, relabeled["traj"].tolist(),
+                                         relabeled["t"].tolist()))
     return records, manifest
 
 

@@ -23,8 +23,8 @@ from . import curator as cur
 from . import sampler as smp
 from .config import ConfigError, PipelineConfig, config_parameters
 from .curator import TubeBounds
-from .dataset_io import (DatasetFormatError, DatasetManifest, DatasetRecord,
-                         export_pairs, open_dataset, serialize, _atomic_write)
+from .dataset_io import (DatasetFormatError, DatasetManifest, export_pairs, open_dataset,
+                         serialize, _atomic_write)
 from .envs import (Environment, Trajectory, augmented_demo_actions, make_env,
                    rollout, rollout_batch)
 from .geometry import Pose, compose, sample_object_perturbation
@@ -217,7 +217,7 @@ def _write_report(out_dir: str, report: RunReport) -> None:
     _atomic_write(os.path.join(out_dir, "report.jsonl"), (json.dumps(r) + "\n" for r in rows))
 
 
-def run_pgdg(cfg: PipelineConfig) -> Tuple[List[DatasetRecord], RunReport]:
+def run_pgdg(cfg: PipelineConfig) -> RunReport:
     """Full closed-loop generation run; writes the dataset to cfg.out_dir."""
     t0 = time.perf_counter()
     cfg.validate()
@@ -246,22 +246,22 @@ def run_pgdg(cfg: PipelineConfig) -> Tuple[List[DatasetRecord], RunReport]:
     targets = relabel_dataset(curated, env, tubes, cem, relabel_rng, experts,
                               k_rel=cfg.relabel.k_rel, min_sep=min_sep)
 
-    records = export_pairs(curated, targets, cfg.chunk_len, observe=env.observe)
     manifest = _manifest(cfg, env, "generate")
     manifest.n_generated = sum(v.n_generated for v in variants)
     manifest.n_successful = sum(v.n_successful for v in variants)
     manifest.n_selected = len(curated)
     manifest.final_tubes = [(v.final_tube.r_min, v.final_tube.r_max) for v in active]
-    serialize(records, manifest, cfg.out_dir, trajectories=curated)
+    serialize(manifest, cfg.out_dir, curated,
+              export_pairs([], targets, cfg.chunk_len, observe=env.observe))
 
-    report = RunReport(seed=cfg.seed, variants=variants, n_records=len(records),
-                       n_relabeled=len(targets))
+    report = RunReport(seed=cfg.seed, variants=variants, n_records=manifest.n_records,
+                       n_relabeled=manifest.n_relabeled)
     _write_report(cfg.out_dir, report)
     report.wall_time_s = time.perf_counter() - t0
-    return records, report
+    return report
 
 
-def run_spatial_only(cfg: PipelineConfig) -> Tuple[List[DatasetRecord], RunReport]:
+def run_spatial_only(cfg: PipelineConfig) -> RunReport:
     """Spatial-randomization-only baseline: re-anchor + blend the demo per
     variant, roll it out once under randomized physical parameters, and
     export every rollout (no filtering, no curation)."""
@@ -283,17 +283,16 @@ def run_spatial_only(cfg: PipelineConfig) -> Tuple[List[DatasetRecord], RunRepor
                               n_successful=int(traj.success))
                 for i, (pose, traj) in enumerate(zip(poses, rollouts))]
 
-    records = export_pairs(rollouts, [], cfg.chunk_len, observe=env.observe)
     manifest = _manifest(cfg, env, "baseline")
     manifest.n_generated = len(rollouts)
     manifest.n_successful = sum(t.success for t in rollouts)
     manifest.n_selected = manifest.n_successful
-    serialize(records, manifest, cfg.out_dir, trajectories=rollouts)
+    serialize(manifest, cfg.out_dir, rollouts)
 
-    report = RunReport(seed=cfg.seed, variants=variants, n_records=len(records))
+    report = RunReport(seed=cfg.seed, variants=variants, n_records=manifest.n_records)
     _write_report(cfg.out_dir, report)
     report.wall_time_s = time.perf_counter() - t0
-    return records, report
+    return report
 
 
 def _binomial_ci(successes: int, trials: int) -> Tuple[float, float]:

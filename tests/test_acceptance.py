@@ -17,6 +17,7 @@ from recovergen.curator import (TubeBounds, build_kernel, compute_tube,
 from recovergen.envs import (EnvParams, PlanarBlockRotate, PointReach,
                              Trajectory, augmented_demo_actions, make_env,
                              rollout, rollout_with_resume)
+from recovergen.dataset_io import deserialize
 from recovergen.pipeline import (compare_replay, run_pgdg, run_spatial_only)
 from recovergen.relabel import (CemConfig, RelabelPoint, cem_optimize,
                                 relabel_dataset)
@@ -33,8 +34,9 @@ def generated(tmp_path_factory):
     out = tmp_path_factory.mktemp("gen")
     cfg = PipelineConfig(out_dir=str(out), seed=SEED, jobs=1)
     t0 = time.perf_counter()
-    records, report = run_pgdg(cfg)
+    report = run_pgdg(cfg)
     elapsed = time.perf_counter() - t0
+    records, _ = deserialize(cfg.out_dir)
     return cfg, records, report, elapsed
 
 
@@ -45,11 +47,11 @@ def _report(name, detail=""):
 # sha256 of every output file of the seed-7 default run (the ``generated``
 # fixture, equal to ``recovergen generate --seed 7 --jobs 1``)
 GOLDEN_DIGESTS = {
-    "manifest": "4cd31e6a16b655225a385ec690dbfebe51ad32fe5bc06c6bae34be64ff7fa206",
-    "records": "7d1e64bd6b33a382f995f9a6863aff5e883a7499c8cf1186de203ac221970811",
+    "manifest": "40e37138cbbd1ec27fb3fcad38dea73645a4fbba103959d78e8ca48ba28a6457",
+    "records.npy": "eb295565868465f5c0030190ededcc253b802e37f8552f6dcc016290ee97887a",
     "report.jsonl": "4a161e2f496cca156eb01763267a703ccbbb5bcfd76fcf304dcec2b4832c96ee",
     "report.txt": "7b22373813e7d8b110ab61897b0ce07b4351f68f8d0a5ac63a4d003e9f6eac1e",
-    "trajectories": "14b4ae7d7e033f98932ee74aa8402a8407cc7bb9c7180aa7563bfb8e415c3aa0",
+    "trajectories.npy": "437496c92f978d48d23047e2a2c8dab6f5eabeed2588d5726caa0ea578403d30",
 }
 
 
@@ -91,6 +93,32 @@ def test_rebuilt_records_encode_to_the_format_1_file(generated):
     text = "".join(oracle_record_line(r) + "\n" for r in rebuilt)
     assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_1_RECORDS_DIGEST
     _report("format 2 lossless", f"{len(rebuilt)} rebuilt records encode to format 1")
+
+
+# sha256 of the same run's ``trajectories`` and ``records`` in dataset
+# format 2, which stored them as json.dumps lines
+FORMAT_2_DIGESTS = {
+    "trajectories": "14b4ae7d7e033f98932ee74aa8402a8407cc7bb9c7180aa7563bfb8e415c3aa0",
+    "records": "7d1e64bd6b33a382f995f9a6863aff5e883a7499c8cf1186de203ac221970811",
+}
+
+
+def test_loaded_data_encodes_to_the_format_2_files(generated):
+    """Format 3 stores raw float64.  Encoded line by line with the
+    ``json.dumps`` oracle, the trajectories and relabeled records it loads
+    give the format-2 files byte for byte, so the change of format loses
+    nothing."""
+    from recovergen.dataset_io import load_trajectories
+    from test_dataset import oracle_record_line, oracle_traj_line
+    cfg, records, _, _ = generated
+    relabeled = [r for r in records if r.source == "relabeled"]
+    assert len(relabeled) == 10
+    text = {"trajectories": "".join(oracle_traj_line(i, t) + "\n" for i, t in
+                                    enumerate(load_trajectories(cfg.out_dir))),
+            "records": "".join(oracle_record_line(r) + "\n" for r in relabeled)}
+    assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in text.items()} \
+        == FORMAT_2_DIGESTS
+    _report("format 3 lossless", "trajectories and relabeled records encode to format 2")
 
 
 def test_bench_inspect_dataset_passes_on_the_golden_run(generated):

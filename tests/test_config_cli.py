@@ -9,6 +9,7 @@ import pytest
 from recovergen.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NO_DATA, EXIT_OK, main)
 from recovergen.config import (ConfigError, PipelineConfig, apply_option,
                                config_parameters, load_config)
+from recovergen.dataset_io import read_manifest
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +121,11 @@ def test_cli_generate_and_stats(tmp_path, capsys):
     out = tmp_path / "ds"
     assert main(_fast_args(out)) == EXIT_OK
     captured = capsys.readouterr().out
-    assert "wrote" in captured
+    n_records = read_manifest(str(out)).n_records
+    assert captured.startswith(f"wrote {n_records} records to {out} ")
     assert (out / "manifest").exists()
-    assert (out / "records").exists()
-    assert (out / "trajectories").exists()
+    assert (out / "records.npy").exists()
+    assert (out / "trajectories.npy").exists()
     assert (out / "report.txt").exists()
 
     assert main(["stats", str(out)]) == EXIT_OK
@@ -272,8 +274,8 @@ def _copy_with_manifest_edit(src, dst, edit):
     (lambda text: text + "foo = 1\n", ["stats", "evaluate"]),
     (lambda text: re.sub(r"final_tubes = .*", "final_tubes = 5", text), ["stats", "evaluate"]),
     (lambda text: text.replace("env_config = {", 'env_config = {"bogus": 1, '), ["evaluate"]),
-    (lambda text: text.replace("format = 2\n", ""), ["stats", "evaluate"]),
-    (lambda text: text.replace("format = 2", "format = 1"), ["stats", "evaluate"]),
+    (lambda text: text.replace("format = 3\n", ""), ["stats", "evaluate"]),
+    (lambda text: text.replace("format = 3", "format = 2"), ["stats", "evaluate"]),
 ])
 def test_cli_manifest_faults_exit_4(small_dataset, tmp_path, capsys, edit, commands):
     bad = _copy_with_manifest_edit(small_dataset, tmp_path / "bad", edit)
@@ -282,6 +284,20 @@ def test_cli_manifest_faults_exit_4(small_dataset, tmp_path, capsys, edit, comma
         assert main(argv) == EXIT_IO, command
         err = capsys.readouterr().err
         assert "i/o error" in err and "Traceback" not in err
+
+
+def test_cli_duplicate_manifest_key_exits_4(small_dataset, tmp_path, capsys):
+    # a later line must not silently overwrite an earlier one
+    bad = _copy_with_manifest_edit(small_dataset, tmp_path / "bad",
+                                   lambda text: text + "n_selected = 999\n")
+    lines = (bad / "manifest").read_text().splitlines()
+    first = lines.index(next(ln for ln in lines if ln.startswith("n_selected =")))
+    for argv in (["stats", str(bad), "--json"], ["evaluate", str(bad), "--trials", "2"]):
+        assert main(argv) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert (f"line {len(lines)}: duplicate key 'n_selected', first set on line {first + 1}"
+                in captured.err)
 
 
 def test_cli_evaluate_rejects_negative_trials(small_dataset, capsys):
@@ -304,7 +320,7 @@ def test_cli_stats_reads_the_manifest_only(small_dataset, capsys, monkeypatch):
 
     def fail(*args, **kwargs):
         raise AssertionError("stats parsed a data file")
-    for name in ("deserialize", "load_trajectories", "open_dataset", "_read_jsonl"):
+    for name in ("deserialize", "load_trajectories", "open_dataset", "_load_table"):
         monkeypatch.setattr(dataset_io, name, fail)
     assert main(["stats", str(small_dataset), "--json"]) == EXIT_OK
     stats = json.loads(capsys.readouterr().out)

@@ -1,8 +1,10 @@
 """Dataset assembly, serialization round-trips, and corruption handling."""
+import ast
 import dataclasses
 import json
 import os
 import re
+import struct
 import tempfile
 
 import numpy as np
@@ -11,19 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from recovergen.cli import main as cli_main
 from recovergen.dataset_io import (DatasetFormatError, DatasetManifest,
-                                   DatasetRecord, _json_lines, _record_parts,
-                                   dataset_stats, deserialize, export_pairs,
-                                   format_stats, load_trajectories, read_manifest,
-                                   serialize)
+                                   DatasetRecord, dataset_stats, deserialize,
+                                   export_pairs, format_stats, load_trajectories,
+                                   read_manifest, serialize)
 from recovergen.envs import EnvParams, Trajectory
+from recovergen.pipeline import evaluate_replay
 from recovergen.relabel import RelabelPoint, RelabelTarget
+
+D_S, D_A = 4, 2     # state and action sizes of point_reach, make_manifest's environment
 
 
 def make_traj(horizon=10, seed=0, variant=0):
     rng = np.random.default_rng(seed)
-    return Trajectory(states=rng.standard_normal((horizon + 1, 3)),
-                      actions=rng.standard_normal((horizon, 2)),
+    return Trajectory(states=rng.standard_normal((horizon + 1, D_S)),
+                      actions=rng.standard_normal((horizon, D_A)),
                       success=True,
                       env_params=EnvParams(mass=1.25, friction_scale=0.97),
                       origin=rng.standard_normal(4), variant=variant)
@@ -37,7 +42,7 @@ def make_manifest(**kw):
 
 
 def as_relabeled(records):
-    """The same values as relabeled records, which ``records`` stores."""
+    """The same values as relabeled records, which ``records.npy`` stores."""
     return [dataclasses.replace(r, source="relabeled") for r in records]
 
 
@@ -96,10 +101,11 @@ def test_record_rejects_bad_source():
 def test_round_trip_bitwise(tmp_path):
     trajs = [make_traj(seed=i, variant=i) for i in range(3)]
     records = export_pairs(trajs, [], chunk_len=4)
+    records += as_relabeled(records[:3])
     manifest = make_manifest(final_tubes=[(0.1, 0.5)],
                              parameters={"sampler.m_points": 16},
                              env_config={"horizon": 30}, chunk_len=4)
-    serialize(records, manifest, str(tmp_path), trajectories=trajs)
+    serialize(manifest, str(tmp_path), trajs, records[-3:])
     records2, manifest2 = deserialize(str(tmp_path))
     assert len(records2) == len(records)
     for a, b in zip(records, records2):
@@ -118,8 +124,7 @@ def test_round_trip_bitwise(tmp_path):
 
 
 def test_empty_dataset_round_trip(tmp_path):
-    serialize([], make_manifest(n_generated=0, n_successful=0, n_selected=0),
-              str(tmp_path))
+    serialize(make_manifest(n_generated=0, n_successful=0, n_selected=0), str(tmp_path), [])
     records, manifest = deserialize(str(tmp_path))
     assert records == [] and manifest.n_records == 0
 
@@ -128,51 +133,70 @@ def test_large_round_trip(tmp_path):
     trajs = [make_traj(horizon=40, seed=i) for i in range(30)]
     records = export_pairs(trajs, [], chunk_len=5)
     assert len(records) > 1000
-    serialize(records, make_manifest(chunk_len=5), str(tmp_path), trajectories=trajs)
+    serialize(make_manifest(chunk_len=5), str(tmp_path), trajs)
     records2, _ = deserialize(str(tmp_path))
     assert all(np.array_equal(a.action_chunk, b.action_chunk)
                for a, b in zip(records, records2))
 
 
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
+    # a quiet NaN with a payload and a negative signalling NaN keep their bits
+    nans = np.array([0x7FF8_0000_DEAD_BEEF, 0xFFF0_0000_0000_0001], np.uint64).view(np.float64)
+    edge = np.concatenate([[-0.0, np.inf, -np.inf, 5e-324, 1e16, -5e-324], nans])
+    traj = Trajectory(states=edge.reshape(2, D_S), actions=edge[:D_A].reshape(1, D_A),
+                      success=False, env_params=EnvParams(mass=float(nans[0]),
+                                                          friction_scale=-0.0),
+                      origin=edge, variant=3)
+    relabeled = DatasetRecord(observation=edge[::-1], action_chunk=edge.reshape(4, D_A),
+                              source="relabeled", trajectory_id=0, t=0)
+    serialize(make_manifest(), str(tmp_path), [traj], [relabeled])
+    (got,) = load_trajectories(str(tmp_path))
+    for name in ("states", "actions", "origin"):
+        assert bits(getattr(got, name)) == bits(getattr(traj, name)), name
+    assert struct.pack("<d", got.env_params.mass) == struct.pack("<d", nans[0])
+    assert struct.pack("<d", got.env_params.friction_scale) == struct.pack("<d", -0.0)
+    curated, stored = deserialize(str(tmp_path))[0]
+    assert bits(curated.observation) == bits(np.concatenate([edge[:D_S], edge[:D_S]]))
+    assert bits(stored.observation) == bits(edge[::-1])
+    assert bits(stored.action_chunk) == bits(edge.reshape(4, D_A))
+
+
 def test_truncated_records_detected(tmp_path):
     trajs = [make_traj()]
-    records = export_pairs(trajs, [], chunk_len=4)
-    records += as_relabeled(records)
-    serialize(records, make_manifest(chunk_len=4), str(tmp_path), trajectories=trajs)
-    path = os.path.join(tmp_path, "records")
-    with open(path) as fh:
-        lines = fh.readlines()
-    with open(path, "w") as fh:
-        fh.writelines(lines[:-2])
-    with pytest.raises(DatasetFormatError, match="truncated"):
+    serialize(make_manifest(chunk_len=4), str(tmp_path), trajs,
+              as_relabeled(export_pairs(trajs, [], chunk_len=4)))
+    path = os.path.join(tmp_path, "records.npy")
+    _truncate(path)
+    with _raises_naming(path, "not a readable .npy array"):
         deserialize(str(tmp_path))
 
 
 def test_malformed_line_reports_location(tmp_path):
-    trajs = [make_traj()]
-    records = export_pairs(trajs, [], chunk_len=4)
-    records += as_relabeled(records)
-    serialize(records, make_manifest(chunk_len=4), str(tmp_path), trajectories=trajs)
-    path = os.path.join(tmp_path, "records")
-    with open(path) as fh:
-        lines = fh.readlines()
-    lines[2] = lines[2][:10] + "###garbage\n"
-    with open(path, "w") as fh:
-        fh.writelines(lines)
-    with pytest.raises(DatasetFormatError, match="line 3"):
-        deserialize(str(tmp_path))
+    # the .npy header is one text line; a damaged one is refused, naming the file
+    out = _dataset(tmp_path)
+    path = os.path.join(out, "records.npy")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data.replace(b"'descr'", b"'dexcr'", 1))
+    with _raises_naming(path, "not a readable .npy array"):
+        deserialize(out)
 
 
 def test_missing_manifest_keys_rejected(tmp_path):
     with open(tmp_path / "manifest", "w") as fh:
-        fh.write("format = 2\nseed = 1\n")
+        fh.write("format = 3\nseed = 1\n")
     with pytest.raises(DatasetFormatError, match="missing required"):
         deserialize(str(tmp_path))
 
 
 def test_missing_trajectory_dump_rejected(tmp_path):
-    serialize([], make_manifest(), str(tmp_path))
-    os.remove(tmp_path / "trajectories")
+    serialize(make_manifest(), str(tmp_path), [])
+    os.remove(tmp_path / "trajectories.npy")
     with pytest.raises(DatasetFormatError, match="missing"):
         load_trajectories(str(tmp_path))
     with pytest.raises(DatasetFormatError, match="missing"):
@@ -180,7 +204,7 @@ def test_missing_trajectory_dump_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# writer bytes against the per-line json.dumps encoder it replaced
+# format 3 keeps the bytes of the per-line json.dumps encoding of format 2
 
 
 def oracle_record_line(rec):
@@ -210,19 +234,18 @@ def oracle_text(records):
     return "".join(oracle_record_line(r) + "\n" for r in records)
 
 
-def assert_bytes_match_oracle(records, trajectories=()):
-    """The writer's text of any records, curated or relabeled, and the
-    files of a dataset that stores the relabeled ones, equal the oracle's."""
-    assert "".join(_json_lines(map(_record_parts, records))) == oracle_text(records)
-    relabeled = [r for r in records if r.source == "relabeled"]
+def oracle_traj_text(trajectories):
+    return "".join(oracle_traj_line(i, t) + "\n" for i, t in enumerate(trajectories))
+
+
+def assert_round_trip_keeps_oracle_text(trajectories, relabeled, chunk_len):
+    """Every record and trajectory read back encodes, with the json.dumps
+    oracle, to the text of what was written."""
     with tempfile.TemporaryDirectory() as out:
-        serialize(export_pairs(trajectories, [], 1) + relabeled, make_manifest(), out,
-                  trajectories=trajectories)
-        with open(os.path.join(out, "records")) as fh:
-            assert fh.read() == oracle_text(relabeled)
-        with open(os.path.join(out, "trajectories")) as fh:
-            assert fh.read() == "".join(oracle_traj_line(i, t) + "\n"
-                                        for i, t in enumerate(trajectories))
+        serialize(make_manifest(chunk_len=chunk_len), out, trajectories, relabeled)
+        assert oracle_traj_text(load_trajectories(out)) == oracle_traj_text(trajectories)
+        want = export_pairs(trajectories, [], chunk_len) + list(relabeled)
+        assert oracle_text(deserialize(out)[0]) == oracle_text(want)
 
 
 EDGE_VALUES = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
@@ -237,113 +260,125 @@ def float_arrays(shape):
 
 
 @st.composite
-def record_lists(draw):
-    d_obs, d_a = draw(st.integers(0, 5)), draw(st.integers(1, 3))
-    records = []
-    for i in range(draw(st.integers(0, 6))):
-        actions = draw(float_arrays((draw(st.integers(1, 6)), d_a)))
-        k = draw(st.integers(1, len(actions)))
-        for t in range(len(actions) - k + 1):
-            records.append(DatasetRecord(observation=draw(float_arrays(d_obs)),
-                                         action_chunk=actions[t:t + k],
-                                         source="curated", trajectory_id=i, t=t))
-        if draw(st.booleans()):
-            chunk = draw(float_arrays((draw(st.integers(1, 4)), d_a)))
-            records.append(DatasetRecord(observation=draw(float_arrays(d_obs)),
-                                         action_chunk=chunk, source="relabeled",
-                                         trajectory_id=i, t=draw(st.integers(0, 9))))
-    return records
+def datasets(draw):
+    """(trajectories, relabeled records, chunk_len) as format 3 stores them:
+    one shape per field, and origins on every trajectory or on none."""
+    horizon = draw(st.integers(1, 5))
+    n_origin = draw(st.one_of(st.none(), st.integers(0, 6)))
+    trajectories = [
+        Trajectory(states=draw(float_arrays((horizon + 1, D_S))),
+                   actions=draw(float_arrays((horizon, D_A))),
+                   success=draw(st.booleans()),
+                   env_params=EnvParams(mass=draw(floats), friction_scale=draw(floats)),
+                   origin=None if n_origin is None else draw(float_arrays(n_origin)),
+                   variant=draw(st.integers(0, 50)))
+        for _ in range(draw(st.integers(0, 4)))]
+    chunk = draw(st.integers(1, 4))
+    relabeled = [DatasetRecord(observation=draw(float_arrays(2 * D_S)),
+                               action_chunk=draw(float_arrays((chunk, D_A))),
+                               source="relabeled", trajectory_id=draw(st.integers(0, 9)),
+                               t=draw(st.integers(0, 9)))
+                 for _ in range(draw(st.integers(0, 6)))]
+    return trajectories, relabeled, draw(st.integers(1, horizon))
 
 
-@st.composite
-def trajectory_lists(draw):
-    d_s, d_a = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    trajs = []
-    for i in range(draw(st.integers(0, 4))):
-        horizon = draw(st.integers(1, 5))
-        origin = draw(st.one_of(st.none(), float_arrays(draw(st.integers(0, 6)))))
-        trajs.append(Trajectory(states=draw(float_arrays((horizon + 1, d_s))),
-                                actions=draw(float_arrays((horizon, d_a))),
-                                success=draw(st.booleans()),
-                                env_params=EnvParams(mass=draw(floats),
-                                                     friction_scale=draw(floats)),
-                                origin=origin, variant=draw(st.integers(0, 50))))
-    return trajs
-
-
-@given(record_lists(), trajectory_lists())
+@given(datasets())
 @settings(max_examples=200, deadline=None)
-def test_writer_bytes_equal_json_dumps_oracle(records, trajectories):
-    assert_bytes_match_oracle(records, trajectories)
+def test_writer_bytes_equal_json_dumps_oracle(dataset):
+    assert_round_trip_keeps_oracle_text(*dataset)
 
 
-def test_writer_edge_values_keep_their_own_text():
-    # rows equal by value but not by bit pattern must not share text
-    obs = np.array(EDGE_VALUES)
+def test_writer_edge_values_keep_their_own_text(tmp_path):
+    # values equal by value but not by bit pattern keep their own text
+    obs = np.array(EDGE_VALUES[:2 * D_S])
     chunk = np.array([[-0.0, 0.0], [0.0, -0.0], [np.nan, np.inf], [-np.inf, 5e-324],
                       [1e16, 1e-7], [4.0, -7.0], [0.0, 0.0], [-0.0, -0.0]])
-    records = [DatasetRecord(observation=obs, action_chunk=chunk[i:i + 2],
-                             source="curated", trajectory_id=0, t=i) for i in range(7)]
-    records.append(DatasetRecord(observation=-obs, action_chunk=chunk[::-1],
-                                 source="relabeled", trajectory_id=0, t=3))
-    assert_bytes_match_oracle(records)
-    text = "".join(_json_lines(map(_record_parts, records)))
+    records = [DatasetRecord(observation=obs if i % 2 else -obs, action_chunk=chunk[i:i + 2],
+                             source="relabeled", trajectory_id=0, t=i) for i in range(7)]
+    serialize(make_manifest(), str(tmp_path), [], records)
+    text = oracle_text(deserialize(str(tmp_path))[0])
+    assert text == oracle_text(records)
     assert "[-0.0, 0.0]" in text and "[0.0, -0.0]" in text
     assert "NaN" in text and "-Infinity" in text and "5e-324" in text and "1e+16" in text
 
 
 def test_writer_mixes_relabeled_and_curated_chunk_lengths():
     trajs = [make_traj(horizon=12, seed=i) for i in range(3)]
-    targets = [RelabelTarget(observation=np.arange(6.0) + i,
+    targets = [RelabelTarget(observation=np.arange(8.0) + i,
                              chunk=make_traj(horizon=7, seed=10 + i).actions,
                              point=RelabelPoint(i, 2 * i, 0.5), cost=0.1)
                for i in range(3)]
     records = export_pairs(trajs, targets, chunk_len=4)
     assert {r.action_chunk.shape for r in records} == {(4, 2), (7, 2)}
-    assert_bytes_match_oracle(records, trajs)
+    assert_round_trip_keeps_oracle_text(trajs, records[-3:], 4)
 
 
-def test_writer_one_dimensional_and_scalar_arrays():
-    records = [DatasetRecord(observation=np.float64(2.5), action_chunk=np.array([1.0, -0.0]),
-                             source="curated", trajectory_id=0, t=0),
-               DatasetRecord(observation=np.zeros(0), action_chunk=np.ones((2, 2, 3)),
-                             source="relabeled", trajectory_id=1, t=4)]
-    assert_bytes_match_oracle(records)
+def test_writer_one_dimensional_and_scalar_arrays(tmp_path):
+    # each field keeps its number of axes; anything else is refused unwritten
+    scalar_obs = DatasetRecord(observation=np.float64(2.5), action_chunk=np.ones((2, 2)),
+                               source="relabeled", trajectory_id=0, t=0)
+    cube_chunk = DatasetRecord(observation=np.zeros(8), action_chunk=np.ones((2, 2, 3)),
+                               source="relabeled", trajectory_id=1, t=4)
+    flat = make_traj()
+    flat.states = flat.states.ravel()
+    for trajs, relabeled, field in (([], [scalar_obs], "obs"), ([], [cube_chunk], "chunk"),
+                                    ([flat], [], "states")):
+        with pytest.raises(ValueError, match=field):
+            serialize(make_manifest(), str(tmp_path), trajs, relabeled)
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_writer_empty_record_list():
-    assert_bytes_match_oracle([], [])
+def test_writer_empty_record_list(tmp_path):
+    serialize(make_manifest(), str(tmp_path / "none"), [])
+    serialize(make_manifest(chunk_len=4), str(tmp_path / "curated"), [make_traj()])
+    for name, n_curated in (("none", 0), ("curated", 7)):
+        out = str(tmp_path / name)
+        assert len(np.load(os.path.join(out, "records.npy"), allow_pickle=False)) == 0
+        records = deserialize(out)[0]
+        assert len(records) == n_curated and all(r.source == "curated" for r in records)
 
 
-def test_writer_blocks_split_a_trajectorys_windows(monkeypatch):
-    from recovergen import dataset_io
-    trajs = [make_traj(horizon=40, seed=i) for i in range(40)]
-    for traj in trajs:
-        traj.actions[::3] = 0.0          # repeated rows within and across blocks
-    records = export_pairs(trajs, [], chunk_len=5)
-    assert len(records) > 1024 and 1024 % 36 != 0    # 36 windows per trajectory
-    assert_bytes_match_oracle(records, trajs)
-    monkeypatch.setattr(dataset_io, "_BLOCK_LINES", 7)
-    assert_bytes_match_oracle(records, trajs)
-
-
-def test_writer_trajectories_with_and_without_origin():
+def test_writer_trajectories_with_and_without_origin(tmp_path):
     trajs = [make_traj(seed=i, variant=i) for i in range(4)]
-    trajs[1].origin = None
-    trajs[3].origin = None
-    assert_bytes_match_oracle(export_pairs(trajs, [], chunk_len=3), trajs)
+    assert_round_trip_keeps_oracle_text(trajs, [], 3)
+    for traj in trajs:
+        traj.origin = None
+    assert_round_trip_keeps_oracle_text(trajs, [], 3)
+    serialize(make_manifest(), str(tmp_path), trajs)
+    assert "origin" not in np.load(tmp_path / "trajectories.npy", allow_pickle=False).dtype.names
+    trajs[2].origin = np.zeros(4)
+    with pytest.raises(ValueError, match="origin"):
+        serialize(make_manifest(), str(tmp_path / "some"), trajs)
+    assert not (tmp_path / "some").exists()
 
 
-def test_failed_write_keeps_previous_file_and_no_temp_file(tmp_path):
+REAL_WRITE_ARRAY = np.lib.format.write_array
+
+
+def fail_npy_write(monkeypatch, nth):
+    """The ``nth`` .npy write of the next serialize writes a few bytes and
+    fails as a full disk would."""
+    calls = []
+
+    def write_array(fh, array, *args, **kwargs):
+        calls.append(array)
+        if len(calls) == nth:
+            fh.write(b"\x93NUMPY partial")
+            raise OSError(28, "No space left on device")
+        return REAL_WRITE_ARRAY(fh, array, *args, **kwargs)
+    monkeypatch.setattr(np.lib.format, "write_array", write_array)
+
+
+def test_failed_write_keeps_previous_file_and_no_temp_file(tmp_path, monkeypatch):
     trajs = [make_traj(horizon=40, seed=i) for i in range(40)]
-    records = as_relabeled(export_pairs(trajs, [], chunk_len=5))
-    serialize(records[:10], make_manifest(), str(tmp_path))
-    before = (tmp_path / "records").read_bytes()
-    records[-1].t = 2.5                  # fails to format in the second block
-    with pytest.raises(ValueError):
-        serialize(records, make_manifest(), str(tmp_path))
-    assert (tmp_path / "records").read_bytes() == before
-    assert not (tmp_path / "records.tmp").exists()
+    relabeled = as_relabeled(export_pairs(trajs, [], chunk_len=5))
+    serialize(make_manifest(chunk_len=5), str(tmp_path), trajs[:2], relabeled[:10])
+    before = (tmp_path / "records.npy").read_bytes()
+    fail_npy_write(monkeypatch, 1)       # records.npy is written first
+    with pytest.raises(OSError, match="No space"):
+        serialize(make_manifest(chunk_len=5), str(tmp_path), trajs, relabeled)
+    assert (tmp_path / "records.npy").read_bytes() == before
+    assert not (tmp_path / "records.npy.tmp").exists()
 
 
 def test_record_ids_must_be_integers():
@@ -358,28 +393,26 @@ def test_record_ids_must_be_integers():
 def test_trajectory_variant_must_be_an_integer(tmp_path):
     trajs = [make_traj(seed=0), make_traj(seed=1, variant=np.int64(2)), make_traj(seed=2)]
     assert type(trajs[1].variant) is int
-    serialize(export_pairs(trajs, [], 1), make_manifest(), str(tmp_path), trajectories=trajs)
+    serialize(make_manifest(), str(tmp_path), trajs)
     assert [t.variant for t in load_trajectories(str(tmp_path))] == [0, 2, 0]
     with pytest.raises(TypeError):
         make_traj(variant=1.5)
 
 
-def test_failed_records_write_keeps_previous_dataset_readable(tmp_path):
+def test_failed_records_write_keeps_previous_dataset_readable(tmp_path, monkeypatch):
     trajs = [make_traj(horizon=40, seed=i) for i in range(40)]
     relabeled = as_relabeled(export_pairs(trajs, [], chunk_len=5))
-    serialize(export_pairs(trajs[:2], [], 5) + relabeled[:10], make_manifest(chunk_len=5),
-              str(tmp_path), trajectories=trajs[:2])
+    serialize(make_manifest(chunk_len=5), str(tmp_path), trajs[:2], relabeled[:10])
     before = {name: (tmp_path / name).read_bytes()
-              for name in ("manifest", "records", "trajectories")}
-    relabeled[-1].t = 2.5                # fails to format in the second block
+              for name in ("manifest", "records.npy", "trajectories.npy")}
+    for nth in (1, 2):                   # records.npy fails, then trajectories.npy
+        fail_npy_write(monkeypatch, nth)
+        with pytest.raises(OSError):
+            serialize(make_manifest(chunk_len=5), str(tmp_path), trajs, relabeled)
+    monkeypatch.undo()
+    trajs[-1].actions = trajs[-1].actions[:-1]       # ragged: refused before writing
     with pytest.raises(ValueError):
-        serialize(export_pairs(trajs, [], 5) + relabeled, make_manifest(chunk_len=5),
-                  str(tmp_path), trajectories=trajs)
-    relabeled[-1].t = 0
-    trajs[-1].variant = object()         # records succeed, trajectories fail
-    with pytest.raises(TypeError):
-        serialize(export_pairs(trajs, [], 5) + relabeled, make_manifest(chunk_len=5),
-                  str(tmp_path), trajectories=trajs)
+        serialize(make_manifest(chunk_len=5), str(tmp_path), trajs, relabeled)
     assert before == {name: (tmp_path / name).read_bytes() for name in before}
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
     assert len(deserialize(str(tmp_path))[0]) == 2 * 36 + 10
@@ -387,39 +420,43 @@ def test_failed_records_write_keeps_previous_dataset_readable(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# reader against the whole-file reader it replaced, and its error paths
+# reader against an independent parse of the .npy bytes, and its error paths
 
 
-def oracle_read_jsonl(path):
-    with open(path) as fh:
-        return [json.loads(raw) for raw in fh if raw.strip()]
+def oracle_read_npy(path):
+    """The rows of an .npy file parsed by hand (NEP 1: magic, version,
+    header length, header dict, then the raw rows)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert data[:6] == b"\x93NUMPY"
+    width = 2 if data[6] == 1 else 4
+    start = 8 + width + int.from_bytes(data[8:8 + width], "little")
+    header = ast.literal_eval(data[8 + width:start].decode("latin1"))
+    assert header["fortran_order"] is False and len(header["shape"]) == 1
+    return np.frombuffer(data, np.dtype(header["descr"]), header["shape"][0], start)
 
 
 def oracle_deserialize(out_dir, chunk_len):
-    """The whole-file reader on format 2: each stored trajectory's windows,
-    then the stored relabeled records."""
+    """Each stored trajectory's windows, then the stored relabeled records."""
     curated = [DatasetRecord(observation=np.concatenate([traj.states[t], traj.states[0]]),
                              action_chunk=traj.actions[t:t + chunk_len], source="curated",
                              trajectory_id=i, t=t)
                for i, traj in enumerate(oracle_load_trajectories(out_dir))
                for t in range(traj.horizon - chunk_len + 1)]
-    rows = oracle_read_jsonl(os.path.join(out_dir, "records"))
-    return curated + [DatasetRecord(observation=np.array(row["obs"], dtype=float),
-                                    action_chunk=np.array(row["chunk"], dtype=float),
-                                    source=row["source"], trajectory_id=row["traj"],
-                                    t=row["t"])
+    rows = oracle_read_npy(os.path.join(out_dir, "records.npy"))
+    return curated + [DatasetRecord(observation=row["obs"].copy(),
+                                    action_chunk=row["chunk"].copy(), source="relabeled",
+                                    trajectory_id=int(row["traj"]), t=int(row["t"]))
                       for row in rows]
 
 
 def oracle_load_trajectories(out_dir):
-    rows = oracle_read_jsonl(os.path.join(out_dir, "trajectories"))
-    return [Trajectory(states=np.array(row["states"], dtype=float),
-                       actions=np.array(row["actions"], dtype=float),
+    rows = oracle_read_npy(os.path.join(out_dir, "trajectories.npy"))
+    return [Trajectory(states=row["states"].copy(), actions=row["actions"].copy(),
                        success=bool(row["success"]),
-                       env_params=EnvParams(mass=row["mass"],
-                                            friction_scale=row["friction_scale"]),
-                       origin=None if row["origin"] is None
-                       else np.array(row["origin"], dtype=float),
+                       env_params=EnvParams(mass=float(row["mass"]),
+                                            friction_scale=float(row["friction_scale"])),
+                       origin=row["origin"].copy() if "origin" in rows.dtype.names else None,
                        variant=int(row["variant"]))
             for row in rows]
 
@@ -433,11 +470,12 @@ def same_value(a, b):
     return type(a) is type(b) and repr(a) == repr(b)
 
 
-def assert_reader_matches_oracle(records, trajectories, chunk_len):
+def assert_reader_matches_oracle(trajectories, relabeled, chunk_len):
     with tempfile.TemporaryDirectory() as out:
-        serialize(records, make_manifest(chunk_len=chunk_len), out, trajectories=trajectories)
+        serialize(make_manifest(chunk_len=chunk_len), out, trajectories, relabeled)
         got, want = deserialize(out)[0], oracle_deserialize(out, chunk_len)
-        assert len(got) == len(want) == len(records)
+        assert len(got) == len(want) == len(export_pairs(trajectories, [], chunk_len)
+                                            + list(relabeled))
         for a, b in zip(got, want):
             for name in ("observation", "action_chunk", "source", "trajectory_id", "t"):
                 assert same_value(getattr(a, name), getattr(b, name)), name
@@ -450,16 +488,6 @@ def assert_reader_matches_oracle(records, trajectories, chunk_len):
                 assert same_value(getattr(a.env_params, name), getattr(b.env_params, name))
 
 
-@st.composite
-def datasets(draw):
-    """(records, trajectories, chunk_len): the curated windows of the drawn
-    trajectories, then the relabeled records of a drawn record list."""
-    trajectories = draw(trajectory_lists())
-    chunk_len = draw(st.integers(1, min((t.horizon for t in trajectories), default=1)))
-    relabeled = [r for r in draw(record_lists()) if r.source == "relabeled"]
-    return export_pairs(trajectories, [], chunk_len) + relabeled, trajectories, chunk_len
-
-
 @given(datasets())
 @settings(max_examples=100, deadline=None)
 def test_reader_equals_whole_file_oracle(dataset):
@@ -468,32 +496,25 @@ def test_reader_equals_whole_file_oracle(dataset):
 
 def test_reader_equals_oracle_across_blocks_and_edge_values():
     trajs = [make_traj(horizon=40, seed=i, variant=i % 3) for i in range(30)]
-    trajs[4].origin = None
-    trajs[7].states[3] = [-0.0, np.nan, np.inf]
-    records = export_pairs(trajs, [], chunk_len=5)
-    assert_reader_matches_oracle(records + as_relabeled(records), trajs, 5)
+    for traj in trajs:
+        traj.origin = None
+    trajs[7].states[3] = [-0.0, np.nan, np.inf, 5e-324]
+    assert_reader_matches_oracle(trajs, as_relabeled(export_pairs(trajs, [], chunk_len=5)), 5)
 
 
 def _dataset(tmp_path):
+    """3 trajectories of horizon 10 (3 x 7 windows of 4) and 5 relabeled
+    records, under a point_reach of horizon 10, so replay runs too."""
     trajs = [make_traj(seed=i, variant=i) for i in range(3)]
     records = export_pairs(trajs, [], chunk_len=4)
-    serialize(records + as_relabeled(records[:5]), make_manifest(chunk_len=4), str(tmp_path),
-              trajectories=trajs)
+    serialize(make_manifest(chunk_len=4, env_config={"horizon": 10}), str(tmp_path), trajs,
+              as_relabeled(records[:5]))
     return str(tmp_path)
 
 
 READERS = {"records": deserialize, "trajectories": load_trajectories}
 ARRAY_KEY = {"records": "chunk", "trajectories": "actions"}
-
-
-def _edit_line(path, lineno, edit):
-    with open(path) as fh:
-        lines = fh.readlines()
-    row = json.loads(lines[lineno - 1])
-    edit(row)
-    lines[lineno - 1] = json.dumps(row) + "\n"
-    with open(path, "w") as fh:
-        fh.writelines(lines)
+SCALAR_KEY = {"records": "t", "trajectories": "variant"}
 
 
 def _rewrite(path, edit):
@@ -503,92 +524,229 @@ def _rewrite(path, edit):
         fh.writelines(edit(lines))
 
 
+def _truncate(path, n_bytes=7):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:-n_bytes])
+
+
+def _edit_table(path, edit):
+    """Replace the array stored in ``path`` by ``edit(array)``."""
+    table = np.load(path, allow_pickle=False)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, edit(table), allow_pickle=False)
+
+
+def _rebuild(table, **fields):
+    """``table`` with the given fields replaced by (n, ...) arrays, or
+    dropped where the value is None."""
+    columns = {name: table[name] for name in table.dtype.names}
+    columns.update(fields)
+    columns = {name: np.asarray(col) for name, col in columns.items() if col is not None}
+    out = np.empty(len(table), [(name, col.dtype, col.shape[1:])
+                                for name, col in columns.items()])
+    for name, col in columns.items():
+        out[name] = col
+    return out
+
+
 def _raises_naming(path, *patterns):
     return pytest.raises(DatasetFormatError,
                          match=".*".join(re.escape(p) for p in (path,) + patterns))
 
 
+def _manifest_lineno(out, key):
+    with open(os.path.join(out, "manifest")) as fh:
+        return next(i for i, ln in enumerate(fh, start=1) if ln.startswith(key + " ="))
+
+
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_reader_reports_line_and_offset_of_non_json(tmp_path, name):
+    # the manifest's env_config, parameters and final_tubes are JSON
     out = _dataset(tmp_path)
-    path = os.path.join(out, name)
-    _rewrite(path, lambda lines: lines[:2] + [lines[2][:10] + "###garbage\n"] + lines[3:])
-    with _raises_naming(path, "line 3, offset 10"):
+    path = os.path.join(out, "manifest")
+    _rewrite(path, lambda lines: [ln.replace("parameters = {}", 'parameters = {"a": 1,}')
+                                  for ln in lines])
+    with _raises_naming(path, f"line {_manifest_lineno(out, 'parameters')}:", "(char 8)"):
         READERS[name](out)
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_reader_rejects_missing_key(tmp_path, name):
     out = _dataset(tmp_path)
-    path = os.path.join(out, name)
-    _edit_line(path, 2, lambda row: row.pop(ARRAY_KEY[name]))
-    with _raises_naming(path, "line 2: bad record", ARRAY_KEY[name]):
+    path = os.path.join(out, name + ".npy")
+    _edit_table(path, lambda t: _rebuild(t, **{ARRAY_KEY[name]: None}))
+    with _raises_naming(path, "fields", "expected", ARRAY_KEY[name]):
         READERS[name](out)
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_reader_rejects_ragged_array(tmp_path, name):
+    # the writer refuses rows of two shapes; the reader refuses a shape
+    # that does not fit the manifest's environment
     out = _dataset(tmp_path)
-    path = os.path.join(out, name)
-    _edit_line(path, 1, lambda row: row.update({ARRAY_KEY[name]: [[1.0, 2.0], [3.0]]}))
-    with _raises_naming(path, "line 1: bad record"):
+    trajs = [make_traj(horizon=10), make_traj(horizon=11)]
+    relabeled = as_relabeled(export_pairs(trajs, [], 4)[:1] + export_pairs(trajs, [], 5)[:1])
+    with pytest.raises(ValueError, match="every row needs one shape"):
+        serialize(make_manifest(chunk_len=4), str(tmp_path / "ragged"),
+                  trajs[:1 + (name == "trajectories")], relabeled[:1 + (name == "records")])
+    path = os.path.join(out, name + ".npy")
+    wide = {"records": {"chunk": np.zeros((5, 4, D_A + 1))},
+            "trajectories": {"states": np.zeros((3, 11, D_S + 1))}}[name]
+    _edit_table(path, lambda t: _rebuild(t, **wide))
+    with _raises_naming(path, "do not fit point_reach"):
         READERS[name](out)
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_reader_rejects_empty_chunk(tmp_path, name):
     out = _dataset(tmp_path)
-    path = os.path.join(out, name)
-    _edit_line(path, 3, lambda row: row.update({ARRAY_KEY[name]: []}))
-    with _raises_naming(path, "line 3: bad record"):
+    path = os.path.join(out, name + ".npy")
+    empty = {"records": {"chunk": np.zeros((5, 0, D_A))},
+             "trajectories": {"states": np.zeros((3, 1, D_S)),
+                              "actions": np.zeros((3, 0, D_A))}}[name]
+    _edit_table(path, lambda t: _rebuild(t, **empty))
+    with _raises_naming(path):
         READERS[name](out)
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_reader_rejects_too_few_and_too_many_lines(tmp_path, name):
     out = _dataset(tmp_path)
-    path = os.path.join(out, name)
-    with open(path) as fh:
-        lines = fh.readlines()
-    n = len(lines)
-    _rewrite(path, lambda lines: lines[:-1])
-    with _raises_naming(path, f"expected {n} lines per manifest, found {n - 1}"):
+    path = os.path.join(out, name + ".npy")
+    table = np.load(path, allow_pickle=False)
+    n = len(table)
+    _edit_table(path, lambda t: t[:-1])
+    with _raises_naming(path, f"{n - 1} rows, the manifest says {n}"):
         READERS[name](out)
-    _rewrite(path, lambda _: lines + lines[:2])
-    with _raises_naming(path, f"expected {n} lines per manifest, found {n + 2}"):
+    _edit_table(path, lambda _: np.concatenate([table, table[:2]]))
+    with _raises_naming(path, f"{n + 2} rows, the manifest says {n}"):
         READERS[name](out)
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_reader_skips_blank_lines_without_counting_them(tmp_path, name):
+    # blank and comment lines of the manifest are skipped, but line numbers count them
     out = _dataset(tmp_path)
-    path = os.path.join(out, name)
+    path = os.path.join(out, "manifest")
     want = READERS[name](out)
-    _rewrite(path, lambda lines: ["\n"] + lines[:2] + ["   \n", "\t\n"] + lines[2:] + ["\n"])
+    _rewrite(path, lambda lines: ["\n", "# by hand\n"] + lines[:2] + ["   \n", "\t\n"]
+             + lines[2:] + ["\n"])
     got = READERS[name](out)
     if name == "records":
         got, want = got[0], want[0]
     assert len(got) == len(want)
     key = "action_chunk" if name == "records" else "actions"
     assert all(np.array_equal(getattr(a, key), getattr(b, key)) for a, b in zip(got, want))
-    # line numbers count the blank lines
-    _rewrite(path, lambda lines: lines[:4] + ["{broken\n"] + lines[5:])
-    with _raises_naming(path, "line 5, offset 1"):
+    first = _manifest_lineno(out, "seed")
+    _rewrite(path, lambda lines: lines + ["seed = 4\n"])
+    with _raises_naming(path, f"line {first + 16}: duplicate key 'seed', "
+                              f"first set on line {first}"):
         READERS[name](out)
 
 
 def test_reader_bad_record_is_reported_before_a_wrong_line_count(tmp_path):
-    # the reader streams, so a bad record is found before the file ends
     out = _dataset(tmp_path)
-    path = os.path.join(out, "records")
-    _edit_line(path, 1, lambda row: row.pop("obs"))
-    _rewrite(path, lambda lines: lines[:-1])
-    with _raises_naming(path, "line 1: bad record"):
+    path = os.path.join(out, "records.npy")
+    _edit_table(path, lambda t: _rebuild(t, obs=None)[:-1])
+    with _raises_naming(path, "fields"):
         deserialize(out)
 
 
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_reader_rejects_a_file_that_is_not_npy(tmp_path, name):
+    out = _dataset(tmp_path)
+    path = os.path.join(out, name + ".npy")
+    for data in (b"", b"garbage\n", b"\x93NUMPY\x01\x00"):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with _raises_naming(path, "not a readable .npy array"):
+            READERS[name](out)
+    np.savez(path[:-len(".npy")], rows=np.zeros(3))
+    os.replace(path[:-len(".npy")] + ".npz", path)
+    with _raises_naming(path, "not a 1-D structured .npy array"):
+        READERS[name](out)
+
+
 # ---------------------------------------------------------------------------
-# format 2: curated windows rebuilt from trajectories, strict manifest
+# every reader refuses every fault of a stored array
+
+
+UNPICKLED = []
+
+
+def _record_unpickling():
+    UNPICKLED.append(True)
+
+
+class Tripwire:
+    """An object whose unpickling is recorded."""
+
+    def __reduce__(self):
+        return (_record_unpickling, ())
+
+
+def _object_array(path):
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, np.array([Tripwire()] * 3, dtype=object),
+                                  allow_pickle=True)
+
+
+FAULTS = {
+    "truncated": lambda path, name: _truncate(path),
+    "object dtype": lambda path, name: _object_array(path),
+    "missing field": lambda path, name: _edit_table(
+        path, lambda t: _rebuild(t, **{ARRAY_KEY[name]: None})),
+    "wrong shape": lambda path, name: _edit_table(path, lambda t: _rebuild(t, **{
+        ARRAY_KEY[name]: np.zeros(t[ARRAY_KEY[name]].shape[:-1] + (D_A + 1,))})),
+    "scalar with an axis": lambda path, name: _edit_table(path, lambda t: _rebuild(t, **{
+        SCALAR_KEY[name]: np.zeros((len(t), 2), "<i8")})),
+    "row count": lambda path, name: _edit_table(path, lambda t: t[:-1]),
+    "empty": lambda path, name: _edit_table(path, lambda t: t[:0]),
+}
+
+
+def assert_every_reader_refuses(out, capsys, *patterns):
+    """deserialize, load_trajectories and evaluate_replay raise
+    DatasetFormatError naming the patterns; ``evaluate`` exits 4."""
+    for reader in (deserialize, load_trajectories, lambda d: evaluate_replay(d, 2)):
+        with _raises_naming(*patterns):
+            reader(out)
+    assert cli_main(["evaluate", out, "--trials", "2"]) == 4
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_every_reader_refuses_a_faulty_array(tmp_path, capsys, fault, name):
+    out = _dataset(tmp_path)
+    assert evaluate_replay(out, 2)["n_trajectories"] == 3
+    path = os.path.join(out, name + ".npy")
+    FAULTS[fault](path, name)
+    assert_every_reader_refuses(out, capsys, path)
+    assert UNPICKLED == []
+
+
+def test_every_reader_refuses_a_format_2_directory(tmp_path, capsys):
+    # format 2 stored the same data as JSON lines
+    out = _dataset(tmp_path)
+    trajs = load_trajectories(out)
+    relabeled = [r for r in deserialize(out)[0] if r.source == "relabeled"]
+    for name in READERS:
+        os.remove(os.path.join(out, name + ".npy"))
+    with open(os.path.join(out, "trajectories"), "w") as fh:
+        fh.write(oracle_traj_text(trajs))
+    with open(os.path.join(out, "records"), "w") as fh:
+        fh.write(oracle_text(relabeled))
+    _set_manifest_line(out, "format", 2)
+    assert_every_reader_refuses(out, capsys, os.path.join(out, "manifest"),
+                                "format 2 is not supported")
+
+
+# ---------------------------------------------------------------------------
+# format 3: curated windows rebuilt from trajectories, strict manifest
 
 
 def _set_manifest_line(out, key, value=None):
@@ -610,14 +768,13 @@ def test_manifest_pins_format_and_chunk_len(tmp_path):
     out = _dataset(tmp_path)
     with open(os.path.join(out, "manifest")) as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == "format = 2" and "chunk_len = 4" in lines
+    assert lines[0] == "format = 3" and "chunk_len = 4" in lines
     assert read_manifest(out).chunk_len == 4
-    with open(os.path.join(out, "records")) as fh:
-        assert len(fh.readlines()) == 5           # the relabeled records only
+    assert len(np.load(os.path.join(out, "records.npy"), allow_pickle=False)) == 5
 
 
-@pytest.mark.parametrize("value", [None, "1", "3"])
-def test_any_format_but_2_is_rejected(tmp_path, value):
+@pytest.mark.parametrize("value", [None, "1", "2"])
+def test_any_format_but_3_is_rejected(tmp_path, value):
     out = _dataset(tmp_path)
     _set_manifest_line(out, "format", value)
     for reader in ALL_READERS:
@@ -627,10 +784,10 @@ def test_any_format_but_2_is_rejected(tmp_path, value):
 
 def test_truncated_trajectories_detected_by_both_readers(tmp_path):
     out = _dataset(tmp_path)
-    path = os.path.join(out, "trajectories")
-    _rewrite(path, lambda lines: lines[:-1])
+    path = os.path.join(out, "trajectories.npy")
+    _truncate(path)
     for reader in (deserialize, load_trajectories):
-        with _raises_naming(path, "expected 3 lines per manifest, found 2 (truncated?)"):
+        with _raises_naming(path, "not a readable .npy array"):
             reader(out)
 
 
@@ -674,26 +831,33 @@ def test_deserialize_checks_counts_and_chunk_len(tmp_path, key, value):
 
 def test_records_file_holds_relabeled_records_only(tmp_path):
     out = _dataset(tmp_path)
-    path = os.path.join(out, "records")
-    _edit_line(path, 2, lambda row: row.update({"source": "curated"}))
-    with _raises_naming(path, "line 2: bad record", "only relabeled"):
+    assert [r.source for r in deserialize(out)[0][-6:]] == ["curated"] + ["relabeled"] * 5
+    trajs = load_trajectories(out)
+    with pytest.raises(ValueError, match="only relabeled"):
+        serialize(make_manifest(chunk_len=4), str(tmp_path / "curated"), trajs,
+                  export_pairs(trajs, [], 4))
+    assert not (tmp_path / "curated").exists()
+    path = os.path.join(out, "records.npy")
+    _edit_table(path, lambda t: _rebuild(t, source=np.zeros(len(t), "<i8")))
+    with _raises_naming(path, "fields", "source"):
         deserialize(out)
 
 
-def test_serialize_needs_the_trajectories_windows_first(tmp_path):
+def test_serialize_refuses_ragged_shapes_and_partial_origins(tmp_path):
     trajs = [make_traj(seed=i) for i in range(2)]
-    records = export_pairs(trajs, [], chunk_len=4)
-    relabeled = as_relabeled(records[:2])
-    bad = [(records, (), 4),                          # curated without trajectories
-           (records[:-1] + relabeled, trajs, 4),      # a window missing
-           (relabeled + records, trajs, 4),           # relabeled before curated
-           (records[::-1], trajs, 4),                 # windows out of order
-           (records + relabeled, trajs, 3),           # windows of another length
-           (records + records[:1], trajs, 4)]         # a curated record after them
-    for recs, trajectories, k in bad:
-        with pytest.raises(ValueError, match="windows of the trajectories"):
-            serialize(recs, make_manifest(chunk_len=k), str(tmp_path),
-                      trajectories=trajectories)
+    relabeled = as_relabeled(export_pairs(trajs, [], chunk_len=4)[:2])
+    short = make_traj(horizon=9)
+    no_origin = make_traj(seed=5)
+    no_origin.origin = None
+    long_obs = dataclasses.replace(relabeled[0], observation=np.zeros(9))
+    bad = [(trajs + [short], [], 4, "states"),             # two horizons
+           (trajs + [no_origin], [], 4, "origin"),         # an origin missing
+           (trajs, [relabeled[0], long_obs], 4, "obs"),    # two observation sizes
+           (trajs, relabeled, 11, "exceeds"),              # windows longer than T
+           (trajs, relabeled, 0, "chunk_len")]
+    for trajectories, records, k, message in bad:
+        with pytest.raises(ValueError, match=message):
+            serialize(make_manifest(chunk_len=k), str(tmp_path), trajectories, records)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -709,11 +873,10 @@ def test_omission_fraction():
 
 def test_dataset_stats_counts_and_render(tmp_path):
     trajs = [make_traj(horizon=8)]
-    target = RelabelTarget(observation=np.zeros(6), chunk=np.ones((3, 2)),
+    target = RelabelTarget(observation=np.zeros(8), chunk=np.ones((3, 2)),
                            point=RelabelPoint(0, 1, 0.2), cost=0.0)
-    records = export_pairs(trajs, [target], chunk_len=4)
     manifest = make_manifest(final_tubes=[(0.05, 0.2)], chunk_len=4)
-    serialize(records, manifest, str(tmp_path), trajectories=trajs)
+    serialize(manifest, str(tmp_path), trajs, export_pairs([], [target], 4))
     stats = dataset_stats(read_manifest(str(tmp_path)))
     assert stats == dataset_stats(manifest)
     assert stats["records_curated"] == 5

@@ -42,8 +42,8 @@ def dir_bytes(path):
 
 def test_run_pgdg_outputs_and_accounting(tmp_path):
     cfg = fast_cfg(tmp_path / "ds")
-    records, report = run_pgdg(cfg)
-    assert len(records) > 0
+    report = run_pgdg(cfg)
+    assert report.n_records > 0
     totals = report.totals
     assert totals["generated"] >= cfg.n_variants * cfg.iterations * cfg.samples
     assert totals["successful"] <= totals["generated"]
@@ -53,7 +53,7 @@ def test_run_pgdg_outputs_and_accounting(tmp_path):
             assert len(v.stats) == cfg.iterations
             for s in v.stats:
                 assert s.n_selected <= s.n_success <= s.n_sampled
-    for name in ("manifest", "records", "trajectories", "report.txt",
+    for name in ("manifest", "records.npy", "trajectories.npy", "report.txt",
                  "report.jsonl"):
         assert (tmp_path / "ds" / name).exists()
 
@@ -70,9 +70,10 @@ def test_run_pgdg_curated_trajectories_revalidate(tmp_path):
 
 def test_run_pgdg_manifest_counts_match(tmp_path):
     cfg = fast_cfg(tmp_path / "ds")
-    records, report = run_pgdg(cfg)
-    _, manifest = deserialize(str(tmp_path / "ds"))
-    assert manifest.n_records == len(records)
+    report = run_pgdg(cfg)
+    records, manifest = deserialize(str(tmp_path / "ds"))
+    assert manifest.n_records == len(records) == report.n_records
+    assert manifest.n_relabeled == report.n_relabeled > 0
     assert manifest.n_selected == report.totals["selected"]
     assert manifest.seed == cfg.seed
     assert 0.0 <= manifest.omission_fraction <= 1.0
@@ -124,7 +125,7 @@ def test_variant_poses_deterministic():
 
 def test_baseline_exports_one_rollout_per_variant(tmp_path):
     cfg = fast_cfg(tmp_path / "base", n_variants=5)
-    records, report = run_spatial_only(cfg)
+    report = run_spatial_only(cfg)
     trajs = load_trajectories(str(tmp_path / "base"))
     assert len(trajs) == 5
     assert report.totals["generated"] == 5
@@ -167,10 +168,10 @@ def test_evaluate_replay_deterministic(tmp_path):
 def test_evaluate_replay_missing_dump(tmp_path):
     os.makedirs(tmp_path / "empty")
     with open(tmp_path / "empty" / "manifest", "w") as fh:
-        fh.write("format = 2\nenv_name = point_reach\nn_records = 0\nn_trajectories = 0\n"
+        fh.write("format = 3\nenv_name = point_reach\nn_records = 0\nn_trajectories = 0\n"
                  "env_config = {}\n")
     from recovergen.dataset_io import DatasetFormatError
-    with pytest.raises((PipelineError, DatasetFormatError), match="dump missing"):
+    with pytest.raises((PipelineError, DatasetFormatError), match="trajectories.npy: file missing"):
         evaluate_replay(str(tmp_path / "empty"), n_trials=5)
 
 
@@ -226,7 +227,7 @@ def test_report_files_have_no_timing(tmp_path):
 def test_sigma_concentrates_on_average(tmp_path):
     # soft property: the proposal spread tends to shrink across iterations
     cfg = fast_cfg(tmp_path / "ds", iterations=3)
-    _, report = run_pgdg(cfg)
+    report = run_pgdg(cfg)
     for v in report.variants:
         if v.skipped or len(v.stats) < 2:
             continue
