@@ -34,7 +34,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import Pose, blend_prefix, reanchor_trajectory
+from .geometry import Pose, reanchor_trajectory
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,6 @@ def wrap_angle(theta):
     out = np.fmod(np.asarray(theta, dtype=float) + math.pi, 2.0 * math.pi)
     out = np.where(out <= 0.0, out + 2.0 * math.pi, out) - math.pi
     return out if out.ndim else float(out)
-
-
-def success_rotate(traj: Trajectory, theta_des: float, eps_theta: float,
-                   theta_index: int = 2) -> bool:
-    """Final-step absolute angular error (branch-cut wrapped) strictly below
-    eps_theta."""
-    theta_t = float(traj.states[-1][theta_index])
-    return abs(wrap_angle(theta_t - theta_des)) < eps_theta
 
 
 def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -128,7 +120,7 @@ class Environment:
 
     Subclasses define the dynamics ``step``, the binary success predicate,
     the observation map, and a scripted demonstration expressed as
-    effector pose sequences so the spatial-randomization machinery can
+    effector position sequences so the spatial-randomization machinery can
     re-anchor it.
     """
 
@@ -176,18 +168,13 @@ class Environment:
     def demo_object_pose(self) -> Pose:
         raise NotImplementedError
 
-    def demo_ee_poses(self, n_poses: int) -> list:
-        """Per-effector world pose sequences of the scripted demo (each of
-        length n_poses) under the nominal object pose."""
+    def demo_ee_positions(self, n: int) -> list:
+        """Per-effector world positions of the scripted demo, one (n, 3)
+        array each, under the nominal object pose."""
         raise NotImplementedError
 
-    def reset_ee_poses(self) -> list:
-        """Effector poses right after environment reset."""
-        raise NotImplementedError
-
-    def ee_poses_to_actions(self, pose_seqs: list) -> np.ndarray:
-        """Convert per-effector pose sequences (length T+1 each) into the
-        environment's action sequence (T, d_a)."""
+    def reset_ee_positions(self) -> list:
+        """Effector positions (3,) right after environment reset."""
         raise NotImplementedError
 
 
@@ -363,30 +350,24 @@ class PlanarBlockRotate(Environment):
     def demo_object_pose(self) -> Pose:
         return Pose.identity()
 
-    def demo_ee_poses(self, n_poses: int) -> list:
+    def demo_ee_positions(self, n: int) -> list:
         """Grab the block slightly inside its short faces (a pressing
         grasp, so contact survives small execution noise), then rotate
         both effectors about the block center up to theta_des."""
         r = self.half_extents[0] - self.grasp_press
         left, right = [], []
-        for j in range(n_poses):
-            phi = self.theta_des * j / (n_poses - 1)
+        for j in range(n):
+            phi = self.theta_des * j / (n - 1)
+            # math.cos/math.sin, as when the stored data were recorded:
+            # np.cos/np.sin may differ from them in the last ulp on some builds
             c, s = math.cos(phi), math.sin(phi)
-            left.append(Pose.from_xy_yaw(-c * r, -s * r, 0.0))
-            right.append(Pose.from_xy_yaw(c * r, s * r, 0.0))
-        return [left, right]
+            left.append((-c * r, -s * r, 0.0))
+            right.append((c * r, s * r, 0.0))
+        return [np.array(left), np.array(right)]
 
-    def reset_ee_poses(self) -> list:
-        return [Pose.from_xy_yaw(self.reset_left[0], self.reset_left[1], 0.0),
-                Pose.from_xy_yaw(self.reset_right[0], self.reset_right[1], 0.0)]
-
-    def ee_poses_to_actions(self, pose_seqs: list) -> np.ndarray:
-        left, right = pose_seqs
-        if len(left) != self.horizon + 1 or len(right) != self.horizon + 1:
-            raise ValueError("pose sequences must have horizon + 1 poses")
-        lpts = np.array([p.translation[:2] for p in left])
-        rpts = np.array([p.translation[:2] for p in right])
-        return np.concatenate([np.diff(lpts, axis=0), np.diff(rpts, axis=0)], axis=1)
+    def reset_ee_positions(self) -> list:
+        return [np.array([self.reset_left[0], self.reset_left[1], 0.0]),
+                np.array([self.reset_right[0], self.reset_right[1], 0.0])]
 
 
 @dataclass(frozen=True)
@@ -434,24 +415,14 @@ class PointReach(Environment):
     def demo_object_pose(self) -> Pose:
         return Pose.from_xy_yaw(self.goal[0], self.goal[1], 0.0)
 
-    def demo_ee_poses(self, n_poses: int) -> list:
+    def demo_ee_positions(self, n: int) -> list:
         sx, sy = self.start
         gx, gy = self.goal
-        seq = []
-        for j in range(n_poses):
-            alpha = (j + 1) / n_poses
-            seq.append(Pose.from_xy_yaw(sx + alpha * (gx - sx), sy + alpha * (gy - sy), 0.0))
-        return [seq]
+        alpha = np.arange(1, n + 1) / n
+        return [np.stack([sx + alpha * (gx - sx), sy + alpha * (gy - sy), np.zeros(n)], axis=1)]
 
-    def reset_ee_poses(self) -> list:
-        return [Pose.from_xy_yaw(self.start[0], self.start[1], 0.0)]
-
-    def ee_poses_to_actions(self, pose_seqs: list) -> np.ndarray:
-        (seq,) = pose_seqs
-        if len(seq) != self.horizon + 1:
-            raise ValueError("pose sequence must have horizon + 1 poses")
-        pts = np.array([p.translation[:2] for p in seq])
-        return np.diff(pts, axis=0)
+    def reset_ee_positions(self) -> list:
+        return [np.array([self.start[0], self.start[1], 0.0])]
 
 
 def make_env(name: str, **overrides) -> Environment:
@@ -462,17 +433,20 @@ def make_env(name: str, **overrides) -> Environment:
 
 
 def augmented_demo_actions(env: Environment, variant: Pose, l_blend: int) -> np.ndarray:
-    """Re-anchor the scripted demo to a perturbed initial object pose,
-    prepend the blend segment from the reset effector poses, and convert
-    to the environment's action sequence."""
+    """Re-anchor the scripted demo's effector positions to a perturbed
+    initial object pose, prepend a linear approach of l_blend steps from
+    the reset positions, and return the per-step planar displacements
+    (horizon, d_a), effector after effector."""
+    if l_blend < 1:
+        raise ValueError("l_blend must be >= 1")
     n_demo = env.horizon + 1 - l_blend
     if n_demo < 2:
         raise ValueError("l_blend leaves too few demo poses")
     demo_obj0 = env.demo_object_pose()
-    resets = env.reset_ee_poses()
-    full = []
-    for reset_pose, seq in zip(resets, env.demo_ee_poses(n_demo)):
-        re_anchored = reanchor_trajectory(seq, demo_obj0, variant)
-        prefix = blend_prefix(reset_pose, re_anchored[0], l_blend)
-        full.append(prefix[:-1] + re_anchored)
-    return env.ee_poses_to_actions(full)
+    alpha = (np.arange(l_blend) / l_blend)[:, None]
+    actions = []
+    for reset, demo in zip(env.reset_ee_positions(), env.demo_ee_positions(n_demo)):
+        points = reanchor_trajectory(demo, demo_obj0, variant)
+        blend = (1.0 - alpha) * reset + alpha * points[0]
+        actions.append(np.diff(np.concatenate([blend, points])[:, :2], axis=0))
+    return np.concatenate(actions, axis=1)

@@ -5,17 +5,18 @@ w >= 0 so that pose equality is unambiguous.  All operations are pure;
 randomized ones take an explicit numpy Generator.
 
 Both environments are planar (yaw only, z = 0), yet the quaternion form
-stays on purpose: the stored data depend on its exact rounding.  A
-variant's yaw is read back as 2 atan2(z, w) of a normalised half-angle
-quaternion, and demo poses are re-anchored through ``Rotation.apply``
-and ``slerp``.  An SE(2) (x, y, yaw) rewrite would compute the same
-values along a different path, move output bits and change every
-generated dataset.
+stays on purpose: the stored data depend on its exact rounding.  The
+output bits depend on ``compose`` and ``inverse``, called once per
+variant to build the re-anchoring transform, on ``Rotation.apply`` of
+that transform to the demo's effector positions, and on a variant's yaw,
+read back by ``Pose.yaw`` as 2 atan2(z, w) of a normalised half-angle
+quaternion.  Effector orientation never reaches an action.  An SE(2)
+(x, y, yaw) rewrite would compute the same values along a different
+path, move output bits and change every generated dataset.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -44,10 +45,6 @@ class Rotation:
         return Rotation(np.array([1.0, 0.0, 0.0, 0.0]))
 
     @staticmethod
-    def from_quat(w: float, x: float, y: float, z: float) -> "Rotation":
-        return Rotation(_canonicalize(np.array([w, x, y, z], dtype=float)))
-
-    @staticmethod
     def about_z(angle: float) -> "Rotation":
         h = 0.5 * angle
         return Rotation(_canonicalize(np.array([np.cos(h), 0.0, 0.0, np.sin(h)])))
@@ -70,20 +67,11 @@ class Rotation:
         return Rotation(np.array([w, -x, -y, -z]))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Rotate a 3-vector."""
+        """Rotate a 3-vector or each row of an (n, 3) array."""
         v = np.asarray(v, dtype=float)
         w = self.wxyz[0]
         u = self.wxyz[1:]
         return v + 2.0 * np.cross(u, np.cross(u, v) + w * v)
-
-    def angle(self) -> float:
-        """Rotation angle in [0, pi].  The half-angle is taken as
-        atan2(|xyz|, |w|), which stays accurate for tiny angles where
-        arccos(|w|) rounds to 0."""
-        return 2.0 * float(np.arctan2(np.linalg.norm(self.wxyz[1:]), abs(self.wxyz[0])))
-
-    def angle_to(self, other: "Rotation") -> float:
-        return self.inverse().multiply(other).angle()
 
     def allclose(self, other: "Rotation", atol: float = _UNIT_TOL) -> bool:
         return bool(np.allclose(self.wxyz, other.wxyz, atol=atol))
@@ -110,9 +98,6 @@ class Pose:
             raise ValueError("translation must be a finite 3-vector")
         object.__setattr__(self, "translation", t)
 
-    def apply(self, point: np.ndarray) -> np.ndarray:
-        return self.rotation.apply(point) + self.translation
-
     def yaw(self) -> float:
         """Rotation angle about z, valid for planar (z-axis) rotations."""
         w, _, _, z = self.rotation.wxyz
@@ -133,26 +118,6 @@ def inverse(p: Pose) -> Pose:
     return Pose(r_inv, -r_inv.apply(p.translation))
 
 
-def slerp(r0: Rotation, r1: Rotation, alpha: float) -> Rotation:
-    """Geodesic interpolation on the shorter arc, alpha in [0, 1]."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    q0 = r0.wxyz
-    q1 = r1.wxyz.copy()
-    dot = float(np.dot(q0, q1))
-    if dot < 0.0:
-        q1 = -q1
-        dot = -dot
-    dot = min(1.0, dot)
-    omega = np.arccos(dot)
-    if omega < 1e-10:
-        q = (1.0 - alpha) * q0 + alpha * q1
-    else:
-        s = np.sin(omega)
-        q = (np.sin((1.0 - alpha) * omega) / s) * q0 + (np.sin(alpha * omega) / s) * q1
-    return Rotation(_canonicalize(q))
-
-
 def sample_object_perturbation(trans_range, yaw_range: float,
                                rng: np.random.Generator) -> Pose:
     """Random planar-ish perturbation: uniform translation in +-trans_range
@@ -165,25 +130,11 @@ def sample_object_perturbation(trans_range, yaw_range: float,
     return Pose(Rotation.about_z(dth), dp)
 
 
-def reanchor_trajectory(demo_ee: List[Pose], demo_obj0: Pose, new_obj0: Pose) -> List[Pose]:
-    """Re-express a demonstrated effector pose sequence relative to a new
-    initial object pose, preserving the object-relative motion."""
-    if len(demo_ee) == 0:
-        raise ValueError("demo_ee must be non-empty")
+def reanchor_trajectory(points: np.ndarray, demo_obj0: Pose, new_obj0: Pose) -> np.ndarray:
+    """Re-express demonstrated effector positions (n, 3) relative to a new
+    initial object pose, preserving their object-relative motion."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0:
+        raise ValueError(f"points must be a non-empty (n, 3) array, got shape {points.shape}")
     m = compose(new_obj0, inverse(demo_obj0))
-    return [compose(m, p) for p in demo_ee]
-
-
-def blend_prefix(reset: Pose, first: Pose, l_blend: int) -> List[Pose]:
-    """Short approach segment from the reset pose to the first trajectory
-    pose: linear in translation, slerp in rotation.  Returns l_blend + 1
-    poses with endpoints reset and first."""
-    if l_blend < 1:
-        raise ValueError("l_blend must be >= 1")
-    out = []
-    for ell in range(l_blend + 1):
-        alpha = ell / l_blend
-        rot = slerp(reset.rotation, first.rotation, alpha)
-        trans = (1.0 - alpha) * reset.translation + alpha * first.translation
-        out.append(Pose(rot, trans))
-    return out
+    return m.rotation.apply(points) + m.translation

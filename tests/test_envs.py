@@ -1,5 +1,6 @@
 """Simulator contracts: determinism, contact rules, success predicates,
 and the scripted demonstrations."""
+import hashlib
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from recovergen.envs import (EnvParams, PlanarBlockRotate, PointReach,
                              Trajectory, augmented_demo_actions, make_env,
                              randomize_env_params, rollout,
-                             rollout_with_resume, success_rotate, wrap_angle)
-from recovergen.geometry import Pose
+                             rollout_with_resume, wrap_angle)
+from recovergen.geometry import Pose, sample_object_perturbation
 
 
 @pytest.fixture
@@ -41,29 +42,26 @@ def test_wrap_angle_range_and_equivalence(theta):
     assert math.isclose(math.sin(w), math.sin(theta), abs_tol=1e-9)
 
 
-def _traj_with_final_theta(theta):
-    states = np.zeros((2, 3))
-    states[1, 2] = theta
-    return Trajectory(states=states, actions=np.zeros((1, 1)), success=False,
-                      env_params=EnvParams())
+def _block_success(theta, theta_des, eps_theta):
+    env = PlanarBlockRotate(theta_des=theta_des, eps_theta=eps_theta)
+    return bool(env.success_batch(np.array([[0.0, 0.0, theta, 0.0, 0.0, 0.0, 0.0]]))[0])
 
 
 def test_success_rotate_exact_match():
-    assert success_rotate(_traj_with_final_theta(1.3), 1.3, 0.1)
+    assert _block_success(1.3, 1.3, 0.1)
 
 
 def test_success_rotate_boundary_is_strict():
-    assert not success_rotate(_traj_with_final_theta(1.3 + 0.1), 1.3, 0.1)
+    assert not _block_success(1.3 + 0.1, 1.3, 0.1)
 
 
 def test_success_rotate_small_error_passes():
-    assert success_rotate(_traj_with_final_theta(1.3 + 0.05), 1.3, 0.1)
+    assert _block_success(1.3 + 0.05, 1.3, 0.1)
 
 
 def test_success_rotate_wraps_branch_cut():
     # theta = -pi + 0.01 vs target pi - 0.01: error is 0.02 after wrapping
-    assert success_rotate(_traj_with_final_theta(-math.pi + 0.01),
-                          math.pi - 0.01, 0.1)
+    assert _block_success(-math.pi + 0.01, math.pi - 0.01, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +260,28 @@ def test_block_demo_replay_succeeds(block_env):
 def test_block_demo_respects_action_bounds(block_env):
     actions = augmented_demo_actions(block_env, block_env.demo_object_pose(), 10)
     assert np.all(np.abs(actions) <= block_env.a_max + 1e-12)
+
+
+# sha256 of the concatenated augmented demo actions below, recorded with the
+# earlier per-pose re-anchor (glibc's libm on x86-64); any change to the
+# re-anchor or blend arithmetic moves it
+DEMO_ACTIONS_DIGEST = "3fe88902253e3e94ab7bc6deede4be95d35a8ced2f6a2fdabcb12f2ae45b75fb"
+
+
+def test_augmented_demo_actions_bitwise():
+    # both environments, 20 seeds of 40 poses each (the first unperturbed),
+    # and blends of 1, 2, 10 and horizon - 1 steps
+    h = hashlib.sha256()
+    for env in (PlanarBlockRotate(), PointReach()):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            for k in range(40):
+                scale = 0.0 if k == 0 else 1.0
+                pose = sample_object_perturbation(np.array([0.08, 0.08, 0.0]) * scale,
+                                                  0.3 * scale, rng)
+                for l_blend in (1, 2, 10, env.horizon - 1):
+                    h.update(augmented_demo_actions(env, pose, l_blend).tobytes())
+    assert h.hexdigest() == DEMO_ACTIONS_DIGEST
 
 
 def test_augmented_demo_small_perturbation_succeeds(block_env):

@@ -1,12 +1,12 @@
-"""Rigid-transform algebra: group laws, slerp, re-anchoring, blending."""
+"""Rigid-transform algebra: group laws, re-anchoring, blending."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recovergen.geometry import (Pose, Rotation, blend_prefix, compose,
-                                 inverse, reanchor_trajectory,
-                                 sample_object_perturbation, slerp)
+from recovergen.envs import PlanarBlockRotate, PointReach, augmented_demo_actions
+from recovergen.geometry import (Pose, Rotation, compose, inverse,
+                                 reanchor_trajectory, sample_object_perturbation)
 
 ATOL = 1e-9
 
@@ -20,7 +20,8 @@ def random_pose(rng):
     return Pose(random_rotation(rng), rng.uniform(-1.0, 1.0, size=3))
 
 
-angles = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+def apply(pose, points):
+    return pose.rotation.apply(points) + pose.translation
 
 
 # ---------------------------------------------------------------------------
@@ -59,18 +60,6 @@ def test_rotation_ops_preserve_invariants(seed):
     r = random_rotation(rng).multiply(random_rotation(rng))
     assert np.isclose(np.linalg.norm(r.wxyz), 1.0, atol=ATOL)
     assert r.wxyz[0] >= 0.0
-
-
-def test_angle_of_z_rotation():
-    assert np.isclose(Rotation.about_z(0.7).angle(), 0.7, atol=ATOL)
-    # double cover: -0.7 about z has the same geodesic angle
-    assert np.isclose(Rotation.about_z(-0.7).angle(), 0.7, atol=ATOL)
-
-
-@pytest.mark.parametrize("phi", [1e-12, 2e-9, 1e-6, np.pi - 1e-9])
-def test_angle_accurate_at_the_edges(phi):
-    # arccos(|w|) loses every angle below ~1e-8 rad to rounding
-    assert np.isclose(Rotation.about_z(phi).angle(), phi, rtol=1e-9, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,46 +110,6 @@ def test_from_xy_yaw_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# slerp
-
-
-def test_slerp_endpoints():
-    r0 = Rotation.about_z(0.3)
-    r1 = Rotation.about_z(1.2)
-    assert slerp(r0, r1, 0.0).allclose(r0, atol=ATOL)
-    assert slerp(r0, r1, 1.0).allclose(r1, atol=ATOL)
-
-
-def test_slerp_midpoint_of_quarter_turn():
-    mid = slerp(Rotation.identity(), Rotation.about_z(np.pi / 2.0), 0.5)
-    assert mid.allclose(Rotation.about_z(np.pi / 4.0), atol=ATOL)
-
-
-def test_slerp_rejects_alpha_outside_unit_interval():
-    with pytest.raises(ValueError):
-        slerp(Rotation.identity(), Rotation.about_z(0.1), 1.5)
-
-
-@given(angles, angles, st.floats(min_value=0.0, max_value=1.0))
-@settings(max_examples=100, deadline=None)
-def test_slerp_angle_linearity(a0, a1, alpha):
-    r0 = Rotation.about_z(a0)
-    r1 = Rotation.about_z(a1)
-    total = r0.angle_to(r1)
-    if total > np.pi - 1e-6:  # antipodal pairs excluded from the property
-        return
-    assert np.isclose(r0.angle_to(slerp(r0, r1, alpha)), alpha * total, atol=1e-9)
-
-
-def test_slerp_takes_shorter_arc():
-    # 170 deg vs -170 deg about z: the geodesic crosses the pi branch
-    r0 = Rotation.about_z(np.deg2rad(170.0))
-    r1 = Rotation.about_z(np.deg2rad(-170.0))
-    mid = slerp(r0, r1, 0.5)
-    assert np.isclose(r0.angle_to(mid), np.deg2rad(10.0), atol=1e-9)
-
-
-# ---------------------------------------------------------------------------
 # perturbation sampling
 
 
@@ -208,78 +157,82 @@ def test_perturbation_empirical_mean_near_zero():
 def test_reanchor_identity_perturbation_is_noop():
     rng = np.random.default_rng(4)
     obj0 = random_pose(rng)
-    seq = [random_pose(rng) for _ in range(5)]
-    out = reanchor_trajectory(seq, obj0, obj0)
-    assert all(a.allclose(b, atol=1e-9) for a, b in zip(out, seq))
+    points = rng.uniform(-1.0, 1.0, size=(5, 3))
+    assert np.allclose(reanchor_trajectory(points, obj0, obj0), points, atol=1e-9)
 
 
 def test_reanchor_pure_translation_shift():
-    obj0 = Pose.identity()
     shifted = Pose(Rotation.identity(), np.array([0.1, 0.0, 0.0]))
-    seq = [Pose(Rotation.identity(), np.array([x, 0.0, 0.0])) for x in (0.0, 0.5)]
-    out = reanchor_trajectory(seq, obj0, shifted)
-    for a, b in zip(out, seq):
-        assert np.allclose(a.translation, b.translation + [0.1, 0.0, 0.0], atol=ATOL)
+    points = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    out = reanchor_trajectory(points, Pose.identity(), shifted)
+    assert np.allclose(out, points + [0.1, 0.0, 0.0], atol=ATOL)
 
 
 def test_reanchor_preserves_object_relative_pose():
-    # the trajectory expressed in the (new) object frame must equal the
+    # the positions expressed in the (new) object frame must equal the
     # demo expressed in the (old) object frame
     rng = np.random.default_rng(5)
     obj0 = random_pose(rng)
     new0 = compose(Pose.from_xy_yaw(0.02, -0.05, np.pi / 6.0), obj0)
-    seq = [random_pose(rng) for _ in range(6)]
-    out = reanchor_trajectory(seq, obj0, new0)
-    for a, b in zip(out, seq):
-        rel_new = compose(inverse(new0), a)
-        rel_old = compose(inverse(obj0), b)
-        assert rel_new.allclose(rel_old, atol=1e-8)
+    points = rng.uniform(-1.0, 1.0, size=(6, 3))
+    out = reanchor_trajectory(points, obj0, new0)
+    assert np.allclose(apply(inverse(new0), out), apply(inverse(obj0), points), atol=1e-8)
 
 
 def test_reanchor_roundtrip():
     rng = np.random.default_rng(6)
     a_pose, b_pose = random_pose(rng), random_pose(rng)
-    seq = [random_pose(rng) for _ in range(4)]
-    back = reanchor_trajectory(reanchor_trajectory(seq, a_pose, b_pose), b_pose, a_pose)
-    assert all(x.allclose(y, atol=1e-8) for x, y in zip(back, seq))
+    points = rng.uniform(-1.0, 1.0, size=(4, 3))
+    back = reanchor_trajectory(reanchor_trajectory(points, a_pose, b_pose), b_pose, a_pose)
+    assert np.allclose(back, points, atol=1e-8)
 
 
 def test_reanchor_empty_rejected():
-    with pytest.raises(ValueError):
-        reanchor_trajectory([], Pose.identity(), Pose.identity())
+    for points in (np.zeros((0, 3)), np.zeros(3), np.zeros((4, 2))):
+        with pytest.raises(ValueError):
+            reanchor_trajectory(points, Pose.identity(), Pose.identity())
 
 
 # ---------------------------------------------------------------------------
-# blend prefix
+# blend prefix: augmented_demo_actions approaches the first re-anchored demo
+# position linearly from the reset position over l_blend steps
+
+
+def positions(env, l_blend, variant=None):
+    """Effector path (horizon + 1, 2) that the augmented demo's actions
+    trace from the reset position."""
+    variant = env.demo_object_pose() if variant is None else variant
+    steps = augmented_demo_actions(env, variant, l_blend)
+    start = env.reset_ee_positions()[0][:2]
+    return np.concatenate([[start], start + np.cumsum(steps, axis=0)])
 
 
 def test_blend_two_point():
-    reset = Pose.from_xy_yaw(0.0, 0.0, 0.0)
-    first = Pose.from_xy_yaw(1.0, 0.0, 0.5)
-    out = blend_prefix(reset, first, 1)
-    assert len(out) == 2
-    assert out[0].allclose(reset) and out[1].allclose(first)
-
-
-def test_blend_degenerate_endpoints_constant():
-    p = Pose.from_xy_yaw(0.2, 0.1, 0.3)
-    assert all(q.allclose(p, atol=ATOL) for q in blend_prefix(p, p, 7))
-
-
-def test_blend_linear_translation_schedule():
-    reset = Pose.identity()
-    first = Pose(Rotation.identity(), np.array([1.0, 0.0, 0.0]))
-    out = blend_prefix(reset, first, 4)
-    assert np.allclose([p.translation[0] for p in out], [0.0, 0.25, 0.5, 0.75, 1.0],
+    # l_blend = 1: the reset position, then the demo from its first position
+    env = PointReach(horizon=4, start=(0.0, 0.0), goal=(1.0, 0.0))
+    path = positions(env, 1)
+    assert np.allclose(path, [[0.0, 0.0], [0.25, 0.0], [0.5, 0.0], [0.75, 0.0], [1.0, 0.0]],
                        atol=ATOL)
 
 
-def test_blend_slerps_rotation():
-    out = blend_prefix(Pose.identity(), Pose.from_xy_yaw(0.0, 0.0, 1.0), 10)
-    yaws = [p.yaw() for p in out]
-    assert np.allclose(yaws, np.linspace(0.0, 1.0, 11), atol=1e-9)
+def test_blend_degenerate_endpoints_constant():
+    # a variant that moves the demo's first position onto the reset position
+    env = PointReach(horizon=8, start=(0.2, 0.1), goal=(0.6, 0.3))
+    variant = Pose.from_xy_yaw(0.4, 0.2, 0.0)   # first demo position (0.4, 0.2) -> (0.2, 0.1)
+    path = positions(env, 7, variant)
+    assert np.allclose(path[:8], [0.2, 0.1], atol=ATOL)
+    assert np.allclose(path[8], [0.4, 0.2], atol=ATOL)
+
+
+def test_blend_linear_translation_schedule():
+    env = PointReach(horizon=8, start=(0.0, 0.0), goal=(5.0, 0.0))
+    path = positions(env, 4)
+    assert np.allclose(path[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 5.0], atol=ATOL)
+    assert np.all(path[:, 1] == 0.0)
 
 
 def test_blend_rejects_zero_length():
-    with pytest.raises(ValueError):
-        blend_prefix(Pose.identity(), Pose.identity(), 0)
+    for env in (PlanarBlockRotate(), PointReach()):
+        for l_blend in (0, -1):
+            with pytest.raises(ValueError, match="l_blend must be >= 1"):
+                augmented_demo_actions(env, env.demo_object_pose(), l_blend)
