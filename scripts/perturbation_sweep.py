@@ -14,22 +14,26 @@ import argparse
 
 import numpy as np
 
-from recovergen.envs import augmented_demo_actions, make_env, rollout
+from recovergen.envs import augmented_demo_actions, make_env, rollout_batch
 from recovergen.geometry import compose, sample_object_perturbation
 
 
 def replay_success_rate(env, scale, episodes, rng, trans_range, yaw_range,
                         l_blend):
-    ok = 0
+    """Share of episodes whose replay succeeds; every episode's pose and
+    then its physical parameters are drawn in turn, and all episodes are
+    rolled out in one batch."""
     base = env.demo_object_pose()
+    poses, params = [], []
     for _ in range(episodes):
         delta = sample_object_perturbation(
             tuple(scale * b for b in trans_range), scale * yaw_range, rng)
-        pose = compose(delta, base)
-        params = env.sample_env_params(rng)
-        actions = augmented_demo_actions(env, pose, l_blend)
-        ok += rollout(env, env.reset(pose, params), actions, params).success
-    return ok / episodes
+        poses.append(compose(delta, base))
+        params.append(env.sample_env_params(rng))
+    s0s = np.array([env.reset(pose, p) for pose, p in zip(poses, params)])
+    actions = np.array([augmented_demo_actions(env, pose, l_blend) for pose in poses])
+    _, success = rollout_batch(env, s0s, actions, params)
+    return int(success.sum()) / episodes
 
 
 def main():
@@ -44,8 +48,12 @@ def main():
     ap.add_argument("--l-blend", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.episodes < 1:
+        ap.error("--episodes must be >= 1")
 
     env = make_env(args.env)
+    if not 1 <= args.l_blend <= env.horizon - 1:
+        ap.error(f"--l-blend must be in 1..{env.horizon - 1} for {args.env}")
     rng = np.random.default_rng(args.seed)
     print(f"# env={args.env} episodes={args.episodes} seed={args.seed}")
     print("# scale  replay_success_rate")

@@ -242,26 +242,28 @@ def read_manifest(out_dir: str) -> DatasetManifest:
     return DatasetManifest(**fields)
 
 
-def _column(fields: Dict[str, Tuple[str, int]], name: str, values: Sequence) -> np.ndarray:
-    """The values of one field stacked as an (n, ...) array.  Every value
-    must have one shape, with the field's number of axes."""
-    dtype, ndim = fields[name]
+def _shape(fields: Dict[str, Tuple[str, int]], name: str, values: Sequence) -> Tuple[int, ...]:
+    """The one shape of every value of one field, which must have the
+    field's number of axes."""
+    ndim = fields[name][1]
     shapes = {np.shape(v) for v in values}
     if len(shapes) > 1 or any(len(s) != ndim for s in shapes):
         raise ValueError(f"{name}: every row needs one shape of {ndim} axes, "
                          f"got {sorted(shapes)}")
-    shape = shapes.pop() if shapes else (0,) * ndim
-    return np.array(values, dtype=dtype).reshape((len(values),) + shape)
+    return shapes.pop() if shapes else (0,) * ndim
 
 
 def _table(fields: Dict[str, Tuple[str, int]], columns: Dict[str, Sequence]) -> np.ndarray:
-    """One structured row per item, from each field's values."""
-    stacked = {name: _column(fields, name, values) for name, values in columns.items()}
-    n = len(next(iter(stacked.values())))
-    table = np.empty(n, np.dtype([(name, fields[name][0], col.shape[1:])
-                                  for name, col in stacked.items()]))
-    for name, col in stacked.items():
-        table[name] = col
+    """One structured row per item, from each field's values.  Every shape
+    is checked first; then each field's values are stacked straight into
+    the table, so no stacked copy of a column is made."""
+    shapes = {name: _shape(fields, name, values) for name, values in columns.items()}
+    n = len(next(iter(columns.values())))
+    table = np.empty(n, np.dtype([(name, fields[name][0], shape)
+                                  for name, shape in shapes.items()]))
+    for name, values in columns.items():
+        if len(values):
+            np.stack(values, out=table[name])
     return table
 
 

@@ -5,7 +5,9 @@ the spatial-only baseline and the open-loop replay evaluation harness.
 Everything is deterministic given the master seed: variant poses and all
 per-variant randomness come from pre-spawned seed substreams, and
 variant results are merged in variant order, so the output is identical
-for any degree of parallelism.
+for any degree of parallelism.  The variants of each worker run in
+lockstep: one rollout batch per round carries every live variant's
+request, and no row's result depends on the batch it is in.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,8 +27,8 @@ from .config import ConfigError, PipelineConfig, config_parameters
 from .curator import TubeBounds
 from .dataset_io import (DatasetFormatError, DatasetManifest, export_pairs, open_dataset,
                          serialize, _atomic_write)
-from .envs import (Environment, Trajectory, augmented_demo_actions, make_env,
-                   rollout, rollout_batch)
+from .envs import (Environment, EnvParams, Trajectory, augmented_demo_actions,
+                   make_env, rollout_batch)
 from .geometry import Pose, compose, sample_object_perturbation
 from .relabel import CemConfig, relabel_dataset
 
@@ -104,29 +106,45 @@ def sample_variant_poses(env: Environment, cfg: PipelineConfig,
             for _ in range(cfg.n_variants)]
 
 
-def run_variant(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
-                seed_seq: np.random.SeedSequence) -> VariantResult:
+# A rollout request, (s0s (n, d_s), actions (n, T, d_a), one EnvParams per
+# row), and its reply, (states (n, T + 1, d_s), success (n,)).
+Request = Tuple[np.ndarray, np.ndarray, List[EnvParams]]
+Reply = Tuple[np.ndarray, np.ndarray]
+VariantLoop = Generator[Request, Reply, VariantResult]
+
+
+def _success_batch(env: Environment, pose: Pose, q: smp.Proposal, n: int,
+                   rng: np.random.Generator,
+                   index: int) -> Generator[Request, Reply, smp.SuccessBatch]:
+    plans = smp.draw_plans(env, pose, q, n, rng)
+    states, success = yield plans.s0s, plans.actions, plans.params
+    return smp.keep_successes(plans, states, success, index)
+
+
+def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
+                  seed_seq: np.random.SeedSequence) -> VariantLoop:
     """One variant's full generation loop: K iterations of
-    sample -> filter -> tube -> score -> embed -> select -> refit."""
+    sample -> filter -> tube -> score -> embed -> select -> refit.  Yields
+    each rollout request it needs and receives its reply."""
     rng = np.random.default_rng(seed_seq)
     result = VariantResult(index=index, pose=pose)
 
     demo_actions = augmented_demo_actions(env, pose, cfg.l_blend)
     nominal = env.nominal_env_params()
-    expert = rollout(env, env.reset(pose, nominal), demo_actions, nominal)
-    result.expert_states = expert.states
+    states, _ = yield env.reset(pose, nominal)[None], demo_actions[None], [nominal]
+    expert_states = result.expert_states = states[0].copy()
 
     q = smp.init_proposal(demo_actions, cfg.sampler.m_points,
                           _default_sigma0(env, cfg.sampler.sigma0),
                           cfg.sampler.variance_floor)
     tube: Optional[TubeBounds] = None
     for k in range(cfg.iterations):
-        batch = smp.generate_success_batch(env, pose, q, cfg.samples, rng, index)
+        batch = yield from _success_batch(env, pose, q, cfg.samples, rng, index)
         result.n_generated += batch.n_sampled
         if tube is None and len(batch) < cur.MIN_SUCCESSES_FOR_TUBE:
             # first-iteration starvation: widen once and resample
             q = smp.widen(q, 1.5)
-            batch = smp.generate_success_batch(env, pose, q, cfg.samples, rng, index)
+            batch = yield from _success_batch(env, pose, q, cfg.samples, rng, index)
             result.n_generated += batch.n_sampled
             if len(batch) < cur.MIN_SUCCESSES_FOR_TUBE:
                 log.warning("variant %d: starved of successes, skipping", index)
@@ -134,7 +152,7 @@ def run_variant(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
                 return result
         result.n_successful += len(batch)
 
-        peaks = [cur.peak_deviation(t, expert.states, env.psi, env.psi_scales)
+        peaks = [cur.peak_deviation(t, expert_states, env.psi, env.psi_scales)
                  for t in batch.trajectories]
         tube = cur.compute_tube(peaks, cfg.curator.q_min, cfg.curator.q_max,
                                 previous=tube, iteration=k)
@@ -146,7 +164,7 @@ def run_variant(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
                                                float(q.std.mean()), stalled=True))
             continue
 
-        rewards = [cur.tube_reward(t, tube, expert.states, env.psi, env.psi_scales)
+        rewards = [cur.tube_reward(t, tube, expert_states, env.psi, env.psi_scales)
                    for t in batch.trajectories]
         embeddings = [cur.dct_embed(t, env.psi, env.psi_scales, env.horizon,
                                     cfg.curator.k_dct)
@@ -170,18 +188,52 @@ def run_variant(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
     return result
 
 
-def _variant_task(args) -> VariantResult:
-    env, cfg, index, pose, seed_seq = args
-    return run_variant(env, cfg, index, pose, seed_seq)
+def _lockstep(env: Environment, loops: Sequence[VariantLoop]) -> List[VariantResult]:
+    """Run variant loops together: each round rolls out the pending
+    requests of every live loop in one batch.  A row's result does not
+    depend on the batch it is in, so each loop sees what it would alone."""
+    results: List[Optional[VariantResult]] = [None] * len(loops)
+    pending = {j: next(loop) for j, loop in enumerate(loops)}
+    while pending:
+        requests = list(pending.items())
+        states, success = rollout_batch(env, np.concatenate([r[0] for _, r in requests]),
+                                        np.concatenate([r[1] for _, r in requests]),
+                                        [p for _, r in requests for p in r[2]])
+        row = 0
+        for j, (s0s, _, _) in requests:
+            rows = slice(row, row + len(s0s))
+            row += len(s0s)
+            try:
+                pending[j] = loops[j].send((states[rows], success[rows]))
+            except StopIteration as stop:
+                results[j] = stop.value
+                del pending[j]
+    return results
+
+
+def run_variant(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
+                seed_seq: np.random.SeedSequence) -> VariantResult:
+    """One variant's full generation loop, run on its own."""
+    return _lockstep(env, [_variant_loop(env, cfg, index, pose, seed_seq)])[0]
+
+
+def _group_task(args) -> List[VariantResult]:
+    env, cfg, group = args
+    return _lockstep(env, [_variant_loop(env, cfg, *task) for task in group])
 
 
 def _run_variants(env: Environment, cfg: PipelineConfig,
                   poses: List[Pose], seeds) -> List[VariantResult]:
-    tasks = [(env, cfg, i, pose, seed) for i, (pose, seed) in enumerate(zip(poses, seeds))]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
-            return list(pool.map(_variant_task, tasks))
-    return [_variant_task(t) for t in tasks]
+    """All variants, as min(jobs, n) lockstep groups of consecutive
+    variants, one per worker process; results in variant order."""
+    tasks = list(zip(range(len(poses)), poses, seeds))
+    jobs = min(cfg.jobs, len(tasks))
+    groups = [(env, cfg, tasks[g * len(tasks) // jobs:(g + 1) * len(tasks) // jobs])
+              for g in range(jobs)]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return [v for group in pool.map(_group_task, groups) for v in group]
+    return _group_task(groups[0])
 
 
 def _manifest(cfg: PipelineConfig, env: Environment, source: str) -> DatasetManifest:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
-from .envs import Environment, Trajectory, rollout_batch
+from .envs import Environment, EnvParams, Trajectory, rollout_batch
 from .geometry import Pose
 
 
@@ -113,21 +113,45 @@ def sample_batch(q: Proposal, n: int, rng: np.random.Generator) -> List[np.ndarr
     return list(q.mean + q.std * z)
 
 
+class Plans(NamedTuple):
+    """n sampled plans, ready for one rollout batch."""
+
+    draws: List[np.ndarray]     # flat control-point vectors
+    params: List[EnvParams]
+    s0s: np.ndarray             # (n, d_s)
+    actions: np.ndarray         # (n, T, d_a)
+
+
+def draw_plans(env: Environment, variant: Pose, q: Proposal, n: int,
+               rng: np.random.Generator) -> Plans:
+    """Sample n plans, each with freshly randomized per-episode physical
+    parameters drawn after all n plans."""
+    draws = sample_batch(q, n, rng)
+    params = [env.sample_env_params(rng) for _ in draws]
+    s0s = np.array([env.reset(variant, p) for p in params])
+    actions = np.array([decode(q.reshape(c), env.horizon) for c in draws])
+    return Plans(draws, params, s0s, actions)
+
+
+def keep_successes(plans: Plans, states: np.ndarray, success: np.ndarray,
+                   variant_index: int = 0) -> SuccessBatch:
+    """The successful rollouts of ``plans``, given their rolled-out
+    states (n, T + 1, d_s) and success flags (n,)."""
+    trajectories = [Trajectory(states=states[i].copy(), actions=plans.actions[i].copy(),
+                               success=True, env_params=plans.params[i],
+                               origin=plans.draws[i], variant=variant_index)
+                    for i in np.flatnonzero(success)]
+    return SuccessBatch(trajectories=trajectories, n_sampled=len(plans.draws))
+
+
 def generate_success_batch(env: Environment, variant: Pose, q: Proposal, n: int,
                            rng: np.random.Generator, variant_index: int = 0) -> SuccessBatch:
     """Sample n plans, roll them out in one batch, each under freshly
     randomized per-episode physical parameters, and keep only the
     successful trajectories."""
-    draws = sample_batch(q, n, rng)
-    params = [env.sample_env_params(rng) for _ in draws]
-    s0s = np.array([env.reset(variant, p) for p in params])
-    actions = np.array([decode(q.reshape(c), env.horizon) for c in draws])
-    states, success = rollout_batch(env, s0s, actions, params)
-    trajectories = [Trajectory(states=states[i].copy(), actions=actions[i].copy(),
-                               success=True, env_params=params[i], origin=draws[i],
-                               variant=variant_index)
-                    for i in np.flatnonzero(success)]
-    return SuccessBatch(trajectories=trajectories, n_sampled=n)
+    plans = draw_plans(env, variant, q, n, rng)
+    states, success = rollout_batch(env, plans.s0s, plans.actions, plans.params)
+    return keep_successes(plans, states, success, variant_index)
 
 
 def widen(q: Proposal, factor: float) -> Proposal:

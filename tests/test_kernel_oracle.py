@@ -229,6 +229,27 @@ def test_rollout_batch_with_lengths_matches_resume_rollouts():
         assert bool(success[i]) == ref.success
 
 
+@pytest.mark.parametrize("params_per_row", [False, True])
+def test_rollout_batch_full_horizon_equals_explicit_lengths(params_per_row):
+    env = PlanarBlockRotate()
+    rng = np.random.default_rng(8)
+    n = 40
+    rows, _, frictions = _block_rows(env, n, rng)
+    rows[:, 3:5] = rows[:, 0:2] + [[-0.08, 0.0]]
+    rows[:, 5:7] = rows[:, 0:2] + [[0.08, 0.0]]
+    actions = rng.uniform(-1.5, 1.5, (n, env.horizon, 4)) * env.a_max
+    params = _per_row(frictions) if params_per_row else EnvParams(friction_scale=0.9)
+    before = rows.copy()
+    states, success = rollout_batch(env, rows, actions, params)
+    ref_states, ref_success = rollout_batch(env, rows, actions, params,
+                                            lengths=np.full(n, env.horizon))
+    assert _bitwise_equal(states, ref_states)
+    assert success.tolist() == ref_success.tolist()
+    assert np.any(states[:, -1, :3] != rows[:, :3])
+    # rows are stepped in place on a copy of the start states
+    assert _bitwise_equal(rows, before)
+
+
 def test_rollout_batch_rejects_bad_lengths():
     env = PointReach()
     s0s = np.zeros((2, 4))

@@ -9,9 +9,9 @@ import pytest
 from recovergen.config import PipelineConfig
 from recovergen.dataset_io import deserialize, load_trajectories
 from recovergen.envs import make_env, rollout
-from recovergen.pipeline import (PipelineError, compare_replay,
+from recovergen.pipeline import (PipelineError, _run_variants, compare_replay,
                                  evaluate_replay, run_pgdg, run_spatial_only,
-                                 sample_variant_poses)
+                                 run_variant, sample_variant_poses)
 
 
 def fast_cfg(out_dir, **kw):
@@ -86,6 +86,53 @@ def test_run_pgdg_deterministic_across_jobs(tmp_path):
     run_pgdg(a)
     run_pgdg(b)
     assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
+
+
+def test_run_pgdg_deterministic_across_uneven_jobs(tmp_path):
+    # 4 variants over 3 workers: lockstep groups of 1, 1 and 2 variants
+    a = fast_cfg(tmp_path / "a", jobs=1, n_variants=4)
+    b = fast_cfg(tmp_path / "b", jobs=3, n_variants=4)
+    run_pgdg(a)
+    run_pgdg(b)
+    assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _assert_variant_results_equal(a, b):
+    assert (a.index, a.skipped, a.n_generated, a.n_successful) == \
+        (b.index, b.skipped, b.n_generated, b.n_successful)
+    assert a.pose.allclose(b.pose, atol=0.0)
+    assert a.stats == b.stats and a.final_tube == b.final_tube
+    assert _bits(a.expert_states) == _bits(b.expert_states)
+    assert len(a.curated) == len(b.curated)
+    for x, y in zip(a.curated, b.curated):
+        assert (x.success, x.env_params, x.variant) == (y.success, y.env_params, y.variant)
+        for field in ("states", "actions", "origin"):
+            assert _bits(getattr(x, field)) == _bits(getattr(y, field))
+
+
+def test_lockstep_variants_equal_one_at_a_time():
+    # seed 7 at the defaults: variant 2 starves and drops out of the lockstep
+    cfg = PipelineConfig(seed=7, jobs=1)
+    env = make_env(cfg.env)
+
+    def variant_inputs():
+        seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_variants + 2)
+        poses = sample_variant_poses(env, cfg, np.random.default_rng(seeds[0]))
+        return poses, seeds[1:1 + cfg.n_variants]
+
+    together = _run_variants(env, cfg, *variant_inputs())
+    poses, seeds = variant_inputs()
+    alone = [run_variant(env, cfg, i, pose, seed)
+             for i, (pose, seed) in enumerate(zip(poses, seeds))]
+    assert [v.skipped for v in together] == [False, False, True, False]
+    assert len(together) == len(alone) == cfg.n_variants
+    for a, b in zip(together, alone):
+        _assert_variant_results_equal(a, b)
 
 
 def test_run_pgdg_repeat_identical(tmp_path):

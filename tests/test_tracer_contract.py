@@ -1,0 +1,66 @@
+"""The benchmark tracer's contract with the program: every function it
+wraps still exists and is not a generator function, and a traced
+``generate`` and ``stats`` yield every per-layer metric of the
+benchmark.  ``bench/`` is read, not edited."""
+import importlib
+import inspect
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import recovergen
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(recovergen.__file__).resolve().parents[1]
+sys.path.insert(0, str(BENCH))
+
+import run  # noqa: E402
+import tracer  # noqa: E402
+
+
+def test_traced_functions_exist_and_are_not_generators():
+    for _, (module, names) in tracer.TARGETS.items():
+        mod = importlib.import_module(module)
+        for name in names:
+            func = getattr(mod, name, None)
+            assert callable(func), f"{module}.{name} is gone"
+            assert not inspect.isgeneratorfunction(func), f"{module}.{name} is a generator"
+
+
+def _traced(tmp_path, tag, *cli_args):
+    prefix = str(tmp_path / tag)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, str(BENCH / "tracer.py"), prefix, "0", "--",
+                           *cli_args], env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return run.aggregate(prefix)
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    # 16 samples starve every variant at seed 7; 32 leave three alive
+    tmp_path = tmp_path_factory.mktemp("traced")
+    out = tmp_path / "ds"
+    generate = _traced(tmp_path, "generate", "generate", "--seed", "7", "--jobs", "1",
+                       "--out", str(out), "--set", "iterations=1", "--set", "samples=32",
+                       "--set", "relabel.k_rel=1")
+    stats = _traced(tmp_path, "stats", "stats", "--json", str(out))
+    return out, {"generate": generate, "stats": stats}
+
+
+@pytest.mark.parametrize("command", ["generate", "stats"])
+def test_traced_run_reports_every_layer_metric(dataset, command):
+    out, aggregates = dataset
+    r = dict(aggregates[command], cpu_per_wall=1.0, overhead_s=0.0,
+             bytes_written=sum(f.stat().st_size for f in out.iterdir()))
+    values, absent = run.layer_values(r)
+    assert not r["absent"] and not absent
+    assert set(values) == set(run.LAYER_METRICS)
+    assert all(math.isfinite(v) for v in values.values())
+    # no result counter broke on a changed return type
+    assert set(r["counters"]) == {key for counters in tracer.RESULT_COUNTERS.values()
+                                  for key, _ in counters}
