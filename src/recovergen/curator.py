@@ -48,11 +48,15 @@ def _normalized_psi(states, psi: Callable, scales) -> np.ndarray:
 
 def _sq_distances(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     """(n, m) squared Euclidean distances between the rows of x and e,
-    expanded as ||x||^2 - 2 x.e + ||e||^2 and floored at 0.  Pass the same
-    array twice for the pairwise case, so that numpy takes its symmetric
-    (syrk) product."""
-    d2 = np.sum(x * x, axis=1)[:, None] - 2.0 * x @ e.T + np.sum(e * e, axis=1)[None, :]
-    return np.maximum(d2, 0.0)
+    expanded as ||x||^2 - 2 x.e + ||e||^2 and floored at 0, in one (n, m)
+    buffer updated in place.  The product's left operand is the fresh
+    array 2 x, so numpy takes the general product even when e is x, never
+    its symmetric (syrk) one; keep it so, since syrk could change the bits
+    of the DPP kernel."""
+    d2 = (2.0 * x) @ e.T
+    np.subtract(np.sum(x * x, axis=1)[:, None], d2, out=d2)
+    d2 += np.sum(e * e, axis=1)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def state_distances(states, expert_states, psi: Callable, scales) -> np.ndarray:
@@ -72,9 +76,10 @@ def manifold_distance(s, expert_states, psi: Callable, scales) -> float:
                                  expert_states, psi, scales)[0])
 
 
-def peak_deviation(traj: Trajectory, expert_states, psi: Callable, scales) -> float:
-    """Largest manifold distance attained along the rollout."""
-    return float(state_distances(traj.states, expert_states, psi, scales).max())
+def peak_deviation(d: np.ndarray) -> float:
+    """Largest manifold distance attained along a rollout, from its
+    per-state distances ``d`` (``state_distances``)."""
+    return float(d.max())
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +121,10 @@ def compute_tube(peaks: Sequence[float], q_min: float, q_max: float,
                       iteration=iteration)
 
 
-def tube_reward(traj: Trajectory, tube: TubeBounds, expert_states,
-                psi: Callable, scales) -> float:
-    """Mean over timesteps of 1 - relu(r_min - d_t) - relu(d_t - r_max):
+def tube_reward(d: np.ndarray, tube: TubeBounds) -> float:
+    """Mean over timesteps of 1 - relu(r_min - d_t) - relu(d_t - r_max),
+    from a rollout's per-state distances ``d`` (``state_distances``):
     highest when deviations stay inside the informative recovery band."""
-    d = state_distances(traj.states, expert_states, psi, scales)
     inner = np.maximum(tube.r_min - d, 0.0)
     outer = np.maximum(d - tube.r_max, 0.0)
     return float(np.mean(1.0 - inner - outer))

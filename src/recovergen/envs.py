@@ -299,32 +299,33 @@ class PlanarBlockRotate(Environment):
                          self.reset_left[0], self.reset_left[1],
                          self.reset_right[0], self.reset_right[1]])
 
-    def _both_in_contact(self, bx, by, bth, lx, ly, rx, ry) -> np.ndarray:
+    def _both_in_contact(self, cols: np.ndarray) -> np.ndarray:
         """Rows whose two effectors are both within contact_margin of the
-        solid rectangle (distance 0 inside it)."""
+        solid rectangle (distance 0 inside it), from the (7, n) state
+        columns; both effectors are tested as one (2, n) array."""
+        bx, by, bth = cols[:3]
         c = np.cos(-bth)
         s = np.sin(-bth)
-        both = np.ones(len(bx), dtype=bool)
-        for ex, ey in ((lx, ly), (rx, ry)):
-            dx = ex - bx
-            dy = ey - by
-            px = c * dx - s * dy
-            py = s * dx + c * dy
-            gap_x = np.maximum(np.abs(px) - self.half_extents[0], 0.0)
-            gap_y = np.maximum(np.abs(py) - self.half_extents[1], 0.0)
-            both &= _hypot(gap_x, gap_y, self.contact_margin) <= self.contact_margin
-        return both
+        dx = cols[3::2] - bx
+        dy = cols[4::2] - by
+        px = c * dx - s * dy
+        py = s * dx + c * dy
+        gap_x = np.maximum(np.abs(px) - self.half_extents[0], 0.0)
+        gap_y = np.maximum(np.abs(py) - self.half_extents[1], 0.0)
+        dist = _hypot(gap_x.ravel(), gap_y.ravel(), self.contact_margin)
+        return (dist <= self.contact_margin).reshape(2, -1).all(axis=0)
 
     def step(self, state, action, params: ParamsArg):
         state = np.asarray(state, dtype=float)
-        rows = np.atleast_2d(state)
-        out = rows.copy()
-        out[:, 3:] += _clamp(np.asarray(action, dtype=float), -self.a_max, self.a_max)
-        i = np.flatnonzero(self._both_in_contact(*rows.T))
+        cols = np.atleast_2d(state).T.copy()   # (7, n): one contiguous array per variable
+        out = cols.copy()
+        out[3:] += _clamp(np.atleast_2d(np.asarray(action, dtype=float)).T,
+                          -self.a_max, self.a_max)
+        i = np.flatnonzero(self._both_in_contact(cols))
         if len(i):
             # two-point rigid planar fit: old (l, r) -> new (l, r)
-            bx, by, bth, lx, ly, rx, ry = rows[i].T
-            nlx, nly, nrx, nry = out[i, 3:].T
+            bx, by, bth, lx, ly, rx, ry = cols.take(i, axis=1)
+            nlx, nly, nrx, nry = out[3:].take(i, axis=1)
             cox = 0.5 * (lx + rx)
             coy = 0.5 * (ly + ry)
             cnx = 0.5 * (nlx + nrx)
@@ -332,18 +333,19 @@ class PlanarBlockRotate(Environment):
             ux, uy = rx - lx, ry - ly
             vx, vy = nrx - nlx, nry - nly
             # math.atan2 per row: np.arctan2 differs from it in the last ulp
-            dth = np.array([math.atan2(a, b) for a, b in
-                            zip((ux * vy - uy * vx).tolist(), (ux * vx + uy * vy).tolist())])
-            slip = _clamp(_param_rows(params, "friction_scale", len(rows))[i], 0.0, 1.0)
+            dth = np.fromiter(map(math.atan2, (ux * vy - uy * vx).tolist(),
+                                  (ux * vx + uy * vy).tolist()), float, count=len(bx))
+            slip = _clamp(_param_rows(params, "friction_scale", cols.shape[1])[i], 0.0, 1.0)
             sth = slip * dth
             c = np.cos(sth)
             s = np.sin(sth)
             # rotate block about the old effector centroid, translate by the
             # slip-scaled centroid motion
             relx, rely = bx - cox, by - coy
-            out[i, 0] = c * relx - s * rely + cox + slip * (cnx - cox)
-            out[i, 1] = s * relx + c * rely + coy + slip * (cny - coy)
-            out[i, 2] = wrap_angle(bth + sth)
+            out[0, i] = c * relx - s * rely + cox + slip * (cnx - cox)
+            out[1, i] = s * relx + c * rely + coy + slip * (cny - coy)
+            out[2, i] = wrap_angle(bth + sth)
+        out = out.T.copy()
         return out if state.ndim == 2 else out[0]
 
     def success_batch(self, final_states: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ import dataclasses
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -152,8 +151,9 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
                 return result
         result.n_successful += len(batch)
 
-        peaks = [cur.peak_deviation(t, expert_states, env.psi, env.psi_scales)
+        dists = [cur.state_distances(t.states, expert_states, env.psi, env.psi_scales)
                  for t in batch.trajectories]
+        peaks = [cur.peak_deviation(d) for d in dists]
         tube = cur.compute_tube(peaks, cfg.curator.q_min, cfg.curator.q_max,
                                 previous=tube, iteration=k)
 
@@ -164,8 +164,7 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
                                                float(q.std.mean()), stalled=True))
             continue
 
-        rewards = [cur.tube_reward(t, tube, expert_states, env.psi, env.psi_scales)
-                   for t in batch.trajectories]
+        rewards = [cur.tube_reward(d, tube) for d in dists]
         embeddings = [cur.dct_embed(t, env.psi, env.psi_scales, env.horizon,
                                     cfg.curator.k_dct)
                       for t in batch.trajectories]
@@ -231,6 +230,8 @@ def _run_variants(env: Environment, cfg: PipelineConfig,
     groups = [(env, cfg, tasks[g * len(tasks) // jobs:(g + 1) * len(tasks) // jobs])
               for g in range(jobs)]
     if jobs > 1:
+        # imported only here: its import would slow every one-process command
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return [v for group in pool.map(_group_task, groups) for v in group]
     return _group_task(groups[0])

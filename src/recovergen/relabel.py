@@ -74,26 +74,30 @@ def select_risky_states(curated: Sequence[Trajectory], expert_states: Sequence[n
         raise ValueError("need k_rel >= 0 and min_sep >= 1")
     if k_rel == 0:
         return []
-    candidates = []
+    dists, ids, steps = [], [], []
     for i, traj in enumerate(curated):
         t_hi = traj.horizon - horizon_h
         if t_hi < 0:
             continue
         d = state_distances(traj.states, expert_states[i], psi, scales)
-        for t in range(len(d)):
-            candidates.append((float(d[t]), i, min(t, t_hi)))
+        dists.append(d)
+        ids.append(np.full(len(d), i))
+        steps.append(np.minimum(np.arange(len(d)), t_hi))
+    if not dists:
+        return []
+    risk, traj_ids, ts = (np.concatenate(c) for c in (dists, ids, steps))
     # descending risk; deterministic tie-break by trajectory then timestep
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    order = np.lexsort((ts, traj_ids, -risk))
     chosen: List[RelabelPoint] = []
     taken: dict = {}
-    for risk, i, t in candidates:
+    for r, i, t in zip(risk[order].tolist(), traj_ids[order].tolist(), ts[order].tolist()):
         if len(chosen) == k_rel:
             break
         slots = taken.setdefault(i, [])
         if any(abs(t - s) < min_sep for s in slots):
             continue
         slots.append(t)
-        chosen.append(RelabelPoint(trajectory_id=i, t=t, risk=risk))
+        chosen.append(RelabelPoint(trajectory_id=i, t=t, risk=r))
     return chosen
 
 

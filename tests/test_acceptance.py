@@ -12,8 +12,8 @@ import pytest
 from recovergen.config import PipelineConfig
 from recovergen.curator import (TubeBounds, build_kernel, compute_tube,
                                 dct2_matrix, dct_embed, dpp_log_det,
-                                dpp_select_greedy, quantile, tube_reward,
-                                update_proposal)
+                                dpp_select_greedy, quantile, state_distances,
+                                tube_reward, update_proposal)
 from recovergen.envs import (EnvParams, PlanarBlockRotate, PointReach,
                              Trajectory, augmented_demo_actions, make_env,
                              rollout, rollout_with_resume)
@@ -251,17 +251,18 @@ def test_criterion_03_tube_fallback():
 def test_criterion_04_tube_reward_closed_forms():
     experts = np.array([[0.0]])
 
-    def traj_at(d, n=6):
-        return Trajectory(states=np.full((n, 1), d),
+    def dists_at(d, n=6):
+        traj = Trajectory(states=np.full((n, 1), d),
                           actions=np.zeros((n - 1, 1)), success=True,
                           env_params=EnvParams())
+        return state_distances(traj.states, experts, IDENT, [1.0])
 
     tube = TubeBounds(0.1, 0.5)
-    assert abs(tube_reward(traj_at(0.3), tube, experts, IDENT, [1.0]) - 1.0) <= 1e-12
+    assert abs(tube_reward(dists_at(0.3), tube) - 1.0) <= 1e-12
     for g in (0.25, 0.7, 1.0):
-        r = tube_reward(traj_at(0.5 + g), tube, experts, IDENT, [1.0])
+        r = tube_reward(dists_at(0.5 + g), tube)
         assert abs(r - (1.0 - g)) <= 1e-12
-    assert abs(tube_reward(traj_at(1.5), tube, experts, IDENT, [1.0])) <= 1e-12
+    assert abs(tube_reward(dists_at(1.5), tube)) <= 1e-12
     _report("4 tube reward closed forms", "in-band R=1, violation g R=1-g")
 
 

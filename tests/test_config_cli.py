@@ -1,11 +1,15 @@
 """Configuration parsing and the command-line surface (exit codes, file
 formats, overrides)."""
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import recovergen
 from recovergen.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NO_DATA, EXIT_OK, main)
 from recovergen.config import (ConfigError, PipelineConfig, apply_option,
                                config_parameters, load_config)
@@ -325,3 +329,14 @@ def test_cli_stats_reads_the_manifest_only(small_dataset, capsys, monkeypatch):
     assert main(["stats", str(small_dataset), "--json"]) == EXIT_OK
     stats = json.loads(capsys.readouterr().out)
     assert {k: stats[k] for k in counts} == counts
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the pool module is imported by --jobs > 1 runs only; every other
+    # command would pay its import for nothing
+    src = os.path.dirname(os.path.dirname(recovergen.__file__))
+    code = ("import sys, recovergen.cli\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -79,13 +79,13 @@ def test_distance_rejects_empty_experts():
 def test_peak_deviation_replay_is_zero():
     experts = np.array([[0.0], [0.5], [1.0]])
     traj = make_traj(experts)
-    assert peak_deviation(traj, experts, IDENT, [1.0]) == 0.0
+    assert peak_deviation(state_distances(traj.states, experts, IDENT, [1.0])) == 0.0
 
 
 def test_peak_deviation_single_spike():
     experts = np.array([[0.0], [1.0]])
     traj = make_traj([[0.0], [0.5], [1.0]])
-    assert np.isclose(peak_deviation(traj, experts, IDENT, [1.0]), 0.5)
+    assert np.isclose(peak_deviation(state_distances(traj.states, experts, IDENT, [1.0])), 0.5)
 
 
 def test_peak_deviation_matches_bruteforce_max():
@@ -95,8 +95,8 @@ def test_peak_deviation_matches_bruteforce_max():
                      actions=np.zeros((11, 1)))
     oracle = max(manifold_distance(s, experts, IDENT, [1.0, 1.0])
                  for s in traj.states)
-    assert np.isclose(peak_deviation(traj, experts, IDENT, [1.0, 1.0]), oracle,
-                      atol=1e-12)
+    d = state_distances(traj.states, experts, IDENT, [1.0, 1.0])
+    assert np.isclose(peak_deviation(d), oracle, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,7 @@ def test_tube_bounds_validation():
 def test_tube_reward_all_in_band():
     experts = np.array([[0.0]])
     traj = make_traj([[0.2], [0.3], [0.25]])
-    r = tube_reward(traj, TubeBounds(0.1, 0.5), experts, IDENT, [1.0])
+    r = tube_reward(state_distances(traj.states, experts, IDENT, [1.0]), TubeBounds(0.1, 0.5))
     assert np.isclose(r, 1.0, atol=1e-12)
 
 
@@ -194,14 +194,14 @@ def test_tube_reward_uniform_outer_violation():
     experts = np.array([[0.0]])
     g = 0.3
     traj = make_traj([[0.5 + g]] * 4)
-    r = tube_reward(traj, TubeBounds(0.1, 0.5), experts, IDENT, [1.0])
+    r = tube_reward(state_distances(traj.states, experts, IDENT, [1.0]), TubeBounds(0.1, 0.5))
     assert np.isclose(r, 1.0 - g, atol=1e-12)
 
 
 def test_tube_reward_uniform_inner_violation():
     experts = np.array([[0.0]])
     traj = make_traj([[0.1]] * 3)  # d = 0.1, r_min = 0.6 -> hinge 0.5
-    r = tube_reward(traj, TubeBounds(0.6, 0.8), experts, IDENT, [1.0])
+    r = tube_reward(state_distances(traj.states, experts, IDENT, [1.0]), TubeBounds(0.6, 0.8))
     assert np.isclose(r, 0.5, atol=1e-12)
 
 
@@ -210,7 +210,8 @@ def test_tube_reward_never_exceeds_one():
     experts = rng.standard_normal((10, 1))
     for _ in range(20):
         traj = make_traj(rng.standard_normal((8, 1)))
-        r = tube_reward(traj, TubeBounds(0.1, 0.4), experts, IDENT, [1.0])
+        d = state_distances(traj.states, experts, IDENT, [1.0])
+        r = tube_reward(d, TubeBounds(0.1, 0.4))
         assert r <= 1.0 + 1e-12
 
 

@@ -165,6 +165,28 @@ def test_block_step_bitwise_equals_scalar_reference(block_rows):
     assert np.any(moved & (frictions > 1.0)) and np.any(moved & (frictions < 0.0))
 
 
+@pytest.mark.parametrize("touching", [True, False])
+def test_block_step_uniform_contact_batches(block_rows, touching):
+    """Batches in which every row, or no row, has both effectors in
+    contact, as the scalar reference decides it: the kernel fits all rows in the
+    first and none in the second."""
+    env, rows, actions, frictions = block_rows
+    both = np.array([_in_contact(env, lx, ly, bx, by, bth)
+                     and _in_contact(env, rx, ry, bx, by, bth)
+                     for bx, by, bth, lx, ly, rx, ry in rows.tolist()])
+    idx = np.flatnonzero(both == touching)
+    assert len(idx) > 640
+    ref = _reference(env, scalar_block_step, rows[idx], actions[idx], frictions[idx])
+    assert np.any(ref[:, :3] != rows[idx, :3]) == touching
+    for batch in (slice(None), slice(0, 640), slice(5, 6)):
+        got = env.step(rows[idx][batch], actions[idx][batch], _per_row(frictions[idx][batch]))
+        assert _bitwise_equal(got, ref[batch])
+    params = EnvParams(friction_scale=0.85)
+    ref = _reference(env, scalar_block_step, rows[idx], actions[idx],
+                     np.full(len(idx), params.friction_scale))
+    assert _bitwise_equal(env.step(rows[idx], actions[idx], params), ref)
+
+
 def test_block_step_one_params_for_all_rows(block_rows):
     env, rows, actions, _ = block_rows
     params = EnvParams(friction_scale=0.85)

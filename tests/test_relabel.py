@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from recovergen.curator import TubeBounds
+from recovergen.curator import TubeBounds, state_distances
 from recovergen.envs import (PlanarBlockRotate, PointReach, Trajectory,
                              augmented_demo_actions, rollout,
                              rollout_with_resume)
@@ -96,6 +96,52 @@ def test_select_measures_each_trajectory_against_its_own_expert():
     pts = select_risky_states([traj, traj], [near, far], IDENT, [1.0], 2, 30, 5)
     assert [p.trajectory_id for p in pts] == [1, 0]
     assert np.isclose(pts[0].risk, 0.7) and np.isclose(pts[1].risk, 0.1)
+
+
+def _tuple_sort_select(curated, expert_states, psi, scales, k_rel, min_sep, horizon_h):
+    """Reference selection: one (risk, trajectory, t) tuple per state,
+    sorted by descending risk, then trajectory, then timestep."""
+    candidates = []
+    for i, traj in enumerate(curated):
+        t_hi = traj.horizon - horizon_h
+        if t_hi < 0:
+            continue
+        d = state_distances(traj.states, expert_states[i], psi, scales)
+        for t in range(len(d)):
+            candidates.append((float(d[t]), i, min(t, t_hi)))
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    chosen, taken = [], {}
+    for risk, i, t in candidates:
+        if len(chosen) == k_rel:
+            break
+        slots = taken.setdefault(i, [])
+        if any(abs(t - s) < min_sep for s in slots):
+            continue
+        slots.append(t)
+        chosen.append(RelabelPoint(trajectory_id=i, t=t, risk=risk))
+    return chosen
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_select_order_equals_tuple_sort(seed):
+    rng = np.random.default_rng(seed)
+    # four levels against shared experts: risks tie within and across
+    # trajectories; short trajectories clip many timesteps to t_hi, and
+    # those under horizon_h steps are skipped
+    shapes = [line_traj(rng.choice([0.0, 0.25, 0.5, 1.0], int(rng.integers(4, 30))))
+              for _ in range(5)]
+    experts = [np.array([[0.0]]), np.array([[0.25], [0.75]])]
+    curated = [shapes[j] for j in rng.integers(0, len(shapes), 12)]
+    expert_states = [experts[j] for j in rng.integers(0, len(experts), 12)]
+    for k_rel in (1, 4, 25, 1000):
+        for min_sep in (1, 3):
+            args = (curated, expert_states, IDENT, [1.0], k_rel, min_sep, 6)
+            got = select_risky_states(*args)
+            assert got == _tuple_sort_select(*args)
+            assert all(type(p.trajectory_id) is int and type(p.t) is int
+                       and type(p.risk) is float for p in got)
+    short = [line_traj([0.0, 1.0, 0.5])] * 2
+    assert select_risky_states(short, [experts[0]] * 2, IDENT, [1.0], 3, 1, 6) == []
 
 
 def test_select_rejects_bad_args():

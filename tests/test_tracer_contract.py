@@ -52,15 +52,30 @@ def dataset(tmp_path_factory):
     return out, {"generate": generate, "stats": stats}
 
 
-@pytest.mark.parametrize("command", ["generate", "stats"])
-def test_traced_run_reports_every_layer_metric(dataset, command):
+def _layer_values(dataset, command):
     out, aggregates = dataset
     r = dict(aggregates[command], cpu_per_wall=1.0, overhead_s=0.0,
              bytes_written=sum(f.stat().st_size for f in out.iterdir()))
     values, absent = run.layer_values(r)
+    return r, values, absent
+
+
+@pytest.mark.parametrize("command", ["generate", "stats"])
+def test_traced_run_reports_every_layer_metric(dataset, command):
+    r, values, absent = _layer_values(dataset, command)
     assert not r["absent"] and not absent
     assert set(values) == set(run.LAYER_METRICS)
     assert all(math.isfinite(v) for v in values.values())
     # no result counter broke on a changed return type
     assert set(r["counters"]) == {key for counters in tracer.RESULT_COUNTERS.values()
                                   for key, _ in counters}
+
+
+@pytest.mark.parametrize("metric", ["envs.steps", "curator.state_distances.calls",
+                                    "relabel.busy_s", "pipeline.self_s",
+                                    "dataset_io.serialize_s"])
+def test_traced_generate_calls_into_each_layer(dataset, metric):
+    # a wrapper is registered when it is installed, so one that the run
+    # never calls (a name the program no longer looks up) reads 0, not absent
+    _, values, _ = _layer_values(dataset, "generate")
+    assert values[metric] > 0
