@@ -11,6 +11,7 @@ Usage:
         --episodes 50 --levels 6 --seed 0
 """
 import argparse
+import math
 
 import numpy as np
 
@@ -50,6 +51,13 @@ def main():
     args = ap.parse_args()
     if args.episodes < 1:
         ap.error("--episodes must be >= 1")
+    if args.levels < 1:
+        ap.error("--levels must be >= 1")
+    # written so that nan fails the comparison too
+    if not all(0 <= b < math.inf for b in args.trans_range):
+        ap.error("--trans-range bounds must be finite and >= 0")
+    if not 0 <= args.yaw_range < math.inf:
+        ap.error("--yaw-range must be finite and >= 0")
 
     env = make_env(args.env)
     if not 1 <= args.l_blend <= env.horizon - 1:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional
@@ -77,6 +78,8 @@ class PipelineConfig:
     jobs: int = 1
     l_blend: int = 10
     chunk_len: int = 30
+    # x, y, z bounds: z is drawn and unused, which keeps each pose's random
+    # numbers those of the stored datasets
     trans_range: tuple = (0.08, 0.08, 0.0)
     yaw_range: float = 0.3
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
@@ -94,9 +97,30 @@ class PipelineConfig:
             raise ConfigError("jobs must be >= 1")
         if self.sampler.m_points < 2:
             raise ConfigError("sampler.m_points must be >= 2")
-        if self.curator.temperature <= 0:
-            raise ConfigError("curator.temperature must be > 0")
-        rc = self.relabel
+        sc, cc, rc = self.sampler, self.curator, self.relabel
+        tr = self.trans_range
+        if not (isinstance(tr, (tuple, list)) and len(tr) == 3 and all(map(_nonneg, tr))):
+            raise ConfigError(f"trans_range must be three finite numbers >= 0 (x, y and "
+                              f"an unused z), got {tr!r}")
+        # 0 means "auto" for sigma0, sigma_rbf, min_sep and init_std
+        for name, value in [("yaw_range", self.yaw_range), ("sampler.sigma0", sc.sigma0),
+                            ("sampler.variance_floor", sc.variance_floor),
+                            ("curator.sigma_rbf", cc.sigma_rbf),
+                            ("curator.eps_stab", cc.eps_stab), ("curator.delta", cc.delta),
+                            ("relabel.k_rel", rc.k_rel), ("relabel.min_sep", rc.min_sep),
+                            ("relabel.cem_iterations", rc.cem_iterations),
+                            ("relabel.init_std", rc.init_std), ("relabel.w_fail", rc.w_fail),
+                            ("relabel.w_tube", rc.w_tube), ("relabel.w_ref", rc.w_ref)]:
+            if not _nonneg(value):
+                raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+        for name, value in [("curator.temperature", cc.temperature),
+                            ("curator.eps_dpp", cc.eps_dpp)]:
+            if not (_nonneg(value) and value > 0):
+                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+        if not 0.0 < cc.m_fraction <= 1.0:
+            raise ConfigError("curator.m_fraction must lie in (0, 1]")
+        if cc.k_dct < 1:
+            raise ConfigError("curator.k_dct must be >= 1")
         if rc.population < 1:
             raise ConfigError("relabel.population must be >= 1")
         if not 0.0 < rc.elite_frac <= 1.0:
@@ -108,13 +132,20 @@ class PipelineConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"environment '{self.env}': {exc}") from exc
         for name, length in [("relabel.horizon", rc.horizon), ("chunk_len", self.chunk_len),
-                             ("curator.k_dct + 1", self.curator.k_dct + 1)]:
+                             ("curator.k_dct + 1", cc.k_dct + 1),
+                             ("sampler.m_points", sc.m_points)]:
             if length > env_horizon:
                 raise ConfigError(f"{name} ({length}) exceeds the environment "
                                   f"horizon ({env_horizon})")
         if env_horizon + 1 - self.l_blend < 2:
             raise ConfigError(f"l_blend ({self.l_blend}) leaves fewer than 2 demo poses "
                               f"in the environment horizon ({env_horizon})")
+
+
+def _nonneg(value) -> bool:
+    """A finite real number >= 0 (NaN and booleans are not)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 <= value < math.inf)
 
 
 _SECTIONS = {"sampler": SamplerConfig, "curator": CuratorConfig, "relabel": RelabelConfig}

@@ -169,12 +169,12 @@ class Environment:
         raise NotImplementedError
 
     def demo_ee_positions(self, n: int) -> list:
-        """Per-effector world positions of the scripted demo, one (n, 3)
-        array each, under the nominal object pose."""
+        """Per-effector planar world positions of the scripted demo, one
+        (n, 2) array each, under the nominal object pose."""
         raise NotImplementedError
 
     def reset_ee_positions(self) -> list:
-        """Effector positions (3,) right after environment reset."""
+        """Effector positions (2,) right after environment reset."""
         raise NotImplementedError
 
 
@@ -293,9 +293,7 @@ class PlanarBlockRotate(Environment):
         return np.array([0.1, 0.1, 0.5, 0.1, 0.1, 0.1, 0.1])
 
     def reset(self, variant: Pose, params: EnvParams) -> np.ndarray:
-        bx, by, _ = variant.translation
-        bth = variant.yaw()
-        return np.array([bx, by, bth,
+        return np.array([variant.x, variant.y, variant.yaw,
                          self.reset_left[0], self.reset_left[1],
                          self.reset_right[0], self.reset_right[1]])
 
@@ -356,7 +354,7 @@ class PlanarBlockRotate(Environment):
         return np.asarray(states, dtype=float)
 
     def demo_object_pose(self) -> Pose:
-        return Pose.identity()
+        return Pose()
 
     def demo_ee_positions(self, n: int) -> list:
         """Grab the block slightly inside its short faces (a pressing
@@ -369,13 +367,12 @@ class PlanarBlockRotate(Environment):
             # math.cos/math.sin, as when the stored data were recorded:
             # np.cos/np.sin may differ from them in the last ulp on some builds
             c, s = math.cos(phi), math.sin(phi)
-            left.append((-c * r, -s * r, 0.0))
-            right.append((c * r, s * r, 0.0))
+            left.append((-c * r, -s * r))
+            right.append((c * r, s * r))
         return [np.array(left), np.array(right)]
 
     def reset_ee_positions(self) -> list:
-        return [np.array([self.reset_left[0], self.reset_left[1], 0.0]),
-                np.array([self.reset_right[0], self.reset_right[1], 0.0])]
+        return [np.array(self.reset_left, dtype=float), np.array(self.reset_right, dtype=float)]
 
 
 @dataclass(frozen=True)
@@ -403,8 +400,7 @@ class PointReach(Environment):
         return np.array([0.1, 0.1])
 
     def reset(self, variant: Pose, params: EnvParams) -> np.ndarray:
-        gx, gy, _ = variant.translation
-        return np.array([self.start[0], self.start[1], gx, gy])
+        return np.array([self.start[0], self.start[1], variant.x, variant.y])
 
     def step(self, state, action, params: ParamsArg):
         state = np.asarray(state, dtype=float)
@@ -421,16 +417,16 @@ class PointReach(Environment):
         return states[..., :2]
 
     def demo_object_pose(self) -> Pose:
-        return Pose.from_xy_yaw(self.goal[0], self.goal[1], 0.0)
+        return Pose(self.goal[0], self.goal[1])
 
     def demo_ee_positions(self, n: int) -> list:
         sx, sy = self.start
         gx, gy = self.goal
         alpha = np.arange(1, n + 1) / n
-        return [np.stack([sx + alpha * (gx - sx), sy + alpha * (gy - sy), np.zeros(n)], axis=1)]
+        return [np.stack([sx + alpha * (gx - sx), sy + alpha * (gy - sy)], axis=1)]
 
     def reset_ee_positions(self) -> list:
-        return [np.array([self.start[0], self.start[1], 0.0])]
+        return [np.array(self.start, dtype=float)]
 
 
 def make_env(name: str, **overrides) -> Environment:
@@ -456,5 +452,5 @@ def augmented_demo_actions(env: Environment, variant: Pose, l_blend: int) -> np.
     for reset, demo in zip(env.reset_ee_positions(), env.demo_ee_positions(n_demo)):
         points = reanchor_trajectory(demo, demo_obj0, variant)
         blend = (1.0 - alpha) * reset + alpha * points[0]
-        actions.append(np.diff(np.concatenate([blend, points])[:, :2], axis=0))
+        actions.append(np.diff(np.concatenate([blend, points]), axis=0))
     return np.concatenate(actions, axis=1)

@@ -56,6 +56,7 @@ class VariantResult:
     index: int
     pose: Pose
     curated: List[Trajectory] = field(default_factory=list)
+    distances: List[np.ndarray] = field(default_factory=list)   # one per curated
     expert_states: Optional[np.ndarray] = None
     final_tube: Optional[TubeBounds] = None
     stats: List[IterationStats] = field(default_factory=list)
@@ -180,6 +181,7 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
         q = cur.update_proposal(q, sel_c, sel_w, cfg.curator.eps_stab,
                                 cfg.curator.delta)
         result.curated.extend(batch.trajectories[i] for i in selected)
+        result.distances.extend(dists[i] for i in selected)
         result.stats.append(IterationStats(index, k, batch.n_sampled, len(batch),
                                            len(selected), tube.r_min, tube.r_max,
                                            float(q.std.mean()), stalled=q.stalled))
@@ -285,18 +287,19 @@ def run_pgdg(cfg: PipelineConfig) -> RunReport:
         raise PipelineError("all variants starved of successful rollouts")
 
     curated: List[Trajectory] = []
+    distances: List[np.ndarray] = []
     experts: List[np.ndarray] = []
     tubes: List[TubeBounds] = []
     for v in active:
-        for traj in v.curated:
-            curated.append(traj)
-            experts.append(v.expert_states)
-            tubes.append(v.final_tube)
+        curated += v.curated
+        distances += v.distances
+        experts += [v.expert_states] * len(v.curated)
+        tubes += [v.final_tube] * len(v.curated)
 
     relabel_rng = np.random.default_rng(seeds[-1])
     cem = _cem_config(env, cfg)
     min_sep = cfg.relabel.min_sep if cfg.relabel.min_sep > 0 else cem.horizon
-    targets = relabel_dataset(curated, env, tubes, cem, relabel_rng, experts,
+    targets = relabel_dataset(curated, env, tubes, cem, relabel_rng, experts, distances,
                               k_rel=cfg.relabel.k_rel, min_sep=min_sep)
 
     manifest = _manifest(cfg, env, "generate")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,23 +63,22 @@ class CemConfig:
         return max(1, int(round(self.population * self.elite_frac)))
 
 
-def select_risky_states(curated: Sequence[Trajectory], expert_states: Sequence[np.ndarray],
-                        psi: Callable, scales, k_rel: int, min_sep: int,
+def select_risky_states(distances: Sequence[np.ndarray], k_rel: int, min_sep: int,
                         horizon_h: int) -> List[RelabelPoint]:
     """Globally top-k_rel states by distance-to-expert, greedy in
     descending risk, enforcing a minimum temporal separation within each
     trajectory.  Timesteps are clipped so a full H-step prefix fits.
-    ``expert_states[i]`` is the expert state sequence of ``curated[i]``."""
+    ``distances[i]`` holds trajectory i's distance to its expert at each
+    of its states (horizon + 1 values)."""
     if k_rel < 0 or min_sep < 1:
         raise ValueError("need k_rel >= 0 and min_sep >= 1")
     if k_rel == 0:
         return []
     dists, ids, steps = [], [], []
-    for i, traj in enumerate(curated):
-        t_hi = traj.horizon - horizon_h
+    for i, d in enumerate(distances):
+        t_hi = len(d) - 1 - horizon_h
         if t_hi < 0:
             continue
-        d = state_distances(traj.states, expert_states[i], psi, scales)
         dists.append(d)
         ids.append(np.full(len(d), i))
         steps.append(np.minimum(np.arange(len(d)), t_hi))
@@ -222,19 +221,21 @@ def cem_optimize(point: RelabelPoint, traj: Trajectory, env: Environment,
 def relabel_dataset(curated: Sequence[Trajectory], env: Environment,
                     tube: Sequence[TubeBounds], cfg: CemConfig,
                     rng: np.random.Generator, expert_states: Sequence[np.ndarray],
-                    k_rel: int = 10, min_sep: Optional[int] = None) -> List[RelabelTarget]:
+                    distances: Sequence[np.ndarray], k_rel: int = 10,
+                    min_sep: Optional[int] = None) -> List[RelabelTarget]:
     """Select the riskiest states across the curated set and optimize a
     corrective chunk at each; failed points are dropped with a logged
-    diagnostic.  ``tube[i]`` and ``expert_states[i]`` belong to
+    diagnostic.  ``tube[i]``, ``expert_states[i]`` and ``distances[i]``
+    (``state_distances`` of its states to that expert) belong to
     ``curated[i]``.  Outputs are ordered by selection rank."""
     if len(curated) == 0:
         raise ValueError("curated set must be non-empty")
-    if len(tube) != len(curated) or len(expert_states) != len(curated):
-        raise ValueError("need one tube and one expert state sequence per trajectory")
+    if not len(tube) == len(expert_states) == len(distances) == len(curated):
+        raise ValueError("need one tube, one expert state sequence and one distance "
+                         "array per trajectory")
     if min_sep is None:
         min_sep = cfg.horizon
-    points = select_risky_states(curated, expert_states, env.psi, env.psi_scales,
-                                 k_rel, min_sep, cfg.horizon)
+    points = select_risky_states(distances, k_rel, min_sep, cfg.horizon)
     if not points:
         return []
     context = [(curated[p.trajectory_id], p.t, tube[p.trajectory_id],

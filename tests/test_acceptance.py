@@ -47,11 +47,11 @@ def _report(name, detail=""):
 # sha256 of every output file of the seed-7 default run (the ``generated``
 # fixture, equal to ``recovergen generate --seed 7 --jobs 1``)
 GOLDEN_DIGESTS = {
-    "manifest": "40e37138cbbd1ec27fb3fcad38dea73645a4fbba103959d78e8ca48ba28a6457",
-    "records.npy": "eb295565868465f5c0030190ededcc253b802e37f8552f6dcc016290ee97887a",
-    "report.jsonl": "4a161e2f496cca156eb01763267a703ccbbb5bcfd76fcf304dcec2b4832c96ee",
+    "manifest": "4478dfddaf99953558a8ae60d14ab217658136ad262ef15272e7f6eb97c4a954",
+    "records.npy": "dbe4288239638cea710ce7105a461239b5d3d994eebe31c79e1da0ead2e2984b",
+    "report.jsonl": "2c7e1ac030bda37615e38fccec4cf4060236a71043cd3fc52b2f303d1aea0549",
     "report.txt": "7b22373813e7d8b110ab61897b0ce07b4351f68f8d0a5ac63a4d003e9f6eac1e",
-    "trajectories.npy": "437496c92f978d48d23047e2a2c8dab6f5eabeed2588d5726caa0ea578403d30",
+    "trajectories.npy": "3dacc19c64bf4365342ee398af16c48bcf75b76f4a4424e49e88ab9adb6b7ada",
 }
 
 
@@ -76,8 +76,10 @@ def test_golden_digest_of_default_run(generated):
 
 
 # sha256 of the same run's ``records`` in dataset format 1, which stored
-# every curated window as well as the relabeled records
-FORMAT_1_RECORDS_DIGEST = "6ee524e2f1258fb0883cf0a5e515049248b373272b0ba1db666fe0f82fe33aec"
+# every curated window as well as the relabeled records; since the planar
+# (x, y, yaw) geometry it is the json.dumps oracle encoding of this run,
+# not a file that format-1 code wrote
+FORMAT_1_RECORDS_DIGEST = "74e911b917d859c7c29e5ae3e98392798277988b00cef6a1a57f7a50aee2bd9c"
 
 
 def test_rebuilt_records_encode_to_the_format_1_file(generated):
@@ -96,10 +98,11 @@ def test_rebuilt_records_encode_to_the_format_1_file(generated):
 
 
 # sha256 of the same run's ``trajectories`` and ``records`` in dataset
-# format 2, which stored them as json.dumps lines
+# format 2, which stored them as json.dumps lines; since the planar
+# geometry, the oracle encoding of this run, as above
 FORMAT_2_DIGESTS = {
-    "trajectories": "14b4ae7d7e033f98932ee74aa8402a8407cc7bb9c7180aa7563bfb8e415c3aa0",
-    "records": "7d1e64bd6b33a382f995f9a6863aff5e883a7499c8cf1186de203ac221970811",
+    "trajectories": "e13e97707b8eb801542c817aa1de6119161b6aeff08e183abf3d2c88c2b8b547",
+    "records": "cc817786c596c020f28f8719c365d4cdede003a1aa916ff0ca29a9312c38d536",
 }
 
 
@@ -389,8 +392,9 @@ def test_criterion_09_relabel_validation():
     cfg = CemConfig(population=16, iterations=3, init_std=0.005, horizon=15)
     k_rel = 10
     targets = relabel_dataset([traj, traj], env, [TubeBounds(0.0, 100.0)] * 2, cfg,
-                              np.random.default_rng(SEED),
-                              [traj.states] * 2, k_rel=k_rel)
+                              np.random.default_rng(SEED), [traj.states] * 2,
+                              [state_distances(traj.states, traj.states, env.psi,
+                                               env.psi_scales)] * 2, k_rel=k_rel)
     assert 0 < len(targets) <= k_rel
     curated = [traj, traj]
     per_traj = {}

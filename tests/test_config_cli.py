@@ -186,6 +186,30 @@ def test_cli_unknown_key_exit_code(capsys):
     (["curator.temperature=-0.5"], "curator.temperature"),
     (["env.horizon=20", "chunk_len=10", "curator.k_dct=20"], "curator.k_dct + 1 (21) exceeds"),
     (["sampler.m_points=1"], "sampler.m_points"),
+    (["sampler.m_points=61"], "sampler.m_points (61) exceeds the environment horizon (60)"),
+    (["yaw_range=-0.1"], "yaw_range must be a finite number >= 0, got -0.1"),
+    (["yaw_range=Infinity"], "yaw_range must be a finite number >= 0, got inf"),
+    (["trans_range=[0.1]"], "trans_range must be three finite numbers >= 0"),
+    (["trans_range=[-0.1,0,0]"], "trans_range must be three finite numbers >= 0"),
+    (["trans_range=[0.1,NaN,0]"], "trans_range must be three finite numbers >= 0"),
+    (["trans_range=0.1"], "trans_range must be three finite numbers >= 0"),
+    (["relabel.k_rel=-1"], "relabel.k_rel must be a finite number >= 0"),
+    (["curator.eps_dpp=0"], "curator.eps_dpp must be a finite number > 0"),
+    (["relabel.w_fail=-1"], "relabel.w_fail must be a finite number >= 0"),
+    (["relabel.w_tube=-1"], "relabel.w_tube must be a finite number >= 0"),
+    (["relabel.w_ref=-1"], "relabel.w_ref must be a finite number >= 0"),
+    (["curator.delta=-1"], "curator.delta must be a finite number >= 0"),
+    (["curator.delta=NaN"], "curator.delta must be a finite number >= 0, got nan"),
+    (["curator.eps_stab=-1"], "curator.eps_stab must be a finite number >= 0"),
+    (["sampler.variance_floor=-1"], "sampler.variance_floor must be a finite number >= 0"),
+    (["sampler.sigma0=-1"], "sampler.sigma0 must be a finite number >= 0"),
+    (["curator.sigma_rbf=-1"], "curator.sigma_rbf must be a finite number >= 0"),
+    (["relabel.init_std=-1"], "relabel.init_std must be a finite number >= 0"),
+    (["relabel.min_sep=-1"], "relabel.min_sep must be a finite number >= 0"),
+    (["curator.m_fraction=0"], "curator.m_fraction must lie in (0, 1]"),
+    (["curator.m_fraction=1.5"], "curator.m_fraction must lie in (0, 1]"),
+    (["curator.k_dct=0"], "curator.k_dct must be >= 1"),
+    (["relabel.cem_iterations=-1"], "relabel.cem_iterations must be a finite number >= 0"),
 ])
 def test_cli_relabel_and_env_config_fail_before_any_rollout(tmp_path, capsys, sets,
                                                            message):

@@ -103,7 +103,7 @@ def test_rollout_shape_and_dimension_check(reach_env):
 
 
 def test_rollout_bitwise_deterministic(block_env):
-    pose = Pose.from_xy_yaw(0.01, -0.02, 0.1)
+    pose = Pose(0.01, -0.02, 0.1)
     params = EnvParams(mass=1.3, friction_scale=0.93)
     s0 = block_env.reset(pose, params)
     rng = np.random.default_rng(0)
@@ -124,7 +124,7 @@ def test_pointreach_straight_line_succeeds(reach_env):
 
 def test_block_zero_actions_fail(block_env):
     params = nominal(block_env)
-    s0 = block_env.reset(Pose.identity(), params)
+    s0 = block_env.reset(Pose(), params)
     traj = rollout(block_env, s0,
                    np.zeros((block_env.horizon, block_env.action_dim)), params)
     assert not traj.success
@@ -138,7 +138,7 @@ def test_trajectory_length_mismatch_rejected():
 
 def test_rollout_with_resume_identity_relabel(block_env):
     params = nominal(block_env)
-    pose = Pose.identity()
+    pose = Pose()
     actions = augmented_demo_actions(block_env, pose, l_blend=10)
     src = rollout(block_env, block_env.reset(pose, params), actions, params)
     t = 20
@@ -150,7 +150,7 @@ def test_rollout_with_resume_identity_relabel(block_env):
 
 def test_rollout_with_resume_empty_prefix(block_env):
     params = nominal(block_env)
-    pose = Pose.identity()
+    pose = Pose()
     actions = augmented_demo_actions(block_env, pose, l_blend=10)
     src = rollout(block_env, block_env.reset(pose, params), actions, params)
     cont = rollout_with_resume(block_env, src.states[0],
@@ -160,7 +160,7 @@ def test_rollout_with_resume_empty_prefix(block_env):
 
 def test_rollout_with_resume_adversarial_prefix_fails(block_env):
     params = nominal(block_env)
-    pose = Pose.identity()
+    pose = Pose()
     actions = augmented_demo_actions(block_env, pose, l_blend=10)
     src = rollout(block_env, block_env.reset(pose, params), actions, params)
     assert src.success
@@ -172,7 +172,7 @@ def test_rollout_with_resume_adversarial_prefix_fails(block_env):
 
 def test_rollout_with_resume_rejects_overlong_span(block_env):
     params = nominal(block_env)
-    s = block_env.reset(Pose.identity(), params)
+    s = block_env.reset(Pose(), params)
     too_long = np.zeros((block_env.horizon + 1, block_env.action_dim))
     with pytest.raises(ValueError):
         rollout_with_resume(block_env, s, too_long,
@@ -185,7 +185,7 @@ def test_rollout_with_resume_rejects_overlong_span(block_env):
 
 def test_block_frozen_without_contact(block_env):
     params = nominal(block_env)
-    s = block_env.reset(Pose.identity(), params)  # effectors far from block
+    s = block_env.reset(Pose(), params)  # effectors far from block
     s2 = block_env.step(s, np.array([0.01, 0.01, -0.01, 0.02]), params)
     assert np.allclose(s2[:3], s[:3])  # block pose unchanged
     assert np.allclose(s2[3:], s[3:] + [0.01, 0.01, -0.01, 0.02])
@@ -239,7 +239,7 @@ def test_high_friction_slip_clamped_to_one(block_env):
 
 
 def test_action_clamped_to_a_max(block_env):
-    s = block_env.reset(Pose.identity(), nominal(block_env))
+    s = block_env.reset(Pose(), nominal(block_env))
     s2 = block_env.step(s, np.array([10.0, -10.0, 10.0, -10.0]), nominal(block_env))
     assert np.allclose(s2[3:] - s[3:], [0.03, -0.03, 0.03, -0.03])
 
@@ -263,9 +263,9 @@ def test_block_demo_respects_action_bounds(block_env):
 
 
 # sha256 of the concatenated augmented demo actions below, recorded with the
-# earlier per-pose re-anchor (glibc's libm on x86-64); any change to the
+# planar (x, y, yaw) re-anchor (glibc's libm on x86-64); any change to the
 # re-anchor or blend arithmetic moves it
-DEMO_ACTIONS_DIGEST = "3fe88902253e3e94ab7bc6deede4be95d35a8ced2f6a2fdabcb12f2ae45b75fb"
+DEMO_ACTIONS_DIGEST = "d7fc0b71580fea518a1063b82a20e13daa529690d245ce25a98563ba0f76687f"
 
 
 def test_augmented_demo_actions_bitwise():
@@ -287,7 +287,7 @@ def test_augmented_demo_actions_bitwise():
 def test_augmented_demo_small_perturbation_succeeds(block_env):
     # small translation-only perturbation: re-anchored replay still succeeds
     params = nominal(block_env)
-    pose = Pose.from_xy_yaw(0.03, -0.02, 0.0)
+    pose = Pose(0.03, -0.02, 0.0)
     actions = augmented_demo_actions(block_env, pose, l_blend=10)
     traj = rollout(block_env, block_env.reset(pose, params), actions, params)
     assert traj.success
@@ -303,7 +303,7 @@ def test_augmented_demo_success_degrades_with_perturbation(block_env):
         for _ in range(20):
             dx, dy = rng.uniform(-0.08, 0.08, 2) * scale
             yaw = rng.uniform(-0.3, 0.3) * scale
-            pose = Pose.from_xy_yaw(dx, dy, yaw)
+            pose = Pose(dx, dy, yaw)
             params = block_env.sample_env_params(rng)
             actions = augmented_demo_actions(block_env, pose, 10)
             ok += rollout(block_env, block_env.reset(pose, params),

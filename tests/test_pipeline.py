@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from recovergen.config import PipelineConfig
+from recovergen.curator import state_distances
 from recovergen.dataset_io import deserialize, load_trajectories
 from recovergen.envs import make_env, rollout
 from recovergen.pipeline import (PipelineError, _run_variants, compare_replay,
@@ -105,10 +106,11 @@ def _bits(a):
 def _assert_variant_results_equal(a, b):
     assert (a.index, a.skipped, a.n_generated, a.n_successful) == \
         (b.index, b.skipped, b.n_generated, b.n_successful)
-    assert a.pose.allclose(b.pose, atol=0.0)
+    assert a.pose == b.pose
     assert a.stats == b.stats and a.final_tube == b.final_tube
     assert _bits(a.expert_states) == _bits(b.expert_states)
-    assert len(a.curated) == len(b.curated)
+    assert len(a.curated) == len(b.curated) == len(a.distances) == len(b.distances)
+    assert [_bits(d) for d in a.distances] == [_bits(d) for d in b.distances]
     for x, y in zip(a.curated, b.curated):
         assert (x.success, x.env_params, x.variant) == (y.success, y.env_params, y.variant)
         for field in ("states", "actions", "origin"):
@@ -133,6 +135,12 @@ def test_lockstep_variants_equal_one_at_a_time():
     assert len(together) == len(alone) == cfg.n_variants
     for a, b in zip(together, alone):
         _assert_variant_results_equal(a, b)
+    # relabeling reuses each curated trajectory's distances: they must be
+    # the bits a fresh computation gives
+    for v in together:
+        for traj, d in zip(v.curated, v.distances):
+            fresh = state_distances(traj.states, v.expert_states, env.psi, env.psi_scales)
+            assert _bits(d) == _bits(fresh)
 
 
 def test_run_pgdg_repeat_identical(tmp_path):
@@ -163,7 +171,7 @@ def test_variant_poses_deterministic():
     a = sample_variant_poses(env, cfg, np.random.default_rng(3))
     b = sample_variant_poses(env, cfg, np.random.default_rng(3))
     assert len(a) == cfg.n_variants
-    assert all(x.allclose(y, atol=0.0) for x, y in zip(a, b))
+    assert a == b
 
 
 # ---------------------------------------------------------------------------

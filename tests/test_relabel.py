@@ -14,6 +14,13 @@ from recovergen.relabel import (CemConfig, RelabelPoint, _costs, cem_optimize,
 IDENT = lambda s: np.asarray(s, dtype=float)  # noqa: E731
 
 
+def risks(curated, expert_states, psi=IDENT, scales=(1.0,)):
+    """Each trajectory's distances to its own expert, as the pipeline
+    keeps them for relabeling."""
+    return [state_distances(traj.states, expert, psi, scales)
+            for traj, expert in zip(curated, expert_states)]
+
+
 def line_traj(values, success=True):
     states = np.asarray(values, dtype=float)[:, None]
     from recovergen.envs import EnvParams
@@ -46,14 +53,14 @@ def test_cem_config_validation():
 def test_select_empty_when_k_zero():
     traj = line_traj(np.linspace(0, 1, 21))
     experts = np.array([[0.0]])
-    assert select_risky_states([traj], [experts], IDENT, [1.0], 0, 5, 5) == []
+    assert select_risky_states(risks([traj], [experts]), 0, 5, 5) == []
 
 
 def test_select_picks_global_maxima_in_risk_order():
     experts = np.array([[0.0]])
     a = line_traj([0.0] * 15 + [0.9] + [0.0] * 10)   # spike risk 0.9 at t=15
     b = line_traj([0.0] * 5 + [0.5] + [0.0] * 20)    # spike risk 0.5 at t=5
-    pts = select_risky_states([a, b], [experts] * 2, IDENT, [1.0], 2, 5, 5)
+    pts = select_risky_states(risks([a, b], [experts] * 2), 2, 5, 5)
     assert (pts[0].trajectory_id, pts[0].t) == (0, 15)
     assert (pts[1].trajectory_id, pts[1].t) == (1, 5)
     assert pts[0].risk >= pts[1].risk
@@ -64,7 +71,7 @@ def test_select_min_separation_suppresses_nearby_spike():
     vals = [0.0] * 26
     vals[10], vals[13] = 0.9, 0.8  # spikes 3 steps apart
     traj = line_traj(vals)
-    pts = select_risky_states([traj], [experts], IDENT, [1.0], 2, 5, 5)
+    pts = select_risky_states(risks([traj], [experts]), 2, 5, 5)
     same = [p for p in pts if p.trajectory_id == 0]
     ts = [p.t for p in same]
     assert 10 in ts and 13 not in ts
@@ -77,14 +84,14 @@ def test_select_clips_timestep_for_full_chunk():
     experts = np.array([[0.0]])
     vals = [0.0] * 25 + [1.0]  # riskiest state is the terminal one
     traj = line_traj(vals)
-    pts = select_risky_states([traj], [experts], IDENT, [1.0], 1, 5, horizon_h=10)
+    pts = select_risky_states(risks([traj], [experts]), 1, 5, horizon_h=10)
     assert pts[0].t == traj.horizon - 10
 
 
 def test_select_returns_fewer_when_not_enough_points():
     experts = np.array([[0.0]])
     traj = line_traj(np.linspace(0, 1, 12))
-    pts = select_risky_states([traj], [experts], IDENT, [1.0], 50, 6, 4)
+    pts = select_risky_states(risks([traj], [experts]), 50, 6, 4)
     assert 0 < len(pts) < 50
     ts = sorted(p.t for p in pts)
     assert all(b - a >= 6 for a, b in zip(ts, ts[1:]))
@@ -93,7 +100,7 @@ def test_select_returns_fewer_when_not_enough_points():
 def test_select_measures_each_trajectory_against_its_own_expert():
     traj = line_traj([0.0] * 26)
     near, far = np.array([[0.1]]), np.array([[0.7]])
-    pts = select_risky_states([traj, traj], [near, far], IDENT, [1.0], 2, 30, 5)
+    pts = select_risky_states(risks([traj, traj], [near, far]), 2, 30, 5)
     assert [p.trajectory_id for p in pts] == [1, 0]
     assert np.isclose(pts[0].risk, 0.7) and np.isclose(pts[1].risk, 0.1)
 
@@ -135,20 +142,20 @@ def test_select_order_equals_tuple_sort(seed):
     expert_states = [experts[j] for j in rng.integers(0, len(experts), 12)]
     for k_rel in (1, 4, 25, 1000):
         for min_sep in (1, 3):
-            args = (curated, expert_states, IDENT, [1.0], k_rel, min_sep, 6)
-            got = select_risky_states(*args)
-            assert got == _tuple_sort_select(*args)
+            got = select_risky_states(risks(curated, expert_states), k_rel, min_sep, 6)
+            assert got == _tuple_sort_select(curated, expert_states, IDENT, [1.0], k_rel,
+                                             min_sep, 6)
             assert all(type(p.trajectory_id) is int and type(p.t) is int
                        and type(p.risk) is float for p in got)
     short = [line_traj([0.0, 1.0, 0.5])] * 2
-    assert select_risky_states(short, [experts[0]] * 2, IDENT, [1.0], 3, 1, 6) == []
+    assert select_risky_states(risks(short, [experts[0]] * 2), 3, 1, 6) == []
 
 
 def test_select_rejects_bad_args():
     with pytest.raises(ValueError):
-        select_risky_states([], [], IDENT, [1.0], -1, 5, 5)
+        select_risky_states([], -1, 5, 5)
     with pytest.raises(ValueError):
-        select_risky_states([], [], IDENT, [1.0], 3, 0, 5)
+        select_risky_states([], 3, 0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +164,7 @@ def test_select_rejects_bad_args():
 
 def _block_fixture():
     env = PlanarBlockRotate()
-    pose = Pose.identity()
+    pose = Pose()
     params = env.nominal_env_params()
     actions = augmented_demo_actions(env, pose, l_blend=10)
     traj = rollout(env, env.reset(pose, params), actions, params)
@@ -305,10 +312,10 @@ def test_relabel_dataset_equals_points_optimized_one_at_a_time():
     env, traj, expert = _block_fixture()
     cfg = CemConfig(population=12, iterations=3, init_std=0.005, horizon=15)
     tube = TubeBounds(0.0, 0.05)
+    dists = risks([traj], [expert], env.psi, env.psi_scales)
     targets = relabel_dataset([traj], env, [tube], cfg, np.random.default_rng(3),
-                              [expert], k_rel=3)
-    points = select_risky_states([traj], [expert], env.psi, env.psi_scales, 3,
-                                 cfg.horizon, cfg.horizon)
+                              [expert], dists, k_rel=3)
+    points = select_risky_states(dists, 3, cfg.horizon, cfg.horizon)
     alone = [cem_optimize(point, traj, env, tube, cfg, rng, expert)
              for point, rng in zip(points, np.random.default_rng(3).spawn(len(points)))]
     alone = [a for a in alone if a is not None]
@@ -325,7 +332,8 @@ def test_relabel_dataset_targets_validate_and_separate():
     env, traj, expert = _block_fixture()
     cfg = CemConfig(population=16, iterations=3, init_std=0.005, horizon=15)
     targets = relabel_dataset([traj], env, [TubeBounds(0.0, 100.0)], cfg,
-                              np.random.default_rng(3), [expert], k_rel=4)
+                              np.random.default_rng(3), [expert],
+                              risks([traj], [expert], env.psi, env.psi_scales), k_rel=4)
     assert 0 < len(targets) <= 4
     seen = {}
     for tgt in targets:
@@ -345,17 +353,20 @@ def test_relabel_dataset_rejects_empty_curated():
     env = PointReach()
     cfg = CemConfig()
     with pytest.raises(ValueError):
-        relabel_dataset([], env, [], cfg, np.random.default_rng(0), [])
+        relabel_dataset([], env, [], cfg, np.random.default_rng(0), [], [])
 
 
 def test_relabel_dataset_needs_one_tube_and_expert_per_trajectory():
     env, traj, expert = _block_fixture()
     cfg = CemConfig(population=4, iterations=1, horizon=15)
     tube = TubeBounds(0.0, 100.0)
-    for tubes, experts in (([tube], [expert] * 2), ([tube] * 2, [expert])):
+    dists = risks([traj], [expert], env.psi, env.psi_scales)
+    for tubes, experts, d in (([tube], [expert] * 2, dists * 2),
+                              ([tube] * 2, [expert], dists * 2),
+                              ([tube] * 2, [expert] * 2, dists)):
         with pytest.raises(ValueError, match="per trajectory"):
             relabel_dataset([traj, traj], env, tubes, cfg, np.random.default_rng(0),
-                            experts)
+                            experts, d)
 
 
 def test_relabel_dataset_deterministic():
@@ -364,7 +375,8 @@ def test_relabel_dataset_deterministic():
     runs = []
     for _ in range(2):
         tgts = relabel_dataset([traj], env, [TubeBounds(0.0, 100.0)], cfg,
-                               np.random.default_rng(5), [expert], k_rel=3)
+                               np.random.default_rng(5), [expert],
+                               risks([traj], [expert], env.psi, env.psi_scales), k_rel=3)
         runs.append(tgts)
     assert len(runs[0]) == len(runs[1])
     for a, b in zip(*runs):

@@ -191,7 +191,7 @@ def test_success_batch_near_replay_keeps_all():
 def test_success_batch_guaranteed_failure_is_empty():
     env = PointReach()
     q = _reach_proposal(env, sigma0=1e-5)
-    far = Pose.from_xy_yaw(10.0, 10.0, 0.0)  # unreachable goal
+    far = Pose(10.0, 10.0, 0.0)  # unreachable goal
     batch = generate_success_batch(env, far, q, 10, np.random.default_rng(0))
     assert len(batch) == 0
     assert batch.n_sampled == 10

@@ -58,7 +58,10 @@ def test_perturbation_sweep_output_pinned():
 
 @pytest.mark.parametrize("args", [["--l-blend", "0"], ["--l-blend", "60"],
                                   ["--env", "point_reach", "--l-blend", "30"],
-                                  ["--episodes", "0"]])
+                                  ["--episodes", "0"], ["--levels", "0"],
+                                  ["--yaw-range", "-1"], ["--yaw-range", "nan"],
+                                  ["--trans-range", "0.1", "-0.1", "0"],
+                                  ["--trans-range", "0.1", "inf", "0"]])
 def test_perturbation_sweep_rejects_bad_arguments(args):
     proc = script("perturbation_sweep.py", "--levels", "1", *args)
     assert proc.returncode == 2
