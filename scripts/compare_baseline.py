@@ -30,16 +30,14 @@ def main():
     cfg = PipelineConfig(env=args.env, out_dir=gen_dir, seed=args.seed,
                          jobs=args.jobs)
     report = run_pgdg(cfg)
-    totals = report.totals
-    print(f"generate: {totals['selected']} curated of "
-          f"{totals['successful']} successful / {totals['generated']} sampled, "
-          f"{report.n_relabeled} relabeled, {report.wall_time_s:.1f}s")
+    m = report.manifest
+    print(f"generate: {m.n_selected} curated of {m.n_successful} successful / "
+          f"{m.n_generated} sampled, {m.n_relabeled} relabeled, {report.wall_time_s:.1f}s")
 
     base_cfg = PipelineConfig(env=args.env, out_dir=base_dir, seed=args.seed,
                               n_variants=args.baseline_variants)
-    base_report = run_spatial_only(base_cfg)
-    print(f"baseline: {base_report.totals['successful']} successful of "
-          f"{base_report.totals['generated']} replays")
+    base = run_spatial_only(base_cfg).manifest
+    print(f"baseline: {base.n_successful} successful of {base.n_generated} replays")
 
     out = compare_replay(gen_dir, base_dir, args.trials, seed=args.seed)
     print(json.dumps(out, indent=2))

@@ -83,10 +83,10 @@ def main(argv=None) -> int:
             cfg = _load_run_config(args)
             runner = run_pgdg if args.command == "generate" else run_spatial_only
             report = runner(cfg)
-            totals = report.totals
-            print(f"wrote {report.n_records} records to {cfg.out_dir} "
-                  f"(generated {totals['generated']}, successful {totals['successful']}, "
-                  f"selected {totals['selected']}, relabeled {report.n_relabeled}) "
+            m = report.manifest
+            print(f"wrote {m.n_records} records to {cfg.out_dir} "
+                  f"(generated {m.n_generated}, successful {m.n_successful}, "
+                  f"selected {m.n_selected}, relabeled {m.n_relabeled}) "
                   f"in {report.wall_time_s:.1f}s")
         elif args.command == "evaluate":
             if args.compare:

@@ -11,7 +11,7 @@ Keys are dotted by section, e.g.::
     relabel.cem_iterations = 30
 
 Values are parsed as JSON where possible (numbers, lists, booleans) and
-kept as strings otherwise.  Unknown keys are rejected.
+kept as strings otherwise.  Unknown and repeated keys are rejected.
 """
 from __future__ import annotations
 
@@ -208,6 +208,7 @@ def apply_option(cfg: PipelineConfig, key: str, value) -> None:
 def load_config(path: Optional[str] = None, overrides: Optional[Dict] = None) -> PipelineConfig:
     cfg = PipelineConfig()
     if path is not None:
+        first_line: Dict[str, int] = {}
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -216,8 +217,13 @@ def load_config(path: Optional[str] = None, overrides: Optional[Dict] = None) ->
                 if "=" not in line:
                     raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
                 key, _, value = line.partition("=")
+                key = key.strip()
+                if key in first_line:
+                    raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}, "
+                                      f"first set on line {first_line[key]}")
+                first_line[key] = lineno
                 try:
-                    apply_option(cfg, key.strip(), value.strip())
+                    apply_option(cfg, key, value.strip())
                 except ConfigError as exc:
                     raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
     for key, value in (overrides or {}).items():

@@ -28,6 +28,7 @@ deliberate stand-in for full rigid-body contact resolution.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Tuple, Union
@@ -132,6 +133,35 @@ class Environment:
     psi_scales: np.ndarray      # normalization of the task subspace
     mass_range: tuple = (1.0, 1.0)
     friction_range: tuple = (1.0, 1.0)
+    _POSITIVE: Tuple[str, ...] = ()   # constants that must be > 0
+
+    def __post_init__(self):
+        """Reject a constant that is not finite, an integer constant that
+        is not an integer, a tuple of the wrong length, a reversed
+        ``*_range``, a non-positive one of ``_POSITIVE`` and other state or
+        action dimensions than the dynamics have."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, str):
+                continue
+            if f.name in ("state_dim", "action_dim") and value != f.default:
+                raise ValueError(f"{f.name} is fixed at {f.default}, got {value!r}")
+            if isinstance(f.default, tuple):
+                n = len(f.default)
+                items = value if isinstance(value, tuple) and len(value) == n else None
+                what = f"{n} finite numbers"
+            else:
+                items, what = (value,), "a finite number"
+            if items is None or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                        and math.isfinite(v) for v in items):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            if isinstance(f.default, int) and not isinstance(value, int):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.name in self._POSITIVE and min(items) <= 0:
+                raise ValueError(f"{f.name} must be {what} > 0, got {value!r}")
+            if f.name.endswith("_range") and items[0] > items[1]:
+                raise ValueError(f"{f.name} must be (low, high) with low <= high, "
+                                 f"got {value!r}")
 
     # -- dynamics ---------------------------------------------------------
     def reset(self, variant: Pose, params: EnvParams) -> np.ndarray:
@@ -286,6 +316,7 @@ class PlanarBlockRotate(Environment):
     name: str = "planar_block_rotate"
     state_dim: int = 7
     action_dim: int = 4
+    _POSITIVE = ("horizon", "a_max", "contact_margin", "half_extents", "eps_theta")
 
     @property
     def psi_scales(self) -> np.ndarray:
@@ -394,6 +425,7 @@ class PointReach(Environment):
     name: str = "point_reach"
     state_dim: int = 4
     action_dim: int = 2
+    _POSITIVE = ("horizon", "a_max", "eps_p")
 
     @property
     def psi_scales(self) -> np.ndarray:

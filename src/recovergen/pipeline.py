@@ -29,7 +29,7 @@ from .dataset_io import (DatasetFormatError, DatasetManifest, export_pairs, open
 from .envs import (Environment, EnvParams, Trajectory, augmented_demo_actions,
                    make_env, rollout_batch)
 from .geometry import Pose, compose, sample_object_perturbation
-from .relabel import CemConfig, relabel_dataset
+from .relabel import relabel_dataset
 
 log = logging.getLogger(__name__)
 
@@ -67,19 +67,12 @@ class VariantResult:
 
 @dataclass
 class RunReport:
-    seed: int
-    variants: List[VariantResult]
-    n_records: int = 0
-    n_relabeled: int = 0
-    wall_time_s: float = 0.0
+    """A finished run: its variants and the manifest it wrote, which owns
+    the run's counts."""
 
-    @property
-    def totals(self) -> Dict[str, int]:
-        return {
-            "generated": sum(v.n_generated for v in self.variants),
-            "successful": sum(v.n_successful for v in self.variants),
-            "selected": sum(len(v.curated) for v in self.variants),
-        }
+    variants: List[VariantResult]
+    manifest: DatasetManifest
+    wall_time_s: float = 0.0
 
 
 def _build_env(cfg: PipelineConfig) -> Environment:
@@ -88,15 +81,6 @@ def _build_env(cfg: PipelineConfig) -> Environment:
 
 def _default_sigma0(env: Environment, configured: float) -> float:
     return configured if configured > 0 else 0.05 * (2.0 * env.a_max)
-
-
-def _cem_config(env: Environment, cfg: PipelineConfig) -> CemConfig:
-    rc = cfg.relabel
-    init_std = rc.init_std if rc.init_std > 0 else 0.25 * (2.0 * env.a_max)
-    return CemConfig(population=rc.population, elite_frac=rc.elite_frac,
-                     iterations=rc.cem_iterations, init_std=init_std,
-                     w_fail=rc.w_fail, w_tube=rc.w_tube, w_ref=rc.w_ref,
-                     horizon=rc.horizon)
 
 
 def sample_variant_poses(env: Environment, cfg: PipelineConfig,
@@ -253,7 +237,7 @@ def _write_report(out_dir: str, report: RunReport) -> None:
     import json
     import os
     rows = []
-    text = [f"seed: {report.seed}"]
+    text = [f"seed: {report.manifest.seed}"]
     for v in report.variants:
         if v.skipped:
             text.append(f"variant {v.index}: skipped (starved of successes)")
@@ -264,10 +248,9 @@ def _write_report(out_dir: str, report: RunReport) -> None:
                 f"success {s.n_success}/{s.n_sampled}, selected {s.n_selected}, "
                 f"tube [{s.r_min:.4f}, {s.r_max:.4f}], sigma {s.sigma_mean:.5f}"
                 + (" (stalled)" if s.stalled else ""))
-    totals = report.totals
-    text.append(f"totals: generated {totals['generated']}, "
-                f"successful {totals['successful']}, selected {totals['selected']}, "
-                f"relabeled {report.n_relabeled}, records {report.n_records}")
+    m = report.manifest
+    text.append(f"totals: generated {m.n_generated}, successful {m.n_successful}, "
+                f"selected {m.n_selected}, relabeled {m.n_relabeled}, records {m.n_records}")
     _atomic_write(os.path.join(out_dir, "report.txt"), ["\n".join(text) + "\n"])
     _atomic_write(os.path.join(out_dir, "report.jsonl"), (json.dumps(r) + "\n" for r in rows))
 
@@ -296,11 +279,8 @@ def run_pgdg(cfg: PipelineConfig) -> RunReport:
         experts += [v.expert_states] * len(v.curated)
         tubes += [v.final_tube] * len(v.curated)
 
-    relabel_rng = np.random.default_rng(seeds[-1])
-    cem = _cem_config(env, cfg)
-    min_sep = cfg.relabel.min_sep if cfg.relabel.min_sep > 0 else cem.horizon
-    targets = relabel_dataset(curated, env, tubes, cem, relabel_rng, experts, distances,
-                              k_rel=cfg.relabel.k_rel, min_sep=min_sep)
+    targets = relabel_dataset(curated, env, tubes, cfg.relabel,
+                              np.random.default_rng(seeds[-1]), experts, distances)
 
     manifest = _manifest(cfg, env, "generate")
     manifest.n_generated = sum(v.n_generated for v in variants)
@@ -310,8 +290,7 @@ def run_pgdg(cfg: PipelineConfig) -> RunReport:
     serialize(manifest, cfg.out_dir, curated,
               export_pairs([], targets, cfg.chunk_len, observe=env.observe))
 
-    report = RunReport(seed=cfg.seed, variants=variants, n_records=manifest.n_records,
-                       n_relabeled=manifest.n_relabeled)
+    report = RunReport(variants=variants, manifest=manifest)
     _write_report(cfg.out_dir, report)
     report.wall_time_s = time.perf_counter() - t0
     return report
@@ -335,9 +314,6 @@ def run_spatial_only(cfg: PipelineConfig) -> RunReport:
         env, np.array([env.reset(pose, p) for pose, p in zip(poses, params)]), actions, params)
     rollouts = [Trajectory(states=states[i], actions=actions[i], success=bool(success[i]),
                            env_params=params[i], variant=i) for i in range(len(poses))]
-    variants = [VariantResult(index=i, pose=pose, curated=[traj], n_generated=1,
-                              n_successful=int(traj.success))
-                for i, (pose, traj) in enumerate(zip(poses, rollouts))]
 
     manifest = _manifest(cfg, env, "baseline")
     manifest.n_generated = len(rollouts)
@@ -345,7 +321,8 @@ def run_spatial_only(cfg: PipelineConfig) -> RunReport:
     manifest.n_selected = manifest.n_successful
     serialize(manifest, cfg.out_dir, rollouts)
 
-    report = RunReport(seed=cfg.seed, variants=variants, n_records=manifest.n_records)
+    report = RunReport(variants=[VariantResult(index=i, pose=pose)
+                                 for i, pose in enumerate(poses)], manifest=manifest)
     _write_report(cfg.out_dir, report)
     report.wall_time_s = time.perf_counter() - t0
     return report

@@ -14,10 +14,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import RelabelConfig
 from .curator import TubeBounds, state_distances
 from .envs import Environment, Trajectory, rollout_batch
 
 log = logging.getLogger(__name__)
+
+STD_FLOOR = 1e-6   # lower bound on each CEM spread, per action dimension
 
 
 @dataclass(frozen=True)
@@ -36,31 +39,6 @@ class RelabelTarget:
     chunk: np.ndarray          # (H, d_a)
     point: RelabelPoint
     cost: float
-
-
-@dataclass(frozen=True)
-class CemConfig:
-    population: int = 64
-    elite_frac: float = 0.125
-    iterations: int = 30
-    init_std: float = 0.0075   # 0.25 x the default action range
-    w_fail: float = 1e3
-    w_tube: float = 10.0
-    w_ref: float = 1.0
-    horizon: int = 15
-    std_floor: float = 1e-6
-
-    def __post_init__(self):
-        if self.population < 1 or not 0.0 < self.elite_frac <= 1.0:
-            raise ValueError("population and elite fraction inconsistent")
-        if self.n_elites < 1:
-            raise ValueError("need at least one elite")
-        if min(self.w_fail, self.w_tube, self.w_ref) < 0:
-            raise ValueError("cost weights must be non-negative")
-
-    @property
-    def n_elites(self) -> int:
-        return max(1, int(round(self.population * self.elite_frac)))
 
 
 def select_risky_states(distances: Sequence[np.ndarray], k_rel: int, min_sep: int,
@@ -104,7 +82,7 @@ def select_risky_states(distances: Sequence[np.ndarray], k_rel: int, min_sep: in
 _Point = Tuple[Trajectory, int, TubeBounds, np.ndarray]
 
 
-def _continuations(env: Environment, cfg: CemConfig, points: Sequence[_Point],
+def _continuations(env: Environment, cfg: RelabelConfig, points: Sequence[_Point],
                    chunks: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """Roll out every candidate chunk of every point in one batch: the
     chunk from the risky state, then the reference plan's remainder.
@@ -126,7 +104,7 @@ def _continuations(env: Environment, cfg: CemConfig, points: Sequence[_Point],
     return rollout_batch(env, s0s, actions, params, lengths)
 
 
-def _costs(env: Environment, cfg: CemConfig, points: Sequence[_Point],
+def _costs(env: Environment, cfg: RelabelConfig, points: Sequence[_Point],
            chunks: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Relabel cost of every candidate chunk of every point (see
     ``relabel_cost``), with one rollout batch for all of them."""
@@ -157,28 +135,31 @@ def _costs(env: Environment, cfg: CemConfig, points: Sequence[_Point],
 
 
 def relabel_cost(u: np.ndarray, traj: Trajectory, t: int, tube: TubeBounds,
-                 env: Environment, cfg: CemConfig, expert_states) -> float:
+                 env: Environment, cfg: RelabelConfig, expert_states) -> float:
     """J = w_fail [continuation fails] + w_tube sum relu(d - r_max)^2 over
     the corrected span + w_ref ||u - u_ref||^2."""
     u = np.asarray(u, dtype=float).reshape(1, cfg.horizon * env.action_dim)
     return float(_costs(env, cfg, [(traj, t, tube, expert_states)], [u])[0][0])
 
 
-def _cem_lockstep(env: Environment, cfg: CemConfig, points: Sequence[RelabelPoint],
+def _cem_lockstep(env: Environment, cfg: RelabelConfig, points: Sequence[RelabelPoint],
                   context: Sequence[_Point],
                   rngs: Sequence[np.random.Generator]) -> List[Optional[RelabelTarget]]:
     """Cross-entropy search at every point at once: each iteration rolls
     out all points' populations in one batch, while each point keeps its
-    own mean, spread, best candidate and random stream."""
+    own mean, spread, best candidate and random stream.  ``init_std`` 0
+    starts each spread at 0.25 x the action range."""
     for traj, t, _, _ in context:
         if t < 0 or t + cfg.horizon > traj.horizon:
             raise ValueError("relabel point does not leave room for a full chunk")
     dim = cfg.horizon * env.action_dim
     means = [traj.actions[t:t + cfg.horizon].reshape(-1).copy() for traj, t, _, _ in context]
-    stds = [np.full(dim, cfg.init_std) for _ in context]
+    init_std = cfg.init_std if cfg.init_std > 0 else 0.25 * (2.0 * env.a_max)
+    n_elites = max(1, int(round(cfg.population * cfg.elite_frac)))
+    stds = [np.full(dim, init_std) for _ in context]
     best_us = [m.copy() for m in means]
     best_costs = [float(c[0]) for c in _costs(env, cfg, context, [m[None] for m in means])]
-    for _ in range(cfg.iterations):
+    for _ in range(cfg.cem_iterations):
         pops = []
         for mean, std, rng in zip(means, stds, rngs):
             pop = mean + std * rng.standard_normal((cfg.population, dim))
@@ -189,9 +170,9 @@ def _cem_lockstep(env: Environment, cfg: CemConfig, points: Sequence[RelabelPoin
             if costs[order[0]] < best_costs[j]:
                 best_costs[j] = float(costs[order[0]])
                 best_us[j] = pop[order[0]].copy()
-            elites = pop[order[:cfg.n_elites]]
+            elites = pop[order[:n_elites]]
             means[j] = elites.mean(axis=0)
-            stds[j] = np.maximum(elites.std(axis=0), cfg.std_floor)
+            stds[j] = np.maximum(elites.std(axis=0), STD_FLOOR)
 
     _, success = _continuations(env, cfg, context, [u[None] for u in best_us])
     targets: List[Optional[RelabelTarget]] = []
@@ -210,7 +191,7 @@ def _cem_lockstep(env: Environment, cfg: CemConfig, points: Sequence[RelabelPoin
 
 
 def cem_optimize(point: RelabelPoint, traj: Trajectory, env: Environment,
-                 tube: TubeBounds, cfg: CemConfig, rng: np.random.Generator,
+                 tube: TubeBounds, cfg: RelabelConfig, rng: np.random.Generator,
                  expert_states) -> Optional[RelabelTarget]:
     """Cross-entropy search for a corrective chunk around the reference
     segment.  Keeps the best candidate ever seen; emits a target only if
@@ -219,11 +200,11 @@ def cem_optimize(point: RelabelPoint, traj: Trajectory, env: Environment,
 
 
 def relabel_dataset(curated: Sequence[Trajectory], env: Environment,
-                    tube: Sequence[TubeBounds], cfg: CemConfig,
+                    tube: Sequence[TubeBounds], cfg: RelabelConfig,
                     rng: np.random.Generator, expert_states: Sequence[np.ndarray],
-                    distances: Sequence[np.ndarray], k_rel: int = 10,
-                    min_sep: Optional[int] = None) -> List[RelabelTarget]:
-    """Select the riskiest states across the curated set and optimize a
+                    distances: Sequence[np.ndarray]) -> List[RelabelTarget]:
+    """Select the ``cfg.k_rel`` riskiest states across the curated set,
+    at least ``cfg.min_sep`` steps apart (0: the horizon), and optimize a
     corrective chunk at each; failed points are dropped with a logged
     diagnostic.  ``tube[i]``, ``expert_states[i]`` and ``distances[i]``
     (``state_distances`` of its states to that expert) belong to
@@ -233,9 +214,8 @@ def relabel_dataset(curated: Sequence[Trajectory], env: Environment,
     if not len(tube) == len(expert_states) == len(distances) == len(curated):
         raise ValueError("need one tube, one expert state sequence and one distance "
                          "array per trajectory")
-    if min_sep is None:
-        min_sep = cfg.horizon
-    points = select_risky_states(distances, k_rel, min_sep, cfg.horizon)
+    min_sep = cfg.min_sep if cfg.min_sep > 0 else cfg.horizon
+    points = select_risky_states(distances, cfg.k_rel, min_sep, cfg.horizon)
     if not points:
         return []
     context = [(curated[p.trajectory_id], p.t, tube[p.trajectory_id],

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from recovergen.config import PipelineConfig
+from recovergen.config import PipelineConfig, RelabelConfig
 from recovergen.curator import (TubeBounds, build_kernel, compute_tube,
                                 dct2_matrix, dct_embed, dpp_log_det,
                                 dpp_select_greedy, quantile, state_distances,
@@ -19,8 +19,7 @@ from recovergen.envs import (EnvParams, PlanarBlockRotate, PointReach,
                              rollout, rollout_with_resume)
 from recovergen.dataset_io import deserialize
 from recovergen.pipeline import (compare_replay, run_pgdg, run_spatial_only)
-from recovergen.relabel import (CemConfig, RelabelPoint, cem_optimize,
-                                relabel_dataset)
+from recovergen.relabel import RelabelPoint, cem_optimize, relabel_dataset
 from recovergen.sampler import Proposal
 
 IDENT = lambda s: np.asarray(s, dtype=float)  # noqa: E731
@@ -369,9 +368,9 @@ def test_criterion_08_cem_quadratic_convergence():
     actions = augmented_demo_actions(env, pose, l_blend=1)
     traj = rollout(env, env.reset(pose, params), actions, params)
     assert traj.success
-    cfg = CemConfig(population=64, elite_frac=0.125, iterations=50,
-                    init_std=0.0075, w_fail=0.0, w_tube=0.0, w_ref=1.0,
-                    horizon=15)
+    cfg = RelabelConfig(population=64, elite_frac=0.125, cem_iterations=50,
+                        init_std=0.0075, w_fail=0.0, w_tube=0.0, w_ref=1.0,
+                        horizon=15)
     point = RelabelPoint(trajectory_id=0, t=4, risk=0.0)
     u_ref = traj.actions[4:19]
     for seed in range(20):
@@ -389,12 +388,13 @@ def test_criterion_09_relabel_validation():
     actions = augmented_demo_actions(env, pose, l_blend=10)
     traj = rollout(env, env.reset(pose, params), actions, params)
     assert traj.success
-    cfg = CemConfig(population=16, iterations=3, init_std=0.005, horizon=15)
     k_rel = 10
+    cfg = RelabelConfig(k_rel=k_rel, population=16, cem_iterations=3, init_std=0.005,
+                        horizon=15)
     targets = relabel_dataset([traj, traj], env, [TubeBounds(0.0, 100.0)] * 2, cfg,
                               np.random.default_rng(SEED), [traj.states] * 2,
                               [state_distances(traj.states, traj.states, env.psi,
-                                               env.psi_scales)] * 2, k_rel=k_rel)
+                                               env.psi_scales)] * 2)
     assert 0 < len(targets) <= k_rel
     curated = [traj, traj]
     per_traj = {}

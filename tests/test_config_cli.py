@@ -210,13 +210,23 @@ def test_cli_unknown_key_exit_code(capsys):
     (["curator.m_fraction=1.5"], "curator.m_fraction must lie in (0, 1]"),
     (["curator.k_dct=0"], "curator.k_dct must be >= 1"),
     (["relabel.cem_iterations=-1"], "relabel.cem_iterations must be a finite number >= 0"),
+    (["env.a_max=-0.03"], "a_max must be a finite number > 0, got -0.03"),
+    (["env.eps_theta=-1"], "eps_theta must be a finite number > 0, got -1"),
+    (["env.half_extents=[0.1]"], "half_extents must be 2 finite numbers, got (0.1,)"),
+    (["env.contact_margin=NaN"], "contact_margin must be a finite number, got nan"),
+    (["env.half_extents=[0.1,0]"], "half_extents must be 2 finite numbers > 0"),
+    (["env.mass_range=[3,0.5]"], "mass_range must be (low, high) with low <= high"),
+    (["env.horizon=20.5"], "horizon must be an integer, got 20.5"),
+    (["env.state_dim=3"], "state_dim is fixed at 7, got 3"),
+    (["--env", "point_reach", "env.eps_p=0"], "eps_p must be a finite number > 0, got 0"),
+    (["--env", "point_reach", "env.goal=[0.25,Infinity]"], "goal must be 2 finite numbers"),
 ])
 def test_cli_relabel_and_env_config_fail_before_any_rollout(tmp_path, capsys, sets,
                                                            message):
     out = tmp_path / "never"
     argv = ["generate", "--out", str(out)]
     for item in sets:
-        argv += ["--set", item]
+        argv += [item] if item.startswith("-") or "=" not in item else ["--set", item]
     assert main(argv) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -284,6 +294,21 @@ def test_cli_config_file_flag(tmp_path, capsys):
     assert (out / "manifest").exists()
 
 
+def test_cli_config_file_repeated_key_exits_2(tmp_path, capsys):
+    # a later line must not silently overwrite an earlier one
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("seed = 3\niterations = 1\n# comment\n seed = 4\n")
+    out = tmp_path / "never"
+    assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+    assert (f"config error: {cfg_path}: line 4: duplicate key 'seed', first set on line 1"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    # a repeated --set still takes its last value
+    assert main(["generate", "--out", str(out), "--set", "iterations=1",
+                 "--set", "iterations=0"]) == EXIT_CONFIG
+    assert "iterations, samples, and n_variants must all be >= 1" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("small") / "ds"
@@ -326,6 +351,32 @@ def test_cli_duplicate_manifest_key_exits_4(small_dataset, tmp_path, capsys):
         assert captured.out == "" and "Traceback" not in captured.err
         assert (f"line {len(lines)}: duplicate key 'n_selected', first set on line {first + 1}"
                 in captured.err)
+
+
+def _named_counts(text):
+    """The run counts that a CLI line or a report totals line names."""
+    counts = {k: int(v) for k, v in
+              re.findall(r"(generated|successful|selected|relabeled) (\d+)", text)}
+    records = re.search(r"wrote (\d+) records|records (\d+)", text)
+    counts["records"] = int(records.group(1) or records.group(2))
+    return counts
+
+
+@pytest.mark.parametrize("command", ["generate", "baseline"])
+def test_cli_and_report_counts_equal_stats(tmp_path, capsys, command):
+    out = tmp_path / "ds"
+    # the baseline runs the block under randomized friction: some rollouts fail
+    argv = (_fast_args(out) if command == "generate"
+            else ["baseline", "--seed", "7", "--set", "n_variants=40", "--out", str(out)])
+    assert main(argv) == EXIT_OK
+    line = capsys.readouterr().out
+    totals = (out / "report.txt").read_text().splitlines()[-1]
+    assert main(["stats", str(out), "--json"]) == EXIT_OK
+    stats = json.loads(capsys.readouterr().out)
+    want = {k: stats[k] for k in ("generated", "successful", "selected", "relabeled")}
+    want["records"] = stats["records_curated"] + stats["records_relabeled"]
+    assert _named_counts(line) == want == _named_counts(totals)
+    assert 0 < want["selected"] < want["generated"]
 
 
 def test_cli_evaluate_rejects_negative_trials(small_dataset, capsys):

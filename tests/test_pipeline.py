@@ -44,11 +44,11 @@ def dir_bytes(path):
 def test_run_pgdg_outputs_and_accounting(tmp_path):
     cfg = fast_cfg(tmp_path / "ds")
     report = run_pgdg(cfg)
-    assert report.n_records > 0
-    totals = report.totals
-    assert totals["generated"] >= cfg.n_variants * cfg.iterations * cfg.samples
-    assert totals["successful"] <= totals["generated"]
-    assert totals["selected"] <= totals["successful"]
+    m = report.manifest
+    assert m.n_records > 0
+    assert m.n_generated >= cfg.n_variants * cfg.iterations * cfg.samples
+    assert m.n_successful <= m.n_generated
+    assert m.n_selected <= m.n_successful
     for v in report.variants:
         if not v.skipped:
             assert len(v.stats) == cfg.iterations
@@ -73,9 +73,9 @@ def test_run_pgdg_manifest_counts_match(tmp_path):
     cfg = fast_cfg(tmp_path / "ds")
     report = run_pgdg(cfg)
     records, manifest = deserialize(str(tmp_path / "ds"))
-    assert manifest.n_records == len(records) == report.n_records
-    assert manifest.n_relabeled == report.n_relabeled > 0
-    assert manifest.n_selected == report.totals["selected"]
+    assert manifest.n_records == len(records) == report.manifest.n_records
+    assert manifest.n_relabeled == report.manifest.n_relabeled > 0
+    assert manifest.n_selected == sum(len(v.curated) for v in report.variants)
     assert manifest.seed == cfg.seed
     assert 0.0 <= manifest.omission_fraction <= 1.0
     assert len(manifest.final_tubes) >= 1
@@ -183,7 +183,7 @@ def test_baseline_exports_one_rollout_per_variant(tmp_path):
     report = run_spatial_only(cfg)
     trajs = load_trajectories(str(tmp_path / "base"))
     assert len(trajs) == 5
-    assert report.totals["generated"] == 5
+    assert report.manifest.n_generated == 5
     _, manifest = deserialize(str(tmp_path / "base"))
     assert manifest.source == "baseline"
     # no filtering: failures are kept too

@@ -2,14 +2,15 @@
 import numpy as np
 import pytest
 
+from recovergen import relabel
+from recovergen.config import RelabelConfig
 from recovergen.curator import TubeBounds, state_distances
 from recovergen.envs import (PlanarBlockRotate, PointReach, Trajectory,
                              augmented_demo_actions, rollout,
                              rollout_with_resume)
 from recovergen.geometry import Pose
-from recovergen.relabel import (CemConfig, RelabelPoint, _costs, cem_optimize,
-                                relabel_cost, relabel_dataset,
-                                select_risky_states)
+from recovergen.relabel import (RelabelPoint, _costs, cem_optimize, relabel_cost,
+                                relabel_dataset, select_risky_states)
 
 IDENT = lambda s: np.asarray(s, dtype=float)  # noqa: E731
 
@@ -26,24 +27,6 @@ def line_traj(values, success=True):
     from recovergen.envs import EnvParams
     return Trajectory(states=states, actions=np.zeros((len(states) - 1, 1)),
                       success=success, env_params=EnvParams())
-
-
-# ---------------------------------------------------------------------------
-# CemConfig
-
-
-def test_cem_config_elite_count():
-    cfg = CemConfig(population=64, elite_frac=0.125)
-    assert cfg.n_elites == 8
-
-
-def test_cem_config_validation():
-    with pytest.raises(ValueError):
-        CemConfig(population=0)
-    with pytest.raises(ValueError):
-        CemConfig(elite_frac=0.0)
-    with pytest.raises(ValueError):
-        CemConfig(w_fail=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +158,7 @@ def _block_fixture():
 
 def test_cost_zero_for_reference_on_successful_in_tube_trajectory():
     env, traj, expert = _block_fixture()
-    cfg = CemConfig(horizon=15)
+    cfg = RelabelConfig(horizon=15)
     tube = TubeBounds(0.0, 100.0)  # everything inside
     u = traj.actions[20:35]
     assert relabel_cost(u, traj, 20, tube, env, cfg, expert) == 0.0
@@ -183,7 +166,7 @@ def test_cost_zero_for_reference_on_successful_in_tube_trajectory():
 
 def test_cost_reference_term_isolated():
     env, traj, expert = _block_fixture()
-    cfg = CemConfig(horizon=15, w_fail=0.0, w_tube=0.0, w_ref=2.0)
+    cfg = RelabelConfig(horizon=15, w_fail=0.0, w_tube=0.0, w_ref=2.0)
     tube = TubeBounds(0.0, 100.0)
     u = traj.actions[20:35] + 0.001
     expected = 2.0 * 15 * 4 * 0.001 ** 2
@@ -194,7 +177,7 @@ def test_cost_reference_term_isolated():
 def test_cost_failure_indicator_term():
     env, traj, expert = _block_fixture()
     tube = TubeBounds(0.0, 100.0)
-    cfg = CemConfig(horizon=15, w_fail=1e3, w_tube=0.0, w_ref=0.0)
+    cfg = RelabelConfig(horizon=15, w_fail=1e3, w_tube=0.0, w_ref=0.0)
     # pull the effectors apart: contact lost, continuation fails
     u = np.tile([-0.03, -0.03, 0.03, 0.03], (15, 1))
     cont = rollout_with_resume(env, traj.states[20], u, traj.actions[35:],
@@ -205,7 +188,7 @@ def test_cost_failure_indicator_term():
 
 def test_cost_tube_term_quadratic_hinge():
     env, traj, expert = _block_fixture()
-    cfg = CemConfig(horizon=15, w_fail=0.0, w_tube=10.0, w_ref=0.0)
+    cfg = RelabelConfig(horizon=15, w_fail=0.0, w_tube=10.0, w_ref=0.0)
     tight = TubeBounds(0.0, 0.0)  # any deviation is a violation
     u = traj.actions[20:35]
     cont = rollout_with_resume(env, traj.states[20], u, traj.actions[35:],
@@ -233,9 +216,9 @@ def _reach_fixture():
 
 def test_cem_quadratic_only_converges_to_reference():
     env, traj, expert = _reach_fixture()
-    cfg = CemConfig(population=64, elite_frac=0.125, iterations=30,
-                    init_std=0.01, w_fail=0.0, w_tube=0.0, w_ref=1.0,
-                    horizon=15)
+    cfg = RelabelConfig(population=64, elite_frac=0.125, cem_iterations=30,
+                        init_std=0.01, w_fail=0.0, w_tube=0.0, w_ref=1.0,
+                        horizon=15)
     point = RelabelPoint(trajectory_id=0, t=5, risk=0.0)
     out = cem_optimize(point, traj, env, TubeBounds(0.0, 100.0), cfg,
                        np.random.default_rng(0), expert)
@@ -245,7 +228,7 @@ def test_cem_quadratic_only_converges_to_reference():
 
 def test_cem_best_ever_never_regresses():
     env, traj, expert = _reach_fixture()
-    cfg = CemConfig(population=16, iterations=5, init_std=0.02, horizon=10)
+    cfg = RelabelConfig(population=16, cem_iterations=5, init_std=0.02, horizon=10)
     point = RelabelPoint(trajectory_id=0, t=0, risk=0.0)
     tube = TubeBounds(0.0, 100.0)
     out = cem_optimize(point, traj, env, tube, cfg,
@@ -257,7 +240,7 @@ def test_cem_best_ever_never_regresses():
 
 def test_cem_deterministic_given_seed():
     env, traj, expert = _reach_fixture()
-    cfg = CemConfig(population=16, iterations=3, init_std=0.02, horizon=10)
+    cfg = RelabelConfig(population=16, cem_iterations=3, init_std=0.02, horizon=10)
     point = RelabelPoint(trajectory_id=0, t=2, risk=0.0)
     a = cem_optimize(point, traj, env, TubeBounds(0.0, 100.0), cfg,
                      np.random.default_rng(7), expert)
@@ -268,7 +251,7 @@ def test_cem_deterministic_given_seed():
 
 def test_cem_rejects_point_without_room():
     env, traj, expert = _reach_fixture()
-    cfg = CemConfig(horizon=15)
+    cfg = RelabelConfig(horizon=15)
     with pytest.raises(ValueError):
         cem_optimize(RelabelPoint(0, traj.horizon - 5, 0.0), traj, env,
                      TubeBounds(0.0, 100.0), cfg, np.random.default_rng(0),
@@ -282,11 +265,53 @@ def test_cem_unreachable_goal_emits_nothing():
     s0 = np.array([0.0, 0.0, 50.0, 50.0])
     traj = rollout(env, s0, np.zeros((env.horizon, 2)), params)
     assert not traj.success
-    cfg = CemConfig(population=8, iterations=2, init_std=0.01, horizon=10)
+    cfg = RelabelConfig(population=8, cem_iterations=2, init_std=0.01, horizon=10)
     out = cem_optimize(RelabelPoint(0, 0, 0.0), traj, env,
                        TubeBounds(0.0, 100.0), cfg, np.random.default_rng(0),
                        traj.states)
     assert out is None
+
+
+@pytest.mark.parametrize("population, elite_frac, n_elites", [(64, 0.125, 8), (4, 0.1, 1)])
+def test_cem_mean_moves_to_the_elite_mean(monkeypatch, population, elite_frac, n_elites):
+    # the next mean, kept as the next population's first row, is the mean of
+    # the round(population x elite_frac) cheapest candidates, and of at least one
+    env, traj, expert = _reach_fixture()
+    calls = []
+
+    def recorded(env, cfg, points, chunks):
+        costs = _costs(env, cfg, points, chunks)
+        calls.append((chunks, costs))
+        return costs
+
+    monkeypatch.setattr(relabel, "_costs", recorded)
+    cfg = RelabelConfig(population=population, elite_frac=elite_frac, cem_iterations=2,
+                        init_std=0.01, horizon=10)
+    cem_optimize(RelabelPoint(0, 2, 0.0), traj, env, TubeBounds(0.0, 100.0), cfg,
+                 np.random.default_rng(0), expert)
+    (_, _), ([pop], [costs]), ([next_pop], _) = calls
+    elites = pop[np.argsort(costs, kind="stable")[:n_elites]]
+    assert np.array_equal(next_pop[0], elites.mean(axis=0))
+
+
+def test_zero_init_std_and_min_sep_take_their_auto_values():
+    # init_std 0 is 0.25 x the action range (2 a_max); min_sep 0 is the horizon
+    env, traj, expert = _block_fixture()
+    expert = expert + [0.02, 0, 0, 0, 0, 0, 0]   # the reference leaves the tube
+    dists = risks([traj], [expert], env.psi, env.psi_scales)
+
+    def targets(**kw):
+        cfg = RelabelConfig(k_rel=3, population=16, cem_iterations=3, horizon=15, **kw)
+        return [(t.point, t.chunk.tobytes(), t.cost)
+                for t in relabel_dataset([traj], env, [TubeBounds(0.0, 0.05)], cfg,
+                                         np.random.default_rng(3), [expert], dists)]
+
+    auto = targets()
+    assert len(auto) > 1 and all(cost > 0 for _, _, cost in auto)
+    assert auto == targets(init_std=0.25 * (2.0 * env.a_max)) == targets(min_sep=15)
+    # both settings matter, so the equalities above pin their values
+    assert auto != targets(init_std=0.0075)
+    assert [p for p, _, _ in auto] != [p for p, _, _ in targets(min_sep=1)]
 
 
 @pytest.mark.parametrize("horizon", [1, 15])
@@ -294,7 +319,7 @@ def test_population_costs_equal_one_candidate_costs(horizon):
     # the batched cost of a whole population, rows of several lengths and
     # points, equals relabel_cost taken one candidate at a time, bitwise
     env, traj, expert = _block_fixture()
-    cfg = CemConfig(horizon=horizon)
+    cfg = RelabelConfig(horizon=horizon)
     tube = TubeBounds(0.0, 0.05)
     rng = np.random.default_rng(4)
     points = [(traj, t, tube, expert) for t in (3, 20, traj.horizon - horizon)]
@@ -310,11 +335,12 @@ def test_population_costs_equal_one_candidate_costs(horizon):
 
 def test_relabel_dataset_equals_points_optimized_one_at_a_time():
     env, traj, expert = _block_fixture()
-    cfg = CemConfig(population=12, iterations=3, init_std=0.005, horizon=15)
+    cfg = RelabelConfig(k_rel=3, population=12, cem_iterations=3, init_std=0.005,
+                        horizon=15)
     tube = TubeBounds(0.0, 0.05)
     dists = risks([traj], [expert], env.psi, env.psi_scales)
     targets = relabel_dataset([traj], env, [tube], cfg, np.random.default_rng(3),
-                              [expert], dists, k_rel=3)
+                              [expert], dists)
     points = select_risky_states(dists, 3, cfg.horizon, cfg.horizon)
     alone = [cem_optimize(point, traj, env, tube, cfg, rng, expert)
              for point, rng in zip(points, np.random.default_rng(3).spawn(len(points)))]
@@ -330,10 +356,11 @@ def test_relabel_dataset_equals_points_optimized_one_at_a_time():
 
 def test_relabel_dataset_targets_validate_and_separate():
     env, traj, expert = _block_fixture()
-    cfg = CemConfig(population=16, iterations=3, init_std=0.005, horizon=15)
+    cfg = RelabelConfig(k_rel=4, population=16, cem_iterations=3, init_std=0.005,
+                        horizon=15)
     targets = relabel_dataset([traj], env, [TubeBounds(0.0, 100.0)], cfg,
                               np.random.default_rng(3), [expert],
-                              risks([traj], [expert], env.psi, env.psi_scales), k_rel=4)
+                              risks([traj], [expert], env.psi, env.psi_scales))
     assert 0 < len(targets) <= 4
     seen = {}
     for tgt in targets:
@@ -351,14 +378,14 @@ def test_relabel_dataset_targets_validate_and_separate():
 
 def test_relabel_dataset_rejects_empty_curated():
     env = PointReach()
-    cfg = CemConfig()
+    cfg = RelabelConfig()
     with pytest.raises(ValueError):
         relabel_dataset([], env, [], cfg, np.random.default_rng(0), [], [])
 
 
 def test_relabel_dataset_needs_one_tube_and_expert_per_trajectory():
     env, traj, expert = _block_fixture()
-    cfg = CemConfig(population=4, iterations=1, horizon=15)
+    cfg = RelabelConfig(population=4, cem_iterations=1, horizon=15)
     tube = TubeBounds(0.0, 100.0)
     dists = risks([traj], [expert], env.psi, env.psi_scales)
     for tubes, experts, d in (([tube], [expert] * 2, dists * 2),
@@ -371,12 +398,13 @@ def test_relabel_dataset_needs_one_tube_and_expert_per_trajectory():
 
 def test_relabel_dataset_deterministic():
     env, traj, expert = _block_fixture()
-    cfg = CemConfig(population=8, iterations=2, init_std=0.005, horizon=15)
+    cfg = RelabelConfig(k_rel=3, population=8, cem_iterations=2, init_std=0.005,
+                        horizon=15)
     runs = []
     for _ in range(2):
         tgts = relabel_dataset([traj], env, [TubeBounds(0.0, 100.0)], cfg,
                                np.random.default_rng(5), [expert],
-                               risks([traj], [expert], env.psi, env.psi_scales), k_rel=3)
+                               risks([traj], [expert], env.psi, env.psi_scales))
         runs.append(tgts)
     assert len(runs[0]) == len(runs[1])
     for a, b in zip(*runs):
