@@ -20,7 +20,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Tuple, Type
 
 from .envs import make_env
 
@@ -205,27 +205,36 @@ def apply_option(cfg: PipelineConfig, key: str, value) -> None:
     _set_field(cfg, key, value, key)
 
 
+def key_value_lines(path: str, error: Type[Exception]) -> Iterator[Tuple[int, str, str]]:
+    """``(line number, key, value)`` for each ``key = value`` line of
+    ``path``, key and value stripped.  Blank and ``#`` lines are skipped
+    but counted; a line without ``=`` or a repeated key raises ``error``
+    naming the line."""
+    first_line: Dict[str, int] = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise error(f"{path}: line {lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key in first_line:
+                raise error(f"{path}: line {lineno}: duplicate key {key!r}, "
+                            f"first set on line {first_line[key]}")
+            first_line[key] = lineno
+            yield lineno, key, value.strip()
+
+
 def load_config(path: Optional[str] = None, overrides: Optional[Dict] = None) -> PipelineConfig:
     cfg = PipelineConfig()
     if path is not None:
-        first_line: Dict[str, int] = {}
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key in first_line:
-                    raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}, "
-                                      f"first set on line {first_line[key]}")
-                first_line[key] = lineno
-                try:
-                    apply_option(cfg, key, value.strip())
-                except ConfigError as exc:
-                    raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
+        for lineno, key, value in key_value_lines(path, ConfigError):
+            try:
+                apply_option(cfg, key, value)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
     for key, value in (overrides or {}).items():
         apply_option(cfg, key, value)
     cfg.validate()

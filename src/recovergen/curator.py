@@ -10,7 +10,7 @@ matching over the selected control points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence
 
@@ -30,7 +30,6 @@ class TubeBounds:
 
     r_min: float
     r_max: float
-    iteration: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.r_min <= self.r_max:
@@ -105,8 +104,7 @@ MIN_SUCCESSES_FOR_TUBE = 5
 
 
 def compute_tube(peaks: Sequence[float], q_min: float, q_max: float,
-                 previous: Optional[TubeBounds] = None,
-                 iteration: int = 0) -> TubeBounds:
+                 previous: Optional[TubeBounds] = None) -> TubeBounds:
     """Tube radii as low/high quantiles of successful peak deviations.
     Batches with fewer than 5 successes reuse the previous tube to avoid
     unstable quantile estimates."""
@@ -117,8 +115,7 @@ def compute_tube(peaks: Sequence[float], q_min: float, q_max: float,
             raise TubeUnavailableError(
                 f"only {len(peaks)} successes and no previous tube to fall back on")
         return previous
-    return TubeBounds(r_min=quantile(peaks, q_min), r_max=quantile(peaks, q_max),
-                      iteration=iteration)
+    return TubeBounds(r_min=quantile(peaks, q_min), r_max=quantile(peaks, q_max))
 
 
 def tube_reward(d: np.ndarray, tube: TubeBounds) -> float:
@@ -245,13 +242,12 @@ def reward_to_weight(rewards: Sequence[float], temperature: float) -> np.ndarray
 
 
 def update_proposal(q: Proposal, selected_c: Sequence[np.ndarray], weights,
-                    eps_stab: float = 1e-3, delta: float = 1e-3) -> Proposal:
+                    eps_stab: float, delta: float) -> Proposal:
     """Weighted moment matching over the retained control points; only the
     diagonal of the refit covariance is kept, floored by the variance
-    floor delta.  An empty selection returns the proposal unchanged with
-    the stalled flag set."""
+    floor delta."""
     if len(selected_c) == 0:
-        return replace(q, stalled=True)
+        raise ValueError("need at least one selected control-point vector")
     c = np.asarray([np.asarray(ci).reshape(-1) for ci in selected_c], dtype=float)
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(c),) or np.any(w < 0):
@@ -260,5 +256,4 @@ def update_proposal(q: Proposal, selected_c: Sequence[np.ndarray], weights,
     mu = (w[:, None] * c).sum(axis=0) / denom
     var = (w[:, None] * (c - mu) ** 2).sum(axis=0) / denom + delta
     return Proposal(mean=mu, std=np.sqrt(var), m_points=q.m_points,
-                    action_dim=q.action_dim, iteration=q.iteration + 1,
-                    stalled=bool(w.sum() == 0.0))
+                    action_dim=q.action_dim)

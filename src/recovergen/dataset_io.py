@@ -2,8 +2,8 @@
 
 Layout under the output directory (dataset format 3):
 
-* ``manifest``          -- plain-text ``key = value`` run metadata; its
-  ``format`` is 3, its ``chunk_len`` is the curated window length, and its
+* ``manifest``          -- plain-text ``key = value`` run metadata:
+  ``format = 3``, then one line per field of ``DatasetManifest``, its schema;
   ``n_trajectories`` and ``n_relabeled`` are the row counts of the arrays
 * ``trajectories.npy``  -- one row per curated trajectory, with the fields
   ``variant`` ``<i8``, ``success`` ``?``, ``mass`` ``<f8``,
@@ -33,14 +33,17 @@ DatasetFormatError; nothing is returned from a dataset that fails a check.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import operator
 import os
 from dataclasses import dataclass, field
-from typing import IO, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import (IO, Callable, Dict, Iterable, List, Sequence, Tuple, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
+from .config import key_value_lines
 from .envs import Environment, EnvParams, Trajectory, make_env
 from .relabel import RelabelTarget
 
@@ -82,17 +85,15 @@ class DatasetRecord:
 
 @dataclass
 class DatasetManifest:
-    """Run metadata: environment constants, seeds, loop sizes, and the
-    counts needed for the omission statistic."""
+    """The manifest's schema: one line per field, in this order, whose
+    value is parsed as the field's type (int, str, or a JSON dict or list)."""
 
     env_name: str
-    env_config: Dict[str, float] = field(default_factory=dict)
     seed: int = 0
     source: str = "generate"          # "generate" | "baseline"
     iterations: int = 0
     samples_per_iteration: int = 0
     n_variants: int = 0
-    parameters: Dict[str, float] = field(default_factory=dict)
     n_generated: int = 0
     n_successful: int = 0
     n_selected: int = 0
@@ -100,13 +101,21 @@ class DatasetManifest:
     n_records: int = 0
     n_trajectories: int = 0
     chunk_len: int = 1                # length of each curated window
+    env_config: Dict[str, float] = field(default_factory=dict)
+    parameters: Dict[str, float] = field(default_factory=dict)
     final_tubes: List[Tuple[float, float]] = field(default_factory=list)
 
     @property
     def omission_fraction(self) -> float:
+        """Share of the successful rollouts that were not selected."""
         if self.n_successful == 0:
             return 0.0
-        return 1.0 - self.n_selected / self.n_successful
+        return max(0, self.n_successful - self.n_selected) / self.n_successful
+
+
+# every manifest key, in file order, with the type its value is parsed as
+_KINDS = {"format": int, **{name: get_origin(hint) or hint
+                            for name, hint in get_type_hints(DatasetManifest).items()}}
 
 
 def _window_count(horizon: int, chunk_len: int) -> int:
@@ -165,33 +174,13 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 
 
 def _manifest_lines(manifest: DatasetManifest) -> str:
-    lines = [
-        f"format = {FORMAT}",
-        f"env_name = {manifest.env_name}",
-        f"seed = {manifest.seed}",
-        f"source = {manifest.source}",
-        f"iterations = {manifest.iterations}",
-        f"samples_per_iteration = {manifest.samples_per_iteration}",
-        f"n_variants = {manifest.n_variants}",
-        f"n_generated = {manifest.n_generated}",
-        f"n_successful = {manifest.n_successful}",
-        f"n_selected = {manifest.n_selected}",
-        f"n_relabeled = {manifest.n_relabeled}",
-        f"n_records = {manifest.n_records}",
-        f"n_trajectories = {manifest.n_trajectories}",
-        f"chunk_len = {manifest.chunk_len}",
-        f"env_config = {json.dumps(manifest.env_config, sort_keys=True)}",
-        f"parameters = {json.dumps(manifest.parameters, sort_keys=True)}",
-        f"final_tubes = {json.dumps(manifest.final_tubes)}",
-    ]
+    lines = [f"format = {FORMAT}"]
+    for f in dataclasses.fields(manifest):
+        value = getattr(manifest, f.name)
+        if _KINDS[f.name] in (dict, list):
+            value = json.dumps(value, sort_keys=True)
+        lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
-
-
-_INT_KEYS = {"format", "seed", "iterations", "samples_per_iteration", "n_variants",
-             "n_generated", "n_successful", "n_selected", "n_relabeled",
-             "n_records", "n_trajectories", "chunk_len"}
-_STR_KEYS = {"env_name", "source"}
-_JSON_KEYS = {"env_config": dict, "parameters": dict, "final_tubes": list}
 
 
 def read_manifest(out_dir: str) -> DatasetManifest:
@@ -199,47 +188,32 @@ def read_manifest(out_dir: str) -> DatasetManifest:
     repeated key or a ``format`` other than 3 included, raises
     DatasetFormatError."""
     path = os.path.join(out_dir, "manifest")
-    fields: Dict = {}
-    first_line: Dict[str, int] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DatasetFormatError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in first_line:
-                raise DatasetFormatError(f"{path}: line {lineno}: duplicate key {key!r}, "
-                                         f"first set on line {first_line[key]}")
-            first_line[key] = lineno
-            try:
-                if key in _INT_KEYS:
-                    fields[key] = int(value)
-                elif key in _JSON_KEYS:
-                    fields[key] = json.loads(value)
-                    if not isinstance(fields[key], _JSON_KEYS[key]):
-                        raise ValueError(f"{key} must be a {_JSON_KEYS[key].__name__}")
-                elif key in _STR_KEYS:
-                    fields[key] = value
-                else:
-                    raise ValueError(f"unknown key {key!r}")
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from exc
-    fmt = fields.pop("format", None)
+    values: Dict = {}
+    for lineno, key, value in key_value_lines(path, DatasetFormatError):
+        kind = _KINDS.get(key)
+        try:
+            if kind is None:
+                raise ValueError(f"unknown key {key!r}")
+            if kind in (dict, list):
+                values[key] = json.loads(value)
+                if not isinstance(values[key], kind):
+                    raise ValueError(f"{key} must be a {kind.__name__}")
+            else:
+                values[key] = kind(value)
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from exc
+    fmt = values.pop("format", None)
     if fmt != FORMAT:
         raise DatasetFormatError(f"{path}: dataset format {fmt} is not supported "
                                  f"(only format {FORMAT} is read)")
-    if "env_name" not in fields or "n_records" not in fields:
+    if "env_name" not in values or "n_records" not in values:
         raise DatasetFormatError(f"{path}: missing required manifest keys")
-    tubes = fields.get("final_tubes", [])
+    tubes = values.get("final_tubes", [])
     if not all(isinstance(t, list) and len(t) == 2
                and all(isinstance(x, (int, float)) for x in t) for t in tubes):
         raise DatasetFormatError(f"{path}: final_tubes must be [r_min, r_max] pairs")
-    fields["final_tubes"] = [tuple(t) for t in tubes]
-    return DatasetManifest(**fields)
+    values["final_tubes"] = [tuple(t) for t in tubes]
+    return DatasetManifest(**values)
 
 
 def _shape(fields: Dict[str, Tuple[str, int]], name: str, values: Sequence) -> Tuple[int, ...]:

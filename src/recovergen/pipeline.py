@@ -140,10 +140,9 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
                  for t in batch.trajectories]
         peaks = [cur.peak_deviation(d) for d in dists]
         tube = cur.compute_tube(peaks, cfg.curator.q_min, cfg.curator.q_max,
-                                previous=tube, iteration=k)
+                                previous=tube)
 
         if len(batch) == 0:
-            q = dataclasses.replace(q, stalled=True)
             result.stats.append(IterationStats(index, k, batch.n_sampled, 0, 0,
                                                tube.r_min, tube.r_max,
                                                float(q.std.mean()), stalled=True))
@@ -168,7 +167,7 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
         result.distances.extend(dists[i] for i in selected)
         result.stats.append(IterationStats(index, k, batch.n_sampled, len(batch),
                                            len(selected), tube.r_min, tube.r_max,
-                                           float(q.std.mean()), stalled=q.stalled))
+                                           float(q.std.mean())))
     result.final_tube = tube
     return result
 
@@ -318,7 +317,7 @@ def run_spatial_only(cfg: PipelineConfig) -> RunReport:
     manifest = _manifest(cfg, env, "baseline")
     manifest.n_generated = len(rollouts)
     manifest.n_successful = sum(t.success for t in rollouts)
-    manifest.n_selected = manifest.n_successful
+    manifest.n_selected = len(rollouts)      # every rollout is stored
     serialize(manifest, cfg.out_dir, rollouts)
 
     report = RunReport(variants=[VariantResult(index=i, pose=pose)

@@ -67,8 +67,6 @@ class Proposal:
     std: np.ndarray            # (M * d_a,), elementwise >= sqrt(variance_floor)
     m_points: int
     action_dim: int
-    iteration: int = 0
-    stalled: bool = False
 
     def reshape(self, c: np.ndarray) -> np.ndarray:
         return np.asarray(c).reshape(self.m_points, self.action_dim)
@@ -91,7 +89,7 @@ class SuccessBatch:
 
 
 def init_proposal(demo_actions: np.ndarray, m_points: int, sigma0,
-                  variance_floor: float = 1e-3) -> Proposal:
+                  variance_floor: float) -> Proposal:
     """Proposal centered on the least-squares control-point fit of the
     demo, with spread sigma0 (scalar broadcast or per-dimension), floored
     at sqrt(variance_floor)."""
@@ -101,8 +99,7 @@ def init_proposal(demo_actions: np.ndarray, m_points: int, sigma0,
     c = fit_control_points(demo_actions, m_points)
     mean = c.reshape(-1)
     std = np.maximum(np.broadcast_to(sigma0, mean.shape), np.sqrt(variance_floor)).copy()
-    return Proposal(mean=mean, std=std, m_points=m_points,
-                    action_dim=c.shape[1], iteration=0)
+    return Proposal(mean=mean, std=std, m_points=m_points, action_dim=c.shape[1])
 
 
 def sample_batch(q: Proposal, n: int, rng: np.random.Generator) -> List[np.ndarray]:

@@ -201,6 +201,33 @@ def test_no_command_imports_scipy(generated, tmp_path):
     _report("numpy-only", "no command imports scipy; generate golden in a fresh process")
 
 
+def test_src_imports_only_stdlib_numpy_and_the_package():
+    # the static side of "numpy-only": every import statement of the
+    # package, those inside functions included, names the standard library,
+    # numpy or the package itself
+    import ast
+    import pathlib
+    import sys
+
+    import recovergen
+    allowed = set(sys.stdlib_module_names) | {"numpy", "recovergen"}
+    paths = sorted(pathlib.Path(recovergen.__file__).parent.glob("*.py"))
+    found = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["recovergen" if node.level else node.module]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name.partition(".")[0], []).append(f"{path.name}:{node.lineno}")
+    assert len(paths) >= 10 and {"numpy", "recovergen", "json"} <= set(found)
+    assert {top: where for top, where in found.items() if top not in allowed} == {}
+    _report("numpy-only imports", f"{len(paths)} modules import only {sorted(found)}")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -242,8 +269,7 @@ def test_criterion_03_tube_fallback():
     rng = np.random.default_rng(1)
     for _ in range(100):
         prev = TubeBounds(r_min=float(rng.uniform(0.0, 0.5)),
-                          r_max=float(rng.uniform(0.5, 1.0)),
-                          iteration=int(rng.integers(0, 5)))
+                          r_max=float(rng.uniform(0.5, 1.0)))
         peaks = list(rng.uniform(0.0, 2.0, int(rng.integers(0, 5))))
         tube = compute_tube(peaks, 0.2, 0.8, previous=prev)
         assert tube is prev

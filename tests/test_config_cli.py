@@ -74,7 +74,7 @@ def test_load_config_file(tmp_path):
 def test_load_config_reports_line_number(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("seed = 1\nthis has no equals sign\n")
-    with pytest.raises(ConfigError, match="line 2"):
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: line 2: expected 'key = value'")):
         load_config(str(path))
 
 
@@ -329,6 +329,8 @@ def _copy_with_manifest_edit(src, dst, edit):
     (lambda text: text.replace("env_config = {", 'env_config = {"bogus": 1, '), ["evaluate"]),
     (lambda text: text.replace("format = 3\n", ""), ["stats", "evaluate"]),
     (lambda text: text.replace("format = 3", "format = 2"), ["stats", "evaluate"]),
+    (lambda text: text + "no equals sign\n", ["stats", "evaluate"]),
+    (lambda text: text + "seed = 4\n", ["stats", "evaluate"]),
 ])
 def test_cli_manifest_faults_exit_4(small_dataset, tmp_path, capsys, edit, commands):
     bad = _copy_with_manifest_edit(small_dataset, tmp_path / "bad", edit)
@@ -376,7 +378,10 @@ def test_cli_and_report_counts_equal_stats(tmp_path, capsys, command):
     want = {k: stats[k] for k in ("generated", "successful", "selected", "relabeled")}
     want["records"] = stats["records_curated"] + stats["records_relabeled"]
     assert _named_counts(line) == want == _named_counts(totals)
-    assert 0 < want["selected"] < want["generated"]
+    if command == "generate":
+        assert 0 < want["selected"] < want["generated"]
+    else:   # every rollout is stored, the failed ones included
+        assert 0 < want["successful"] < want["selected"] == want["generated"]
 
 
 def test_cli_evaluate_rejects_negative_trials(small_dataset, capsys):

@@ -147,10 +147,9 @@ def test_quantile_monotone_in_q(values, q1, q2):
 
 def test_compute_tube_quantile_bounds():
     peaks = [0.1, 0.2, 0.3, 0.4, 0.5]
-    tube = compute_tube(peaks, 0.2, 0.8, iteration=3)
+    tube = compute_tube(peaks, 0.2, 0.8)
     assert np.isclose(tube.r_min, quantile(peaks, 0.2))
     assert np.isclose(tube.r_max, quantile(peaks, 0.8))
-    assert tube.iteration == 3
 
 
 def test_compute_tube_degenerate_peaks():
@@ -159,7 +158,7 @@ def test_compute_tube_degenerate_peaks():
 
 
 def test_compute_tube_fallback_returns_previous():
-    prev = TubeBounds(0.1, 0.5, iteration=1)
+    prev = TubeBounds(0.1, 0.5)
     tube = compute_tube([0.9, 0.8, 0.7, 0.6], 0.2, 0.8, previous=prev)
     assert tube is prev
 
@@ -456,7 +455,7 @@ def test_weights_reject_nonpositive_temperature():
 
 def _proposal(dim=4):
     return Proposal(mean=np.zeros(dim), std=np.ones(dim),
-                    m_points=dim, action_dim=1, iteration=2)
+                    m_points=dim, action_dim=1)
 
 
 def test_update_uniform_weights_zero_eps_reproduces_moments():
@@ -467,7 +466,6 @@ def test_update_uniform_weights_zero_eps_reproduces_moments():
                              eps_stab=0.0, delta=0.0)
         assert np.allclose(q2.mean, c.mean(axis=0), atol=1e-10)
         assert np.allclose(q2.std ** 2, c.var(axis=0), atol=1e-10)
-        assert q2.iteration == 3
 
 
 def test_update_hand_evaluated_1d_fixture():
@@ -490,28 +488,26 @@ def test_update_sigma_floor():
         c = rng.standard_normal((5, 3)) * 1e-6  # nearly collapsed batch
         q2 = update_proposal(Proposal(mean=np.zeros(3), std=np.ones(3),
                                       m_points=3, action_dim=1),
-                             list(c), rng.uniform(0, 1, 5), delta=delta)
+                             list(c), rng.uniform(0, 1, 5), eps_stab=1e-3, delta=delta)
         assert np.all(q2.std >= math.sqrt(delta) - 1e-15)
 
 
-def test_update_empty_selection_stalls():
-    q = _proposal()
-    q2 = update_proposal(q, [], [])
-    assert q2.stalled
-    assert np.array_equal(q2.mean, q.mean)
-    assert np.array_equal(q2.std, q.std)
-    assert q2.iteration == q.iteration
+def test_update_empty_selection_raises():
+    # dpp_select_greedy returns at least one index, so the pipeline never
+    # refits on nothing
+    with pytest.raises(ValueError, match="at least one"):
+        update_proposal(_proposal(), [], [], eps_stab=1e-3, delta=1e-3)
 
 
-def test_update_all_zero_weights_formula_and_flag():
+def test_update_all_zero_weights_formula():
     q2 = update_proposal(_proposal(), [np.ones(4), 2 * np.ones(4)],
                          [0.0, 0.0], eps_stab=1e-3, delta=1e-3)
-    assert np.allclose(q2.mean, 0.0)  # mass / (0 + eps) = 0
-    assert q2.stalled
+    assert np.array_equal(q2.mean, np.zeros(4))  # mass / (0 + eps) = 0
+    assert np.array_equal(q2.std, np.full(4, math.sqrt(1e-3)))  # 0 / eps + delta
 
 
 def test_update_rejects_bad_weights():
     with pytest.raises(ValueError):
-        update_proposal(_proposal(), [np.ones(4)], [-1.0])
+        update_proposal(_proposal(), [np.ones(4)], [-1.0], eps_stab=1e-3, delta=1e-8)
     with pytest.raises(ValueError):
-        update_proposal(_proposal(), [np.ones(4)], [1.0, 1.0])
+        update_proposal(_proposal(), [np.ones(4)], [1.0, 1.0], eps_stab=1e-3, delta=1e-8)

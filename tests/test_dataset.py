@@ -773,6 +773,35 @@ def test_manifest_pins_format_and_chunk_len(tmp_path):
     assert len(np.load(os.path.join(out, "records.npy"), allow_pickle=False)) == 5
 
 
+def _default(f):
+    return f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+
+
+def test_manifest_with_every_field_set_round_trips(tmp_path):
+    trajs = [make_traj(seed=i, variant=i) for i in range(3)]
+    manifest = DatasetManifest(
+        env_name="point_reach", seed=11, source="baseline", iterations=2,
+        samples_per_iteration=16, n_variants=3, n_generated=40, n_successful=30,
+        n_selected=3, chunk_len=4, env_config={"horizon": 10, "goal": [0.25, 0.1]},
+        parameters={"yaw_range": 0.3, "trans_range": [0.08, 0.08, 0.0], "name": "x"},
+        final_tubes=[(0.01, 0.25), (0.0, 1e-300)])
+    serialize(manifest, str(tmp_path), trajs,
+              as_relabeled(export_pairs(trajs, [], chunk_len=4)[:2]))
+    # serialize sets the three row counts
+    assert (manifest.n_trajectories, manifest.n_relabeled, manifest.n_records) == (3, 2, 23)
+    unset = [f.name for f in dataclasses.fields(DatasetManifest)
+             if getattr(manifest, f.name) == _default(f)]
+    assert unset == []
+    assert read_manifest(str(tmp_path)) == manifest
+
+
+def test_manifest_keys_are_format_then_the_fields_in_order(tmp_path):
+    out = _dataset(tmp_path)
+    with open(os.path.join(out, "manifest")) as fh:
+        keys = [line.partition(" = ")[0] for line in fh]
+    assert keys == ["format"] + [f.name for f in dataclasses.fields(DatasetManifest)]
+
+
 @pytest.mark.parametrize("value", [None, "1", "2"])
 def test_any_format_but_3_is_rejected(tmp_path, value):
     out = _dataset(tmp_path)
@@ -869,6 +898,8 @@ def test_omission_fraction():
     m = make_manifest(n_successful=96, n_selected=84)
     assert np.isclose(m.omission_fraction, 0.125)
     assert make_manifest(n_successful=0, n_selected=0).omission_fraction == 0.0
+    # the baseline stores every rollout, so it selects more than succeeded
+    assert make_manifest(n_successful=14, n_selected=40).omission_fraction == 0.0
 
 
 def test_dataset_stats_counts_and_render(tmp_path):

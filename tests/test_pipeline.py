@@ -8,7 +8,7 @@ import pytest
 
 from recovergen.config import PipelineConfig
 from recovergen.curator import state_distances
-from recovergen.dataset_io import deserialize, load_trajectories
+from recovergen.dataset_io import dataset_stats, deserialize, load_trajectories, read_manifest
 from recovergen.envs import make_env, rollout
 from recovergen.pipeline import (PipelineError, _run_variants, compare_replay,
                                  evaluate_replay, run_pgdg, run_spatial_only,
@@ -188,6 +188,17 @@ def test_baseline_exports_one_rollout_per_variant(tmp_path):
     assert manifest.source == "baseline"
     # no filtering: failures are kept too
     assert manifest.n_trajectories == 5
+
+
+def test_baseline_selects_every_stored_rollout(tmp_path):
+    # the block under randomized friction: some of the 40 rollouts fail
+    run_spatial_only(PipelineConfig(out_dir=str(tmp_path / "base"), seed=7, n_variants=40))
+    manifest = read_manifest(str(tmp_path / "base"))
+    assert 0 < manifest.n_successful < manifest.n_generated == 40
+    assert manifest.n_selected == manifest.n_trajectories == 40
+    assert manifest.omission_fraction == 0.0
+    stats = dataset_stats(manifest)
+    assert stats["selected"] == 40 and stats["omission_fraction"] == 0.0
 
 
 def test_baseline_format_matches_generate(tmp_path):
