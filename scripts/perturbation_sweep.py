@@ -53,6 +53,8 @@ def main():
         ap.error("--episodes must be >= 1")
     if args.levels < 1:
         ap.error("--levels must be >= 1")
+    if args.seed < 0:
+        ap.error("--seed must be >= 0")
     # written so that nan fails the comparison too
     if not all(0 <= b < math.inf for b in args.trans_range):
         ap.error("--trans-range bounds must be finite and >= 0")

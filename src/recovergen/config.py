@@ -95,6 +95,8 @@ class PipelineConfig:
             raise ConfigError("l_blend and chunk_len must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.sampler.m_points < 2:
             raise ConfigError("sampler.m_points must be >= 2")
         sc, cc, rc = self.sampler, self.curator, self.relabel

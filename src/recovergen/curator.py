@@ -69,12 +69,6 @@ def state_distances(states, expert_states, psi: Callable, scales) -> np.ndarray:
     return np.sqrt(_sq_distances(x, e).min(axis=1))
 
 
-def manifold_distance(s, expert_states, psi: Callable, scales) -> float:
-    """min_j ||psi(s) - psi(s_e_j)|| in the normalized task subspace."""
-    return float(state_distances(np.asarray(s, dtype=float)[None, :],
-                                 expert_states, psi, scales)[0])
-
-
 def peak_deviation(d: np.ndarray) -> float:
     """Largest manifold distance attained along a rollout, from its
     per-state distances ``d`` (``state_distances``)."""
@@ -220,12 +214,6 @@ def dpp_select_greedy(kernel: np.ndarray, m: int, eps: float = 1e-6) -> List[int
         d = d - e * e
         d[selected] = -np.inf
     return selected
-
-
-def dpp_log_det(kernel: np.ndarray, subset: Sequence[int], eps: float = 1e-6) -> float:
-    sub = np.asarray(kernel)[np.ix_(subset, subset)] + eps * np.eye(len(subset))
-    sign, val = np.linalg.slogdet(sub)
-    return float(val) if sign > 0 else -np.inf
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,11 @@ Both arrays are structured NumPy ``.npy`` files (the NEP 1 format) holding
 raw little-endian numbers, so a round trip is bitwise lossless, and
 ``np.load(path, allow_pickle=False)`` opens either one without this package.
 
-A curated record is the window ``observe(states[t], states[0])``,
+A curated pair is the window ``observe(states[t], states[0])``,
 ``actions[t:t + chunk_len]`` of a stored trajectory, so it is not stored
-again: ``deserialize`` rebuilds the curated records from the trajectories
-through ``export_pairs``, then appends the relabeled records.
+again: ``deserialize`` returns ``Pairs``, the curated windows rebuilt from
+the trajectories by ``export_pairs`` and the loaded ``records.npy`` table,
+two tables with the fields of ``records.npy``.
 
 Files are written to temporary names and renamed once all are complete, the
 manifest last.  Every reader reads the manifest, both arrays and checks them
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import operator
 import os
 from dataclasses import dataclass, field
 from typing import (IO, Callable, Dict, Iterable, List, Sequence, Tuple, get_origin,
@@ -62,25 +62,17 @@ class DatasetFormatError(ValueError):
     """Malformed or truncated dataset file."""
 
 
-@dataclass
-class DatasetRecord:
-    """Timestep-level (observation, action-chunk) supervision pair."""
+@dataclass(frozen=True, eq=False)
+class Pairs:
+    """A dataset's supervision pairs, as two tables with the fields of
+    ``records.npy``: the curated windows, by trajectory and ``t``, and the
+    relabeled pairs, as stored."""
 
-    observation: np.ndarray
-    action_chunk: np.ndarray     # (k, d_a) for curated pairs, (H, d_a) for relabeled
-    source: str                  # "curated" | "relabeled"
-    trajectory_id: int
-    t: int
+    curated: np.ndarray
+    relabeled: np.ndarray
 
-    def __post_init__(self):
-        if self.source not in ("curated", "relabeled"):
-            raise ValueError(f"bad record source {self.source!r}")
-        self.trajectory_id = operator.index(self.trajectory_id)
-        self.t = operator.index(self.t)
-        self.observation = np.asarray(self.observation, dtype=float)
-        self.action_chunk = np.asarray(self.action_chunk, dtype=float)
-        if self.action_chunk.size == 0:
-            raise ValueError("action chunk must be non-empty")
+    def __len__(self) -> int:
+        return len(self.curated) + len(self.relabeled)
 
 
 @dataclass
@@ -127,26 +119,27 @@ def _window_count(horizon: int, chunk_len: int) -> int:
     return horizon - chunk_len + 1
 
 
-def export_pairs(curated: Sequence[Trajectory], relabels: Sequence[RelabelTarget],
-                 chunk_len: int, observe=None) -> List[DatasetRecord]:
-    """One standard record per curated window, plus one record per
-    relabeled target."""
-    records = []
-    for i, traj in enumerate(curated):
-        states = traj.states
-        for t in range(_window_count(traj.horizon, chunk_len)):
-            obs = (observe(states[t], states[0]) if observe is not None
-                   else np.concatenate([states[t], states[0]]))
-            records.append(DatasetRecord(observation=obs,
-                                         action_chunk=traj.actions[t:t + chunk_len],
-                                         source="curated", trajectory_id=i, t=t))
-    for target in relabels:
-        records.append(DatasetRecord(observation=target.observation,
-                                     action_chunk=target.chunk,
-                                     source="relabeled",
-                                     trajectory_id=target.point.trajectory_id,
-                                     t=target.point.t))
-    return records
+def _dtype(fields: Dict[str, Tuple[str, int]], shapes: Dict[str, Tuple[int, ...]]) -> np.dtype:
+    return np.dtype([(name, fields[name][0], shape) for name, shape in shapes.items()])
+
+
+def export_pairs(states: np.ndarray, actions: np.ndarray, chunk_len: int,
+                 observe: Callable) -> np.ndarray:
+    """Every curated window of trajectories ``states`` (n, T+1, d_s) and
+    ``actions`` (n, T, d_a), as a table with the fields of ``records.npy``:
+    row (i, t) holds ``observe(states[i, t], states[i, 0])`` and
+    ``actions[i, t:t + chunk_len]``, for each t in [0, T - chunk_len]."""
+    n, horizon, d_a = actions.shape
+    w = _window_count(horizon, chunk_len) if n else 0
+    table = np.empty((n, w), _dtype(_RECORD_FIELDS, {
+        "traj": (), "t": (), "obs": (2 * states.shape[-1],), "chunk": (chunk_len, d_a)}))
+    if n:
+        table["traj"] = np.arange(n)[:, None]
+        table["t"] = np.arange(w)
+        table["obs"] = observe(states[:, :w], states[:, :1])
+        table["chunk"] = np.lib.stride_tricks.sliding_window_view(
+            actions, chunk_len, axis=1).swapaxes(2, 3)
+    return table.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +226,7 @@ def _table(fields: Dict[str, Tuple[str, int]], columns: Dict[str, Sequence]) -> 
     the table, so no stacked copy of a column is made."""
     shapes = {name: _shape(fields, name, values) for name, values in columns.items()}
     n = len(next(iter(columns.values())))
-    table = np.empty(n, np.dtype([(name, fields[name][0], shape)
-                                  for name, shape in shapes.items()]))
+    table = np.empty(n, _dtype(fields, shapes))
     for name, values in columns.items():
         if len(values):
             np.stack(values, out=table[name])
@@ -246,23 +238,20 @@ def _npy_writer(table: np.ndarray) -> Callable[[IO], None]:
 
 
 def serialize(manifest: DatasetManifest, out_dir: str, trajectories: Sequence[Trajectory],
-              relabeled: Sequence[DatasetRecord] = ()) -> None:
-    """Write a dataset: ``trajectories`` and the ``relabeled`` records.
-    The curated windows of length ``manifest.chunk_len`` are not written;
-    readers rebuild them from the trajectories.  Sets the manifest's
-    ``n_trajectories``, ``n_relabeled`` and ``n_records`` (windows plus
-    relabeled records).
+              relabeled: Sequence[RelabelTarget] = ()) -> None:
+    """Write a dataset: ``trajectories`` and one ``records.npy`` row per
+    ``relabeled`` target.  The curated windows of length
+    ``manifest.chunk_len`` are not written; readers rebuild them from the
+    trajectories.  Sets the manifest's ``n_trajectories``, ``n_relabeled``
+    and ``n_records`` (windows plus relabeled pairs).
 
     Raises ValueError before any file is written when the trajectories or
-    the records differ in shape, when only some trajectories have an
-    origin, when a record is not relabeled, or when ``chunk_len`` does not
-    fit the trajectories.  Each file goes to a temporary file first; they
-    are renamed into place only once all are complete, the manifest last,
-    since it pins the row counts of the others.  So a failure while
-    writing any file leaves the previous dataset whole and readable."""
-    if any(r.source != "relabeled" for r in relabeled):
-        raise ValueError("only relabeled records are stored; curated windows are "
-                         "rebuilt from the trajectories")
+    the targets differ in shape, when only some trajectories have an
+    origin, or when ``chunk_len`` does not fit the trajectories.  Each file
+    goes to a temporary file first; they are renamed into place only once
+    all are complete, the manifest last, since it pins the row counts of
+    the others.  So a failure while writing any file leaves the previous
+    dataset whole and readable."""
     columns = {"variant": [t.variant for t in trajectories],
                "success": [bool(t.success) for t in trajectories],
                "mass": [t.env_params.mass for t in trajectories],
@@ -272,10 +261,10 @@ def serialize(manifest: DatasetManifest, out_dir: str, trajectories: Sequence[Tr
     if any(t.origin is not None for t in trajectories):
         columns["origin"] = [t.origin for t in trajectories]   # a None has shape ()
     trajectory_table = _table(_TRAJECTORY_FIELDS, columns)
-    record_table = _table(_RECORD_FIELDS, {"traj": [r.trajectory_id for r in relabeled],
-                                           "t": [r.t for r in relabeled],
+    record_table = _table(_RECORD_FIELDS, {"traj": [r.point.trajectory_id for r in relabeled],
+                                           "t": [r.point.t for r in relabeled],
                                            "obs": [r.observation for r in relabeled],
-                                           "chunk": [r.action_chunk for r in relabeled]})
+                                           "chunk": [r.chunk for r in relabeled]})
     horizon = trajectory_table.dtype["actions"].shape[0]
     windows = len(trajectories) * _window_count(horizon, manifest.chunk_len) if trajectories else 0
 
@@ -315,7 +304,7 @@ def _load_table(path: str, fields: Dict[str, Tuple[str, int]], rows: int) -> np.
     want = tuple(name for name in fields if name != "origin" or name in names)
     if names != want:
         raise DatasetFormatError(f"{path}: fields {names}, expected {want}")
-    expected = np.dtype([(name, fields[name][0], table.dtype[name].shape) for name in want])
+    expected = _dtype(fields, {name: table.dtype[name].shape for name in want})
     if table.dtype != expected or any(table.dtype[name].ndim != fields[name][1]
                                       for name in want):
         raise DatasetFormatError(f"{path}: fields {table.dtype.descr} are not of the "
@@ -362,44 +351,34 @@ def _open(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray, np.nd
     return manifest, env, trajectories, records
 
 
-def _trajectories(table: np.ndarray) -> List[Trajectory]:
-    states = np.ascontiguousarray(table["states"])
-    actions = np.ascontiguousarray(table["actions"])
+def open_dataset(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray]:
+    """The manifest, the environment it describes and the stored
+    trajectories table, with the manifest parsed once and the whole dataset
+    checked.  An ``env_config`` the environment rejects raises
+    DatasetFormatError."""
+    return _open(out_dir)[:3]
+
+
+def deserialize(out_dir: str) -> Tuple[Pairs, DatasetManifest]:
+    """Every supervision pair: the curated windows rebuilt from the
+    trajectories by ``export_pairs``, and the ``records.npy`` table."""
+    manifest, env, trajectories, relabeled = _open(out_dir)
+    curated = export_pairs(trajectories["states"], trajectories["actions"],
+                           manifest.chunk_len, env.observe)
+    return Pairs(curated, relabeled), manifest
+
+
+def load_trajectories(out_dir: str) -> List[Trajectory]:
+    """The stored trajectories as ``Trajectory`` objects, one per row."""
+    table = open_dataset(out_dir)[2]
     origins = (np.ascontiguousarray(table["origin"]) if "origin" in table.dtype.names
                else [None] * len(table))
     return [Trajectory(states=s, actions=a, success=ok,
                        env_params=EnvParams(mass=m, friction_scale=f), origin=o, variant=v)
             for s, a, ok, m, f, o, v in zip(
-                states, actions, table["success"].tolist(), table["mass"].tolist(),
+                np.ascontiguousarray(table["states"]), np.ascontiguousarray(table["actions"]),
+                table["success"].tolist(), table["mass"].tolist(),
                 table["friction_scale"].tolist(), origins, table["variant"].tolist())]
-
-
-def open_dataset(out_dir: str) -> Tuple[DatasetManifest, Environment, List[Trajectory]]:
-    """The manifest, the environment it describes and the stored
-    trajectories, with the manifest parsed once and the whole dataset
-    checked.  An ``env_config`` the environment rejects raises
-    DatasetFormatError."""
-    manifest, env, trajectories, _ = _open(out_dir)
-    return manifest, env, _trajectories(trajectories)
-
-
-def deserialize(out_dir: str) -> Tuple[List[DatasetRecord], DatasetManifest]:
-    """Every record: the curated windows rebuilt from the trajectories
-    (their chunks are views of the trajectory's actions, as
-    ``export_pairs`` makes them), then the relabeled records."""
-    manifest, env, trajectories, relabeled = _open(out_dir)
-    records = export_pairs(_trajectories(trajectories), [], manifest.chunk_len,
-                           observe=env.observe)
-    obs, chunks = np.ascontiguousarray(relabeled["obs"]), np.ascontiguousarray(relabeled["chunk"])
-    records.extend(DatasetRecord(observation=o, action_chunk=c, source="relabeled",
-                                 trajectory_id=i, t=t)
-                   for o, c, i, t in zip(obs, chunks, relabeled["traj"].tolist(),
-                                         relabeled["t"].tolist()))
-    return records, manifest
-
-
-def load_trajectories(out_dir: str) -> List[Trajectory]:
-    return open_dataset(out_dir)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -184,8 +184,11 @@ class Environment:
         raise NotImplementedError
 
     def observe(self, state: np.ndarray, start_state: np.ndarray) -> np.ndarray:
-        """Full state concatenated with the episode-start state."""
-        return np.concatenate([np.asarray(state, float), np.asarray(start_state, float)])
+        """Full state concatenated with the episode-start state, over
+        states (..., d_s); the start state is broadcast to them."""
+        state = np.asarray(state, float)
+        start = np.broadcast_to(np.asarray(start_state, float), state.shape)
+        return np.concatenate([state, start], axis=-1)
 
     def sample_env_params(self, rng: np.random.Generator) -> EnvParams:
         return randomize_env_params(self.mass_range, self.friction_range, rng)
@@ -219,7 +222,6 @@ def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
 
     Rows are stepped in order of descending length and each step advances
     only the rows still running, so the env work is sum(lengths) steps.
-    Without ``lengths`` every row runs all L steps and is stepped in place.
     """
     s0s = np.asarray(s0s, dtype=float)
     actions = np.asarray(actions, dtype=float)
@@ -228,14 +230,11 @@ def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
         raise ValueError(f"expected s0s (n, {env.state_dim}) and actions (n, L >= 1, "
                          f"{env.action_dim}), got {s0s.shape} and {actions.shape}")
     n, horizon = actions.shape[:2]
-    if lengths is None:
-        order, running = slice(None), np.full(horizon, n)
-    else:
-        lengths = np.asarray(lengths)
-        if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > horizon):
-            raise ValueError(f"lengths must give each of the {n} rows 1..{horizon} steps")
-        order = np.argsort(-lengths, kind="stable")
-        running = (lengths[:, None] > np.arange(horizon)).sum(axis=0)
+    lengths = np.full(n, horizon) if lengths is None else np.asarray(lengths)
+    if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > horizon):
+        raise ValueError(f"lengths must give each of the {n} rows 1..{horizon} steps")
+    order = np.argsort(-lengths, kind="stable")
+    running = (lengths[:, None] > np.arange(horizon)).sum(axis=0)
     by_row = {f.name: _param_rows(params, f.name, n)[order] for f in fields(EnvParams)}
     s = s0s[order].copy()
     acts = actions[order]
@@ -246,11 +245,9 @@ def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
         p = EnvParams(**{name: v[:k] for name, v in by_row.items()})
         s[:k] = env.step(s[:k], acts[:k, t], p)
         out[:, t + 1] = s
-    if lengths is not None:
-        states = np.empty_like(out)
-        states[order] = out
-        out = states
-    return out, env.success_batch(out[:, -1])
+    states = np.empty_like(out)
+    states[order] = out
+    return states, env.success_batch(states[:, -1])
 
 
 def rollout(env: Environment, s0: np.ndarray, actions: np.ndarray,

@@ -24,8 +24,8 @@ from . import curator as cur
 from . import sampler as smp
 from .config import ConfigError, PipelineConfig, config_parameters
 from .curator import TubeBounds
-from .dataset_io import (DatasetFormatError, DatasetManifest, export_pairs, open_dataset,
-                         serialize, _atomic_write)
+from .dataset_io import (DatasetFormatError, DatasetManifest, open_dataset, serialize,
+                         _atomic_write)
 from .envs import (Environment, EnvParams, Trajectory, augmented_demo_actions,
                    make_env, rollout_batch)
 from .geometry import Pose, compose, sample_object_perturbation
@@ -286,8 +286,7 @@ def run_pgdg(cfg: PipelineConfig) -> RunReport:
     manifest.n_successful = sum(v.n_successful for v in variants)
     manifest.n_selected = len(curated)
     manifest.final_tubes = [(v.final_tube.r_min, v.final_tube.r_max) for v in active]
-    serialize(manifest, cfg.out_dir, curated,
-              export_pairs([], targets, cfg.chunk_len, observe=env.observe))
+    serialize(manifest, cfg.out_dir, curated, targets)
 
     report = RunReport(variants=variants, manifest=manifest)
     _write_report(cfg.out_dir, report)
@@ -347,33 +346,34 @@ def evaluate_replay(dataset_dir: str, n_trials: int, seed: int = 0) -> Dict:
     """
     if n_trials < 0:
         raise ConfigError(f"trials must be >= 0, got {n_trials}")
-    manifest, env, trajs = open_dataset(dataset_dir)
-    if not trajs:
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    manifest, env, table = open_dataset(dataset_dir)
+    if not len(table):
         raise PipelineError(f"{dataset_dir}: no trajectories to replay")
 
     shape = (env.horizon, env.action_dim)
-    if any(traj.actions.shape != shape for traj in trajs):
+    if table.dtype["actions"].shape != shape:
         raise DatasetFormatError(f"{dataset_dir}: stored plans must have actions of "
                                  f"shape {shape}")
-    s0s = np.array([traj.states[0] for traj in trajs])
-    actions = np.array([traj.actions for traj in trajs])
-    stored_ok = int(np.sum(rollout_batch(env, s0s, actions,
-                                         [traj.env_params for traj in trajs])[1]))
+    s0s, actions = table["states"][:, 0], table["actions"]
+    stored = EnvParams(mass=table["mass"], friction_scale=table["friction_scale"])
+    stored_ok = int(np.sum(rollout_batch(env, s0s, actions, stored)[1]))
 
     # fresh draws cycle through the stored plans, one batch per block of
     # trials so memory stays bounded for any n_trials
     rng = np.random.default_rng(seed)
     fresh_ok = 0
     for lo in range(0, n_trials, _REPLAY_BLOCK):
-        rows = np.arange(lo, min(lo + _REPLAY_BLOCK, n_trials)) % len(trajs)
+        rows = np.arange(lo, min(lo + _REPLAY_BLOCK, n_trials)) % len(table)
         params = [env.sample_env_params(rng) for _ in rows]
         fresh_ok += int(np.sum(rollout_batch(env, s0s[rows], actions[rows], params)[1]))
 
     return {
         "dataset": dataset_dir,
         "source": manifest.source,
-        "n_trajectories": len(trajs),
-        "stored_success_rate": stored_ok / len(trajs),
+        "n_trajectories": len(table),
+        "stored_success_rate": stored_ok / len(table),
         "fresh_trials": n_trials,
         "fresh_success_rate": fresh_ok / n_trials if n_trials else 0.0,
         "fresh_ci95": _binomial_ci(fresh_ok, n_trials),

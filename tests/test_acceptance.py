@@ -11,9 +11,9 @@ import pytest
 
 from recovergen.config import PipelineConfig, RelabelConfig
 from recovergen.curator import (TubeBounds, build_kernel, compute_tube,
-                                dct2_matrix, dct_embed, dpp_log_det,
-                                dpp_select_greedy, quantile, state_distances,
-                                tube_reward, update_proposal)
+                                dct2_matrix, dct_embed, dpp_select_greedy,
+                                quantile, state_distances, tube_reward,
+                                update_proposal)
 from recovergen.envs import (EnvParams, PlanarBlockRotate, PointReach,
                              Trajectory, augmented_demo_actions, make_env,
                              rollout, rollout_with_resume)
@@ -21,6 +21,7 @@ from recovergen.dataset_io import deserialize
 from recovergen.pipeline import (compare_replay, run_pgdg, run_spatial_only)
 from recovergen.relabel import RelabelPoint, cem_optimize, relabel_dataset
 from recovergen.sampler import Proposal
+from test_curator import dpp_log_det
 
 IDENT = lambda s: np.asarray(s, dtype=float)  # noqa: E731
 SEED = 7
@@ -35,8 +36,8 @@ def generated(tmp_path_factory):
     t0 = time.perf_counter()
     report = run_pgdg(cfg)
     elapsed = time.perf_counter() - t0
-    records, _ = deserialize(cfg.out_dir)
-    return cfg, records, report, elapsed
+    pairs, _ = deserialize(cfg.out_dir)
+    return cfg, pairs, report, elapsed
 
 
 def _report(name, detail=""):
@@ -83,15 +84,16 @@ FORMAT_1_RECORDS_DIGEST = "74e911b917d859c7c29e5ae3e98392798277988b00cef6a1a57f7
 
 def test_rebuilt_records_encode_to_the_format_1_file(generated):
     """Format 2 stores only the relabeled records and rebuilds the curated
-    windows from ``trajectories``.  Encoded line by line with the
-    ``json.dumps`` oracle, the records ``deserialize`` returns give the
-    format-1 file byte for byte, so rebuilding loses nothing."""
+    windows from ``trajectories``.  Encoded row by row with the
+    ``json.dumps`` oracle, the curated then the relabeled rows of the
+    ``Pairs`` that ``deserialize`` returns give the format-1 file byte for
+    byte, so rebuilding loses nothing."""
     from recovergen.dataset_io import deserialize
-    from test_dataset import oracle_record_line
-    cfg, records, _, _ = generated
+    from test_dataset import oracle_text
+    cfg, pairs, _, _ = generated
     rebuilt, manifest = deserialize(cfg.out_dir)
-    assert len(rebuilt) == len(records) == manifest.n_records
-    text = "".join(oracle_record_line(r) + "\n" for r in rebuilt)
+    assert len(rebuilt) == len(pairs) == manifest.n_records
+    text = oracle_text(rebuilt)
     assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_1_RECORDS_DIGEST
     _report("format 2 lossless", f"{len(rebuilt)} rebuilt records encode to format 1")
 
@@ -111,13 +113,12 @@ def test_loaded_data_encodes_to_the_format_2_files(generated):
     give the format-2 files byte for byte, so the change of format loses
     nothing."""
     from recovergen.dataset_io import load_trajectories
-    from test_dataset import oracle_record_line, oracle_traj_line
-    cfg, records, _, _ = generated
-    relabeled = [r for r in records if r.source == "relabeled"]
-    assert len(relabeled) == 10
+    from test_dataset import oracle_rows_text, oracle_traj_line
+    cfg, pairs, _, _ = generated
+    assert len(pairs.relabeled) == 10
     text = {"trajectories": "".join(oracle_traj_line(i, t) + "\n" for i, t in
                                     enumerate(load_trajectories(cfg.out_dir))),
-            "records": "".join(oracle_record_line(r) + "\n" for r in relabeled)}
+            "records": oracle_rows_text(pairs.relabeled, "relabeled")}
     assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in text.items()} \
         == FORMAT_2_DIGESTS
     _report("format 3 lossless", "trajectories and relabeled records encode to format 2")
@@ -232,7 +233,7 @@ def test_src_imports_only_stdlib_numpy_and_the_package():
 
 
 def test_criterion_01_success_purity_and_runtime(generated):
-    cfg, records, report, elapsed = generated
+    cfg, _, report, elapsed = generated
     env = make_env(cfg.env)
     from recovergen.dataset_io import load_trajectories
     trajs = load_trajectories(cfg.out_dir)

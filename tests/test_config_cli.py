@@ -220,6 +220,8 @@ def test_cli_unknown_key_exit_code(capsys):
     (["env.state_dim=3"], "state_dim is fixed at 7, got 3"),
     (["--env", "point_reach", "env.eps_p=0"], "eps_p must be a finite number > 0, got 0"),
     (["--env", "point_reach", "env.goal=[0.25,Infinity]"], "goal must be 2 finite numbers"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["seed=-2"], "seed must be >= 0, got -2"),
 ])
 def test_cli_relabel_and_env_config_fail_before_any_rollout(tmp_path, capsys, sets,
                                                            message):
@@ -229,6 +231,14 @@ def test_cli_relabel_and_env_config_fail_before_any_rollout(tmp_path, capsys, se
         argv += [item] if item.startswith("-") or "=" not in item else ["--set", item]
     assert main(argv) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_baseline_rejects_negative_seed_before_any_rollout(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert main(["baseline", "--seed", "-3", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "seed must be >= 0, got -3" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -390,6 +400,10 @@ def test_cli_evaluate_rejects_negative_trials(small_dataset, capsys):
     assert main(["evaluate", str(small_dataset), "--compare", str(small_dataset),
                  "--trials", "-1"]) == EXIT_CONFIG
     capsys.readouterr()
+    for extra in ([], ["--compare", str(small_dataset)]):
+        assert main(["evaluate", str(small_dataset), "--seed", "-1", *extra]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err and "Traceback" not in err
     assert main(["evaluate", str(small_dataset), "--trials", "0"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["fresh_success_rate"] == 0.0 and report["fresh_ci95"] == [0.0, 1.0]
@@ -398,8 +412,8 @@ def test_cli_evaluate_rejects_negative_trials(small_dataset, capsys):
 def test_cli_stats_reads_the_manifest_only(small_dataset, capsys, monkeypatch):
     from recovergen import dataset_io
     want = dataset_io.deserialize(str(small_dataset))
-    counts = {"records_curated": sum(r.source == "curated" for r in want[0]),
-              "records_relabeled": sum(r.source == "relabeled" for r in want[0])}
+    counts = {"records_curated": len(want[0].curated),
+              "records_relabeled": len(want[0].relabeled)}
     assert counts["records_relabeled"] == want[1].n_relabeled > 0
 
     def fail(*args, **kwargs):

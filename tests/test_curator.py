@@ -13,14 +13,28 @@ from hypothesis import strategies as st
 from recovergen.curator import (MIN_SUCCESSES_FOR_TUBE, TubeBounds,
                                 TubeUnavailableError, build_kernel,
                                 compute_tube, dct2_matrix, dct_embed,
-                                dpp_log_det, dpp_select_greedy,
-                                manifold_distance, median_pairwise_distance,
+                                dpp_select_greedy, median_pairwise_distance,
                                 peak_deviation, quantile, reward_to_weight,
                                 state_distances, tube_reward, update_proposal)
 from recovergen.envs import EnvParams, Trajectory
 from recovergen.sampler import Proposal
 
 IDENT = lambda s: np.asarray(s, dtype=float)  # noqa: E731
+
+
+def manifold_distance(s, expert_states, psi, scales) -> float:
+    """min_j ||psi(s) - psi(s_e_j)|| in the normalized task subspace: the
+    one-state form of ``state_distances``."""
+    return float(state_distances(np.asarray(s, dtype=float)[None, :],
+                                 expert_states, psi, scales)[0])
+
+
+def dpp_log_det(kernel, subset, eps=1e-6) -> float:
+    """log det(K_S + eps I), or -inf where that matrix is not positive
+    definite: the objective ``dpp_select_greedy`` maximizes greedily."""
+    sub = np.asarray(kernel)[np.ix_(subset, subset)] + eps * np.eye(len(subset))
+    sign, val = np.linalg.slogdet(sub)
+    return float(val) if sign > 0 else -np.inf
 
 
 def make_traj(states, actions=None):

@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from recovergen.cli import main as cli_main
-from recovergen.dataset_io import (DatasetFormatError, DatasetManifest,
-                                   DatasetRecord, dataset_stats, deserialize,
-                                   export_pairs, format_stats, load_trajectories,
-                                   read_manifest, serialize)
-from recovergen.envs import EnvParams, Trajectory
+from recovergen.dataset_io import (DatasetFormatError, DatasetManifest, Pairs,
+                                   dataset_stats, deserialize, export_pairs, format_stats,
+                                   load_trajectories, read_manifest, serialize)
+from recovergen.envs import EnvParams, Trajectory, make_env
 from recovergen.pipeline import evaluate_replay
 from recovergen.relabel import RelabelPoint, RelabelTarget
 
@@ -41,9 +40,29 @@ def make_manifest(**kw):
     return DatasetManifest(**base)
 
 
-def as_relabeled(records):
-    """The same values as relabeled records, which ``records.npy`` stores."""
-    return [dataclasses.replace(r, source="relabeled") for r in records]
+OBSERVE = make_env("point_reach").observe
+
+
+def windows(trajs, chunk_len):
+    """The curated windows of ``trajs`` (one horizon), as ``export_pairs``
+    makes them."""
+    if not trajs:
+        return export_pairs(np.empty((0, 1, D_S)), np.empty((0, 0, D_A)), chunk_len, OBSERVE)
+    return export_pairs(np.array([t.states for t in trajs]), np.array([t.actions for t in trajs]),
+                        chunk_len, OBSERVE)
+
+
+def as_targets(table):
+    """The rows of a pairs table as relabeled targets, which ``records.npy``
+    stores."""
+    return [RelabelTarget(observation=row["obs"].copy(), chunk=row["chunk"].copy(),
+                          point=RelabelPoint(int(row["traj"]), int(row["t"]), 0.0), cost=0.0)
+            for row in table]
+
+
+def same_table(a, b):
+    """Bitwise: equal dtypes, lengths and bytes."""
+    return a.dtype == b.dtype and len(a) == len(b) and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -52,46 +71,31 @@ def as_relabeled(records):
 
 def test_export_window_count():
     traj = make_traj(horizon=60)
-    records = export_pairs([traj], [], chunk_len=30)
-    assert len(records) == 31  # T - k + 1 window starts
+    assert len(windows([traj], chunk_len=30)) == 31  # T - k + 1 window starts
 
 
 def test_export_chunk_len_one():
     traj = make_traj(horizon=10)
-    records = export_pairs([traj], [], chunk_len=1)
-    assert len(records) == 10
-    assert all(r.action_chunk.shape == (1, 2) for r in records)
+    table = windows([traj], chunk_len=1)
+    assert len(table) == 10
+    assert table.dtype["chunk"].shape == (1, 2)
 
 
 def test_export_chunks_match_source_slices():
-    traj = make_traj(horizon=12)
-    for rec in export_pairs([traj], [], chunk_len=5):
-        assert np.array_equal(rec.action_chunk,
-                              traj.actions[rec.t:rec.t + 5])
-        assert rec.source == "curated"
-
-
-def test_export_includes_relabels():
-    traj = make_traj(horizon=12)
-    target = RelabelTarget(observation=np.arange(6.0),
-                           chunk=np.ones((4, 2)),
-                           point=RelabelPoint(0, 3, 0.5), cost=0.1)
-    records = export_pairs([traj], [target], chunk_len=5)
-    relab = [r for r in records if r.source == "relabeled"]
-    assert len(relab) == 1
-    assert relab[0].t == 3 and relab[0].trajectory_id == 0
-    assert np.array_equal(relab[0].action_chunk, np.ones((4, 2)))
+    trajs = [make_traj(horizon=12, seed=i) for i in range(3)]
+    table = windows(trajs, chunk_len=5)
+    assert table.dtype.names == ("traj", "t", "obs", "chunk")
+    assert table["traj"].tolist() == [i for i in range(3) for _ in range(8)]
+    assert table["t"].tolist() == list(range(8)) * 3
+    for row in table:
+        traj = trajs[row["traj"]]
+        assert bits(row["chunk"]) == bits(traj.actions[row["t"]:row["t"] + 5])
+        assert bits(row["obs"]) == bits(OBSERVE(traj.states[row["t"]], traj.states[0]))
 
 
 def test_export_rejects_overlong_chunk():
     with pytest.raises(ValueError):
-        export_pairs([make_traj(horizon=5)], [], chunk_len=6)
-
-
-def test_record_rejects_bad_source():
-    with pytest.raises(ValueError):
-        DatasetRecord(observation=np.zeros(2), action_chunk=np.ones((1, 1)),
-                      source="other", trajectory_id=0, t=0)
+        windows([make_traj(horizon=5)], chunk_len=6)
 
 
 # ---------------------------------------------------------------------------
@@ -100,18 +104,15 @@ def test_record_rejects_bad_source():
 
 def test_round_trip_bitwise(tmp_path):
     trajs = [make_traj(seed=i, variant=i) for i in range(3)]
-    records = export_pairs(trajs, [], chunk_len=4)
-    records += as_relabeled(records[:3])
+    curated = windows(trajs, chunk_len=4)
     manifest = make_manifest(final_tubes=[(0.1, 0.5)],
                              parameters={"sampler.m_points": 16},
                              env_config={"horizon": 30}, chunk_len=4)
-    serialize(manifest, str(tmp_path), trajs, records[-3:])
-    records2, manifest2 = deserialize(str(tmp_path))
-    assert len(records2) == len(records)
-    for a, b in zip(records, records2):
-        assert np.array_equal(a.observation, b.observation)
-        assert np.array_equal(a.action_chunk, b.action_chunk)
-        assert (a.source, a.trajectory_id, a.t) == (b.source, b.trajectory_id, b.t)
+    serialize(manifest, str(tmp_path), trajs, as_targets(curated[:3]))
+    pairs, manifest2 = deserialize(str(tmp_path))
+    assert len(pairs) == len(curated) + 3 == manifest2.n_records
+    assert same_table(pairs.curated, curated)
+    assert same_table(pairs.relabeled, curated[:3])
     assert manifest2 == manifest
 
     trajs2 = load_trajectories(str(tmp_path))
@@ -125,18 +126,18 @@ def test_round_trip_bitwise(tmp_path):
 
 def test_empty_dataset_round_trip(tmp_path):
     serialize(make_manifest(n_generated=0, n_successful=0, n_selected=0), str(tmp_path), [])
-    records, manifest = deserialize(str(tmp_path))
-    assert records == [] and manifest.n_records == 0
+    pairs, manifest = deserialize(str(tmp_path))
+    assert len(pairs) == len(pairs.curated) == len(pairs.relabeled) == manifest.n_records == 0
 
 
 def test_large_round_trip(tmp_path):
     trajs = [make_traj(horizon=40, seed=i) for i in range(30)]
-    records = export_pairs(trajs, [], chunk_len=5)
-    assert len(records) > 1000
+    curated = windows(trajs, chunk_len=5)
+    assert len(curated) > 1000
     serialize(make_manifest(chunk_len=5), str(tmp_path), trajs)
-    records2, _ = deserialize(str(tmp_path))
-    assert all(np.array_equal(a.action_chunk, b.action_chunk)
-               for a, b in zip(records, records2))
+    pairs, manifest = deserialize(str(tmp_path))
+    assert same_table(pairs.curated, curated)
+    assert len(pairs) == len(curated) == manifest.n_records
 
 
 def bits(values):
@@ -151,24 +152,25 @@ def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
                       success=False, env_params=EnvParams(mass=float(nans[0]),
                                                           friction_scale=-0.0),
                       origin=edge, variant=3)
-    relabeled = DatasetRecord(observation=edge[::-1], action_chunk=edge.reshape(4, D_A),
-                              source="relabeled", trajectory_id=0, t=0)
+    relabeled = RelabelTarget(observation=edge[::-1], chunk=edge.reshape(4, D_A),
+                              point=RelabelPoint(0, 0, 0.0), cost=0.0)
     serialize(make_manifest(), str(tmp_path), [traj], [relabeled])
     (got,) = load_trajectories(str(tmp_path))
     for name in ("states", "actions", "origin"):
         assert bits(getattr(got, name)) == bits(getattr(traj, name)), name
     assert struct.pack("<d", got.env_params.mass) == struct.pack("<d", nans[0])
     assert struct.pack("<d", got.env_params.friction_scale) == struct.pack("<d", -0.0)
-    curated, stored = deserialize(str(tmp_path))[0]
-    assert bits(curated.observation) == bits(np.concatenate([edge[:D_S], edge[:D_S]]))
-    assert bits(stored.observation) == bits(edge[::-1])
-    assert bits(stored.action_chunk) == bits(edge.reshape(4, D_A))
+    pairs = deserialize(str(tmp_path))[0]
+    (curated,), (stored,) = pairs.curated, pairs.relabeled
+    assert bits(curated["obs"]) == bits(np.concatenate([edge[:D_S], edge[:D_S]]))
+    assert bits(stored["obs"]) == bits(edge[::-1])
+    assert bits(stored["chunk"]) == bits(edge.reshape(4, D_A))
 
 
 def test_truncated_records_detected(tmp_path):
     trajs = [make_traj()]
     serialize(make_manifest(chunk_len=4), str(tmp_path), trajs,
-              as_relabeled(export_pairs(trajs, [], chunk_len=4)))
+              as_targets(windows(trajs, chunk_len=4)))
     path = os.path.join(tmp_path, "records.npy")
     _truncate(path)
     with _raises_naming(path, "not a readable .npy array"):
@@ -207,13 +209,13 @@ def test_missing_trajectory_dump_rejected(tmp_path):
 # format 3 keeps the bytes of the per-line json.dumps encoding of format 2
 
 
-def oracle_record_line(rec):
+def oracle_record_line(traj, t, source, obs, chunk):
     return json.dumps({
-        "traj": rec.trajectory_id,
-        "t": rec.t,
-        "source": rec.source,
-        "obs": rec.observation.tolist(),
-        "chunk": rec.action_chunk.tolist(),
+        "traj": int(traj),
+        "t": int(t),
+        "source": source,
+        "obs": obs.tolist(),
+        "chunk": chunk.tolist(),
     })
 
 
@@ -230,8 +232,20 @@ def oracle_traj_line(i, traj):
     })
 
 
-def oracle_text(records):
-    return "".join(oracle_record_line(r) + "\n" for r in records)
+def oracle_rows_text(table, source):
+    return "".join(oracle_record_line(r["traj"], r["t"], source, r["obs"], r["chunk"]) + "\n"
+                   for r in table)
+
+
+def oracle_text(pairs):
+    """The oracle lines of ``Pairs``: the curated rows, then the relabeled."""
+    return oracle_rows_text(pairs.curated, "curated") + oracle_rows_text(pairs.relabeled,
+                                                                         "relabeled")
+
+
+def oracle_targets_text(targets):
+    return "".join(oracle_record_line(x.point.trajectory_id, x.point.t, "relabeled",
+                                      x.observation, x.chunk) + "\n" for x in targets)
 
 
 def oracle_traj_text(trajectories):
@@ -239,13 +253,14 @@ def oracle_traj_text(trajectories):
 
 
 def assert_round_trip_keeps_oracle_text(trajectories, relabeled, chunk_len):
-    """Every record and trajectory read back encodes, with the json.dumps
+    """Every pair and trajectory read back encodes, with the json.dumps
     oracle, to the text of what was written."""
     with tempfile.TemporaryDirectory() as out:
         serialize(make_manifest(chunk_len=chunk_len), out, trajectories, relabeled)
         assert oracle_traj_text(load_trajectories(out)) == oracle_traj_text(trajectories)
-        want = export_pairs(trajectories, [], chunk_len) + list(relabeled)
-        assert oracle_text(deserialize(out)[0]) == oracle_text(want)
+        want = (oracle_rows_text(windows(trajectories, chunk_len), "curated")
+                + oracle_targets_text(relabeled))
+        assert oracle_text(deserialize(out)[0]) == want
 
 
 EDGE_VALUES = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
@@ -261,7 +276,7 @@ def float_arrays(shape):
 
 @st.composite
 def datasets(draw):
-    """(trajectories, relabeled records, chunk_len) as format 3 stores them:
+    """(trajectories, relabeled targets, chunk_len) as format 3 stores them:
     one shape per field, and origins on every trajectory or on none."""
     horizon = draw(st.integers(1, 5))
     n_origin = draw(st.one_of(st.none(), st.integers(0, 6)))
@@ -274,10 +289,10 @@ def datasets(draw):
                    variant=draw(st.integers(0, 50)))
         for _ in range(draw(st.integers(0, 4)))]
     chunk = draw(st.integers(1, 4))
-    relabeled = [DatasetRecord(observation=draw(float_arrays(2 * D_S)),
-                               action_chunk=draw(float_arrays((chunk, D_A))),
-                               source="relabeled", trajectory_id=draw(st.integers(0, 9)),
-                               t=draw(st.integers(0, 9)))
+    relabeled = [RelabelTarget(observation=draw(float_arrays(2 * D_S)),
+                               chunk=draw(float_arrays((chunk, D_A))),
+                               point=RelabelPoint(draw(st.integers(0, 9)),
+                                                  draw(st.integers(0, 9)), 0.0), cost=0.0)
                  for _ in range(draw(st.integers(0, 6)))]
     return trajectories, relabeled, draw(st.integers(1, horizon))
 
@@ -293,32 +308,34 @@ def test_writer_edge_values_keep_their_own_text(tmp_path):
     obs = np.array(EDGE_VALUES[:2 * D_S])
     chunk = np.array([[-0.0, 0.0], [0.0, -0.0], [np.nan, np.inf], [-np.inf, 5e-324],
                       [1e16, 1e-7], [4.0, -7.0], [0.0, 0.0], [-0.0, -0.0]])
-    records = [DatasetRecord(observation=obs if i % 2 else -obs, action_chunk=chunk[i:i + 2],
-                             source="relabeled", trajectory_id=0, t=i) for i in range(7)]
-    serialize(make_manifest(), str(tmp_path), [], records)
+    targets = [RelabelTarget(observation=obs if i % 2 else -obs, chunk=chunk[i:i + 2],
+                             point=RelabelPoint(0, i, 0.0), cost=0.0) for i in range(7)]
+    serialize(make_manifest(), str(tmp_path), [], targets)
     text = oracle_text(deserialize(str(tmp_path))[0])
-    assert text == oracle_text(records)
+    assert text == oracle_targets_text(targets)
     assert "[-0.0, 0.0]" in text and "[0.0, -0.0]" in text
     assert "NaN" in text and "-Infinity" in text and "5e-324" in text and "1e+16" in text
 
 
-def test_writer_mixes_relabeled_and_curated_chunk_lengths():
+def test_writer_mixes_relabeled_and_curated_chunk_lengths(tmp_path):
     trajs = [make_traj(horizon=12, seed=i) for i in range(3)]
     targets = [RelabelTarget(observation=np.arange(8.0) + i,
                              chunk=make_traj(horizon=7, seed=10 + i).actions,
                              point=RelabelPoint(i, 2 * i, 0.5), cost=0.1)
                for i in range(3)]
-    records = export_pairs(trajs, targets, chunk_len=4)
-    assert {r.action_chunk.shape for r in records} == {(4, 2), (7, 2)}
-    assert_round_trip_keeps_oracle_text(trajs, records[-3:], 4)
+    serialize(make_manifest(chunk_len=4), str(tmp_path), trajs, targets)
+    pairs = deserialize(str(tmp_path))[0]
+    assert (pairs.curated.dtype["chunk"].shape, pairs.relabeled.dtype["chunk"].shape) \
+        == ((4, 2), (7, 2))
+    assert_round_trip_keeps_oracle_text(trajs, targets, 4)
 
 
 def test_writer_one_dimensional_and_scalar_arrays(tmp_path):
     # each field keeps its number of axes; anything else is refused unwritten
-    scalar_obs = DatasetRecord(observation=np.float64(2.5), action_chunk=np.ones((2, 2)),
-                               source="relabeled", trajectory_id=0, t=0)
-    cube_chunk = DatasetRecord(observation=np.zeros(8), action_chunk=np.ones((2, 2, 3)),
-                               source="relabeled", trajectory_id=1, t=4)
+    scalar_obs = RelabelTarget(observation=np.float64(2.5), chunk=np.ones((2, 2)),
+                               point=RelabelPoint(0, 0, 0.0), cost=0.0)
+    cube_chunk = RelabelTarget(observation=np.zeros(8), chunk=np.ones((2, 2, 3)),
+                               point=RelabelPoint(1, 4, 0.0), cost=0.0)
     flat = make_traj()
     flat.states = flat.states.ravel()
     for trajs, relabeled, field in (([], [scalar_obs], "obs"), ([], [cube_chunk], "chunk"),
@@ -334,8 +351,8 @@ def test_writer_empty_record_list(tmp_path):
     for name, n_curated in (("none", 0), ("curated", 7)):
         out = str(tmp_path / name)
         assert len(np.load(os.path.join(out, "records.npy"), allow_pickle=False)) == 0
-        records = deserialize(out)[0]
-        assert len(records) == n_curated and all(r.source == "curated" for r in records)
+        pairs = deserialize(out)[0]
+        assert len(pairs) == len(pairs.curated) == n_curated and len(pairs.relabeled) == 0
 
 
 def test_writer_trajectories_with_and_without_origin(tmp_path):
@@ -371,7 +388,7 @@ def fail_npy_write(monkeypatch, nth):
 
 def test_failed_write_keeps_previous_file_and_no_temp_file(tmp_path, monkeypatch):
     trajs = [make_traj(horizon=40, seed=i) for i in range(40)]
-    relabeled = as_relabeled(export_pairs(trajs, [], chunk_len=5))
+    relabeled = as_targets(windows(trajs, chunk_len=5))
     serialize(make_manifest(chunk_len=5), str(tmp_path), trajs[:2], relabeled[:10])
     before = (tmp_path / "records.npy").read_bytes()
     fail_npy_write(monkeypatch, 1)       # records.npy is written first
@@ -379,15 +396,6 @@ def test_failed_write_keeps_previous_file_and_no_temp_file(tmp_path, monkeypatch
         serialize(make_manifest(chunk_len=5), str(tmp_path), trajs, relabeled)
     assert (tmp_path / "records.npy").read_bytes() == before
     assert not (tmp_path / "records.npy.tmp").exists()
-
-
-def test_record_ids_must_be_integers():
-    rec = DatasetRecord(observation=np.zeros(2), action_chunk=np.ones((1, 1)),
-                        source="curated", trajectory_id=np.int64(3), t=np.int32(4))
-    assert type(rec.trajectory_id) is int and type(rec.t) is int
-    with pytest.raises(TypeError):
-        DatasetRecord(observation=np.zeros(2), action_chunk=np.ones((1, 1)),
-                      source="curated", trajectory_id=0, t=1.5)
 
 
 def test_trajectory_variant_must_be_an_integer(tmp_path):
@@ -401,7 +409,7 @@ def test_trajectory_variant_must_be_an_integer(tmp_path):
 
 def test_failed_records_write_keeps_previous_dataset_readable(tmp_path, monkeypatch):
     trajs = [make_traj(horizon=40, seed=i) for i in range(40)]
-    relabeled = as_relabeled(export_pairs(trajs, [], chunk_len=5))
+    relabeled = as_targets(windows(trajs, chunk_len=5))
     serialize(make_manifest(chunk_len=5), str(tmp_path), trajs[:2], relabeled[:10])
     before = {name: (tmp_path / name).read_bytes()
               for name in ("manifest", "records.npy", "trajectories.npy")}
@@ -437,17 +445,19 @@ def oracle_read_npy(path):
 
 
 def oracle_deserialize(out_dir, chunk_len):
-    """Each stored trajectory's windows, then the stored relabeled records."""
-    curated = [DatasetRecord(observation=np.concatenate([traj.states[t], traj.states[0]]),
-                             action_chunk=traj.actions[t:t + chunk_len], source="curated",
-                             trajectory_id=i, t=t)
-               for i, traj in enumerate(oracle_load_trajectories(out_dir))
-               for t in range(traj.horizon - chunk_len + 1)]
-    rows = oracle_read_npy(os.path.join(out_dir, "records.npy"))
-    return curated + [DatasetRecord(observation=row["obs"].copy(),
-                                    action_chunk=row["chunk"].copy(), source="relabeled",
-                                    trajectory_id=int(row["traj"]), t=int(row["t"]))
-                      for row in rows]
+    """The two tables of ``Pairs``: each stored trajectory's windows, one
+    row at a time, and the stored relabeled rows."""
+    trajs = oracle_read_npy(os.path.join(out_dir, "trajectories.npy"))
+    (horizon, d_a), d_s = trajs.dtype["actions"].shape, trajs.dtype["states"].shape[-1]
+    starts = [(i, t) for i in range(len(trajs)) for t in range(horizon - chunk_len + 1)]
+    curated = np.empty(len(starts), [("traj", "<i8"), ("t", "<i8"), ("obs", "<f8", (2 * d_s,)),
+                                     ("chunk", "<f8", (chunk_len, d_a))])
+    for j, (i, t) in enumerate(starts):
+        states = trajs["states"][i]
+        curated["traj"][j], curated["t"][j] = i, t
+        curated["obs"][j] = np.concatenate([states[t], states[0]])
+        curated["chunk"][j] = trajs["actions"][i, t:t + chunk_len]
+    return Pairs(curated, oracle_read_npy(os.path.join(out_dir, "records.npy")))
 
 
 def oracle_load_trajectories(out_dir):
@@ -473,12 +483,11 @@ def same_value(a, b):
 def assert_reader_matches_oracle(trajectories, relabeled, chunk_len):
     with tempfile.TemporaryDirectory() as out:
         serialize(make_manifest(chunk_len=chunk_len), out, trajectories, relabeled)
-        got, want = deserialize(out)[0], oracle_deserialize(out, chunk_len)
-        assert len(got) == len(want) == len(export_pairs(trajectories, [], chunk_len)
-                                            + list(relabeled))
-        for a, b in zip(got, want):
-            for name in ("observation", "action_chunk", "source", "trajectory_id", "t"):
-                assert same_value(getattr(a, name), getattr(b, name)), name
+        (got, manifest), want = deserialize(out), oracle_deserialize(out, chunk_len)
+        assert len(got) == len(want) == manifest.n_records \
+            == len(windows(trajectories, chunk_len)) + len(relabeled)
+        assert same_table(got.curated, want.curated)
+        assert same_table(got.relabeled, want.relabeled)
         got, want = load_trajectories(out), oracle_load_trajectories(out)
         assert len(got) == len(want) == len(trajectories)
         for a, b in zip(got, want):
@@ -499,16 +508,15 @@ def test_reader_equals_oracle_across_blocks_and_edge_values():
     for traj in trajs:
         traj.origin = None
     trajs[7].states[3] = [-0.0, np.nan, np.inf, 5e-324]
-    assert_reader_matches_oracle(trajs, as_relabeled(export_pairs(trajs, [], chunk_len=5)), 5)
+    assert_reader_matches_oracle(trajs, as_targets(windows(trajs, chunk_len=5)), 5)
 
 
 def _dataset(tmp_path):
     """3 trajectories of horizon 10 (3 x 7 windows of 4) and 5 relabeled
-    records, under a point_reach of horizon 10, so replay runs too."""
+    pairs, under a point_reach of horizon 10, so replay runs too."""
     trajs = [make_traj(seed=i, variant=i) for i in range(3)]
-    records = export_pairs(trajs, [], chunk_len=4)
     serialize(make_manifest(chunk_len=4, env_config={"horizon": 10}), str(tmp_path), trajs,
-              as_relabeled(records[:5]))
+              as_targets(windows(trajs, chunk_len=4)[:5]))
     return str(tmp_path)
 
 
@@ -587,7 +595,7 @@ def test_reader_rejects_ragged_array(tmp_path, name):
     # that does not fit the manifest's environment
     out = _dataset(tmp_path)
     trajs = [make_traj(horizon=10), make_traj(horizon=11)]
-    relabeled = as_relabeled(export_pairs(trajs, [], 4)[:1] + export_pairs(trajs, [], 5)[:1])
+    relabeled = as_targets(windows(trajs[:1], 4)[:1]) + as_targets(windows(trajs[:1], 5)[:1])
     with pytest.raises(ValueError, match="every row needs one shape"):
         serialize(make_manifest(chunk_len=4), str(tmp_path / "ragged"),
                   trajs[:1 + (name == "trajectories")], relabeled[:1 + (name == "records")])
@@ -635,10 +643,12 @@ def test_reader_skips_blank_lines_without_counting_them(tmp_path, name):
              + lines[2:] + ["\n"])
     got = READERS[name](out)
     if name == "records":
-        got, want = got[0], want[0]
+        (got, _), (want, _) = got, want
+        assert same_table(got.curated, want.curated)
+        assert same_table(got.relabeled, want.relabeled)
     assert len(got) == len(want)
-    key = "action_chunk" if name == "records" else "actions"
-    assert all(np.array_equal(getattr(a, key), getattr(b, key)) for a, b in zip(got, want))
+    if name == "trajectories":
+        assert all(np.array_equal(a.actions, b.actions) for a, b in zip(got, want))
     first = _manifest_lineno(out, "seed")
     _rewrite(path, lambda lines: lines + ["seed = 4\n"])
     with _raises_naming(path, f"line {first + 16}: duplicate key 'seed', "
@@ -733,13 +743,13 @@ def test_every_reader_refuses_a_format_2_directory(tmp_path, capsys):
     # format 2 stored the same data as JSON lines
     out = _dataset(tmp_path)
     trajs = load_trajectories(out)
-    relabeled = [r for r in deserialize(out)[0] if r.source == "relabeled"]
+    relabeled = deserialize(out)[0].relabeled
     for name in READERS:
         os.remove(os.path.join(out, name + ".npy"))
     with open(os.path.join(out, "trajectories"), "w") as fh:
         fh.write(oracle_traj_text(trajs))
     with open(os.path.join(out, "records"), "w") as fh:
-        fh.write(oracle_text(relabeled))
+        fh.write(oracle_rows_text(relabeled, "relabeled"))
     _set_manifest_line(out, "format", 2)
     assert_every_reader_refuses(out, capsys, os.path.join(out, "manifest"),
                                 "format 2 is not supported")
@@ -786,7 +796,7 @@ def test_manifest_with_every_field_set_round_trips(tmp_path):
         parameters={"yaw_range": 0.3, "trans_range": [0.08, 0.08, 0.0], "name": "x"},
         final_tubes=[(0.01, 0.25), (0.0, 1e-300)])
     serialize(manifest, str(tmp_path), trajs,
-              as_relabeled(export_pairs(trajs, [], chunk_len=4)[:2]))
+              as_targets(windows(trajs, chunk_len=4)[:2]))
     # serialize sets the three row counts
     assert (manifest.n_trajectories, manifest.n_relabeled, manifest.n_records) == (3, 2, 23)
     unset = [f.name for f in dataclasses.fields(DatasetManifest)
@@ -860,12 +870,10 @@ def test_deserialize_checks_counts_and_chunk_len(tmp_path, key, value):
 
 def test_records_file_holds_relabeled_records_only(tmp_path):
     out = _dataset(tmp_path)
-    assert [r.source for r in deserialize(out)[0][-6:]] == ["curated"] + ["relabeled"] * 5
-    trajs = load_trajectories(out)
-    with pytest.raises(ValueError, match="only relabeled"):
-        serialize(make_manifest(chunk_len=4), str(tmp_path / "curated"), trajs,
-                  export_pairs(trajs, [], 4))
-    assert not (tmp_path / "curated").exists()
+    pairs = deserialize(out)[0]
+    assert (len(pairs.curated), len(pairs.relabeled)) == (21, 5)
+    assert same_table(pairs.relabeled, np.load(os.path.join(out, "records.npy"),
+                                               allow_pickle=False))
     path = os.path.join(out, "records.npy")
     _edit_table(path, lambda t: _rebuild(t, source=np.zeros(len(t), "<i8")))
     with _raises_naming(path, "fields", "source"):
@@ -874,7 +882,7 @@ def test_records_file_holds_relabeled_records_only(tmp_path):
 
 def test_serialize_refuses_ragged_shapes_and_partial_origins(tmp_path):
     trajs = [make_traj(seed=i) for i in range(2)]
-    relabeled = as_relabeled(export_pairs(trajs, [], chunk_len=4)[:2])
+    relabeled = as_targets(windows(trajs, chunk_len=4)[:2])
     short = make_traj(horizon=9)
     no_origin = make_traj(seed=5)
     no_origin.origin = None
@@ -907,7 +915,7 @@ def test_dataset_stats_counts_and_render(tmp_path):
     target = RelabelTarget(observation=np.zeros(8), chunk=np.ones((3, 2)),
                            point=RelabelPoint(0, 1, 0.2), cost=0.0)
     manifest = make_manifest(final_tubes=[(0.05, 0.2)], chunk_len=4)
-    serialize(manifest, str(tmp_path), trajs, export_pairs([], [target], 4))
+    serialize(manifest, str(tmp_path), trajs, [target])
     stats = dataset_stats(read_manifest(str(tmp_path)))
     assert stats == dataset_stats(manifest)
     assert stats["records_curated"] == 5

@@ -319,6 +319,20 @@ def test_observe_concatenates_start_state(reach_env):
     assert np.array_equal(reach_env.observe(s, s0), np.concatenate([s, s0]))
 
 
+def test_batched_observe_equals_per_row_observe(block_env, reach_env):
+    # (n, w, d_s) window states against (n, 1, d_s) start states, as
+    # export_pairs calls it, bitwise equal to one call per row
+    rng = np.random.default_rng(4)
+    for env in (block_env, reach_env):
+        states = rng.standard_normal((3, 5, env.state_dim))
+        states[1, 2, 0] = -0.0
+        batch = env.observe(states, states[:, :1])
+        assert batch.shape == (3, 5, 2 * env.state_dim)
+        rows = np.array([[env.observe(s, traj[0]) for s in traj] for traj in states])
+        assert batch.tobytes() == rows.tobytes()
+        assert env.observe(states[0], states[0, 0]).tobytes() == rows[0].tobytes()
+
+
 def test_make_env_overrides_and_unknown_name():
     env = make_env("planar_block_rotate", horizon=40, eps_theta=0.2)
     assert env.horizon == 40 and env.eps_theta == 0.2

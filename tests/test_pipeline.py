@@ -206,8 +206,8 @@ def test_baseline_format_matches_generate(tmp_path):
     run_spatial_only(fast_cfg(tmp_path / "base"))
     recs_g, man_g = deserialize(str(tmp_path / "gen"))
     recs_b, man_b = deserialize(str(tmp_path / "base"))
-    assert recs_g[0].observation.shape == recs_b[0].observation.shape
-    assert recs_g[0].action_chunk.shape == recs_b[0].action_chunk.shape
+    assert recs_g.curated.dtype == recs_b.curated.dtype
+    assert recs_g.curated.dtype["obs"].shape == recs_g.relabeled.dtype["obs"].shape
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def test_perturbation_sweep_output_pinned():
                                   ["--episodes", "0"], ["--levels", "0"],
                                   ["--yaw-range", "-1"], ["--yaw-range", "nan"],
                                   ["--trans-range", "0.1", "-0.1", "0"],
-                                  ["--trans-range", "0.1", "inf", "0"]])
+                                  ["--trans-range", "0.1", "inf", "0"], ["--seed", "-1"]])
 def test_perturbation_sweep_rejects_bad_arguments(args):
     proc = script("perturbation_sweep.py", "--levels", "1", *args)
     assert proc.returncode == 2

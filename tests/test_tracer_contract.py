@@ -2,6 +2,7 @@
 wraps still exists and is not a generator function, and a traced
 ``generate`` and ``stats`` yield every per-layer metric of the
 benchmark.  ``bench/`` is read, not edited."""
+import ast
 import importlib
 import inspect
 import math
@@ -29,6 +30,30 @@ def test_traced_functions_exist_and_are_not_generators():
             func = getattr(mod, name, None)
             assert callable(func), f"{module}.{name} is gone"
             assert not inspect.isgeneratorfunction(func), f"{module}.{name} is a generator"
+
+
+def _unreferenced(src):
+    """The module-level functions and classes, and the methods that are not
+    dunders, of the package under ``src`` that no name or attribute in
+    ``src`` refers to and that ``tracer.TARGETS`` does not name."""
+    trees = [ast.parse(path.read_text()) for path in sorted((src / "recovergen").glob("*.py"))]
+    defined, used = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(m.name for m in node.body if isinstance(m, ast.FunctionDef)
+                               and not (m.name.startswith("__") and m.name.endswith("__")))
+        used.update(node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+    traced = {name for _, names in tracer.TARGETS.values() for name in names}
+    return sorted(defined - used - traced)
+
+
+def test_every_definition_in_src_is_used_or_traced():
+    # a definition that only the tests call belongs in the tests
+    assert _unreferenced(SRC) == []
 
 
 def _traced(tmp_path, tag, *cli_args):
