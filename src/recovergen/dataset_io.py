@@ -237,6 +237,24 @@ def _npy_writer(table: np.ndarray) -> Callable[[IO], None]:
     return lambda fh: np.lib.format.write_array(fh, table, allow_pickle=False)
 
 
+def _manifest_env(manifest: DatasetManifest) -> Environment:
+    """The environment ``manifest`` describes."""
+    env_config = {k: (tuple(v) if isinstance(v, list) else v)
+                  for k, v in manifest.env_config.items() if k != "name"}
+    return make_env(manifest.env_name, **env_config)
+
+
+def _records_misfit(env: Environment, records: np.ndarray) -> str:
+    """Why relabeled rows of this table's shapes cannot be read under
+    ``env``, which needs (2 d_s,) observations and (H >= 1, d_a) chunks;
+    empty if they can."""
+    obs, chunk = records.dtype["obs"].shape, records.dtype["chunk"].shape
+    if obs == (2 * env.state_dim,) and chunk[0] >= 1 and chunk[1] == env.action_dim:
+        return ""
+    return (f"obs {obs} and chunk {chunk} do not fit {env.name} "
+            f"(d_s {env.state_dim}, d_a {env.action_dim})")
+
+
 def serialize(manifest: DatasetManifest, out_dir: str, trajectories: Sequence[Trajectory],
               relabeled: Sequence[RelabelTarget] = ()) -> None:
     """Write a dataset: ``trajectories`` and one ``records.npy`` row per
@@ -246,11 +264,12 @@ def serialize(manifest: DatasetManifest, out_dir: str, trajectories: Sequence[Tr
     and ``n_records`` (windows plus relabeled pairs).
 
     Raises ValueError before any file is written when the trajectories or
-    the targets differ in shape, when only some trajectories have an
-    origin, or when ``chunk_len`` does not fit the trajectories.  Each file
-    goes to a temporary file first; they are renamed into place only once
-    all are complete, the manifest last, since it pins the row counts of
-    the others.  So a failure while writing any file leaves the previous
+    the targets differ in shape, when the targets' observations or chunks
+    do not fit the manifest's environment, when only some trajectories
+    have an origin, or when ``chunk_len`` does not fit the trajectories.
+    Each file goes to a temporary file first; they are renamed into place
+    only once all are complete, the manifest last, since it pins the row
+    counts of the others.  So a failure while writing any file leaves the previous
     dataset whole and readable."""
     columns = {"variant": [t.variant for t in trajectories],
                "success": [bool(t.success) for t in trajectories],
@@ -265,6 +284,9 @@ def serialize(manifest: DatasetManifest, out_dir: str, trajectories: Sequence[Tr
                                            "t": [r.point.t for r in relabeled],
                                            "obs": [r.observation for r in relabeled],
                                            "chunk": [r.chunk for r in relabeled]})
+    misfit = _records_misfit(_manifest_env(manifest), record_table) if relabeled else ""
+    if misfit:
+        raise ValueError(f"relabeled targets: {misfit}")
     horizon = trajectory_table.dtype["actions"].shape[0]
     windows = len(trajectories) * _window_count(horizon, manifest.chunk_len) if trajectories else 0
 
@@ -319,10 +341,8 @@ def _open(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray, np.nd
     against the manifest; see the module docstring."""
     manifest = read_manifest(out_dir)
     manifest_path = os.path.join(out_dir, "manifest")
-    env_config = {k: (tuple(v) if isinstance(v, list) else v)
-                  for k, v in manifest.env_config.items() if k != "name"}
     try:
-        env = make_env(manifest.env_name, **env_config)
+        env = _manifest_env(manifest)
     except (TypeError, ValueError) as exc:
         raise DatasetFormatError(f"{manifest_path}: environment: {exc}") from exc
     path = os.path.join(out_dir, "trajectories.npy")
@@ -340,11 +360,9 @@ def _open(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray, np.nd
             raise DatasetFormatError(f"{path}: chunk_len {manifest.chunk_len}: {exc}") from exc
     path = os.path.join(out_dir, "records.npy")
     records = _load_table(path, _RECORD_FIELDS, manifest.n_relabeled)
-    obs, chunk = records.dtype["obs"].shape, records.dtype["chunk"].shape
-    if len(records) and (obs != (2 * env.state_dim,) or chunk[0] < 1
-                         or chunk[1] != env.action_dim):
-        raise DatasetFormatError(f"{path}: obs {obs} and chunk {chunk} do not fit {env.name} "
-                                 f"(d_s {env.state_dim}, d_a {env.action_dim})")
+    misfit = _records_misfit(env, records) if len(records) else ""
+    if misfit:
+        raise DatasetFormatError(f"{path}: {misfit}")
     if manifest.n_records != windows + len(records):
         raise DatasetFormatError(f"{manifest_path}: n_records {manifest.n_records} is not "
                                  f"{windows} curated + {len(records)} relabeled")

@@ -222,6 +222,8 @@ def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
 
     Rows are stepped in order of descending length and each step advances
     only the rows still running, so the env work is sum(lengths) steps.
+    Rows that are already in that order (every full-length call) are
+    neither copied nor un-permuted.
     """
     s0s = np.asarray(s0s, dtype=float)
     actions = np.asarray(actions, dtype=float)
@@ -233,7 +235,8 @@ def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
     lengths = np.full(n, horizon) if lengths is None else np.asarray(lengths)
     if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > horizon):
         raise ValueError(f"lengths must give each of the {n} rows 1..{horizon} steps")
-    order = np.argsort(-lengths, kind="stable")
+    ordered = bool(np.all(lengths[:-1] >= lengths[1:]))
+    order = slice(None) if ordered else np.argsort(-lengths, kind="stable")
     running = (lengths[:, None] > np.arange(horizon)).sum(axis=0)
     by_row = {f.name: _param_rows(params, f.name, n)[order] for f in fields(EnvParams)}
     s = s0s[order].copy()
@@ -245,9 +248,10 @@ def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
         p = EnvParams(**{name: v[:k] for name, v in by_row.items()})
         s[:k] = env.step(s[:k], acts[:k, t], p)
         out[:, t + 1] = s
-    states = np.empty_like(out)
-    states[order] = out
-    return states, env.success_batch(states[:, -1])
+    if not ordered:
+        states, out = out, np.empty_like(out)
+        out[order] = states
+    return out, env.success_batch(out[:, -1])
 
 
 def rollout(env: Environment, s0: np.ndarray, actions: np.ndarray,

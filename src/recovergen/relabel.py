@@ -3,8 +3,8 @@ dataset and optimize short corrective action chunks with the
 cross-entropy method under a full-episode success check.
 
 A corrective chunk is only emitted when its full continuation (chunk
-followed by the original plan's remainder) re-validates as a success, so
-every stored target is simulation-verified supervision.
+followed by the original plan's remainder) succeeded when it was scored,
+so every stored target is simulation-verified supervision.
 """
 from __future__ import annotations
 
@@ -21,6 +21,10 @@ from .envs import Environment, Trajectory, rollout_batch
 log = logging.getLogger(__name__)
 
 STD_FLOOR = 1e-6   # lower bound on each CEM spread, per action dimension
+# a point stops once its best candidate succeeds and its best cost has
+# fallen by at most TOL (absolute: the costs tend to 0) over W iterations
+TOL = 0.01
+W = 5
 
 
 @dataclass(frozen=True)
@@ -105,21 +109,20 @@ def _continuations(env: Environment, cfg: RelabelConfig, points: Sequence[_Point
 
 
 def _costs(env: Environment, cfg: RelabelConfig, points: Sequence[_Point],
-           chunks: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Relabel cost of every candidate chunk of every point (see
-    ``relabel_cost``), with one rollout batch for all of them."""
+           chunks: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Relabel cost (see ``relabel_cost``) and continuation success of
+    every candidate chunk of every point, with one rollout batch for all
+    of them."""
     h = cfg.horizon
-    costs = [cfg.w_ref * np.sum((u - traj.actions[t:t + h].reshape(-1)) ** 2, axis=1)
-             for (traj, t, _, _), u in zip(points, chunks)]
-    if cfg.w_fail <= 0 and cfg.w_tube <= 0:
-        return costs
     states, success = _continuations(env, cfg, points, chunks)
+    costs, successes = [], []
     row = 0
-    for j, ((_, _, tube, expert), u) in enumerate(zip(points, chunks)):
+    for (traj, t, tube, expert), u in zip(points, chunks):
         rows = slice(row, row + len(u))
         row += len(u)
+        cost = cfg.w_ref * np.sum((u - traj.actions[t:t + h].reshape(-1)) ** 2, axis=1)
         if cfg.w_fail > 0:
-            costs[j] = np.where(success[rows], costs[j], costs[j] + cfg.w_fail)
+            cost = np.where(success[rows], cost, cost + cfg.w_fail)
         if cfg.w_tube > 0:
             span = states[rows, 1:h + 1].reshape(-1, env.state_dim)
             if h == 1:
@@ -130,8 +133,10 @@ def _costs(env: Environment, cfg: RelabelConfig, points: Sequence[_Point],
             else:
                 d = state_distances(span, expert, env.psi, env.psi_scales)
             excess = np.maximum(d.reshape(len(u), h) - tube.r_max, 0.0)
-            costs[j] = costs[j] + cfg.w_tube * np.sum(excess ** 2, axis=1)
-    return costs
+            cost = cost + cfg.w_tube * np.sum(excess ** 2, axis=1)
+        costs.append(cost)
+        successes.append(success[rows])
+    return costs, successes
 
 
 def relabel_cost(u: np.ndarray, traj: Trajectory, t: int, tube: TubeBounds,
@@ -139,16 +144,20 @@ def relabel_cost(u: np.ndarray, traj: Trajectory, t: int, tube: TubeBounds,
     """J = w_fail [continuation fails] + w_tube sum relu(d - r_max)^2 over
     the corrected span + w_ref ||u - u_ref||^2."""
     u = np.asarray(u, dtype=float).reshape(1, cfg.horizon * env.action_dim)
-    return float(_costs(env, cfg, [(traj, t, tube, expert_states)], [u])[0][0])
+    return float(_costs(env, cfg, [(traj, t, tube, expert_states)], [u])[0][0][0])
 
 
 def _cem_lockstep(env: Environment, cfg: RelabelConfig, points: Sequence[RelabelPoint],
                   context: Sequence[_Point],
                   rngs: Sequence[np.random.Generator]) -> List[Optional[RelabelTarget]]:
     """Cross-entropy search at every point at once: each iteration rolls
-    out all points' populations in one batch, while each point keeps its
-    own mean, spread, best candidate and random stream.  ``init_std`` 0
-    starts each spread at 0.25 x the action range."""
+    out the live points' populations in one batch, while each point keeps
+    its own mean, spread, best candidate and random stream.  A point stops
+    after iteration k >= W once its best candidate succeeds (best cost
+    below ``w_fail``) and its best cost has fallen by at most TOL since
+    iteration k - W; it then draws nothing more, so the other points run
+    as they would alone.  ``cem_iterations`` bounds every point.
+    ``init_std`` 0 starts each spread at 0.25 x the action range."""
     for traj, t, _, _ in context:
         if t < 0 or t + cfg.horizon > traj.horizon:
             raise ValueError("relabel point does not leave room for a full chunk")
@@ -158,26 +167,36 @@ def _cem_lockstep(env: Environment, cfg: RelabelConfig, points: Sequence[Relabel
     n_elites = max(1, int(round(cfg.population * cfg.elite_frac)))
     stds = [np.full(dim, init_std) for _ in context]
     best_us = [m.copy() for m in means]
-    best_costs = [float(c[0]) for c in _costs(env, cfg, context, [m[None] for m in means])]
-    for _ in range(cfg.cem_iterations):
+    costs, success = _costs(env, cfg, context, [m[None] for m in means])
+    best_costs = [float(c[0]) for c in costs]
+    best_ok = [bool(ok[0]) for ok in success]
+    history = [[c] for c in best_costs]   # each point's best cost after every iteration
+    live = list(range(len(context)))
+    for k in range(1, cfg.cem_iterations + 1):
+        if not live:
+            break
         pops = []
-        for mean, std, rng in zip(means, stds, rngs):
-            pop = mean + std * rng.standard_normal((cfg.population, dim))
-            pop[0] = mean  # keep the current mean in the population
+        for j in live:
+            pop = means[j] + stds[j] * rngs[j].standard_normal((cfg.population, dim))
+            pop[0] = means[j]  # keep the current mean in the population
             pops.append(pop)
-        for j, (pop, costs) in enumerate(zip(pops, _costs(env, cfg, context, pops))):
-            order = np.argsort(costs, kind="stable")
-            if costs[order[0]] < best_costs[j]:
-                best_costs[j] = float(costs[order[0]])
+        costs, success = _costs(env, cfg, [context[j] for j in live], pops)
+        for j, pop, cost, ok in zip(live, pops, costs, success):
+            order = np.argsort(cost, kind="stable")
+            if cost[order[0]] < best_costs[j]:
+                best_costs[j] = float(cost[order[0]])
                 best_us[j] = pop[order[0]].copy()
+                best_ok[j] = bool(ok[order[0]])
+            history[j].append(best_costs[j])
             elites = pop[order[:n_elites]]
             means[j] = elites.mean(axis=0)
             stds[j] = np.maximum(elites.std(axis=0), STD_FLOOR)
+        live = [j for j in live if k < W or best_costs[j] >= cfg.w_fail
+                or history[j][k - W] - best_costs[j] > TOL]
 
-    _, success = _continuations(env, cfg, context, [u[None] for u in best_us])
     targets: List[Optional[RelabelTarget]] = []
     for point, (traj, t, _, _), u, cost, ok in zip(points, context, best_us, best_costs,
-                                                   success):
+                                                   best_ok):
         if not ok:
             log.info("relabel point (traj %d, t %d) found no successful correction",
                      point.trajectory_id, t)

@@ -48,7 +48,7 @@ def _report(name, detail=""):
 # fixture, equal to ``recovergen generate --seed 7 --jobs 1``)
 GOLDEN_DIGESTS = {
     "manifest": "4478dfddaf99953558a8ae60d14ab217658136ad262ef15272e7f6eb97c4a954",
-    "records.npy": "dbe4288239638cea710ce7105a461239b5d3d994eebe31c79e1da0ead2e2984b",
+    "records.npy": "bcfcba924b43d37b9a7dc24fd040645fa5a65f8f535273a588663d1e338feb07",
     "report.jsonl": "2c7e1ac030bda37615e38fccec4cf4060236a71043cd3fc52b2f303d1aea0549",
     "report.txt": "7b22373813e7d8b110ab61897b0ce07b4351f68f8d0a5ac63a4d003e9f6eac1e",
     "trajectories.npy": "3dacc19c64bf4365342ee398af16c48bcf75b76f4a4424e49e88ab9adb6b7ada",
@@ -79,7 +79,7 @@ def test_golden_digest_of_default_run(generated):
 # every curated window as well as the relabeled records; since the planar
 # (x, y, yaw) geometry it is the json.dumps oracle encoding of this run,
 # not a file that format-1 code wrote
-FORMAT_1_RECORDS_DIGEST = "74e911b917d859c7c29e5ae3e98392798277988b00cef6a1a57f7a50aee2bd9c"
+FORMAT_1_RECORDS_DIGEST = "3138a7c254721ec7ee7e87eab1605adf652ae4974f7f7e7c0822f4e760f984e5"
 
 
 def test_rebuilt_records_encode_to_the_format_1_file(generated):
@@ -103,7 +103,7 @@ def test_rebuilt_records_encode_to_the_format_1_file(generated):
 # geometry, the oracle encoding of this run, as above
 FORMAT_2_DIGESTS = {
     "trajectories": "e13e97707b8eb801542c817aa1de6119161b6aeff08e183abf3d2c88c2b8b547",
-    "records": "cc817786c596c020f28f8719c365d4cdede003a1aa916ff0ca29a9312c38d536",
+    "records": "71359794f6832c52833a350c20dd0f258a1e15118cb63790d1f2a7879e5aee59",
 }
 
 

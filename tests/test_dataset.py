@@ -898,6 +898,21 @@ def test_serialize_refuses_ragged_shapes_and_partial_origins(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_serialize_refuses_targets_that_no_reader_accepts(tmp_path):
+    # point_reach needs (2 d_s,) = (8,) observations and (H >= 1, d_a) chunks
+    trajs = [make_traj(seed=i) for i in range(2)]
+    [target] = as_targets(windows(trajs, chunk_len=4)[:1])
+    bad = [dataclasses.replace(target, chunk=np.zeros((0, D_A))),
+           dataclasses.replace(target, observation=np.zeros(3)),
+           dataclasses.replace(target, chunk=np.zeros((4, D_A + 1)))]
+    for relabeled in bad:
+        with pytest.raises(ValueError, match="relabeled targets: .* do not fit point_reach"):
+            serialize(make_manifest(chunk_len=4), str(tmp_path), trajs, [relabeled])
+    assert list(tmp_path.iterdir()) == []
+    serialize(make_manifest(chunk_len=4), str(tmp_path), trajs, [target])
+    assert len(deserialize(str(tmp_path))[0].relabeled) == 1
+
+
 # ---------------------------------------------------------------------------
 # stats
 

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from recovergen import relabel
-from recovergen.config import RelabelConfig
+from recovergen import pipeline, relabel
+from recovergen.config import PipelineConfig, RelabelConfig
 from recovergen.curator import TubeBounds, state_distances
 from recovergen.envs import (PlanarBlockRotate, PointReach, Trajectory,
                              augmented_demo_actions, rollout,
@@ -280,9 +280,9 @@ def test_cem_mean_moves_to_the_elite_mean(monkeypatch, population, elite_frac, n
     calls = []
 
     def recorded(env, cfg, points, chunks):
-        costs = _costs(env, cfg, points, chunks)
+        costs, success = _costs(env, cfg, points, chunks)
         calls.append((chunks, costs))
-        return costs
+        return costs, success
 
     monkeypatch.setattr(relabel, "_costs", recorded)
     cfg = RelabelConfig(population=population, elite_frac=elite_frac, cem_iterations=2,
@@ -292,6 +292,126 @@ def test_cem_mean_moves_to_the_elite_mean(monkeypatch, population, elite_frac, n
     (_, _), ([pop], [costs]), ([next_pop], _) = calls
     elites = pop[np.argsort(costs, kind="stable")[:n_elites]]
     assert np.array_equal(next_pop[0], elites.mean(axis=0))
+
+
+@pytest.mark.parametrize("drop_until, iterations", [(0, relabel.W), (8, 8 + relabel.W)])
+def test_converged_point_stops_after_w_flat_iterations(monkeypatch, drop_until, iterations):
+    # every candidate succeeds and costs 1 - 0.1 min(k, drop_until) at call
+    # k (call 0 scores the starting mean): the best cost falls by 0.1 per
+    # iteration until ``drop_until``, and the point stops W iterations later
+    env, traj, expert = _reach_fixture()
+    calls = []
+
+    def flat(env, cfg, points, chunks):
+        cost = 1.0 - 0.1 * min(len(calls), drop_until)
+        calls.append(chunks)
+        return ([np.full(len(u), cost) for u in chunks],
+                [np.ones(len(u), dtype=bool) for u in chunks])
+
+    monkeypatch.setattr(relabel, "_costs", flat)
+    cfg = RelabelConfig(population=8, cem_iterations=30, init_std=0.01, horizon=10)
+    out = cem_optimize(RelabelPoint(0, 2, 0.0), traj, env, TubeBounds(0.0, 100.0), cfg,
+                       np.random.default_rng(0), expert)
+    assert len(calls) == 1 + iterations
+    assert out is not None and out.cost == 1.0 - 0.1 * drop_until
+
+
+def test_point_whose_candidates_all_fail_runs_every_iteration(monkeypatch):
+    # its best cost is flat from the start, but no candidate succeeds
+    env = PointReach()
+    s0 = np.array([0.0, 0.0, 50.0, 50.0])
+    traj = rollout(env, s0, np.zeros((env.horizon, 2)), env.nominal_env_params())
+    calls = []
+
+    def recorded(env, cfg, points, chunks):
+        costs, success = _costs(env, cfg, points, chunks)
+        calls.append(success)
+        return costs, success
+
+    monkeypatch.setattr(relabel, "_costs", recorded)
+    cfg = RelabelConfig(population=8, cem_iterations=12, init_std=0.01, horizon=10)
+    out = cem_optimize(RelabelPoint(0, 0, 0.0), traj, env, TubeBounds(0.0, 100.0), cfg,
+                       np.random.default_rng(0), traj.states)
+    assert out is None
+    assert len(calls) == 1 + cfg.cem_iterations
+    assert not any(ok.any() for [ok] in calls)
+
+
+def test_stopped_points_leave_the_batch_and_the_rest_run_as_alone(monkeypatch):
+    # over 30 iterations the points stop at different iterations; the
+    # batches shrink as they do, and every point's target is the one it
+    # reaches when optimized on its own
+    env, traj, expert = _block_fixture()
+    expert = expert + [0.02, 0, 0, 0, 0, 0, 0]   # the reference leaves the tube
+    cfg = RelabelConfig(k_rel=3, population=12, cem_iterations=30, init_std=0.005,
+                        horizon=15)
+    tube = TubeBounds(0.0, 0.05)
+    dists = risks([traj], [expert], env.psi, env.psi_scales)
+    sizes = []
+
+    def recorded(env, cfg, points, chunks):
+        sizes.append(len(points))
+        return _costs(env, cfg, points, chunks)
+
+    monkeypatch.setattr(relabel, "_costs", recorded)
+    targets = relabel_dataset([traj], env, [tube], cfg, np.random.default_rng(3),
+                              [expert], dists)
+    batched = sizes[:]
+    points = select_risky_states(dists, 3, cfg.horizon, cfg.horizon)
+    alone, iterations = [], []
+    for point, rng in zip(points, np.random.default_rng(3).spawn(len(points))):
+        sizes.clear()
+        alone.append(cem_optimize(point, traj, env, tube, cfg, rng, expert))
+        iterations.append(len(sizes) - 1)
+    assert len(set(iterations)) > 1 and max(iterations) < cfg.cem_iterations
+    # call k carries the points still live after iteration k - 1
+    assert batched == [sum(k <= n for n in iterations) for k in range(max(iterations) + 1)]
+    alone = [a for a in alone if a is not None]
+    assert len(targets) == len(alone) > 1
+    for a, b in zip(alone, targets):
+        assert a.point == b.point and np.array_equal(a.chunk, b.chunk) and a.cost == b.cost
+
+
+@pytest.fixture(scope="module")
+def seed_7_relabeling(tmp_path_factory):
+    """The default run at seed 7, adaptive and with the stopping rule off
+    (TOL -inf): each one's rows passed to ``rollout_batch`` by relabeling
+    and its emitted targets."""
+    runs = {}
+    for name, tol in (("adaptive", relabel.TOL), ("fixed", -np.inf)):
+        rows, targets = [], []
+
+        def counted(env, s0s, *args, _rollout_batch=relabel.rollout_batch, _rows=rows):
+            _rows.append(len(s0s))
+            return _rollout_batch(env, s0s, *args)
+
+        def recorded(*args, _relabel_dataset=pipeline.relabel_dataset, _targets=targets):
+            _targets.extend(_relabel_dataset(*args))
+            return _targets
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relabel, "TOL", tol)
+            mp.setattr(relabel, "rollout_batch", counted)
+            mp.setattr(pipeline, "relabel_dataset", recorded)
+            pipeline.run_pgdg(PipelineConfig(out_dir=str(tmp_path_factory.mktemp(name)),
+                                             seed=7, jobs=1))
+        runs[name] = (sum(rows), targets)
+    return runs
+
+
+def test_seed_7_relabeling_spends_at_most_a_third_of_the_fixed_budget(seed_7_relabeling):
+    # run to all 30 iterations, 10 points take 1 + 30 x 64 rows each; with
+    # the one-row re-validation of each best candidate, 19,220 rows were run
+    rows, targets = seed_7_relabeling["adaptive"]
+    assert seed_7_relabeling["fixed"][0] == 10 * (1 + 30 * 64)
+    assert len(targets) == 10 and rows <= 19_220 / 3
+
+
+def test_stopping_keeps_every_point_and_its_cost_within_0_05(seed_7_relabeling):
+    _, adaptive = seed_7_relabeling["adaptive"]
+    _, fixed = seed_7_relabeling["fixed"]
+    assert [a.point for a in adaptive] == [f.point for f in fixed]
+    assert all(a.cost <= f.cost + 0.05 for a, f in zip(adaptive, fixed))
 
 
 def test_zero_init_std_and_min_sep_take_their_auto_values():
@@ -326,10 +446,14 @@ def test_population_costs_equal_one_candidate_costs(horizon):
     chunks = [traj.actions[t:t + horizon].reshape(-1)
               + 0.01 * rng.standard_normal((9, horizon * env.action_dim))
               for _, t, _, _ in points]
-    batched = _costs(env, cfg, points, chunks)
-    for (_, t, _, _), pop, costs in zip(points, chunks, batched):
+    batched, success = _costs(env, cfg, points, chunks)
+    for (_, t, _, _), pop, costs, ok in zip(points, chunks, batched, success):
         one_by_one = [relabel_cost(u, traj, t, tube, env, cfg, expert) for u in pop]
         assert costs.tolist() == one_by_one
+        # each flag is the candidate's own continuation, rolled out alone
+        alone = [rollout_with_resume(env, traj.states[t], u, traj.actions[t + horizon:],
+                                     traj.env_params).success for u in pop]
+        assert ok.tolist() == alone
     assert any(c > 0 for costs in batched for c in costs)
 
 
