@@ -2,12 +2,12 @@
 physically valid, successful, diverse recovery trajectories."""
 
 from .config import PipelineConfig, load_config
-from .envs import PlanarBlockRotate, PointReach, Trajectory, make_env
+from .envs import PlanarBlockRotate, PointReach, make_env, trajectory_table
 from .pipeline import evaluate_replay, run_pgdg, run_spatial_only
 
 __all__ = [
     "PipelineConfig", "load_config",
-    "PlanarBlockRotate", "PointReach", "Trajectory", "make_env",
+    "PlanarBlockRotate", "PointReach", "make_env", "trajectory_table",
     "run_pgdg", "run_spatial_only", "evaluate_replay",
 ]
 

@@ -16,7 +16,6 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .envs import Trajectory
 from .sampler import Proposal
 
 
@@ -46,33 +45,36 @@ def _normalized_psi(states, psi: Callable, scales) -> np.ndarray:
 
 
 def _sq_distances(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """(n, m) squared Euclidean distances between the rows of x and e,
-    expanded as ||x||^2 - 2 x.e + ||e||^2 and floored at 0, in one (n, m)
-    buffer updated in place.  The product's left operand is the fresh
-    array 2 x, so numpy takes the general product even when e is x, never
-    its symmetric (syrk) one; keep it so, since syrk could change the bits
-    of the DPP kernel."""
+    """(..., n, m) squared Euclidean distances between the rows of x
+    (..., n, d) and e (m, d), expanded as ||x||^2 - 2 x.e + ||e||^2 and
+    floored at 0, in one buffer updated in place.  The product's left
+    operand is the fresh array 2 x, so numpy takes the general product
+    even when e is x, never its symmetric (syrk) one; keep it so, since
+    syrk could change the bits of the DPP kernel.  A stacked x takes one
+    small product per leading index; one product over all its rows would
+    run BLAS threads, which slowed ``--jobs 2`` runs."""
     d2 = (2.0 * x) @ e.T
-    np.subtract(np.sum(x * x, axis=1)[:, None], d2, out=d2)
+    np.subtract(np.sum(x * x, axis=-1)[..., None], d2, out=d2)
     d2 += np.sum(e * e, axis=1)
     return np.maximum(d2, 0.0, out=d2)
 
 
 def state_distances(states, expert_states, psi: Callable, scales) -> np.ndarray:
     """Per-state nearest-neighbor distance to the expert manifold in the
-    normalized task subspace; vectorized over a batch of states."""
+    normalized task subspace, over states (..., d_s): one state, a
+    trajectory's (n, d_s) or a batch of trajectories' (k, n, d_s)."""
     expert_states = np.asarray(expert_states, dtype=float)
     if expert_states.size == 0 or len(expert_states) == 0:
         raise ValueError("expert state sequence must be non-empty")
-    x = _normalized_psi(states, psi, scales)          # (n, d)
+    x = _normalized_psi(states, psi, scales)          # (..., n, d)
     e = _normalized_psi(expert_states, psi, scales)   # (m, d)
-    return np.sqrt(_sq_distances(x, e).min(axis=1))
+    return np.sqrt(_sq_distances(x, e).min(axis=-1))
 
 
-def peak_deviation(d: np.ndarray) -> float:
-    """Largest manifold distance attained along a rollout, from its
-    per-state distances ``d`` (``state_distances``)."""
-    return float(d.max())
+def peak_deviation(d: np.ndarray):
+    """Largest manifold distance attained along each rollout, from the
+    per-state distances ``d`` (``state_distances``) over the last axis."""
+    return d.max(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +114,14 @@ def compute_tube(peaks: Sequence[float], q_min: float, q_max: float,
     return TubeBounds(r_min=quantile(peaks, q_min), r_max=quantile(peaks, q_max))
 
 
-def tube_reward(d: np.ndarray, tube: TubeBounds) -> float:
+def tube_reward(d: np.ndarray, tube: TubeBounds):
     """Mean over timesteps of 1 - relu(r_min - d_t) - relu(d_t - r_max),
-    from a rollout's per-state distances ``d`` (``state_distances``):
-    highest when deviations stay inside the informative recovery band."""
+    from the per-state distances ``d`` (``state_distances``) over the last
+    axis: highest when deviations stay inside the informative recovery
+    band."""
     inner = np.maximum(tube.r_min - d, 0.0)
     outer = np.maximum(d - tube.r_max, 0.0)
-    return float(np.mean(1.0 - inner - outer))
+    return np.mean(1.0 - inner - outer, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -139,26 +142,25 @@ def dct2_matrix(n: int) -> np.ndarray:
     return d
 
 
-def dct_embed(traj: Trajectory, psi: Callable, scales, t_tilde: int,
-              k_dct: int) -> np.ndarray:
-    """Low-frequency descriptor of the per-step feature sequence
-    [psi(s_t)/scales ; a_t]: pad (repeating the last feature) or truncate
-    to t_tilde rows, apply the orthonormal DCT-II per column, drop the DC
-    row, and keep the next k_dct coefficient rows, vectorized
-    column-major."""
+def dct_embed(states: np.ndarray, actions: np.ndarray, psi: Callable, scales,
+              t_tilde: int, k_dct: int) -> np.ndarray:
+    """Low-frequency descriptors (n, k_dct f) of n trajectories, states
+    (n, T+1, d_s) and actions (n, T, d_a), from each one's per-step
+    feature sequence [psi(s_t)/scales ; a_t] of f features: pad (repeating
+    the last feature) or truncate to t_tilde rows, apply the orthonormal
+    DCT-II per column, drop the DC row, and keep the next k_dct
+    coefficient rows, vectorized column-major."""
     if k_dct + 1 > t_tilde:
         raise ValueError("k_dct must leave room below t_tilde (k_dct + 1 <= t_tilde)")
-    feats = _normalized_psi(traj.states[:-1], psi, scales)
-    x = np.concatenate([feats, traj.actions], axis=1)
-    if len(x) == 0:
+    feats = _normalized_psi(np.asarray(states, dtype=float)[:, :-1], psi, scales)
+    x = np.concatenate([feats, np.asarray(actions, dtype=float)], axis=-1)
+    steps = x.shape[1]
+    if steps == 0:
         raise ValueError("trajectory must be non-empty")
-    if len(x) < t_tilde:
-        pad = np.repeat(x[-1:], t_tilde - len(x), axis=0)
-        x = np.concatenate([x, pad], axis=0)
-    elif len(x) > t_tilde:
-        x = x[:t_tilde]
-    coeffs = dct2_matrix(t_tilde)[1:k_dct + 1] @ x
-    return coeffs.reshape(-1, order="F")
+    if steps < t_tilde:
+        x = np.concatenate([x, np.repeat(x[:, -1:], t_tilde - steps, axis=1)], axis=1)
+    coeffs = dct2_matrix(t_tilde)[1:k_dct + 1] @ x[:, :t_tilde]
+    return coeffs.transpose(0, 2, 1).reshape(len(x), -1)
 
 
 def median_pairwise_distance(embeddings: Sequence[np.ndarray]) -> float:
@@ -236,7 +238,7 @@ def update_proposal(q: Proposal, selected_c: Sequence[np.ndarray], weights,
     floor delta."""
     if len(selected_c) == 0:
         raise ValueError("need at least one selected control-point vector")
-    c = np.asarray([np.asarray(ci).reshape(-1) for ci in selected_c], dtype=float)
+    c = np.asarray(selected_c, dtype=float).reshape(len(selected_c), -1)
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(c),) or np.any(w < 0):
         raise ValueError("weights must be non-negative, one per selected point")

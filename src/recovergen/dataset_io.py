@@ -44,16 +44,13 @@ from typing import (IO, Callable, Dict, Iterable, List, Sequence, Tuple, get_ori
 import numpy as np
 
 from .config import key_value_lines
-from .envs import Environment, EnvParams, Trajectory, make_env
+from .envs import TRAJECTORY_FIELDS, Environment, make_env
 from .relabel import RelabelTarget
 
 
 FORMAT = 3   # the one dataset format this module writes and reads
 
-# field -> (dtype, axes per row), in file order; ``origin`` is optional
-_TRAJECTORY_FIELDS = {"variant": ("<i8", 0), "success": ("?", 0), "mass": ("<f8", 0),
-                      "friction_scale": ("<f8", 0), "states": ("<f8", 2),
-                      "actions": ("<f8", 2), "origin": ("<f8", 1)}
+# field -> (dtype, axes per row), in file order, as ``TRAJECTORY_FIELDS``
 _RECORD_FIELDS = {"traj": ("<i8", 0), "t": ("<i8", 0), "obs": ("<f8", 1),
                   "chunk": ("<f8", 2)}
 
@@ -209,24 +206,23 @@ def read_manifest(out_dir: str) -> DatasetManifest:
     return DatasetManifest(**values)
 
 
-def _shape(fields: Dict[str, Tuple[str, int]], name: str, values: Sequence) -> Tuple[int, ...]:
-    """The one shape of every value of one field, which must have the
-    field's number of axes."""
-    ndim = fields[name][1]
-    shapes = {np.shape(v) for v in values}
-    if len(shapes) > 1 or any(len(s) != ndim for s in shapes):
-        raise ValueError(f"{name}: every row needs one shape of {ndim} axes, "
-                         f"got {sorted(shapes)}")
-    return shapes.pop() if shapes else (0,) * ndim
-
-
-def _table(fields: Dict[str, Tuple[str, int]], columns: Dict[str, Sequence]) -> np.ndarray:
-    """One structured row per item, from each field's values.  Every shape
-    is checked first; then each field's values are stacked straight into
-    the table, so no stacked copy of a column is made."""
-    shapes = {name: _shape(fields, name, values) for name, values in columns.items()}
-    n = len(next(iter(columns.values())))
-    table = np.empty(n, _dtype(fields, shapes))
+def _record_table(relabeled: Sequence[RelabelTarget]) -> np.ndarray:
+    """One ``records.npy`` row per target.  Every shape is checked first;
+    then each field's values are stacked straight into the table, so no
+    stacked copy of a column is made."""
+    columns = {"traj": [r.point.trajectory_id for r in relabeled],
+               "t": [r.point.t for r in relabeled],
+               "obs": [r.observation for r in relabeled],
+               "chunk": [r.chunk for r in relabeled]}
+    shapes = {}
+    for name, values in columns.items():
+        ndim = _RECORD_FIELDS[name][1]
+        found = {np.shape(v) for v in values}
+        if len(found) > 1 or any(len(s) != ndim for s in found):
+            raise ValueError(f"{name}: every row needs one shape of {ndim} axes, "
+                             f"got {sorted(found)}")
+        shapes[name] = found.pop() if found else (0,) * ndim
+    table = np.empty(len(relabeled), _dtype(_RECORD_FIELDS, shapes))
     for name, values in columns.items():
         if len(values):
             np.stack(values, out=table[name])
@@ -244,6 +240,24 @@ def _manifest_env(manifest: DatasetManifest) -> Environment:
     return make_env(manifest.env_name, **env_config)
 
 
+def _fields_misfit(table, fields: Dict[str, Tuple[str, int]]) -> str:
+    """Why ``table`` is not a 1-D structured array with exactly ``fields``
+    (``origin`` may be absent), each of its dtype and number of axes;
+    empty if it is."""
+    if not isinstance(table, np.ndarray) or table.ndim != 1 or table.dtype.names is None:
+        return "not a 1-D structured .npy array"
+    names = table.dtype.names
+    want = tuple(name for name in fields if name != "origin" or name in names)
+    if names != want:
+        return f"fields {names}, expected {want}"
+    expected = _dtype(fields, {name: table.dtype[name].shape for name in want})
+    if table.dtype != expected or any(table.dtype[name].ndim != fields[name][1]
+                                      for name in want):
+        return (f"fields {table.dtype.descr} are not of the types "
+                f"{[(n, *fields[n]) for n in want]} (dtype, axes)")
+    return ""
+
+
 def _records_misfit(env: Environment, records: np.ndarray) -> str:
     """Why relabeled rows of this table's shapes cannot be read under
     ``env``, which needs (2 d_s,) observations and (H >= 1, d_a) chunks;
@@ -255,47 +269,39 @@ def _records_misfit(env: Environment, records: np.ndarray) -> str:
             f"(d_s {env.state_dim}, d_a {env.action_dim})")
 
 
-def serialize(manifest: DatasetManifest, out_dir: str, trajectories: Sequence[Trajectory],
+def serialize(manifest: DatasetManifest, out_dir: str, trajectories: np.ndarray,
               relabeled: Sequence[RelabelTarget] = ()) -> None:
-    """Write a dataset: ``trajectories`` and one ``records.npy`` row per
-    ``relabeled`` target.  The curated windows of length
-    ``manifest.chunk_len`` are not written; readers rebuild them from the
-    trajectories.  Sets the manifest's ``n_trajectories``, ``n_relabeled``
-    and ``n_records`` (windows plus relabeled pairs).
+    """Write a dataset: the trajectory table ``trajectories`` as it is, and
+    one ``records.npy`` row per ``relabeled`` target.  The curated windows
+    of length ``manifest.chunk_len`` are not written; readers rebuild them
+    from the trajectories.  Sets the manifest's ``n_trajectories``,
+    ``n_relabeled`` and ``n_records`` (windows plus relabeled pairs).
 
-    Raises ValueError before any file is written when the trajectories or
-    the targets differ in shape, when the targets' observations or chunks
-    do not fit the manifest's environment, when only some trajectories
-    have an origin, or when ``chunk_len`` does not fit the trajectories.
+    Raises ValueError before any file is written when the trajectories do
+    not have the dtype of ``TRAJECTORY_FIELDS``, when the targets differ in
+    shape or do not fit the manifest's environment, or when ``chunk_len``
+    does not fit the trajectories.
     Each file goes to a temporary file first; they are renamed into place
     only once all are complete, the manifest last, since it pins the row
     counts of the others.  So a failure while writing any file leaves the previous
     dataset whole and readable."""
-    columns = {"variant": [t.variant for t in trajectories],
-               "success": [bool(t.success) for t in trajectories],
-               "mass": [t.env_params.mass for t in trajectories],
-               "friction_scale": [t.env_params.friction_scale for t in trajectories],
-               "states": [t.states for t in trajectories],
-               "actions": [t.actions for t in trajectories]}
-    if any(t.origin is not None for t in trajectories):
-        columns["origin"] = [t.origin for t in trajectories]   # a None has shape ()
-    trajectory_table = _table(_TRAJECTORY_FIELDS, columns)
-    record_table = _table(_RECORD_FIELDS, {"traj": [r.point.trajectory_id for r in relabeled],
-                                           "t": [r.point.t for r in relabeled],
-                                           "obs": [r.observation for r in relabeled],
-                                           "chunk": [r.chunk for r in relabeled]})
+    misfit = _fields_misfit(trajectories, TRAJECTORY_FIELDS)
+    if misfit:
+        raise ValueError(f"trajectories: {misfit}")
+    record_table = _record_table(relabeled)
     misfit = _records_misfit(_manifest_env(manifest), record_table) if relabeled else ""
     if misfit:
         raise ValueError(f"relabeled targets: {misfit}")
-    horizon = trajectory_table.dtype["actions"].shape[0]
-    windows = len(trajectories) * _window_count(horizon, manifest.chunk_len) if trajectories else 0
+    horizon = trajectories.dtype["actions"].shape[0]
+    windows = len(trajectories) * _window_count(horizon, manifest.chunk_len) \
+        if len(trajectories) else 0
 
     os.makedirs(out_dir, exist_ok=True)
     manifest.n_records = windows + len(relabeled)
     manifest.n_relabeled = len(relabeled)
     manifest.n_trajectories = len(trajectories)
     files = [("records.npy", "wb", _npy_writer(record_table)),
-             ("trajectories.npy", "wb", _npy_writer(trajectory_table)),
+             ("trajectories.npy", "wb", _npy_writer(trajectories)),
              ("manifest", "w", lambda fh: fh.write(_manifest_lines(manifest)))]
     temps: List[str] = []
     try:
@@ -320,17 +326,9 @@ def _load_table(path: str, fields: Dict[str, Tuple[str, int]], rows: int) -> np.
         raise DatasetFormatError(f"{path}: file missing") from exc
     except (ValueError, EOFError) as exc:
         raise DatasetFormatError(f"{path}: not a readable .npy array: {exc}") from exc
-    if not isinstance(table, np.ndarray) or table.ndim != 1 or table.dtype.names is None:
-        raise DatasetFormatError(f"{path}: not a 1-D structured .npy array")
-    names = table.dtype.names
-    want = tuple(name for name in fields if name != "origin" or name in names)
-    if names != want:
-        raise DatasetFormatError(f"{path}: fields {names}, expected {want}")
-    expected = _dtype(fields, {name: table.dtype[name].shape for name in want})
-    if table.dtype != expected or any(table.dtype[name].ndim != fields[name][1]
-                                      for name in want):
-        raise DatasetFormatError(f"{path}: fields {table.dtype.descr} are not of the "
-                                 f"types {[(n, *fields[n]) for n in want]} (dtype, axes)")
+    misfit = _fields_misfit(table, fields)
+    if misfit:
+        raise DatasetFormatError(f"{path}: {misfit}")
     if len(table) != rows:
         raise DatasetFormatError(f"{path}: {len(table)} rows, the manifest says {rows}")
     return table
@@ -346,7 +344,7 @@ def _open(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray, np.nd
     except (TypeError, ValueError) as exc:
         raise DatasetFormatError(f"{manifest_path}: environment: {exc}") from exc
     path = os.path.join(out_dir, "trajectories.npy")
-    trajectories = _load_table(path, _TRAJECTORY_FIELDS, manifest.n_trajectories)
+    trajectories = _load_table(path, TRAJECTORY_FIELDS, manifest.n_trajectories)
     states, actions = trajectories.dtype["states"].shape, trajectories.dtype["actions"].shape
     windows = 0
     if len(trajectories):
@@ -386,17 +384,10 @@ def deserialize(out_dir: str) -> Tuple[Pairs, DatasetManifest]:
     return Pairs(curated, relabeled), manifest
 
 
-def load_trajectories(out_dir: str) -> List[Trajectory]:
-    """The stored trajectories as ``Trajectory`` objects, one per row."""
-    table = open_dataset(out_dir)[2]
-    origins = (np.ascontiguousarray(table["origin"]) if "origin" in table.dtype.names
-               else [None] * len(table))
-    return [Trajectory(states=s, actions=a, success=ok,
-                       env_params=EnvParams(mass=m, friction_scale=f), origin=o, variant=v)
-            for s, a, ok, m, f, o, v in zip(
-                np.ascontiguousarray(table["states"]), np.ascontiguousarray(table["actions"]),
-                table["success"].tolist(), table["mass"].tolist(),
-                table["friction_scale"].tolist(), origins, table["variant"].tolist())]
+def load_trajectories(out_dir: str) -> np.recarray:
+    """The stored trajectory table, checked as ``open_dataset`` checks it,
+    as a record array: its rows' fields read as attributes."""
+    return open_dataset(out_dir)[2].view(np.recarray)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ function of its inputs; ``params`` is one ``EnvParams`` for every row or
 one per row, and a 1-D state gives a 1-D result.  ``rollout_batch`` runs
 open-loop plans for many rows, each for its own number of steps, and
 ``success_batch`` evaluates the success predicate on final states.
-``rollout`` and ``rollout_with_resume`` are its one-row forms.
+``rollout`` and ``rollout_with_resume`` are its one-row forms; each
+returns its rollout as a row of a trajectory table (``trajectory_table``,
+whose fields are those of ``trajectories.npy``).
 
 Each row's result is bitwise identical to the one-row scalar dynamics,
 whatever the batch size or the row's position in it.  Where numpy's
@@ -29,9 +31,8 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,28 +48,12 @@ class EnvParams:
     friction_scale: float = 1.0
 
 
-@dataclass
-class Trajectory:
-    """Full-episode rollout: T+1 states, T actions, a success flag, and
-    the provenance needed to re-derive it deterministically."""
-
-    states: np.ndarray        # (T+1, d_s)
-    actions: np.ndarray       # (T, d_a)
-    success: bool
-    env_params: EnvParams
-    origin: Optional[np.ndarray] = None   # flattened control-point vector
-    variant: int = 0
-
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=float)
-        self.actions = np.asarray(self.actions, dtype=float)
-        self.variant = operator.index(self.variant)
-        if len(self.states) != len(self.actions) + 1:
-            raise ValueError("need len(states) == len(actions) + 1")
-
-    @property
-    def horizon(self) -> int:
-        return len(self.actions)
+# the row format of a trajectory table and of ``trajectories.npy``:
+# field -> (dtype, axes per row), in file order; ``origin``, the generating
+# control-point vector, is optional
+TRAJECTORY_FIELDS = {"variant": ("<i8", 0), "success": ("?", 0), "mass": ("<f8", 0),
+                     "friction_scale": ("<f8", 0), "states": ("<f8", 2),
+                     "actions": ("<f8", 2), "origin": ("<f8", 1)}
 
 
 def wrap_angle(theta):
@@ -106,6 +91,36 @@ def _param_rows(params: ParamsArg, name: str, n: int) -> np.ndarray:
     if values.shape != (n,):
         raise ValueError(f"expected one EnvParams per row ({n}), got {len(values)}")
     return values
+
+
+def trajectory_table(states, actions, success, params: ParamsArg, variant=0,
+                     origin=None) -> np.ndarray:
+    """A trajectory table, one row per full-episode rollout, with the
+    fields of ``TRAJECTORY_FIELDS``: states (n, T+1, d_s), actions
+    (n, T, d_a), success and an integer variant per row or for all,
+    ``params`` as ``rollout_batch`` takes them, and origins (n, P) or None.
+    Shapes that do not fit together raise ValueError, a variant that is
+    not an integer TypeError."""
+    states, actions = np.asarray(states, dtype=float), np.asarray(actions, dtype=float)
+    n = len(states)
+    columns = {"variant": np.asarray(variant).astype("<i8", casting="safe"),
+               "success": success, "mass": _param_rows(params, "mass", n),
+               "friction_scale": _param_rows(params, "friction_scale", n),
+               "states": states, "actions": actions}
+    if origin is not None:
+        origin = columns["origin"] = np.asarray(origin, dtype=float)
+    if states.ndim != 3 or actions.ndim != 3 or len(actions) != n \
+            or states.shape[1] != actions.shape[1] + 1 \
+            or (origin is not None and (origin.ndim != 2 or len(origin) != n)):
+        raise ValueError(f"need states (n, T+1, d_s), actions (n, T, d_a) and origins "
+                         f"(n, P) or none, got {states.shape}, {actions.shape} and "
+                         f"{np.shape(origin)}")
+    table = np.empty(n, [(name, TRAJECTORY_FIELDS[name][0],
+                          col.shape[1:] if TRAJECTORY_FIELDS[name][1] else ())
+                         for name, col in columns.items()])
+    for name, col in columns.items():
+        table[name] = col
+    return table
 
 
 def randomize_env_params(mass_range, friction_range, rng: np.random.Generator) -> EnvParams:
@@ -175,9 +190,6 @@ class Environment:
     def success_batch(self, final_states: np.ndarray) -> np.ndarray:
         """Success predicate on final states (n, d_s), as (n,) bools."""
         raise NotImplementedError
-
-    def success(self, traj: Trajectory) -> bool:
-        return bool(self.success_batch(traj.states[-1:])[0])
 
     def psi(self, states: np.ndarray) -> np.ndarray:
         """Task-relevant subspace of one state (d_s,) or a batch (n, d_s)."""
@@ -255,33 +267,35 @@ def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
 
 
 def rollout(env: Environment, s0: np.ndarray, actions: np.ndarray,
-            params: EnvParams, origin: Optional[np.ndarray] = None,
-            variant: int = 0) -> Trajectory:
-    """Execute a full-episode open-loop plan and evaluate success."""
+            params: EnvParams) -> np.record:
+    """Execute a full-episode open-loop plan and evaluate success; returns
+    its trajectory table row as a record, whose fields read as attributes."""
     actions = np.asarray(actions, dtype=float)
     if actions.shape != (env.horizon, env.action_dim):
         raise ValueError(
             f"expected actions of shape ({env.horizon}, {env.action_dim}), got {actions.shape}")
-    states, success = rollout_batch(env, np.asarray(s0, dtype=float)[None], actions[None],
-                                    params)
-    return Trajectory(states=states[0], actions=actions.copy(), success=bool(success[0]),
-                      env_params=params, origin=origin, variant=variant)
+    return _rollout_row(env, s0, actions, params)
 
 
 def rollout_with_resume(env: Environment, s_t: np.ndarray, prefix: np.ndarray,
-                        reference_suffix: np.ndarray, params: EnvParams) -> Trajectory:
+                        reference_suffix: np.ndarray, params: EnvParams) -> np.record:
     """Apply a corrective prefix from s_t, then resume the reference plan;
-    success is evaluated on the full continuation."""
+    success is evaluated on the full continuation, returned as
+    ``rollout`` returns it."""
     prefix = np.asarray(prefix, dtype=float).reshape(-1, env.action_dim)
     suffix = np.asarray(reference_suffix, dtype=float).reshape(-1, env.action_dim)
     n = len(prefix) + len(suffix)
     if n < 1 or n > env.horizon:
         raise ValueError("prefix plus suffix must cover a positive span within the horizon")
-    actions = np.concatenate([prefix, suffix], axis=0)
-    states, success = rollout_batch(env, np.asarray(s_t, dtype=float)[None], actions[None],
+    return _rollout_row(env, s_t, np.concatenate([prefix, suffix], axis=0), params)
+
+
+def _rollout_row(env: Environment, s0, actions: np.ndarray, params: EnvParams) -> np.record:
+    # the one-row forms share this tail rather than call each other, so a
+    # traced run counts each of their rollouts once
+    states, success = rollout_batch(env, np.asarray(s0, dtype=float)[None], actions[None],
                                     params)
-    return Trajectory(states=states[0], actions=actions, success=bool(success[0]),
-                      env_params=params)
+    return trajectory_table(states, actions[None], success, params).view(np.recarray)[0]
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ from .config import ConfigError, PipelineConfig, config_parameters
 from .curator import TubeBounds
 from .dataset_io import (DatasetFormatError, DatasetManifest, open_dataset, serialize,
                          _atomic_write)
-from .envs import (Environment, EnvParams, Trajectory, augmented_demo_actions,
-                   make_env, rollout_batch)
+from .envs import (Environment, EnvParams, augmented_demo_actions, make_env,
+                   rollout_batch, trajectory_table)
 from .geometry import Pose, compose, sample_object_perturbation
 from .relabel import relabel_dataset
 
@@ -55,8 +55,10 @@ class IterationStats:
 class VariantResult:
     index: int
     pose: Pose
-    curated: List[Trajectory] = field(default_factory=list)
-    distances: List[np.ndarray] = field(default_factory=list)   # one per curated
+    # the selected rollouts as one trajectory table, and each one's
+    # distances to the expert at its T + 1 states; empty when skipped
+    curated: np.ndarray = field(default_factory=lambda: np.empty(0))
+    distances: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     expert_states: Optional[np.ndarray] = None
     final_tube: Optional[TubeBounds] = None
     stats: List[IterationStats] = field(default_factory=list)
@@ -122,6 +124,8 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
                           _default_sigma0(env, cfg.sampler.sigma0),
                           cfg.sampler.variance_floor)
     tube: Optional[TubeBounds] = None
+    curated: List[np.ndarray] = []
+    distances: List[np.ndarray] = []
     for k in range(cfg.iterations):
         batch = yield from _success_batch(env, pose, q, cfg.samples, rng, index)
         result.n_generated += batch.n_sampled
@@ -136,11 +140,10 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
                 return result
         result.n_successful += len(batch)
 
-        dists = [cur.state_distances(t.states, expert_states, env.psi, env.psi_scales)
-                 for t in batch.trajectories]
-        peaks = [cur.peak_deviation(d) for d in dists]
-        tube = cur.compute_tube(peaks, cfg.curator.q_min, cfg.curator.q_max,
-                                previous=tube)
+        table = batch.table
+        dists = cur.state_distances(table["states"], expert_states, env.psi, env.psi_scales)
+        tube = cur.compute_tube(cur.peak_deviation(dists), cfg.curator.q_min,
+                                cfg.curator.q_max, previous=tube)
 
         if len(batch) == 0:
             result.stats.append(IterationStats(index, k, batch.n_sampled, 0, 0,
@@ -148,27 +151,26 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
                                                float(q.std.mean()), stalled=True))
             continue
 
-        rewards = [cur.tube_reward(d, tube) for d in dists]
-        embeddings = [cur.dct_embed(t, env.psi, env.psi_scales, env.horizon,
-                                    cfg.curator.k_dct)
-                      for t in batch.trajectories]
+        rewards = cur.tube_reward(dists, tube)
+        embeddings = cur.dct_embed(table["states"], table["actions"], env.psi, env.psi_scales,
+                                   env.horizon, cfg.curator.k_dct)
         sigma_rbf = (cfg.curator.sigma_rbf if cfg.curator.sigma_rbf > 0
                      else cur.median_pairwise_distance(embeddings))
         kernel = cur.build_kernel(embeddings, sigma_rbf)
         m = max(1, math.ceil(cfg.curator.m_fraction * len(batch)))
         selected = cur.dpp_select_greedy(kernel, m, cfg.curator.eps_dpp)
 
-        sel_c = [batch.control_points[i] for i in selected]
-        sel_w = cur.reward_to_weight([rewards[i] for i in selected],
-                                     cfg.curator.temperature)
-        q = cur.update_proposal(q, sel_c, sel_w, cfg.curator.eps_stab,
+        sel_w = cur.reward_to_weight(rewards[selected], cfg.curator.temperature)
+        q = cur.update_proposal(q, table["origin"][selected], sel_w, cfg.curator.eps_stab,
                                 cfg.curator.delta)
-        result.curated.extend(batch.trajectories[i] for i in selected)
-        result.distances.extend(dists[i] for i in selected)
+        curated.append(table[selected])
+        distances.append(dists[selected])
         result.stats.append(IterationStats(index, k, batch.n_sampled, len(batch),
                                            len(selected), tube.r_min, tube.r_max,
                                            float(q.std.mean())))
     result.final_tube = tube
+    result.curated = np.concatenate(curated)
+    result.distances = np.concatenate(distances)
     return result
 
 
@@ -264,19 +266,14 @@ def run_pgdg(cfg: PipelineConfig) -> RunReport:
     poses = sample_variant_poses(env, cfg, np.random.default_rng(seeds[0]))
     variants = _run_variants(env, cfg, poses, seeds[1:1 + cfg.n_variants])
 
-    active = [v for v in variants if not v.skipped and v.curated]
+    active = [v for v in variants if not v.skipped and len(v.curated)]
     if not active:
         raise PipelineError("all variants starved of successful rollouts")
 
-    curated: List[Trajectory] = []
-    distances: List[np.ndarray] = []
-    experts: List[np.ndarray] = []
-    tubes: List[TubeBounds] = []
-    for v in active:
-        curated += v.curated
-        distances += v.distances
-        experts += [v.expert_states] * len(v.curated)
-        tubes += [v.final_tube] * len(v.curated)
+    curated = np.concatenate([v.curated for v in active])
+    distances = np.concatenate([v.distances for v in active])
+    experts = [v.expert_states for v in active for _ in range(len(v.curated))]
+    tubes = [v.final_tube for v in active for _ in range(len(v.curated))]
 
     targets = relabel_dataset(curated, env, tubes, cfg.relabel,
                               np.random.default_rng(seeds[-1]), experts, distances)
@@ -310,12 +307,11 @@ def run_spatial_only(cfg: PipelineConfig) -> RunReport:
     actions = np.array([augmented_demo_actions(env, pose, cfg.l_blend) for pose in poses])
     states, success = rollout_batch(
         env, np.array([env.reset(pose, p) for pose, p in zip(poses, params)]), actions, params)
-    rollouts = [Trajectory(states=states[i], actions=actions[i], success=bool(success[i]),
-                           env_params=params[i], variant=i) for i in range(len(poses))]
+    rollouts = trajectory_table(states, actions, success, params, np.arange(len(poses)))
 
     manifest = _manifest(cfg, env, "baseline")
     manifest.n_generated = len(rollouts)
-    manifest.n_successful = sum(t.success for t in rollouts)
+    manifest.n_successful = int(np.sum(success))
     manifest.n_selected = len(rollouts)      # every rollout is stored
     serialize(manifest, cfg.out_dir, rollouts)
 

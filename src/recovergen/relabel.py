@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import RelabelConfig
 from .curator import TubeBounds, state_distances
-from .envs import Environment, Trajectory, rollout_batch
+from .envs import Environment, EnvParams, rollout_batch
 
 log = logging.getLogger(__name__)
 
@@ -82,8 +82,9 @@ def select_risky_states(distances: Sequence[np.ndarray], k_rel: int, min_sep: in
     return chosen
 
 
-# one relabel point's fixed context: (trajectory, timestep, tube, expert states)
-_Point = Tuple[Trajectory, int, TubeBounds, np.ndarray]
+# one relabel point's fixed context: (its trajectory's table row, timestep,
+# tube, expert states)
+_Point = Tuple[np.void, int, TubeBounds, np.ndarray]
 
 
 def _continuations(env: Environment, cfg: RelabelConfig, points: Sequence[_Point],
@@ -91,21 +92,17 @@ def _continuations(env: Environment, cfg: RelabelConfig, points: Sequence[_Point
     """Roll out every candidate chunk of every point in one batch: the
     chunk from the risky state, then the reference plan's remainder.
     ``chunks[j]`` is (m_j, H * d_a); rows are stacked in point order."""
-    h = cfg.horizon
-    lengths = np.concatenate([np.full(len(u), traj.horizon - t)
-                              for (traj, t, _, _), u in zip(points, chunks)])
-    actions = np.zeros((len(lengths), lengths.max(), env.action_dim))
-    s0s = np.empty((len(lengths), env.state_dim))
-    params = []
-    row = 0
-    for (traj, t, _, _), u in zip(points, chunks):
-        rows = slice(row, row + len(u))
-        actions[rows, :h] = u.reshape(len(u), h, env.action_dim)
-        actions[rows, h:traj.horizon - t] = traj.actions[t + h:]
-        s0s[rows] = traj.states[t]
-        params += [traj.env_params] * len(u)
-        row += len(u)
-    return rollout_batch(env, s0s, actions, params, lengths)
+    table = np.array([row for row, _, _, _ in points])
+    point = np.repeat(np.arange(len(points)), [len(u) for u in chunks])
+    t = np.array([t for _, t, _, _ in points])[point]
+    horizon = table.dtype["actions"].shape[0]
+    lengths = horizon - t
+    # the reference plan from t on; a row's steps past its length are not run
+    steps = np.minimum(t[:, None] + np.arange(lengths.max()), horizon - 1)
+    actions = table["actions"][point[:, None], steps]
+    actions[:, :cfg.horizon] = np.concatenate(chunks).reshape(len(point), cfg.horizon, -1)
+    params = EnvParams(table["mass"][point], table["friction_scale"][point])
+    return rollout_batch(env, table["states"][point, t], actions, params, lengths)
 
 
 def _costs(env: Environment, cfg: RelabelConfig, points: Sequence[_Point],
@@ -120,7 +117,7 @@ def _costs(env: Environment, cfg: RelabelConfig, points: Sequence[_Point],
     for (traj, t, tube, expert), u in zip(points, chunks):
         rows = slice(row, row + len(u))
         row += len(u)
-        cost = cfg.w_ref * np.sum((u - traj.actions[t:t + h].reshape(-1)) ** 2, axis=1)
+        cost = cfg.w_ref * np.sum((u - traj["actions"][t:t + h].reshape(-1)) ** 2, axis=1)
         if cfg.w_fail > 0:
             cost = np.where(success[rows], cost, cost + cfg.w_fail)
         if cfg.w_tube > 0:
@@ -139,10 +136,11 @@ def _costs(env: Environment, cfg: RelabelConfig, points: Sequence[_Point],
     return costs, successes
 
 
-def relabel_cost(u: np.ndarray, traj: Trajectory, t: int, tube: TubeBounds,
+def relabel_cost(u: np.ndarray, traj: np.void, t: int, tube: TubeBounds,
                  env: Environment, cfg: RelabelConfig, expert_states) -> float:
     """J = w_fail [continuation fails] + w_tube sum relu(d - r_max)^2 over
-    the corrected span + w_ref ||u - u_ref||^2."""
+    the corrected span + w_ref ||u - u_ref||^2, for the trajectory table
+    row ``traj``."""
     u = np.asarray(u, dtype=float).reshape(1, cfg.horizon * env.action_dim)
     return float(_costs(env, cfg, [(traj, t, tube, expert_states)], [u])[0][0][0])
 
@@ -159,10 +157,10 @@ def _cem_lockstep(env: Environment, cfg: RelabelConfig, points: Sequence[Relabel
     as they would alone.  ``cem_iterations`` bounds every point.
     ``init_std`` 0 starts each spread at 0.25 x the action range."""
     for traj, t, _, _ in context:
-        if t < 0 or t + cfg.horizon > traj.horizon:
+        if t < 0 or t + cfg.horizon > len(traj["actions"]):
             raise ValueError("relabel point does not leave room for a full chunk")
     dim = cfg.horizon * env.action_dim
-    means = [traj.actions[t:t + cfg.horizon].reshape(-1).copy() for traj, t, _, _ in context]
+    means = [traj["actions"][t:t + cfg.horizon].reshape(-1) for traj, t, _, _ in context]
     init_std = cfg.init_std if cfg.init_std > 0 else 0.25 * (2.0 * env.a_max)
     n_elites = max(1, int(round(cfg.population * cfg.elite_frac)))
     stds = [np.full(dim, init_std) for _ in context]
@@ -202,32 +200,34 @@ def _cem_lockstep(env: Environment, cfg: RelabelConfig, points: Sequence[Relabel
                      point.trajectory_id, t)
             targets.append(None)
             continue
-        obs = env.observe(traj.states[t], traj.states[0])
+        obs = env.observe(traj["states"][t], traj["states"][0])
         targets.append(RelabelTarget(observation=obs,
                                      chunk=u.reshape(cfg.horizon, env.action_dim),
                                      point=point, cost=cost))
     return targets
 
 
-def cem_optimize(point: RelabelPoint, traj: Trajectory, env: Environment,
+def cem_optimize(point: RelabelPoint, traj: np.void, env: Environment,
                  tube: TubeBounds, cfg: RelabelConfig, rng: np.random.Generator,
                  expert_states) -> Optional[RelabelTarget]:
     """Cross-entropy search for a corrective chunk around the reference
-    segment.  Keeps the best candidate ever seen; emits a target only if
-    its full continuation succeeds."""
+    segment of the trajectory table row ``traj``.  Keeps the best
+    candidate ever seen; emits a target only if its full continuation
+    succeeds."""
     return _cem_lockstep(env, cfg, [point], [(traj, point.t, tube, expert_states)], [rng])[0]
 
 
-def relabel_dataset(curated: Sequence[Trajectory], env: Environment,
+def relabel_dataset(curated: np.ndarray, env: Environment,
                     tube: Sequence[TubeBounds], cfg: RelabelConfig,
                     rng: np.random.Generator, expert_states: Sequence[np.ndarray],
                     distances: Sequence[np.ndarray]) -> List[RelabelTarget]:
-    """Select the ``cfg.k_rel`` riskiest states across the curated set,
-    at least ``cfg.min_sep`` steps apart (0: the horizon), and optimize a
-    corrective chunk at each; failed points are dropped with a logged
-    diagnostic.  ``tube[i]``, ``expert_states[i]`` and ``distances[i]``
-    (``state_distances`` of its states to that expert) belong to
-    ``curated[i]``.  Outputs are ordered by selection rank."""
+    """Select the ``cfg.k_rel`` riskiest states across the curated
+    trajectory table, at least ``cfg.min_sep`` steps apart (0: the
+    horizon), and optimize a corrective chunk at each; failed points are
+    dropped with a logged diagnostic.  ``tube[i]``, ``expert_states[i]``
+    and ``distances[i]`` (``state_distances`` of its states to that
+    expert) belong to ``curated[i]``.  Outputs are ordered by selection
+    rank."""
     if len(curated) == 0:
         raise ValueError("curated set must be non-empty")
     if not len(tube) == len(expert_states) == len(distances) == len(curated):

@@ -13,7 +13,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from .envs import Environment, EnvParams, Trajectory, rollout_batch
+from .envs import Environment, EnvParams, rollout_batch, trajectory_table
 from .geometry import Pose
 
 
@@ -68,24 +68,17 @@ class Proposal:
     m_points: int
     action_dim: int
 
-    def reshape(self, c: np.ndarray) -> np.ndarray:
-        return np.asarray(c).reshape(self.m_points, self.action_dim)
-
 
 @dataclass
 class SuccessBatch:
-    """Successful rollouts of one iteration; each trajectory's ``origin``
-    is its generating control-point vector."""
+    """Successful rollouts of one iteration, as a trajectory table whose
+    ``origin`` is each row's generating control-point vector."""
 
-    trajectories: List[Trajectory]
+    table: np.ndarray
     n_sampled: int
 
     def __len__(self) -> int:
-        return len(self.trajectories)
-
-    @property
-    def control_points(self) -> List[np.ndarray]:
-        return [t.origin for t in self.trajectories]
+        return len(self.table)
 
 
 def init_proposal(demo_actions: np.ndarray, m_points: int, sigma0,
@@ -102,18 +95,19 @@ def init_proposal(demo_actions: np.ndarray, m_points: int, sigma0,
     return Proposal(mean=mean, std=std, m_points=m_points, action_dim=c.shape[1])
 
 
-def sample_batch(q: Proposal, n: int, rng: np.random.Generator) -> List[np.ndarray]:
-    """n independent draws c = mu + sigma * z, returned as flat vectors."""
+def sample_batch(q: Proposal, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n independent draws c = mu + sigma * z, as an (n, M d_a) array of
+    flat control-point vectors."""
     if n < 1:
         raise ValueError("n must be >= 1")
     z = rng.standard_normal((n, q.mean.size))
-    return list(q.mean + q.std * z)
+    return q.mean + q.std * z
 
 
 class Plans(NamedTuple):
     """n sampled plans, ready for one rollout batch."""
 
-    draws: List[np.ndarray]     # flat control-point vectors
+    draws: np.ndarray           # (n, M d_a) flat control-point vectors
     params: List[EnvParams]
     s0s: np.ndarray             # (n, d_s)
     actions: np.ndarray         # (n, T, d_a)
@@ -122,11 +116,13 @@ class Plans(NamedTuple):
 def draw_plans(env: Environment, variant: Pose, q: Proposal, n: int,
                rng: np.random.Generator) -> Plans:
     """Sample n plans, each with freshly randomized per-episode physical
-    parameters drawn after all n plans."""
+    parameters drawn after all n plans, and decode them all with one
+    stacked product."""
     draws = sample_batch(q, n, rng)
     params = [env.sample_env_params(rng) for _ in draws]
     s0s = np.array([env.reset(variant, p) for p in params])
-    actions = np.array([decode(q.reshape(c), env.horizon) for c in draws])
+    actions = interp_matrix(env.horizon, q.m_points) @ draws.reshape(n, q.m_points,
+                                                                     q.action_dim)
     return Plans(draws, params, s0s, actions)
 
 
@@ -134,11 +130,10 @@ def keep_successes(plans: Plans, states: np.ndarray, success: np.ndarray,
                    variant_index: int = 0) -> SuccessBatch:
     """The successful rollouts of ``plans``, given their rolled-out
     states (n, T + 1, d_s) and success flags (n,)."""
-    trajectories = [Trajectory(states=states[i].copy(), actions=plans.actions[i].copy(),
-                               success=True, env_params=plans.params[i],
-                               origin=plans.draws[i], variant=variant_index)
-                    for i in np.flatnonzero(success)]
-    return SuccessBatch(trajectories=trajectories, n_sampled=len(plans.draws))
+    ok = np.flatnonzero(success)
+    table = trajectory_table(states[ok], plans.actions[ok], True,
+                             [plans.params[i] for i in ok], variant_index, plans.draws[ok])
+    return SuccessBatch(table=table, n_sampled=len(plans.draws))
 
 
 def generate_success_batch(env: Environment, variant: Pose, q: Proposal, n: int,

@@ -15,8 +15,8 @@ from recovergen.curator import (TubeBounds, build_kernel, compute_tube,
                                 quantile, state_distances, tube_reward,
                                 update_proposal)
 from recovergen.envs import (EnvParams, PlanarBlockRotate, PointReach,
-                             Trajectory, augmented_demo_actions, make_env,
-                             rollout, rollout_with_resume)
+                             augmented_demo_actions, make_env, rollout,
+                             rollout_with_resume)
 from recovergen.dataset_io import deserialize
 from recovergen.pipeline import (compare_replay, run_pgdg, run_spatial_only)
 from recovergen.relabel import RelabelPoint, cem_optimize, relabel_dataset
@@ -73,6 +73,27 @@ def test_golden_digest_of_default_run(generated):
             got[name] = hashlib.sha256(fh.read()).hexdigest()
     assert got == GOLDEN_DIGESTS
     _report("golden digest", "5 output files byte-identical")
+
+
+# sha256 of every output file of ``recovergen baseline --seed 7``
+BASELINE_DIGESTS = {
+    "manifest": "8f6d40b15d19959b64a48ee2ab18caca9c560b5ee7aedaa2ece468b47763399e",
+    "records.npy": "7923825b0504c9d022f593c5e23f597027c451dd44b58894750807bebc1597df",
+    "report.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "report.txt": "8dad72ffab282396621954eaf9f583808044cc7b67f9a6d6f33c7fd6592d9532",
+    "trajectories.npy": "a4c5fb92a521796c30956d4282768b665136c59db8c108149aee07904ce503ee",
+}
+
+
+def test_baseline_digest_of_seed_7(tmp_path, capsys):
+    """The spatial-only baseline's output bytes are pinned as the default
+    run's are, under the same platform caveat."""
+    from recovergen.cli import main
+    assert main(["baseline", "--seed", "7", "--out", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in BASELINE_DIGESTS}
+    assert got == BASELINE_DIGESTS
+    _report("baseline digest", "5 output files byte-identical")
 
 
 # sha256 of the same run's ``records`` in dataset format 1, which stored
@@ -239,7 +260,8 @@ def test_criterion_01_success_purity_and_runtime(generated):
     trajs = load_trajectories(cfg.out_dir)
     assert len(trajs) > 0
     for traj in trajs:
-        replay = rollout(env, traj.states[0], traj.actions, traj.env_params)
+        params = EnvParams(mass=traj.mass, friction_scale=traj.friction_scale)
+        replay = rollout(env, traj.states[0], traj.actions, params)
         assert replay.success, "curated trajectory failed re-validation"
     assert elapsed < 60.0, f"runtime budget exceeded: {elapsed:.1f}s"
     _report("1 success purity",
@@ -281,10 +303,7 @@ def test_criterion_04_tube_reward_closed_forms():
     experts = np.array([[0.0]])
 
     def dists_at(d, n=6):
-        traj = Trajectory(states=np.full((n, 1), d),
-                          actions=np.zeros((n - 1, 1)), success=True,
-                          env_params=EnvParams())
-        return state_distances(traj.states, experts, IDENT, [1.0])
+        return state_distances(np.full((n, 1), d), experts, IDENT, [1.0])
 
     tube = TubeBounds(0.1, 0.5)
     assert abs(tube_reward(dists_at(0.3), tube) - 1.0) <= 1e-12
@@ -300,10 +319,10 @@ def test_criterion_05_dct_identities():
     # constant sequences embed to zero
     for _ in range(10):
         c = rng.standard_normal(2)
-        traj = Trajectory(states=np.tile(c, (13, 1)),
-                          actions=np.full((12, 1), float(rng.standard_normal())),
-                          success=True, env_params=EnvParams())
-        phi = dct_embed(traj, IDENT, [1.0, 1.0], t_tilde=12, k_dct=6)
+        states = np.tile(c, (13, 1))
+        actions = np.full((12, 1), float(rng.standard_normal()))
+        (phi,) = dct_embed(states[None], actions[None], IDENT, [1.0, 1.0], t_tilde=12,
+                           k_dct=6)
         assert np.max(np.abs(phi)) <= 1e-10
     # energy conservation with all coefficients retained
     for _ in range(100):
@@ -317,10 +336,10 @@ def test_criterion_05_dct_identities():
     for k in (1, 2, 5):
         t = np.arange(t_tilde)
         sig = np.cos(np.pi * (2 * t + 1) * k / (2 * t_tilde))
-        traj = Trajectory(states=np.concatenate([sig, [0.0]])[:, None],
-                          actions=np.zeros((t_tilde, 1)), success=True,
-                          env_params=EnvParams())
-        phi = dct_embed(traj, IDENT, [1.0], t_tilde=t_tilde, k_dct=8)
+        states = np.concatenate([sig, [0.0]])[:, None]
+        actions = np.zeros((t_tilde, 1))
+        (phi,) = dct_embed(states[None], actions[None], IDENT, [1.0], t_tilde=t_tilde,
+                           k_dct=8)
         col = phi[:8]
         mask = np.ones(8, dtype=bool)
         mask[k - 1] = False
@@ -429,7 +448,8 @@ def test_criterion_09_relabel_validation():
         src = curated[tgt.point.trajectory_id]
         cont = rollout_with_resume(env, src.states[tgt.point.t], tgt.chunk,
                                    src.actions[tgt.point.t + cfg.horizon:],
-                                   src.env_params)
+                                   EnvParams(mass=src.mass,
+                                             friction_scale=src.friction_scale))
         assert cont.success, "emitted target failed independent re-check"
         per_traj.setdefault(tgt.point.trajectory_id, []).append(tgt.point.t)
     for ts in per_traj.values():

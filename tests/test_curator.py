@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recovergen import curator
+from recovergen.config import PipelineConfig
 from recovergen.curator import (MIN_SUCCESSES_FOR_TUBE, TubeBounds,
                                 TubeUnavailableError, build_kernel,
                                 compute_tube, dct2_matrix, dct_embed,
                                 dpp_select_greedy, median_pairwise_distance,
                                 peak_deviation, quantile, reward_to_weight,
                                 state_distances, tube_reward, update_proposal)
-from recovergen.envs import EnvParams, Trajectory
+from recovergen.envs import EnvParams, make_env, trajectory_table
+from recovergen.pipeline import run_variant, sample_variant_poses
 from recovergen.sampler import Proposal
 
 IDENT = lambda s: np.asarray(s, dtype=float)  # noqa: E731
@@ -38,11 +41,12 @@ def dpp_log_det(kernel, subset, eps=1e-6) -> float:
 
 
 def make_traj(states, actions=None):
+    """One trajectory table row, as a record."""
     states = np.asarray(states, dtype=float)
     if actions is None:
         actions = np.zeros((len(states) - 1, 1))
-    return Trajectory(states=states, actions=np.asarray(actions, dtype=float),
-                      success=True, env_params=EnvParams())
+    return trajectory_table(states[None], np.asarray(actions, dtype=float)[None], True,
+                            EnvParams()).view(np.recarray)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +252,8 @@ def test_dct2_matrix_is_shared_and_read_only():
 
 def test_dct_embed_constant_sequence_is_zero():
     traj = make_traj(np.full((13, 2), 0.7), actions=np.full((12, 1), -0.2))
-    phi = dct_embed(traj, IDENT, [1.0, 1.0], t_tilde=12, k_dct=5)
+    (phi,) = dct_embed(traj.states[None], traj.actions[None], IDENT, [1.0, 1.0],
+                       t_tilde=12, k_dct=5)
     assert np.allclose(phi, 0.0, atol=1e-10)
     assert phi.shape == (5 * 3,)  # k_dct rows x (psi dim + action dim)
 
@@ -259,7 +264,8 @@ def test_dct_embed_single_frequency_single_coefficient():
     signal = np.cos(np.pi * (2 * t + 1) * 1 / (2 * t_tilde))
     states = np.concatenate([signal, [0.0]])[:, None]  # extra terminal state
     traj = make_traj(states, actions=np.zeros((t_tilde, 1)))
-    phi = dct_embed(traj, IDENT, [1.0], t_tilde=t_tilde, k_dct=4)
+    (phi,) = dct_embed(traj.states[None], traj.actions[None], IDENT, [1.0],
+                       t_tilde=t_tilde, k_dct=4)
     # feature column 0 is the signal: frequency-1 coefficient only
     col = phi[:4]
     assert abs(col[0]) > 0.1
@@ -280,7 +286,8 @@ def test_dct_embed_matches_direct_matrix_transform():
               * sum(x[t, col] * math.cos(math.pi * (2 * t + 1) * k / (2 * t_tilde))
                     for t in range(t_tilde))
               for col in range(x.shape[1]) for k in range(1, k_dct + 1)]
-    phi = dct_embed(traj, IDENT, scales, t_tilde=t_tilde, k_dct=k_dct)
+    (phi,) = dct_embed(traj.states[None], traj.actions[None], IDENT, scales,
+                       t_tilde=t_tilde, k_dct=k_dct)
     assert np.allclose(phi, oracle, atol=1e-10)
 
 
@@ -291,8 +298,8 @@ def test_dct_embed_padding_repeats_final_feature():
     padded_states = np.array([[0.1], [0.4], [0.4], [0.4], [0.4]])
     long = make_traj(padded_states,
                      actions=np.array([[0.3], [0.0], [0.0], [0.0]]))
-    a = dct_embed(short, IDENT, [1.0], t_tilde=8, k_dct=3)
-    b = dct_embed(long, IDENT, [1.0], t_tilde=8, k_dct=3)
+    (a,) = dct_embed(short.states[None], short.actions[None], IDENT, [1.0], t_tilde=8, k_dct=3)
+    (b,) = dct_embed(long.states[None], long.actions[None], IDENT, [1.0], t_tilde=8, k_dct=3)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -309,7 +316,7 @@ def test_dct_embed_energy_conservation_with_all_coefficients():
 def test_dct_embed_rejects_too_many_frequencies():
     traj = make_traj(np.zeros((5, 1)))
     with pytest.raises(ValueError):
-        dct_embed(traj, IDENT, [1.0], t_tilde=4, k_dct=4)
+        dct_embed(traj.states[None], traj.actions[None], IDENT, [1.0], t_tilde=4, k_dct=4)
 
 
 # ---------------------------------------------------------------------------
@@ -525,3 +532,58 @@ def test_update_rejects_bad_weights():
         update_proposal(_proposal(), [np.ones(4)], [-1.0], eps_stab=1e-3, delta=1e-8)
     with pytest.raises(ValueError):
         update_proposal(_proposal(), [np.ones(4)], [1.0, 1.0], eps_stab=1e-3, delta=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the batched forms the variant loop calls, against the per-trajectory forms
+
+
+def per_trajectory_embed(states, actions, psi, scales, t_tilde, k_dct):
+    """``dct_embed`` of one trajectory, as it was computed one at a time."""
+    x = np.concatenate([np.atleast_2d(psi(states[:-1])) / np.asarray(scales), actions],
+                       axis=1)
+    if len(x) < t_tilde:
+        x = np.concatenate([x, np.repeat(x[-1:], t_tilde - len(x), axis=0)])
+    return (dct2_matrix(t_tilde)[1:k_dct + 1] @ x[:t_tilde]).reshape(-1, order="F")
+
+
+def test_batched_curator_equals_per_trajectory_forms(monkeypatch):
+    # the variant loop scores and embeds each batch with one call of each
+    # function; on the real first-iteration batches of seeds 1-10 every row
+    # equals, bit for bit, the per-trajectory form the batched call replaced
+    calls = {name: [] for name in ("state_distances", "peak_deviation", "tube_reward",
+                                   "dct_embed")}
+    for name, recorded in calls.items():
+        def wrapped(*args, _real=getattr(curator, name), _recorded=recorded):
+            out = _real(*args)
+            _recorded.append((args, out))
+            return out
+        monkeypatch.setattr(curator, name, wrapped)
+    for seed in range(1, 11):
+        cfg = PipelineConfig(seed=seed, iterations=1)
+        env = make_env(cfg.env)
+        seeds = np.random.SeedSequence(seed).spawn(cfg.n_variants + 2)
+        poses = sample_variant_poses(env, cfg, np.random.default_rng(seeds[0]))
+        for i, (pose, seed_seq) in enumerate(zip(poses, seeds[1:])):
+            run_variant(env, cfg, i, pose, seed_seq)
+    monkeypatch.undo()
+
+    # one call of each per scored batch; a first batch that is scored is
+    # never empty
+    assert len({len(c) for c in calls.values()}) == 1 and len(calls["dct_embed"]) >= 30
+    bits = lambda x: np.asarray(x, dtype=float).tobytes()  # noqa: E731
+    for (d_args, dists), (_, peaks), ((_, tube), rewards), (e_args, embeddings) \
+            in zip(*calls.values()):
+        states, actions, psi, scales, t_tilde, k_dct = e_args
+        expert = d_args[1]
+        assert bits(d_args[0]) == bits(states)
+        assert dists.shape == states.shape[:2]
+        for j in range(len(states)):
+            d = curator.state_distances(states[j], expert, psi, scales)
+            assert bits(dists[j]) == bits(d)
+            assert bits(peaks[j]) == bits(float(d.max()))
+            reward = np.mean(1.0 - np.maximum(tube.r_min - d, 0.0)
+                             - np.maximum(d - tube.r_max, 0.0))
+            assert bits(rewards[j]) == bits(float(reward))
+            assert bits(embeddings[j]) == bits(per_trajectory_embed(
+                states[j], actions[j], psi, scales, t_tilde, k_dct))

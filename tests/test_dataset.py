@@ -17,20 +17,26 @@ from recovergen.cli import main as cli_main
 from recovergen.dataset_io import (DatasetFormatError, DatasetManifest, Pairs,
                                    dataset_stats, deserialize, export_pairs, format_stats,
                                    load_trajectories, read_manifest, serialize)
-from recovergen.envs import EnvParams, Trajectory, make_env
+from recovergen.envs import EnvParams, make_env, trajectory_table
 from recovergen.pipeline import evaluate_replay
 from recovergen.relabel import RelabelPoint, RelabelTarget
 
 D_S, D_A = 4, 2     # state and action sizes of point_reach, make_manifest's environment
 
 
-def make_traj(horizon=10, seed=0, variant=0):
+def make_traj(horizon=10, seed=0, variant=0, origin=True):
+    """A one-row trajectory table."""
     rng = np.random.default_rng(seed)
-    return Trajectory(states=rng.standard_normal((horizon + 1, D_S)),
-                      actions=rng.standard_normal((horizon, D_A)),
-                      success=True,
-                      env_params=EnvParams(mass=1.25, friction_scale=0.97),
-                      origin=rng.standard_normal(4), variant=variant)
+    return trajectory_table(rng.standard_normal((1, horizon + 1, D_S)),
+                            rng.standard_normal((1, horizon, D_A)), True,
+                            EnvParams(mass=1.25, friction_scale=0.97), variant,
+                            rng.standard_normal((1, 4)) if origin else None)
+
+
+def stack(trajs):
+    """The one-row tables ``trajs`` as one trajectory table, a record
+    array (an empty one of horizon 10 when there are none)."""
+    return np.concatenate(list(trajs) or [make_traj()[:0]]).view(np.recarray)
 
 
 def make_manifest(**kw):
@@ -44,12 +50,9 @@ OBSERVE = make_env("point_reach").observe
 
 
 def windows(trajs, chunk_len):
-    """The curated windows of ``trajs`` (one horizon), as ``export_pairs``
-    makes them."""
-    if not trajs:
-        return export_pairs(np.empty((0, 1, D_S)), np.empty((0, 0, D_A)), chunk_len, OBSERVE)
-    return export_pairs(np.array([t.states for t in trajs]), np.array([t.actions for t in trajs]),
-                        chunk_len, OBSERVE)
+    """The curated windows of the trajectory table ``trajs``, as
+    ``export_pairs`` makes them."""
+    return export_pairs(trajs["states"], trajs["actions"], chunk_len, OBSERVE)
 
 
 def as_targets(table):
@@ -71,18 +74,18 @@ def same_table(a, b):
 
 def test_export_window_count():
     traj = make_traj(horizon=60)
-    assert len(windows([traj], chunk_len=30)) == 31  # T - k + 1 window starts
+    assert len(windows(traj, chunk_len=30)) == 31  # T - k + 1 window starts
 
 
 def test_export_chunk_len_one():
     traj = make_traj(horizon=10)
-    table = windows([traj], chunk_len=1)
+    table = windows(traj, chunk_len=1)
     assert len(table) == 10
     assert table.dtype["chunk"].shape == (1, 2)
 
 
 def test_export_chunks_match_source_slices():
-    trajs = [make_traj(horizon=12, seed=i) for i in range(3)]
+    trajs = stack(make_traj(horizon=12, seed=i) for i in range(3))
     table = windows(trajs, chunk_len=5)
     assert table.dtype.names == ("traj", "t", "obs", "chunk")
     assert table["traj"].tolist() == [i for i in range(3) for _ in range(8)]
@@ -95,7 +98,7 @@ def test_export_chunks_match_source_slices():
 
 def test_export_rejects_overlong_chunk():
     with pytest.raises(ValueError):
-        windows([make_traj(horizon=5)], chunk_len=6)
+        windows(make_traj(horizon=5), chunk_len=6)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +106,7 @@ def test_export_rejects_overlong_chunk():
 
 
 def test_round_trip_bitwise(tmp_path):
-    trajs = [make_traj(seed=i, variant=i) for i in range(3)]
+    trajs = stack(make_traj(seed=i, variant=i) for i in range(3))
     curated = windows(trajs, chunk_len=4)
     manifest = make_manifest(final_tubes=[(0.1, 0.5)],
                              parameters={"sampler.m_points": 16},
@@ -115,23 +118,18 @@ def test_round_trip_bitwise(tmp_path):
     assert same_table(pairs.relabeled, curated[:3])
     assert manifest2 == manifest
 
-    trajs2 = load_trajectories(str(tmp_path))
-    for a, b in zip(trajs, trajs2):
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.actions, b.actions)
-        assert np.array_equal(a.origin, b.origin)
-        assert a.env_params == b.env_params
-        assert (a.success, a.variant) == (b.success, b.variant)
+    assert same_table(load_trajectories(str(tmp_path)), trajs)
 
 
 def test_empty_dataset_round_trip(tmp_path):
-    serialize(make_manifest(n_generated=0, n_successful=0, n_selected=0), str(tmp_path), [])
+    serialize(make_manifest(n_generated=0, n_successful=0, n_selected=0), str(tmp_path),
+              stack([]))
     pairs, manifest = deserialize(str(tmp_path))
     assert len(pairs) == len(pairs.curated) == len(pairs.relabeled) == manifest.n_records == 0
 
 
 def test_large_round_trip(tmp_path):
-    trajs = [make_traj(horizon=40, seed=i) for i in range(30)]
+    trajs = stack(make_traj(horizon=40, seed=i) for i in range(30))
     curated = windows(trajs, chunk_len=5)
     assert len(curated) > 1000
     serialize(make_manifest(chunk_len=5), str(tmp_path), trajs)
@@ -148,18 +146,17 @@ def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
     # a quiet NaN with a payload and a negative signalling NaN keep their bits
     nans = np.array([0x7FF8_0000_DEAD_BEEF, 0xFFF0_0000_0000_0001], np.uint64).view(np.float64)
     edge = np.concatenate([[-0.0, np.inf, -np.inf, 5e-324, 1e16, -5e-324], nans])
-    traj = Trajectory(states=edge.reshape(2, D_S), actions=edge[:D_A].reshape(1, D_A),
-                      success=False, env_params=EnvParams(mass=float(nans[0]),
-                                                          friction_scale=-0.0),
-                      origin=edge, variant=3)
+    (traj,) = trajectory_table(edge.reshape(1, 2, D_S), edge[:D_A].reshape(1, 1, D_A), False,
+                               EnvParams(mass=float(nans[0]), friction_scale=-0.0), 3,
+                               edge[None])
     relabeled = RelabelTarget(observation=edge[::-1], chunk=edge.reshape(4, D_A),
                               point=RelabelPoint(0, 0, 0.0), cost=0.0)
-    serialize(make_manifest(), str(tmp_path), [traj], [relabeled])
+    serialize(make_manifest(), str(tmp_path), traj[None], [relabeled])
     (got,) = load_trajectories(str(tmp_path))
     for name in ("states", "actions", "origin"):
-        assert bits(getattr(got, name)) == bits(getattr(traj, name)), name
-    assert struct.pack("<d", got.env_params.mass) == struct.pack("<d", nans[0])
-    assert struct.pack("<d", got.env_params.friction_scale) == struct.pack("<d", -0.0)
+        assert bits(getattr(got, name)) == bits(traj[name]), name
+    assert struct.pack("<d", got.mass) == struct.pack("<d", nans[0])
+    assert struct.pack("<d", got.friction_scale) == struct.pack("<d", -0.0)
     pairs = deserialize(str(tmp_path))[0]
     (curated,), (stored,) = pairs.curated, pairs.relabeled
     assert bits(curated["obs"]) == bits(np.concatenate([edge[:D_S], edge[:D_S]]))
@@ -168,7 +165,7 @@ def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
 
 
 def test_truncated_records_detected(tmp_path):
-    trajs = [make_traj()]
+    trajs = make_traj()
     serialize(make_manifest(chunk_len=4), str(tmp_path), trajs,
               as_targets(windows(trajs, chunk_len=4)))
     path = os.path.join(tmp_path, "records.npy")
@@ -197,7 +194,7 @@ def test_missing_manifest_keys_rejected(tmp_path):
 
 
 def test_missing_trajectory_dump_rejected(tmp_path):
-    serialize(make_manifest(), str(tmp_path), [])
+    serialize(make_manifest(), str(tmp_path), stack([]))
     os.remove(tmp_path / "trajectories.npy")
     with pytest.raises(DatasetFormatError, match="missing"):
         load_trajectories(str(tmp_path))
@@ -219,16 +216,17 @@ def oracle_record_line(traj, t, source, obs, chunk):
     })
 
 
-def oracle_traj_line(i, traj):
+def oracle_traj_line(i, row):
+    """Format 2's line of the trajectory table row ``row``."""
     return json.dumps({
         "id": i,
-        "variant": traj.variant,
-        "success": bool(traj.success),
-        "mass": traj.env_params.mass,
-        "friction_scale": traj.env_params.friction_scale,
-        "states": traj.states.tolist(),
-        "actions": traj.actions.tolist(),
-        "origin": None if traj.origin is None else np.asarray(traj.origin).tolist(),
+        "variant": int(row["variant"]),
+        "success": bool(row["success"]),
+        "mass": float(row["mass"]),
+        "friction_scale": float(row["friction_scale"]),
+        "states": row["states"].tolist(),
+        "actions": row["actions"].tolist(),
+        "origin": row["origin"].tolist() if "origin" in row.dtype.names else None,
     })
 
 
@@ -276,18 +274,17 @@ def float_arrays(shape):
 
 @st.composite
 def datasets(draw):
-    """(trajectories, relabeled targets, chunk_len) as format 3 stores them:
-    one shape per field, and origins on every trajectory or on none."""
+    """(trajectory table, relabeled targets, chunk_len) as format 3 stores
+    them: one shape per field, and origins on every trajectory or on none."""
     horizon = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 4))
     n_origin = draw(st.one_of(st.none(), st.integers(0, 6)))
-    trajectories = [
-        Trajectory(states=draw(float_arrays((horizon + 1, D_S))),
-                   actions=draw(float_arrays((horizon, D_A))),
-                   success=draw(st.booleans()),
-                   env_params=EnvParams(mass=draw(floats), friction_scale=draw(floats)),
-                   origin=None if n_origin is None else draw(float_arrays(n_origin)),
-                   variant=draw(st.integers(0, 50)))
-        for _ in range(draw(st.integers(0, 4)))]
+    trajectories = trajectory_table(
+        draw(float_arrays((n, horizon + 1, D_S))), draw(float_arrays((n, horizon, D_A))),
+        draw(hnp.arrays(bool, n)),
+        EnvParams(mass=draw(float_arrays(n)), friction_scale=draw(float_arrays(n))),
+        draw(hnp.arrays(np.int64, n, elements=st.integers(0, 50))),
+        None if n_origin is None else draw(float_arrays((n, n_origin))))
     chunk = draw(st.integers(1, 4))
     relabeled = [RelabelTarget(observation=draw(float_arrays(2 * D_S)),
                                chunk=draw(float_arrays((chunk, D_A))),
@@ -310,7 +307,7 @@ def test_writer_edge_values_keep_their_own_text(tmp_path):
                       [1e16, 1e-7], [4.0, -7.0], [0.0, 0.0], [-0.0, -0.0]])
     targets = [RelabelTarget(observation=obs if i % 2 else -obs, chunk=chunk[i:i + 2],
                              point=RelabelPoint(0, i, 0.0), cost=0.0) for i in range(7)]
-    serialize(make_manifest(), str(tmp_path), [], targets)
+    serialize(make_manifest(), str(tmp_path), stack([]), targets)
     text = oracle_text(deserialize(str(tmp_path))[0])
     assert text == oracle_targets_text(targets)
     assert "[-0.0, 0.0]" in text and "[0.0, -0.0]" in text
@@ -318,9 +315,9 @@ def test_writer_edge_values_keep_their_own_text(tmp_path):
 
 
 def test_writer_mixes_relabeled_and_curated_chunk_lengths(tmp_path):
-    trajs = [make_traj(horizon=12, seed=i) for i in range(3)]
+    trajs = stack(make_traj(horizon=12, seed=i) for i in range(3))
     targets = [RelabelTarget(observation=np.arange(8.0) + i,
-                             chunk=make_traj(horizon=7, seed=10 + i).actions,
+                             chunk=make_traj(horizon=7, seed=10 + i)["actions"][0],
                              point=RelabelPoint(i, 2 * i, 0.5), cost=0.1)
                for i in range(3)]
     serialize(make_manifest(chunk_len=4), str(tmp_path), trajs, targets)
@@ -336,18 +333,18 @@ def test_writer_one_dimensional_and_scalar_arrays(tmp_path):
                                point=RelabelPoint(0, 0, 0.0), cost=0.0)
     cube_chunk = RelabelTarget(observation=np.zeros(8), chunk=np.ones((2, 2, 3)),
                                point=RelabelPoint(1, 4, 0.0), cost=0.0)
-    flat = make_traj()
-    flat.states = flat.states.ravel()
-    for trajs, relabeled, field in (([], [scalar_obs], "obs"), ([], [cube_chunk], "chunk"),
-                                    ([flat], [], "states")):
+    flat = _rebuild(make_traj(), states=make_traj()["states"].reshape(1, -1))
+    for trajs, relabeled, field in ((stack([]), [scalar_obs], "obs"),
+                                    (stack([]), [cube_chunk], "chunk"),
+                                    (flat, [], "states")):
         with pytest.raises(ValueError, match=field):
             serialize(make_manifest(), str(tmp_path), trajs, relabeled)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_writer_empty_record_list(tmp_path):
-    serialize(make_manifest(), str(tmp_path / "none"), [])
-    serialize(make_manifest(chunk_len=4), str(tmp_path / "curated"), [make_traj()])
+    serialize(make_manifest(), str(tmp_path / "none"), stack([]))
+    serialize(make_manifest(chunk_len=4), str(tmp_path / "curated"), make_traj())
     for name, n_curated in (("none", 0), ("curated", 7)):
         out = str(tmp_path / name)
         assert len(np.load(os.path.join(out, "records.npy"), allow_pickle=False)) == 0
@@ -356,16 +353,15 @@ def test_writer_empty_record_list(tmp_path):
 
 
 def test_writer_trajectories_with_and_without_origin(tmp_path):
-    trajs = [make_traj(seed=i, variant=i) for i in range(4)]
+    trajs = stack(make_traj(seed=i, variant=i) for i in range(4))
     assert_round_trip_keeps_oracle_text(trajs, [], 3)
-    for traj in trajs:
-        traj.origin = None
+    trajs = _rebuild(trajs, origin=None)
     assert_round_trip_keeps_oracle_text(trajs, [], 3)
     serialize(make_manifest(), str(tmp_path), trajs)
     assert "origin" not in np.load(tmp_path / "trajectories.npy", allow_pickle=False).dtype.names
-    trajs[2].origin = np.zeros(4)
+    # an origin that is not one vector per row is refused
     with pytest.raises(ValueError, match="origin"):
-        serialize(make_manifest(), str(tmp_path / "some"), trajs)
+        serialize(make_manifest(), str(tmp_path / "some"), _rebuild(trajs, origin=np.zeros(4)))
     assert not (tmp_path / "some").exists()
 
 
@@ -387,7 +383,7 @@ def fail_npy_write(monkeypatch, nth):
 
 
 def test_failed_write_keeps_previous_file_and_no_temp_file(tmp_path, monkeypatch):
-    trajs = [make_traj(horizon=40, seed=i) for i in range(40)]
+    trajs = stack(make_traj(horizon=40, seed=i) for i in range(40))
     relabeled = as_targets(windows(trajs, chunk_len=5))
     serialize(make_manifest(chunk_len=5), str(tmp_path), trajs[:2], relabeled[:10])
     before = (tmp_path / "records.npy").read_bytes()
@@ -399,8 +395,8 @@ def test_failed_write_keeps_previous_file_and_no_temp_file(tmp_path, monkeypatch
 
 
 def test_trajectory_variant_must_be_an_integer(tmp_path):
-    trajs = [make_traj(seed=0), make_traj(seed=1, variant=np.int64(2)), make_traj(seed=2)]
-    assert type(trajs[1].variant) is int
+    trajs = stack([make_traj(seed=0), make_traj(seed=1, variant=np.int64(2)), make_traj(seed=2)])
+    assert trajs.dtype["variant"] == np.dtype("<i8")
     serialize(make_manifest(), str(tmp_path), trajs)
     assert [t.variant for t in load_trajectories(str(tmp_path))] == [0, 2, 0]
     with pytest.raises(TypeError):
@@ -408,7 +404,7 @@ def test_trajectory_variant_must_be_an_integer(tmp_path):
 
 
 def test_failed_records_write_keeps_previous_dataset_readable(tmp_path, monkeypatch):
-    trajs = [make_traj(horizon=40, seed=i) for i in range(40)]
+    trajs = stack(make_traj(horizon=40, seed=i) for i in range(40))
     relabeled = as_targets(windows(trajs, chunk_len=5))
     serialize(make_manifest(chunk_len=5), str(tmp_path), trajs[:2], relabeled[:10])
     before = {name: (tmp_path / name).read_bytes()
@@ -418,9 +414,9 @@ def test_failed_records_write_keeps_previous_dataset_readable(tmp_path, monkeypa
         with pytest.raises(OSError):
             serialize(make_manifest(chunk_len=5), str(tmp_path), trajs, relabeled)
     monkeypatch.undo()
-    trajs[-1].actions = trajs[-1].actions[:-1]       # ragged: refused before writing
+    narrow = _rebuild(trajs, variant=trajs["variant"].astype("<i4"))   # refused unwritten
     with pytest.raises(ValueError):
-        serialize(make_manifest(chunk_len=5), str(tmp_path), trajs, relabeled)
+        serialize(make_manifest(chunk_len=5), str(tmp_path), narrow, relabeled)
     assert before == {name: (tmp_path / name).read_bytes() for name in before}
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
     assert len(deserialize(str(tmp_path))[0]) == 2 * 36 + 10
@@ -460,24 +456,6 @@ def oracle_deserialize(out_dir, chunk_len):
     return Pairs(curated, oracle_read_npy(os.path.join(out_dir, "records.npy")))
 
 
-def oracle_load_trajectories(out_dir):
-    rows = oracle_read_npy(os.path.join(out_dir, "trajectories.npy"))
-    return [Trajectory(states=row["states"].copy(), actions=row["actions"].copy(),
-                       success=bool(row["success"]),
-                       env_params=EnvParams(mass=float(row["mass"]),
-                                            friction_scale=float(row["friction_scale"])),
-                       origin=row["origin"].copy() if "origin" in rows.dtype.names else None,
-                       variant=int(row["variant"]))
-            for row in rows]
-
-
-def same_value(a, b):
-    """Bitwise for arrays (dtype, shape, bytes); type and repr otherwise,
-    so NaN equals NaN and -0.0 differs from 0.0."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-                and a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes())
-    return type(a) is type(b) and repr(a) == repr(b)
 
 
 def assert_reader_matches_oracle(trajectories, relabeled, chunk_len):
@@ -488,13 +466,10 @@ def assert_reader_matches_oracle(trajectories, relabeled, chunk_len):
             == len(windows(trajectories, chunk_len)) + len(relabeled)
         assert same_table(got.curated, want.curated)
         assert same_table(got.relabeled, want.relabeled)
-        got, want = load_trajectories(out), oracle_load_trajectories(out)
+        got = load_trajectories(out)
+        want = oracle_read_npy(os.path.join(out, "trajectories.npy"))
         assert len(got) == len(want) == len(trajectories)
-        for a, b in zip(got, want):
-            for name in ("states", "actions", "success", "origin", "variant"):
-                assert same_value(getattr(a, name), getattr(b, name)), name
-            for name in ("mass", "friction_scale"):
-                assert same_value(getattr(a.env_params, name), getattr(b.env_params, name))
+        assert same_table(got, want)
 
 
 @given(datasets())
@@ -504,17 +479,16 @@ def test_reader_equals_whole_file_oracle(dataset):
 
 
 def test_reader_equals_oracle_across_blocks_and_edge_values():
-    trajs = [make_traj(horizon=40, seed=i, variant=i % 3) for i in range(30)]
-    for traj in trajs:
-        traj.origin = None
-    trajs[7].states[3] = [-0.0, np.nan, np.inf, 5e-324]
+    trajs = stack(make_traj(horizon=40, seed=i, variant=i % 3, origin=False)
+                  for i in range(30))
+    trajs["states"][7, 3] = [-0.0, np.nan, np.inf, 5e-324]
     assert_reader_matches_oracle(trajs, as_targets(windows(trajs, chunk_len=5)), 5)
 
 
 def _dataset(tmp_path):
     """3 trajectories of horizon 10 (3 x 7 windows of 4) and 5 relabeled
     pairs, under a point_reach of horizon 10, so replay runs too."""
-    trajs = [make_traj(seed=i, variant=i) for i in range(3)]
+    trajs = stack(make_traj(seed=i, variant=i) for i in range(3))
     serialize(make_manifest(chunk_len=4, env_config={"horizon": 10}), str(tmp_path), trajs,
               as_targets(windows(trajs, chunk_len=4)[:5]))
     return str(tmp_path)
@@ -591,14 +565,14 @@ def test_reader_rejects_missing_key(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_reader_rejects_ragged_array(tmp_path, name):
-    # the writer refuses rows of two shapes; the reader refuses a shape
-    # that does not fit the manifest's environment
+    # the writer refuses targets of two shapes (a trajectory table has one
+    # shape per field); the reader refuses a shape that does not fit the
+    # manifest's environment
     out = _dataset(tmp_path)
-    trajs = [make_traj(horizon=10), make_traj(horizon=11)]
-    relabeled = as_targets(windows(trajs[:1], 4)[:1]) + as_targets(windows(trajs[:1], 5)[:1])
+    traj = make_traj(horizon=10)
+    relabeled = as_targets(windows(traj, 4)[:1]) + as_targets(windows(traj, 5)[:1])
     with pytest.raises(ValueError, match="every row needs one shape"):
-        serialize(make_manifest(chunk_len=4), str(tmp_path / "ragged"),
-                  trajs[:1 + (name == "trajectories")], relabeled[:1 + (name == "records")])
+        serialize(make_manifest(chunk_len=4), str(tmp_path / "ragged"), traj, relabeled)
     path = os.path.join(out, name + ".npy")
     wide = {"records": {"chunk": np.zeros((5, 4, D_A + 1))},
             "trajectories": {"states": np.zeros((3, 11, D_S + 1))}}[name]
@@ -788,7 +762,7 @@ def _default(f):
 
 
 def test_manifest_with_every_field_set_round_trips(tmp_path):
-    trajs = [make_traj(seed=i, variant=i) for i in range(3)]
+    trajs = stack(make_traj(seed=i, variant=i) for i in range(3))
     manifest = DatasetManifest(
         env_name="point_reach", seed=11, source="baseline", iterations=2,
         samples_per_iteration=16, n_variants=3, n_generated=40, n_successful=30,
@@ -880,15 +854,13 @@ def test_records_file_holds_relabeled_records_only(tmp_path):
         deserialize(out)
 
 
-def test_serialize_refuses_ragged_shapes_and_partial_origins(tmp_path):
-    trajs = [make_traj(seed=i) for i in range(2)]
+def test_serialize_refuses_wrong_dtypes_and_misfit_targets(tmp_path):
+    trajs = stack(make_traj(seed=i) for i in range(2))
     relabeled = as_targets(windows(trajs, chunk_len=4)[:2])
-    short = make_traj(horizon=9)
-    no_origin = make_traj(seed=5)
-    no_origin.origin = None
     long_obs = dataclasses.replace(relabeled[0], observation=np.zeros(9))
-    bad = [(trajs + [short], [], 4, "states"),             # two horizons
-           (trajs + [no_origin], [], 4, "origin"),         # an origin missing
+    bad = [(list(trajs), [], 4, "not a 1-D structured"),  # rows, not a table
+           (_rebuild(trajs, origin=None, mass=None), [], 4, "expected"),  # a field missing
+           (_rebuild(trajs, success=np.ones(2, "<i8")), [], 4, "not of the types"),
            (trajs, [relabeled[0], long_obs], 4, "obs"),    # two observation sizes
            (trajs, relabeled, 11, "exceeds"),              # windows longer than T
            (trajs, relabeled, 0, "chunk_len")]
@@ -900,7 +872,7 @@ def test_serialize_refuses_ragged_shapes_and_partial_origins(tmp_path):
 
 def test_serialize_refuses_targets_that_no_reader_accepts(tmp_path):
     # point_reach needs (2 d_s,) = (8,) observations and (H >= 1, d_a) chunks
-    trajs = [make_traj(seed=i) for i in range(2)]
+    trajs = stack(make_traj(seed=i) for i in range(2))
     [target] = as_targets(windows(trajs, chunk_len=4)[:1])
     bad = [dataclasses.replace(target, chunk=np.zeros((0, D_A))),
            dataclasses.replace(target, observation=np.zeros(3)),
@@ -926,7 +898,7 @@ def test_omission_fraction():
 
 
 def test_dataset_stats_counts_and_render(tmp_path):
-    trajs = [make_traj(horizon=8)]
+    trajs = make_traj(horizon=8)
     target = RelabelTarget(observation=np.zeros(8), chunk=np.ones((3, 2)),
                            point=RelabelPoint(0, 1, 0.2), cost=0.0)
     manifest = make_manifest(final_tubes=[(0.05, 0.2)], chunk_len=4)

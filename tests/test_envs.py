@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recovergen.envs import (EnvParams, PlanarBlockRotate, PointReach,
-                             Trajectory, augmented_demo_actions, make_env,
-                             randomize_env_params, rollout,
-                             rollout_with_resume, wrap_angle)
+                             augmented_demo_actions, make_env, randomize_env_params,
+                             rollout, rollout_with_resume, trajectory_table,
+                             wrap_angle)
 from recovergen.geometry import Pose, sample_object_perturbation
 
 
@@ -97,7 +97,7 @@ def test_rollout_shape_and_dimension_check(reach_env):
     actions = np.zeros((reach_env.horizon, reach_env.action_dim))
     traj = rollout(reach_env, s0, actions, nominal(reach_env))
     assert traj.states.shape == (reach_env.horizon + 1, reach_env.state_dim)
-    assert traj.horizon == reach_env.horizon
+    assert traj.actions.shape == (reach_env.horizon, reach_env.action_dim)
     with pytest.raises(ValueError):
         rollout(reach_env, s0, np.zeros((5, 2)), nominal(reach_env))
 
@@ -131,9 +131,22 @@ def test_block_zero_actions_fail(block_env):
 
 
 def test_trajectory_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        Trajectory(states=np.zeros((3, 2)), actions=np.zeros((3, 1)),
-                   success=False, env_params=EnvParams())
+    # T + 1 states per T actions, one row count, and (n, P) origins
+    for states, actions, origin in (((1, 3, 2), (1, 3, 1), None),
+                                    ((1, 3, 2), (2, 2, 1), None),
+                                    ((3, 2), (2, 1), None),
+                                    ((2, 3, 2), (2, 2, 1), (3, 4)),
+                                    ((2, 3, 2), (2, 2, 1), (2,))):
+        with pytest.raises(ValueError):
+            trajectory_table(np.zeros(states), np.zeros(actions), False, EnvParams(),
+                             origin=None if origin is None else np.zeros(origin))
+    table = trajectory_table(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)), [True, False],
+                             EnvParams(mass=np.array([1.0, 2.0]), friction_scale=0.9),
+                             variant=[4, 5], origin=np.zeros((2, 6)))
+    assert table.dtype.names == ("variant", "success", "mass", "friction_scale",
+                                 "states", "actions", "origin")
+    assert table["variant"].tolist() == [4, 5] and table["mass"].tolist() == [1.0, 2.0]
+    assert table["success"].tolist() == [True, False]
 
 
 def test_rollout_with_resume_identity_relabel(block_env):

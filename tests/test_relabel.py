@@ -5,9 +5,9 @@ import pytest
 from recovergen import pipeline, relabel
 from recovergen.config import PipelineConfig, RelabelConfig
 from recovergen.curator import TubeBounds, state_distances
-from recovergen.envs import (PlanarBlockRotate, PointReach, Trajectory,
-                             augmented_demo_actions, rollout,
-                             rollout_with_resume)
+from recovergen.envs import (EnvParams, PlanarBlockRotate, PointReach,
+                             augmented_demo_actions, rollout, rollout_with_resume,
+                             trajectory_table)
 from recovergen.geometry import Pose
 from recovergen.relabel import (RelabelPoint, _costs, cem_optimize, relabel_cost,
                                 relabel_dataset, select_risky_states)
@@ -23,10 +23,14 @@ def risks(curated, expert_states, psi=IDENT, scales=(1.0,)):
 
 
 def line_traj(values, success=True):
-    states = np.asarray(values, dtype=float)[:, None]
-    from recovergen.envs import EnvParams
-    return Trajectory(states=states, actions=np.zeros((len(states) - 1, 1)),
-                      success=success, env_params=EnvParams())
+    states = np.asarray(values, dtype=float)[None, :, None]
+    return trajectory_table(states, np.zeros((1, states.shape[1] - 1, 1)), success,
+                            EnvParams()).view(np.recarray)[0]
+
+
+def params_of(traj):
+    """The physics a trajectory table row was rolled out under."""
+    return EnvParams(mass=traj.mass, friction_scale=traj.friction_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +72,7 @@ def test_select_clips_timestep_for_full_chunk():
     vals = [0.0] * 25 + [1.0]  # riskiest state is the terminal one
     traj = line_traj(vals)
     pts = select_risky_states(risks([traj], [experts]), 1, 5, horizon_h=10)
-    assert pts[0].t == traj.horizon - 10
+    assert pts[0].t == len(traj.actions) - 10
 
 
 def test_select_returns_fewer_when_not_enough_points():
@@ -93,7 +97,7 @@ def _tuple_sort_select(curated, expert_states, psi, scales, k_rel, min_sep, hori
     sorted by descending risk, then trajectory, then timestep."""
     candidates = []
     for i, traj in enumerate(curated):
-        t_hi = traj.horizon - horizon_h
+        t_hi = len(traj.actions) - horizon_h
         if t_hi < 0:
             continue
         d = state_distances(traj.states, expert_states[i], psi, scales)
@@ -181,7 +185,7 @@ def test_cost_failure_indicator_term():
     # pull the effectors apart: contact lost, continuation fails
     u = np.tile([-0.03, -0.03, 0.03, 0.03], (15, 1))
     cont = rollout_with_resume(env, traj.states[20], u, traj.actions[35:],
-                               traj.env_params)
+                               params_of(traj))
     assert not cont.success
     assert relabel_cost(u, traj, 20, tube, env, cfg, expert) == 1e3
 
@@ -192,7 +196,7 @@ def test_cost_tube_term_quadratic_hinge():
     tight = TubeBounds(0.0, 0.0)  # any deviation is a violation
     u = traj.actions[20:35]
     cont = rollout_with_resume(env, traj.states[20], u, traj.actions[35:],
-                               traj.env_params)
+                               params_of(traj))
     from recovergen.curator import state_distances
     d = state_distances(cont.states[1:16], expert, env.psi, env.psi_scales)
     expected = 10.0 * float(np.sum(np.maximum(d - 0.0, 0.0) ** 2))
@@ -253,7 +257,7 @@ def test_cem_rejects_point_without_room():
     env, traj, expert = _reach_fixture()
     cfg = RelabelConfig(horizon=15)
     with pytest.raises(ValueError):
-        cem_optimize(RelabelPoint(0, traj.horizon - 5, 0.0), traj, env,
+        cem_optimize(RelabelPoint(0, len(traj.actions) - 5, 0.0), traj, env,
                      TubeBounds(0.0, 100.0), cfg, np.random.default_rng(0),
                      expert)
 
@@ -442,7 +446,7 @@ def test_population_costs_equal_one_candidate_costs(horizon):
     cfg = RelabelConfig(horizon=horizon)
     tube = TubeBounds(0.0, 0.05)
     rng = np.random.default_rng(4)
-    points = [(traj, t, tube, expert) for t in (3, 20, traj.horizon - horizon)]
+    points = [(traj, t, tube, expert) for t in (3, 20, len(traj.actions) - horizon)]
     chunks = [traj.actions[t:t + horizon].reshape(-1)
               + 0.01 * rng.standard_normal((9, horizon * env.action_dim))
               for _, t, _, _ in points]
@@ -452,7 +456,7 @@ def test_population_costs_equal_one_candidate_costs(horizon):
         assert costs.tolist() == one_by_one
         # each flag is the candidate's own continuation, rolled out alone
         alone = [rollout_with_resume(env, traj.states[t], u, traj.actions[t + horizon:],
-                                     traj.env_params).success for u in pop]
+                                     params_of(traj)).success for u in pop]
         assert ok.tolist() == alone
     assert any(c > 0 for costs in batched for c in costs)
 
@@ -492,7 +496,7 @@ def test_relabel_dataset_targets_validate_and_separate():
         src = [traj][tgt.point.trajectory_id]
         cont = rollout_with_resume(env, src.states[tgt.point.t], tgt.chunk,
                                    src.actions[tgt.point.t + 15:],
-                                   src.env_params)
+                                   params_of(src))
         assert cont.success
         seen.setdefault(tgt.point.trajectory_id, []).append(tgt.point.t)
     for ts in seen.values():

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recovergen.envs import PointReach, augmented_demo_actions
+from recovergen.envs import PlanarBlockRotate, PointReach, augmented_demo_actions
 from recovergen.geometry import Pose
-from recovergen.sampler import (Proposal, decode, fit_control_points,
+from recovergen.sampler import (Proposal, decode, draw_plans, fit_control_points,
                                 generate_success_batch, init_proposal,
                                 interp_matrix, sample_batch, widen)
 
@@ -144,15 +144,15 @@ def test_sample_batch_deterministic_and_shaped():
     q = Proposal(mean=np.zeros(8), std=np.ones(8), m_points=4, action_dim=2)
     a = sample_batch(q, 5, np.random.default_rng(0))
     b = sample_batch(q, 5, np.random.default_rng(0))
-    assert len(a) == 5 and all(x.shape == (8,) for x in a)
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert a.shape == (5, 8)
+    assert np.array_equal(a, b)
 
 
 def test_sample_batch_mean_converges():
     mu = np.array([1.0, -2.0, 0.5])
     q = Proposal(mean=mu, std=np.full(3, 0.2), m_points=3, action_dim=1)
     n = 10_000
-    draws = np.array(sample_batch(q, n, np.random.default_rng(6)))
+    draws = sample_batch(q, n, np.random.default_rng(6))
     assert np.all(np.abs(draws.mean(axis=0) - mu) < 4.0 * 0.2 / np.sqrt(n))
 
 
@@ -202,10 +202,25 @@ def test_success_batch_members_revalidate():
     batch = generate_success_batch(env, env.demo_object_pose(), q, 30,
                                    np.random.default_rng(1))
     assert 0 < len(batch) <= 30
-    for traj, c in zip(batch.trajectories, batch.control_points):
-        assert traj.success
-        assert env.success(traj)  # re-evaluation agrees
-        assert c is traj.origin and c.shape == (12,)
+    table = batch.table
+    assert table["success"].all() and np.all(table["variant"] == 0)
+    assert env.success_batch(table["states"][:, -1]).all()  # re-evaluation agrees
+    # each row's origin is the control-point vector its actions decode from
+    assert table["origin"].shape == (len(batch), 12)
+    for c, actions in zip(table["origin"], table["actions"]):
+        assert np.array_equal(decode(c.reshape(6, 2), env.horizon), actions)
+
+
+def test_draw_plans_decodes_each_draw_as_decode_does():
+    # one stacked product over every draw equals decode of each draw, bitwise
+    env = PlanarBlockRotate()
+    demo = augmented_demo_actions(env, env.demo_object_pose(), l_blend=10)
+    q = init_proposal(demo, 16, sigma0=0.003, variance_floor=1e-8)
+    for seed in range(20):
+        plans = draw_plans(env, env.demo_object_pose(), q, 64, np.random.default_rng(seed))
+        per_draw = np.array([decode(c.reshape(16, 4), env.horizon) for c in plans.draws])
+        assert plans.draws.shape == (64, 64)
+        assert plans.actions.tobytes() == per_draw.tobytes()
 
 
 def test_success_batch_deterministic():
@@ -216,6 +231,4 @@ def test_success_batch_deterministic():
     b = generate_success_batch(env, env.demo_object_pose(), q, 20,
                                np.random.default_rng(2))
     assert len(a) == len(b)
-    for ta, tb in zip(a.trajectories, b.trajectories):
-        assert np.array_equal(ta.states, tb.states)
-        assert np.array_equal(ta.origin, tb.origin)
+    assert a.table.dtype == b.table.dtype and a.table.tobytes() == b.table.tobytes()
