@@ -22,18 +22,18 @@ from recovergen.geometry import compose, sample_object_perturbation
 def replay_success_rate(env, scale, episodes, rng, trans_range, yaw_range,
                         l_blend):
     """Share of episodes whose replay succeeds; every episode's pose and
-    then its physical parameters are drawn in turn, and all episodes are
+    then its friction scale are drawn in turn, and all episodes are
     rolled out in one batch."""
     base = env.demo_object_pose()
-    poses, params = [], []
+    poses, friction = [], []
     for _ in range(episodes):
         delta = sample_object_perturbation(
             tuple(scale * b for b in trans_range), scale * yaw_range, rng)
         poses.append(compose(delta, base))
-        params.append(env.sample_env_params(rng))
-    s0s = np.array([env.reset(pose, p) for pose, p in zip(poses, params)])
+        friction.append(env.sample_friction(rng, 1))
+    s0s = np.array([env.reset(pose) for pose in poses])
     actions = np.array([augmented_demo_actions(env, pose, l_blend) for pose in poses])
-    _, success = rollout_batch(env, s0s, actions, params)
+    _, success = rollout_batch(env, s0s, actions, np.concatenate(friction))
     return int(success.sum()) / episodes
 
 

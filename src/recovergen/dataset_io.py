@@ -1,15 +1,14 @@
 """Dataset assembly and on-disk persistence.
 
-Layout under the output directory (dataset format 3):
+Layout under the output directory (dataset format 4):
 
 * ``manifest``          -- plain-text ``key = value`` run metadata:
-  ``format = 3``, then one line per field of ``DatasetManifest``, its schema;
+  ``format = 4``, then one line per field of ``DatasetManifest``, its schema;
   ``n_trajectories`` and ``n_relabeled`` are the row counts of the arrays
 * ``trajectories.npy``  -- one row per curated trajectory, with the fields
-  ``variant`` ``<i8``, ``success`` ``?``, ``mass`` ``<f8``,
-  ``friction_scale`` ``<f8``, ``states`` ``<f8 (T+1, d_s)``, ``actions``
-  ``<f8 (T, d_a)`` and, when the trajectories have origins, ``origin``
-  ``<f8 (P,)``
+  ``variant`` ``<i8``, ``success`` ``?``, ``friction_scale`` ``<f8``,
+  ``states`` ``<f8 (T+1, d_s)``, ``actions`` ``<f8 (T, d_a)`` and, when
+  the trajectories have origins, ``origin`` ``<f8 (P,)``
 * ``records.npy``       -- one row per relabeled supervision pair, with the
   fields ``traj`` ``<i8``, ``t`` ``<i8``, ``obs`` ``<f8 (2 d_s,)`` and
   ``chunk`` ``<f8 (H, d_a)``
@@ -28,7 +27,7 @@ Files are written to temporary names and renamed once all are complete, the
 manifest last.  Every reader reads the manifest, both arrays and checks them
 whole: each array's fields and dtypes, its shapes against the manifest's
 environment and ``chunk_len``, and its row count against the manifest.  A
-truncated, foreign or pickled file and a ``format`` other than 3 raise
+truncated, foreign or pickled file and a ``format`` other than 4 raise
 DatasetFormatError; nothing is returned from a dataset that fails a check.
 ``read_manifest`` alone reads no array.
 """
@@ -48,7 +47,7 @@ from .envs import TRAJECTORY_FIELDS, Environment, make_env
 from .relabel import RelabelTarget
 
 
-FORMAT = 3   # the one dataset format this module writes and reads
+FORMAT = 4   # the one dataset format this module writes and reads
 
 # field -> (dtype, axes per row), in file order, as ``TRAJECTORY_FIELDS``
 _RECORD_FIELDS = {"traj": ("<i8", 0), "t": ("<i8", 0), "obs": ("<f8", 1),
@@ -175,7 +174,7 @@ def _manifest_lines(manifest: DatasetManifest) -> str:
 
 def read_manifest(out_dir: str) -> DatasetManifest:
     """Parse and check ``out_dir/manifest``; every fault, an unknown or
-    repeated key or a ``format`` other than 3 included, raises
+    repeated key or a ``format`` other than 4 included, raises
     DatasetFormatError."""
     path = os.path.join(out_dir, "manifest")
     values: Dict = {}
@@ -258,6 +257,17 @@ def _fields_misfit(table, fields: Dict[str, Tuple[str, int]]) -> str:
     return ""
 
 
+def _trajectories_misfit(env: Environment, trajectories: np.ndarray) -> str:
+    """Why trajectories of this table's shapes cannot be read under
+    ``env``, which needs (T+1, d_s) states and (T, d_a) actions; empty if
+    they can."""
+    states, actions = trajectories.dtype["states"].shape, trajectories.dtype["actions"].shape
+    if states == (actions[0] + 1, env.state_dim) and actions[1] == env.action_dim:
+        return ""
+    return (f"states {states} and actions {actions} do not fit {env.name} "
+            f"(d_s {env.state_dim}, d_a {env.action_dim})")
+
+
 def _records_misfit(env: Environment, records: np.ndarray) -> str:
     """Why relabeled rows of this table's shapes cannot be read under
     ``env``, which needs (2 d_s,) observations and (H >= 1, d_a) chunks;
@@ -278,18 +288,21 @@ def serialize(manifest: DatasetManifest, out_dir: str, trajectories: np.ndarray,
     ``n_relabeled`` and ``n_records`` (windows plus relabeled pairs).
 
     Raises ValueError before any file is written when the trajectories do
-    not have the dtype of ``TRAJECTORY_FIELDS``, when the targets differ in
-    shape or do not fit the manifest's environment, or when ``chunk_len``
-    does not fit the trajectories.
+    not have the dtype of ``TRAJECTORY_FIELDS`` or do not fit the
+    manifest's environment, when the targets differ in shape or do not fit
+    that environment, or when ``chunk_len`` does not fit the trajectories.
     Each file goes to a temporary file first; they are renamed into place
     only once all are complete, the manifest last, since it pins the row
     counts of the others.  So a failure while writing any file leaves the previous
     dataset whole and readable."""
     misfit = _fields_misfit(trajectories, TRAJECTORY_FIELDS)
+    env = _manifest_env(manifest)
+    if not misfit and len(trajectories):
+        misfit = _trajectories_misfit(env, trajectories)
     if misfit:
         raise ValueError(f"trajectories: {misfit}")
     record_table = _record_table(relabeled)
-    misfit = _records_misfit(_manifest_env(manifest), record_table) if relabeled else ""
+    misfit = _records_misfit(env, record_table) if relabeled else ""
     if misfit:
         raise ValueError(f"relabeled targets: {misfit}")
     horizon = trajectories.dtype["actions"].shape[0]
@@ -345,15 +358,14 @@ def _open(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray, np.nd
         raise DatasetFormatError(f"{manifest_path}: environment: {exc}") from exc
     path = os.path.join(out_dir, "trajectories.npy")
     trajectories = _load_table(path, TRAJECTORY_FIELDS, manifest.n_trajectories)
-    states, actions = trajectories.dtype["states"].shape, trajectories.dtype["actions"].shape
     windows = 0
     if len(trajectories):
-        if states != (actions[0] + 1, env.state_dim) or actions[1] != env.action_dim:
-            raise DatasetFormatError(
-                f"{path}: states {states} and actions {actions} do not fit {env.name} "
-                f"(d_s {env.state_dim}, d_a {env.action_dim})")
+        misfit = _trajectories_misfit(env, trajectories)
+        if misfit:
+            raise DatasetFormatError(f"{path}: {misfit}")
         try:
-            windows = len(trajectories) * _window_count(actions[0], manifest.chunk_len)
+            horizon = trajectories.dtype["actions"].shape[0]
+            windows = len(trajectories) * _window_count(horizon, manifest.chunk_len)
         except ValueError as exc:
             raise DatasetFormatError(f"{path}: chunk_len {manifest.chunk_len}: {exc}") from exc
     path = os.path.join(out_dir, "records.npy")

@@ -8,15 +8,17 @@ Two desk-scale environments are provided:
 * ``PointReach`` -- a single point mass with position-target actions and a
   terminal goal ball; an analytic fixture used mainly by the tests.
 
-Both environments are immutable descriptions.  ``step(states (n, d_s),
-actions (n, d_a), params)`` advances many rows at once and is a pure
-function of its inputs; ``params`` is one ``EnvParams`` for every row or
-one per row, and a 1-D state gives a 1-D result.  ``rollout_batch`` runs
-open-loop plans for many rows, each for its own number of steps, and
-``success_batch`` evaluates the success predicate on final states.
-``rollout`` and ``rollout_with_resume`` are its one-row forms; each
-returns its rollout as a row of a trajectory table (``trajectory_table``,
-whose fields are those of ``trajectories.npy``).
+Both environments are immutable descriptions.  The one randomized physical
+parameter is a friction scale: ``sample_friction`` draws one per row, and
+``nominal_friction`` is the middle of ``friction_range``.  ``step(states
+(n, d_s), actions (n, d_a), friction)`` advances many rows at once and is a
+pure function of its inputs; ``friction`` is one float for every row or an
+(n,) array, one per row, and a 1-D state gives a 1-D result.
+``rollout_batch`` runs open-loop plans for many rows, each for its own
+number of steps, and ``success_batch`` evaluates the success predicate on
+final states.  ``rollout`` and ``rollout_with_resume`` are its one-row
+forms; each returns its rollout as a row of a trajectory table
+(``trajectory_table``, whose fields are those of ``trajectories.npy``).
 
 Each row's result is bitwise identical to the one-row scalar dynamics,
 whatever the batch size or the row's position in it.  Where numpy's
@@ -32,26 +34,17 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import Sequence, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 from .geometry import Pose, reanchor_trajectory
 
 
-@dataclass(frozen=True)
-class EnvParams:
-    """Per-episode randomized physical parameters.  A batched ``step``
-    also accepts one whose fields are (n,) arrays, one entry per row."""
-
-    mass: float = 1.0
-    friction_scale: float = 1.0
-
-
 # the row format of a trajectory table and of ``trajectories.npy``:
 # field -> (dtype, axes per row), in file order; ``origin``, the generating
 # control-point vector, is optional
-TRAJECTORY_FIELDS = {"variant": ("<i8", 0), "success": ("?", 0), "mass": ("<f8", 0),
+TRAJECTORY_FIELDS = {"variant": ("<i8", 0), "success": ("?", 0),
                      "friction_scale": ("<f8", 0), "states": ("<f8", 2),
                      "actions": ("<f8", 2), "origin": ("<f8", 1)}
 
@@ -79,33 +72,27 @@ def _hypot(x: np.ndarray, y: np.ndarray, near: float) -> np.ndarray:
     return h
 
 
-ParamsArg = Union[EnvParams, Sequence[EnvParams]]
+def _rows(friction, n: int) -> np.ndarray:
+    """``friction``, one float for every row or one per row, as (n,)."""
+    friction = np.asarray(friction, dtype=float)
+    if friction.shape not in ((), (n,)):
+        raise ValueError(f"expected one friction scale or one per row ({n}), "
+                         f"got shape {friction.shape}")
+    return np.broadcast_to(friction, (n,))
 
 
-def _param_rows(params: ParamsArg, name: str, n: int) -> np.ndarray:
-    """Field ``name`` as an (n,) array from one EnvParams (scalar or
-    per-row fields) or from a sequence of one EnvParams per row."""
-    if isinstance(params, EnvParams):
-        return np.broadcast_to(np.asarray(getattr(params, name), dtype=float), (n,))
-    values = np.array([getattr(p, name) for p in params], dtype=float)
-    if values.shape != (n,):
-        raise ValueError(f"expected one EnvParams per row ({n}), got {len(values)}")
-    return values
-
-
-def trajectory_table(states, actions, success, params: ParamsArg, variant=0,
+def trajectory_table(states, actions, success, friction, variant=0,
                      origin=None) -> np.ndarray:
     """A trajectory table, one row per full-episode rollout, with the
     fields of ``TRAJECTORY_FIELDS``: states (n, T+1, d_s), actions
-    (n, T, d_a), success and an integer variant per row or for all,
-    ``params`` as ``rollout_batch`` takes them, and origins (n, P) or None.
-    Shapes that do not fit together raise ValueError, a variant that is
-    not an integer TypeError."""
+    (n, T, d_a), success and an integer variant per row or for all, the
+    friction scale as ``rollout_batch`` takes it, and origins (n, P) or
+    None.  Shapes that do not fit together raise ValueError, a variant
+    that is not an integer TypeError."""
     states, actions = np.asarray(states, dtype=float), np.asarray(actions, dtype=float)
     n = len(states)
     columns = {"variant": np.asarray(variant).astype("<i8", casting="safe"),
-               "success": success, "mass": _param_rows(params, "mass", n),
-               "friction_scale": _param_rows(params, "friction_scale", n),
+               "success": success, "friction_scale": _rows(friction, n),
                "states": states, "actions": actions}
     if origin is not None:
         origin = columns["origin"] = np.asarray(origin, dtype=float)
@@ -123,14 +110,6 @@ def trajectory_table(states, actions, success, params: ParamsArg, variant=0,
     return table
 
 
-def randomize_env_params(mass_range, friction_range, rng: np.random.Generator) -> EnvParams:
-    """Uniform per-episode draw of mass and friction scale."""
-    return EnvParams(
-        mass=float(rng.uniform(mass_range[0], mass_range[1])),
-        friction_scale=float(rng.uniform(friction_range[0], friction_range[1])),
-    )
-
-
 class Environment:
     """Abstract deterministic-simulator contract.
 
@@ -146,7 +125,6 @@ class Environment:
     action_dim: int
     a_max: float
     psi_scales: np.ndarray      # normalization of the task subspace
-    mass_range: tuple = (1.0, 1.0)
     friction_range: tuple = (1.0, 1.0)
     _POSITIVE: Tuple[str, ...] = ()   # constants that must be > 0
 
@@ -179,12 +157,12 @@ class Environment:
                                  f"got {value!r}")
 
     # -- dynamics ---------------------------------------------------------
-    def reset(self, variant: Pose, params: EnvParams) -> np.ndarray:
+    def reset(self, variant: Pose) -> np.ndarray:
         raise NotImplementedError
 
-    def step(self, state: np.ndarray, action: np.ndarray, params: ParamsArg) -> np.ndarray:
-        """Advance states (n, d_s) by actions (n, d_a); a 1-D state gives
-        a 1-D result."""
+    def step(self, state: np.ndarray, action: np.ndarray, friction) -> np.ndarray:
+        """Advance states (n, d_s) by actions (n, d_a) under one friction
+        scale or one per row; a 1-D state gives a 1-D result."""
         raise NotImplementedError
 
     def success_batch(self, final_states: np.ndarray) -> np.ndarray:
@@ -202,12 +180,15 @@ class Environment:
         start = np.broadcast_to(np.asarray(start_state, float), state.shape)
         return np.concatenate([state, start], axis=-1)
 
-    def sample_env_params(self, rng: np.random.Generator) -> EnvParams:
-        return randomize_env_params(self.mass_range, self.friction_range, rng)
+    def sample_friction(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n uniform friction scales (n,), one per row.  Each row first
+        draws a number that it discards, where dataset format 3 drew a mass
+        that no dynamics read, so every friction scale and every later draw
+        from ``rng`` are the ones that format stored."""
+        return rng.uniform(self.friction_range[0], self.friction_range[1], (n, 2))[:, 1]
 
-    def nominal_env_params(self) -> EnvParams:
-        return EnvParams(mass=0.5 * (self.mass_range[0] + self.mass_range[1]),
-                         friction_scale=0.5 * (self.friction_range[0] + self.friction_range[1]))
+    def nominal_friction(self) -> float:
+        return 0.5 * (self.friction_range[0] + self.friction_range[1])
 
     # -- scripted demonstration -------------------------------------------
     def demo_object_pose(self) -> Pose:
@@ -224,13 +205,14 @@ class Environment:
 
 
 def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
-                  params: ParamsArg, lengths=None) -> Tuple[np.ndarray, np.ndarray]:
+                  friction, lengths=None) -> Tuple[np.ndarray, np.ndarray]:
     """Execute open-loop plans for n rows at once.
 
-    ``s0s`` is (n, d_s) and ``actions`` (n, L, d_a); ``params`` is one
-    EnvParams for every row or one per row.  Row i takes ``lengths[i]``
-    steps (L by default, each in [1, L]) and then holds its final state.
-    Returns the states (n, L + 1, d_s) and each row's success (n,).
+    ``s0s`` is (n, d_s) and ``actions`` (n, L, d_a); ``friction`` is one
+    float for every row or an (n,) array, one per row.  Row i takes
+    ``lengths[i]`` steps (L by default, each in [1, L]) and then holds its
+    final state.  Returns the states (n, L + 1, d_s) and each row's success
+    (n,).
 
     Rows are stepped in order of descending length and each step advances
     only the rows still running, so the env work is sum(lengths) steps.
@@ -250,15 +232,14 @@ def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
     ordered = bool(np.all(lengths[:-1] >= lengths[1:]))
     order = slice(None) if ordered else np.argsort(-lengths, kind="stable")
     running = (lengths[:, None] > np.arange(horizon)).sum(axis=0)
-    by_row = {f.name: _param_rows(params, f.name, n)[order] for f in fields(EnvParams)}
+    friction = _rows(friction, n)[order]
     s = s0s[order].copy()
     acts = actions[order]
     out = np.empty((n, horizon + 1, env.state_dim))
     out[:, 0] = s
     for t in range(horizon):
         k = running[t]
-        p = EnvParams(**{name: v[:k] for name, v in by_row.items()})
-        s[:k] = env.step(s[:k], acts[:k, t], p)
+        s[:k] = env.step(s[:k], acts[:k, t], friction[:k])
         out[:, t + 1] = s
     if not ordered:
         states, out = out, np.empty_like(out)
@@ -267,18 +248,18 @@ def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
 
 
 def rollout(env: Environment, s0: np.ndarray, actions: np.ndarray,
-            params: EnvParams) -> np.record:
+            friction: float) -> np.record:
     """Execute a full-episode open-loop plan and evaluate success; returns
     its trajectory table row as a record, whose fields read as attributes."""
     actions = np.asarray(actions, dtype=float)
     if actions.shape != (env.horizon, env.action_dim):
         raise ValueError(
             f"expected actions of shape ({env.horizon}, {env.action_dim}), got {actions.shape}")
-    return _rollout_row(env, s0, actions, params)
+    return _rollout_row(env, s0, actions, friction)
 
 
 def rollout_with_resume(env: Environment, s_t: np.ndarray, prefix: np.ndarray,
-                        reference_suffix: np.ndarray, params: EnvParams) -> np.record:
+                        reference_suffix: np.ndarray, friction: float) -> np.record:
     """Apply a corrective prefix from s_t, then resume the reference plan;
     success is evaluated on the full continuation, returned as
     ``rollout`` returns it."""
@@ -287,15 +268,15 @@ def rollout_with_resume(env: Environment, s_t: np.ndarray, prefix: np.ndarray,
     n = len(prefix) + len(suffix)
     if n < 1 or n > env.horizon:
         raise ValueError("prefix plus suffix must cover a positive span within the horizon")
-    return _rollout_row(env, s_t, np.concatenate([prefix, suffix], axis=0), params)
+    return _rollout_row(env, s_t, np.concatenate([prefix, suffix], axis=0), friction)
 
 
-def _rollout_row(env: Environment, s0, actions: np.ndarray, params: EnvParams) -> np.record:
+def _rollout_row(env: Environment, s0, actions: np.ndarray, friction: float) -> np.record:
     # the one-row forms share this tail rather than call each other, so a
     # traced run counts each of their rollouts once
     states, success = rollout_batch(env, np.asarray(s0, dtype=float)[None], actions[None],
-                                    params)
-    return trajectory_table(states, actions[None], success, params).view(np.recarray)[0]
+                                    friction)
+    return trajectory_table(states, actions[None], success, friction).view(np.recarray)[0]
 
 
 @dataclass(frozen=True)
@@ -322,7 +303,6 @@ class PlanarBlockRotate(Environment):
     half_extents: tuple = (0.10, 0.06)
     theta_des: float = math.pi / 2.0
     eps_theta: float = 0.1
-    mass_range: tuple = (0.5, 3.0)
     friction_range: tuple = (0.8, 1.2)
     reset_left: tuple = (-0.25, 0.0)
     reset_right: tuple = (0.25, 0.0)
@@ -338,7 +318,7 @@ class PlanarBlockRotate(Environment):
         # positions in ~0.1 m units, angle in ~0.5 rad units
         return np.array([0.1, 0.1, 0.5, 0.1, 0.1, 0.1, 0.1])
 
-    def reset(self, variant: Pose, params: EnvParams) -> np.ndarray:
+    def reset(self, variant: Pose) -> np.ndarray:
         return np.array([variant.x, variant.y, variant.yaw,
                          self.reset_left[0], self.reset_left[1],
                          self.reset_right[0], self.reset_right[1]])
@@ -359,7 +339,7 @@ class PlanarBlockRotate(Environment):
         dist = _hypot(gap_x.ravel(), gap_y.ravel(), self.contact_margin)
         return (dist <= self.contact_margin).reshape(2, -1).all(axis=0)
 
-    def step(self, state, action, params: ParamsArg):
+    def step(self, state, action, friction):
         state = np.asarray(state, dtype=float)
         cols = np.atleast_2d(state).T.copy()   # (7, n): one contiguous array per variable
         out = cols.copy()
@@ -379,7 +359,7 @@ class PlanarBlockRotate(Environment):
             # math.atan2 per row: np.arctan2 differs from it in the last ulp
             dth = np.fromiter(map(math.atan2, (ux * vy - uy * vx).tolist(),
                                   (ux * vx + uy * vy).tolist()), float, count=len(bx))
-            slip = _clamp(_param_rows(params, "friction_scale", cols.shape[1])[i], 0.0, 1.0)
+            slip = _clamp(_rows(friction, cols.shape[1])[i], 0.0, 1.0)
             sth = slip * dth
             c = np.cos(sth)
             s = np.sin(sth)
@@ -446,10 +426,10 @@ class PointReach(Environment):
     def psi_scales(self) -> np.ndarray:
         return np.array([0.1, 0.1])
 
-    def reset(self, variant: Pose, params: EnvParams) -> np.ndarray:
+    def reset(self, variant: Pose) -> np.ndarray:
         return np.array([self.start[0], self.start[1], variant.x, variant.y])
 
-    def step(self, state, action, params: ParamsArg):
+    def step(self, state, action, friction):
         state = np.asarray(state, dtype=float)
         out = np.atleast_2d(state).copy()
         out[:, :2] += _clamp(np.asarray(action, dtype=float), -self.a_max, self.a_max)

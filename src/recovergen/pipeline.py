@@ -26,8 +26,8 @@ from .config import ConfigError, PipelineConfig, config_parameters
 from .curator import TubeBounds
 from .dataset_io import (DatasetFormatError, DatasetManifest, open_dataset, serialize,
                          _atomic_write)
-from .envs import (Environment, EnvParams, augmented_demo_actions, make_env,
-                   rollout_batch, trajectory_table)
+from .envs import (Environment, augmented_demo_actions, make_env, rollout_batch,
+                   trajectory_table)
 from .geometry import Pose, compose, sample_object_perturbation
 from .relabel import relabel_dataset
 
@@ -92,9 +92,9 @@ def sample_variant_poses(env: Environment, cfg: PipelineConfig,
             for _ in range(cfg.n_variants)]
 
 
-# A rollout request, (s0s (n, d_s), actions (n, T, d_a), one EnvParams per
-# row), and its reply, (states (n, T + 1, d_s), success (n,)).
-Request = Tuple[np.ndarray, np.ndarray, List[EnvParams]]
+# A rollout request, (s0s (n, d_s), actions (n, T, d_a), friction (n,)), and
+# its reply, (states (n, T + 1, d_s), success (n,)).
+Request = Tuple[np.ndarray, np.ndarray, np.ndarray]
 Reply = Tuple[np.ndarray, np.ndarray]
 VariantLoop = Generator[Request, Reply, VariantResult]
 
@@ -103,7 +103,7 @@ def _success_batch(env: Environment, pose: Pose, q: smp.Proposal, n: int,
                    rng: np.random.Generator,
                    index: int) -> Generator[Request, Reply, smp.SuccessBatch]:
     plans = smp.draw_plans(env, pose, q, n, rng)
-    states, success = yield plans.s0s, plans.actions, plans.params
+    states, success = yield plans.s0s, plans.actions, plans.friction
     return smp.keep_successes(plans, states, success, index)
 
 
@@ -116,8 +116,8 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
     result = VariantResult(index=index, pose=pose)
 
     demo_actions = augmented_demo_actions(env, pose, cfg.l_blend)
-    nominal = env.nominal_env_params()
-    states, _ = yield env.reset(pose, nominal)[None], demo_actions[None], [nominal]
+    states, _ = yield (env.reset(pose)[None], demo_actions[None],
+                       np.full(1, env.nominal_friction()))
     expert_states = result.expert_states = states[0].copy()
 
     q = smp.init_proposal(demo_actions, cfg.sampler.m_points,
@@ -184,7 +184,7 @@ def _lockstep(env: Environment, loops: Sequence[VariantLoop]) -> List[VariantRes
         requests = list(pending.items())
         states, success = rollout_batch(env, np.concatenate([r[0] for _, r in requests]),
                                         np.concatenate([r[1] for _, r in requests]),
-                                        [p for _, r in requests for p in r[2]])
+                                        np.concatenate([r[2] for _, r in requests]))
         row = 0
         for j, (s0s, _, _) in requests:
             rows = slice(row, row + len(s0s))
@@ -302,12 +302,12 @@ def run_spatial_only(cfg: PipelineConfig) -> RunReport:
     seeds = root.spawn(cfg.n_variants + 2)
     poses = sample_variant_poses(env, cfg, np.random.default_rng(seeds[0]))
 
-    params = [env.sample_env_params(np.random.default_rng(seed))
-              for seed in seeds[1:1 + cfg.n_variants]]
+    friction = np.concatenate([env.sample_friction(np.random.default_rng(seed), 1)
+                               for seed in seeds[1:1 + cfg.n_variants]])
     actions = np.array([augmented_demo_actions(env, pose, cfg.l_blend) for pose in poses])
-    states, success = rollout_batch(
-        env, np.array([env.reset(pose, p) for pose, p in zip(poses, params)]), actions, params)
-    rollouts = trajectory_table(states, actions, success, params, np.arange(len(poses)))
+    states, success = rollout_batch(env, np.array([env.reset(pose) for pose in poses]),
+                                    actions, friction)
+    rollouts = trajectory_table(states, actions, success, friction, np.arange(len(poses)))
 
     manifest = _manifest(cfg, env, "baseline")
     manifest.n_generated = len(rollouts)
@@ -353,8 +353,7 @@ def evaluate_replay(dataset_dir: str, n_trials: int, seed: int = 0) -> Dict:
         raise DatasetFormatError(f"{dataset_dir}: stored plans must have actions of "
                                  f"shape {shape}")
     s0s, actions = table["states"][:, 0], table["actions"]
-    stored = EnvParams(mass=table["mass"], friction_scale=table["friction_scale"])
-    stored_ok = int(np.sum(rollout_batch(env, s0s, actions, stored)[1]))
+    stored_ok = int(np.sum(rollout_batch(env, s0s, actions, table["friction_scale"])[1]))
 
     # fresh draws cycle through the stored plans, one batch per block of
     # trials so memory stays bounded for any n_trials
@@ -362,8 +361,8 @@ def evaluate_replay(dataset_dir: str, n_trials: int, seed: int = 0) -> Dict:
     fresh_ok = 0
     for lo in range(0, n_trials, _REPLAY_BLOCK):
         rows = np.arange(lo, min(lo + _REPLAY_BLOCK, n_trials)) % len(table)
-        params = [env.sample_env_params(rng) for _ in rows]
-        fresh_ok += int(np.sum(rollout_batch(env, s0s[rows], actions[rows], params)[1]))
+        fresh_ok += int(np.sum(rollout_batch(env, s0s[rows], actions[rows],
+                                             env.sample_friction(rng, len(rows)))[1]))
 
     return {
         "dataset": dataset_dir,

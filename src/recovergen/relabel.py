@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import RelabelConfig
 from .curator import TubeBounds, state_distances
-from .envs import Environment, EnvParams, rollout_batch
+from .envs import Environment, rollout_batch
 
 log = logging.getLogger(__name__)
 
@@ -101,8 +101,8 @@ def _continuations(env: Environment, cfg: RelabelConfig, points: Sequence[_Point
     steps = np.minimum(t[:, None] + np.arange(lengths.max()), horizon - 1)
     actions = table["actions"][point[:, None], steps]
     actions[:, :cfg.horizon] = np.concatenate(chunks).reshape(len(point), cfg.horizon, -1)
-    params = EnvParams(table["mass"][point], table["friction_scale"][point])
-    return rollout_batch(env, table["states"][point, t], actions, params, lengths)
+    return rollout_batch(env, table["states"][point, t], actions,
+                         table["friction_scale"][point], lengths)
 
 
 def _costs(env: Environment, cfg: RelabelConfig, points: Sequence[_Point],

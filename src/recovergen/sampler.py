@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import List, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .envs import Environment, EnvParams, rollout_batch, trajectory_table
+from .envs import Environment, rollout_batch, trajectory_table
 from .geometry import Pose
 
 
@@ -108,22 +108,21 @@ class Plans(NamedTuple):
     """n sampled plans, ready for one rollout batch."""
 
     draws: np.ndarray           # (n, M d_a) flat control-point vectors
-    params: List[EnvParams]
+    friction: np.ndarray        # (n,) friction scales
     s0s: np.ndarray             # (n, d_s)
     actions: np.ndarray         # (n, T, d_a)
 
 
 def draw_plans(env: Environment, variant: Pose, q: Proposal, n: int,
                rng: np.random.Generator) -> Plans:
-    """Sample n plans, each with freshly randomized per-episode physical
-    parameters drawn after all n plans, and decode them all with one
-    stacked product."""
+    """Sample n plans, each with a fresh friction scale drawn after all n
+    plans, and decode them all with one stacked product."""
     draws = sample_batch(q, n, rng)
-    params = [env.sample_env_params(rng) for _ in draws]
-    s0s = np.array([env.reset(variant, p) for p in params])
+    friction = env.sample_friction(rng, n)
+    s0s = np.tile(env.reset(variant), (n, 1))
     actions = interp_matrix(env.horizon, q.m_points) @ draws.reshape(n, q.m_points,
                                                                      q.action_dim)
-    return Plans(draws, params, s0s, actions)
+    return Plans(draws, friction, s0s, actions)
 
 
 def keep_successes(plans: Plans, states: np.ndarray, success: np.ndarray,
@@ -131,18 +130,17 @@ def keep_successes(plans: Plans, states: np.ndarray, success: np.ndarray,
     """The successful rollouts of ``plans``, given their rolled-out
     states (n, T + 1, d_s) and success flags (n,)."""
     ok = np.flatnonzero(success)
-    table = trajectory_table(states[ok], plans.actions[ok], True,
-                             [plans.params[i] for i in ok], variant_index, plans.draws[ok])
+    table = trajectory_table(states[ok], plans.actions[ok], True, plans.friction[ok],
+                             variant_index, plans.draws[ok])
     return SuccessBatch(table=table, n_sampled=len(plans.draws))
 
 
 def generate_success_batch(env: Environment, variant: Pose, q: Proposal, n: int,
                            rng: np.random.Generator, variant_index: int = 0) -> SuccessBatch:
-    """Sample n plans, roll them out in one batch, each under freshly
-    randomized per-episode physical parameters, and keep only the
-    successful trajectories."""
+    """Sample n plans, roll them out in one batch, each under a fresh
+    friction scale, and keep only the successful trajectories."""
     plans = draw_plans(env, variant, q, n, rng)
-    states, success = rollout_batch(env, plans.s0s, plans.actions, plans.params)
+    states, success = rollout_batch(env, plans.s0s, plans.actions, plans.friction)
     return keep_successes(plans, states, success, variant_index)
 
 

@@ -14,7 +14,7 @@ from recovergen.curator import (TubeBounds, build_kernel, compute_tube,
                                 dct2_matrix, dct_embed, dpp_select_greedy,
                                 quantile, state_distances, tube_reward,
                                 update_proposal)
-from recovergen.envs import (EnvParams, PlanarBlockRotate, PointReach,
+from recovergen.envs import (PlanarBlockRotate, PointReach,
                              augmented_demo_actions, make_env, rollout,
                              rollout_with_resume)
 from recovergen.dataset_io import deserialize
@@ -47,11 +47,11 @@ def _report(name, detail=""):
 # sha256 of every output file of the seed-7 default run (the ``generated``
 # fixture, equal to ``recovergen generate --seed 7 --jobs 1``)
 GOLDEN_DIGESTS = {
-    "manifest": "4478dfddaf99953558a8ae60d14ab217658136ad262ef15272e7f6eb97c4a954",
+    "manifest": "542323c19ea2ce7cb198e3befb4458a4ba4aa05b86d4bc333618cb0a7c01c191",
     "records.npy": "bcfcba924b43d37b9a7dc24fd040645fa5a65f8f535273a588663d1e338feb07",
     "report.jsonl": "2c7e1ac030bda37615e38fccec4cf4060236a71043cd3fc52b2f303d1aea0549",
     "report.txt": "7b22373813e7d8b110ab61897b0ce07b4351f68f8d0a5ac63a4d003e9f6eac1e",
-    "trajectories.npy": "3dacc19c64bf4365342ee398af16c48bcf75b76f4a4424e49e88ab9adb6b7ada",
+    "trajectories.npy": "865cb724bdd475392ce1e427adfe60c7a917272cd8b9cd6ad04e2b8555192f0a",
 }
 
 
@@ -77,11 +77,11 @@ def test_golden_digest_of_default_run(generated):
 
 # sha256 of every output file of ``recovergen baseline --seed 7``
 BASELINE_DIGESTS = {
-    "manifest": "8f6d40b15d19959b64a48ee2ab18caca9c560b5ee7aedaa2ece468b47763399e",
+    "manifest": "060fcac7195de7d0784bebd4e47bdec3da9380d903df21d0ac781a47e1eab8e4",
     "records.npy": "7923825b0504c9d022f593c5e23f597027c451dd44b58894750807bebc1597df",
     "report.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "report.txt": "8dad72ffab282396621954eaf9f583808044cc7b67f9a6d6f33c7fd6592d9532",
-    "trajectories.npy": "a4c5fb92a521796c30956d4282768b665136c59db8c108149aee07904ce503ee",
+    "trajectories.npy": "dda957036edf18d74a85dc3c5a5b41b3b3ecf3da2fbd6ec859132de3e657ae8b",
 }
 
 
@@ -121,18 +121,19 @@ def test_rebuilt_records_encode_to_the_format_1_file(generated):
 
 # sha256 of the same run's ``trajectories`` and ``records`` in dataset
 # format 2, which stored them as json.dumps lines; since the planar
-# geometry, the oracle encoding of this run, as above
+# geometry, the oracle encoding of this run, as above, and since format 4
+# without the ``mass`` key of each trajectory line
 FORMAT_2_DIGESTS = {
-    "trajectories": "e13e97707b8eb801542c817aa1de6119161b6aeff08e183abf3d2c88c2b8b547",
+    "trajectories": "c1379c6bb2687e9304daa56e7db7a8247fba585cebb738bd5d45be383d370b77",
     "records": "71359794f6832c52833a350c20dd0f258a1e15118cb63790d1f2a7879e5aee59",
 }
 
 
 def test_loaded_data_encodes_to_the_format_2_files(generated):
-    """Format 3 stores raw float64.  Encoded line by line with the
+    """Formats 3 and 4 store raw float64.  Encoded line by line with the
     ``json.dumps`` oracle, the trajectories and relabeled records it loads
-    give the format-2 files byte for byte, so the change of format loses
-    nothing."""
+    give the format-2 files byte for byte (less the trajectories' ``mass``,
+    which format 4 dropped), so the change of format loses nothing else."""
     from recovergen.dataset_io import load_trajectories
     from test_dataset import oracle_rows_text, oracle_traj_line
     cfg, pairs, _, _ = generated
@@ -142,7 +143,7 @@ def test_loaded_data_encodes_to_the_format_2_files(generated):
             "records": oracle_rows_text(pairs.relabeled, "relabeled")}
     assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in text.items()} \
         == FORMAT_2_DIGESTS
-    _report("format 3 lossless", "trajectories and relabeled records encode to format 2")
+    _report("format 4 lossless", "trajectories and relabeled records encode to format 2")
 
 
 def test_bench_inspect_dataset_passes_on_the_golden_run(generated):
@@ -260,8 +261,7 @@ def test_criterion_01_success_purity_and_runtime(generated):
     trajs = load_trajectories(cfg.out_dir)
     assert len(trajs) > 0
     for traj in trajs:
-        params = EnvParams(mass=traj.mass, friction_scale=traj.friction_scale)
-        replay = rollout(env, traj.states[0], traj.actions, params)
+        replay = rollout(env, traj.states[0], traj.actions, traj.friction_scale)
         assert replay.success, "curated trajectory failed re-validation"
     assert elapsed < 60.0, f"runtime budget exceeded: {elapsed:.1f}s"
     _report("1 success purity",
@@ -410,9 +410,9 @@ def test_criterion_07_moment_matching_oracle():
 def test_criterion_08_cem_quadratic_convergence():
     env = PointReach()
     pose = env.demo_object_pose()
-    params = env.nominal_env_params()
+    friction = env.nominal_friction()
     actions = augmented_demo_actions(env, pose, l_blend=1)
-    traj = rollout(env, env.reset(pose, params), actions, params)
+    traj = rollout(env, env.reset(pose), actions, friction)
     assert traj.success
     cfg = RelabelConfig(population=64, elite_frac=0.125, cem_iterations=50,
                         init_std=0.0075, w_fail=0.0, w_tube=0.0, w_ref=1.0,
@@ -430,9 +430,9 @@ def test_criterion_08_cem_quadratic_convergence():
 def test_criterion_09_relabel_validation():
     env = PlanarBlockRotate()
     pose = env.demo_object_pose()
-    params = env.nominal_env_params()
+    friction = env.nominal_friction()
     actions = augmented_demo_actions(env, pose, l_blend=10)
-    traj = rollout(env, env.reset(pose, params), actions, params)
+    traj = rollout(env, env.reset(pose), actions, friction)
     assert traj.success
     k_rel = 10
     cfg = RelabelConfig(k_rel=k_rel, population=16, cem_iterations=3, init_std=0.005,
@@ -448,8 +448,7 @@ def test_criterion_09_relabel_validation():
         src = curated[tgt.point.trajectory_id]
         cont = rollout_with_resume(env, src.states[tgt.point.t], tgt.chunk,
                                    src.actions[tgt.point.t + cfg.horizon:],
-                                   EnvParams(mass=src.mass,
-                                             friction_scale=src.friction_scale))
+                                   src.friction_scale)
         assert cont.success, "emitted target failed independent re-check"
         per_traj.setdefault(tgt.point.trajectory_id, []).append(tgt.point.t)
     for ts in per_traj.values():

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import recovergen
@@ -215,7 +216,7 @@ def test_cli_unknown_key_exit_code(capsys):
     (["env.half_extents=[0.1]"], "half_extents must be 2 finite numbers, got (0.1,)"),
     (["env.contact_margin=NaN"], "contact_margin must be a finite number, got nan"),
     (["env.half_extents=[0.1,0]"], "half_extents must be 2 finite numbers > 0"),
-    (["env.mass_range=[3,0.5]"], "mass_range must be (low, high) with low <= high"),
+    (["env.friction_range=[1.2,0.8]"], "friction_range must be (low, high) with low <= high"),
     (["env.horizon=20.5"], "horizon must be an integer, got 20.5"),
     (["env.state_dim=3"], "state_dim is fixed at 7, got 3"),
     (["--env", "point_reach", "env.eps_p=0"], "eps_p must be a finite number > 0, got 0"),
@@ -337,8 +338,8 @@ def _copy_with_manifest_edit(src, dst, edit):
     (lambda text: text + "foo = 1\n", ["stats", "evaluate"]),
     (lambda text: re.sub(r"final_tubes = .*", "final_tubes = 5", text), ["stats", "evaluate"]),
     (lambda text: text.replace("env_config = {", 'env_config = {"bogus": 1, '), ["evaluate"]),
-    (lambda text: text.replace("format = 3\n", ""), ["stats", "evaluate"]),
-    (lambda text: text.replace("format = 3", "format = 2"), ["stats", "evaluate"]),
+    (lambda text: text.replace("format = 4\n", ""), ["stats", "evaluate"]),
+    (lambda text: text.replace("format = 4", "format = 2"), ["stats", "evaluate"]),
     (lambda text: text + "no equals sign\n", ["stats", "evaluate"]),
     (lambda text: text + "seed = 4\n", ["stats", "evaluate"]),
 ])
@@ -349,6 +350,47 @@ def test_cli_manifest_faults_exit_4(small_dataset, tmp_path, capsys, edit, comma
         assert main(argv) == EXIT_IO, command
         err = capsys.readouterr().err
         assert "i/o error" in err and "Traceback" not in err
+
+
+def test_cli_refuses_a_format_3_dataset(small_dataset, tmp_path, capsys):
+    # format 3 also stored a mass per trajectory (and, for the block, a
+    # mass_range in env_config); the reader reads format 4 only
+    old = _copy_with_manifest_edit(small_dataset, tmp_path / "old",
+                                   lambda text: text.replace("format = 4", "format = 3"))
+    table = np.load(old / "trajectories.npy", allow_pickle=False)
+    names = list(table.dtype.names)
+    names.insert(names.index("friction_scale"), "mass")
+    with_mass = np.empty(len(table), [(n, "<f8") if n == "mass" else (n, table.dtype[n])
+                                      for n in names])
+    for n in table.dtype.names:
+        with_mass[n] = table[n]
+    with_mass["mass"] = 1.0
+    np.save(old / "trajectories.npy", with_mass, allow_pickle=False)
+    for argv in (["stats", str(old), "--json"], ["stats", str(old)],
+                 ["evaluate", str(old), "--trials", "2"],
+                 ["evaluate", str(small_dataset), "--compare", str(old), "--trials", "2"]):
+        assert main(argv) == EXIT_IO, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "dataset format 3 is not supported (only format 4 is read)" in captured.err
+
+
+def test_cli_mass_range_is_a_config_error_before_any_rollout(tmp_path, capsys, monkeypatch):
+    # the environments have no mass: env.mass_range is an unknown setting
+    from recovergen import pipeline
+
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rolled out before the config was checked")
+
+    monkeypatch.setattr(pipeline, "rollout_batch", no_rollout)
+    out = tmp_path / "never"
+    for argv in (["generate", "--set", "env.mass_range=[0.5,3.0]", "--out", str(out)],
+                 ["baseline", "--set", "env.mass_range=[0.5,3.0]", "--out", str(out)]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "mass_range" in err
+        assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_duplicate_manifest_key_exits_4(small_dataset, tmp_path, capsys):

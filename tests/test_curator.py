@@ -18,7 +18,7 @@ from recovergen.curator import (MIN_SUCCESSES_FOR_TUBE, TubeBounds,
                                 dpp_select_greedy, median_pairwise_distance,
                                 peak_deviation, quantile, reward_to_weight,
                                 state_distances, tube_reward, update_proposal)
-from recovergen.envs import EnvParams, make_env, trajectory_table
+from recovergen.envs import make_env, trajectory_table
 from recovergen.pipeline import run_variant, sample_variant_poses
 from recovergen.sampler import Proposal
 
@@ -46,7 +46,7 @@ def make_traj(states, actions=None):
     if actions is None:
         actions = np.zeros((len(states) - 1, 1))
     return trajectory_table(states[None], np.asarray(actions, dtype=float)[None], True,
-                            EnvParams()).view(np.recarray)[0]
+                            1.0).view(np.recarray)[0]
 
 
 # ---------------------------------------------------------------------------

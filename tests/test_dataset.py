@@ -17,7 +17,7 @@ from recovergen.cli import main as cli_main
 from recovergen.dataset_io import (DatasetFormatError, DatasetManifest, Pairs,
                                    dataset_stats, deserialize, export_pairs, format_stats,
                                    load_trajectories, read_manifest, serialize)
-from recovergen.envs import EnvParams, make_env, trajectory_table
+from recovergen.envs import make_env, trajectory_table
 from recovergen.pipeline import evaluate_replay
 from recovergen.relabel import RelabelPoint, RelabelTarget
 
@@ -29,7 +29,7 @@ def make_traj(horizon=10, seed=0, variant=0, origin=True):
     rng = np.random.default_rng(seed)
     return trajectory_table(rng.standard_normal((1, horizon + 1, D_S)),
                             rng.standard_normal((1, horizon, D_A)), True,
-                            EnvParams(mass=1.25, friction_scale=0.97), variant,
+                            0.97, variant,
                             rng.standard_normal((1, 4)) if origin else None)
 
 
@@ -147,16 +147,14 @@ def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
     nans = np.array([0x7FF8_0000_DEAD_BEEF, 0xFFF0_0000_0000_0001], np.uint64).view(np.float64)
     edge = np.concatenate([[-0.0, np.inf, -np.inf, 5e-324, 1e16, -5e-324], nans])
     (traj,) = trajectory_table(edge.reshape(1, 2, D_S), edge[:D_A].reshape(1, 1, D_A), False,
-                               EnvParams(mass=float(nans[0]), friction_scale=-0.0), 3,
-                               edge[None])
+                               nans[0], 3, edge[None])
     relabeled = RelabelTarget(observation=edge[::-1], chunk=edge.reshape(4, D_A),
                               point=RelabelPoint(0, 0, 0.0), cost=0.0)
     serialize(make_manifest(), str(tmp_path), traj[None], [relabeled])
     (got,) = load_trajectories(str(tmp_path))
     for name in ("states", "actions", "origin"):
         assert bits(getattr(got, name)) == bits(traj[name]), name
-    assert struct.pack("<d", got.mass) == struct.pack("<d", nans[0])
-    assert struct.pack("<d", got.friction_scale) == struct.pack("<d", -0.0)
+    assert struct.pack("<d", got.friction_scale) == struct.pack("<d", nans[0])
     pairs = deserialize(str(tmp_path))[0]
     (curated,), (stored,) = pairs.curated, pairs.relabeled
     assert bits(curated["obs"]) == bits(np.concatenate([edge[:D_S], edge[:D_S]]))
@@ -188,7 +186,7 @@ def test_malformed_line_reports_location(tmp_path):
 
 def test_missing_manifest_keys_rejected(tmp_path):
     with open(tmp_path / "manifest", "w") as fh:
-        fh.write("format = 3\nseed = 1\n")
+        fh.write("format = 4\nseed = 1\n")
     with pytest.raises(DatasetFormatError, match="missing required"):
         deserialize(str(tmp_path))
 
@@ -203,7 +201,8 @@ def test_missing_trajectory_dump_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# format 3 keeps the bytes of the per-line json.dumps encoding of format 2
+# formats 3 and 4 keep the bytes of the per-line json.dumps encoding of
+# format 2, without its ``mass`` key
 
 
 def oracle_record_line(traj, t, source, obs, chunk):
@@ -217,12 +216,12 @@ def oracle_record_line(traj, t, source, obs, chunk):
 
 
 def oracle_traj_line(i, row):
-    """Format 2's line of the trajectory table row ``row``."""
+    """Format 2's line of the trajectory table row ``row``, without the
+    ``mass`` that format 2 also stored."""
     return json.dumps({
         "id": i,
         "variant": int(row["variant"]),
         "success": bool(row["success"]),
-        "mass": float(row["mass"]),
         "friction_scale": float(row["friction_scale"]),
         "states": row["states"].tolist(),
         "actions": row["actions"].tolist(),
@@ -274,7 +273,7 @@ def float_arrays(shape):
 
 @st.composite
 def datasets(draw):
-    """(trajectory table, relabeled targets, chunk_len) as format 3 stores
+    """(trajectory table, relabeled targets, chunk_len) as format 4 stores
     them: one shape per field, and origins on every trajectory or on none."""
     horizon = draw(st.integers(1, 5))
     n = draw(st.integers(0, 4))
@@ -282,7 +281,7 @@ def datasets(draw):
     trajectories = trajectory_table(
         draw(float_arrays((n, horizon + 1, D_S))), draw(float_arrays((n, horizon, D_A))),
         draw(hnp.arrays(bool, n)),
-        EnvParams(mass=draw(float_arrays(n)), friction_scale=draw(float_arrays(n))),
+        draw(float_arrays(n)),
         draw(hnp.arrays(np.int64, n, elements=st.integers(0, 50))),
         None if n_origin is None else draw(float_arrays((n, n_origin))))
     chunk = draw(st.integers(1, 4))
@@ -730,7 +729,7 @@ def test_every_reader_refuses_a_format_2_directory(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# format 3: curated windows rebuilt from trajectories, strict manifest
+# format 4: curated windows rebuilt from trajectories, strict manifest
 
 
 def _set_manifest_line(out, key, value=None):
@@ -752,7 +751,7 @@ def test_manifest_pins_format_and_chunk_len(tmp_path):
     out = _dataset(tmp_path)
     with open(os.path.join(out, "manifest")) as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == "format = 3" and "chunk_len = 4" in lines
+    assert lines[0] == "format = 4" and "chunk_len = 4" in lines
     assert read_manifest(out).chunk_len == 4
     assert len(np.load(os.path.join(out, "records.npy"), allow_pickle=False)) == 5
 
@@ -859,7 +858,7 @@ def test_serialize_refuses_wrong_dtypes_and_misfit_targets(tmp_path):
     relabeled = as_targets(windows(trajs, chunk_len=4)[:2])
     long_obs = dataclasses.replace(relabeled[0], observation=np.zeros(9))
     bad = [(list(trajs), [], 4, "not a 1-D structured"),  # rows, not a table
-           (_rebuild(trajs, origin=None, mass=None), [], 4, "expected"),  # a field missing
+           (_rebuild(trajs, origin=None, variant=None), [], 4, "expected"),  # a field missing
            (_rebuild(trajs, success=np.ones(2, "<i8")), [], 4, "not of the types"),
            (trajs, [relabeled[0], long_obs], 4, "obs"),    # two observation sizes
            (trajs, relabeled, 11, "exceeds"),              # windows longer than T
@@ -868,6 +867,22 @@ def test_serialize_refuses_wrong_dtypes_and_misfit_targets(tmp_path):
         with pytest.raises(ValueError, match=message):
             serialize(make_manifest(chunk_len=k), str(tmp_path), trajectories, records)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_serialize_refuses_trajectories_that_no_reader_accepts(tmp_path):
+    # point_reach needs (T+1, d_s) = (T+1, 4) states and (T, d_a) = (T, 2)
+    # actions; such a table was once written, and then refused by every reader
+    table = trajectory_table(np.zeros((1, 11, 5)), np.zeros((1, 10, D_A)), True, 1.0)
+    trajs = stack(make_traj(seed=i) for i in range(2))
+    bad = [(table, "states (11, 5) and actions (10, 2) do not fit point_reach (d_s 4, d_a 2)"),
+           (_rebuild(trajs, actions=np.zeros((2, 10, D_A + 1))), "states (11, 4) and actions (10, 3) do not fit"),
+           (_rebuild(trajs, states=np.zeros((2, 12, D_S))), "states (12, 4) and actions (10, 2)")]
+    for trajectories, message in bad:
+        with pytest.raises(ValueError, match=re.escape(f"trajectories: {message}")):
+            serialize(make_manifest(chunk_len=4), str(tmp_path / "out"), trajectories)
+    assert list(tmp_path.iterdir()) == []
+    serialize(make_manifest(chunk_len=4), str(tmp_path / "out"), trajs)
+    assert len(load_trajectories(str(tmp_path / "out"))) == 2
 
 
 def test_serialize_refuses_targets_that_no_reader_accepts(tmp_path):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recovergen.envs import (EnvParams, PlanarBlockRotate, PointReach,
-                             augmented_demo_actions, make_env, randomize_env_params,
+from recovergen.envs import (PlanarBlockRotate, PointReach,
+                             augmented_demo_actions, make_env,
                              rollout, rollout_with_resume, trajectory_table,
                              wrap_angle)
 from recovergen.geometry import Pose, sample_object_perturbation
@@ -26,7 +26,7 @@ def reach_env():
 
 
 def nominal(env):
-    return env.nominal_env_params()
+    return env.nominal_friction()
 
 
 # ---------------------------------------------------------------------------
@@ -68,24 +68,48 @@ def test_success_rotate_wraps_branch_cut():
 # parameter randomization
 
 
-def test_randomize_env_params_point_ranges_are_constant():
+def test_sample_friction_point_ranges_are_constant():
     rng = np.random.default_rng(0)
-    p = randomize_env_params((2.0, 2.0), (1.1, 1.1), rng)
-    assert p.mass == 2.0 and p.friction_scale == 1.1
+    f = PlanarBlockRotate(friction_range=(1.1, 1.1)).sample_friction(rng, 1)
+    assert f.tolist() == [1.1]
 
 
-def test_randomize_env_params_within_ranges():
+def test_sample_friction_within_ranges():
     rng = np.random.default_rng(1)
+    env = PlanarBlockRotate()
+    assert env.friction_range == (0.8, 1.2)
     for _ in range(100):
-        p = randomize_env_params((0.5, 3.0), (0.8, 1.2), rng)
-        assert 0.5 <= p.mass <= 3.0
-        assert 0.8 <= p.friction_scale <= 1.2
+        f = env.sample_friction(rng, 1)
+        assert f.shape == (1,)
+        assert 0.8 <= f[0] <= 1.2
+    f = env.sample_friction(rng, 100)
+    assert f.shape == (100,) and np.all((0.8 <= f) & (f <= 1.2))
 
 
-def test_randomize_env_params_deterministic():
-    a = randomize_env_params((0.5, 3.0), (0.8, 1.2), np.random.default_rng(9))
-    b = randomize_env_params((0.5, 3.0), (0.8, 1.2), np.random.default_rng(9))
-    assert a == b
+def test_sample_friction_deterministic():
+    a = PlanarBlockRotate().sample_friction(np.random.default_rng(9), 1)
+    b = PlanarBlockRotate().sample_friction(np.random.default_rng(9), 1)
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("env, mass_range", [
+    pytest.param(PlanarBlockRotate(), (0.5, 3.0), id="planar_block_rotate"),
+    pytest.param(PointReach(), (1.0, 1.0), id="point_reach")])
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_sample_friction_equals_the_former_mass_then_friction_draws(env, mass_range, n):
+    # until dataset format 4 each row drew a mass, which no dynamics read,
+    # and then its friction scale, one row at a time; sample_friction
+    # discards the mass draw, so every friction scale and every later draw
+    # of the generator are unchanged bit for bit
+    old, new = np.random.default_rng(21), np.random.default_rng(21)
+    want = []
+    for _ in range(n):
+        float(old.uniform(mass_range[0], mass_range[1]))
+        want.append(float(old.uniform(env.friction_range[0], env.friction_range[1])))
+    got = env.sample_friction(new, n)
+    assert got.shape == (n,) and got.dtype == np.float64
+    assert got.tobytes() == np.array(want).tobytes()
+    assert old.random(3).tobytes() == new.random(3).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +117,7 @@ def test_randomize_env_params_deterministic():
 
 
 def test_rollout_shape_and_dimension_check(reach_env):
-    s0 = reach_env.reset(reach_env.demo_object_pose(), nominal(reach_env))
+    s0 = reach_env.reset(reach_env.demo_object_pose())
     actions = np.zeros((reach_env.horizon, reach_env.action_dim))
     traj = rollout(reach_env, s0, actions, nominal(reach_env))
     assert traj.states.shape == (reach_env.horizon + 1, reach_env.state_dim)
@@ -104,29 +128,29 @@ def test_rollout_shape_and_dimension_check(reach_env):
 
 def test_rollout_bitwise_deterministic(block_env):
     pose = Pose(0.01, -0.02, 0.1)
-    params = EnvParams(mass=1.3, friction_scale=0.93)
-    s0 = block_env.reset(pose, params)
+    friction = 0.93
+    s0 = block_env.reset(pose)
     rng = np.random.default_rng(0)
     actions = rng.uniform(-0.03, 0.03, size=(block_env.horizon, block_env.action_dim))
-    t1 = rollout(block_env, s0, actions, params)
-    t2 = rollout(block_env, s0, actions, params)
+    t1 = rollout(block_env, s0, actions, friction)
+    t2 = rollout(block_env, s0, actions, friction)
     assert np.array_equal(t1.states, t2.states)
     assert t1.success == t2.success
 
 
 def test_pointreach_straight_line_succeeds(reach_env):
-    params = nominal(reach_env)
-    s0 = reach_env.reset(reach_env.demo_object_pose(), params)
+    friction = nominal(reach_env)
+    s0 = reach_env.reset(reach_env.demo_object_pose())
     actions = augmented_demo_actions(reach_env, reach_env.demo_object_pose(), l_blend=1)
-    traj = rollout(reach_env, s0, actions, params)
+    traj = rollout(reach_env, s0, actions, friction)
     assert traj.success
 
 
 def test_block_zero_actions_fail(block_env):
-    params = nominal(block_env)
-    s0 = block_env.reset(Pose(), params)
+    friction = nominal(block_env)
+    s0 = block_env.reset(Pose())
     traj = rollout(block_env, s0,
-                   np.zeros((block_env.horizon, block_env.action_dim)), params)
+                   np.zeros((block_env.horizon, block_env.action_dim)), friction)
     assert not traj.success
 
 
@@ -138,58 +162,60 @@ def test_trajectory_length_mismatch_rejected():
                                     ((2, 3, 2), (2, 2, 1), (3, 4)),
                                     ((2, 3, 2), (2, 2, 1), (2,))):
         with pytest.raises(ValueError):
-            trajectory_table(np.zeros(states), np.zeros(actions), False, EnvParams(),
+            trajectory_table(np.zeros(states), np.zeros(actions), False, 1.0,
                              origin=None if origin is None else np.zeros(origin))
+    with pytest.raises(ValueError):   # one friction scale, or one per row
+        trajectory_table(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)), False, [0.9, 0.8, 0.7])
     table = trajectory_table(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)), [True, False],
-                             EnvParams(mass=np.array([1.0, 2.0]), friction_scale=0.9),
-                             variant=[4, 5], origin=np.zeros((2, 6)))
-    assert table.dtype.names == ("variant", "success", "mass", "friction_scale",
+                             np.array([1.0, 2.0]), variant=[4, 5], origin=np.zeros((2, 6)))
+    assert table.dtype.names == ("variant", "success", "friction_scale",
                                  "states", "actions", "origin")
-    assert table["variant"].tolist() == [4, 5] and table["mass"].tolist() == [1.0, 2.0]
+    assert table["variant"].tolist() == [4, 5]
+    assert table["friction_scale"].tolist() == [1.0, 2.0]
     assert table["success"].tolist() == [True, False]
 
 
 def test_rollout_with_resume_identity_relabel(block_env):
-    params = nominal(block_env)
+    friction = nominal(block_env)
     pose = Pose()
     actions = augmented_demo_actions(block_env, pose, l_blend=10)
-    src = rollout(block_env, block_env.reset(pose, params), actions, params)
+    src = rollout(block_env, block_env.reset(pose), actions, friction)
     t = 20
     cont = rollout_with_resume(block_env, src.states[t], actions[t:t + 15],
-                               actions[t + 15:], params)
+                               actions[t + 15:], friction)
     assert np.allclose(cont.states[-1], src.states[-1], atol=1e-12)
     assert cont.success == src.success
 
 
 def test_rollout_with_resume_empty_prefix(block_env):
-    params = nominal(block_env)
+    friction = nominal(block_env)
     pose = Pose()
     actions = augmented_demo_actions(block_env, pose, l_blend=10)
-    src = rollout(block_env, block_env.reset(pose, params), actions, params)
+    src = rollout(block_env, block_env.reset(pose), actions, friction)
     cont = rollout_with_resume(block_env, src.states[0],
-                               np.zeros((0, block_env.action_dim)), actions, params)
+                               np.zeros((0, block_env.action_dim)), actions, friction)
     assert np.allclose(cont.states, src.states)
 
 
 def test_rollout_with_resume_adversarial_prefix_fails(block_env):
-    params = nominal(block_env)
+    friction = nominal(block_env)
     pose = Pose()
     actions = augmented_demo_actions(block_env, pose, l_blend=10)
-    src = rollout(block_env, block_env.reset(pose, params), actions, params)
+    src = rollout(block_env, block_env.reset(pose), actions, friction)
     assert src.success
     # drive both effectors away from the block for 15 steps, then resume
     away = np.tile([-0.03, -0.03, 0.03, 0.03], (15, 1))
-    cont = rollout_with_resume(block_env, src.states[20], away, actions[35:], params)
+    cont = rollout_with_resume(block_env, src.states[20], away, actions[35:], friction)
     assert not cont.success
 
 
 def test_rollout_with_resume_rejects_overlong_span(block_env):
-    params = nominal(block_env)
-    s = block_env.reset(Pose(), params)
+    friction = nominal(block_env)
+    s = block_env.reset(Pose())
     too_long = np.zeros((block_env.horizon + 1, block_env.action_dim))
     with pytest.raises(ValueError):
         rollout_with_resume(block_env, s, too_long,
-                            np.zeros((0, block_env.action_dim)), params)
+                            np.zeros((0, block_env.action_dim)), friction)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +223,9 @@ def test_rollout_with_resume_rejects_overlong_span(block_env):
 
 
 def test_block_frozen_without_contact(block_env):
-    params = nominal(block_env)
-    s = block_env.reset(Pose(), params)  # effectors far from block
-    s2 = block_env.step(s, np.array([0.01, 0.01, -0.01, 0.02]), params)
+    friction = nominal(block_env)
+    s = block_env.reset(Pose())  # effectors far from block
+    s2 = block_env.step(s, np.array([0.01, 0.01, -0.01, 0.02]), friction)
     assert np.allclose(s2[:3], s[:3])  # block pose unchanged
     assert np.allclose(s2[3:], s[3:] + [0.01, 0.01, -0.01, 0.02])
 
@@ -215,7 +241,7 @@ def test_block_follows_common_translation(block_env):
     # both effectors grasping: a common displacement translates the block
     s = np.array([0.0, 0.0, 0.0, -0.08, 0.0, 0.08, 0.0])
     d = np.array([0.01, 0.005, 0.01, 0.005])
-    s2 = block_env.step(s, d, EnvParams(friction_scale=1.0))
+    s2 = block_env.step(s, d, 1.0)
     assert np.allclose(s2[:3], [0.01, 0.005, 0.0], atol=1e-12)
 
 
@@ -227,7 +253,7 @@ def test_block_rigid_attachment_rotation(block_env):
     s = np.array([0.0, 0.0, 0.0, -r, 0.0, r, 0.0])
     c, sn = math.cos(phi), math.sin(phi)
     d = np.array([-c * r - (-r), -sn * r - 0.0, c * r - r, sn * r - 0.0])
-    s2 = block_env.step(s, d, EnvParams(friction_scale=1.0))
+    s2 = block_env.step(s, d, 1.0)
     assert np.allclose(s2[:3], [0.0, 0.0, phi], atol=1e-6)
 
 
@@ -237,7 +263,7 @@ def test_block_slip_attenuates_rotation(block_env):
     s = np.array([0.0, 0.0, 0.0, -r, 0.0, r, 0.0])
     c, sn = math.cos(phi), math.sin(phi)
     d = np.array([-c * r - (-r), -sn * r, c * r - r, sn * r])
-    s2 = block_env.step(s, d, EnvParams(friction_scale=0.8))
+    s2 = block_env.step(s, d, 0.8)
     assert np.isclose(s2[2], 0.8 * phi, atol=1e-9)
 
 
@@ -247,12 +273,12 @@ def test_high_friction_slip_clamped_to_one(block_env):
     s = np.array([0.0, 0.0, 0.0, -r, 0.0, r, 0.0])
     c, sn = math.cos(phi), math.sin(phi)
     d = np.array([-c * r - (-r), -sn * r, c * r - r, sn * r])
-    s2 = block_env.step(s, d, EnvParams(friction_scale=1.2))
+    s2 = block_env.step(s, d, 1.2)
     assert np.isclose(s2[2], phi, atol=1e-9)  # never overshoots
 
 
 def test_action_clamped_to_a_max(block_env):
-    s = block_env.reset(Pose(), nominal(block_env))
+    s = block_env.reset(Pose())
     s2 = block_env.step(s, np.array([10.0, -10.0, 10.0, -10.0]), nominal(block_env))
     assert np.allclose(s2[3:] - s[3:], [0.03, -0.03, 0.03, -0.03])
 
@@ -262,10 +288,10 @@ def test_action_clamped_to_a_max(block_env):
 
 
 def test_block_demo_replay_succeeds(block_env):
-    params = nominal(block_env)
+    friction = nominal(block_env)
     pose = block_env.demo_object_pose()
     actions = augmented_demo_actions(block_env, pose, l_blend=10)
-    traj = rollout(block_env, block_env.reset(pose, params), actions, params)
+    traj = rollout(block_env, block_env.reset(pose), actions, friction)
     assert traj.success
     assert abs(wrap_angle(traj.states[-1, 2] - block_env.theta_des)) < 1e-6
 
@@ -299,10 +325,10 @@ def test_augmented_demo_actions_bitwise():
 
 def test_augmented_demo_small_perturbation_succeeds(block_env):
     # small translation-only perturbation: re-anchored replay still succeeds
-    params = nominal(block_env)
+    friction = nominal(block_env)
     pose = Pose(0.03, -0.02, 0.0)
     actions = augmented_demo_actions(block_env, pose, l_blend=10)
-    traj = rollout(block_env, block_env.reset(pose, params), actions, params)
+    traj = rollout(block_env, block_env.reset(pose), actions, friction)
     assert traj.success
 
 
@@ -317,10 +343,10 @@ def test_augmented_demo_success_degrades_with_perturbation(block_env):
             dx, dy = rng.uniform(-0.08, 0.08, 2) * scale
             yaw = rng.uniform(-0.3, 0.3) * scale
             pose = Pose(dx, dy, yaw)
-            params = block_env.sample_env_params(rng)
+            friction = block_env.sample_friction(rng, 1)[0]
             actions = augmented_demo_actions(block_env, pose, 10)
-            ok += rollout(block_env, block_env.reset(pose, params),
-                          actions, params).success
+            ok += rollout(block_env, block_env.reset(pose),
+                          actions, friction).success
         rates.append(ok / 20)
     assert rates[0] >= rates[2]
     assert rates[2] < 1.0
@@ -355,5 +381,5 @@ def test_make_env_overrides_and_unknown_name():
 
 def test_psi_scales_match_psi_dim(block_env, reach_env):
     for env in (block_env, reach_env):
-        s0 = env.reset(env.demo_object_pose(), nominal(env))
+        s0 = env.reset(env.demo_object_pose())
         assert env.psi(s0).shape == env.psi_scales.shape

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from recovergen.envs import (EnvParams, PlanarBlockRotate, PointReach,
+from recovergen.envs import (PlanarBlockRotate, PointReach,
                              rollout_batch, rollout_with_resume)
 
 
@@ -43,7 +43,7 @@ def _in_contact(env, ex, ey, bx, by, bth):
     return _rect_distance(px, py, *env.half_extents) <= env.contact_margin
 
 
-def scalar_block_step(env, state, action, params):
+def scalar_block_step(env, state, action, friction):
     bx, by, bth, lx, ly, rx, ry = (float(v) for v in state)
     amax = env.a_max
     dlx, dly, drx, dry = (min(max(float(a), -amax), amax) for a in action)
@@ -57,7 +57,7 @@ def scalar_block_step(env, state, action, params):
         ux, uy = rx - lx, ry - ly
         vx, vy = nrx - nlx, nry - nly
         dth = math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
-        slip = min(max(params.friction_scale, 0.0), 1.0)
+        slip = min(max(friction, 0.0), 1.0)
         sth = slip * dth
         c = math.cos(sth)
         s = math.sin(sth)
@@ -68,7 +68,7 @@ def scalar_block_step(env, state, action, params):
     return np.array([bx, by, bth, nlx, nly, nrx, nry])
 
 
-def scalar_reach_step(env, state, action, params):
+def scalar_reach_step(env, state, action, friction):
     x, y, gx, gy = (float(v) for v in state)
     amax = env.a_max
     dx = min(max(float(action[0]), -amax), amax)
@@ -127,12 +127,8 @@ def _boundary_rows(env, n, rng):
 
 
 def _reference(env, ref_step, rows, actions, frictions):
-    return np.array([ref_step(env, s, a, EnvParams(friction_scale=f))
+    return np.array([ref_step(env, s, a, f)
                      for s, a, f in zip(rows, actions, frictions)])
-
-
-def _per_row(frictions):
-    return [EnvParams(friction_scale=float(f)) for f in frictions]
 
 
 def _bitwise_equal(a, b):
@@ -156,7 +152,7 @@ def block_rows():
 def test_block_step_bitwise_equals_scalar_reference(block_rows):
     env, rows, actions, frictions = block_rows
     ref = _reference(env, scalar_block_step, rows, actions, frictions)
-    got = env.step(rows, actions, _per_row(frictions))
+    got = env.step(rows, actions, frictions)
     assert _bitwise_equal(got, ref)
     # every branch is exercised: contact, no contact, clamping, slip clamps
     moved = np.any(ref[:, :3] != rows[:, :3], axis=1)
@@ -179,28 +175,28 @@ def test_block_step_uniform_contact_batches(block_rows, touching):
     ref = _reference(env, scalar_block_step, rows[idx], actions[idx], frictions[idx])
     assert np.any(ref[:, :3] != rows[idx, :3]) == touching
     for batch in (slice(None), slice(0, 640), slice(5, 6)):
-        got = env.step(rows[idx][batch], actions[idx][batch], _per_row(frictions[idx][batch]))
+        got = env.step(rows[idx][batch], actions[idx][batch], frictions[idx][batch])
         assert _bitwise_equal(got, ref[batch])
-    params = EnvParams(friction_scale=0.85)
+    friction = 0.85
     ref = _reference(env, scalar_block_step, rows[idx], actions[idx],
-                     np.full(len(idx), params.friction_scale))
-    assert _bitwise_equal(env.step(rows[idx], actions[idx], params), ref)
+                     np.full(len(idx), friction))
+    assert _bitwise_equal(env.step(rows[idx], actions[idx], friction), ref)
 
 
 def test_block_step_one_params_for_all_rows(block_rows):
     env, rows, actions, _ = block_rows
-    params = EnvParams(friction_scale=0.85)
+    friction = 0.85
     ref = _reference(env, scalar_block_step, rows, actions,
-                     np.full(len(rows), params.friction_scale))
-    assert _bitwise_equal(env.step(rows, actions, params), ref)
+                     np.full(len(rows), friction))
+    assert _bitwise_equal(env.step(rows, actions, friction), ref)
 
 
 def test_block_step_single_row_keeps_shape(block_rows):
     env, rows, actions, frictions = block_rows
-    params = EnvParams(friction_scale=float(frictions[0]))
-    out = env.step(rows[0], actions[0], params)
+    friction = float(frictions[0])
+    out = env.step(rows[0], actions[0], friction)
     assert out.shape == (7,)
-    assert _bitwise_equal(out, scalar_block_step(env, rows[0], actions[0], params))
+    assert _bitwise_equal(out, scalar_block_step(env, rows[0], actions[0], friction))
 
 
 def test_reach_step_bitwise_equals_scalar_reference():
@@ -209,18 +205,18 @@ def test_reach_step_bitwise_equals_scalar_reference():
     rows = rng.uniform(-0.5, 0.5, (500, 4))
     actions = rng.uniform(-3.0, 3.0, (500, 2)) * env.a_max
     ref = _reference(env, scalar_reach_step, rows, actions, np.ones(500))
-    assert _bitwise_equal(env.step(rows, actions, EnvParams()), ref)
-    assert _bitwise_equal(env.step(rows[7], actions[7], EnvParams()), ref[7])
+    assert _bitwise_equal(env.step(rows, actions, 1.0), ref)
+    assert _bitwise_equal(env.step(rows[7], actions[7], 1.0), ref[7])
 
 
 @pytest.mark.parametrize("size", [1, 7, 640])
 def test_row_result_independent_of_batch_size_and_position(block_rows, size):
     env, rows, actions, frictions = block_rows
-    ref = env.step(rows, actions, _per_row(frictions))
+    ref = env.step(rows, actions, frictions)
     rng = np.random.default_rng(size)
     for _ in range(5):
         idx = rng.permutation(len(rows))[:size]
-        got = env.step(rows[idx], actions[idx], _per_row(frictions[idx]))
+        got = env.step(rows[idx], actions[idx], frictions[idx])
         assert _bitwise_equal(got, ref[idx])
 
 
@@ -235,16 +231,15 @@ def test_rollout_batch_with_lengths_matches_resume_rollouts():
     horizon = env.horizon
     actions = rng.uniform(-1.5, 1.5, (n, horizon, 4)) * env.a_max
     lengths = rng.integers(1, horizon + 1, n)
-    params = _per_row(frictions)
-    states, success = rollout_batch(env, rows, actions, params, lengths=lengths)
+    states, success = rollout_batch(env, rows, actions, frictions, lengths=lengths)
     assert states.shape == (n, horizon + 1, 7) and success.shape == (n,)
     for i in range(n):
         ref = rollout_with_resume(env, rows[i], actions[i, :lengths[i]],
-                                  np.zeros((0, 4)), params[i])
+                                  np.zeros((0, 4)), frictions[i])
         assert _bitwise_equal(states[i, :lengths[i] + 1], ref.states)
         s = rows[i]
         for t in range(lengths[i]):
-            s = scalar_block_step(env, s, actions[i, t], params[i])
+            s = scalar_block_step(env, s, actions[i, t], frictions[i])
         assert _bitwise_equal(ref.states[-1], s)
         # rows that end early hold their final state
         assert np.all(states[i, lengths[i]:] == ref.states[-1])
@@ -260,10 +255,10 @@ def test_rollout_batch_full_horizon_equals_explicit_lengths(params_per_row):
     rows[:, 3:5] = rows[:, 0:2] + [[-0.08, 0.0]]
     rows[:, 5:7] = rows[:, 0:2] + [[0.08, 0.0]]
     actions = rng.uniform(-1.5, 1.5, (n, env.horizon, 4)) * env.a_max
-    params = _per_row(frictions) if params_per_row else EnvParams(friction_scale=0.9)
+    friction = frictions if params_per_row else 0.9
     before = rows.copy()
-    states, success = rollout_batch(env, rows, actions, params)
-    ref_states, ref_success = rollout_batch(env, rows, actions, params,
+    states, success = rollout_batch(env, rows, actions, friction)
+    ref_states, ref_success = rollout_batch(env, rows, actions, friction,
                                             lengths=np.full(n, env.horizon))
     assert _bitwise_equal(states, ref_states)
     assert success.tolist() == ref_success.tolist()
@@ -278,7 +273,7 @@ def test_rollout_batch_rejects_bad_lengths():
     actions = np.zeros((2, 5, 2))
     for bad in ([0, 3], [1, 6], [1, 2, 3]):
         with pytest.raises(ValueError):
-            rollout_batch(env, s0s, actions, EnvParams(), lengths=bad)
+            rollout_batch(env, s0s, actions, 1.0, lengths=bad)
 
 
 def test_success_batch_matches_scalar_predicates():

@@ -9,7 +9,7 @@ import pytest
 from recovergen.config import PipelineConfig
 from recovergen.curator import state_distances
 from recovergen.dataset_io import dataset_stats, deserialize, load_trajectories, read_manifest
-from recovergen.envs import EnvParams, make_env, rollout
+from recovergen.envs import make_env, rollout
 from recovergen.pipeline import (PipelineError, _run_variants, compare_replay,
                                  evaluate_replay, run_pgdg, run_spatial_only,
                                  run_variant, sample_variant_poses)
@@ -65,7 +65,7 @@ def test_run_pgdg_curated_trajectories_revalidate(tmp_path):
     env = make_env(cfg.env)
     for traj in load_trajectories(str(tmp_path / "ds")):
         replay = rollout(env, traj.states[0], traj.actions,
-                         EnvParams(mass=traj.mass, friction_scale=traj.friction_scale))
+                         traj.friction_scale)
         assert replay.success
         assert np.array_equal(replay.states, traj.states)
 
@@ -254,7 +254,7 @@ def test_evaluate_replay_deterministic(tmp_path):
 def test_evaluate_replay_missing_dump(tmp_path):
     os.makedirs(tmp_path / "empty")
     with open(tmp_path / "empty" / "manifest", "w") as fh:
-        fh.write("format = 3\nenv_name = point_reach\nn_records = 0\nn_trajectories = 0\n"
+        fh.write("format = 4\nenv_name = point_reach\nn_records = 0\nn_trajectories = 0\n"
                  "env_config = {}\n")
     from recovergen.dataset_io import DatasetFormatError
     with pytest.raises((PipelineError, DatasetFormatError), match="trajectories.npy: file missing"):

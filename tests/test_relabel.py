@@ -5,7 +5,7 @@ import pytest
 from recovergen import pipeline, relabel
 from recovergen.config import PipelineConfig, RelabelConfig
 from recovergen.curator import TubeBounds, state_distances
-from recovergen.envs import (EnvParams, PlanarBlockRotate, PointReach,
+from recovergen.envs import (PlanarBlockRotate, PointReach,
                              augmented_demo_actions, rollout, rollout_with_resume,
                              trajectory_table)
 from recovergen.geometry import Pose
@@ -25,12 +25,7 @@ def risks(curated, expert_states, psi=IDENT, scales=(1.0,)):
 def line_traj(values, success=True):
     states = np.asarray(values, dtype=float)[None, :, None]
     return trajectory_table(states, np.zeros((1, states.shape[1] - 1, 1)), success,
-                            EnvParams()).view(np.recarray)[0]
-
-
-def params_of(traj):
-    """The physics a trajectory table row was rolled out under."""
-    return EnvParams(mass=traj.mass, friction_scale=traj.friction_scale)
+                            1.0).view(np.recarray)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +147,9 @@ def test_select_rejects_bad_args():
 def _block_fixture():
     env = PlanarBlockRotate()
     pose = Pose()
-    params = env.nominal_env_params()
+    friction = env.nominal_friction()
     actions = augmented_demo_actions(env, pose, l_blend=10)
-    traj = rollout(env, env.reset(pose, params), actions, params)
+    traj = rollout(env, env.reset(pose), actions, friction)
     assert traj.success
     expert = traj.states
     return env, traj, expert
@@ -185,7 +180,7 @@ def test_cost_failure_indicator_term():
     # pull the effectors apart: contact lost, continuation fails
     u = np.tile([-0.03, -0.03, 0.03, 0.03], (15, 1))
     cont = rollout_with_resume(env, traj.states[20], u, traj.actions[35:],
-                               params_of(traj))
+                               traj.friction_scale)
     assert not cont.success
     assert relabel_cost(u, traj, 20, tube, env, cfg, expert) == 1e3
 
@@ -196,7 +191,7 @@ def test_cost_tube_term_quadratic_hinge():
     tight = TubeBounds(0.0, 0.0)  # any deviation is a violation
     u = traj.actions[20:35]
     cont = rollout_with_resume(env, traj.states[20], u, traj.actions[35:],
-                               params_of(traj))
+                               traj.friction_scale)
     from recovergen.curator import state_distances
     d = state_distances(cont.states[1:16], expert, env.psi, env.psi_scales)
     expected = 10.0 * float(np.sum(np.maximum(d - 0.0, 0.0) ** 2))
@@ -211,9 +206,9 @@ def test_cost_tube_term_quadratic_hinge():
 def _reach_fixture():
     env = PointReach()
     pose = env.demo_object_pose()
-    params = env.nominal_env_params()
+    friction = env.nominal_friction()
     actions = augmented_demo_actions(env, pose, l_blend=1)
-    traj = rollout(env, env.reset(pose, params), actions, params)
+    traj = rollout(env, env.reset(pose), actions, friction)
     assert traj.success
     return env, traj, traj.states
 
@@ -264,10 +259,10 @@ def test_cem_rejects_point_without_room():
 
 def test_cem_unreachable_goal_emits_nothing():
     env = PointReach()
-    params = env.nominal_env_params()
+    friction = env.nominal_friction()
     # goal far beyond what the remaining steps can cover: every candidate fails
     s0 = np.array([0.0, 0.0, 50.0, 50.0])
-    traj = rollout(env, s0, np.zeros((env.horizon, 2)), params)
+    traj = rollout(env, s0, np.zeros((env.horizon, 2)), friction)
     assert not traj.success
     cfg = RelabelConfig(population=8, cem_iterations=2, init_std=0.01, horizon=10)
     out = cem_optimize(RelabelPoint(0, 0, 0.0), traj, env,
@@ -324,7 +319,7 @@ def test_point_whose_candidates_all_fail_runs_every_iteration(monkeypatch):
     # its best cost is flat from the start, but no candidate succeeds
     env = PointReach()
     s0 = np.array([0.0, 0.0, 50.0, 50.0])
-    traj = rollout(env, s0, np.zeros((env.horizon, 2)), env.nominal_env_params())
+    traj = rollout(env, s0, np.zeros((env.horizon, 2)), env.nominal_friction())
     calls = []
 
     def recorded(env, cfg, points, chunks):
@@ -456,7 +451,7 @@ def test_population_costs_equal_one_candidate_costs(horizon):
         assert costs.tolist() == one_by_one
         # each flag is the candidate's own continuation, rolled out alone
         alone = [rollout_with_resume(env, traj.states[t], u, traj.actions[t + horizon:],
-                                     params_of(traj)).success for u in pop]
+                                     traj.friction_scale).success for u in pop]
         assert ok.tolist() == alone
     assert any(c > 0 for costs in batched for c in costs)
 
@@ -496,7 +491,7 @@ def test_relabel_dataset_targets_validate_and_separate():
         src = [traj][tgt.point.trajectory_id]
         cont = rollout_with_resume(env, src.states[tgt.point.t], tgt.chunk,
                                    src.actions[tgt.point.t + 15:],
-                                   params_of(src))
+                                   src.friction_scale)
         assert cont.success
         seen.setdefault(tgt.point.trajectory_id, []).append(tgt.point.t)
     for ts in seen.values():
