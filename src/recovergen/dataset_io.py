@@ -11,7 +11,8 @@ Layout under the output directory (dataset format 4):
   the trajectories have origins, ``origin`` ``<f8 (P,)``
 * ``records.npy``       -- one row per relabeled supervision pair, with the
   fields ``traj`` ``<i8``, ``t`` ``<i8``, ``obs`` ``<f8 (2 d_s,)`` and
-  ``chunk`` ``<f8 (H, d_a)``
+  ``chunk`` ``<f8 (H, d_a)``; the table ``relabel_dataset`` returns, written
+  as it is, except that one of no rows has ``obs (0,)`` and ``chunk (0, 0)``
 
 Both arrays are structured NumPy ``.npy`` files (the NEP 1 format) holding
 raw little-endian numbers, so a round trip is bitwise lossless, and
@@ -24,27 +25,28 @@ the trajectories by ``export_pairs`` and the loaded ``records.npy`` table,
 two tables with the fields of ``records.npy``.
 
 Files are written to temporary names and renamed once all are complete, the
-manifest last.  Every reader reads the manifest, both arrays and checks them
-whole: each array's fields and dtypes, its shapes against the manifest's
-environment and ``chunk_len``, and its row count against the manifest.  A
-truncated, foreign or pickled file and a ``format`` other than 4 raise
-DatasetFormatError; nothing is returned from a dataset that fails a check.
-``read_manifest`` alone reads no array.
+manifest last.  The writer and every reader check both arrays with one
+check: each array's fields and dtypes, and its shapes against the
+manifest's environment and ``chunk_len``.  Readers also check each row
+count against the manifest.  The writer refuses a misfit with ValueError
+before it writes any file.  A truncated, foreign or pickled file, a misfit
+and a ``format`` other than 4 raise DatasetFormatError; nothing is returned
+from a dataset that fails a check.  ``read_manifest`` alone reads no array.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import os
+import sys
 from dataclasses import dataclass, field
-from typing import (IO, Callable, Dict, Iterable, List, Sequence, Tuple, get_origin,
+from typing import (IO, Callable, Dict, Iterable, List, Optional, Tuple, get_origin,
                     get_type_hints)
 
 import numpy as np
 
 from .config import key_value_lines
 from .envs import TRAJECTORY_FIELDS, Environment, make_env
-from .relabel import RelabelTarget
 
 
 FORMAT = 4   # the one dataset format this module writes and reads
@@ -119,6 +121,17 @@ def _dtype(fields: Dict[str, Tuple[str, int]], shapes: Dict[str, Tuple[int, ...]
     return np.dtype([(name, fields[name][0], shape) for name, shape in shapes.items()])
 
 
+def record_dtype(obs_dim: int, chunk_shape: Tuple[int, int]) -> np.dtype:
+    """The dtype of a table with the fields of ``records.npy``, of
+    (obs_dim,) observations and chunk_shape chunks."""
+    return _dtype(_RECORD_FIELDS, {"traj": (), "t": (), "obs": (obs_dim,),
+                                   "chunk": chunk_shape})
+
+
+# what records.npy holds when nothing was relabeled
+_NO_RECORDS = np.empty(0, record_dtype(0, (0, 0)))
+
+
 def export_pairs(states: np.ndarray, actions: np.ndarray, chunk_len: int,
                  observe: Callable) -> np.ndarray:
     """Every curated window of trajectories ``states`` (n, T+1, d_s) and
@@ -127,8 +140,7 @@ def export_pairs(states: np.ndarray, actions: np.ndarray, chunk_len: int,
     ``actions[i, t:t + chunk_len]``, for each t in [0, T - chunk_len]."""
     n, horizon, d_a = actions.shape
     w = _window_count(horizon, chunk_len) if n else 0
-    table = np.empty((n, w), _dtype(_RECORD_FIELDS, {
-        "traj": (), "t": (), "obs": (2 * states.shape[-1],), "chunk": (chunk_len, d_a)}))
+    table = np.empty((n, w), record_dtype(2 * states.shape[-1], (chunk_len, d_a)))
     if n:
         table["traj"] = np.arange(n)[:, None]
         table["t"] = np.arange(w)
@@ -189,6 +201,8 @@ def read_manifest(out_dir: str) -> DatasetManifest:
                     raise ValueError(f"{key} must be a {kind.__name__}")
             else:
                 values[key] = kind(value)
+                if kind is int and values[key] < 0:
+                    raise ValueError(f"{key} must be >= 0, got {values[key]}")
         except ValueError as exc:
             raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from exc
     fmt = values.pop("format", None)
@@ -198,34 +212,14 @@ def read_manifest(out_dir: str) -> DatasetManifest:
     if "env_name" not in values or "n_records" not in values:
         raise DatasetFormatError(f"{path}: missing required manifest keys")
     tubes = values.get("final_tubes", [])
-    if not all(isinstance(t, list) and len(t) == 2
-               and all(isinstance(x, (int, float)) for x in t) for t in tubes):
-        raise DatasetFormatError(f"{path}: final_tubes must be [r_min, r_max] pairs")
+    # the chained comparison also refuses NaN, infinities and integers too
+    # large for a float
+    if not all(isinstance(t, list) and len(t) == 2 and all(type(x) in (int, float) for x in t)
+               and 0 <= t[0] <= t[1] <= sys.float_info.max for t in tubes):
+        raise DatasetFormatError(f"{path}: final_tubes must be [r_min, r_max] pairs of "
+                                 f"finite numbers, 0 <= r_min <= r_max")
     values["final_tubes"] = [tuple(t) for t in tubes]
     return DatasetManifest(**values)
-
-
-def _record_table(relabeled: Sequence[RelabelTarget]) -> np.ndarray:
-    """One ``records.npy`` row per target.  Every shape is checked first;
-    then each field's values are stacked straight into the table, so no
-    stacked copy of a column is made."""
-    columns = {"traj": [r.point.trajectory_id for r in relabeled],
-               "t": [r.point.t for r in relabeled],
-               "obs": [r.observation for r in relabeled],
-               "chunk": [r.chunk for r in relabeled]}
-    shapes = {}
-    for name, values in columns.items():
-        ndim = _RECORD_FIELDS[name][1]
-        found = {np.shape(v) for v in values}
-        if len(found) > 1 or any(len(s) != ndim for s in found):
-            raise ValueError(f"{name}: every row needs one shape of {ndim} axes, "
-                             f"got {sorted(found)}")
-        shapes[name] = found.pop() if found else (0,) * ndim
-    table = np.empty(len(relabeled), _dtype(_RECORD_FIELDS, shapes))
-    for name, values in columns.items():
-        if len(values):
-            np.stack(values, out=table[name])
-    return table
 
 
 def _npy_writer(table: np.ndarray) -> Callable[[IO], None]:
@@ -250,70 +244,81 @@ def _fields_misfit(table, fields: Dict[str, Tuple[str, int]]) -> str:
     if names != want:
         return f"fields {names}, expected {want}"
     expected = _dtype(fields, {name: table.dtype[name].shape for name in want})
-    if table.dtype != expected or any(table.dtype[name].ndim != fields[name][1]
-                                      for name in want):
+    wrong = [name for name in want if table.dtype[name] != expected[name]
+             or table.dtype[name].ndim != fields[name][1]]
+    if wrong or table.dtype != expected:
         return (f"fields {table.dtype.descr} are not of the types "
-                f"{[(n, *fields[n]) for n in want]} (dtype, axes)")
+                f"{[(n, *fields[n]) for n in want]} (dtype, axes); wrong: "
+                f"{', '.join(wrong) or 'the layout'}")
     return ""
 
 
-def _trajectories_misfit(env: Environment, trajectories: np.ndarray) -> str:
-    """Why trajectories of this table's shapes cannot be read under
-    ``env``, which needs (T+1, d_s) states and (T, d_a) actions; empty if
-    they can."""
-    states, actions = trajectories.dtype["states"].shape, trajectories.dtype["actions"].shape
-    if states == (actions[0] + 1, env.state_dim) and actions[1] == env.action_dim:
-        return ""
-    return (f"states {states} and actions {actions} do not fit {env.name} "
-            f"(d_s {env.state_dim}, d_a {env.action_dim})")
+def _n_windows(trajectories: np.ndarray, chunk_len: int) -> int:
+    """Number of curated windows of all ``trajectories``."""
+    if not len(trajectories):
+        return 0
+    return len(trajectories) * _window_count(trajectories.dtype["actions"].shape[0], chunk_len)
 
 
-def _records_misfit(env: Environment, records: np.ndarray) -> str:
-    """Why relabeled rows of this table's shapes cannot be read under
-    ``env``, which needs (2 d_s,) observations and (H >= 1, d_a) chunks;
-    empty if they can."""
-    obs, chunk = records.dtype["obs"].shape, records.dtype["chunk"].shape
-    if obs == (2 * env.state_dim,) and chunk[0] >= 1 and chunk[1] == env.action_dim:
-        return ""
-    return (f"obs {obs} and chunk {chunk} do not fit {env.name} "
-            f"(d_s {env.state_dim}, d_a {env.action_dim})")
+def _misfit(env: Environment, chunk_len: int, trajectories,
+            records) -> Tuple[str, str]:
+    """The first of the tables, "trajectories" or "records", that cannot
+    be stored under ``env`` and ``chunk_len``, and why; ("", "") if both
+    can.  Each needs the fields of its file (``_fields_misfit``).  Non-empty
+    trajectories need (T+1, d_s) states, (T, d_a) actions and
+    1 <= chunk_len <= T; non-empty records need (2 d_s,) observations and
+    (H >= 1, d_a) chunks."""
+    misfit = _fields_misfit(trajectories, TRAJECTORY_FIELDS)
+    if not misfit and len(trajectories):
+        states, actions = (trajectories.dtype[name].shape for name in ("states", "actions"))
+        if states != (actions[0] + 1, env.state_dim) or actions[1] != env.action_dim:
+            misfit = (f"states {states} and actions {actions} do not fit {env.name} "
+                      f"(d_s {env.state_dim}, d_a {env.action_dim})")
+        else:
+            try:
+                _window_count(actions[0], chunk_len)
+            except ValueError as exc:
+                misfit = f"chunk_len {chunk_len}: {exc}"
+    if misfit:
+        return "trajectories", misfit
+    misfit = _fields_misfit(records, _RECORD_FIELDS)
+    if not misfit and len(records):
+        obs, chunk = records.dtype["obs"].shape, records.dtype["chunk"].shape
+        if obs != (2 * env.state_dim,) or chunk[0] < 1 or chunk[1] != env.action_dim:
+            misfit = (f"obs {obs} and chunk {chunk} do not fit {env.name} "
+                      f"(d_s {env.state_dim}, d_a {env.action_dim})")
+    return ("records", misfit) if misfit else ("", "")
 
 
 def serialize(manifest: DatasetManifest, out_dir: str, trajectories: np.ndarray,
-              relabeled: Sequence[RelabelTarget] = ()) -> None:
-    """Write a dataset: the trajectory table ``trajectories`` as it is, and
-    one ``records.npy`` row per ``relabeled`` target.  The curated windows
-    of length ``manifest.chunk_len`` are not written; readers rebuild them
-    from the trajectories.  Sets the manifest's ``n_trajectories``,
-    ``n_relabeled`` and ``n_records`` (windows plus relabeled pairs).
+              records: Optional[np.ndarray] = None) -> None:
+    """Write a dataset: the trajectory table ``trajectories`` and the
+    relabeled pairs ``records`` (none by default), a table with the fields
+    of ``records.npy`` such as ``relabel_dataset`` returns, as they are.
+    The curated windows of length ``manifest.chunk_len`` are not written;
+    readers rebuild them from the trajectories.  Sets the manifest's
+    ``n_trajectories``, ``n_relabeled`` and ``n_records`` (windows plus
+    relabeled pairs).
 
-    Raises ValueError before any file is written when the trajectories do
-    not have the dtype of ``TRAJECTORY_FIELDS`` or do not fit the
-    manifest's environment, when the targets differ in shape or do not fit
-    that environment, or when ``chunk_len`` does not fit the trajectories.
-    Each file goes to a temporary file first; they are renamed into place
-    only once all are complete, the manifest last, since it pins the row
-    counts of the others.  So a failure while writing any file leaves the previous
-    dataset whole and readable."""
-    misfit = _fields_misfit(trajectories, TRAJECTORY_FIELDS)
-    env = _manifest_env(manifest)
-    if not misfit and len(trajectories):
-        misfit = _trajectories_misfit(env, trajectories)
+    Raises ValueError before any file is written when either table does
+    not have the fields and dtypes of its file or does not fit the
+    manifest's environment, or when ``chunk_len`` does not fit the
+    trajectories.  Each file goes to a temporary file first; they are
+    renamed into place only once all are complete, the manifest last,
+    since it pins the row counts of the others.  So a failure while
+    writing any file leaves the previous dataset whole and readable."""
+    records = _NO_RECORDS if records is None else records
+    name, misfit = _misfit(_manifest_env(manifest), manifest.chunk_len, trajectories, records)
     if misfit:
-        raise ValueError(f"trajectories: {misfit}")
-    record_table = _record_table(relabeled)
-    misfit = _records_misfit(env, record_table) if relabeled else ""
-    if misfit:
-        raise ValueError(f"relabeled targets: {misfit}")
-    horizon = trajectories.dtype["actions"].shape[0]
-    windows = len(trajectories) * _window_count(horizon, manifest.chunk_len) \
-        if len(trajectories) else 0
+        raise ValueError(f"{name}: {misfit}")
+    if not len(records):
+        records = _NO_RECORDS
 
     os.makedirs(out_dir, exist_ok=True)
-    manifest.n_records = windows + len(relabeled)
-    manifest.n_relabeled = len(relabeled)
+    manifest.n_records = _n_windows(trajectories, manifest.chunk_len) + len(records)
+    manifest.n_relabeled = len(records)
     manifest.n_trajectories = len(trajectories)
-    files = [("records.npy", "wb", _npy_writer(record_table)),
+    files = [("records.npy", "wb", _npy_writer(records)),
              ("trajectories.npy", "wb", _npy_writer(trajectories)),
              ("manifest", "w", lambda fh: fh.write(_manifest_lines(manifest)))]
     temps: List[str] = []
@@ -328,23 +333,16 @@ def serialize(manifest: DatasetManifest, out_dir: str, trajectories: np.ndarray,
         os.replace(tmp, os.path.join(out_dir, name))
 
 
-def _load_table(path: str, fields: Dict[str, Tuple[str, int]], rows: int) -> np.ndarray:
-    """The structured array in ``path``, refused unless it is a 1-D array
-    of ``rows`` rows with exactly ``fields`` (``origin`` may be absent),
-    each of its dtype and number of axes."""
+def _load_table(path: str) -> np.ndarray:
+    """The array stored in ``path``, refused unless it is a readable .npy
+    file of no objects."""
     try:
         with open(path, "rb") as fh:
-            table = np.load(fh, allow_pickle=False)
+            return np.load(fh, allow_pickle=False)
     except FileNotFoundError as exc:
         raise DatasetFormatError(f"{path}: file missing") from exc
     except (ValueError, EOFError) as exc:
         raise DatasetFormatError(f"{path}: not a readable .npy array: {exc}") from exc
-    misfit = _fields_misfit(table, fields)
-    if misfit:
-        raise DatasetFormatError(f"{path}: {misfit}")
-    if len(table) != rows:
-        raise DatasetFormatError(f"{path}: {len(table)} rows, the manifest says {rows}")
-    return table
 
 
 def _open(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray, np.ndarray]:
@@ -356,23 +354,18 @@ def _open(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray, np.nd
         env = _manifest_env(manifest)
     except (TypeError, ValueError) as exc:
         raise DatasetFormatError(f"{manifest_path}: environment: {exc}") from exc
-    path = os.path.join(out_dir, "trajectories.npy")
-    trajectories = _load_table(path, TRAJECTORY_FIELDS, manifest.n_trajectories)
-    windows = 0
-    if len(trajectories):
-        misfit = _trajectories_misfit(env, trajectories)
-        if misfit:
-            raise DatasetFormatError(f"{path}: {misfit}")
-        try:
-            horizon = trajectories.dtype["actions"].shape[0]
-            windows = len(trajectories) * _window_count(horizon, manifest.chunk_len)
-        except ValueError as exc:
-            raise DatasetFormatError(f"{path}: chunk_len {manifest.chunk_len}: {exc}") from exc
-    path = os.path.join(out_dir, "records.npy")
-    records = _load_table(path, _RECORD_FIELDS, manifest.n_relabeled)
-    misfit = _records_misfit(env, records) if len(records) else ""
+    paths = {name: os.path.join(out_dir, name + ".npy") for name in ("trajectories", "records")}
+    tables = {name: _load_table(path) for name, path in paths.items()}
+    name, misfit = _misfit(env, manifest.chunk_len, **tables)
     if misfit:
-        raise DatasetFormatError(f"{path}: {misfit}")
+        raise DatasetFormatError(f"{paths[name]}: {misfit}")
+    for name, rows in (("trajectories", manifest.n_trajectories),
+                       ("records", manifest.n_relabeled)):
+        if len(tables[name]) != rows:
+            raise DatasetFormatError(f"{paths[name]}: {len(tables[name])} rows, "
+                                     f"the manifest says {rows}")
+    trajectories, records = tables["trajectories"], tables["records"]
+    windows = _n_windows(trajectories, manifest.chunk_len)
     if manifest.n_records != windows + len(records):
         raise DatasetFormatError(f"{manifest_path}: n_records {manifest.n_records} is not "
                                  f"{windows} curated + {len(records)} relabeled")

@@ -24,8 +24,8 @@ from . import curator as cur
 from . import sampler as smp
 from .config import ConfigError, PipelineConfig, config_parameters
 from .curator import TubeBounds
-from .dataset_io import (DatasetFormatError, DatasetManifest, open_dataset, serialize,
-                         _atomic_write)
+from .dataset_io import (DatasetFormatError, DatasetManifest, open_dataset, read_manifest,
+                         serialize, _atomic_write)
 from .envs import (Environment, augmented_demo_actions, make_env, rollout_batch,
                    trajectory_table)
 from .geometry import Pose, compose, sample_object_perturbation
@@ -275,7 +275,7 @@ def run_pgdg(cfg: PipelineConfig) -> RunReport:
     experts = [v.expert_states for v in active for _ in range(len(v.curated))]
     tubes = [v.final_tube for v in active for _ in range(len(v.curated))]
 
-    targets = relabel_dataset(curated, env, tubes, cfg.relabel,
+    records = relabel_dataset(curated, env, tubes, cfg.relabel,
                               np.random.default_rng(seeds[-1]), experts, distances)
 
     manifest = _manifest(cfg, env, "generate")
@@ -283,7 +283,7 @@ def run_pgdg(cfg: PipelineConfig) -> RunReport:
     manifest.n_successful = sum(v.n_successful for v in variants)
     manifest.n_selected = len(curated)
     manifest.final_tubes = [(v.final_tube.r_min, v.final_tube.r_max) for v in active]
-    serialize(manifest, cfg.out_dir, curated, targets)
+    serialize(manifest, cfg.out_dir, curated, records)
 
     report = RunReport(variants=variants, manifest=manifest)
     _write_report(cfg.out_dir, report)
@@ -381,7 +381,14 @@ def compare_replay(pgdg_dir: str, baseline_dir: str, n_trials: int,
     baseline.  ``gap`` is curated stored-parameter success minus the
     baseline's fresh-parameter success; ``gap_fresh`` compares like with
     like, curated minus baseline fresh-parameter success, with a 95%
-    normal-approximation CI for a difference of two proportions."""
+    normal-approximation CI for a difference of two proportions.  Datasets
+    of different environments, by name or configuration, are refused with
+    ConfigError before any rollout."""
+    envs = [(m.env_name, m.env_config) for m in map(read_manifest, (pgdg_dir, baseline_dir))]
+    if envs[0] != envs[1]:
+        raise ConfigError(f"cannot compare {pgdg_dir} ({envs[0][0]} {envs[0][1]}) with "
+                          f"{baseline_dir} ({envs[1][0]} {envs[1][1]}): their environments "
+                          f"differ")
     ours = evaluate_replay(pgdg_dir, n_trials, seed)
     base = evaluate_replay(baseline_dir, n_trials, seed)
     p, q = ours["fresh_success_rate"], base["fresh_success_rate"]

@@ -4,7 +4,8 @@ cross-entropy method under a full-episode success check.
 
 A corrective chunk is only emitted when its full continuation (chunk
 followed by the original plan's remainder) succeeded when it was scored,
-so every stored target is simulation-verified supervision.
+so every stored pair is simulation-verified supervision.  The emitted
+pairs are returned as the ``records.npy`` table the writer stores.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .config import RelabelConfig
 from .curator import TubeBounds, state_distances
+from .dataset_io import record_dtype
 from .envs import Environment, rollout_batch
 
 log = logging.getLogger(__name__)
@@ -32,17 +34,6 @@ class RelabelPoint:
     trajectory_id: int
     t: int
     risk: float
-
-
-@dataclass
-class RelabelTarget:
-    """Validated corrective supervision: observation at the risky state
-    and the optimized H-step action chunk."""
-
-    observation: np.ndarray
-    chunk: np.ndarray          # (H, d_a)
-    point: RelabelPoint
-    cost: float
 
 
 def select_risky_states(distances: Sequence[np.ndarray], k_rel: int, min_sep: int,
@@ -145,9 +136,8 @@ def relabel_cost(u: np.ndarray, traj: np.void, t: int, tube: TubeBounds,
     return float(_costs(env, cfg, [(traj, t, tube, expert_states)], [u])[0][0][0])
 
 
-def _cem_lockstep(env: Environment, cfg: RelabelConfig, points: Sequence[RelabelPoint],
-                  context: Sequence[_Point],
-                  rngs: Sequence[np.random.Generator]) -> List[Optional[RelabelTarget]]:
+def _cem_lockstep(env: Environment, cfg: RelabelConfig, context: Sequence[_Point],
+                  rngs: Sequence[np.random.Generator]) -> List[Tuple[np.ndarray, float, bool]]:
     """Cross-entropy search at every point at once: each iteration rolls
     out the live points' populations in one batch, while each point keeps
     its own mean, spread, best candidate and random stream.  A point stops
@@ -155,7 +145,9 @@ def _cem_lockstep(env: Environment, cfg: RelabelConfig, points: Sequence[Relabel
     below ``w_fail``) and its best cost has fallen by at most TOL since
     iteration k - W; it then draws nothing more, so the other points run
     as they would alone.  ``cem_iterations`` bounds every point.
-    ``init_std`` 0 starts each spread at 0.25 x the action range."""
+    ``init_std`` 0 starts each spread at 0.25 x the action range.  Returns
+    each point's best candidate (H * d_a,), its cost and whether its
+    continuation succeeded."""
     for traj, t, _, _ in context:
         if t < 0 or t + cfg.horizon > len(traj["actions"]):
             raise ValueError("relabel point does not leave room for a full chunk")
@@ -191,43 +183,33 @@ def _cem_lockstep(env: Environment, cfg: RelabelConfig, points: Sequence[Relabel
             stds[j] = np.maximum(elites.std(axis=0), STD_FLOOR)
         live = [j for j in live if k < W or best_costs[j] >= cfg.w_fail
                 or history[j][k - W] - best_costs[j] > TOL]
-
-    targets: List[Optional[RelabelTarget]] = []
-    for point, (traj, t, _, _), u, cost, ok in zip(points, context, best_us, best_costs,
-                                                   best_ok):
-        if not ok:
-            log.info("relabel point (traj %d, t %d) found no successful correction",
-                     point.trajectory_id, t)
-            targets.append(None)
-            continue
-        obs = env.observe(traj["states"][t], traj["states"][0])
-        targets.append(RelabelTarget(observation=obs,
-                                     chunk=u.reshape(cfg.horizon, env.action_dim),
-                                     point=point, cost=cost))
-    return targets
+    return list(zip(best_us, best_costs, best_ok))
 
 
 def cem_optimize(point: RelabelPoint, traj: np.void, env: Environment,
                  tube: TubeBounds, cfg: RelabelConfig, rng: np.random.Generator,
-                 expert_states) -> Optional[RelabelTarget]:
+                 expert_states) -> Optional[Tuple[np.ndarray, float]]:
     """Cross-entropy search for a corrective chunk around the reference
     segment of the trajectory table row ``traj``.  Keeps the best
-    candidate ever seen; emits a target only if its full continuation
-    succeeds."""
-    return _cem_lockstep(env, cfg, [point], [(traj, point.t, tube, expert_states)], [rng])[0]
+    candidate ever seen; returns it as an (H, d_a) chunk with its cost
+    only if its full continuation succeeds."""
+    [(u, cost, ok)] = _cem_lockstep(env, cfg, [(traj, point.t, tube, expert_states)], [rng])
+    return (u.reshape(cfg.horizon, env.action_dim), cost) if ok else None
 
 
 def relabel_dataset(curated: np.ndarray, env: Environment,
                     tube: Sequence[TubeBounds], cfg: RelabelConfig,
                     rng: np.random.Generator, expert_states: Sequence[np.ndarray],
-                    distances: Sequence[np.ndarray]) -> List[RelabelTarget]:
+                    distances: Sequence[np.ndarray]) -> np.ndarray:
     """Select the ``cfg.k_rel`` riskiest states across the curated
     trajectory table, at least ``cfg.min_sep`` steps apart (0: the
     horizon), and optimize a corrective chunk at each; failed points are
     dropped with a logged diagnostic.  ``tube[i]``, ``expert_states[i]``
     and ``distances[i]`` (``state_distances`` of its states to that
-    expert) belong to ``curated[i]``.  Outputs are ordered by selection
-    rank."""
+    expert) belong to ``curated[i]``.  Returns the emitted pairs as a
+    table with the fields of ``records.npy``, in selection rank: a row
+    holds its point's trajectory ``traj`` and step ``t``, the observation
+    ``observe(states[t], states[0])`` and the (H, d_a) chunk."""
     if len(curated) == 0:
         raise ValueError("curated set must be non-empty")
     if not len(tube) == len(expert_states) == len(distances) == len(curated):
@@ -235,9 +217,18 @@ def relabel_dataset(curated: np.ndarray, env: Environment,
                          "array per trajectory")
     min_sep = cfg.min_sep if cfg.min_sep > 0 else cfg.horizon
     points = select_risky_states(distances, cfg.k_rel, min_sep, cfg.horizon)
-    if not points:
-        return []
     context = [(curated[p.trajectory_id], p.t, tube[p.trajectory_id],
                 expert_states[p.trajectory_id]) for p in points]
-    targets = _cem_lockstep(env, cfg, points, context, rng.spawn(len(points)))
-    return [target for target in targets if target is not None]
+    results = _cem_lockstep(env, cfg, context, rng.spawn(len(points))) if points else []
+    for point, (_, _, ok) in zip(points, results):
+        if not ok:
+            log.info("relabel point (traj %d, t %d) found no successful correction",
+                     point.trajectory_id, point.t)
+    table = np.empty(len(points), record_dtype(2 * env.state_dim,
+                                               (cfg.horizon, env.action_dim)))
+    table["traj"] = [p.trajectory_id for p in points]
+    table["t"] = [p.t for p in points]
+    table["obs"] = env.observe(curated["states"][table["traj"], table["t"]],
+                               curated["states"][table["traj"], 0])
+    table["chunk"] = np.reshape([u for u, _, _ in results], table["chunk"].shape)
+    return table[np.array([ok for _, _, ok in results], dtype=bool)]

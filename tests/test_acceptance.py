@@ -423,7 +423,8 @@ def test_criterion_08_cem_quadratic_convergence():
         out = cem_optimize(point, traj, env, TubeBounds(0.0, 100.0), cfg,
                            np.random.default_rng(seed), traj.states)
         assert out is not None
-        assert np.all(np.abs(out.chunk - u_ref) < 1e-2), f"seed {seed}"
+        chunk, _ = out
+        assert np.all(np.abs(chunk - u_ref) < 1e-2), f"seed {seed}"
     _report("8 CEM convergence", "20/20 seeds within 1e-2 of reference")
 
 
@@ -437,20 +438,20 @@ def test_criterion_09_relabel_validation():
     k_rel = 10
     cfg = RelabelConfig(k_rel=k_rel, population=16, cem_iterations=3, init_std=0.005,
                         horizon=15)
-    targets = relabel_dataset([traj, traj], env, [TubeBounds(0.0, 100.0)] * 2, cfg,
+    curated = np.array([traj, traj])
+    targets = relabel_dataset(curated, env, [TubeBounds(0.0, 100.0)] * 2, cfg,
                               np.random.default_rng(SEED), [traj.states] * 2,
                               [state_distances(traj.states, traj.states, env.psi,
                                                env.psi_scales)] * 2)
     assert 0 < len(targets) <= k_rel
-    curated = [traj, traj]
     per_traj = {}
-    for tgt in targets:
-        src = curated[tgt.point.trajectory_id]
-        cont = rollout_with_resume(env, src.states[tgt.point.t], tgt.chunk,
-                                   src.actions[tgt.point.t + cfg.horizon:],
-                                   src.friction_scale)
+    for row in targets:
+        src = curated[row["traj"]]
+        cont = rollout_with_resume(env, src["states"][row["t"]], row["chunk"],
+                                   src["actions"][row["t"] + cfg.horizon:],
+                                   src["friction_scale"])
         assert cont.success, "emitted target failed independent re-check"
-        per_traj.setdefault(tgt.point.trajectory_id, []).append(tgt.point.t)
+        per_traj.setdefault(row["traj"], []).append(row["t"])
     for ts in per_traj.values():
         ts = sorted(ts)
         assert all(b - a >= cfg.horizon for a, b in zip(ts, ts[1:]))

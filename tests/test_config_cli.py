@@ -342,6 +342,9 @@ def _copy_with_manifest_edit(src, dst, edit):
     (lambda text: text.replace("format = 4", "format = 2"), ["stats", "evaluate"]),
     (lambda text: text + "no equals sign\n", ["stats", "evaluate"]),
     (lambda text: text + "seed = 4\n", ["stats", "evaluate"]),
+    (lambda text: re.sub(r"n_generated = .*", "n_generated = -5", text), ["stats", "evaluate"]),
+    (lambda text: re.sub(r"final_tubes = .*", "final_tubes = [[true, NaN]]", text),
+     ["stats", "evaluate"]),
 ])
 def test_cli_manifest_faults_exit_4(small_dataset, tmp_path, capsys, edit, commands):
     bad = _copy_with_manifest_edit(small_dataset, tmp_path / "bad", edit)
@@ -449,6 +452,32 @@ def test_cli_evaluate_rejects_negative_trials(small_dataset, capsys):
     assert main(["evaluate", str(small_dataset), "--trials", "0"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["fresh_success_rate"] == 0.0 and report["fresh_ci95"] == [0.0, 1.0]
+
+
+def test_cli_compare_refuses_datasets_of_different_environments(small_dataset, tmp_path,
+                                                                capsys, monkeypatch):
+    # small_dataset is a point_reach run; a planar_block_rotate baseline and
+    # a point_reach baseline of another horizon cannot be compared with it
+    from recovergen import pipeline
+    block, longer = tmp_path / "block", tmp_path / "longer"
+    assert main(["baseline", "--seed", "4", "--set", "n_variants=2",
+                 "--out", str(block)]) == EXIT_OK
+    assert main(["baseline", "--env", "point_reach", "--seed", "4", "--set", "n_variants=2",
+                 "--set", "env.horizon=40", "--out", str(longer)]) == EXIT_OK
+    capsys.readouterr()
+
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rolled out before the environments were compared")
+
+    monkeypatch.setattr(pipeline, "rollout_batch", no_rollout)
+    for other, name in ((block, "planar_block_rotate"), (longer, "'horizon': 40")):
+        for a, b in ((small_dataset, other), (other, small_dataset)):
+            assert main(["evaluate", str(a), "--compare", str(b),
+                         "--trials", "2"]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("config error: ")
+            assert str(a) in captured.err and str(b) in captured.err
+            assert name in captured.err and "environments differ" in captured.err
 
 
 def test_cli_stats_reads_the_manifest_only(small_dataset, capsys, monkeypatch):

@@ -19,7 +19,6 @@ from recovergen.dataset_io import (DatasetFormatError, DatasetManifest, Pairs,
                                    load_trajectories, read_manifest, serialize)
 from recovergen.envs import make_env, trajectory_table
 from recovergen.pipeline import evaluate_replay
-from recovergen.relabel import RelabelPoint, RelabelTarget
 
 D_S, D_A = 4, 2     # state and action sizes of point_reach, make_manifest's environment
 
@@ -55,12 +54,16 @@ def windows(trajs, chunk_len):
     return export_pairs(trajs["states"], trajs["actions"], chunk_len, OBSERVE)
 
 
-def as_targets(table):
-    """The rows of a pairs table as relabeled targets, which ``records.npy``
-    stores."""
-    return [RelabelTarget(observation=row["obs"].copy(), chunk=row["chunk"].copy(),
-                          point=RelabelPoint(int(row["traj"]), int(row["t"]), 0.0), cost=0.0)
-            for row in table]
+def make_records(obs, chunk, traj=0, t=0):
+    """A table with the fields of ``records.npy`` whose row j holds
+    ``traj[j]``, ``t[j]``, ``obs[j]`` and ``chunk[j]`` (``traj`` and ``t``
+    may be one number for every row); each field takes the shape of its
+    values, so a table of shapes no reader accepts can be built too."""
+    n = len(obs)
+    return _rebuild(np.zeros(n, [("traj", "<i8"), ("t", "<i8")]),
+                    traj=np.broadcast_to(np.asarray(traj, "<i8"), n),
+                    t=np.broadcast_to(np.asarray(t, "<i8"), n),
+                    obs=np.asarray(obs, float), chunk=np.asarray(chunk, float))
 
 
 def same_table(a, b):
@@ -111,7 +114,7 @@ def test_round_trip_bitwise(tmp_path):
     manifest = make_manifest(final_tubes=[(0.1, 0.5)],
                              parameters={"sampler.m_points": 16},
                              env_config={"horizon": 30}, chunk_len=4)
-    serialize(manifest, str(tmp_path), trajs, as_targets(curated[:3]))
+    serialize(manifest, str(tmp_path), trajs, curated[:3])
     pairs, manifest2 = deserialize(str(tmp_path))
     assert len(pairs) == len(curated) + 3 == manifest2.n_records
     assert same_table(pairs.curated, curated)
@@ -148,9 +151,8 @@ def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
     edge = np.concatenate([[-0.0, np.inf, -np.inf, 5e-324, 1e16, -5e-324], nans])
     (traj,) = trajectory_table(edge.reshape(1, 2, D_S), edge[:D_A].reshape(1, 1, D_A), False,
                                nans[0], 3, edge[None])
-    relabeled = RelabelTarget(observation=edge[::-1], chunk=edge.reshape(4, D_A),
-                              point=RelabelPoint(0, 0, 0.0), cost=0.0)
-    serialize(make_manifest(), str(tmp_path), traj[None], [relabeled])
+    relabeled = make_records([edge[::-1]], [edge.reshape(4, D_A)])
+    serialize(make_manifest(), str(tmp_path), traj[None], relabeled)
     (got,) = load_trajectories(str(tmp_path))
     for name in ("states", "actions", "origin"):
         assert bits(getattr(got, name)) == bits(traj[name]), name
@@ -164,8 +166,7 @@ def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
 
 def test_truncated_records_detected(tmp_path):
     trajs = make_traj()
-    serialize(make_manifest(chunk_len=4), str(tmp_path), trajs,
-              as_targets(windows(trajs, chunk_len=4)))
+    serialize(make_manifest(chunk_len=4), str(tmp_path), trajs, windows(trajs, chunk_len=4))
     path = os.path.join(tmp_path, "records.npy")
     _truncate(path)
     with _raises_naming(path, "not a readable .npy array"):
@@ -240,11 +241,6 @@ def oracle_text(pairs):
                                                                          "relabeled")
 
 
-def oracle_targets_text(targets):
-    return "".join(oracle_record_line(x.point.trajectory_id, x.point.t, "relabeled",
-                                      x.observation, x.chunk) + "\n" for x in targets)
-
-
 def oracle_traj_text(trajectories):
     return "".join(oracle_traj_line(i, t) + "\n" for i, t in enumerate(trajectories))
 
@@ -256,7 +252,7 @@ def assert_round_trip_keeps_oracle_text(trajectories, relabeled, chunk_len):
         serialize(make_manifest(chunk_len=chunk_len), out, trajectories, relabeled)
         assert oracle_traj_text(load_trajectories(out)) == oracle_traj_text(trajectories)
         want = (oracle_rows_text(windows(trajectories, chunk_len), "curated")
-                + oracle_targets_text(relabeled))
+                + oracle_rows_text(relabeled, "relabeled"))
         assert oracle_text(deserialize(out)[0]) == want
 
 
@@ -273,8 +269,9 @@ def float_arrays(shape):
 
 @st.composite
 def datasets(draw):
-    """(trajectory table, relabeled targets, chunk_len) as format 4 stores
-    them: one shape per field, and origins on every trajectory or on none."""
+    """(trajectory table, relabeled records table, chunk_len) as format 4
+    stores them: one shape per field, and origins on every trajectory or on
+    none."""
     horizon = draw(st.integers(1, 5))
     n = draw(st.integers(0, 4))
     n_origin = draw(st.one_of(st.none(), st.integers(0, 6)))
@@ -285,11 +282,12 @@ def datasets(draw):
         draw(hnp.arrays(np.int64, n, elements=st.integers(0, 50))),
         None if n_origin is None else draw(float_arrays((n, n_origin))))
     chunk = draw(st.integers(1, 4))
-    relabeled = [RelabelTarget(observation=draw(float_arrays(2 * D_S)),
-                               chunk=draw(float_arrays((chunk, D_A))),
-                               point=RelabelPoint(draw(st.integers(0, 9)),
-                                                  draw(st.integers(0, 9)), 0.0), cost=0.0)
-                 for _ in range(draw(st.integers(0, 6)))]
+    rows = [(draw(st.integers(0, 9)), draw(st.integers(0, 9)),
+             draw(float_arrays(2 * D_S)), draw(float_arrays((chunk, D_A))))
+            for _ in range(draw(st.integers(0, 6)))]
+    traj, t, obs, chunks = zip(*rows) if rows else ((), (), (), ())
+    relabeled = make_records(np.reshape(obs, (len(rows), 2 * D_S)),
+                             np.reshape(chunks, (len(rows), chunk, D_A)), traj, t)
     return trajectories, relabeled, draw(st.integers(1, horizon))
 
 
@@ -304,38 +302,35 @@ def test_writer_edge_values_keep_their_own_text(tmp_path):
     obs = np.array(EDGE_VALUES[:2 * D_S])
     chunk = np.array([[-0.0, 0.0], [0.0, -0.0], [np.nan, np.inf], [-np.inf, 5e-324],
                       [1e16, 1e-7], [4.0, -7.0], [0.0, 0.0], [-0.0, -0.0]])
-    targets = [RelabelTarget(observation=obs if i % 2 else -obs, chunk=chunk[i:i + 2],
-                             point=RelabelPoint(0, i, 0.0), cost=0.0) for i in range(7)]
-    serialize(make_manifest(), str(tmp_path), stack([]), targets)
+    relabeled = make_records([obs if i % 2 else -obs for i in range(7)],
+                             [chunk[i:i + 2] for i in range(7)], t=np.arange(7))
+    serialize(make_manifest(), str(tmp_path), stack([]), relabeled)
     text = oracle_text(deserialize(str(tmp_path))[0])
-    assert text == oracle_targets_text(targets)
+    assert text == oracle_rows_text(relabeled, "relabeled")
     assert "[-0.0, 0.0]" in text and "[0.0, -0.0]" in text
     assert "NaN" in text and "-Infinity" in text and "5e-324" in text and "1e+16" in text
 
 
 def test_writer_mixes_relabeled_and_curated_chunk_lengths(tmp_path):
     trajs = stack(make_traj(horizon=12, seed=i) for i in range(3))
-    targets = [RelabelTarget(observation=np.arange(8.0) + i,
-                             chunk=make_traj(horizon=7, seed=10 + i)["actions"][0],
-                             point=RelabelPoint(i, 2 * i, 0.5), cost=0.1)
-               for i in range(3)]
-    serialize(make_manifest(chunk_len=4), str(tmp_path), trajs, targets)
+    relabeled = make_records([np.arange(8.0) + i for i in range(3)],
+                             [make_traj(horizon=7, seed=10 + i)["actions"][0] for i in range(3)],
+                             np.arange(3), 2 * np.arange(3))
+    serialize(make_manifest(chunk_len=4), str(tmp_path), trajs, relabeled)
     pairs = deserialize(str(tmp_path))[0]
     assert (pairs.curated.dtype["chunk"].shape, pairs.relabeled.dtype["chunk"].shape) \
         == ((4, 2), (7, 2))
-    assert_round_trip_keeps_oracle_text(trajs, targets, 4)
+    assert_round_trip_keeps_oracle_text(trajs, relabeled, 4)
 
 
 def test_writer_one_dimensional_and_scalar_arrays(tmp_path):
     # each field keeps its number of axes; anything else is refused unwritten
-    scalar_obs = RelabelTarget(observation=np.float64(2.5), chunk=np.ones((2, 2)),
-                               point=RelabelPoint(0, 0, 0.0), cost=0.0)
-    cube_chunk = RelabelTarget(observation=np.zeros(8), chunk=np.ones((2, 2, 3)),
-                               point=RelabelPoint(1, 4, 0.0), cost=0.0)
+    scalar_obs = make_records([2.5], [np.ones((2, 2))])
+    cube_chunk = make_records([np.zeros(8)], [np.ones((2, 2, 3))], 1, 4)
     flat = _rebuild(make_traj(), states=make_traj()["states"].reshape(1, -1))
-    for trajs, relabeled, field in ((stack([]), [scalar_obs], "obs"),
-                                    (stack([]), [cube_chunk], "chunk"),
-                                    (flat, [], "states")):
+    for trajs, relabeled, field in ((stack([]), scalar_obs, "records: .* wrong: obs$"),
+                                    (stack([]), cube_chunk, "records: .* wrong: chunk$"),
+                                    (flat, None, "trajectories: .* wrong: states$")):
         with pytest.raises(ValueError, match=field):
             serialize(make_manifest(), str(tmp_path), trajs, relabeled)
     assert list(tmp_path.iterdir()) == []
@@ -353,9 +348,9 @@ def test_writer_empty_record_list(tmp_path):
 
 def test_writer_trajectories_with_and_without_origin(tmp_path):
     trajs = stack(make_traj(seed=i, variant=i) for i in range(4))
-    assert_round_trip_keeps_oracle_text(trajs, [], 3)
+    assert_round_trip_keeps_oracle_text(trajs, windows(trajs, 3)[:0], 3)
     trajs = _rebuild(trajs, origin=None)
-    assert_round_trip_keeps_oracle_text(trajs, [], 3)
+    assert_round_trip_keeps_oracle_text(trajs, windows(trajs, 3)[:0], 3)
     serialize(make_manifest(), str(tmp_path), trajs)
     assert "origin" not in np.load(tmp_path / "trajectories.npy", allow_pickle=False).dtype.names
     # an origin that is not one vector per row is refused
@@ -383,7 +378,7 @@ def fail_npy_write(monkeypatch, nth):
 
 def test_failed_write_keeps_previous_file_and_no_temp_file(tmp_path, monkeypatch):
     trajs = stack(make_traj(horizon=40, seed=i) for i in range(40))
-    relabeled = as_targets(windows(trajs, chunk_len=5))
+    relabeled = windows(trajs, chunk_len=5)
     serialize(make_manifest(chunk_len=5), str(tmp_path), trajs[:2], relabeled[:10])
     before = (tmp_path / "records.npy").read_bytes()
     fail_npy_write(monkeypatch, 1)       # records.npy is written first
@@ -404,7 +399,7 @@ def test_trajectory_variant_must_be_an_integer(tmp_path):
 
 def test_failed_records_write_keeps_previous_dataset_readable(tmp_path, monkeypatch):
     trajs = stack(make_traj(horizon=40, seed=i) for i in range(40))
-    relabeled = as_targets(windows(trajs, chunk_len=5))
+    relabeled = windows(trajs, chunk_len=5)
     serialize(make_manifest(chunk_len=5), str(tmp_path), trajs[:2], relabeled[:10])
     before = {name: (tmp_path / name).read_bytes()
               for name in ("manifest", "records.npy", "trajectories.npy")}
@@ -481,7 +476,7 @@ def test_reader_equals_oracle_across_blocks_and_edge_values():
     trajs = stack(make_traj(horizon=40, seed=i, variant=i % 3, origin=False)
                   for i in range(30))
     trajs["states"][7, 3] = [-0.0, np.nan, np.inf, 5e-324]
-    assert_reader_matches_oracle(trajs, as_targets(windows(trajs, chunk_len=5)), 5)
+    assert_reader_matches_oracle(trajs, windows(trajs, chunk_len=5), 5)
 
 
 def _dataset(tmp_path):
@@ -489,7 +484,7 @@ def _dataset(tmp_path):
     pairs, under a point_reach of horizon 10, so replay runs too."""
     trajs = stack(make_traj(seed=i, variant=i) for i in range(3))
     serialize(make_manifest(chunk_len=4, env_config={"horizon": 10}), str(tmp_path), trajs,
-              as_targets(windows(trajs, chunk_len=4)[:5]))
+              windows(trajs, chunk_len=4)[:5])
     return str(tmp_path)
 
 
@@ -564,14 +559,15 @@ def test_reader_rejects_missing_key(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_reader_rejects_ragged_array(tmp_path, name):
-    # the writer refuses targets of two shapes (a trajectory table has one
-    # shape per field); the reader refuses a shape that does not fit the
-    # manifest's environment
+    # the writer refuses rows of two shapes, which no table holds (a table
+    # has one shape per field); the reader refuses a shape that does not fit
+    # the manifest's environment
     out = _dataset(tmp_path)
     traj = make_traj(horizon=10)
-    relabeled = as_targets(windows(traj, 4)[:1]) + as_targets(windows(traj, 5)[:1])
-    with pytest.raises(ValueError, match="every row needs one shape"):
+    relabeled = [windows(traj, 4)[0], windows(traj, 5)[0]]
+    with pytest.raises(ValueError, match="records: not a 1-D structured"):
         serialize(make_manifest(chunk_len=4), str(tmp_path / "ragged"), traj, relabeled)
+    assert not (tmp_path / "ragged").exists()
     path = os.path.join(out, name + ".npy")
     wide = {"records": {"chunk": np.zeros((5, 4, D_A + 1))},
             "trajectories": {"states": np.zeros((3, 11, D_S + 1))}}[name]
@@ -768,8 +764,7 @@ def test_manifest_with_every_field_set_round_trips(tmp_path):
         n_selected=3, chunk_len=4, env_config={"horizon": 10, "goal": [0.25, 0.1]},
         parameters={"yaw_range": 0.3, "trans_range": [0.08, 0.08, 0.0], "name": "x"},
         final_tubes=[(0.01, 0.25), (0.0, 1e-300)])
-    serialize(manifest, str(tmp_path), trajs,
-              as_targets(windows(trajs, chunk_len=4)[:2]))
+    serialize(manifest, str(tmp_path), trajs, windows(trajs, chunk_len=4)[:2])
     # serialize sets the three row counts
     assert (manifest.n_trajectories, manifest.n_relabeled, manifest.n_records) == (3, 2, 23)
     unset = [f.name for f in dataclasses.fields(DatasetManifest)
@@ -812,6 +807,14 @@ def test_truncated_trajectories_detected_by_both_readers(tmp_path):
     ("parameters", "3", "parameters must be a dict"),
     ("n_records", "x", "invalid literal"),
     ("env_config", "{bad", "line"),
+    ("n_generated", "-5", "n_generated must be >= 0, got -5"),
+    ("final_tubes", "[[true, 0.2]]", "final_tubes must be"),
+    ("final_tubes", "[[0.1, NaN]]", "final_tubes must be"),
+    ("final_tubes", "[[0.1, Infinity]]", "final_tubes must be"),
+    ("final_tubes", "[[0.3, 0.2]]", "final_tubes must be"),
+    ("final_tubes", "[[-0.1, 0.2]]", "final_tubes must be"),
+    pytest.param("final_tubes", f"[[0, 1{'0' * 400}]]", "final_tubes must be",
+                 id="final_tubes-an integer too large for a float"),
 ])
 def test_manifest_faults_raise_dataset_format_error(tmp_path, key, value, message):
     out = _dataset(tmp_path)
@@ -855,12 +858,15 @@ def test_records_file_holds_relabeled_records_only(tmp_path):
 
 def test_serialize_refuses_wrong_dtypes_and_misfit_targets(tmp_path):
     trajs = stack(make_traj(seed=i) for i in range(2))
-    relabeled = as_targets(windows(trajs, chunk_len=4)[:2])
-    long_obs = dataclasses.replace(relabeled[0], observation=np.zeros(9))
-    bad = [(list(trajs), [], 4, "not a 1-D structured"),  # rows, not a table
-           (_rebuild(trajs, origin=None, variant=None), [], 4, "expected"),  # a field missing
-           (_rebuild(trajs, success=np.ones(2, "<i8")), [], 4, "not of the types"),
-           (trajs, [relabeled[0], long_obs], 4, "obs"),    # two observation sizes
+    relabeled = windows(trajs, chunk_len=4)[:2]
+    long_obs = _rebuild(relabeled, obs=np.zeros((2, 9)))
+    bad = [(list(trajs), None, 4, "not a 1-D structured"),  # rows, not a table
+           (_rebuild(trajs, origin=None, variant=None), None, 4, "expected"),  # a field missing
+           (_rebuild(trajs, success=np.ones(2, "<i8")), None, 4, "not of the types"),
+           (trajs, list(relabeled), 4, "records: not a 1-D structured"),  # rows, not a table
+           (trajs, _rebuild(relabeled, t=None), 4, "records: fields .* expected"),
+           (trajs, _rebuild(relabeled, t=np.zeros(2, "<i4")), 4, "records: .* wrong: t$"),
+           (trajs, long_obs, 4, r"records: obs \(9,\)"),  # an observation size d_s lacks
            (trajs, relabeled, 11, "exceeds"),              # windows longer than T
            (trajs, relabeled, 0, "chunk_len")]
     for trajectories, records, k, message in bad:
@@ -888,15 +894,15 @@ def test_serialize_refuses_trajectories_that_no_reader_accepts(tmp_path):
 def test_serialize_refuses_targets_that_no_reader_accepts(tmp_path):
     # point_reach needs (2 d_s,) = (8,) observations and (H >= 1, d_a) chunks
     trajs = stack(make_traj(seed=i) for i in range(2))
-    [target] = as_targets(windows(trajs, chunk_len=4)[:1])
-    bad = [dataclasses.replace(target, chunk=np.zeros((0, D_A))),
-           dataclasses.replace(target, observation=np.zeros(3)),
-           dataclasses.replace(target, chunk=np.zeros((4, D_A + 1)))]
+    target = windows(trajs, chunk_len=4)[:1]
+    bad = [_rebuild(target, chunk=np.zeros((1, 0, D_A))),
+           _rebuild(target, obs=np.zeros((1, 3))),
+           _rebuild(target, chunk=np.zeros((1, 4, D_A + 1)))]
     for relabeled in bad:
-        with pytest.raises(ValueError, match="relabeled targets: .* do not fit point_reach"):
-            serialize(make_manifest(chunk_len=4), str(tmp_path), trajs, [relabeled])
+        with pytest.raises(ValueError, match="records: .* do not fit point_reach"):
+            serialize(make_manifest(chunk_len=4), str(tmp_path), trajs, relabeled)
     assert list(tmp_path.iterdir()) == []
-    serialize(make_manifest(chunk_len=4), str(tmp_path), trajs, [target])
+    serialize(make_manifest(chunk_len=4), str(tmp_path), trajs, target)
     assert len(deserialize(str(tmp_path))[0].relabeled) == 1
 
 
@@ -914,10 +920,9 @@ def test_omission_fraction():
 
 def test_dataset_stats_counts_and_render(tmp_path):
     trajs = make_traj(horizon=8)
-    target = RelabelTarget(observation=np.zeros(8), chunk=np.ones((3, 2)),
-                           point=RelabelPoint(0, 1, 0.2), cost=0.0)
+    target = make_records([np.zeros(8)], [np.ones((3, 2))], 0, 1)
     manifest = make_manifest(final_tubes=[(0.05, 0.2)], chunk_len=4)
-    serialize(manifest, str(tmp_path), trajs, [target])
+    serialize(manifest, str(tmp_path), trajs, target)
     stats = dataset_stats(read_manifest(str(tmp_path)))
     assert stats == dataset_stats(manifest)
     assert stats["records_curated"] == 5

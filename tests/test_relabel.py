@@ -5,6 +5,7 @@ import pytest
 from recovergen import pipeline, relabel
 from recovergen.config import PipelineConfig, RelabelConfig
 from recovergen.curator import TubeBounds, state_distances
+from recovergen.dataset_io import deserialize
 from recovergen.envs import (PlanarBlockRotate, PointReach,
                              augmented_demo_actions, rollout, rollout_with_resume,
                              trajectory_table)
@@ -222,7 +223,8 @@ def test_cem_quadratic_only_converges_to_reference():
     out = cem_optimize(point, traj, env, TubeBounds(0.0, 100.0), cfg,
                        np.random.default_rng(0), expert)
     assert out is not None
-    assert np.all(np.abs(out.chunk - traj.actions[5:20]) < 1e-2)
+    chunk, _ = out
+    assert np.all(np.abs(chunk - traj.actions[5:20]) < 1e-2)
 
 
 def test_cem_best_ever_never_regresses():
@@ -234,7 +236,9 @@ def test_cem_best_ever_never_regresses():
                        np.random.default_rng(1), expert)
     ref_cost = relabel_cost(traj.actions[0:10], traj, 0, tube, env, cfg, expert)
     assert out is not None
-    assert out.cost <= ref_cost + 1e-12
+    chunk, cost = out
+    assert chunk.shape == (10, env.action_dim)
+    assert cost <= ref_cost + 1e-12
 
 
 def test_cem_deterministic_given_seed():
@@ -245,7 +249,7 @@ def test_cem_deterministic_given_seed():
                      np.random.default_rng(7), expert)
     b = cem_optimize(point, traj, env, TubeBounds(0.0, 100.0), cfg,
                      np.random.default_rng(7), expert)
-    assert np.array_equal(a.chunk, b.chunk) and a.cost == b.cost
+    assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
 def test_cem_rejects_point_without_room():
@@ -312,7 +316,7 @@ def test_converged_point_stops_after_w_flat_iterations(monkeypatch, drop_until, 
     out = cem_optimize(RelabelPoint(0, 2, 0.0), traj, env, TubeBounds(0.0, 100.0), cfg,
                        np.random.default_rng(0), expert)
     assert len(calls) == 1 + iterations
-    assert out is not None and out.cost == 1.0 - 0.1 * drop_until
+    assert out is not None and out[1] == 1.0 - 0.1 * drop_until
 
 
 def test_point_whose_candidates_all_fail_runs_every_iteration(monkeypatch):
@@ -353,7 +357,7 @@ def test_stopped_points_leave_the_batch_and_the_rest_run_as_alone(monkeypatch):
         return _costs(env, cfg, points, chunks)
 
     monkeypatch.setattr(relabel, "_costs", recorded)
-    targets = relabel_dataset([traj], env, [tube], cfg, np.random.default_rng(3),
+    targets = relabel_dataset(np.array([traj]), env, [tube], cfg, np.random.default_rng(3),
                               [expert], dists)
     batched = sizes[:]
     points = select_risky_states(dists, 3, cfg.horizon, cfg.horizon)
@@ -365,52 +369,99 @@ def test_stopped_points_leave_the_batch_and_the_rest_run_as_alone(monkeypatch):
     assert len(set(iterations)) > 1 and max(iterations) < cfg.cem_iterations
     # call k carries the points still live after iteration k - 1
     assert batched == [sum(k <= n for n in iterations) for k in range(max(iterations) + 1)]
-    alone = [a for a in alone if a is not None]
-    assert len(targets) == len(alone) > 1
-    for a, b in zip(alone, targets):
-        assert a.point == b.point and np.array_equal(a.chunk, b.chunk) and a.cost == b.cost
+    assert_rows_are_the_points_alone(targets, points, alone, traj, env, tube, cfg, expert)
+
+
+def assert_rows_are_the_points_alone(table, points, alone, traj, env, tube, cfg, expert):
+    """The rows of ``relabel_dataset``'s table are the points whose
+    ``cem_optimize`` alone emitted a chunk, in order: the same point, the
+    same chunk, and that chunk's cost is the cost CEM reported alone."""
+    kept = [(p, a) for p, a in zip(points, alone) if a is not None]
+    assert len(table) == len(kept) > 1
+    for (point, (chunk, cost)), row in zip(kept, table):
+        assert (point.trajectory_id, point.t) == (row["traj"], row["t"])
+        assert np.array_equal(chunk, row["chunk"])
+        assert relabel_cost(row["chunk"], traj, row["t"], tube, env, cfg, expert) == cost
+        assert np.array_equal(row["obs"], env.observe(traj.states[point.t], traj.states[0]))
 
 
 @pytest.fixture(scope="module")
 def seed_7_relabeling(tmp_path_factory):
     """The default run at seed 7, adaptive and with the stopping rule off
-    (TOL -inf): each one's rows passed to ``rollout_batch`` by relabeling
-    and its emitted targets."""
+    (TOL -inf): each one's rows passed to ``rollout_batch`` by relabeling,
+    its emitted records table, the ``relabel_cost`` of each emitted chunk
+    and its output directory."""
     runs = {}
     for name, tol in (("adaptive", relabel.TOL), ("fixed", -np.inf)):
-        rows, targets = [], []
+        rows, calls = [], []
 
         def counted(env, s0s, *args, _rollout_batch=relabel.rollout_batch, _rows=rows):
             _rows.append(len(s0s))
             return _rollout_batch(env, s0s, *args)
 
-        def recorded(*args, _relabel_dataset=pipeline.relabel_dataset, _targets=targets):
-            _targets.extend(_relabel_dataset(*args))
-            return _targets
+        def recorded(*args, _relabel_dataset=pipeline.relabel_dataset, _calls=calls):
+            _calls.append((args, _relabel_dataset(*args)))
+            return _calls[-1][1]
 
+        out = str(tmp_path_factory.mktemp(name))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(relabel, "TOL", tol)
             mp.setattr(relabel, "rollout_batch", counted)
             mp.setattr(pipeline, "relabel_dataset", recorded)
-            pipeline.run_pgdg(PipelineConfig(out_dir=str(tmp_path_factory.mktemp(name)),
-                                             seed=7, jobs=1))
-        runs[name] = (sum(rows), targets)
+            pipeline.run_pgdg(PipelineConfig(out_dir=out, seed=7, jobs=1))
+        [((curated, env, tubes, cfg, _, experts, _), table)] = calls
+        costs = [relabel_cost(r["chunk"], curated[r["traj"]], r["t"], tubes[r["traj"]], env,
+                              cfg, experts[r["traj"]]) for r in table]
+        runs[name] = (sum(rows), table, costs, out)
     return runs
 
 
 def test_seed_7_relabeling_spends_at_most_a_third_of_the_fixed_budget(seed_7_relabeling):
     # run to all 30 iterations, 10 points take 1 + 30 x 64 rows each; with
     # the one-row re-validation of each best candidate, 19,220 rows were run
-    rows, targets = seed_7_relabeling["adaptive"]
+    rows, table, _, _ = seed_7_relabeling["adaptive"]
     assert seed_7_relabeling["fixed"][0] == 10 * (1 + 30 * 64)
-    assert len(targets) == 10 and rows <= 19_220 / 3
+    assert len(table) == 10 and rows <= 19_220 / 3
 
 
 def test_stopping_keeps_every_point_and_its_cost_within_0_05(seed_7_relabeling):
-    _, adaptive = seed_7_relabeling["adaptive"]
-    _, fixed = seed_7_relabeling["fixed"]
-    assert [a.point for a in adaptive] == [f.point for f in fixed]
-    assert all(a.cost <= f.cost + 0.05 for a, f in zip(adaptive, fixed))
+    _, adaptive, adaptive_costs, _ = seed_7_relabeling["adaptive"]
+    _, fixed, fixed_costs, _ = seed_7_relabeling["fixed"]
+    assert len(adaptive) == len(fixed) == len(adaptive_costs) == len(fixed_costs)
+    assert adaptive[["traj", "t"]].tolist() == fixed[["traj", "t"]].tolist()
+    assert all(a <= f + 0.05 for a, f in zip(adaptive_costs, fixed_costs))
+
+
+def test_the_returned_table_is_the_stored_records(seed_7_relabeling):
+    # serialize writes relabel_dataset's table as it is
+    _, table, _, out = seed_7_relabeling["adaptive"]
+    stored = deserialize(out)[0].relabeled
+    assert len(table) == 10
+    assert table.dtype == stored.dtype and table.tobytes() == stored.tobytes()
+
+
+def test_no_relabeled_pair_keeps_the_empty_header(tmp_path, monkeypatch, caplog):
+    # records.npy of no rows has obs (0,) and chunk (0, 0) whether no point
+    # is selected (k_rel 0) or every point is dropped, as in the baseline
+    def failing(env, cfg, points, chunks):
+        costs, success = _costs(env, cfg, points, chunks)
+        return costs, [np.zeros_like(ok) for ok in success]
+
+    small = dict(seed=7, jobs=1, iterations=1, samples=32)
+    pipeline.run_pgdg(PipelineConfig(out_dir=str(tmp_path / "k0"),
+                                     relabel=RelabelConfig(k_rel=0), **small))
+    pipeline.run_spatial_only(PipelineConfig(out_dir=str(tmp_path / "baseline"), **small))
+    monkeypatch.setattr(relabel, "_costs", failing)
+    with caplog.at_level("INFO", logger="recovergen.relabel"):
+        pipeline.run_pgdg(PipelineConfig(out_dir=str(tmp_path / "dropped"), **small))
+    assert sum("found no successful correction" in r.message for r in caplog.records) == 10
+    empty = np.dtype([("traj", "<i8"), ("t", "<i8"), ("obs", "<f8", (0,)),
+                      ("chunk", "<f8", (0, 0))])
+    files = [(tmp_path / name / "records.npy").read_bytes()
+             for name in ("k0", "dropped", "baseline")]
+    assert np.load(tmp_path / "dropped" / "records.npy").dtype == empty
+    assert files[0] == files[1] == files[2]
+    assert deserialize(str(tmp_path / "dropped"))[1].n_relabeled == 0
 
 
 def test_zero_init_std_and_min_sep_take_their_auto_values():
@@ -421,8 +472,10 @@ def test_zero_init_std_and_min_sep_take_their_auto_values():
 
     def targets(**kw):
         cfg = RelabelConfig(k_rel=3, population=16, cem_iterations=3, horizon=15, **kw)
-        return [(t.point, t.chunk.tobytes(), t.cost)
-                for t in relabel_dataset([traj], env, [TubeBounds(0.0, 0.05)], cfg,
+        tube = TubeBounds(0.0, 0.05)
+        return [((r["traj"], r["t"]), r["chunk"].tobytes(),
+                 relabel_cost(r["chunk"], traj, r["t"], tube, env, cfg, expert))
+                for r in relabel_dataset(np.array([traj]), env, [tube], cfg,
                                          np.random.default_rng(3), [expert], dists)]
 
     auto = targets()
@@ -462,15 +515,12 @@ def test_relabel_dataset_equals_points_optimized_one_at_a_time():
                         horizon=15)
     tube = TubeBounds(0.0, 0.05)
     dists = risks([traj], [expert], env.psi, env.psi_scales)
-    targets = relabel_dataset([traj], env, [tube], cfg, np.random.default_rng(3),
+    targets = relabel_dataset(np.array([traj]), env, [tube], cfg, np.random.default_rng(3),
                               [expert], dists)
     points = select_risky_states(dists, 3, cfg.horizon, cfg.horizon)
     alone = [cem_optimize(point, traj, env, tube, cfg, rng, expert)
              for point, rng in zip(points, np.random.default_rng(3).spawn(len(points)))]
-    alone = [a for a in alone if a is not None]
-    assert len(targets) == len(alone) > 1
-    for a, b in zip(alone, targets):
-        assert a.point == b.point and np.array_equal(a.chunk, b.chunk) and a.cost == b.cost
+    assert_rows_are_the_points_alone(targets, points, alone, traj, env, tube, cfg, expert)
 
 
 # ---------------------------------------------------------------------------
@@ -481,19 +531,19 @@ def test_relabel_dataset_targets_validate_and_separate():
     env, traj, expert = _block_fixture()
     cfg = RelabelConfig(k_rel=4, population=16, cem_iterations=3, init_std=0.005,
                         horizon=15)
-    targets = relabel_dataset([traj], env, [TubeBounds(0.0, 100.0)], cfg,
+    targets = relabel_dataset(np.array([traj]), env, [TubeBounds(0.0, 100.0)], cfg,
                               np.random.default_rng(3), [expert],
                               risks([traj], [expert], env.psi, env.psi_scales))
     assert 0 < len(targets) <= 4
+    assert targets.dtype["chunk"].shape == (15, env.action_dim)
     seen = {}
-    for tgt in targets:
-        assert tgt.chunk.shape == (15, env.action_dim)
-        src = [traj][tgt.point.trajectory_id]
-        cont = rollout_with_resume(env, src.states[tgt.point.t], tgt.chunk,
-                                   src.actions[tgt.point.t + 15:],
+    for row in targets:
+        src = [traj][row["traj"]]
+        cont = rollout_with_resume(env, src.states[row["t"]], row["chunk"],
+                                   src.actions[row["t"] + 15:],
                                    src.friction_scale)
         assert cont.success
-        seen.setdefault(tgt.point.trajectory_id, []).append(tgt.point.t)
+        seen.setdefault(row["traj"], []).append(row["t"])
     for ts in seen.values():
         ts = sorted(ts)
         assert all(b - a >= 15 for a, b in zip(ts, ts[1:]))
@@ -525,11 +575,11 @@ def test_relabel_dataset_deterministic():
                         horizon=15)
     runs = []
     for _ in range(2):
-        tgts = relabel_dataset([traj], env, [TubeBounds(0.0, 100.0)], cfg,
+        tgts = relabel_dataset(np.array([traj]), env, [TubeBounds(0.0, 100.0)], cfg,
                                np.random.default_rng(5), [expert],
                                risks([traj], [expert], env.psi, env.psi_scales))
         runs.append(tgts)
     assert len(runs[0]) == len(runs[1])
     for a, b in zip(*runs):
-        assert np.array_equal(a.chunk, b.chunk)
-        assert a.point == b.point
+        assert np.array_equal(a["chunk"], b["chunk"])
+        assert (a["traj"], a["t"]) == (b["traj"], b["t"])
