@@ -430,6 +430,8 @@ def format_stats(stats: Dict) -> str:
         f"curated records     : {stats['records_curated']}",
         f"relabeled records   : {stats['records_relabeled']}",
     ]
-    for i, (r_min, r_max) in enumerate(stats["final_tubes"]):
-        lines.append(f"variant {i} final tube : [{r_min:.6f}, {r_max:.6f}]")
+    # the manifest keeps only the live variants' tubes, so they are
+    # numbered among those, not by variant index
+    for k, (r_min, r_max) in enumerate(stats["final_tubes"]):
+        lines.append(f"{f'final tube {k}':<20}: [{r_min:.6f}, {r_max:.6f}]")
     return "\n".join(lines) + "\n"

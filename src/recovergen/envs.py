@@ -19,6 +19,9 @@ number of steps, and ``success_batch`` evaluates the success predicate on
 final states.  ``rollout`` and ``rollout_with_resume`` are its one-row
 forms; each returns its rollout as a row of a trajectory table
 (``trajectory_table``, whose fields are those of ``trajectories.npy``).
+``lockstep`` runs generators of rollout requests (the variant loops, the
+CEM relabel points) together, with one ``rollout_batch`` call per round
+for all the live ones.
 
 Each row's result is bitwise identical to the one-row scalar dynamics,
 whatever the batch size or the row's position in it.  Where numpy's
@@ -34,7 +37,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import Tuple
+from typing import Any, Generator, Sequence, Tuple
 
 import numpy as np
 
@@ -245,6 +248,44 @@ def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
         states, out = out, np.empty_like(out)
         out[order] = states
     return out, env.success_batch(out[:, -1])
+
+
+# A rollout request, (s0s (n, d_s), actions (n, L, d_a), friction), with the
+# friction as ``rollout_batch`` takes it, and its reply, (states
+# (n, L + 1, d_s), success (n,)).
+Request = Tuple[np.ndarray, np.ndarray, np.ndarray]
+Reply = Tuple[np.ndarray, np.ndarray]
+
+
+def lockstep(env: Environment, loops: Sequence[Generator[Request, Reply, Any]]) -> list:
+    """Run generators of rollout requests together and return each one's
+    return value, in loop order.  Every loop is primed first; then each
+    round rolls out the pending request of every live loop in one
+    ``rollout_batch`` call, each row for its own request's L steps, and
+    sends each loop its rows.  A row's result does not depend on the batch
+    it is in, so each loop sees what it would alone."""
+    results = [None] * len(loops)
+    pending = {j: next(loop) for j, loop in enumerate(loops)}
+    while pending:
+        live = list(pending)
+        s0s, actions, friction = zip(*pending.values())
+        n = [len(s) for s in s0s]
+        rows = [slice(end - k, end) for end, k in zip(np.cumsum(n).tolist(), n)]
+        lengths = np.repeat([a.shape[1] for a in actions], n)
+        plans = np.zeros((len(lengths), lengths.max(), env.action_dim))
+        for r, a in zip(rows, actions):
+            plans[r, :a.shape[1]] = a
+        states, success = rollout_batch(
+            env, np.concatenate(s0s), plans,
+            np.concatenate([_rows(f, k) for f, k in zip(friction, n)]), lengths)
+        for j, r, a in zip(live, rows, actions):
+            try:
+                pending[j] = loops[j].send((states[r, :a.shape[1] + 1], success[r]))
+            except StopIteration as stop:
+                results[j] = stop.value
+                del pending[j]
+        del states, success   # not held through the next round's rollout
+    return results
 
 
 def rollout(env: Environment, s0: np.ndarray, actions: np.ndarray,

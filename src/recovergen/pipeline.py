@@ -5,9 +5,10 @@ the spatial-only baseline and the open-loop replay evaluation harness.
 Everything is deterministic given the master seed: variant poses and all
 per-variant randomness come from pre-spawned seed substreams, and
 variant results are merged in variant order, so the output is identical
-for any degree of parallelism.  The variants of each worker run in
-lockstep: one rollout batch per round carries every live variant's
-request, and no row's result depends on the batch it is in.
+for any degree of parallelism.  Each variant's loop is a generator of
+rollout requests, and the variants of each worker run together on
+``envs.lockstep``: one rollout batch per round carries every live
+variant's request, and no row's result depends on the batch it is in.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,8 +27,8 @@ from .config import ConfigError, PipelineConfig, config_parameters
 from .curator import TubeBounds
 from .dataset_io import (DatasetFormatError, DatasetManifest, open_dataset, read_manifest,
                          serialize, _atomic_write)
-from .envs import (Environment, augmented_demo_actions, make_env, rollout_batch,
-                   trajectory_table)
+from .envs import (Environment, Reply, Request, augmented_demo_actions, lockstep,
+                   make_env, rollout_batch, trajectory_table)
 from .geometry import Pose, compose, sample_object_perturbation
 from .relabel import relabel_dataset
 
@@ -92,19 +93,7 @@ def sample_variant_poses(env: Environment, cfg: PipelineConfig,
             for _ in range(cfg.n_variants)]
 
 
-# A rollout request, (s0s (n, d_s), actions (n, T, d_a), friction (n,)), and
-# its reply, (states (n, T + 1, d_s), success (n,)).
-Request = Tuple[np.ndarray, np.ndarray, np.ndarray]
-Reply = Tuple[np.ndarray, np.ndarray]
 VariantLoop = Generator[Request, Reply, VariantResult]
-
-
-def _success_batch(env: Environment, pose: Pose, q: smp.Proposal, n: int,
-                   rng: np.random.Generator,
-                   index: int) -> Generator[Request, Reply, smp.SuccessBatch]:
-    plans = smp.draw_plans(env, pose, q, n, rng)
-    states, success = yield plans.s0s, plans.actions, plans.friction
-    return smp.keep_successes(plans, states, success, index)
 
 
 def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
@@ -116,8 +105,7 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
     result = VariantResult(index=index, pose=pose)
 
     demo_actions = augmented_demo_actions(env, pose, cfg.l_blend)
-    states, _ = yield (env.reset(pose)[None], demo_actions[None],
-                       np.full(1, env.nominal_friction()))
+    states, _ = yield env.reset(pose)[None], demo_actions[None], env.nominal_friction()
     expert_states = result.expert_states = states[0].copy()
 
     q = smp.init_proposal(demo_actions, cfg.sampler.m_points,
@@ -127,12 +115,12 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
     curated: List[np.ndarray] = []
     distances: List[np.ndarray] = []
     for k in range(cfg.iterations):
-        batch = yield from _success_batch(env, pose, q, cfg.samples, rng, index)
+        batch = yield from smp.sample_successes(env, pose, q, cfg.samples, rng, index)
         result.n_generated += batch.n_sampled
         if tube is None and len(batch) < cur.MIN_SUCCESSES_FOR_TUBE:
             # first-iteration starvation: widen once and resample
             q = smp.widen(q, 1.5)
-            batch = yield from _success_batch(env, pose, q, cfg.samples, rng, index)
+            batch = yield from smp.sample_successes(env, pose, q, cfg.samples, rng, index)
             result.n_generated += batch.n_sampled
             if len(batch) < cur.MIN_SUCCESSES_FOR_TUBE:
                 log.warning("variant %d: starved of successes, skipping", index)
@@ -174,38 +162,15 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
     return result
 
 
-def _lockstep(env: Environment, loops: Sequence[VariantLoop]) -> List[VariantResult]:
-    """Run variant loops together: each round rolls out the pending
-    requests of every live loop in one batch.  A row's result does not
-    depend on the batch it is in, so each loop sees what it would alone."""
-    results: List[Optional[VariantResult]] = [None] * len(loops)
-    pending = {j: next(loop) for j, loop in enumerate(loops)}
-    while pending:
-        requests = list(pending.items())
-        states, success = rollout_batch(env, np.concatenate([r[0] for _, r in requests]),
-                                        np.concatenate([r[1] for _, r in requests]),
-                                        np.concatenate([r[2] for _, r in requests]))
-        row = 0
-        for j, (s0s, _, _) in requests:
-            rows = slice(row, row + len(s0s))
-            row += len(s0s)
-            try:
-                pending[j] = loops[j].send((states[rows], success[rows]))
-            except StopIteration as stop:
-                results[j] = stop.value
-                del pending[j]
-    return results
-
-
 def run_variant(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
                 seed_seq: np.random.SeedSequence) -> VariantResult:
     """One variant's full generation loop, run on its own."""
-    return _lockstep(env, [_variant_loop(env, cfg, index, pose, seed_seq)])[0]
+    return lockstep(env, [_variant_loop(env, cfg, index, pose, seed_seq)])[0]
 
 
 def _group_task(args) -> List[VariantResult]:
     env, cfg, group = args
-    return _lockstep(env, [_variant_loop(env, cfg, *task) for task in group])
+    return lockstep(env, [_variant_loop(env, cfg, *task) for task in group])
 
 
 def _run_variants(env: Environment, cfg: PipelineConfig,

@@ -4,21 +4,24 @@ cross-entropy method under a full-episode success check.
 
 A corrective chunk is only emitted when its full continuation (chunk
 followed by the original plan's remainder) succeeded when it was scored,
-so every stored pair is simulation-verified supervision.  The emitted
+so every stored pair is simulation-verified supervision.  Each point's
+search is a generator of rollout requests, and all points run together on
+``envs.lockstep``: one rollout batch per iteration carries every live
+point's population, and a stopped point leaves it.  The emitted
 pairs are returned as the ``records.npy`` table the writer stores.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import RelabelConfig
 from .curator import TubeBounds, state_distances
 from .dataset_io import record_dtype
-from .envs import Environment, rollout_batch
+from .envs import Environment, Reply, Request, lockstep
 
 log = logging.getLogger(__name__)
 
@@ -78,53 +81,33 @@ def select_risky_states(distances: Sequence[np.ndarray], k_rel: int, min_sep: in
 _Point = Tuple[np.void, int, TubeBounds, np.ndarray]
 
 
-def _continuations(env: Environment, cfg: RelabelConfig, points: Sequence[_Point],
-                   chunks: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Roll out every candidate chunk of every point in one batch: the
-    chunk from the risky state, then the reference plan's remainder.
-    ``chunks[j]`` is (m_j, H * d_a); rows are stacked in point order."""
-    table = np.array([row for row, _, _, _ in points])
-    point = np.repeat(np.arange(len(points)), [len(u) for u in chunks])
-    t = np.array([t for _, t, _, _ in points])[point]
-    horizon = table.dtype["actions"].shape[0]
-    lengths = horizon - t
-    # the reference plan from t on; a row's steps past its length are not run
-    steps = np.minimum(t[:, None] + np.arange(lengths.max()), horizon - 1)
-    actions = table["actions"][point[:, None], steps]
-    actions[:, :cfg.horizon] = np.concatenate(chunks).reshape(len(point), cfg.horizon, -1)
-    return rollout_batch(env, table["states"][point, t], actions,
-                         table["friction_scale"][point], lengths)
-
-
-def _costs(env: Environment, cfg: RelabelConfig, points: Sequence[_Point],
-           chunks: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Relabel cost (see ``relabel_cost``) and continuation success of
-    every candidate chunk of every point, with one rollout batch for all
-    of them."""
+def _score(env: Environment, cfg: RelabelConfig, point: _Point,
+           u: np.ndarray) -> Generator[Request, Reply, Tuple[np.ndarray, np.ndarray]]:
+    """Relabel cost (see ``relabel_cost``) and continuation success of the
+    candidate chunks u (m, H * d_a) of one point: requests their
+    continuations, each chunk from the risky state and then the reference
+    plan's remainder, under the trajectory's stored friction."""
+    traj, t, tube, expert = point
     h = cfg.horizon
-    states, success = _continuations(env, cfg, points, chunks)
-    costs, successes = [], []
-    row = 0
-    for (traj, t, tube, expert), u in zip(points, chunks):
-        rows = slice(row, row + len(u))
-        row += len(u)
-        cost = cfg.w_ref * np.sum((u - traj["actions"][t:t + h].reshape(-1)) ** 2, axis=1)
-        if cfg.w_fail > 0:
-            cost = np.where(success[rows], cost, cost + cfg.w_fail)
-        if cfg.w_tube > 0:
-            span = states[rows, 1:h + 1].reshape(-1, env.state_dim)
-            if h == 1:
-                # a one-row product takes BLAS's matrix-vector path, whose
-                # rounding differs from the matrix-matrix one; keep it
-                d = np.concatenate([state_distances(x[None], expert, env.psi, env.psi_scales)
-                                    for x in span])
-            else:
-                d = state_distances(span, expert, env.psi, env.psi_scales)
-            excess = np.maximum(d.reshape(len(u), h) - tube.r_max, 0.0)
-            cost = cost + cfg.w_tube * np.sum(excess ** 2, axis=1)
-        costs.append(cost)
-        successes.append(success[rows])
-    return costs, successes
+    actions = np.repeat(traj["actions"][None, t:], len(u), axis=0)
+    actions[:, :h] = u.reshape(len(u), h, -1)
+    states, success = yield (np.repeat(traj["states"][None, t], len(u), axis=0), actions,
+                             traj["friction_scale"])
+    cost = cfg.w_ref * np.sum((u - traj["actions"][t:t + h].reshape(-1)) ** 2, axis=1)
+    if cfg.w_fail > 0:
+        cost = np.where(success, cost, cost + cfg.w_fail)
+    if cfg.w_tube > 0:
+        span = states[:, 1:h + 1].reshape(-1, env.state_dim)
+        if h == 1:
+            # a one-row product takes BLAS's matrix-vector path, whose
+            # rounding differs from the matrix-matrix one; keep it
+            d = np.concatenate([state_distances(x[None], expert, env.psi, env.psi_scales)
+                                for x in span])
+        else:
+            d = state_distances(span, expert, env.psi, env.psi_scales)
+        excess = np.maximum(d.reshape(len(u), h) - tube.r_max, 0.0)
+        cost = cost + cfg.w_tube * np.sum(excess ** 2, axis=1)
+    return cost, success
 
 
 def relabel_cost(u: np.ndarray, traj: np.void, t: int, tube: TubeBounds,
@@ -133,57 +116,47 @@ def relabel_cost(u: np.ndarray, traj: np.void, t: int, tube: TubeBounds,
     the corrected span + w_ref ||u - u_ref||^2, for the trajectory table
     row ``traj``."""
     u = np.asarray(u, dtype=float).reshape(1, cfg.horizon * env.action_dim)
-    return float(_costs(env, cfg, [(traj, t, tube, expert_states)], [u])[0][0][0])
+    [(cost, _)] = lockstep(env, [_score(env, cfg, (traj, t, tube, expert_states), u)])
+    return float(cost[0])
 
 
-def _cem_lockstep(env: Environment, cfg: RelabelConfig, context: Sequence[_Point],
-                  rngs: Sequence[np.random.Generator]) -> List[Tuple[np.ndarray, float, bool]]:
-    """Cross-entropy search at every point at once: each iteration rolls
-    out the live points' populations in one batch, while each point keeps
-    its own mean, spread, best candidate and random stream.  A point stops
-    after iteration k >= W once its best candidate succeeds (best cost
-    below ``w_fail``) and its best cost has fallen by at most TOL since
-    iteration k - W; it then draws nothing more, so the other points run
-    as they would alone.  ``cem_iterations`` bounds every point.
-    ``init_std`` 0 starts each spread at 0.25 x the action range.  Returns
-    each point's best candidate (H * d_a,), its cost and whether its
-    continuation succeeded."""
-    for traj, t, _, _ in context:
-        if t < 0 or t + cfg.horizon > len(traj["actions"]):
-            raise ValueError("relabel point does not leave room for a full chunk")
+def _cem_point(env: Environment, cfg: RelabelConfig, point: _Point, rng: np.random.Generator
+               ) -> Generator[Request, Reply, Tuple[np.ndarray, float, bool]]:
+    """Cross-entropy search at one point, with its own mean, spread, best
+    candidate and random stream.  Iteration 0 scores the reference chunk;
+    each later one scores a population drawn around the mean.  The point
+    stops after iteration k >= W once its best candidate succeeds (best
+    cost below ``w_fail``) and its best cost has fallen by at most TOL
+    since iteration k - W; ``cem_iterations`` bounds it.  ``init_std`` 0
+    starts the spread at 0.25 x the action range.  Returns the best
+    candidate (H * d_a,), its cost and whether its continuation
+    succeeded."""
+    traj, t, _, _ = point
+    if t < 0 or t + cfg.horizon > len(traj["actions"]):
+        raise ValueError("relabel point does not leave room for a full chunk")
     dim = cfg.horizon * env.action_dim
-    means = [traj["actions"][t:t + cfg.horizon].reshape(-1) for traj, t, _, _ in context]
-    init_std = cfg.init_std if cfg.init_std > 0 else 0.25 * (2.0 * env.a_max)
+    mean = traj["actions"][t:t + cfg.horizon].reshape(-1)
+    std = np.full(dim, cfg.init_std if cfg.init_std > 0 else 0.25 * (2.0 * env.a_max))
     n_elites = max(1, int(round(cfg.population * cfg.elite_frac)))
-    stds = [np.full(dim, init_std) for _ in context]
-    best_us = [m.copy() for m in means]
-    costs, success = _costs(env, cfg, context, [m[None] for m in means])
-    best_costs = [float(c[0]) for c in costs]
-    best_ok = [bool(ok[0]) for ok in success]
-    history = [[c] for c in best_costs]   # each point's best cost after every iteration
-    live = list(range(len(context)))
+    best_u = mean.copy()
+    cost, ok = yield from _score(env, cfg, point, mean[None])
+    best_cost, best_ok = float(cost[0]), bool(ok[0])
+    history = [best_cost]   # the best cost after every iteration
     for k in range(1, cfg.cem_iterations + 1):
-        if not live:
+        pop = mean + std * rng.standard_normal((cfg.population, dim))
+        pop[0] = mean  # keep the current mean in the population
+        cost, ok = yield from _score(env, cfg, point, pop)
+        order = np.argsort(cost, kind="stable")
+        i = order[0]
+        if cost[i] < best_cost:
+            best_u, best_cost, best_ok = pop[i].copy(), float(cost[i]), bool(ok[i])
+        history.append(best_cost)
+        elites = pop[order[:n_elites]]
+        mean = elites.mean(axis=0)
+        std = np.maximum(elites.std(axis=0), STD_FLOOR)
+        if not (k < W or best_cost >= cfg.w_fail or history[k - W] - best_cost > TOL):
             break
-        pops = []
-        for j in live:
-            pop = means[j] + stds[j] * rngs[j].standard_normal((cfg.population, dim))
-            pop[0] = means[j]  # keep the current mean in the population
-            pops.append(pop)
-        costs, success = _costs(env, cfg, [context[j] for j in live], pops)
-        for j, pop, cost, ok in zip(live, pops, costs, success):
-            order = np.argsort(cost, kind="stable")
-            if cost[order[0]] < best_costs[j]:
-                best_costs[j] = float(cost[order[0]])
-                best_us[j] = pop[order[0]].copy()
-                best_ok[j] = bool(ok[order[0]])
-            history[j].append(best_costs[j])
-            elites = pop[order[:n_elites]]
-            means[j] = elites.mean(axis=0)
-            stds[j] = np.maximum(elites.std(axis=0), STD_FLOOR)
-        live = [j for j in live if k < W or best_costs[j] >= cfg.w_fail
-                or history[j][k - W] - best_costs[j] > TOL]
-    return list(zip(best_us, best_costs, best_ok))
+    return best_u, best_cost, best_ok
 
 
 def cem_optimize(point: RelabelPoint, traj: np.void, env: Environment,
@@ -193,7 +166,8 @@ def cem_optimize(point: RelabelPoint, traj: np.void, env: Environment,
     segment of the trajectory table row ``traj``.  Keeps the best
     candidate ever seen; returns it as an (H, d_a) chunk with its cost
     only if its full continuation succeeds."""
-    [(u, cost, ok)] = _cem_lockstep(env, cfg, [(traj, point.t, tube, expert_states)], [rng])
+    search = _cem_point(env, cfg, (traj, point.t, tube, expert_states), rng)
+    [(u, cost, ok)] = lockstep(env, [search])
     return (u.reshape(cfg.horizon, env.action_dim), cost) if ok else None
 
 
@@ -219,7 +193,8 @@ def relabel_dataset(curated: np.ndarray, env: Environment,
     points = select_risky_states(distances, cfg.k_rel, min_sep, cfg.horizon)
     context = [(curated[p.trajectory_id], p.t, tube[p.trajectory_id],
                 expert_states[p.trajectory_id]) for p in points]
-    results = _cem_lockstep(env, cfg, context, rng.spawn(len(points))) if points else []
+    results = lockstep(env, [_cem_point(env, cfg, c, r)
+                             for c, r in zip(context, rng.spawn(len(points)))])
     for point, (_, _, ok) in zip(points, results):
         if not ok:
             log.info("relabel point (traj %d, t %d) found no successful correction",

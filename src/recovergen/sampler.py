@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Generator, NamedTuple
 
 import numpy as np
 
-from .envs import Environment, rollout_batch, trajectory_table
+from .envs import Environment, Reply, Request, lockstep, trajectory_table
 from .geometry import Pose
 
 
@@ -125,23 +125,23 @@ def draw_plans(env: Environment, variant: Pose, q: Proposal, n: int,
     return Plans(draws, friction, s0s, actions)
 
 
-def keep_successes(plans: Plans, states: np.ndarray, success: np.ndarray,
-                   variant_index: int = 0) -> SuccessBatch:
-    """The successful rollouts of ``plans``, given their rolled-out
-    states (n, T + 1, d_s) and success flags (n,)."""
+def sample_successes(env: Environment, variant: Pose, q: Proposal, n: int,
+                     rng: np.random.Generator,
+                     variant_index: int = 0) -> Generator[Request, Reply, SuccessBatch]:
+    """Sample n plans, each under a fresh friction scale, request their
+    rollouts in one batch and return only the successful trajectories."""
+    plans = draw_plans(env, variant, q, n, rng)
+    states, success = yield plans.s0s, plans.actions, plans.friction
     ok = np.flatnonzero(success)
     table = trajectory_table(states[ok], plans.actions[ok], True, plans.friction[ok],
                              variant_index, plans.draws[ok])
-    return SuccessBatch(table=table, n_sampled=len(plans.draws))
+    return SuccessBatch(table=table, n_sampled=n)
 
 
 def generate_success_batch(env: Environment, variant: Pose, q: Proposal, n: int,
                            rng: np.random.Generator, variant_index: int = 0) -> SuccessBatch:
-    """Sample n plans, roll them out in one batch, each under a fresh
-    friction scale, and keep only the successful trajectories."""
-    plans = draw_plans(env, variant, q, n, rng)
-    states, success = rollout_batch(env, plans.s0s, plans.actions, plans.friction)
-    return keep_successes(plans, states, success, variant_index)
+    """``sample_successes`` run on its own."""
+    return lockstep(env, [sample_successes(env, variant, q, n, rng, variant_index)])[0]
 
 
 def widen(q: Proposal, factor: float) -> Proposal:

@@ -143,6 +143,26 @@ def test_cli_generate_and_stats(tmp_path, capsys):
     assert stats["selected"] > 0
 
 
+def test_cli_stats_numbers_tubes_among_the_live_variants(tmp_path, capsys):
+    # at seed 7 with 32 samples variants 1 and 3 starve: the manifest keeps
+    # the tubes of variants 0 and 2, and stats must not call the second one
+    # variant 1
+    out = tmp_path / "ds"
+    assert main(["generate", "--seed", "7", "--jobs", "1", "--out", str(out),
+                 "--set", "iterations=1", "--set", "samples=32",
+                 "--set", "relabel.k_rel=1"]) == EXIT_OK
+    assert "variant 1: skipped" in (out / "report.txt").read_text()
+    tubes = read_manifest(str(out)).final_tubes
+    assert len(tubes) == 2
+    capsys.readouterr()
+    assert main(["stats", str(out)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert not any(re.search(r"variant \d", line) for line in lines)
+    assert [line for line in lines if "final tube" in line] == [
+        f"final tube {k}        : [{r_min:.6f}, {r_max:.6f}]"
+        for k, (r_min, r_max) in enumerate(tubes)]
+
+
 def test_cli_baseline_and_evaluate(tmp_path, capsys):
     gen = tmp_path / "gen"
     base = tmp_path / "base"
@@ -380,11 +400,13 @@ def test_cli_refuses_a_format_3_dataset(small_dataset, tmp_path, capsys):
 
 def test_cli_mass_range_is_a_config_error_before_any_rollout(tmp_path, capsys, monkeypatch):
     # the environments have no mass: env.mass_range is an unknown setting
-    from recovergen import pipeline
+    from recovergen import envs, pipeline
 
     def no_rollout(*args, **kwargs):
         raise AssertionError("rolled out before the config was checked")
 
+    # generate rolls out through envs.lockstep, the baseline directly
+    monkeypatch.setattr(envs, "rollout_batch", no_rollout)
     monkeypatch.setattr(pipeline, "rollout_batch", no_rollout)
     out = tmp_path / "never"
     for argv in (["generate", "--set", "env.mass_range=[0.5,3.0]", "--out", str(out)],

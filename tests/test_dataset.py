@@ -930,4 +930,4 @@ def test_dataset_stats_counts_and_render(tmp_path):
     assert np.isclose(stats["omission_fraction"], 1.0 - 6 / 8)
     text = format_stats(stats)
     assert "omission fraction" in text
-    assert "variant 0 final tube" in text
+    assert "final tube 0        : [0.050000, 0.200000]" in text.splitlines()

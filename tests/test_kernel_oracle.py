@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from recovergen.envs import (PlanarBlockRotate, PointReach,
+from recovergen import envs
+from recovergen.envs import (PlanarBlockRotate, PointReach, lockstep,
                              rollout_batch, rollout_with_resume)
 
 
@@ -274,6 +275,54 @@ def test_rollout_batch_rejects_bad_lengths():
     for bad in ([0, 3], [1, 6], [1, 2, 3]):
         with pytest.raises(ValueError):
             rollout_batch(env, s0s, actions, 1.0, lengths=bad)
+
+
+def test_lockstep_gives_each_loop_the_rows_it_gets_alone(monkeypatch):
+    # round 1 carries a full-horizon request, a 15-step one and a loop that
+    # returns after its first reply; round 2 the two loops left
+    env = PlanarBlockRotate()
+    rng = np.random.default_rng(12)
+    requests = []
+    for n, steps in ((5, env.horizon), (3, 15), (2, 30), (4, env.horizon), (3, 15)):
+        rows, _, frictions = _block_rows(env, n, rng)
+        rows[:, 3:5] = rows[:, 0:2] + [[-0.08, 0.0]]
+        rows[:, 5:7] = rows[:, 0:2] + [[0.08, 0.0]]
+        actions = rng.uniform(-1.5, 1.5, (n, steps, 4)) * env.a_max
+        requests.append((rows, actions, 0.9 if n == 2 else frictions))
+
+    def loop(own):
+        replies = []
+        for request in own:
+            replies.append((yield request))
+        return replies
+
+    calls, stepped = [], []
+
+    def counted(env, s0s, *args, _rollout_batch=envs.rollout_batch):
+        calls.append(len(s0s))
+        return _rollout_batch(env, s0s, *args)
+
+    def counted_step(self, states, *args, _step=PlanarBlockRotate.step):
+        stepped.append(len(states))
+        return _step(self, states, *args)
+
+    own = [requests[0::3], requests[1::3], requests[2:3]]
+    monkeypatch.setattr(envs, "rollout_batch", counted)
+    monkeypatch.setattr(PlanarBlockRotate, "step", counted_step)
+    got = lockstep(env, [loop(r) for r in own])
+    monkeypatch.undo()
+    assert calls == [5 + 3 + 2, 4 + 3]
+    # each row takes its own request's steps, not the longest request's
+    assert sum(stepped) == sum(len(s0s) * a.shape[1] for s0s, a, _ in requests)
+    for reqs, replies in zip(own, got):
+        assert len(replies) == len(reqs)
+        for (s0s, actions, friction), (states, success) in zip(reqs, replies):
+            alone_states, alone_success = rollout_batch(env, s0s, actions, friction)
+            assert _bitwise_equal(states, alone_states)
+            assert success.tolist() == alone_success.tolist()
+        assert any(np.any(states[:, -1] != s0s) for (s0s, _, _), (states, _) in
+                   zip(reqs, replies))
+    assert lockstep(env, []) == []
 
 
 def test_success_batch_matches_scalar_predicates():

@@ -2,15 +2,15 @@
 import numpy as np
 import pytest
 
-from recovergen import pipeline, relabel
+from recovergen import envs, pipeline, relabel
 from recovergen.config import PipelineConfig, RelabelConfig
 from recovergen.curator import TubeBounds, state_distances
 from recovergen.dataset_io import deserialize
 from recovergen.envs import (PlanarBlockRotate, PointReach,
-                             augmented_demo_actions, rollout, rollout_with_resume,
-                             trajectory_table)
+                             augmented_demo_actions, lockstep, rollout,
+                             rollout_with_resume, trajectory_table)
 from recovergen.geometry import Pose
-from recovergen.relabel import (RelabelPoint, _costs, cem_optimize, relabel_cost,
+from recovergen.relabel import (RelabelPoint, _score, cem_optimize, relabel_cost,
                                 relabel_dataset, select_risky_states)
 
 IDENT = lambda s: np.asarray(s, dtype=float)  # noqa: E731
@@ -282,17 +282,17 @@ def test_cem_mean_moves_to_the_elite_mean(monkeypatch, population, elite_frac, n
     env, traj, expert = _reach_fixture()
     calls = []
 
-    def recorded(env, cfg, points, chunks):
-        costs, success = _costs(env, cfg, points, chunks)
-        calls.append((chunks, costs))
+    def recorded(env, cfg, point, u):
+        costs, success = yield from _score(env, cfg, point, u)
+        calls.append((u, costs))
         return costs, success
 
-    monkeypatch.setattr(relabel, "_costs", recorded)
+    monkeypatch.setattr(relabel, "_score", recorded)
     cfg = RelabelConfig(population=population, elite_frac=elite_frac, cem_iterations=2,
                         init_std=0.01, horizon=10)
     cem_optimize(RelabelPoint(0, 2, 0.0), traj, env, TubeBounds(0.0, 100.0), cfg,
                  np.random.default_rng(0), expert)
-    (_, _), ([pop], [costs]), ([next_pop], _) = calls
+    (_, _), (pop, costs), (next_pop, _) = calls
     elites = pop[np.argsort(costs, kind="stable")[:n_elites]]
     assert np.array_equal(next_pop[0], elites.mean(axis=0))
 
@@ -305,13 +305,13 @@ def test_converged_point_stops_after_w_flat_iterations(monkeypatch, drop_until, 
     env, traj, expert = _reach_fixture()
     calls = []
 
-    def flat(env, cfg, points, chunks):
+    def flat(env, cfg, point, u):
+        yield from _score(env, cfg, point, u)
         cost = 1.0 - 0.1 * min(len(calls), drop_until)
-        calls.append(chunks)
-        return ([np.full(len(u), cost) for u in chunks],
-                [np.ones(len(u), dtype=bool) for u in chunks])
+        calls.append(u)
+        return np.full(len(u), cost), np.ones(len(u), dtype=bool)
 
-    monkeypatch.setattr(relabel, "_costs", flat)
+    monkeypatch.setattr(relabel, "_score", flat)
     cfg = RelabelConfig(population=8, cem_iterations=30, init_std=0.01, horizon=10)
     out = cem_optimize(RelabelPoint(0, 2, 0.0), traj, env, TubeBounds(0.0, 100.0), cfg,
                        np.random.default_rng(0), expert)
@@ -326,18 +326,18 @@ def test_point_whose_candidates_all_fail_runs_every_iteration(monkeypatch):
     traj = rollout(env, s0, np.zeros((env.horizon, 2)), env.nominal_friction())
     calls = []
 
-    def recorded(env, cfg, points, chunks):
-        costs, success = _costs(env, cfg, points, chunks)
+    def recorded(env, cfg, point, u):
+        costs, success = yield from _score(env, cfg, point, u)
         calls.append(success)
         return costs, success
 
-    monkeypatch.setattr(relabel, "_costs", recorded)
+    monkeypatch.setattr(relabel, "_score", recorded)
     cfg = RelabelConfig(population=8, cem_iterations=12, init_std=0.01, horizon=10)
     out = cem_optimize(RelabelPoint(0, 0, 0.0), traj, env, TubeBounds(0.0, 100.0), cfg,
                        np.random.default_rng(0), traj.states)
     assert out is None
     assert len(calls) == 1 + cfg.cem_iterations
-    assert not any(ok.any() for [ok] in calls)
+    assert not any(ok.any() for ok in calls)
 
 
 def test_stopped_points_leave_the_batch_and_the_rest_run_as_alone(monkeypatch):
@@ -350,25 +350,27 @@ def test_stopped_points_leave_the_batch_and_the_rest_run_as_alone(monkeypatch):
                         horizon=15)
     tube = TubeBounds(0.0, 0.05)
     dists = risks([traj], [expert], env.psi, env.psi_scales)
-    sizes = []
+    rows = []
 
-    def recorded(env, cfg, points, chunks):
-        sizes.append(len(points))
-        return _costs(env, cfg, points, chunks)
+    def counted(env, s0s, *args, _rollout_batch=envs.rollout_batch):
+        rows.append(len(s0s))
+        return _rollout_batch(env, s0s, *args)
 
-    monkeypatch.setattr(relabel, "_costs", recorded)
+    monkeypatch.setattr(envs, "rollout_batch", counted)
     targets = relabel_dataset(np.array([traj]), env, [tube], cfg, np.random.default_rng(3),
                               [expert], dists)
-    batched = sizes[:]
+    batched = rows[:]
     points = select_risky_states(dists, 3, cfg.horizon, cfg.horizon)
     alone, iterations = [], []
     for point, rng in zip(points, np.random.default_rng(3).spawn(len(points))):
-        sizes.clear()
+        rows.clear()
         alone.append(cem_optimize(point, traj, env, tube, cfg, rng, expert))
-        iterations.append(len(sizes) - 1)
+        iterations.append(len(rows) - 1)
     assert len(set(iterations)) > 1 and max(iterations) < cfg.cem_iterations
-    # call k carries the points still live after iteration k - 1
-    assert batched == [sum(k <= n for n in iterations) for k in range(max(iterations) + 1)]
+    # round 0 scores each point's reference chunk; round k carries the
+    # populations of the points still live after iteration k - 1
+    assert batched == [len(points)] + [cfg.population * sum(k <= n for n in iterations)
+                                       for k in range(1, max(iterations) + 1)]
     assert_rows_are_the_points_alone(targets, points, alone, traj, env, tube, cfg, expert)
 
 
@@ -395,18 +397,20 @@ def seed_7_relabeling(tmp_path_factory):
     for name, tol in (("adaptive", relabel.TOL), ("fixed", -np.inf)):
         rows, calls = [], []
 
-        def counted(env, s0s, *args, _rollout_batch=relabel.rollout_batch, _rows=rows):
+        def counted(env, s0s, *args, _rollout_batch=envs.rollout_batch, _rows=rows):
             _rows.append(len(s0s))
             return _rollout_batch(env, s0s, *args)
 
         def recorded(*args, _relabel_dataset=pipeline.relabel_dataset, _calls=calls):
-            _calls.append((args, _relabel_dataset(*args)))
+            # only relabeling's rollouts are counted
+            with pytest.MonkeyPatch.context() as inner:
+                inner.setattr(envs, "rollout_batch", counted)
+                _calls.append((args, _relabel_dataset(*args)))
             return _calls[-1][1]
 
         out = str(tmp_path_factory.mktemp(name))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(relabel, "TOL", tol)
-            mp.setattr(relabel, "rollout_batch", counted)
             mp.setattr(pipeline, "relabel_dataset", recorded)
             pipeline.run_pgdg(PipelineConfig(out_dir=out, seed=7, jobs=1))
         [((curated, env, tubes, cfg, _, experts, _), table)] = calls
@@ -443,15 +447,15 @@ def test_the_returned_table_is_the_stored_records(seed_7_relabeling):
 def test_no_relabeled_pair_keeps_the_empty_header(tmp_path, monkeypatch, caplog):
     # records.npy of no rows has obs (0,) and chunk (0, 0) whether no point
     # is selected (k_rel 0) or every point is dropped, as in the baseline
-    def failing(env, cfg, points, chunks):
-        costs, success = _costs(env, cfg, points, chunks)
-        return costs, [np.zeros_like(ok) for ok in success]
+    def failing(env, cfg, point, u):
+        costs, success = yield from _score(env, cfg, point, u)
+        return costs, np.zeros_like(success)
 
     small = dict(seed=7, jobs=1, iterations=1, samples=32)
     pipeline.run_pgdg(PipelineConfig(out_dir=str(tmp_path / "k0"),
                                      relabel=RelabelConfig(k_rel=0), **small))
     pipeline.run_spatial_only(PipelineConfig(out_dir=str(tmp_path / "baseline"), **small))
-    monkeypatch.setattr(relabel, "_costs", failing)
+    monkeypatch.setattr(relabel, "_score", failing)
     with caplog.at_level("INFO", logger="recovergen.relabel"):
         pipeline.run_pgdg(PipelineConfig(out_dir=str(tmp_path / "dropped"), **small))
     assert sum("found no successful correction" in r.message for r in caplog.records) == 10
@@ -498,15 +502,15 @@ def test_population_costs_equal_one_candidate_costs(horizon):
     chunks = [traj.actions[t:t + horizon].reshape(-1)
               + 0.01 * rng.standard_normal((9, horizon * env.action_dim))
               for _, t, _, _ in points]
-    batched, success = _costs(env, cfg, points, chunks)
-    for (_, t, _, _), pop, costs, ok in zip(points, chunks, batched, success):
+    batched = lockstep(env, [_score(env, cfg, p, u) for p, u in zip(points, chunks)])
+    for (_, t, _, _), pop, (costs, ok) in zip(points, chunks, batched):
         one_by_one = [relabel_cost(u, traj, t, tube, env, cfg, expert) for u in pop]
         assert costs.tolist() == one_by_one
         # each flag is the candidate's own continuation, rolled out alone
         alone = [rollout_with_resume(env, traj.states[t], u, traj.actions[t + horizon:],
                                      traj.friction_scale).success for u in pop]
         assert ok.tolist() == alone
-    assert any(c > 0 for costs in batched for c in costs)
+    assert any(c > 0 for costs, _ in batched for c in costs)
 
 
 def test_relabel_dataset_equals_points_optimized_one_at_a_time():
