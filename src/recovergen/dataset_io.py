@@ -402,7 +402,6 @@ def load_trajectories(out_dir: str) -> np.recarray:
 def dataset_stats(manifest: DatasetManifest) -> Dict:
     """Machine-readable summary from the manifest alone; render with
     format_stats for humans."""
-    rewards = manifest.parameters.get("reward_histogram")
     return {
         "env": manifest.env_name,
         "source": manifest.source,
@@ -414,7 +413,6 @@ def dataset_stats(manifest: DatasetManifest) -> Dict:
         "records_curated": manifest.n_records - manifest.n_relabeled,
         "records_relabeled": manifest.n_relabeled,
         "final_tubes": list(manifest.final_tubes),
-        "reward_histogram": rewards,
     }
 
 

@@ -15,13 +15,14 @@ parameter is a friction scale: ``sample_friction`` draws one per row, and
 pure function of its inputs; ``friction`` is one float for every row or an
 (n,) array, one per row, and a 1-D state gives a 1-D result.
 ``rollout_batch`` runs open-loop plans for many rows, each for its own
-number of steps, and ``success_batch`` evaluates the success predicate on
-final states.  ``rollout`` and ``rollout_with_resume`` are its one-row
-forms; each returns its rollout as a row of a trajectory table
-(``trajectory_table``, whose fields are those of ``trajectories.npy``).
+number of steps, longest first, and ``success_batch`` evaluates the
+success predicate on final states.  ``rollout`` and
+``rollout_with_resume`` are its one-row forms; each returns its rollout as
+a row of a trajectory table (``trajectory_table``, whose fields are those
+of ``trajectories.npy``).
 ``lockstep`` runs generators of rollout requests (the variant loops, the
 CEM relabel points) together, with one ``rollout_batch`` call per round
-for all the live ones.
+for all the live ones, their requests ordered longest plan first.
 
 Each row's result is bitwise identical to the one-row scalar dynamics,
 whatever the batch size or the row's position in it.  Where numpy's
@@ -217,10 +218,10 @@ def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
     final state.  Returns the states (n, L + 1, d_s) and each row's success
     (n,).
 
-    Rows are stepped in order of descending length and each step advances
-    only the rows still running, so the env work is sum(lengths) steps.
-    Rows that are already in that order (every full-length call) are
-    neither copied nor un-permuted.
+    The rows come longest first (``lockstep`` orders them so), and each
+    step advances only the prefix of rows still running, so the env work
+    is sum(lengths) steps.  Lengths that are not non-increasing raise
+    ValueError.
     """
     s0s = np.asarray(s0s, dtype=float)
     actions = np.asarray(actions, dtype=float)
@@ -230,23 +231,19 @@ def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
                          f"{env.action_dim}), got {s0s.shape} and {actions.shape}")
     n, horizon = actions.shape[:2]
     lengths = np.full(n, horizon) if lengths is None else np.asarray(lengths)
-    if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > horizon):
-        raise ValueError(f"lengths must give each of the {n} rows 1..{horizon} steps")
-    ordered = bool(np.all(lengths[:-1] >= lengths[1:]))
-    order = slice(None) if ordered else np.argsort(-lengths, kind="stable")
+    if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > horizon) \
+            or np.any(lengths[:-1] < lengths[1:]):
+        raise ValueError(f"lengths must give each of the {n} rows 1..{horizon} steps, "
+                         f"longest first")
     running = (lengths[:, None] > np.arange(horizon)).sum(axis=0)
-    friction = _rows(friction, n)[order]
-    s = s0s[order].copy()
-    acts = actions[order]
+    friction = _rows(friction, n)
+    s = s0s.copy()
     out = np.empty((n, horizon + 1, env.state_dim))
     out[:, 0] = s
     for t in range(horizon):
         k = running[t]
-        s[:k] = env.step(s[:k], acts[:k, t], friction[:k])
+        s[:k] = env.step(s[:k], actions[:k, t], friction[:k])
         out[:, t + 1] = s
-    if not ordered:
-        states, out = out, np.empty_like(out)
-        out[order] = states
     return out, env.success_batch(out[:, -1])
 
 
@@ -261,14 +258,17 @@ def lockstep(env: Environment, loops: Sequence[Generator[Request, Reply, Any]]) 
     """Run generators of rollout requests together and return each one's
     return value, in loop order.  Every loop is primed first; then each
     round rolls out the pending request of every live loop in one
-    ``rollout_batch`` call, each row for its own request's L steps, and
-    sends each loop its rows.  A row's result does not depend on the batch
-    it is in, so each loop sees what it would alone."""
+    ``rollout_batch`` call, each row for its own request's L steps, with
+    the requests ordered longest plan first, and sends each loop its rows,
+    in loop order.  A row's result does not depend on the batch it is in,
+    so each loop sees what it would alone."""
     results = [None] * len(loops)
     pending = {j: next(loop) for j, loop in enumerate(loops)}
     while pending:
-        live = list(pending)
-        s0s, actions, friction = zip(*pending.values())
+        # longest plan first, a stable sort so that equal lengths keep loop
+        # order: rollout_batch steps a shrinking prefix of the rows
+        order = sorted(pending, key=lambda j: -pending[j][1].shape[1])
+        s0s, actions, friction = zip(*map(pending.get, order))
         n = [len(s) for s in s0s]
         rows = [slice(end - k, end) for end, k in zip(np.cumsum(n).tolist(), n)]
         lengths = np.repeat([a.shape[1] for a in actions], n)
@@ -278,7 +278,7 @@ def lockstep(env: Environment, loops: Sequence[Generator[Request, Reply, Any]]) 
         states, success = rollout_batch(
             env, np.concatenate(s0s), plans,
             np.concatenate([_rows(f, k) for f, k in zip(friction, n)]), lengths)
-        for j, r, a in zip(live, rows, actions):
+        for j, r, a in sorted(zip(order, rows, actions), key=lambda reply: reply[0]):
             try:
                 pending[j] = loops[j].send((states[r, :a.shape[1] + 1], success[r]))
             except StopIteration as stop:

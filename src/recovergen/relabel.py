@@ -1,6 +1,8 @@
 """Selective local relabeling: pick the riskiest states of the curated
 dataset and optimize short corrective action chunks with the
-cross-entropy method under a full-episode success check.
+cross-entropy method under a full-episode success check.  The risk of a
+state is its distance to the expert, one (n, T+1) array over the curated
+trajectories, as the variant loops computed it.
 
 A corrective chunk is only emitted when its full continuation (chunk
 followed by the original plan's remainder) succeeded when it was scored,
@@ -39,28 +41,25 @@ class RelabelPoint:
     risk: float
 
 
-def select_risky_states(distances: Sequence[np.ndarray], k_rel: int, min_sep: int,
+def select_risky_states(distances: np.ndarray, k_rel: int, min_sep: int,
                         horizon_h: int) -> List[RelabelPoint]:
     """Globally top-k_rel states by distance-to-expert, greedy in
     descending risk, enforcing a minimum temporal separation within each
     trajectory.  Timesteps are clipped so a full H-step prefix fits.
-    ``distances[i]`` holds trajectory i's distance to its expert at each
-    of its states (horizon + 1 values)."""
+    ``distances`` (n, T+1) holds each trajectory's distance to its expert
+    at each of its states; any other shape raises ValueError."""
     if k_rel < 0 or min_sep < 1:
         raise ValueError("need k_rel >= 0 and min_sep >= 1")
-    if k_rel == 0:
+    distances = np.asarray(distances, dtype=float)
+    if distances.ndim != 2:
+        raise ValueError(f"expected distances (n, T+1), got shape {distances.shape}")
+    n, steps = distances.shape
+    t_hi = steps - 1 - horizon_h
+    if k_rel == 0 or t_hi < 0:
         return []
-    dists, ids, steps = [], [], []
-    for i, d in enumerate(distances):
-        t_hi = len(d) - 1 - horizon_h
-        if t_hi < 0:
-            continue
-        dists.append(d)
-        ids.append(np.full(len(d), i))
-        steps.append(np.minimum(np.arange(len(d)), t_hi))
-    if not dists:
-        return []
-    risk, traj_ids, ts = (np.concatenate(c) for c in (dists, ids, steps))
+    risk = distances.ravel()
+    traj_ids = np.repeat(np.arange(n), steps)
+    ts = np.tile(np.minimum(np.arange(steps), t_hi), n)
     # descending risk; deterministic tie-break by trajectory then timestep
     order = np.lexsort((ts, traj_ids, -risk))
     chosen: List[RelabelPoint] = []
@@ -97,15 +96,8 @@ def _score(env: Environment, cfg: RelabelConfig, point: _Point,
     if cfg.w_fail > 0:
         cost = np.where(success, cost, cost + cfg.w_fail)
     if cfg.w_tube > 0:
-        span = states[:, 1:h + 1].reshape(-1, env.state_dim)
-        if h == 1:
-            # a one-row product takes BLAS's matrix-vector path, whose
-            # rounding differs from the matrix-matrix one; keep it
-            d = np.concatenate([state_distances(x[None], expert, env.psi, env.psi_scales)
-                                for x in span])
-        else:
-            d = state_distances(span, expert, env.psi, env.psi_scales)
-        excess = np.maximum(d.reshape(len(u), h) - tube.r_max, 0.0)
+        d = state_distances(states[:, 1:h + 1], expert, env.psi, env.psi_scales)
+        excess = np.maximum(d - tube.r_max, 0.0)
         cost = cost + cfg.w_tube * np.sum(excess ** 2, axis=1)
     return cost, success
 
@@ -174,15 +166,16 @@ def cem_optimize(point: RelabelPoint, traj: np.void, env: Environment,
 def relabel_dataset(curated: np.ndarray, env: Environment,
                     tube: Sequence[TubeBounds], cfg: RelabelConfig,
                     rng: np.random.Generator, expert_states: Sequence[np.ndarray],
-                    distances: Sequence[np.ndarray]) -> np.ndarray:
+                    distances: np.ndarray) -> np.ndarray:
     """Select the ``cfg.k_rel`` riskiest states across the curated
     trajectory table, at least ``cfg.min_sep`` steps apart (0: the
     horizon), and optimize a corrective chunk at each; failed points are
     dropped with a logged diagnostic.  ``tube[i]``, ``expert_states[i]``
-    and ``distances[i]`` (``state_distances`` of its states to that
-    expert) belong to ``curated[i]``.  Returns the emitted pairs as a
-    table with the fields of ``records.npy``, in selection rank: a row
-    holds its point's trajectory ``traj`` and step ``t``, the observation
+    and ``distances[i]``, the row of ``distances`` (n, T+1) that holds
+    ``state_distances`` of its states to that expert, belong to
+    ``curated[i]``.  Returns the emitted pairs as a table with the fields
+    of ``records.npy``, in selection rank: a row holds its point's
+    trajectory ``traj`` and step ``t``, the observation
     ``observe(states[t], states[0])`` and the (H, d_a) chunk."""
     if len(curated) == 0:
         raise ValueError("curated set must be non-empty")

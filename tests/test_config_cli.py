@@ -139,6 +139,9 @@ def test_cli_generate_and_stats(tmp_path, capsys):
 
     assert main(["stats", str(out), "--json"]) == EXIT_OK
     stats = json.loads(capsys.readouterr().out)
+    assert sorted(stats) == sorted(["env", "source", "generated", "successful", "selected",
+                                    "omission_fraction", "relabeled", "records_curated",
+                                    "records_relabeled", "final_tubes"])
     assert stats["env"] == "point_reach"
     assert stats["selected"] > 0
 

@@ -231,7 +231,8 @@ def test_rollout_batch_with_lengths_matches_resume_rollouts():
     rows[:, 5:7] = rows[:, 0:2] + [[0.08, 0.0]]
     horizon = env.horizon
     actions = rng.uniform(-1.5, 1.5, (n, horizon, 4)) * env.a_max
-    lengths = rng.integers(1, horizon + 1, n)
+    # the rows come longest first, as lockstep orders them
+    lengths = np.sort(rng.integers(1, horizon + 1, n))[::-1]
     states, success = rollout_batch(env, rows, actions, frictions, lengths=lengths)
     assert states.shape == (n, horizon + 1, 7) and success.shape == (n,)
     for i in range(n):
@@ -272,18 +273,20 @@ def test_rollout_batch_rejects_bad_lengths():
     env = PointReach()
     s0s = np.zeros((2, 4))
     actions = np.zeros((2, 5, 2))
-    for bad in ([0, 3], [1, 6], [1, 2, 3]):
+    for bad in ([0, 3], [1, 6], [1, 2, 3], [3, 5]):
         with pytest.raises(ValueError):
             rollout_batch(env, s0s, actions, 1.0, lengths=bad)
 
 
 def test_lockstep_gives_each_loop_the_rows_it_gets_alone(monkeypatch):
     # round 1 carries a full-horizon request, a 15-step one and a loop that
-    # returns after its first reply; round 2 the two loops left
+    # returns after its first reply; round 2 the two loops left; round 3 a
+    # 15-step request before a full-horizon one in loop order
     env = PlanarBlockRotate()
     rng = np.random.default_rng(12)
     requests = []
-    for n, steps in ((5, env.horizon), (3, 15), (2, 30), (4, env.horizon), (3, 15)):
+    for n, steps in ((5, env.horizon), (3, 15), (2, 30), (4, env.horizon), (3, 15),
+                     (2, 15), (3, env.horizon)):
         rows, _, frictions = _block_rows(env, n, rng)
         rows[:, 3:5] = rows[:, 0:2] + [[-0.08, 0.0]]
         rows[:, 5:7] = rows[:, 0:2] + [[0.08, 0.0]]
@@ -296,22 +299,26 @@ def test_lockstep_gives_each_loop_the_rows_it_gets_alone(monkeypatch):
             replies.append((yield request))
         return replies
 
-    calls, stepped = [], []
+    calls, lengths, stepped = [], [], []
 
-    def counted(env, s0s, *args, _rollout_batch=envs.rollout_batch):
+    def counted(env, s0s, actions, friction, steps, _rollout_batch=envs.rollout_batch):
         calls.append(len(s0s))
-        return _rollout_batch(env, s0s, *args)
+        lengths.append(np.asarray(steps))
+        return _rollout_batch(env, s0s, actions, friction, steps)
 
     def counted_step(self, states, *args, _step=PlanarBlockRotate.step):
         stepped.append(len(states))
         return _step(self, states, *args)
 
-    own = [requests[0::3], requests[1::3], requests[2:3]]
+    own = [[requests[i] for i in (0, 3, 5)], [requests[i] for i in (1, 4, 6)],
+           requests[2:3]]
     monkeypatch.setattr(envs, "rollout_batch", counted)
     monkeypatch.setattr(PlanarBlockRotate, "step", counted_step)
     got = lockstep(env, [loop(r) for r in own])
     monkeypatch.undo()
-    assert calls == [5 + 3 + 2, 4 + 3]
+    assert calls == [5 + 3 + 2, 4 + 3, 2 + 3]
+    # the driver orders the rows longest first, whatever the loop order
+    assert all(np.all(steps[:-1] >= steps[1:]) for steps in lengths)
     # each row takes its own request's steps, not the longest request's
     assert sum(stepped) == sum(len(s0s) * a.shape[1] for s0s, a, _ in requests)
     for reqs, replies in zip(own, got):

@@ -116,15 +116,16 @@ def _tuple_sort_select(curated, expert_states, psi, scales, k_rel, min_sep, hori
 def test_select_order_equals_tuple_sort(seed):
     rng = np.random.default_rng(seed)
     # four levels against shared experts: risks tie within and across
-    # trajectories; short trajectories clip many timesteps to t_hi, and
-    # those under horizon_h steps are skipped
-    shapes = [line_traj(rng.choice([0.0, 0.25, 0.5, 1.0], int(rng.integers(4, 30))))
-              for _ in range(5)]
+    # trajectories; each call draws one length for all its trajectories,
+    # so short ones clip many timesteps to t_hi, and those under horizon_h
+    # steps give no point
     experts = [np.array([[0.0]]), np.array([[0.25], [0.75]])]
-    curated = [shapes[j] for j in rng.integers(0, len(shapes), 12)]
-    expert_states = [experts[j] for j in rng.integers(0, len(experts), 12)]
     for k_rel in (1, 4, 25, 1000):
         for min_sep in (1, 3):
+            length = int(rng.integers(4, 30))
+            shapes = [line_traj(rng.choice([0.0, 0.25, 0.5, 1.0], length)) for _ in range(5)]
+            curated = [shapes[j] for j in rng.integers(0, len(shapes), 12)]
+            expert_states = [experts[j] for j in rng.integers(0, len(experts), 12)]
             got = select_risky_states(risks(curated, expert_states), k_rel, min_sep, 6)
             assert got == _tuple_sort_select(curated, expert_states, IDENT, [1.0], k_rel,
                                              min_sep, 6)
@@ -132,6 +133,12 @@ def test_select_order_equals_tuple_sort(seed):
                        and type(p.risk) is float for p in got)
     short = [line_traj([0.0, 1.0, 0.5])] * 2
     assert select_risky_states(risks(short, [experts[0]] * 2), 3, 1, 6) == []
+    # the distances are one (n, T+1) array: ragged or 1-D ones are refused
+    ragged = [line_traj([0.0] * 8), line_traj([0.0] * 9)]
+    with pytest.raises(ValueError, match="shape"):
+        select_risky_states(risks(ragged, [experts[0]] * 2), 3, 1, 6)
+    with pytest.raises(ValueError, match=r"shape \(9,\)"):
+        select_risky_states(risks(ragged, [experts[0]] * 2)[1], 3, 1, 6)
 
 
 def test_select_rejects_bad_args():
