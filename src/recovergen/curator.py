@@ -164,12 +164,16 @@ def dct_embed(states: np.ndarray, actions: np.ndarray, psi: Callable, scales,
 
 
 def median_pairwise_distance(embeddings: Sequence[np.ndarray]) -> float:
-    """Median heuristic bandwidth; falls back to 1.0 when degenerate."""
+    """Median heuristic bandwidth; falls back to 1.0 when degenerate.
+    The median is np.median's, the mean of the one or two middle values,
+    taken without its NaN check, which imports numpy.ma."""
     e = np.asarray(embeddings, dtype=float)
     if len(e) < 2:
         return 1.0
     iu = np.triu_indices(len(e), k=1)
-    med = float(np.median(np.sqrt(_sq_distances(e, e)[iu])))
+    d = np.sqrt(_sq_distances(e, e)[iu])
+    lo, hi = (len(d) - 1) // 2, len(d) // 2
+    med = float(np.mean(np.partition(d, [lo, hi])[lo:hi + 1]))
     return med if med > 0.0 else 1.0
 
 

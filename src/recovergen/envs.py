@@ -24,10 +24,9 @@ of ``trajectories.npy``).
 CEM relabel points) together, with one ``rollout_batch`` call per round
 for all the live ones, their requests ordered longest plan first.
 
-Each row's result is bitwise identical to the one-row scalar dynamics,
-whatever the batch size or the row's position in it.  Where numpy's
-elementwise function may differ from Python's ``math`` in the last ulp
-(``arctan2``, ``hypot``), ``math`` is used for the rows it matters for.
+Rows are independent: a row's result has the same bits alone and at any
+position in a batch of any size, so how rows are batched (and ``--jobs``)
+never changes the output bytes.
 
 Caveat on the contact model: when fewer than two effectors touch the
 block, the block simply does not move.  This "block freezes" rule is a
@@ -64,16 +63,6 @@ def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Elementwise min(max(x, lo), hi) with Python's tie and NaN rules."""
     x = np.where(lo > x, lo, x)
     return np.where(hi < x, hi, x)
-
-
-def _hypot(x: np.ndarray, y: np.ndarray, near: float) -> np.ndarray:
-    """Elementwise math.hypot(x, y).  np.hypot can differ from it in the
-    last ulp, so values close to ``near``, the bound the caller compares
-    them with, are recomputed with math.hypot."""
-    h = np.hypot(x, y)
-    for i in np.flatnonzero(np.abs(h - near) <= 1e-12 * abs(near)):
-        h[i] = math.hypot(x[i], y[i])
-    return h
 
 
 def _rows(friction, n: int) -> np.ndarray:
@@ -377,8 +366,7 @@ class PlanarBlockRotate(Environment):
         py = s * dx + c * dy
         gap_x = np.maximum(np.abs(px) - self.half_extents[0], 0.0)
         gap_y = np.maximum(np.abs(py) - self.half_extents[1], 0.0)
-        dist = _hypot(gap_x.ravel(), gap_y.ravel(), self.contact_margin)
-        return (dist <= self.contact_margin).reshape(2, -1).all(axis=0)
+        return (np.hypot(gap_x, gap_y) <= self.contact_margin).all(axis=0)
 
     def step(self, state, action, friction):
         state = np.asarray(state, dtype=float)
@@ -397,9 +385,7 @@ class PlanarBlockRotate(Environment):
             cny = 0.5 * (nly + nry)
             ux, uy = rx - lx, ry - ly
             vx, vy = nrx - nlx, nry - nly
-            # math.atan2 per row: np.arctan2 differs from it in the last ulp
-            dth = np.fromiter(map(math.atan2, (ux * vy - uy * vx).tolist(),
-                                  (ux * vx + uy * vy).tolist()), float, count=len(bx))
+            dth = np.arctan2(ux * vy - uy * vx, ux * vx + uy * vy)
             slip = _clamp(_rows(friction, cols.shape[1])[i], 0.0, 1.0)
             sth = slip * dth
             c = np.cos(sth)
@@ -428,15 +414,9 @@ class PlanarBlockRotate(Environment):
         grasp, so contact survives small execution noise), then rotate
         both effectors about the block center up to theta_des."""
         r = self.half_extents[0] - self.grasp_press
-        left, right = [], []
-        for j in range(n):
-            phi = self.theta_des * j / (n - 1)
-            # math.cos/math.sin, as when the stored data were recorded:
-            # np.cos/np.sin may differ from them in the last ulp on some builds
-            c, s = math.cos(phi), math.sin(phi)
-            left.append((-c * r, -s * r))
-            right.append((c * r, s * r))
-        return [np.array(left), np.array(right)]
+        phi = self.theta_des * np.arange(n) / (n - 1)
+        right = np.column_stack([np.cos(phi) * r, np.sin(phi) * r])
+        return [-right, right]
 
     def reset_ee_positions(self) -> list:
         return [np.array(self.reset_left, dtype=float), np.array(self.reset_right, dtype=float)]
@@ -478,7 +458,7 @@ class PointReach(Environment):
 
     def success_batch(self, final_states: np.ndarray) -> np.ndarray:
         x, y, gx, gy = np.asarray(final_states, dtype=float).T
-        return _hypot(x - gx, y - gy, self.eps_p) < self.eps_p
+        return np.hypot(x - gx, y - gy) < self.eps_p
 
     def psi(self, states):
         states = np.asarray(states, dtype=float)

@@ -47,11 +47,11 @@ def _report(name, detail=""):
 # sha256 of every output file of the seed-7 default run (the ``generated``
 # fixture, equal to ``recovergen generate --seed 7 --jobs 1``)
 GOLDEN_DIGESTS = {
-    "manifest": "542323c19ea2ce7cb198e3befb4458a4ba4aa05b86d4bc333618cb0a7c01c191",
+    "manifest": "700f6ce344e34d87a37fd0d2c66e473307f5675009509a5de7e1fd20cf107b17",
     "records.npy": "bcfcba924b43d37b9a7dc24fd040645fa5a65f8f535273a588663d1e338feb07",
-    "report.jsonl": "2c7e1ac030bda37615e38fccec4cf4060236a71043cd3fc52b2f303d1aea0549",
+    "report.jsonl": "500d7c12a77a54cbbc86e647d4623156891c2d4eb6b888243b19f127f95d8f56",
     "report.txt": "7b22373813e7d8b110ab61897b0ce07b4351f68f8d0a5ac63a4d003e9f6eac1e",
-    "trajectories.npy": "865cb724bdd475392ce1e427adfe60c7a917272cd8b9cd6ad04e2b8555192f0a",
+    "trajectories.npy": "a7c4c525990d22d5a8518d2f9ddf222570433c930005d4a9be7aa8e3cca1219f",
 }
 
 
@@ -59,13 +59,21 @@ def test_golden_digest_of_default_run(generated):
     """The default run's output bytes are pinned: a change that is meant
     to keep behaviour (a refactor, a faster kernel) must keep them.
 
-    The digests were recorded with numpy 2.4.6 on x86-64 Linux, with
-    glibc's libm and OpenBLAS 0.3.31; they pin the last bits of those
-    libraries' sin, cos, atan2, hypot and matrix products as well.  On a
-    platform whose libm or BLAS rounds differently this test can fail
-    while the program is correct; re-record the digests there from a
-    known-good commit.  An intentional change to the output bytes
-    re-records them and says so in CHANGES.md."""
+    The digests were recorded with numpy 2.4.6 on an x86-64 Linux Xeon
+    with AVX-512: numpy dispatches its elementwise loops to X86_V4, and
+    OpenBLAS 0.3.31 picks its SkylakeX core.  They pin the last bits of
+    that build's cos, sin, arctan2 and hypot and of its matrix products,
+    so they depend on the CPU as well as on the libraries.  On the
+    recording host, ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+    AVX512_SPR"`` or ``OPENBLAS_CORETYPE=Haswell`` each changes every
+    digest but ``report.txt``.  Python's ``math`` would not make them
+    portable either: np.arctan2 differs from libm's atan2 in 7.3% of
+    random pairs under X86_V4 and equals it without.  So on another
+    machine this test can fail while the program is correct; CI prints
+    numpy's runtime dispatch and the CPU model before the tests, and the
+    digests are re-recorded there from a known-good commit.  An
+    intentional change to the output bytes re-records them and says so in
+    CHANGES.md."""
     cfg, _, _, _ = generated
     got = {}
     for name in GOLDEN_DIGESTS:
@@ -100,7 +108,7 @@ def test_baseline_digest_of_seed_7(tmp_path, capsys):
 # every curated window as well as the relabeled records; since the planar
 # (x, y, yaw) geometry it is the json.dumps oracle encoding of this run,
 # not a file that format-1 code wrote
-FORMAT_1_RECORDS_DIGEST = "3138a7c254721ec7ee7e87eab1605adf652ae4974f7f7e7c0822f4e760f984e5"
+FORMAT_1_RECORDS_DIGEST = "62f85508a690fef666dd09f7757e07d855094e500eac4d671f8a1582fe96d0a5"
 
 
 def test_rebuilt_records_encode_to_the_format_1_file(generated):
@@ -124,7 +132,7 @@ def test_rebuilt_records_encode_to_the_format_1_file(generated):
 # geometry, the oracle encoding of this run, as above, and since format 4
 # without the ``mass`` key of each trajectory line
 FORMAT_2_DIGESTS = {
-    "trajectories": "c1379c6bb2687e9304daa56e7db7a8247fba585cebb738bd5d45be383d370b77",
+    "trajectories": "4ad7797748b9a89bf77e4ab4f8cec9b1b5b3eae522a8a7a16d27df014172b98f",
     "records": "71359794f6832c52833a350c20dd0f258a1e15118cb63790d1f2a7879e5aee59",
 }
 
@@ -176,7 +184,9 @@ def test_bench_inspect_dataset_passes_on_the_golden_run(generated):
 
 
 # recovergen is numpy-only: no command may import scipy.  The fresh process
-# makes every scipy import fail, and generate must still give the golden bytes
+# makes every scipy import fail, and generate must still give the golden bytes.
+# No command loads numpy.ma either (np.median imports it for its NaN check),
+# which costs every process its import time and memory
 NO_SCIPY_SCRIPT = """
 import sys
 
@@ -200,6 +210,7 @@ for step, argv in steps:
     if argv is not None:
         assert main(argv) == 0, step
     assert "scipy" not in sys.modules, f"scipy imported by {step}"
+    assert "numpy.ma" not in sys.modules, f"numpy.ma imported by {step}"
 """
 
 
@@ -221,7 +232,8 @@ def test_no_command_imports_scipy(generated, tmp_path):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in GOLDEN_DIGESTS}
     assert got == GOLDEN_DIGESTS
-    _report("numpy-only", "no command imports scipy; generate golden in a fresh process")
+    _report("numpy-only", "no command imports scipy or numpy.ma; generate golden "
+            "in a fresh process")
 
 
 def test_src_imports_only_stdlib_numpy_and_the_package():

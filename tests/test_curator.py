@@ -368,6 +368,21 @@ def test_median_pairwise_distance():
     assert median_pairwise_distance([np.zeros(2)] * 5) == 1.0   # all equal
 
 
+@pytest.mark.parametrize("grid", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10, 20])
+def test_median_pairwise_distance_bitwise_equals_np_median(n, grid):
+    """The partition-based median has np.median's bits for an odd and an
+    even number of pairs (n(n-1)/2), also where distances tie: the grid
+    embeddings sit on a 3 x 3 lattice, so many pairs share a distance."""
+    rng = np.random.default_rng(n)
+    e = rng.integers(0, 3, (n, 2)).astype(float) if grid else rng.standard_normal((n, 3))
+    d = np.sqrt(curator._sq_distances(e, e)[np.triu_indices(n, k=1)])
+    ref = float(np.median(d))
+    assert median_pairwise_distance(e).hex() == (ref if ref > 0.0 else 1.0).hex()
+    if grid and n >= 5:
+        assert len(np.unique(d)) < len(d)
+
+
 # ---------------------------------------------------------------------------
 # greedy DPP selection
 

@@ -1,9 +1,11 @@
 """The batched simulation kernel against a scalar reference.
 
 The scalar ``step`` functions below are the one-row dynamics the batched
-kernel replaced, kept here only as an oracle.  Agreement is asserted
+kernel replaced, kept here only as an oracle; they call numpy's
+``arctan2`` and ``hypot`` on one element at a time.  Agreement is asserted
 bitwise, not within a tolerance: the pipeline's output bytes depend on
-every bit of every state.
+every bit of every state, and a row must get the same bits alone and at
+any position in any batch.
 """
 import math
 
@@ -31,7 +33,7 @@ def _rect_distance(px, py, hx, hy):
     dy = abs(py) - hy
     if dx <= 0.0 and dy <= 0.0:
         return 0.0
-    return math.hypot(max(dx, 0.0), max(dy, 0.0))
+    return float(np.hypot(max(dx, 0.0), max(dy, 0.0)))
 
 
 def _in_contact(env, ex, ey, bx, by, bth):
@@ -57,7 +59,7 @@ def scalar_block_step(env, state, action, friction):
         cny = 0.5 * (nly + nry)
         ux, uy = rx - lx, ry - ly
         vx, vy = nrx - nlx, nry - nly
-        dth = math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
+        dth = float(np.arctan2(ux * vy - uy * vx, ux * vx + uy * vy))
         slip = min(max(friction, 0.0), 1.0)
         sth = slip * dth
         c = math.cos(sth)
@@ -113,9 +115,9 @@ def _block_rows(env, n, rng):
 
 def _boundary_rows(env, n, rng):
     """Left effector on the outer edge of the contact band around a
-    corner, where np.hypot and math.hypot can fall on opposite sides of
-    contact_margin; the right effector is inside the block, so the left
-    one decides contact."""
+    corner, where the distance to the block lands within a few ulp of
+    contact_margin on either side; the right effector is inside the block,
+    so the left one decides contact."""
     hx, hy = env.half_extents
     m = env.contact_margin
     phi = rng.uniform(0.05, math.pi / 2.0 - 0.05, n)
@@ -210,13 +212,19 @@ def test_reach_step_bitwise_equals_scalar_reference():
     assert _bitwise_equal(env.step(rows[7], actions[7], 1.0), ref[7])
 
 
-@pytest.mark.parametrize("size", [1, 7, 640])
+@pytest.mark.parametrize("size", [*range(1, 10), 15, 16, 17, 31, 32, 33, 63, 64, 65,
+                                  255, 256, 257, 640, 4099])
 def test_row_result_independent_of_batch_size_and_position(block_rows, size):
+    """A row gets the same bits alone and at any position in a batch of
+    any size, which byte-identical output at every ``--jobs`` needs.  The
+    sizes cross the SIMD widths of numpy's elementwise loops, whose tail
+    lanes can take another code path."""
     env, rows, actions, frictions = block_rows
     ref = env.step(rows, actions, frictions)
     rng = np.random.default_rng(size)
-    for _ in range(5):
-        idx = rng.permutation(len(rows))[:size]
+    batches = [rng.permutation(len(rows))[:size] for _ in range(5)]
+    batches += [np.arange(offset, offset + size) for offset in (0, 7, 901)]
+    for idx in batches:
         got = env.step(rows[idx], actions[idx], frictions[idx])
         assert _bitwise_equal(got, ref[idx])
 
@@ -341,12 +349,13 @@ def test_success_batch_matches_scalar_predicates():
     finals[:, 2] = theta
     ref = [abs(_wrap_angle(th - block.theta_des)) < block.eps_theta for th in theta]
     assert block.success_batch(finals).tolist() == ref
-    # goal-ball edge, where np.hypot and math.hypot can disagree
+    # goal-ball edge, where the distance lands within a few ulp of eps_p
     reach = PointReach()
     phi = rng.uniform(0.0, 2.0 * math.pi, 20000)
     goal = rng.uniform(-0.3, 0.3, (20000, 2))
     finals = np.column_stack([goal[:, 0] + reach.eps_p * np.cos(phi),
                               goal[:, 1] + reach.eps_p * np.sin(phi), goal])
-    ref = [math.hypot(x - gx, y - gy) < reach.eps_p for x, y, gx, gy in finals.tolist()]
+    ref = [float(np.hypot(x - gx, y - gy)) < reach.eps_p
+           for x, y, gx, gy in finals.tolist()]
     assert reach.success_batch(finals).tolist() == ref
     assert 0 < sum(ref) < len(ref)
