@@ -1,14 +1,14 @@
 """Dataset assembly and on-disk persistence.
 
-Layout under the output directory (dataset format 4):
+Layout under the output directory (dataset format 5):
 
 * ``manifest``          -- plain-text ``key = value`` run metadata:
-  ``format = 4``, then one line per field of ``DatasetManifest``, its schema;
-  ``n_trajectories`` and ``n_relabeled`` are the row counts of the arrays
+  ``format = 5``, then one line per field of ``DatasetManifest``, its schema,
+  every one required; ``n_trajectories`` and ``n_relabeled`` are the row
+  counts of the arrays
 * ``trajectories.npy``  -- one row per curated trajectory, with the fields
   ``variant`` ``<i8``, ``success`` ``?``, ``friction_scale`` ``<f8``,
-  ``states`` ``<f8 (T+1, d_s)``, ``actions`` ``<f8 (T, d_a)`` and, when
-  the trajectories have origins, ``origin`` ``<f8 (P,)``
+  ``states`` ``<f8 (T+1, d_s)`` and ``actions`` ``<f8 (T, d_a)``
 * ``records.npy``       -- one row per relabeled supervision pair, with the
   fields ``traj`` ``<i8``, ``t`` ``<i8``, ``obs`` ``<f8 (2 d_s,)`` and
   ``chunk`` ``<f8 (H, d_a)``; the table ``relabel_dataset`` returns, written
@@ -30,7 +30,7 @@ check: each array's fields and dtypes, and its shapes against the
 manifest's environment and ``chunk_len``.  Readers also check each row
 count against the manifest.  The writer refuses a misfit with ValueError
 before it writes any file.  A truncated, foreign or pickled file, a misfit
-and a ``format`` other than 4 raise DatasetFormatError; nothing is returned
+and a ``format`` other than 5 raise DatasetFormatError; nothing is returned
 from a dataset that fails a check.  ``read_manifest`` alone reads no array.
 """
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .config import key_value_lines
 from .envs import TRAJECTORY_FIELDS, Environment, make_env
 
 
-FORMAT = 4   # the one dataset format this module writes and reads
+FORMAT = 5   # the one dataset format this module writes and reads
 
 # field -> (dtype, axes per row), in file order, as ``TRAJECTORY_FIELDS``
 _RECORD_FIELDS = {"traj": ("<i8", 0), "t": ("<i8", 0), "obs": ("<f8", 1),
@@ -185,8 +185,8 @@ def _manifest_lines(manifest: DatasetManifest) -> str:
 
 
 def read_manifest(out_dir: str) -> DatasetManifest:
-    """Parse and check ``out_dir/manifest``; every fault, an unknown or
-    repeated key or a ``format`` other than 4 included, raises
+    """Parse and check ``out_dir/manifest``; every fault, an unknown,
+    repeated or missing key or a ``format`` other than 5 included, raises
     DatasetFormatError."""
     path = os.path.join(out_dir, "manifest")
     values: Dict = {}
@@ -209,9 +209,11 @@ def read_manifest(out_dir: str) -> DatasetManifest:
     if fmt != FORMAT:
         raise DatasetFormatError(f"{path}: dataset format {fmt} is not supported "
                                  f"(only format {FORMAT} is read)")
-    if "env_name" not in values or "n_records" not in values:
-        raise DatasetFormatError(f"{path}: missing required manifest keys")
-    tubes = values.get("final_tubes", [])
+    missing = [key for key in _KINDS if key != "format" and key not in values]
+    if missing:
+        raise DatasetFormatError(f"{path}: missing required manifest keys: "
+                                 f"{', '.join(missing)}")
+    tubes = values["final_tubes"]
     # the chained comparison also refuses NaN, infinities and integers too
     # large for a float
     if not all(isinstance(t, list) and len(t) == 2 and all(type(x) in (int, float) for x in t)
@@ -234,21 +236,18 @@ def _manifest_env(manifest: DatasetManifest) -> Environment:
 
 
 def _fields_misfit(table, fields: Dict[str, Tuple[str, int]]) -> str:
-    """Why ``table`` is not a 1-D structured array with exactly ``fields``
-    (``origin`` may be absent), each of its dtype and number of axes;
-    empty if it is."""
+    """Why ``table`` is not a 1-D structured array with exactly ``fields``,
+    each of its dtype and number of axes; empty if it is."""
     if not isinstance(table, np.ndarray) or table.ndim != 1 or table.dtype.names is None:
         return "not a 1-D structured .npy array"
-    names = table.dtype.names
-    want = tuple(name for name in fields if name != "origin" or name in names)
-    if names != want:
-        return f"fields {names}, expected {want}"
-    expected = _dtype(fields, {name: table.dtype[name].shape for name in want})
-    wrong = [name for name in want if table.dtype[name] != expected[name]
+    if table.dtype.names != tuple(fields):
+        return f"fields {table.dtype.names}, expected {tuple(fields)}"
+    expected = _dtype(fields, {name: table.dtype[name].shape for name in fields})
+    wrong = [name for name in fields if table.dtype[name] != expected[name]
              or table.dtype[name].ndim != fields[name][1]]
     if wrong or table.dtype != expected:
         return (f"fields {table.dtype.descr} are not of the types "
-                f"{[(n, *fields[n]) for n in want]} (dtype, axes); wrong: "
+                f"{[(n, *fields[n]) for n in fields]} (dtype, axes); wrong: "
                 f"{', '.join(wrong) or 'the layout'}")
     return ""
 

@@ -18,8 +18,9 @@ pure function of its inputs; ``friction`` is one float for every row or an
 number of steps, longest first, and ``success_batch`` evaluates the
 success predicate on final states.  ``rollout`` and
 ``rollout_with_resume`` are its one-row forms; each returns its rollout as
-a row of a trajectory table (``trajectory_table``, whose fields are those
-of ``trajectories.npy``).
+a row of a trajectory table (``trajectory_table``, whose fields,
+``TRAJECTORY_FIELDS``, are those of ``trajectories.npy``: the variant,
+success, friction scale, states and actions of each rollout).
 ``lockstep`` runs generators of rollout requests (the variant loops, the
 CEM relabel points) together, with one ``rollout_batch`` call per round
 for all the live ones, their requests ordered longest plan first.
@@ -45,11 +46,10 @@ from .geometry import Pose, reanchor_trajectory
 
 
 # the row format of a trajectory table and of ``trajectories.npy``:
-# field -> (dtype, axes per row), in file order; ``origin``, the generating
-# control-point vector, is optional
+# field -> (dtype, axes per row), in file order
 TRAJECTORY_FIELDS = {"variant": ("<i8", 0), "success": ("?", 0),
                      "friction_scale": ("<f8", 0), "states": ("<f8", 2),
-                     "actions": ("<f8", 2), "origin": ("<f8", 1)}
+                     "actions": ("<f8", 2)}
 
 
 def wrap_angle(theta):
@@ -74,30 +74,23 @@ def _rows(friction, n: int) -> np.ndarray:
     return np.broadcast_to(friction, (n,))
 
 
-def trajectory_table(states, actions, success, friction, variant=0,
-                     origin=None) -> np.ndarray:
+def trajectory_table(states, actions, success, friction, variant=0) -> np.ndarray:
     """A trajectory table, one row per full-episode rollout, with the
     fields of ``TRAJECTORY_FIELDS``: states (n, T+1, d_s), actions
-    (n, T, d_a), success and an integer variant per row or for all, the
-    friction scale as ``rollout_batch`` takes it, and origins (n, P) or
-    None.  Shapes that do not fit together raise ValueError, a variant
-    that is not an integer TypeError."""
+    (n, T, d_a), success and an integer variant per row or for all, and the
+    friction scale as ``rollout_batch`` takes it.  Shapes that do not fit
+    together raise ValueError, a variant that is not an integer TypeError."""
     states, actions = np.asarray(states, dtype=float), np.asarray(actions, dtype=float)
     n = len(states)
     columns = {"variant": np.asarray(variant).astype("<i8", casting="safe"),
                "success": success, "friction_scale": _rows(friction, n),
                "states": states, "actions": actions}
-    if origin is not None:
-        origin = columns["origin"] = np.asarray(origin, dtype=float)
     if states.ndim != 3 or actions.ndim != 3 or len(actions) != n \
-            or states.shape[1] != actions.shape[1] + 1 \
-            or (origin is not None and (origin.ndim != 2 or len(origin) != n)):
-        raise ValueError(f"need states (n, T+1, d_s), actions (n, T, d_a) and origins "
-                         f"(n, P) or none, got {states.shape}, {actions.shape} and "
-                         f"{np.shape(origin)}")
-    table = np.empty(n, [(name, TRAJECTORY_FIELDS[name][0],
-                          col.shape[1:] if TRAJECTORY_FIELDS[name][1] else ())
-                         for name, col in columns.items()])
+            or states.shape[1] != actions.shape[1] + 1:
+        raise ValueError(f"need states (n, T+1, d_s) and actions (n, T, d_a), got "
+                         f"{states.shape} and {actions.shape}")
+    table = np.empty(n, [(name, dtype, columns[name].shape[1:] if axes else ())
+                         for name, (dtype, axes) in TRAJECTORY_FIELDS.items()])
     for name, col in columns.items():
         table[name] = col
     return table

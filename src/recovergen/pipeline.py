@@ -149,7 +149,7 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
         selected = cur.dpp_select_greedy(kernel, m, cfg.curator.eps_dpp)
 
         sel_w = cur.reward_to_weight(rewards[selected], cfg.curator.temperature)
-        q = cur.update_proposal(q, table["origin"][selected], sel_w, cfg.curator.eps_stab,
+        q = cur.update_proposal(q, batch.draws[selected], sel_w, cfg.curator.eps_stab,
                                 cfg.curator.delta)
         curated.append(table[selected])
         distances.append(dists[selected])

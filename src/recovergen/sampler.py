@@ -3,7 +3,10 @@
 A nominal plan is M control points in action space, expanded to a full
 T-step action sequence by piecewise-linear interpolation on a uniform
 knot grid.  The proposal over the flattened control-point vector is a
-diagonal Gaussian that the curator refits between iterations.
+diagonal Gaussian that the curator refits between iterations, from the
+draws a ``SuccessBatch`` carries beside its trajectory table.  The
+dataset does not store them: for M <= T the interpolation matrix has
+full column rank, so a plan's actions fix its control points.
 """
 from __future__ import annotations
 
@@ -71,10 +74,11 @@ class Proposal:
 
 @dataclass
 class SuccessBatch:
-    """Successful rollouts of one iteration, as a trajectory table whose
-    ``origin`` is each row's generating control-point vector."""
+    """Successful rollouts of one iteration: a trajectory table and, row
+    for row, the flat control-point vector each row's actions decode from."""
 
     table: np.ndarray
+    draws: np.ndarray           # (len(table), M d_a)
     n_sampled: int
 
     def __len__(self) -> int:
@@ -134,8 +138,8 @@ def sample_successes(env: Environment, variant: Pose, q: Proposal, n: int,
     states, success = yield plans.s0s, plans.actions, plans.friction
     ok = np.flatnonzero(success)
     table = trajectory_table(states[ok], plans.actions[ok], True, plans.friction[ok],
-                             variant_index, plans.draws[ok])
-    return SuccessBatch(table=table, n_sampled=n)
+                             variant_index)
+    return SuccessBatch(table=table, draws=plans.draws[ok], n_sampled=n)
 
 
 def generate_success_batch(env: Environment, variant: Pose, q: Proposal, n: int,

@@ -47,11 +47,11 @@ def _report(name, detail=""):
 # sha256 of every output file of the seed-7 default run (the ``generated``
 # fixture, equal to ``recovergen generate --seed 7 --jobs 1``)
 GOLDEN_DIGESTS = {
-    "manifest": "700f6ce344e34d87a37fd0d2c66e473307f5675009509a5de7e1fd20cf107b17",
+    "manifest": "87c89433df19824aa47d4128ad194a475239b19e5c36fa70532c3b86df416580",
     "records.npy": "bcfcba924b43d37b9a7dc24fd040645fa5a65f8f535273a588663d1e338feb07",
     "report.jsonl": "500d7c12a77a54cbbc86e647d4623156891c2d4eb6b888243b19f127f95d8f56",
     "report.txt": "7b22373813e7d8b110ab61897b0ce07b4351f68f8d0a5ac63a4d003e9f6eac1e",
-    "trajectories.npy": "a7c4c525990d22d5a8518d2f9ddf222570433c930005d4a9be7aa8e3cca1219f",
+    "trajectories.npy": "8a6b742565faca2be8d928497c1e1482afcaf84717ab252bf8548bfea240b412",
 }
 
 
@@ -85,7 +85,7 @@ def test_golden_digest_of_default_run(generated):
 
 # sha256 of every output file of ``recovergen baseline --seed 7``
 BASELINE_DIGESTS = {
-    "manifest": "060fcac7195de7d0784bebd4e47bdec3da9380d903df21d0ac781a47e1eab8e4",
+    "manifest": "04577430fcdd9677164f842998d0ab8e1efb7ef3c0baf3fb41c9a696afcd3fe1",
     "records.npy": "7923825b0504c9d022f593c5e23f597027c451dd44b58894750807bebc1597df",
     "report.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "report.txt": "8dad72ffab282396621954eaf9f583808044cc7b67f9a6d6f33c7fd6592d9532",
@@ -129,19 +129,21 @@ def test_rebuilt_records_encode_to_the_format_1_file(generated):
 
 # sha256 of the same run's ``trajectories`` and ``records`` in dataset
 # format 2, which stored them as json.dumps lines; since the planar
-# geometry, the oracle encoding of this run, as above, and since format 4
-# without the ``mass`` key of each trajectory line
+# geometry, the oracle encoding of this run, as above, since format 4
+# without the ``mass`` key of each trajectory line, and since format 5
+# without its ``origin`` key
 FORMAT_2_DIGESTS = {
-    "trajectories": "4ad7797748b9a89bf77e4ab4f8cec9b1b5b3eae522a8a7a16d27df014172b98f",
+    "trajectories": "1ee790f92abff59a0901e533d18f296884bed1ae72517a65aab1fb2e80c74075",
     "records": "71359794f6832c52833a350c20dd0f258a1e15118cb63790d1f2a7879e5aee59",
 }
 
 
 def test_loaded_data_encodes_to_the_format_2_files(generated):
-    """Formats 3 and 4 store raw float64.  Encoded line by line with the
+    """Formats 3 to 5 store raw float64.  Encoded line by line with the
     ``json.dumps`` oracle, the trajectories and relabeled records it loads
     give the format-2 files byte for byte (less the trajectories' ``mass``,
-    which format 4 dropped), so the change of format loses nothing else."""
+    which format 4 dropped, and ``origin``, which format 5 dropped), so the
+    change of format loses nothing else."""
     from recovergen.dataset_io import load_trajectories
     from test_dataset import oracle_rows_text, oracle_traj_line
     cfg, pairs, _, _ = generated
@@ -151,7 +153,7 @@ def test_loaded_data_encodes_to_the_format_2_files(generated):
             "records": oracle_rows_text(pairs.relabeled, "relabeled")}
     assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in text.items()} \
         == FORMAT_2_DIGESTS
-    _report("format 4 lossless", "trajectories and relabeled records encode to format 2")
+    _report("format 5 lossless", "trajectories and relabeled records encode to format 2")
 
 
 def test_bench_inspect_dataset_passes_on_the_golden_run(generated):

@@ -15,6 +15,7 @@ from recovergen.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NO_DATA, EXIT_OK, main)
 from recovergen.config import (ConfigError, PipelineConfig, apply_option,
                                config_parameters, load_config)
 from recovergen.dataset_io import read_manifest
+from recovergen.sampler import fit_control_points
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +362,17 @@ def _copy_with_manifest_edit(src, dst, edit):
     (lambda text: text + "foo = 1\n", ["stats", "evaluate"]),
     (lambda text: re.sub(r"final_tubes = .*", "final_tubes = 5", text), ["stats", "evaluate"]),
     (lambda text: text.replace("env_config = {", 'env_config = {"bogus": 1, '), ["evaluate"]),
-    (lambda text: text.replace("format = 4\n", ""), ["stats", "evaluate"]),
-    (lambda text: text.replace("format = 4", "format = 2"), ["stats", "evaluate"]),
+    (lambda text: text.replace("format = 5\n", ""), ["stats", "evaluate"]),
+    (lambda text: text.replace("format = 5", "format = 2"), ["stats", "evaluate"]),
     (lambda text: text + "no equals sign\n", ["stats", "evaluate"]),
     (lambda text: text + "seed = 4\n", ["stats", "evaluate"]),
     (lambda text: re.sub(r"n_generated = .*", "n_generated = -5", text), ["stats", "evaluate"]),
     (lambda text: re.sub(r"final_tubes = .*", "final_tubes = [[true, NaN]]", text),
      ["stats", "evaluate"]),
+    # truncated manifests: the counts without the run's environment and tubes,
+    # and then without env_config, which evaluate would replace by the defaults
+    (lambda text: "".join(text.splitlines(True)[:13]), ["stats", "evaluate"]),
+    (lambda text: text[:text.index("env_config = ")], ["stats", "evaluate"]),
 ])
 def test_cli_manifest_faults_exit_4(small_dataset, tmp_path, capsys, edit, commands):
     bad = _copy_with_manifest_edit(small_dataset, tmp_path / "bad", edit)
@@ -378,27 +383,35 @@ def test_cli_manifest_faults_exit_4(small_dataset, tmp_path, capsys, edit, comma
         assert "i/o error" in err and "Traceback" not in err
 
 
-def test_cli_refuses_a_format_3_dataset(small_dataset, tmp_path, capsys):
-    # format 3 also stored a mass per trajectory (and, for the block, a
-    # mass_range in env_config); the reader reads format 4 only
+@pytest.mark.parametrize("fmt", [3, 4])
+def test_cli_refuses_an_old_format_dataset(small_dataset, tmp_path, capsys, fmt):
+    # format 4 also stored each trajectory's control points as ``origin``,
+    # after ``actions``; format 3 had them and a mass per trajectory, before
+    # ``friction_scale`` (and, for the block, a mass_range in env_config).
+    # The reader reads format 5 only.
     old = _copy_with_manifest_edit(small_dataset, tmp_path / "old",
-                                   lambda text: text.replace("format = 4", "format = 3"))
+                                   lambda text: text.replace("format = 5", f"format = {fmt}"))
     table = np.load(old / "trajectories.npy", allow_pickle=False)
-    names = list(table.dtype.names)
-    names.insert(names.index("friction_scale"), "mass")
-    with_mass = np.empty(len(table), [(n, "<f8") if n == "mass" else (n, table.dtype[n])
-                                      for n in names])
-    for n in table.dtype.names:
-        with_mass[n] = table[n]
-    with_mass["mass"] = 1.0
-    np.save(old / "trajectories.npy", with_mass, allow_pickle=False)
+    m_points = read_manifest(str(small_dataset)).parameters["sampler.m_points"]
+    columns = {}
+    for name in table.dtype.names:
+        if name == "friction_scale" and fmt == 3:
+            columns["mass"] = np.ones(len(table))
+        columns[name] = table[name]
+    columns["origin"] = np.array([fit_control_points(actions, m_points).reshape(-1)
+                                  for actions in table["actions"]])
+    stored = np.empty(len(table), [(n, c.dtype, c.shape[1:]) for n, c in columns.items()])
+    for name, column in columns.items():
+        stored[name] = column
+    np.save(old / "trajectories.npy", stored, allow_pickle=False)
     for argv in (["stats", str(old), "--json"], ["stats", str(old)],
                  ["evaluate", str(old), "--trials", "2"],
                  ["evaluate", str(small_dataset), "--compare", str(old), "--trials", "2"]):
         assert main(argv) == EXIT_IO, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
-        assert "dataset format 3 is not supported (only format 4 is read)" in captured.err
+        assert (f"dataset format {fmt} is not supported (only format 5 is read)"
+                in captured.err)
 
 
 def test_cli_mass_range_is_a_config_error_before_any_rollout(tmp_path, capsys, monkeypatch):

@@ -23,13 +23,12 @@ from recovergen.pipeline import evaluate_replay
 D_S, D_A = 4, 2     # state and action sizes of point_reach, make_manifest's environment
 
 
-def make_traj(horizon=10, seed=0, variant=0, origin=True):
+def make_traj(horizon=10, seed=0, variant=0):
     """A one-row trajectory table."""
     rng = np.random.default_rng(seed)
     return trajectory_table(rng.standard_normal((1, horizon + 1, D_S)),
                             rng.standard_normal((1, horizon, D_A)), True,
-                            0.97, variant,
-                            rng.standard_normal((1, 4)) if origin else None)
+                            0.97, variant)
 
 
 def stack(trajs):
@@ -150,11 +149,11 @@ def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
     nans = np.array([0x7FF8_0000_DEAD_BEEF, 0xFFF0_0000_0000_0001], np.uint64).view(np.float64)
     edge = np.concatenate([[-0.0, np.inf, -np.inf, 5e-324, 1e16, -5e-324], nans])
     (traj,) = trajectory_table(edge.reshape(1, 2, D_S), edge[:D_A].reshape(1, 1, D_A), False,
-                               nans[0], 3, edge[None])
+                               nans[0], 3)
     relabeled = make_records([edge[::-1]], [edge.reshape(4, D_A)])
     serialize(make_manifest(), str(tmp_path), traj[None], relabeled)
     (got,) = load_trajectories(str(tmp_path))
-    for name in ("states", "actions", "origin"):
+    for name in ("states", "actions"):
         assert bits(getattr(got, name)) == bits(traj[name]), name
     assert struct.pack("<d", got.friction_scale) == struct.pack("<d", nans[0])
     pairs = deserialize(str(tmp_path))[0]
@@ -185,11 +184,25 @@ def test_malformed_line_reports_location(tmp_path):
         deserialize(out)
 
 
-def test_missing_manifest_keys_rejected(tmp_path):
-    with open(tmp_path / "manifest", "w") as fh:
-        fh.write("format = 4\nseed = 1\n")
-    with pytest.raises(DatasetFormatError, match="missing required"):
-        deserialize(str(tmp_path))
+@pytest.mark.parametrize("keep, missing", [
+    pytest.param(None, "env_name, source, iterations", id="format-and-seed-only"),
+    # the counts are all there, but not the run's environment and tubes
+    pytest.param(13, "chunk_len, env_config, parameters, final_tubes", id="cut-after-line-13"),
+    # a manifest without env_config would be replayed under the default physics
+    pytest.param(14, "env_config, parameters, final_tubes", id="cut-after-chunk_len"),
+])
+def test_missing_manifest_keys_rejected(tmp_path, keep, missing):
+    # every key is required: none is filled in with a default
+    path = os.path.join(tmp_path, "manifest")
+    if keep is None:
+        with open(path, "w") as fh:
+            fh.write("format = 5\nseed = 1\n")
+    else:
+        _dataset(tmp_path)
+        _rewrite(path, lambda lines: lines[:keep])
+    for reader in ALL_READERS:
+        with _raises_naming(path, f"missing required manifest keys: {missing}"):
+            reader(str(tmp_path))
 
 
 def test_missing_trajectory_dump_rejected(tmp_path):
@@ -202,8 +215,8 @@ def test_missing_trajectory_dump_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# formats 3 and 4 keep the bytes of the per-line json.dumps encoding of
-# format 2, without its ``mass`` key
+# formats 3 to 5 keep the bytes of the per-line json.dumps encoding of
+# format 2, without its ``mass`` key, and format 5 without its ``origin``
 
 
 def oracle_record_line(traj, t, source, obs, chunk):
@@ -218,7 +231,7 @@ def oracle_record_line(traj, t, source, obs, chunk):
 
 def oracle_traj_line(i, row):
     """Format 2's line of the trajectory table row ``row``, without the
-    ``mass`` that format 2 also stored."""
+    ``mass`` and ``origin`` that format 2 also stored."""
     return json.dumps({
         "id": i,
         "variant": int(row["variant"]),
@@ -226,7 +239,6 @@ def oracle_traj_line(i, row):
         "friction_scale": float(row["friction_scale"]),
         "states": row["states"].tolist(),
         "actions": row["actions"].tolist(),
-        "origin": row["origin"].tolist() if "origin" in row.dtype.names else None,
     })
 
 
@@ -269,18 +281,15 @@ def float_arrays(shape):
 
 @st.composite
 def datasets(draw):
-    """(trajectory table, relabeled records table, chunk_len) as format 4
-    stores them: one shape per field, and origins on every trajectory or on
-    none."""
+    """(trajectory table, relabeled records table, chunk_len) as format 5
+    stores them: one shape per field."""
     horizon = draw(st.integers(1, 5))
     n = draw(st.integers(0, 4))
-    n_origin = draw(st.one_of(st.none(), st.integers(0, 6)))
     trajectories = trajectory_table(
         draw(float_arrays((n, horizon + 1, D_S))), draw(float_arrays((n, horizon, D_A))),
         draw(hnp.arrays(bool, n)),
         draw(float_arrays(n)),
-        draw(hnp.arrays(np.int64, n, elements=st.integers(0, 50))),
-        None if n_origin is None else draw(float_arrays((n, n_origin))))
+        draw(hnp.arrays(np.int64, n, elements=st.integers(0, 50))))
     chunk = draw(st.integers(1, 4))
     rows = [(draw(st.integers(0, 9)), draw(st.integers(0, 9)),
              draw(float_arrays(2 * D_S)), draw(float_arrays((chunk, D_A))))
@@ -346,17 +355,14 @@ def test_writer_empty_record_list(tmp_path):
         assert len(pairs) == len(pairs.curated) == n_curated and len(pairs.relabeled) == 0
 
 
-def test_writer_trajectories_with_and_without_origin(tmp_path):
+def test_writer_refuses_an_origin_column(tmp_path):
+    # format 4 stored each trajectory's control points as ``origin``; format
+    # 5 has one layout, and a table with that column is refused unwritten
     trajs = stack(make_traj(seed=i, variant=i) for i in range(4))
-    assert_round_trip_keeps_oracle_text(trajs, windows(trajs, 3)[:0], 3)
-    trajs = _rebuild(trajs, origin=None)
-    assert_round_trip_keeps_oracle_text(trajs, windows(trajs, 3)[:0], 3)
-    serialize(make_manifest(), str(tmp_path), trajs)
-    assert "origin" not in np.load(tmp_path / "trajectories.npy", allow_pickle=False).dtype.names
-    # an origin that is not one vector per row is refused
-    with pytest.raises(ValueError, match="origin"):
-        serialize(make_manifest(), str(tmp_path / "some"), _rebuild(trajs, origin=np.zeros(4)))
-    assert not (tmp_path / "some").exists()
+    for origin in (np.zeros((4, 12)), np.zeros(4)):
+        with pytest.raises(ValueError, match=r"trajectories: fields \(.*'origin'\), expected"):
+            serialize(make_manifest(), str(tmp_path / "out"), _rebuild(trajs, origin=origin))
+    assert list(tmp_path.iterdir()) == []
 
 
 REAL_WRITE_ARRAY = np.lib.format.write_array
@@ -473,8 +479,7 @@ def test_reader_equals_whole_file_oracle(dataset):
 
 
 def test_reader_equals_oracle_across_blocks_and_edge_values():
-    trajs = stack(make_traj(horizon=40, seed=i, variant=i % 3, origin=False)
-                  for i in range(30))
+    trajs = stack(make_traj(horizon=40, seed=i, variant=i % 3) for i in range(30))
     trajs["states"][7, 3] = [-0.0, np.nan, np.inf, 5e-324]
     assert_reader_matches_oracle(trajs, windows(trajs, chunk_len=5), 5)
 
@@ -725,7 +730,7 @@ def test_every_reader_refuses_a_format_2_directory(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# format 4: curated windows rebuilt from trajectories, strict manifest
+# format 5: curated windows rebuilt from trajectories, strict manifest
 
 
 def _set_manifest_line(out, key, value=None):
@@ -747,7 +752,7 @@ def test_manifest_pins_format_and_chunk_len(tmp_path):
     out = _dataset(tmp_path)
     with open(os.path.join(out, "manifest")) as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == "format = 4" and "chunk_len = 4" in lines
+    assert lines[0] == "format = 5" and "chunk_len = 4" in lines
     assert read_manifest(out).chunk_len == 4
     assert len(np.load(os.path.join(out, "records.npy"), allow_pickle=False)) == 5
 
@@ -780,7 +785,7 @@ def test_manifest_keys_are_format_then_the_fields_in_order(tmp_path):
     assert keys == ["format"] + [f.name for f in dataclasses.fields(DatasetManifest)]
 
 
-@pytest.mark.parametrize("value", [None, "1", "2"])
+@pytest.mark.parametrize("value", [None, "1", "2", "3", "4"])
 def test_any_format_but_3_is_rejected(tmp_path, value):
     out = _dataset(tmp_path)
     _set_manifest_line(out, "format", value)
@@ -861,7 +866,7 @@ def test_serialize_refuses_wrong_dtypes_and_misfit_targets(tmp_path):
     relabeled = windows(trajs, chunk_len=4)[:2]
     long_obs = _rebuild(relabeled, obs=np.zeros((2, 9)))
     bad = [(list(trajs), None, 4, "not a 1-D structured"),  # rows, not a table
-           (_rebuild(trajs, origin=None, variant=None), None, 4, "expected"),  # a field missing
+           (_rebuild(trajs, variant=None), None, 4, "expected"),  # a field missing
            (_rebuild(trajs, success=np.ones(2, "<i8")), None, 4, "not of the types"),
            (trajs, list(relabeled), 4, "records: not a 1-D structured"),  # rows, not a table
            (trajs, _rebuild(relabeled, t=None), 4, "records: fields .* expected"),

@@ -155,21 +155,17 @@ def test_block_zero_actions_fail(block_env):
 
 
 def test_trajectory_length_mismatch_rejected():
-    # T + 1 states per T actions, one row count, and (n, P) origins
-    for states, actions, origin in (((1, 3, 2), (1, 3, 1), None),
-                                    ((1, 3, 2), (2, 2, 1), None),
-                                    ((3, 2), (2, 1), None),
-                                    ((2, 3, 2), (2, 2, 1), (3, 4)),
-                                    ((2, 3, 2), (2, 2, 1), (2,))):
+    # T + 1 states per T actions and one row count
+    for states, actions in (((1, 3, 2), (1, 3, 1)),
+                            ((1, 3, 2), (2, 2, 1)),
+                            ((3, 2), (2, 1))):
         with pytest.raises(ValueError):
-            trajectory_table(np.zeros(states), np.zeros(actions), False, 1.0,
-                             origin=None if origin is None else np.zeros(origin))
+            trajectory_table(np.zeros(states), np.zeros(actions), False, 1.0)
     with pytest.raises(ValueError):   # one friction scale, or one per row
         trajectory_table(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)), False, [0.9, 0.8, 0.7])
     table = trajectory_table(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)), [True, False],
-                             np.array([1.0, 2.0]), variant=[4, 5], origin=np.zeros((2, 6)))
-    assert table.dtype.names == ("variant", "success", "friction_scale",
-                                 "states", "actions", "origin")
+                             np.array([1.0, 2.0]), variant=[4, 5])
+    assert table.dtype.names == ("variant", "success", "friction_scale", "states", "actions")
     assert table["variant"].tolist() == [4, 5]
     assert table["friction_scale"].tolist() == [1.0, 2.0]
     assert table["success"].tolist() == [True, False]

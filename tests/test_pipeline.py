@@ -254,8 +254,11 @@ def test_evaluate_replay_deterministic(tmp_path):
 def test_evaluate_replay_missing_dump(tmp_path):
     os.makedirs(tmp_path / "empty")
     with open(tmp_path / "empty" / "manifest", "w") as fh:
-        fh.write("format = 4\nenv_name = point_reach\nn_records = 0\nn_trajectories = 0\n"
-                 "env_config = {}\n")
+        fh.write("format = 5\nenv_name = point_reach\nseed = 0\nsource = generate\n"
+                 "iterations = 0\nsamples_per_iteration = 0\nn_variants = 0\n"
+                 "n_generated = 0\nn_successful = 0\nn_selected = 0\nn_relabeled = 0\n"
+                 "n_records = 0\nn_trajectories = 0\nchunk_len = 1\nenv_config = {}\n"
+                 "parameters = {}\nfinal_tubes = []\n")
     from recovergen.dataset_io import DatasetFormatError
     with pytest.raises((PipelineError, DatasetFormatError), match="trajectories.npy: file missing"):
         evaluate_replay(str(tmp_path / "empty"), n_trials=5)

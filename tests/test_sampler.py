@@ -205,10 +205,33 @@ def test_success_batch_members_revalidate():
     table = batch.table
     assert table["success"].all() and np.all(table["variant"] == 0)
     assert env.success_batch(table["states"][:, -1]).all()  # re-evaluation agrees
-    # each row's origin is the control-point vector its actions decode from
-    assert table["origin"].shape == (len(batch), 12)
-    for c, actions in zip(table["origin"], table["actions"]):
+    # each row's draw is the control-point vector its actions decode from
+    assert batch.draws.shape == (len(batch), 12)
+    for c, actions in zip(batch.draws, table["actions"]):
         assert np.array_equal(decode(c.reshape(6, 2), env.horizon), actions)
+
+
+def test_stored_actions_fix_the_draws():
+    # the dataset stores no control points, because the actions fix them:
+    # they decode from the draws bit for bit, and the interpolation matrix
+    # has full column rank, so least squares on the actions returns the draws
+    env = PlanarBlockRotate()
+    demo = augmented_demo_actions(env, env.demo_object_pose(), l_blend=10)
+    q = init_proposal(demo, 16, sigma0=0.003, variance_floor=1e-8)
+    w = interp_matrix(env.horizon, 16)
+    assert np.linalg.matrix_rank(w) == 16
+    rows = 0
+    for seed in range(5):
+        batch = generate_success_batch(env, env.demo_object_pose(), q, 64,
+                                       np.random.default_rng(seed))
+        n, actions = len(batch), batch.table["actions"]
+        rows += n
+        assert (w @ batch.draws.reshape(n, 16, 4)).tobytes() == actions.tobytes()
+        fit, *_ = np.linalg.lstsq(w, actions.transpose(1, 0, 2).reshape(env.horizon, -1),
+                                  rcond=None)
+        fit = fit.reshape(16, n, 4).transpose(1, 0, 2).reshape(n, 64)
+        assert np.max(np.abs(fit - batch.draws), initial=0.0) <= 1e-12
+    assert rows > 0
 
 
 def test_draw_plans_decodes_each_draw_as_decode_does():
@@ -232,3 +255,4 @@ def test_success_batch_deterministic():
                                np.random.default_rng(2))
     assert len(a) == len(b)
     assert a.table.dtype == b.table.dtype and a.table.tobytes() == b.table.tobytes()
+    assert a.draws.tobytes() == b.draws.tobytes()
