@@ -344,9 +344,11 @@ def _load_table(path: str) -> np.ndarray:
         raise DatasetFormatError(f"{path}: not a readable .npy array: {exc}") from exc
 
 
-def _open(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray, np.ndarray]:
-    """The manifest, its environment and the two arrays, each checked
-    against the manifest; see the module docstring."""
+def open_dataset(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray, np.ndarray]:
+    """The manifest, the environment it describes, the stored trajectories
+    table and the ``records.npy`` table, with the manifest parsed once and
+    the whole dataset checked (see the module docstring).  An
+    ``env_config`` the environment rejects raises DatasetFormatError."""
     manifest = read_manifest(out_dir)
     manifest_path = os.path.join(out_dir, "manifest")
     try:
@@ -371,18 +373,10 @@ def _open(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray, np.nd
     return manifest, env, trajectories, records
 
 
-def open_dataset(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray]:
-    """The manifest, the environment it describes and the stored
-    trajectories table, with the manifest parsed once and the whole dataset
-    checked.  An ``env_config`` the environment rejects raises
-    DatasetFormatError."""
-    return _open(out_dir)[:3]
-
-
 def deserialize(out_dir: str) -> Tuple[Pairs, DatasetManifest]:
     """Every supervision pair: the curated windows rebuilt from the
     trajectories by ``export_pairs``, and the ``records.npy`` table."""
-    manifest, env, trajectories, relabeled = _open(out_dir)
+    manifest, env, trajectories, relabeled = open_dataset(out_dir)
     curated = export_pairs(trajectories["states"], trajectories["actions"],
                            manifest.chunk_len, env.observe)
     return Pairs(curated, relabeled), manifest

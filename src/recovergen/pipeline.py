@@ -295,45 +295,95 @@ def _binomial_ci(successes: int, trials: int) -> Tuple[float, float]:
     return (max(0.0, p - half), min(1.0, p + half))
 
 
-_REPLAY_BLOCK = 1024   # replay rows per rollout batch
+# most rows per replay rollout batch: evaluate holds the replayed columns
+# plus one block's plans and states (2.7 MB for 512 planar rows), for any
+# dataset size and n_trials; a smaller block costs more rollout calls
+_REPLAY_BLOCK = 512
+
+
+def _successes(env: Environment, rows: int, block) -> int:
+    """Successful rows among ``rows`` replays, rolled out in blocks of at
+    most ``_REPLAY_BLOCK`` rows; ``block(lo, hi)`` gives the
+    ``rollout_batch`` arguments of rows lo to hi - 1, block after block."""
+    return sum(int(np.sum(rollout_batch(env, *block(lo, min(lo + _REPLAY_BLOCK, rows)))[1]))
+               for lo in range(0, rows, _REPLAY_BLOCK))
 
 
 def evaluate_replay(dataset_dir: str, n_trials: int, seed: int = 0) -> Dict:
-    """Open-loop replay of a dataset's stored nominal plans.
+    """Open-loop replay of a dataset's stored plans.
 
-    Reports the success rate under the exact stored per-episode physical
-    parameters and under fresh randomized parameters (n_trials draws,
-    cycling through the stored trajectories), with 95% binomial CIs.
+    Reports the success rate of the stored trajectories under their stored
+    friction; of the relabeled records (None when there are none), each
+    its chunk from ``states[traj, t]`` and then the rest of its
+    trajectory's plan, under that trajectory's friction; and of n_trials
+    fresh friction draws, trial j on plan j % n with the j-th draw of one
+    ``sample_friction`` stream, with a 95% binomial CI.
+
+    The replayed columns (start states, plans and friction scales, and
+    each record's start state, step and chunk) are copied out and the
+    loaded tables dropped before the first rollout.  Every rollout batch
+    has at most ``_REPLAY_BLOCK`` rows, sliced from those columns; only
+    fewer plans than a block are tiled, to whole passes that fit in one.
+    So from the first rollout on, memory is the replayed columns plus one
+    block's plans and states, for any dataset size and n_trials.  Rows
+    are independent and the friction stream does not depend on how the
+    trials are split, so neither does the report.
     """
     if n_trials < 0:
         raise ConfigError(f"trials must be >= 0, got {n_trials}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    manifest, env, table = open_dataset(dataset_dir)
-    if not len(table):
+    manifest, env, table, records = open_dataset(dataset_dir)
+    n, horizon = len(table), env.horizon
+    if not n:
         raise PipelineError(f"{dataset_dir}: no trajectories to replay")
-
-    shape = (env.horizon, env.action_dim)
-    if table.dtype["actions"].shape != shape:
+    if table.dtype["actions"].shape != (horizon, env.action_dim):
         raise DatasetFormatError(f"{dataset_dir}: stored plans must have actions of "
-                                 f"shape {shape}")
-    s0s, actions = table["states"][:, 0], table["actions"]
-    stored_ok = int(np.sum(rollout_batch(env, s0s, actions, table["friction_scale"])[1]))
+                                 f"shape {(horizon, env.action_dim)}")
+    h = records.dtype["chunk"].shape[0]
+    if np.any((records["traj"] < 0) | (records["traj"] >= n) | (records["t"] < 0)
+              | (records["t"] > horizon - h)):
+        raise DatasetFormatError(f"{dataset_dir}: a relabeled record's traj or t leaves no "
+                                 f"room for its chunk in a stored plan")
+    # by ascending t, so longest continuation first, as rollout_batch wants
+    order = np.argsort(records["t"], kind="stable")
+    traj, t, chunks = (records[name][order] for name in ("traj", "t", "chunk"))
+    starts = table["states"][traj, t]
+    s0s, actions = table["states"][:, 0].copy(), table["actions"].copy()
+    friction = table["friction_scale"].copy()
+    del table, records
 
-    # fresh draws cycle through the stored plans, one batch per block of
-    # trials so memory stays bounded for any n_trials
+    stored_ok = _successes(env, n, lambda lo, hi: (s0s[lo:hi], actions[lo:hi],
+                                                   friction[lo:hi]))
+
+    def relabeled(lo, hi):
+        # each record's chunk, then its trajectory's plan from t + H on,
+        # padded after its end with actions no row steps
+        steps = t[lo:hi, None] + np.arange(horizon - t[lo])
+        plans = actions[traj[lo:hi, None], np.minimum(steps, horizon - 1)]
+        plans[:, :h] = chunks[lo:hi]
+        return starts[lo:hi], plans, friction[traj[lo:hi]], horizon - t[lo:hi]
+
+    relabeled_ok = _successes(env, len(t), relabeled)
+
+    # fresh trial j replays plan j % n: each pass over the plans is sliced
+    # into blocks, or, with fewer plans than a block, whole passes are
+    # tiled into one
     rng = np.random.default_rng(seed)
-    fresh_ok = 0
-    for lo in range(0, n_trials, _REPLAY_BLOCK):
-        rows = np.arange(lo, min(lo + _REPLAY_BLOCK, n_trials)) % len(table)
-        fresh_ok += int(np.sum(rollout_batch(env, s0s[rows], actions[rows],
-                                             env.sample_friction(rng, len(rows)))[1]))
+    passes = max(1, min(_REPLAY_BLOCK // n, -(-n_trials // n)))
+    if passes > 1:
+        s0s, actions = np.tile(s0s, (passes, 1)), np.tile(actions, (passes, 1, 1))
+    fresh_ok = sum(_successes(env, min(len(s0s), n_trials - start),
+                              lambda lo, hi: (s0s[lo:hi], actions[lo:hi],
+                                              env.sample_friction(rng, hi - lo)))
+                   for start in range(0, n_trials, len(s0s)))
 
     return {
         "dataset": dataset_dir,
         "source": manifest.source,
-        "n_trajectories": len(table),
-        "stored_success_rate": stored_ok / len(table),
+        "n_trajectories": n,
+        "stored_success_rate": stored_ok / n,
+        "relabeled_success_rate": relabeled_ok / len(t) if len(t) else None,
         "fresh_trials": n_trials,
         "fresh_success_rate": fresh_ok / n_trials if n_trials else 0.0,
         "fresh_ci95": _binomial_ci(fresh_ok, n_trials),

@@ -2,14 +2,20 @@
 accounting, starvation handling, baseline, and the replay harness."""
 import filecmp
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from recovergen import pipeline
 from recovergen.config import PipelineConfig
 from recovergen.curator import state_distances
-from recovergen.dataset_io import dataset_stats, deserialize, load_trajectories, read_manifest
-from recovergen.envs import make_env, rollout
+from recovergen.dataset_io import (DatasetFormatError, DatasetManifest, dataset_stats,
+                                   deserialize, load_trajectories, open_dataset,
+                                   read_manifest, record_dtype, serialize)
+from recovergen.envs import (augmented_demo_actions, make_env, rollout, rollout_batch,
+                             trajectory_table)
+from recovergen.geometry import Pose
 from recovergen.pipeline import (PipelineError, _run_variants, compare_replay,
                                  evaluate_replay, run_pgdg, run_spatial_only,
                                  run_variant, sample_variant_poses)
@@ -259,9 +265,125 @@ def test_evaluate_replay_missing_dump(tmp_path):
                  "n_generated = 0\nn_successful = 0\nn_selected = 0\nn_relabeled = 0\n"
                  "n_records = 0\nn_trajectories = 0\nchunk_len = 1\nenv_config = {}\n"
                  "parameters = {}\nfinal_tubes = []\n")
-    from recovergen.dataset_io import DatasetFormatError
     with pytest.raises((PipelineError, DatasetFormatError), match="trajectories.npy: file missing"):
         evaluate_replay(str(tmp_path / "empty"), n_trials=5)
+
+
+PLANAR = make_env("planar_block_rotate")
+H = 15   # the chunk length of replay_dataset's records
+
+
+def replay_dataset(out_dir, n, n_records, seed=0):
+    """A planar dataset of n noisy demo plans rolled out under their own
+    friction draws, some failing, and n_records relabeled records on them,
+    each the reference chunk plus noise at a random (traj, t), with
+    repeats; returns its directory."""
+    env, rng = PLANAR, np.random.default_rng(seed)
+    actions = (augmented_demo_actions(env, Pose(), 10)
+               + rng.normal(0.0, 0.002, (n, env.horizon, env.action_dim)))
+    friction = env.sample_friction(rng, n)
+    states, success = rollout_batch(env, np.repeat(env.reset(Pose())[None], n, axis=0),
+                                    actions, friction)
+    records = np.empty(n_records, record_dtype(2 * env.state_dim, (H, env.action_dim)))
+    records["traj"] = rng.integers(0, n, n_records)
+    records["t"] = rng.integers(0, env.horizon - H + 1, n_records) // 5 * 5
+    records["obs"] = env.observe(states[records["traj"], records["t"]],
+                                 states[records["traj"], 0])
+    records["chunk"] = (actions[records["traj"][:, None], records["t"][:, None] + np.arange(H)]
+                        + rng.normal(0.0, 0.01, records["chunk"].shape))
+    serialize(DatasetManifest(env_name=env.name), str(out_dir),
+              trajectory_table(states, actions, success, friction), records)
+    return str(out_dir)
+
+
+def replay_oracle(out_dir, n_trials, seed):
+    """evaluate_replay's rates, from one rollout_batch over all stored
+    plans, one over all fresh trials (trial j on plan j % n, friction from
+    one sample_friction call) and one per relabeled record."""
+    _, env, table, records = open_dataset(out_dir)
+    n, s0s, actions = len(table), table["states"][:, 0], table["actions"]
+    stored = rollout_batch(env, s0s, actions, table["friction_scale"])[1]
+    rows = np.arange(n_trials) % n
+    fresh = rollout_batch(env, s0s[rows], actions[rows],
+                          env.sample_friction(np.random.default_rng(seed), n_trials))[1]
+    relabeled = 0
+    for i, t, chunk in zip(records["traj"], records["t"], records["chunk"]):
+        plan = np.concatenate([chunk, actions[i, t + len(chunk):]])
+        relabeled += int(rollout_batch(env, table["states"][i, t][None], plan[None],
+                                       table["friction_scale"][i])[1][0])
+    return {"stored_success_rate": int(stored.sum()) / n,
+            "relabeled_success_rate": relabeled / len(records) if len(records) else None,
+            "fresh_success_rate": int(fresh.sum()) / n_trials if n_trials else 0.0}
+
+
+@pytest.fixture(scope="module")
+def replay_datasets(tmp_path_factory):
+    root = tmp_path_factory.mktemp("replay")
+    return {n: replay_dataset(root / str(n), n, n_records=7, seed=n) for n in (3, 11)}
+
+
+@pytest.mark.parametrize("n", [3, 11])
+def test_evaluate_replay_equals_the_one_batch_oracle_at_any_block(replay_datasets, n,
+                                                                  monkeypatch):
+    out = replay_datasets[n]
+    for n_trials in (0, n - 1, 3 * n, 2 * n + 1):
+        want = replay_oracle(out, n_trials, seed=n_trials)
+        for block in (1, 2, n - 1, n, n + 1, 2 * n + 1, 4096):
+            monkeypatch.setattr(pipeline, "_REPLAY_BLOCK", block)
+            report = evaluate_replay(out, n_trials, seed=n_trials)
+            assert {k: report[k] for k in want} == want, (n_trials, block)
+            assert report["n_trajectories"] == n and report["fresh_trials"] == n_trials
+    # the fixtures draw outcomes of both kinds, so a wrong row would show
+    assert all(0 < want[k] < 1 for k in want)
+
+
+def test_evaluate_replay_memory_is_the_replayed_columns_plus_one_block(tmp_path,
+                                                                      monkeypatch):
+    # from the first rollout on, the loaded table is gone and no batch holds
+    # more than one block: the peak stays below the table plus one block's
+    # states and plans, although every stored row and 3 passes are replayed
+    block, env = 16, PLANAR
+    out = replay_dataset(tmp_path / "ds", 3 * block + 5, n_records=0)
+    bound = (open_dataset(out)[2].nbytes + block * 8 * (
+        (env.horizon + 1) * env.state_dim + env.horizon * env.action_dim))
+    monkeypatch.setattr(pipeline, "_REPLAY_BLOCK", block)
+    calls = []
+
+    def rollout_batch_resetting_the_peak(*args):
+        if not calls:
+            tracemalloc.reset_peak()
+        calls.append(len(args[1]))
+        return rollout_batch(*args)
+
+    monkeypatch.setattr(pipeline, "rollout_batch", rollout_batch_resetting_the_peak)
+    tracemalloc.start()
+    try:
+        evaluate_replay(out, n_trials=3 * (3 * block + 5), seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(calls) == block and peak < bound, (peak, bound)
+
+
+def test_every_relabeled_record_replays_at_seeds_1_to_10(tmp_path):
+    # each stored record was verified when it was emitted, under the
+    # friction of its trajectory: its replay must succeed
+    for seed in range(1, 11):
+        out = tmp_path / str(seed)
+        report = run_pgdg(PipelineConfig(out_dir=str(out), seed=seed, jobs=1))
+        assert report.manifest.n_relabeled > 0
+        assert evaluate_replay(str(out), 0)["relabeled_success_rate"] == 1.0, seed
+
+
+def test_evaluate_replay_refuses_a_record_outside_its_plans(tmp_path):
+    out = replay_dataset(tmp_path / "ds", 3, n_records=2)
+    _, _, table, records = open_dataset(out)
+    for traj, t in ((3, 0), (-1, 0), (0, PLANAR.horizon - H + 1), (0, -1)):
+        bad = records.copy()
+        bad["traj"][1], bad["t"][1] = traj, t
+        serialize(DatasetManifest(env_name=PLANAR.name), out, table, bad)
+        with pytest.raises(DatasetFormatError, match="relabeled record"):
+            evaluate_replay(out, 2)
 
 
 def test_compare_replay_gap(tmp_path):
