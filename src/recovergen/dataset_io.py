@@ -27,7 +27,8 @@ two tables with the fields of ``records.npy``.
 Files are written to temporary names and renamed once all are complete, the
 manifest last.  The writer and every reader check both arrays with one
 check: each array's fields and dtypes, and its shapes against the
-manifest's environment and ``chunk_len``.  Readers also check each row
+manifest's environment and ``chunk_len``, and each relabeled record's
+``traj`` and ``t`` against the trajectories.  Readers also check each row
 count against the manifest.  The writer refuses a misfit with ValueError
 before it writes any file.  A truncated, foreign or pickled file, a misfit
 and a ``format`` other than 5 raise DatasetFormatError; nothing is returned
@@ -265,8 +266,9 @@ def _misfit(env: Environment, chunk_len: int, trajectories,
     be stored under ``env`` and ``chunk_len``, and why; ("", "") if both
     can.  Each needs the fields of its file (``_fields_misfit``).  Non-empty
     trajectories need (T+1, d_s) states, (T, d_a) actions and
-    1 <= chunk_len <= T; non-empty records need (2 d_s,) observations and
-    (H >= 1, d_a) chunks."""
+    1 <= chunk_len <= T; non-empty records need (2 d_s,) observations,
+    (H >= 1, d_a) chunks, and each a ``traj`` in [0, n) and a ``t`` in
+    [0, T - H], so that its chunk fits in a stored plan."""
     misfit = _fields_misfit(trajectories, TRAJECTORY_FIELDS)
     if not misfit and len(trajectories):
         states, actions = (trajectories.dtype[name].shape for name in ("states", "actions"))
@@ -283,9 +285,17 @@ def _misfit(env: Environment, chunk_len: int, trajectories,
     misfit = _fields_misfit(records, _RECORD_FIELDS)
     if not misfit and len(records):
         obs, chunk = records.dtype["obs"].shape, records.dtype["chunk"].shape
+        n, horizon = len(trajectories), trajectories.dtype["actions"].shape[0]
+        outside = np.flatnonzero((records["traj"] < 0) | (records["traj"] >= n)
+                                 | (records["t"] < 0) | (records["t"] > horizon - chunk[0]))
         if obs != (2 * env.state_dim,) or chunk[0] < 1 or chunk[1] != env.action_dim:
             misfit = (f"obs {obs} and chunk {chunk} do not fit {env.name} "
                       f"(d_s {env.state_dim}, d_a {env.action_dim})")
+        elif len(outside):
+            j = outside[0]
+            misfit = (f"relabeled record {j} (traj {records['traj'][j]}, t {records['t'][j]}) "
+                      f"leaves no room for its {chunk[0]}-step chunk in the {n} stored plans "
+                      f"of {horizon} steps")
     return ("records", misfit) if misfit else ("", "")
 
 
@@ -301,11 +311,12 @@ def serialize(manifest: DatasetManifest, out_dir: str, trajectories: np.ndarray,
 
     Raises ValueError before any file is written when either table does
     not have the fields and dtypes of its file or does not fit the
-    manifest's environment, or when ``chunk_len`` does not fit the
-    trajectories.  Each file goes to a temporary file first; they are
-    renamed into place only once all are complete, the manifest last,
-    since it pins the row counts of the others.  So a failure while
-    writing any file leaves the previous dataset whole and readable."""
+    manifest's environment, or when ``chunk_len`` or a relabeled record's
+    chunk does not fit the trajectories.  Each file goes to a temporary
+    file first; they are renamed into place only once all are complete,
+    the manifest last, since it pins the row counts of the others.  So a
+    failure while writing any file leaves the previous dataset whole and
+    readable."""
     records = _NO_RECORDS if records is None else records
     name, misfit = _misfit(_manifest_env(manifest), manifest.chunk_len, trajectories, records)
     if misfit:

@@ -303,31 +303,33 @@ _REPLAY_BLOCK = 512
 
 def _successes(env: Environment, rows: int, block) -> int:
     """Successful rows among ``rows`` replays, rolled out in blocks of at
-    most ``_REPLAY_BLOCK`` rows; ``block(lo, hi)`` gives the
-    ``rollout_batch`` arguments of rows lo to hi - 1, block after block."""
-    return sum(int(np.sum(rollout_batch(env, *block(lo, min(lo + _REPLAY_BLOCK, rows)))[1]))
-               for lo in range(0, rows, _REPLAY_BLOCK))
+    most ``_REPLAY_BLOCK`` rows; ``block(i)`` gives the ``rollout_batch``
+    arguments of the rows of index array i, block after block."""
+    blocks = (np.arange(lo, min(lo + _REPLAY_BLOCK, rows)) for lo in range(0, rows, _REPLAY_BLOCK))
+    return sum(int(np.sum(rollout_batch(env, *block(i))[1])) for i in blocks)
 
 
 def evaluate_replay(dataset_dir: str, n_trials: int, seed: int = 0) -> Dict:
     """Open-loop replay of a dataset's stored plans.
 
-    Reports the success rate of the stored trajectories under their stored
+    Every replay is a full plan from its trajectory's start state.  Reports
+    the success rate of the stored trajectories under their stored
     friction; of the relabeled records (None when there are none), each
-    its chunk from ``states[traj, t]`` and then the rest of its
-    trajectory's plan, under that trajectory's friction; and of n_trials
-    fresh friction draws, trial j on plan j % n with the j-th draw of one
-    ``sample_friction`` stream, with a 95% binomial CI.
+    its trajectory's plan with its chunk over steps t to t + H - 1, under
+    that trajectory's friction; and of n_trials fresh friction draws,
+    trial j on plan j % n with the j-th draw of one ``sample_friction``
+    stream, with a 95% binomial CI.  A row's steps depend only on its
+    start state, plan and friction, so a record's replay reaches the stored
+    ``states[traj, t]`` at step t, although only ``states[:, 0]`` is read.
 
     The replayed columns (start states, plans and friction scales, and
-    each record's start state, step and chunk) are copied out and the
-    loaded tables dropped before the first rollout.  Every rollout batch
-    has at most ``_REPLAY_BLOCK`` rows, sliced from those columns; only
-    fewer plans than a block are tiled, to whole passes that fit in one.
-    So from the first rollout on, memory is the replayed columns plus one
-    block's plans and states, for any dataset size and n_trials.  Rows
-    are independent and the friction stream does not depend on how the
-    trials are split, so neither does the report.
+    each record's trajectory, step and chunk) are copied out and the loaded
+    tables dropped before the first rollout.  Every rollout batch gathers
+    at most ``_REPLAY_BLOCK`` rows from those columns, so from the first
+    rollout on, memory is the replayed columns plus one block's plans and
+    states, for any dataset size and n_trials.  Rows are independent and
+    the friction stream does not depend on how the trials are split, so
+    neither does the report.
     """
     if n_trials < 0:
         raise ConfigError(f"trials must be >= 0, got {n_trials}")
@@ -340,43 +342,22 @@ def evaluate_replay(dataset_dir: str, n_trials: int, seed: int = 0) -> Dict:
     if table.dtype["actions"].shape != (horizon, env.action_dim):
         raise DatasetFormatError(f"{dataset_dir}: stored plans must have actions of "
                                  f"shape {(horizon, env.action_dim)}")
-    h = records.dtype["chunk"].shape[0]
-    if np.any((records["traj"] < 0) | (records["traj"] >= n) | (records["t"] < 0)
-              | (records["t"] > horizon - h)):
-        raise DatasetFormatError(f"{dataset_dir}: a relabeled record's traj or t leaves no "
-                                 f"room for its chunk in a stored plan")
-    # by ascending t, so longest continuation first, as rollout_batch wants
-    order = np.argsort(records["t"], kind="stable")
-    traj, t, chunks = (records[name][order] for name in ("traj", "t", "chunk"))
-    starts = table["states"][traj, t]
     s0s, actions = table["states"][:, 0].copy(), table["actions"].copy()
     friction = table["friction_scale"].copy()
+    traj, t, chunks = (records[name].copy() for name in ("traj", "t", "chunk"))
     del table, records
 
-    stored_ok = _successes(env, n, lambda lo, hi: (s0s[lo:hi], actions[lo:hi],
-                                                   friction[lo:hi]))
+    def relabeled(i):
+        # each record's trajectory plan, its chunk over steps t to t + H - 1
+        plans = actions[traj[i]]
+        plans[np.arange(len(i))[:, None], t[i, None] + np.arange(chunks.shape[1])] = chunks[i]
+        return s0s[traj[i]], plans, friction[traj[i]]
 
-    def relabeled(lo, hi):
-        # each record's chunk, then its trajectory's plan from t + H on,
-        # padded after its end with actions no row steps
-        steps = t[lo:hi, None] + np.arange(horizon - t[lo])
-        plans = actions[traj[lo:hi, None], np.minimum(steps, horizon - 1)]
-        plans[:, :h] = chunks[lo:hi]
-        return starts[lo:hi], plans, friction[traj[lo:hi]], horizon - t[lo:hi]
-
-    relabeled_ok = _successes(env, len(t), relabeled)
-
-    # fresh trial j replays plan j % n: each pass over the plans is sliced
-    # into blocks, or, with fewer plans than a block, whole passes are
-    # tiled into one
     rng = np.random.default_rng(seed)
-    passes = max(1, min(_REPLAY_BLOCK // n, -(-n_trials // n)))
-    if passes > 1:
-        s0s, actions = np.tile(s0s, (passes, 1)), np.tile(actions, (passes, 1, 1))
-    fresh_ok = sum(_successes(env, min(len(s0s), n_trials - start),
-                              lambda lo, hi: (s0s[lo:hi], actions[lo:hi],
-                                              env.sample_friction(rng, hi - lo)))
-                   for start in range(0, n_trials, len(s0s)))
+    stored_ok = _successes(env, n, lambda i: (s0s[i], actions[i], friction[i]))
+    relabeled_ok = _successes(env, len(t), relabeled)
+    fresh_ok = _successes(env, n_trials, lambda i: (s0s[i % n], actions[i % n],
+                                                    env.sample_friction(rng, len(i))))
 
     return {
         "dataset": dataset_dir,
@@ -393,12 +374,10 @@ def evaluate_replay(dataset_dir: str, n_trials: int, seed: int = 0) -> Dict:
 def compare_replay(pgdg_dir: str, baseline_dir: str, n_trials: int,
                    seed: int = 0) -> Dict:
     """Replay comparison between a curated dataset and the spatial-only
-    baseline.  ``gap`` is curated stored-parameter success minus the
-    baseline's fresh-parameter success; ``gap_fresh`` compares like with
-    like, curated minus baseline fresh-parameter success, with a 95%
-    normal-approximation CI for a difference of two proportions.  Datasets
-    of different environments, by name or configuration, are refused with
-    ConfigError before any rollout."""
+    baseline.  ``gap_fresh`` is curated minus baseline success, both under
+    fresh friction, with a 95% normal-approximation CI for a difference of
+    two proportions.  Datasets of different environments, by name or
+    configuration, are refused with ConfigError before any rollout."""
     envs = [(m.env_name, m.env_config) for m in map(read_manifest, (pgdg_dir, baseline_dir))]
     if envs[0] != envs[1]:
         raise ConfigError(f"cannot compare {pgdg_dir} ({envs[0][0]} {envs[0][1]}) with "
@@ -416,7 +395,6 @@ def compare_replay(pgdg_dir: str, baseline_dir: str, n_trials: int,
     return {
         "curated": ours,
         "baseline": base,
-        "gap": ours["stored_success_rate"] - base["fresh_success_rate"],
         "gap_fresh": gap_fresh,
         "gap_fresh_ci95": ci,
     }

@@ -501,9 +501,13 @@ def test_criterion_11_comparative_direction(generated, tmp_path):
                          seed=3)
     assert out["curated"]["stored_success_rate"] == 1.0
     assert out["baseline"]["fresh_success_rate"] < 1.0
-    assert out["gap"] >= 0.0
+    # like for like: curated beats the baseline under fresh friction
+    assert out["gap_fresh"] > 0.0 and out["gap_fresh_ci95"][0] > 0.0
+    lo, hi = out["gap_fresh_ci95"]
     _report("11 comparative direction",
-            f"curated 1.00 vs baseline {out['baseline']['fresh_success_rate']:.2f}")
+            f"fresh friction: curated {out['curated']['fresh_success_rate']:.2f} vs baseline "
+            f"{out['baseline']['fresh_success_rate']:.2f}, gap_fresh "
+            f"{out['gap_fresh']:.2f} (95% CI {lo:.3f}-{hi:.3f})")
 
 
 def test_criterion_12_redundancy_pruning():

@@ -185,7 +185,9 @@ def test_cli_baseline_and_evaluate(tmp_path, capsys):
     assert main(["evaluate", str(gen), "--compare", str(base),
                  "--trials", "10"]) == EXIT_OK
     cmp_report = json.loads(capsys.readouterr().out)
-    assert "gap" in cmp_report and cmp_report["gap"] >= 0.0
+    assert "gap" not in cmp_report
+    assert cmp_report["gap_fresh"] == (cmp_report["curated"]["fresh_success_rate"]
+                                       - cmp_report["baseline"]["fresh_success_rate"])
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -16,7 +16,8 @@ from hypothesis.extra import numpy as hnp
 from recovergen.cli import main as cli_main
 from recovergen.dataset_io import (DatasetFormatError, DatasetManifest, Pairs,
                                    dataset_stats, deserialize, export_pairs, format_stats,
-                                   load_trajectories, read_manifest, serialize)
+                                   load_trajectories, open_dataset, read_manifest,
+                                   serialize)
 from recovergen.envs import make_env, trajectory_table
 from recovergen.pipeline import evaluate_replay
 
@@ -148,10 +149,11 @@ def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
     # a quiet NaN with a payload and a negative signalling NaN keep their bits
     nans = np.array([0x7FF8_0000_DEAD_BEEF, 0xFFF0_0000_0000_0001], np.uint64).view(np.float64)
     edge = np.concatenate([[-0.0, np.inf, -np.inf, 5e-324, 1e16, -5e-324], nans])
-    (traj,) = trajectory_table(edge.reshape(1, 2, D_S), edge[:D_A].reshape(1, 1, D_A), False,
-                               nans[0], 3)
+    # horizon 4, so that the 4-step chunk fits; chunk_len 4 gives one window
+    (traj,) = trajectory_table(np.resize(edge, (1, 5, D_S)), np.resize(edge, (1, 4, D_A)),
+                               False, nans[0], 3)
     relabeled = make_records([edge[::-1]], [edge.reshape(4, D_A)])
-    serialize(make_manifest(), str(tmp_path), traj[None], relabeled)
+    serialize(make_manifest(chunk_len=4), str(tmp_path), traj[None], relabeled)
     (got,) = load_trajectories(str(tmp_path))
     for name in ("states", "actions"):
         assert bits(getattr(got, name)) == bits(traj[name]), name
@@ -290,10 +292,11 @@ def datasets(draw):
         draw(hnp.arrays(bool, n)),
         draw(float_arrays(n)),
         draw(hnp.arrays(np.int64, n, elements=st.integers(0, 50))))
-    chunk = draw(st.integers(1, 4))
-    rows = [(draw(st.integers(0, 9)), draw(st.integers(0, 9)),
+    # each record's chunk fits in a stored plan: traj in [0, n), t in [0, T - H]
+    chunk = draw(st.integers(1, horizon))
+    rows = [(draw(st.integers(0, n - 1)), draw(st.integers(0, horizon - chunk)),
              draw(float_arrays(2 * D_S)), draw(float_arrays((chunk, D_A))))
-            for _ in range(draw(st.integers(0, 6)))]
+            for _ in range(draw(st.integers(0, 6 if n else 0)))]
     traj, t, obs, chunks = zip(*rows) if rows else ((), (), (), ())
     relabeled = make_records(np.reshape(obs, (len(rows), 2 * D_S)),
                              np.reshape(chunks, (len(rows), chunk, D_A)), traj, t)
@@ -313,8 +316,8 @@ def test_writer_edge_values_keep_their_own_text(tmp_path):
                       [1e16, 1e-7], [4.0, -7.0], [0.0, 0.0], [-0.0, -0.0]])
     relabeled = make_records([obs if i % 2 else -obs for i in range(7)],
                              [chunk[i:i + 2] for i in range(7)], t=np.arange(7))
-    serialize(make_manifest(), str(tmp_path), stack([]), relabeled)
-    text = oracle_text(deserialize(str(tmp_path))[0])
+    serialize(make_manifest(), str(tmp_path), make_traj(), relabeled)
+    text = oracle_rows_text(deserialize(str(tmp_path))[0].relabeled, "relabeled")
     assert text == oracle_rows_text(relabeled, "relabeled")
     assert "[-0.0, 0.0]" in text and "[0.0, -0.0]" in text
     assert "NaN" in text and "-Infinity" in text and "5e-324" in text and "1e+16" in text
@@ -709,6 +712,9 @@ def test_every_reader_refuses_a_faulty_array(tmp_path, capsys, fault, name):
     assert evaluate_replay(out, 2)["n_trajectories"] == 3
     path = os.path.join(out, name + ".npy")
     FAULTS[fault](path, name)
+    if (fault, name) == ("empty", "trajectories"):
+        # the records then name trajectories that are gone, and are refused first
+        path = os.path.join(out, "records.npy")
     assert_every_reader_refuses(out, capsys, path)
     assert UNPICKLED == []
 
@@ -909,6 +915,25 @@ def test_serialize_refuses_targets_that_no_reader_accepts(tmp_path):
     assert list(tmp_path.iterdir()) == []
     serialize(make_manifest(chunk_len=4), str(tmp_path), trajs, target)
     assert len(deserialize(str(tmp_path))[0].relabeled) == 1
+
+
+@pytest.mark.parametrize("traj, t", [(3, 0), (-1, 0), (0, 7), (0, -1)])
+def test_every_reader_refuses_a_record_outside_its_plans(tmp_path, capsys, traj, t):
+    # _dataset's records hold 4-step chunks for 3 plans of 10 steps:
+    # traj must lie in [0, 3) and t in [0, 6]
+    out = _dataset(tmp_path / "ds")
+    trajs, path = load_trajectories(out), os.path.join(out, "records.npy")
+    bad = np.load(path, allow_pickle=False)
+    bad["traj"][1], bad["t"][1] = traj, t
+    message = f"relabeled record 1 (traj {traj}, t {t}) leaves no room for its 4-step chunk"
+    with pytest.raises(ValueError, match=re.escape(f"records: {message}")):
+        serialize(make_manifest(chunk_len=4), str(tmp_path / "unwritten"), trajs, bad)
+    assert not os.path.exists(tmp_path / "unwritten")
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, bad, allow_pickle=False)
+    with _raises_naming(path, message):
+        open_dataset(out)
+    assert_every_reader_refuses(out, capsys, path, message)
 
 
 # ---------------------------------------------------------------------------

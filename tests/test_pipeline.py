@@ -376,23 +376,45 @@ def test_every_relabeled_record_replays_at_seeds_1_to_10(tmp_path):
 
 
 def test_evaluate_replay_refuses_a_record_outside_its_plans(tmp_path):
+    # serialize refuses such a record, so it is written here by hand; the
+    # dataset check refuses it before any rollout
     out = replay_dataset(tmp_path / "ds", 3, n_records=2)
-    _, _, table, records = open_dataset(out)
+    path = os.path.join(out, "records.npy")
+    records = np.load(path, allow_pickle=False)
     for traj, t in ((3, 0), (-1, 0), (0, PLANAR.horizon - H + 1), (0, -1)):
         bad = records.copy()
         bad["traj"][1], bad["t"][1] = traj, t
-        serialize(DatasetManifest(env_name=PLANAR.name), out, table, bad)
-        with pytest.raises(DatasetFormatError, match="relabeled record"):
+        with open(path, "wb") as fh:
+            np.lib.format.write_array(fh, bad, allow_pickle=False)
+        with pytest.raises(DatasetFormatError, match="relabeled record 1 .* no room"):
             evaluate_replay(out, 2)
 
 
+def test_evaluate_replay_reads_only_the_start_states(tmp_path):
+    # a record replays its plan from the trajectory's start state, so the
+    # report does not change when every later stored state is NaN
+    out = replay_dataset(tmp_path / "ds", 11, n_records=7, seed=11)
+    want = evaluate_replay(out, 30, seed=3)
+    assert 0 < want["relabeled_success_rate"] < 1
+    path = os.path.join(out, "trajectories.npy")
+    table = np.load(path, allow_pickle=False)
+    table["states"][:, 1:] = np.nan
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, table, allow_pickle=False)
+    assert evaluate_replay(out, 30, seed=3) == want
+
+
 def test_compare_replay_gap(tmp_path):
+    # no stored-against-fresh gap: the curated side's stored success is 1.0
+    # by construction, so only the like-for-like gap_fresh is reported
     run_pgdg(fast_cfg(tmp_path / "gen"))
     run_spatial_only(fast_cfg(tmp_path / "base"))
     out = compare_replay(str(tmp_path / "gen"), str(tmp_path / "base"),
                          n_trials=10, seed=2)
     assert out["curated"]["stored_success_rate"] == 1.0
-    assert out["gap"] >= 0.0
+    assert sorted(out) == ["baseline", "curated", "gap_fresh", "gap_fresh_ci95"]
+    assert out["gap_fresh"] == (out["curated"]["fresh_success_rate"]
+                                - out["baseline"]["fresh_success_rate"])
 
 
 def test_compare_replay_fresh_gap_and_ci(tmp_path):
@@ -406,7 +428,6 @@ def test_compare_replay_fresh_gap_and_ci(tmp_path):
     q = out["baseline"]["fresh_success_rate"]
     assert 0.0 < p < 1.0 and 0.0 < q < 1.0
     assert out["gap_fresh"] == p - q
-    assert out["gap"] == out["curated"]["stored_success_rate"] - q
     half = 1.96 * np.sqrt((p * (1 - p) + q * (1 - q)) / 40)
     lo, hi = out["gap_fresh_ci95"]
     assert np.isclose(lo, p - q - half) and np.isclose(hi, p - q + half)
