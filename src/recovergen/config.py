@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, field, fields
 from typing import Dict, Iterator, Optional, Tuple, Type
 
@@ -97,6 +98,13 @@ class PipelineConfig:
             raise ConfigError("jobs must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # the output directory is made after the last rollout: refuse now a
+        # path that a file, or a file among its parents, keeps from being one
+        existing = os.path.abspath(self.out_dir)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise ConfigError(f"out_dir {self.out_dir!r}: {existing} is not a directory")
         if self.sampler.m_points < 2:
             raise ConfigError("sampler.m_points must be >= 2")
         sc, cc, rc = self.sampler, self.curator, self.relabel

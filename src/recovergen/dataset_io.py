@@ -1,37 +1,45 @@
 """Dataset assembly and on-disk persistence.
 
-Layout under the output directory (dataset format 5):
+Layout under the output directory (dataset format 6):
 
 * ``manifest``          -- plain-text ``key = value`` run metadata:
-  ``format = 5``, then one line per field of ``DatasetManifest``, its schema,
+  ``format = 6``, then one line per field of ``DatasetManifest``, its schema,
   every one required; ``n_trajectories`` and ``n_relabeled`` are the row
   counts of the arrays
 * ``trajectories.npy``  -- one row per curated trajectory, with the fields
   ``variant`` ``<i8``, ``success`` ``?``, ``friction_scale`` ``<f8``,
-  ``states`` ``<f8 (T+1, d_s)`` and ``actions`` ``<f8 (T, d_a)``
+  ``start`` ``<f8 (d_s,)`` and ``actions`` ``<f8 (T, d_a)``: a trajectory
+  table's columns, with its start state in place of its states
 * ``records.npy``       -- one row per relabeled supervision pair, with the
   fields ``traj`` ``<i8``, ``t`` ``<i8``, ``obs`` ``<f8 (2 d_s,)`` and
   ``chunk`` ``<f8 (H, d_a)``; the table ``relabel_dataset`` returns, written
   as it is, except that one of no rows has ``obs (0,)`` and ``chunk (0, 0)``
 
 Both arrays are structured NumPy ``.npy`` files (the NEP 1 format) holding
-raw little-endian numbers, so a round trip is bitwise lossless, and
+raw little-endian numbers, so every stored value reads back bit for bit, and
 ``np.load(path, allow_pickle=False)`` opens either one without this package.
 
-A curated pair is the window ``observe(states[t], states[0])``,
-``actions[t:t + chunk_len]`` of a stored trajectory, so it is not stored
-again: ``deserialize`` returns ``Pairs``, the curated windows rebuilt from
-the trajectories by ``export_pairs`` and the loaded ``records.npy`` table,
-two tables with the fields of ``records.npy``.
+A trajectory's states are a pure function of its start state, plan and
+friction scale, so they are not stored: ``deserialize`` and
+``load_trajectories`` rebuild the trajectory table with one
+``rollout_batch`` over all rows.  Its states are the writer's bit for bit
+when the writer's were rolled out by ``rollout_batch`` too, as in every
+table this package builds, and the reader runs under the writer's numpy
+dispatch and OpenBLAS core.  A curated pair is the window
+``observe(states[t], states[0])``, ``actions[t:t + chunk_len]`` of a
+trajectory, so it is not stored either: ``deserialize`` returns ``Pairs``,
+the curated windows rebuilt from the trajectories by ``export_pairs`` and
+the loaded ``records.npy`` table, two tables with the fields of
+``records.npy``.
 
 Files are written to temporary names and renamed once all are complete, the
-manifest last.  The writer and every reader check both arrays with one
-check: each array's fields and dtypes, and its shapes against the
+manifest last.  The writer and every reader check both stored arrays with
+one check: each array's fields and dtypes, and its shapes against the
 manifest's environment and ``chunk_len``, and each relabeled record's
 ``traj`` and ``t`` against the trajectories.  Readers also check each row
 count against the manifest.  The writer refuses a misfit with ValueError
 before it writes any file.  A truncated, foreign or pickled file, a misfit
-and a ``format`` other than 5 raise DatasetFormatError; nothing is returned
+and a ``format`` other than 6 raise DatasetFormatError; nothing is returned
 from a dataset that fails a check.  ``read_manifest`` alone reads no array.
 """
 from __future__ import annotations
@@ -47,12 +55,15 @@ from typing import (IO, Callable, Dict, Iterable, List, Optional, Tuple, get_ori
 import numpy as np
 
 from .config import key_value_lines
-from .envs import TRAJECTORY_FIELDS, Environment, make_env
+from .envs import TRAJECTORY_FIELDS, Environment, make_env, rollout_batch, trajectory_table
 
 
-FORMAT = 5   # the one dataset format this module writes and reads
+FORMAT = 6   # the one dataset format this module writes and reads
 
-# field -> (dtype, axes per row), in file order, as ``TRAJECTORY_FIELDS``
+# the fields of trajectories.npy and of records.npy, as ``TRAJECTORY_FIELDS``:
+# field -> (dtype, axes per row), in file order
+_STORED_FIELDS = {"variant": ("<i8", 0), "success": ("?", 0),
+                  "friction_scale": ("<f8", 0), "start": ("<f8", 1), "actions": ("<f8", 2)}
 _RECORD_FIELDS = {"traj": ("<i8", 0), "t": ("<i8", 0), "obs": ("<f8", 1),
                   "chunk": ("<f8", 2)}
 
@@ -187,7 +198,7 @@ def _manifest_lines(manifest: DatasetManifest) -> str:
 
 def read_manifest(out_dir: str) -> DatasetManifest:
     """Parse and check ``out_dir/manifest``; every fault, an unknown,
-    repeated or missing key or a ``format`` other than 5 included, raises
+    repeated or missing key or a ``format`` other than 6 included, raises
     DatasetFormatError."""
     path = os.path.join(out_dir, "manifest")
     values: Dict = {}
@@ -253,6 +264,27 @@ def _fields_misfit(table, fields: Dict[str, Tuple[str, int]]) -> str:
     return ""
 
 
+def _stored(trajectories) -> np.ndarray:
+    """The rows of trajectories.npy of the trajectory table
+    ``trajectories``: its columns, with each row's start state in place of
+    its states.  A table without the fields of ``TRAJECTORY_FIELDS``, or
+    whose states are not one longer than its plans, raises ValueError."""
+    misfit = _fields_misfit(trajectories, TRAJECTORY_FIELDS)
+    if not misfit:
+        states, actions = (trajectories.dtype[name].shape for name in ("states", "actions"))
+        if states[0] != actions[0] + 1:
+            misfit = f"states {states} are not one longer than actions {actions}"
+    if misfit:
+        raise ValueError(f"trajectories: {misfit}")
+    columns = {name: trajectories[name] for name in _STORED_FIELDS if name != "start"}
+    columns["start"] = trajectories["states"][:, 0]
+    table = np.empty(len(trajectories), _dtype(_STORED_FIELDS, {
+        name: columns[name].shape[1:] for name in _STORED_FIELDS}))
+    for name, column in columns.items():
+        table[name] = column
+    return table
+
+
 def _n_windows(trajectories: np.ndarray, chunk_len: int) -> int:
     """Number of curated windows of all ``trajectories``."""
     if not len(trajectories):
@@ -265,15 +297,15 @@ def _misfit(env: Environment, chunk_len: int, trajectories,
     """The first of the tables, "trajectories" or "records", that cannot
     be stored under ``env`` and ``chunk_len``, and why; ("", "") if both
     can.  Each needs the fields of its file (``_fields_misfit``).  Non-empty
-    trajectories need (T+1, d_s) states, (T, d_a) actions and
+    trajectories need (d_s,) start states, (T, d_a) actions and
     1 <= chunk_len <= T; non-empty records need (2 d_s,) observations,
     (H >= 1, d_a) chunks, and each a ``traj`` in [0, n) and a ``t`` in
     [0, T - H], so that its chunk fits in a stored plan."""
-    misfit = _fields_misfit(trajectories, TRAJECTORY_FIELDS)
+    misfit = _fields_misfit(trajectories, _STORED_FIELDS)
     if not misfit and len(trajectories):
-        states, actions = (trajectories.dtype[name].shape for name in ("states", "actions"))
-        if states != (actions[0] + 1, env.state_dim) or actions[1] != env.action_dim:
-            misfit = (f"states {states} and actions {actions} do not fit {env.name} "
+        start, actions = (trajectories.dtype[name].shape for name in ("start", "actions"))
+        if start != (env.state_dim,) or actions[1] != env.action_dim:
+            misfit = (f"start {start} and actions {actions} do not fit {env.name} "
                       f"(d_s {env.state_dim}, d_a {env.action_dim})")
         else:
             try:
@@ -301,23 +333,28 @@ def _misfit(env: Environment, chunk_len: int, trajectories,
 
 def serialize(manifest: DatasetManifest, out_dir: str, trajectories: np.ndarray,
               records: Optional[np.ndarray] = None) -> None:
-    """Write a dataset: the trajectory table ``trajectories`` and the
-    relabeled pairs ``records`` (none by default), a table with the fields
-    of ``records.npy`` such as ``relabel_dataset`` returns, as they are.
-    The curated windows of length ``manifest.chunk_len`` are not written;
-    readers rebuild them from the trajectories.  Sets the manifest's
-    ``n_trajectories``, ``n_relabeled`` and ``n_records`` (windows plus
-    relabeled pairs).
+    """Write a dataset: the trajectory table ``trajectories`` without its
+    states, and the relabeled pairs ``records`` (none by default), a table
+    with the fields of ``records.npy`` such as ``relabel_dataset`` returns,
+    as they are.  The curated windows of length ``manifest.chunk_len`` are
+    not written either.  Sets the manifest's ``n_trajectories``,
+    ``n_relabeled`` and ``n_records`` (windows plus relabeled pairs).
 
-    Raises ValueError before any file is written when either table does
-    not have the fields and dtypes of its file or does not fit the
-    manifest's environment, or when ``chunk_len`` or a relabeled record's
-    chunk does not fit the trajectories.  Each file goes to a temporary
-    file first; they are renamed into place only once all are complete,
-    the manifest last, since it pins the row counts of the others.  So a
-    failure while writing any file leaves the previous dataset whole and
-    readable."""
+    Precondition, not checked: each row's states are its ``rollout_batch``
+    from its start state, under its plan and friction scale, as in every
+    table that the sampler, the baseline and ``rollout`` build.  Readers
+    rebuild the states so; other states would not read back.
+
+    Raises ValueError before any file is written when the trajectory table
+    does not have the fields and dtypes of ``TRAJECTORY_FIELDS``, when
+    either table does not fit the manifest's environment, or when
+    ``chunk_len`` or a relabeled record's chunk does not fit the
+    trajectories.  Each file goes to a temporary file first; they are
+    renamed into place only once all are complete, the manifest last, since
+    it pins the row counts of the others.  So a failure while writing any
+    file leaves the previous dataset whole and readable."""
     records = _NO_RECORDS if records is None else records
+    trajectories = _stored(trajectories)
     name, misfit = _misfit(_manifest_env(manifest), manifest.chunk_len, trajectories, records)
     if misfit:
         raise ValueError(f"{name}: {misfit}")
@@ -356,8 +393,9 @@ def _load_table(path: str) -> np.ndarray:
 
 
 def open_dataset(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray, np.ndarray]:
-    """The manifest, the environment it describes, the stored trajectories
-    table and the ``records.npy`` table, with the manifest parsed once and
+    """The manifest, the environment it describes, the stored
+    ``trajectories.npy`` table (start states, not states) and the
+    ``records.npy`` table, with the manifest parsed once and
     the whole dataset checked (see the module docstring).  An
     ``env_config`` the environment rejects raises DatasetFormatError."""
     manifest = read_manifest(out_dir)
@@ -384,19 +422,39 @@ def open_dataset(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray
     return manifest, env, trajectories, records
 
 
+def _open_trajectories(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray,
+                                               np.ndarray]:
+    """``open_dataset``, with the trajectory table the writer was given in
+    place of the stored one: each row's states rebuilt by one
+    ``rollout_batch`` of its start state, plan and friction scale."""
+    manifest, env, stored, records = open_dataset(out_dir)
+    if len(stored):
+        # a stored value may be infinite or NaN: its rollout is no fault of reading
+        with np.errstate(all="ignore"):
+            states = rollout_batch(env, stored["start"], stored["actions"],
+                                   stored["friction_scale"])[0]
+    else:
+        states = np.empty((0, stored.dtype["actions"].shape[0] + 1,
+                           *stored.dtype["start"].shape))
+    table = trajectory_table(states, stored["actions"], stored["success"],
+                             stored["friction_scale"], stored["variant"])
+    return manifest, env, table, records
+
+
 def deserialize(out_dir: str) -> Tuple[Pairs, DatasetManifest]:
     """Every supervision pair: the curated windows rebuilt from the
     trajectories by ``export_pairs``, and the ``records.npy`` table."""
-    manifest, env, trajectories, relabeled = open_dataset(out_dir)
+    manifest, env, trajectories, relabeled = _open_trajectories(out_dir)
     curated = export_pairs(trajectories["states"], trajectories["actions"],
                            manifest.chunk_len, env.observe)
     return Pairs(curated, relabeled), manifest
 
 
 def load_trajectories(out_dir: str) -> np.recarray:
-    """The stored trajectory table, checked as ``open_dataset`` checks it,
-    as a record array: its rows' fields read as attributes."""
-    return open_dataset(out_dir)[2].view(np.recarray)
+    """The trajectory table, its states rebuilt, checked as
+    ``open_dataset`` checks the dataset, as a record array: its rows'
+    fields read as attributes."""
+    return _open_trajectories(out_dir)[2].view(np.recarray)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ pure function of its inputs; ``friction`` is one float for every row or an
 number of steps, longest first, and ``success_batch`` evaluates the
 success predicate on final states.  ``rollout`` and
 ``rollout_with_resume`` are its one-row forms; each returns its rollout as
-a row of a trajectory table (``trajectory_table``, whose fields,
-``TRAJECTORY_FIELDS``, are those of ``trajectories.npy``: the variant,
-success, friction scale, states and actions of each rollout).
+a row of a trajectory table (``trajectory_table``, with the fields
+``TRAJECTORY_FIELDS``: the variant, success, friction scale, states and
+actions of each rollout).
 ``lockstep`` runs generators of rollout requests (the variant loops, the
 CEM relabel points) together, with one ``rollout_batch`` call per round
 for all the live ones, their requests ordered longest plan first.
@@ -45,8 +45,7 @@ import numpy as np
 from .geometry import Pose, reanchor_trajectory
 
 
-# the row format of a trajectory table and of ``trajectories.npy``:
-# field -> (dtype, axes per row), in file order
+# the row format of a trajectory table: field -> (dtype, axes per row)
 TRAJECTORY_FIELDS = {"variant": ("<i8", 0), "success": ("?", 0),
                      "friction_scale": ("<f8", 0), "states": ("<f8", 2),
                      "actions": ("<f8", 2)}

@@ -319,17 +319,18 @@ def evaluate_replay(dataset_dir: str, n_trials: int, seed: int = 0) -> Dict:
     that trajectory's friction; and of n_trials fresh friction draws,
     trial j on plan j % n with the j-th draw of one ``sample_friction``
     stream, with a 95% binomial CI.  A row's steps depend only on its
-    start state, plan and friction, so a record's replay reaches the stored
-    ``states[traj, t]`` at step t, although only ``states[:, 0]`` is read.
+    start state, plan and friction, so a record's replay reaches its
+    trajectory's state at step t, the one the record was relabeled from,
+    although the dataset stores only each trajectory's ``start`` state.
 
-    The replayed columns (start states, plans and friction scales, and
-    each record's trajectory, step and chunk) are copied out and the loaded
-    tables dropped before the first rollout.  Every rollout batch gathers
-    at most ``_REPLAY_BLOCK`` rows from those columns, so from the first
-    rollout on, memory is the replayed columns plus one block's plans and
-    states, for any dataset size and n_trials.  Rows are independent and
-    the friction stream does not depend on how the trials are split, so
-    neither does the report.
+    The replayed columns (the ``start`` states, plans and friction scales
+    of ``trajectories.npy``, and each record's trajectory, step and chunk)
+    are copied out and the loaded tables dropped before the first rollout.
+    Every rollout batch gathers at most ``_REPLAY_BLOCK`` rows from those
+    columns, so from the first rollout on, memory is the replayed columns
+    plus one block's plans, states and step arrays, for any dataset size
+    and n_trials.  Rows are independent and the friction stream does not
+    depend on how the trials are split, so neither does the report.
     """
     if n_trials < 0:
         raise ConfigError(f"trials must be >= 0, got {n_trials}")
@@ -342,7 +343,7 @@ def evaluate_replay(dataset_dir: str, n_trials: int, seed: int = 0) -> Dict:
     if table.dtype["actions"].shape != (horizon, env.action_dim):
         raise DatasetFormatError(f"{dataset_dir}: stored plans must have actions of "
                                  f"shape {(horizon, env.action_dim)}")
-    s0s, actions = table["states"][:, 0].copy(), table["actions"].copy()
+    s0s, actions = table["start"].copy(), table["actions"].copy()
     friction = table["friction_scale"].copy()
     traj, t, chunks = (records[name].copy() for name in ("traj", "t", "chunk"))
     del table, records

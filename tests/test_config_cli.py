@@ -14,7 +14,7 @@ import recovergen
 from recovergen.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NO_DATA, EXIT_OK, main)
 from recovergen.config import (ConfigError, PipelineConfig, apply_option,
                                config_parameters, load_config)
-from recovergen.dataset_io import read_manifest
+from recovergen.dataset_io import load_trajectories, read_manifest
 from recovergen.sampler import fit_control_points
 
 
@@ -364,8 +364,8 @@ def _copy_with_manifest_edit(src, dst, edit):
     (lambda text: text + "foo = 1\n", ["stats", "evaluate"]),
     (lambda text: re.sub(r"final_tubes = .*", "final_tubes = 5", text), ["stats", "evaluate"]),
     (lambda text: text.replace("env_config = {", 'env_config = {"bogus": 1, '), ["evaluate"]),
-    (lambda text: text.replace("format = 5\n", ""), ["stats", "evaluate"]),
-    (lambda text: text.replace("format = 5", "format = 2"), ["stats", "evaluate"]),
+    (lambda text: text.replace("format = 6\n", ""), ["stats", "evaluate"]),
+    (lambda text: text.replace("format = 6", "format = 2"), ["stats", "evaluate"]),
     (lambda text: text + "no equals sign\n", ["stats", "evaluate"]),
     (lambda text: text + "seed = 4\n", ["stats", "evaluate"]),
     (lambda text: re.sub(r"n_generated = .*", "n_generated = -5", text), ["stats", "evaluate"]),
@@ -385,23 +385,25 @@ def test_cli_manifest_faults_exit_4(small_dataset, tmp_path, capsys, edit, comma
         assert "i/o error" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("fmt", [3, 4])
+@pytest.mark.parametrize("fmt", [3, 4, 5])
 def test_cli_refuses_an_old_format_dataset(small_dataset, tmp_path, capsys, fmt):
-    # format 4 also stored each trajectory's control points as ``origin``,
-    # after ``actions``; format 3 had them and a mass per trajectory, before
-    # ``friction_scale`` (and, for the block, a mass_range in env_config).
-    # The reader reads format 5 only.
+    # format 5 stored each trajectory's states (T+1, d_s) where format 6
+    # stores its start state; format 4 also stored its control points as
+    # ``origin``, after ``actions``; format 3 had them and a mass per
+    # trajectory, before ``friction_scale`` (and, for the block, a
+    # mass_range in env_config).  The reader reads format 6 only.
     old = _copy_with_manifest_edit(small_dataset, tmp_path / "old",
-                                   lambda text: text.replace("format = 5", f"format = {fmt}"))
-    table = np.load(old / "trajectories.npy", allow_pickle=False)
+                                   lambda text: text.replace("format = 6", f"format = {fmt}"))
+    table = load_trajectories(str(small_dataset))    # format 5's fields
     m_points = read_manifest(str(small_dataset)).parameters["sampler.m_points"]
     columns = {}
     for name in table.dtype.names:
         if name == "friction_scale" and fmt == 3:
             columns["mass"] = np.ones(len(table))
         columns[name] = table[name]
-    columns["origin"] = np.array([fit_control_points(actions, m_points).reshape(-1)
-                                  for actions in table["actions"]])
+    if fmt < 5:
+        columns["origin"] = np.array([fit_control_points(actions, m_points).reshape(-1)
+                                      for actions in table["actions"]])
     stored = np.empty(len(table), [(n, c.dtype, c.shape[1:]) for n, c in columns.items()])
     for name, column in columns.items():
         stored[name] = column
@@ -412,7 +414,7 @@ def test_cli_refuses_an_old_format_dataset(small_dataset, tmp_path, capsys, fmt)
         assert main(argv) == EXIT_IO, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
-        assert (f"dataset format {fmt} is not supported (only format 5 is read)"
+        assert (f"dataset format {fmt} is not supported (only format 6 is read)"
                 in captured.err)
 
 
@@ -434,6 +436,29 @@ def test_cli_mass_range_is_a_config_error_before_any_rollout(tmp_path, capsys, m
         assert err.startswith("config error: ") and "mass_range" in err
         assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_out_that_is_not_a_directory_is_a_config_error_before_any_rollout(
+        tmp_path, capsys, monkeypatch):
+    # the output directory is made after the last rollout, so a file in its
+    # place must be refused before the first one
+    from recovergen import envs, pipeline
+
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rolled out before the output path was checked")
+
+    monkeypatch.setattr(envs, "rollout_batch", no_rollout)
+    monkeypatch.setattr(pipeline, "rollout_batch", no_rollout)
+    path = tmp_path / "file"
+    path.write_text("kept\n")
+    for out in (path, path / "sub"):
+        for command in ("generate", "baseline"):
+            assert main([command, "--seed", "7", "--out", str(out)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and "Traceback" not in err
+            assert f"{path} is not a directory" in err
+    assert path.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 def test_cli_duplicate_manifest_key_exits_4(small_dataset, tmp_path, capsys):

@@ -18,18 +18,30 @@ from recovergen.dataset_io import (DatasetFormatError, DatasetManifest, Pairs,
                                    dataset_stats, deserialize, export_pairs, format_stats,
                                    load_trajectories, open_dataset, read_manifest,
                                    serialize)
-from recovergen.envs import make_env, trajectory_table
+from recovergen.envs import make_env, rollout_batch, trajectory_table
 from recovergen.pipeline import evaluate_replay
 
 D_S, D_A = 4, 2     # state and action sizes of point_reach, make_manifest's environment
+REACH = make_env("point_reach")
 
 
-def make_traj(horizon=10, seed=0, variant=0):
-    """A one-row trajectory table."""
+def rolled_out(starts, actions, success, friction, variant=0):
+    """A trajectory table whose states ``rollout_batch`` rolls out from the
+    start states ``starts`` (n, d_s) under ``actions`` and ``friction`` in
+    make_manifest's environment, as in every table the package writes: the
+    states that the readers rebuild.  Edge values roll out without a
+    warning, as the readers rebuild them."""
+    with np.errstate(all="ignore"):
+        states = rollout_batch(REACH, starts, actions, friction)[0]
+    return trajectory_table(states, actions, success, friction, variant)
+
+
+def make_traj(horizon=10, seed=0, variant=0, start=None):
+    """A one-row trajectory table, from a random start state (or ``start``)
+    under random actions."""
     rng = np.random.default_rng(seed)
-    return trajectory_table(rng.standard_normal((1, horizon + 1, D_S)),
-                            rng.standard_normal((1, horizon, D_A)), True,
-                            0.97, variant)
+    starts = rng.standard_normal((1, D_S)) if start is None else np.array([start], float)
+    return rolled_out(starts, rng.standard_normal((1, horizon, D_A)), True, 0.97, variant)
 
 
 def stack(trajs):
@@ -150,8 +162,8 @@ def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
     nans = np.array([0x7FF8_0000_DEAD_BEEF, 0xFFF0_0000_0000_0001], np.uint64).view(np.float64)
     edge = np.concatenate([[-0.0, np.inf, -np.inf, 5e-324, 1e16, -5e-324], nans])
     # horizon 4, so that the 4-step chunk fits; chunk_len 4 gives one window
-    (traj,) = trajectory_table(np.resize(edge, (1, 5, D_S)), np.resize(edge, (1, 4, D_A)),
-                               False, nans[0], 3)
+    start = edge[[0, 6, 1, 7]]          # the start state is stored, both NaNs too
+    (traj,) = rolled_out(start[None], np.resize(edge, (1, 4, D_A)), False, nans[0], 3)
     relabeled = make_records([edge[::-1]], [edge.reshape(4, D_A)])
     serialize(make_manifest(chunk_len=4), str(tmp_path), traj[None], relabeled)
     (got,) = load_trajectories(str(tmp_path))
@@ -160,7 +172,7 @@ def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
     assert struct.pack("<d", got.friction_scale) == struct.pack("<d", nans[0])
     pairs = deserialize(str(tmp_path))[0]
     (curated,), (stored,) = pairs.curated, pairs.relabeled
-    assert bits(curated["obs"]) == bits(np.concatenate([edge[:D_S], edge[:D_S]]))
+    assert bits(curated["obs"]) == bits(np.concatenate([start, start]))
     assert bits(stored["obs"]) == bits(edge[::-1])
     assert bits(stored["chunk"]) == bits(edge.reshape(4, D_A))
 
@@ -198,7 +210,7 @@ def test_missing_manifest_keys_rejected(tmp_path, keep, missing):
     path = os.path.join(tmp_path, "manifest")
     if keep is None:
         with open(path, "w") as fh:
-            fh.write("format = 5\nseed = 1\n")
+            fh.write("format = 6\nseed = 1\n")
     else:
         _dataset(tmp_path)
         _rewrite(path, lambda lines: lines[:keep])
@@ -217,8 +229,9 @@ def test_missing_trajectory_dump_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# formats 3 to 5 keep the bytes of the per-line json.dumps encoding of
-# format 2, without its ``mass`` key, and format 5 without its ``origin``
+# what formats 3 to 6 load keeps the bytes of the per-line json.dumps
+# encoding of format 2, without its ``mass`` key, and since format 5
+# without its ``origin``
 
 
 def oracle_record_line(traj, t, source, obs, chunk):
@@ -283,12 +296,13 @@ def float_arrays(shape):
 
 @st.composite
 def datasets(draw):
-    """(trajectory table, relabeled records table, chunk_len) as format 5
-    stores them: one shape per field."""
+    """(trajectory table, relabeled records table, chunk_len) as the
+    package builds them: one shape per field, each row's states rolled out
+    from its start state."""
     horizon = draw(st.integers(1, 5))
     n = draw(st.integers(0, 4))
-    trajectories = trajectory_table(
-        draw(float_arrays((n, horizon + 1, D_S))), draw(float_arrays((n, horizon, D_A))),
+    trajectories = rolled_out(
+        draw(float_arrays((n, D_S))), draw(float_arrays((n, horizon, D_A))),
         draw(hnp.arrays(bool, n)),
         draw(float_arrays(n)),
         draw(hnp.arrays(np.int64, n, elements=st.integers(0, 50))))
@@ -359,8 +373,9 @@ def test_writer_empty_record_list(tmp_path):
 
 
 def test_writer_refuses_an_origin_column(tmp_path):
-    # format 4 stored each trajectory's control points as ``origin``; format
-    # 5 has one layout, and a table with that column is refused unwritten
+    # format 4 stored each trajectory's control points as ``origin``; a
+    # trajectory table has one layout, and one with that column is refused
+    # unwritten
     trajs = stack(make_traj(seed=i, variant=i) for i in range(4))
     for origin in (np.zeros((4, 12)), np.zeros(4)):
         with pytest.raises(ValueError, match=r"trajectories: fields \(.*'origin'\), expected"):
@@ -443,16 +458,28 @@ def oracle_read_npy(path):
     return np.frombuffer(data, np.dtype(header["descr"]), header["shape"][0], start)
 
 
+def oracle_states(start, actions, friction):
+    """The states (T+1, d_s) of one stored row of make_manifest's
+    environment, one 1-D ``step`` at a time."""
+    states = [start]
+    with np.errstate(all="ignore"):
+        for action in actions:
+            states.append(REACH.step(states[-1], action, friction))
+    return np.array(states)
+
+
 def oracle_deserialize(out_dir, chunk_len):
-    """The two tables of ``Pairs``: each stored trajectory's windows, one
-    row at a time, and the stored relabeled rows."""
+    """The two tables of ``Pairs``: each stored trajectory's windows, its
+    states stepped one row and one step at a time, and the stored
+    relabeled rows."""
     trajs = oracle_read_npy(os.path.join(out_dir, "trajectories.npy"))
-    (horizon, d_a), d_s = trajs.dtype["actions"].shape, trajs.dtype["states"].shape[-1]
+    (horizon, d_a), d_s = trajs.dtype["actions"].shape, trajs.dtype["start"].shape[0]
     starts = [(i, t) for i in range(len(trajs)) for t in range(horizon - chunk_len + 1)]
     curated = np.empty(len(starts), [("traj", "<i8"), ("t", "<i8"), ("obs", "<f8", (2 * d_s,)),
                                      ("chunk", "<f8", (chunk_len, d_a))])
     for j, (i, t) in enumerate(starts):
-        states = trajs["states"][i]
+        states = oracle_states(*(trajs[name][i] for name in ("start", "actions",
+                                                             "friction_scale")))
         curated["traj"][j], curated["t"][j] = i, t
         curated["obs"][j] = np.concatenate([states[t], states[0]])
         curated["chunk"][j] = trajs["actions"][i, t:t + chunk_len]
@@ -469,10 +496,12 @@ def assert_reader_matches_oracle(trajectories, relabeled, chunk_len):
             == len(windows(trajectories, chunk_len)) + len(relabeled)
         assert same_table(got.curated, want.curated)
         assert same_table(got.relabeled, want.relabeled)
-        got = load_trajectories(out)
-        want = oracle_read_npy(os.path.join(out, "trajectories.npy"))
-        assert len(got) == len(want) == len(trajectories)
-        assert same_table(got, want)
+        assert same_table(load_trajectories(out), trajectories)
+        stored = oracle_read_npy(os.path.join(out, "trajectories.npy"))
+        assert stored.dtype.names == ("variant", "success", "friction_scale", "start", "actions")
+        assert same_table(stored["start"], trajectories["states"][:, 0])
+        for name in ("variant", "success", "friction_scale", "actions"):
+            assert same_table(stored[name], trajectories[name])
 
 
 @given(datasets())
@@ -482,8 +511,9 @@ def test_reader_equals_whole_file_oracle(dataset):
 
 
 def test_reader_equals_oracle_across_blocks_and_edge_values():
-    trajs = stack(make_traj(horizon=40, seed=i, variant=i % 3) for i in range(30))
-    trajs["states"][7, 3] = [-0.0, np.nan, np.inf, 5e-324]
+    edge = [-0.0, np.nan, np.inf, 5e-324]
+    trajs = stack(make_traj(horizon=40, seed=i, variant=i % 3, start=edge if i == 7 else None)
+                  for i in range(30))
     assert_reader_matches_oracle(trajs, windows(trajs, chunk_len=5), 5)
 
 
@@ -578,7 +608,7 @@ def test_reader_rejects_ragged_array(tmp_path, name):
     assert not (tmp_path / "ragged").exists()
     path = os.path.join(out, name + ".npy")
     wide = {"records": {"chunk": np.zeros((5, 4, D_A + 1))},
-            "trajectories": {"states": np.zeros((3, 11, D_S + 1))}}[name]
+            "trajectories": {"start": np.zeros((3, D_S + 1))}}[name]
     _edit_table(path, lambda t: _rebuild(t, **wide))
     with _raises_naming(path, "do not fit point_reach"):
         READERS[name](out)
@@ -589,8 +619,7 @@ def test_reader_rejects_empty_chunk(tmp_path, name):
     out = _dataset(tmp_path)
     path = os.path.join(out, name + ".npy")
     empty = {"records": {"chunk": np.zeros((5, 0, D_A))},
-             "trajectories": {"states": np.zeros((3, 1, D_S)),
-                              "actions": np.zeros((3, 0, D_A))}}[name]
+             "trajectories": {"actions": np.zeros((3, 0, D_A))}}[name]
     _edit_table(path, lambda t: _rebuild(t, **empty))
     with _raises_naming(path):
         READERS[name](out)
@@ -736,7 +765,7 @@ def test_every_reader_refuses_a_format_2_directory(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# format 5: curated windows rebuilt from trajectories, strict manifest
+# format 6: curated windows rebuilt from trajectories, strict manifest
 
 
 def _set_manifest_line(out, key, value=None):
@@ -758,7 +787,7 @@ def test_manifest_pins_format_and_chunk_len(tmp_path):
     out = _dataset(tmp_path)
     with open(os.path.join(out, "manifest")) as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == "format = 5" and "chunk_len = 4" in lines
+    assert lines[0] == "format = 6" and "chunk_len = 4" in lines
     assert read_manifest(out).chunk_len == 4
     assert len(np.load(os.path.join(out, "records.npy"), allow_pickle=False)) == 5
 
@@ -791,7 +820,7 @@ def test_manifest_keys_are_format_then_the_fields_in_order(tmp_path):
     assert keys == ["format"] + [f.name for f in dataclasses.fields(DatasetManifest)]
 
 
-@pytest.mark.parametrize("value", [None, "1", "2", "3", "4"])
+@pytest.mark.parametrize("value", [None, "1", "2", "3", "4", "5"])
 def test_any_format_but_3_is_rejected(tmp_path, value):
     out = _dataset(tmp_path)
     _set_manifest_line(out, "format", value)
@@ -891,9 +920,10 @@ def test_serialize_refuses_trajectories_that_no_reader_accepts(tmp_path):
     # actions; such a table was once written, and then refused by every reader
     table = trajectory_table(np.zeros((1, 11, 5)), np.zeros((1, 10, D_A)), True, 1.0)
     trajs = stack(make_traj(seed=i) for i in range(2))
-    bad = [(table, "states (11, 5) and actions (10, 2) do not fit point_reach (d_s 4, d_a 2)"),
-           (_rebuild(trajs, actions=np.zeros((2, 10, D_A + 1))), "states (11, 4) and actions (10, 3) do not fit"),
-           (_rebuild(trajs, states=np.zeros((2, 12, D_S))), "states (12, 4) and actions (10, 2)")]
+    bad = [(table, "start (5,) and actions (10, 2) do not fit point_reach (d_s 4, d_a 2)"),
+           (_rebuild(trajs, actions=np.zeros((2, 10, D_A + 1))), "start (4,) and actions (10, 3) do not fit"),
+           (_rebuild(trajs, states=np.zeros((2, 12, D_S))),
+            "states (12, 4) are not one longer than actions (10, 2)")]
     for trajectories, message in bad:
         with pytest.raises(ValueError, match=re.escape(f"trajectories: {message}")):
             serialize(make_manifest(chunk_len=4), str(tmp_path / "out"), trajectories)

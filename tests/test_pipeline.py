@@ -11,8 +11,8 @@ from recovergen import pipeline
 from recovergen.config import PipelineConfig
 from recovergen.curator import state_distances
 from recovergen.dataset_io import (DatasetFormatError, DatasetManifest, dataset_stats,
-                                   deserialize, load_trajectories, open_dataset,
-                                   read_manifest, record_dtype, serialize)
+                                   deserialize, export_pairs, load_trajectories,
+                                   open_dataset, read_manifest, record_dtype, serialize)
 from recovergen.envs import (augmented_demo_actions, make_env, rollout, rollout_batch,
                              trajectory_table)
 from recovergen.geometry import Pose
@@ -260,7 +260,7 @@ def test_evaluate_replay_deterministic(tmp_path):
 def test_evaluate_replay_missing_dump(tmp_path):
     os.makedirs(tmp_path / "empty")
     with open(tmp_path / "empty" / "manifest", "w") as fh:
-        fh.write("format = 5\nenv_name = point_reach\nseed = 0\nsource = generate\n"
+        fh.write("format = 6\nenv_name = point_reach\nseed = 0\nsource = generate\n"
                  "iterations = 0\nsamples_per_iteration = 0\nn_variants = 0\n"
                  "n_generated = 0\nn_successful = 0\nn_selected = 0\nn_relabeled = 0\n"
                  "n_records = 0\nn_trajectories = 0\nchunk_len = 1\nenv_config = {}\n"
@@ -299,8 +299,10 @@ def replay_dataset(out_dir, n, n_records, seed=0):
 def replay_oracle(out_dir, n_trials, seed):
     """evaluate_replay's rates, from one rollout_batch over all stored
     plans, one over all fresh trials (trial j on plan j % n, friction from
-    one sample_friction call) and one per relabeled record."""
-    _, env, table, records = open_dataset(out_dir)
+    one sample_friction call) and one per relabeled record, from its
+    trajectory's state at t."""
+    _, env, _, records = open_dataset(out_dir)
+    table = load_trajectories(out_dir)
     n, s0s, actions = len(table), table["states"][:, 0], table["actions"]
     stored = rollout_batch(env, s0s, actions, table["friction_scale"])[1]
     rows = np.arange(n_trials) % n
@@ -339,13 +341,20 @@ def test_evaluate_replay_equals_the_one_batch_oracle_at_any_block(replay_dataset
 
 def test_evaluate_replay_memory_is_the_replayed_columns_plus_one_block(tmp_path,
                                                                       monkeypatch):
-    # from the first rollout on, the loaded table is gone and no batch holds
-    # more than one block: the peak stays below the table plus one block's
-    # states and plans, although every stored row and 3 passes are replayed
+    # from the first rollout on, the loaded tables are gone and no batch
+    # holds more than one block: the peak stays below the replayed columns
+    # (start states, plans and friction scales) plus twice one block's
+    # states and plans, although every stored row and 3 passes are
+    # replayed.  The second block's worth (85 KB) covers what a block holds
+    # beside its states and plans: the step's working arrays, about 1 KB a
+    # row, and some 17 KB of small objects.  A batch of all 53 stored rows
+    # holds 283 KB of states and plans alone.
     block, env = 16, PLANAR
-    out = replay_dataset(tmp_path / "ds", 3 * block + 5, n_records=0)
-    bound = (open_dataset(out)[2].nbytes + block * 8 * (
-        (env.horizon + 1) * env.state_dim + env.horizon * env.action_dim))
+    n = 3 * block + 5
+    out = replay_dataset(tmp_path / "ds", n, n_records=0)
+    columns = 8 * n * (env.state_dim + env.horizon * env.action_dim + 1)
+    bound = columns + 2 * 8 * block * (
+        (env.horizon + 1) * env.state_dim + env.horizon * env.action_dim)
     monkeypatch.setattr(pipeline, "_REPLAY_BLOCK", block)
     calls = []
 
@@ -358,11 +367,12 @@ def test_evaluate_replay_memory_is_the_replayed_columns_plus_one_block(tmp_path,
     monkeypatch.setattr(pipeline, "rollout_batch", rollout_batch_resetting_the_peak)
     tracemalloc.start()
     try:
-        evaluate_replay(out, n_trials=3 * (3 * block + 5), seed=1)
+        evaluate_replay(out, n_trials=3 * n, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(calls) == block and peak < bound, (peak, bound)
+    assert peak < bound, (peak, bound)
+    assert max(calls) == block
 
 
 def test_every_relabeled_record_replays_at_seeds_1_to_10(tmp_path):
@@ -390,18 +400,65 @@ def test_evaluate_replay_refuses_a_record_outside_its_plans(tmp_path):
             evaluate_replay(out, 2)
 
 
-def test_evaluate_replay_reads_only_the_start_states(tmp_path):
-    # a record replays its plan from the trajectory's start state, so the
-    # report does not change when every later stored state is NaN
-    out = replay_dataset(tmp_path / "ds", 11, n_records=7, seed=11)
-    want = evaluate_replay(out, 30, seed=3)
-    assert 0 < want["relabeled_success_rate"] < 1
+def test_trajectories_file_stores_each_start_state_not_the_states(tmp_path):
+    # a row of trajectories.npy is variant, success and friction (17 bytes),
+    # the start state (d_s floats) and the plan (T x d_a floats)
+    env, n = PLANAR, 11
+    out = replay_dataset(tmp_path / "ds", n, n_records=7, seed=11)
     path = os.path.join(out, "trajectories.npy")
     table = np.load(path, allow_pickle=False)
-    table["states"][:, 1:] = np.nan
-    with open(path, "wb") as fh:
-        np.lib.format.write_array(fh, table, allow_pickle=False)
-    assert evaluate_replay(out, 30, seed=3) == want
+    assert table.dtype == np.dtype([
+        ("variant", "<i8"), ("success", "?"), ("friction_scale", "<f8"),
+        ("start", "<f8", (env.state_dim,)),
+        ("actions", "<f8", (env.horizon, env.action_dim))])
+    row = 17 + 8 * env.state_dim + 8 * env.horizon * env.action_dim
+    with open(path, "rb") as fh:
+        assert np.lib.format.read_magic(fh) == (1, 0)
+        np.lib.format.read_array_header_1_0(fh)
+        header = fh.tell()
+    assert table.dtype.itemsize == row == 1993
+    assert os.path.getsize(path) == header + n * row
+    assert np.array_equal(table["start"], load_trajectories(out)["states"][:, 0])
+    # a record's replay reaches its trajectory's rebuilt state at t
+    assert 0 < evaluate_replay(out, 30, seed=3)["relabeled_success_rate"] < 1
+
+
+@pytest.mark.parametrize("case", ["generate", "baseline", "point_reach", "empty"])
+def test_readers_return_the_written_table_bit_for_bit(tmp_path, monkeypatch, case):
+    # the states are not stored: the readers rebuild them, and every table
+    # the package writes reads back with the bits it was written with
+    out, written = str(tmp_path / "ds"), []
+
+    def serialize_recording(manifest, out_dir, trajectories, records=None):
+        written.append((manifest, trajectories, records))
+        return serialize(manifest, out_dir, trajectories, records)
+
+    monkeypatch.setattr(pipeline, "serialize", serialize_recording)
+    if case == "generate":
+        run_pgdg(PipelineConfig(out_dir=out, seed=7))
+    elif case == "baseline":     # under randomized friction, some rollouts fail
+        run_spatial_only(PipelineConfig(out_dir=out, seed=7, n_variants=40))
+    elif case == "point_reach":
+        run_pgdg(fast_cfg(out))
+    else:
+        pipeline.serialize(DatasetManifest(env_name=PLANAR.name), out, trajectory_table(
+            np.empty((0, PLANAR.horizon + 1, PLANAR.state_dim)),
+            np.empty((0, PLANAR.horizon, PLANAR.action_dim)), [], 1.0))
+    ((manifest, table, records),) = written
+    assert (len(table) > 0) == (case != "empty")
+    assert bool(np.any(~table["success"])) == (case == "baseline")
+    got = load_trajectories(out)
+    assert got.dtype == table.dtype and got.tobytes() == table.tobytes()
+    pairs, _ = deserialize(out)
+    curated = export_pairs(table["states"], table["actions"], manifest.chunk_len,
+                           make_env(manifest.env_name).observe)
+    assert pairs.curated.dtype == curated.dtype
+    assert pairs.curated.tobytes() == curated.tobytes()
+    if records is None:
+        assert len(pairs.relabeled) == 0
+    else:
+        assert pairs.relabeled.dtype == records.dtype
+        assert pairs.relabeled.tobytes() == records.tobytes()
 
 
 def test_compare_replay_gap(tmp_path):
