@@ -1,15 +1,17 @@
 """Dataset assembly and on-disk persistence.
 
-Layout under the output directory (dataset format 6):
+Layout under the output directory (dataset format 7):
 
 * ``manifest``          -- plain-text ``key = value`` run metadata:
-  ``format = 6``, then one line per field of ``DatasetManifest``, its schema,
+  ``format = 7``, then one line per field of ``DatasetManifest``, its schema,
   every one required; ``n_trajectories`` and ``n_relabeled`` are the row
   counts of the arrays
 * ``trajectories.npy``  -- one row per curated trajectory, with the fields
   ``variant`` ``<i8``, ``success`` ``?``, ``friction_scale`` ``<f8``,
-  ``start`` ``<f8 (d_s,)`` and ``actions`` ``<f8 (T, d_a)``: a trajectory
-  table's columns, with its start state in place of its states
+  ``start`` ``<f8 (d_s,)`` and ``control_points`` ``<f8 (M, d_a)``: a
+  trajectory table's columns, with its start state in place of its states
+  and actions; M is read from the dtype, 2 <= M <= T, and T is the
+  ``horizon`` of the manifest's environment
 * ``records.npy``       -- one row per relabeled supervision pair, with the
   fields ``traj`` ``<i8``, ``t`` ``<i8``, ``obs`` ``<f8 (2 d_s,)`` and
   ``chunk`` ``<f8 (H, d_a)``; the table ``relabel_dataset`` returns, written
@@ -19,13 +21,15 @@ Both arrays are structured NumPy ``.npy`` files (the NEP 1 format) holding
 raw little-endian numbers, so every stored value reads back bit for bit, and
 ``np.load(path, allow_pickle=False)`` opens either one without this package.
 
-A trajectory's states are a pure function of its start state, plan and
-friction scale, so they are not stored: ``deserialize`` and
-``load_trajectories`` rebuild the trajectory table with one
-``rollout_batch`` over all rows.  Its states are the writer's bit for bit
-when the writer's were rolled out by ``rollout_batch`` too, as in every
-table this package builds, and the reader runs under the writer's numpy
-dispatch and OpenBLAS core.  A curated pair is the window
+A trajectory's plan is a pure function of its control points
+(``sampler.decode``), and its states of its start state, plan and friction
+scale, so neither is stored: ``deserialize`` and ``load_trajectories``
+rebuild the trajectory table, decoding the plans and rolling them out
+block by block.  Its actions are the writer's bit for bit, since the
+writer checks them; its states are the writer's when the writer's were
+rolled out by ``rollout_batch`` too, as in every table this package
+builds.  Both hold when the reader runs under the writer's numpy dispatch
+and OpenBLAS core.  A curated pair is the window
 ``observe(states[t], states[0])``, ``actions[t:t + chunk_len]`` of a
 trajectory, so it is not stored either: ``deserialize`` returns ``Pairs``,
 the curated windows rebuilt from the trajectories by ``export_pairs`` and
@@ -37,9 +41,10 @@ manifest last.  The writer and every reader check both stored arrays with
 one check: each array's fields and dtypes, and its shapes against the
 manifest's environment and ``chunk_len``, and each relabeled record's
 ``traj`` and ``t`` against the trajectories.  Readers also check each row
-count against the manifest.  The writer refuses a misfit with ValueError
-before it writes any file.  A truncated, foreign or pickled file, a misfit
-and a ``format`` other than 6 raise DatasetFormatError; nothing is returned
+count against the manifest.  The writer refuses a misfit, and a trajectory
+whose actions are not its decoded control points, with ValueError before it
+writes any file.  A truncated, foreign or pickled file, a misfit and a
+``format`` other than 7 raise DatasetFormatError; nothing is returned
 from a dataset that fails a check.  ``read_manifest`` alone reads no array.
 """
 from __future__ import annotations
@@ -55,15 +60,17 @@ from typing import (IO, Callable, Dict, Iterable, List, Optional, Tuple, get_ori
 import numpy as np
 
 from .config import key_value_lines
-from .envs import TRAJECTORY_FIELDS, Environment, make_env, rollout_batch, trajectory_table
+from .envs import TRAJECTORY_FIELDS, Environment, blocks, make_env, rollout_batch
+from .sampler import decode
 
 
-FORMAT = 6   # the one dataset format this module writes and reads
+FORMAT = 7   # the one dataset format this module writes and reads
 
 # the fields of trajectories.npy and of records.npy, as ``TRAJECTORY_FIELDS``:
 # field -> (dtype, axes per row), in file order
 _STORED_FIELDS = {"variant": ("<i8", 0), "success": ("?", 0),
-                  "friction_scale": ("<f8", 0), "start": ("<f8", 1), "actions": ("<f8", 2)}
+                  "friction_scale": ("<f8", 0), "start": ("<f8", 1),
+                  "control_points": ("<f8", 2)}
 _RECORD_FIELDS = {"traj": ("<i8", 0), "t": ("<i8", 0), "obs": ("<f8", 1),
                   "chunk": ("<f8", 2)}
 
@@ -198,7 +205,7 @@ def _manifest_lines(manifest: DatasetManifest) -> str:
 
 def read_manifest(out_dir: str) -> DatasetManifest:
     """Parse and check ``out_dir/manifest``; every fault, an unknown,
-    repeated or missing key or a ``format`` other than 6 included, raises
+    repeated or missing key or a ``format`` other than 7 included, raises
     DatasetFormatError."""
     path = os.path.join(out_dir, "manifest")
     values: Dict = {}
@@ -264,16 +271,22 @@ def _fields_misfit(table, fields: Dict[str, Tuple[str, int]]) -> str:
     return ""
 
 
-def _stored(trajectories) -> np.ndarray:
+def _stored(trajectories, horizon: int) -> np.ndarray:
     """The rows of trajectories.npy of the trajectory table
     ``trajectories``: its columns, with each row's start state in place of
-    its states.  A table without the fields of ``TRAJECTORY_FIELDS``, or
-    whose states are not one longer than its plans, raises ValueError."""
+    its states and actions.  A table without the fields of
+    ``TRAJECTORY_FIELDS``, whose plans are not ``horizon`` steps of its
+    control points' d_a, or whose states are not one longer than its plans,
+    raises ValueError."""
     misfit = _fields_misfit(trajectories, TRAJECTORY_FIELDS)
     if not misfit:
-        states, actions = (trajectories.dtype[name].shape for name in ("states", "actions"))
+        states, actions, points = (trajectories.dtype[name].shape
+                                   for name in ("states", "actions", "control_points"))
         if states[0] != actions[0] + 1:
             misfit = f"states {states} are not one longer than actions {actions}"
+        elif actions != (horizon, points[1]):
+            misfit = (f"actions {actions} are not plans of the environment's horizon "
+                      f"{horizon} in the {points[1]} dimensions of control points {points}")
     if misfit:
         raise ValueError(f"trajectories: {misfit}")
     columns = {name: trajectories[name] for name in _STORED_FIELDS if name != "start"}
@@ -285,11 +298,25 @@ def _stored(trajectories) -> np.ndarray:
     return table
 
 
-def _n_windows(trajectories: np.ndarray, chunk_len: int) -> int:
-    """Number of curated windows of all ``trajectories``."""
-    if not len(trajectories):
-        return 0
-    return len(trajectories) * _window_count(trajectories.dtype["actions"].shape[0], chunk_len)
+def _n_windows(n: int, horizon: int, chunk_len: int) -> int:
+    """Number of curated windows of n trajectories of ``horizon`` steps."""
+    return n * _window_count(horizon, chunk_len) if n else 0
+
+
+def _misdecoded(trajectories: np.ndarray, horizon: int) -> int:
+    """The first row of the trajectory table ``trajectories`` whose actions
+    are not ``decode`` of its control points bit for bit, or -1; decoded
+    block by block."""
+    for rows in blocks(len(trajectories)):
+        # a stored value may be infinite or NaN: decoding it is no fault
+        with np.errstate(all="ignore"):
+            plans = decode(trajectories["control_points"][rows], horizon)
+        actions = trajectories["actions"][rows]
+        wrong = np.flatnonzero(np.any(plans.view(np.uint64) != actions.view(np.uint64),
+                                      axis=(1, 2)))
+        if len(wrong):
+            return rows.start + int(wrong[0])
+    return -1
 
 
 def _misfit(env: Environment, chunk_len: int, trajectories,
@@ -297,19 +324,22 @@ def _misfit(env: Environment, chunk_len: int, trajectories,
     """The first of the tables, "trajectories" or "records", that cannot
     be stored under ``env`` and ``chunk_len``, and why; ("", "") if both
     can.  Each needs the fields of its file (``_fields_misfit``).  Non-empty
-    trajectories need (d_s,) start states, (T, d_a) actions and
-    1 <= chunk_len <= T; non-empty records need (2 d_s,) observations,
-    (H >= 1, d_a) chunks, and each a ``traj`` in [0, n) and a ``t`` in
-    [0, T - H], so that its chunk fits in a stored plan."""
+    trajectories need (d_s,) start states, (M, d_a) control points with
+    2 <= M <= T, the environment's horizon, and 1 <= chunk_len <= T;
+    non-empty records need (2 d_s,) observations, (H >= 1, d_a) chunks, and
+    each a ``traj`` in [0, n) and a ``t`` in [0, T - H], so that its chunk
+    fits in a stored plan."""
+    horizon = env.horizon
     misfit = _fields_misfit(trajectories, _STORED_FIELDS)
     if not misfit and len(trajectories):
-        start, actions = (trajectories.dtype[name].shape for name in ("start", "actions"))
-        if start != (env.state_dim,) or actions[1] != env.action_dim:
-            misfit = (f"start {start} and actions {actions} do not fit {env.name} "
-                      f"(d_s {env.state_dim}, d_a {env.action_dim})")
+        start, points = (trajectories.dtype[name].shape for name in ("start", "control_points"))
+        if start != (env.state_dim,) or points[1] != env.action_dim \
+                or not 2 <= points[0] <= horizon:
+            misfit = (f"start {start} and control points {points} do not fit {env.name} "
+                      f"(d_s {env.state_dim}, d_a {env.action_dim}, 2 <= M <= T {horizon})")
         else:
             try:
-                _window_count(actions[0], chunk_len)
+                _window_count(horizon, chunk_len)
             except ValueError as exc:
                 misfit = f"chunk_len {chunk_len}: {exc}"
     if misfit:
@@ -317,7 +347,7 @@ def _misfit(env: Environment, chunk_len: int, trajectories,
     misfit = _fields_misfit(records, _RECORD_FIELDS)
     if not misfit and len(records):
         obs, chunk = records.dtype["obs"].shape, records.dtype["chunk"].shape
-        n, horizon = len(trajectories), trajectories.dtype["actions"].shape[0]
+        n = len(trajectories)
         outside = np.flatnonzero((records["traj"] < 0) | (records["traj"] >= n)
                                  | (records["t"] < 0) | (records["t"] > horizon - chunk[0]))
         if obs != (2 * env.state_dim,) or chunk[0] < 1 or chunk[1] != env.action_dim:
@@ -334,11 +364,12 @@ def _misfit(env: Environment, chunk_len: int, trajectories,
 def serialize(manifest: DatasetManifest, out_dir: str, trajectories: np.ndarray,
               records: Optional[np.ndarray] = None) -> None:
     """Write a dataset: the trajectory table ``trajectories`` without its
-    states, and the relabeled pairs ``records`` (none by default), a table
-    with the fields of ``records.npy`` such as ``relabel_dataset`` returns,
-    as they are.  The curated windows of length ``manifest.chunk_len`` are
-    not written either.  Sets the manifest's ``n_trajectories``,
-    ``n_relabeled`` and ``n_records`` (windows plus relabeled pairs).
+    states and actions, and the relabeled pairs ``records`` (none by
+    default), a table with the fields of ``records.npy`` such as
+    ``relabel_dataset`` returns, as they are.  The curated windows of length
+    ``manifest.chunk_len`` are not written either.  Sets the manifest's
+    ``n_trajectories``, ``n_relabeled`` and ``n_records`` (windows plus
+    relabeled pairs).
 
     Precondition, not checked: each row's states are its ``rollout_batch``
     from its start state, under its plan and friction scale, as in every
@@ -346,27 +377,35 @@ def serialize(manifest: DatasetManifest, out_dir: str, trajectories: np.ndarray,
     rebuild the states so; other states would not read back.
 
     Raises ValueError before any file is written when the trajectory table
-    does not have the fields and dtypes of ``TRAJECTORY_FIELDS``, when
-    either table does not fit the manifest's environment, or when
-    ``chunk_len`` or a relabeled record's chunk does not fit the
-    trajectories.  Each file goes to a temporary file first; they are
-    renamed into place only once all are complete, the manifest last, since
-    it pins the row counts of the others.  So a failure while writing any
-    file leaves the previous dataset whole and readable."""
+    does not have the fields and dtypes of ``TRAJECTORY_FIELDS``, when its
+    plans are not the manifest environment's horizon long, when either
+    table does not fit that environment, when ``chunk_len`` or a relabeled
+    record's chunk does not fit the trajectories, or, checked block by
+    block, when a row's actions are not ``decode`` of its control points
+    bit for bit (the error names the first such row).  Each file goes to a
+    temporary file first; they are renamed into place only once all are
+    complete, the manifest last, since it pins the row counts of the
+    others.  So a failure while writing any file leaves the previous
+    dataset whole and readable."""
     records = _NO_RECORDS if records is None else records
-    trajectories = _stored(trajectories)
-    name, misfit = _misfit(_manifest_env(manifest), manifest.chunk_len, trajectories, records)
+    env = _manifest_env(manifest)
+    stored = _stored(trajectories, env.horizon)
+    name, misfit = _misfit(env, manifest.chunk_len, stored, records)
+    if not misfit and (row := _misdecoded(trajectories, env.horizon)) >= 0:
+        name, misfit = "trajectories", (f"row {row}: its actions are not its control points "
+                                        f"decoded bit for bit")
     if misfit:
         raise ValueError(f"{name}: {misfit}")
     if not len(records):
         records = _NO_RECORDS
 
     os.makedirs(out_dir, exist_ok=True)
-    manifest.n_records = _n_windows(trajectories, manifest.chunk_len) + len(records)
+    manifest.n_records = (_n_windows(len(stored), env.horizon, manifest.chunk_len)
+                          + len(records))
     manifest.n_relabeled = len(records)
-    manifest.n_trajectories = len(trajectories)
+    manifest.n_trajectories = len(stored)
     files = [("records.npy", "wb", _npy_writer(records)),
-             ("trajectories.npy", "wb", _npy_writer(trajectories)),
+             ("trajectories.npy", "wb", _npy_writer(stored)),
              ("manifest", "w", lambda fh: fh.write(_manifest_lines(manifest)))]
     temps: List[str] = []
     try:
@@ -394,10 +433,10 @@ def _load_table(path: str) -> np.ndarray:
 
 def open_dataset(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray, np.ndarray]:
     """The manifest, the environment it describes, the stored
-    ``trajectories.npy`` table (start states, not states) and the
-    ``records.npy`` table, with the manifest parsed once and
-    the whole dataset checked (see the module docstring).  An
-    ``env_config`` the environment rejects raises DatasetFormatError."""
+    ``trajectories.npy`` table (start states and control points, not
+    states and actions) and the ``records.npy`` table, with the manifest
+    parsed once and the whole dataset checked (see the module docstring).
+    An ``env_config`` the environment rejects raises DatasetFormatError."""
     manifest = read_manifest(out_dir)
     manifest_path = os.path.join(out_dir, "manifest")
     try:
@@ -415,7 +454,7 @@ def open_dataset(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray
             raise DatasetFormatError(f"{paths[name]}: {len(tables[name])} rows, "
                                      f"the manifest says {rows}")
     trajectories, records = tables["trajectories"], tables["records"]
-    windows = _n_windows(trajectories, manifest.chunk_len)
+    windows = _n_windows(len(trajectories), env.horizon, manifest.chunk_len)
     if manifest.n_records != windows + len(records):
         raise DatasetFormatError(f"{manifest_path}: n_records {manifest.n_records} is not "
                                  f"{windows} curated + {len(records)} relabeled")
@@ -425,19 +464,29 @@ def open_dataset(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray
 def _open_trajectories(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray,
                                                np.ndarray]:
     """``open_dataset``, with the trajectory table the writer was given in
-    place of the stored one: each row's states rebuilt by one
-    ``rollout_batch`` of its start state, plan and friction scale."""
+    place of the stored one: each row's plan decoded from its control
+    points, and its states rebuilt by ``rollout_batch`` of its start
+    state, plan and friction scale.  The table is allocated once; the
+    loaded rows are dropped once copied into it, and its plans and states
+    are filled in blocks of at most ``envs.ROLLOUT_BLOCK`` rows, so memory
+    is the table plus the larger of the loaded rows and one block's
+    arrays."""
     manifest, env, stored, records = open_dataset(out_dir)
-    if len(stored):
-        # a stored value may be infinite or NaN: its rollout is no fault of reading
-        with np.errstate(all="ignore"):
-            states = rollout_batch(env, stored["start"], stored["actions"],
-                                   stored["friction_scale"])[0]
-    else:
-        states = np.empty((0, stored.dtype["actions"].shape[0] + 1,
-                           *stored.dtype["start"].shape))
-    table = trajectory_table(states, stored["actions"], stored["success"],
-                             stored["friction_scale"], stored["variant"])
+    n, horizon = len(stored), env.horizon
+    table = np.empty(n, _dtype(TRAJECTORY_FIELDS, {
+        "variant": (), "success": (), "friction_scale": (),
+        "states": (horizon + 1, env.state_dim), "actions": (horizon, env.action_dim),
+        "control_points": stored.dtype["control_points"].shape}))
+    for name in ("variant", "success", "friction_scale", "control_points"):
+        table[name] = stored[name]
+    table["states"][:, 0] = stored["start"]
+    del stored
+    # a stored value may be infinite or NaN: its rollout is no fault of reading
+    with np.errstate(all="ignore"):
+        for rows in blocks(n):
+            actions = table["actions"][rows] = decode(table["control_points"][rows], horizon)
+            table["states"][rows] = rollout_batch(env, table["states"][rows, 0], actions,
+                                                  table["friction_scale"][rows])[0]
     return manifest, env, table, records
 
 
@@ -451,7 +500,7 @@ def deserialize(out_dir: str) -> Tuple[Pairs, DatasetManifest]:
 
 
 def load_trajectories(out_dir: str) -> np.recarray:
-    """The trajectory table, its states rebuilt, checked as
+    """The trajectory table, its actions and states rebuilt, checked as
     ``open_dataset`` checks the dataset, as a record array: its rows'
     fields read as attributes."""
     return _open_trajectories(out_dir)[2].view(np.recarray)

@@ -19,8 +19,8 @@ number of steps, longest first, and ``success_batch`` evaluates the
 success predicate on final states.  ``rollout`` and
 ``rollout_with_resume`` are its one-row forms; each returns its rollout as
 a row of a trajectory table (``trajectory_table``, with the fields
-``TRAJECTORY_FIELDS``: the variant, success, friction scale, states and
-actions of each rollout).
+``TRAJECTORY_FIELDS``: the variant, success, friction scale, states,
+actions and control points of each rollout).
 ``lockstep`` runs generators of rollout requests (the variant loops, the
 CEM relabel points) together, with one ``rollout_batch`` call per round
 for all the live ones, their requests ordered longest plan first.
@@ -48,7 +48,19 @@ from .geometry import Pose, reanchor_trajectory
 # the row format of a trajectory table: field -> (dtype, axes per row)
 TRAJECTORY_FIELDS = {"variant": ("<i8", 0), "success": ("?", 0),
                      "friction_scale": ("<f8", 0), "states": ("<f8", 2),
-                     "actions": ("<f8", 2)}
+                     "actions": ("<f8", 2), "control_points": ("<f8", 2)}
+
+# most rows per block when stored plans are checked, decoded or replayed: a
+# reader holds one block's control points, plans and states beside its
+# tables (3.0 MB for 512 planar rows), for any dataset size; a smaller block
+# costs more rollout calls
+ROLLOUT_BLOCK = 512
+
+
+def blocks(n: int):
+    """The rows 0..n-1 as consecutive slices of at most ``ROLLOUT_BLOCK``
+    rows each."""
+    return (slice(lo, min(lo + ROLLOUT_BLOCK, n)) for lo in range(0, n, ROLLOUT_BLOCK))
 
 
 def wrap_angle(theta):
@@ -73,21 +85,28 @@ def _rows(friction, n: int) -> np.ndarray:
     return np.broadcast_to(friction, (n,))
 
 
-def trajectory_table(states, actions, success, friction, variant=0) -> np.ndarray:
+def trajectory_table(states, actions, success, friction, variant=0,
+                     control_points=None) -> np.ndarray:
     """A trajectory table, one row per full-episode rollout, with the
     fields of ``TRAJECTORY_FIELDS``: states (n, T+1, d_s), actions
-    (n, T, d_a), success and an integer variant per row or for all, and the
-    friction scale as ``rollout_batch`` takes it.  Shapes that do not fit
-    together raise ValueError, a variant that is not an integer TypeError."""
+    (n, T, d_a), success and an integer variant per row or for all, the
+    friction scale as ``rollout_batch`` takes it, and the control points
+    (n, M, d_a) that each row's actions decode from (``sampler.decode``);
+    by default the actions themselves, as M = T points.  Shapes that do not
+    fit together raise ValueError, a variant that is not an integer
+    TypeError."""
     states, actions = np.asarray(states, dtype=float), np.asarray(actions, dtype=float)
+    points = actions if control_points is None else np.asarray(control_points, dtype=float)
     n = len(states)
     columns = {"variant": np.asarray(variant).astype("<i8", casting="safe"),
                "success": success, "friction_scale": _rows(friction, n),
-               "states": states, "actions": actions}
-    if states.ndim != 3 or actions.ndim != 3 or len(actions) != n \
-            or states.shape[1] != actions.shape[1] + 1:
-        raise ValueError(f"need states (n, T+1, d_s) and actions (n, T, d_a), got "
-                         f"{states.shape} and {actions.shape}")
+               "states": states, "actions": actions, "control_points": points}
+    if states.ndim != 3 or actions.ndim != 3 or points.ndim != 3 \
+            or len(actions) != n or len(points) != n \
+            or states.shape[1] != actions.shape[1] + 1 or points.shape[2] != actions.shape[2]:
+        raise ValueError(f"need states (n, T+1, d_s), actions (n, T, d_a) and control "
+                         f"points (n, M, d_a), got {states.shape}, {actions.shape} and "
+                         f"{points.shape}")
     table = np.empty(n, [(name, dtype, columns[name].shape[1:] if axes else ())
                          for name, (dtype, axes) in TRAJECTORY_FIELDS.items()])
     for name, col in columns.items():

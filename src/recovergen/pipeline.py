@@ -25,9 +25,9 @@ from . import curator as cur
 from . import sampler as smp
 from .config import ConfigError, PipelineConfig, config_parameters
 from .curator import TubeBounds
-from .dataset_io import (DatasetFormatError, DatasetManifest, open_dataset, read_manifest,
-                         serialize, _atomic_write)
-from .envs import (Environment, Reply, Request, augmented_demo_actions, lockstep,
+from .dataset_io import (DatasetManifest, open_dataset, read_manifest, serialize,
+                         _atomic_write)
+from .envs import (Environment, Reply, Request, augmented_demo_actions, blocks, lockstep,
                    make_env, rollout_batch, trajectory_table)
 from .geometry import Pose, compose, sample_object_perturbation
 from .relabel import relabel_dataset
@@ -149,8 +149,8 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
         selected = cur.dpp_select_greedy(kernel, m, cfg.curator.eps_dpp)
 
         sel_w = cur.reward_to_weight(rewards[selected], cfg.curator.temperature)
-        q = cur.update_proposal(q, batch.draws[selected], sel_w, cfg.curator.eps_stab,
-                                cfg.curator.delta)
+        q = cur.update_proposal(q, table["control_points"][selected], sel_w,
+                                cfg.curator.eps_stab, cfg.curator.delta)
         curated.append(table[selected])
         distances.append(dists[selected])
         result.stats.append(IterationStats(index, k, batch.n_sampled, len(batch),
@@ -295,41 +295,39 @@ def _binomial_ci(successes: int, trials: int) -> Tuple[float, float]:
     return (max(0.0, p - half), min(1.0, p + half))
 
 
-# most rows per replay rollout batch: evaluate holds the replayed columns
-# plus one block's plans and states (2.7 MB for 512 planar rows), for any
-# dataset size and n_trials; a smaller block costs more rollout calls
-_REPLAY_BLOCK = 512
-
-
 def _successes(env: Environment, rows: int, block) -> int:
     """Successful rows among ``rows`` replays, rolled out in blocks of at
-    most ``_REPLAY_BLOCK`` rows; ``block(i)`` gives the ``rollout_batch``
-    arguments of the rows of index array i, block after block."""
-    blocks = (np.arange(lo, min(lo + _REPLAY_BLOCK, rows)) for lo in range(0, rows, _REPLAY_BLOCK))
-    return sum(int(np.sum(rollout_batch(env, *block(i))[1])) for i in blocks)
+    most ``envs.ROLLOUT_BLOCK`` rows; ``block(i)`` gives the
+    ``rollout_batch`` arguments of the rows of index array i, block after
+    block."""
+    return sum(int(np.sum(rollout_batch(env, *block(np.arange(b.start, b.stop)))[1]))
+               for b in blocks(rows))
 
 
 def evaluate_replay(dataset_dir: str, n_trials: int, seed: int = 0) -> Dict:
     """Open-loop replay of a dataset's stored plans.
 
-    Every replay is a full plan from its trajectory's start state.  Reports
-    the success rate of the stored trajectories under their stored
+    Every replay is a full plan, decoded from its trajectory's stored
+    control points (``sampler.decode``), from its trajectory's start state.
+    Reports the success rate of the stored trajectories under their stored
     friction; of the relabeled records (None when there are none), each
     its trajectory's plan with its chunk over steps t to t + H - 1, under
     that trajectory's friction; and of n_trials fresh friction draws,
     trial j on plan j % n with the j-th draw of one ``sample_friction``
     stream, with a 95% binomial CI.  A row's steps depend only on its
-    start state, plan and friction, so a record's replay reaches its
-    trajectory's state at step t, the one the record was relabeled from,
-    although the dataset stores only each trajectory's ``start`` state.
+    start state, plan and friction, and a row's plan only on its control
+    points, so a record's replay reaches its trajectory's state at step t,
+    the one the record was relabeled from, although the dataset stores
+    only each trajectory's ``start`` state and control points.
 
-    The replayed columns (the ``start`` states, plans and friction scales
-    of ``trajectories.npy``, and each record's trajectory, step and chunk)
-    are copied out and the loaded tables dropped before the first rollout.
-    Every rollout batch gathers at most ``_REPLAY_BLOCK`` rows from those
-    columns, so from the first rollout on, memory is the replayed columns
-    plus one block's plans, states and step arrays, for any dataset size
-    and n_trials.  Rows are independent and the friction stream does not
+    The replayed columns (the ``start`` states, control points and
+    friction scales of ``trajectories.npy``, and each record's trajectory,
+    step and chunk) are copied out and the loaded tables dropped before the
+    first rollout.  Every rollout batch gathers and decodes at most
+    ``envs.ROLLOUT_BLOCK`` rows from those columns, so from the first
+    rollout on, memory is the replayed columns plus one block's control
+    points, plans, states and step arrays, for any dataset size and
+    n_trials.  Rows are independent and the friction stream does not
     depend on how the trials are split, so neither does the report.
     """
     if n_trials < 0:
@@ -340,24 +338,23 @@ def evaluate_replay(dataset_dir: str, n_trials: int, seed: int = 0) -> Dict:
     n, horizon = len(table), env.horizon
     if not n:
         raise PipelineError(f"{dataset_dir}: no trajectories to replay")
-    if table.dtype["actions"].shape != (horizon, env.action_dim):
-        raise DatasetFormatError(f"{dataset_dir}: stored plans must have actions of "
-                                 f"shape {(horizon, env.action_dim)}")
-    s0s, actions = table["start"].copy(), table["actions"].copy()
+    s0s, points = table["start"].copy(), table["control_points"].copy()
     friction = table["friction_scale"].copy()
     traj, t, chunks = (records[name].copy() for name in ("traj", "t", "chunk"))
     del table, records
 
     def relabeled(i):
         # each record's trajectory plan, its chunk over steps t to t + H - 1
-        plans = actions[traj[i]]
+        plans = smp.decode(points[traj[i]], horizon)
         plans[np.arange(len(i))[:, None], t[i, None] + np.arange(chunks.shape[1])] = chunks[i]
         return s0s[traj[i]], plans, friction[traj[i]]
 
     rng = np.random.default_rng(seed)
-    stored_ok = _successes(env, n, lambda i: (s0s[i], actions[i], friction[i]))
+    stored_ok = _successes(env, n, lambda i: (s0s[i], smp.decode(points[i], horizon),
+                                              friction[i]))
     relabeled_ok = _successes(env, len(t), relabeled)
-    fresh_ok = _successes(env, n_trials, lambda i: (s0s[i % n], actions[i % n],
+    fresh_ok = _successes(env, n_trials, lambda i: (s0s[i % n],
+                                                    smp.decode(points[i % n], horizon),
                                                     env.sample_friction(rng, len(i))))
 
     return {

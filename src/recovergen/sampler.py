@@ -4,9 +4,10 @@ A nominal plan is M control points in action space, expanded to a full
 T-step action sequence by piecewise-linear interpolation on a uniform
 knot grid.  The proposal over the flattened control-point vector is a
 diagonal Gaussian that the curator refits between iterations, from the
-draws a ``SuccessBatch`` carries beside its trajectory table.  The
-dataset does not store them: for M <= T the interpolation matrix has
-full column rank, so a plan's actions fix its control points.
+``control_points`` of the selected rows of a ``SuccessBatch``'s trajectory
+table.  The dataset stores the control points, not the actions: ``decode``
+expands them to the actions bit for bit, one row alone or among any rows,
+in M / T of the bytes.
 """
 from __future__ import annotations
 
@@ -42,11 +43,21 @@ def interp_matrix(horizon: int, m_points: int) -> np.ndarray:
 
 
 def decode(control_points: np.ndarray, horizon: int) -> np.ndarray:
-    """Expand an (M, d_a) control-point matrix into (T, d_a) actions."""
-    control_points = np.asarray(control_points, dtype=float)
-    if control_points.ndim != 2 or control_points.shape[0] < 2:
-        raise ValueError("control_points must be (M >= 2, d_a)")
-    return interp_matrix(horizon, control_points.shape[0]) @ control_points
+    """Expand control points (..., M, d_a), 2 <= M <= T, into actions
+    (..., T, d_a) with one stacked product over the leading axes.  The
+    product reads aligned contiguous memory (a strided or unaligned input,
+    such as a field of a structured table, is copied first), so a row's
+    actions have the same bits alone, in any block and among gathered rows.
+    M == T gives the points back unchanged: ``interp_matrix(T, T)`` is the
+    identity, and skipping the product also keeps -0.0, NaN payloads and
+    infinities."""
+    control_points = np.require(control_points, float, ["C_CONTIGUOUS", "ALIGNED"])
+    if control_points.ndim < 2 or not 2 <= control_points.shape[-2] <= horizon:
+        raise ValueError(f"control_points must be (..., M, d_a) with 2 <= M <= T = "
+                         f"{horizon}, got {control_points.shape}")
+    if control_points.shape[-2] == horizon:
+        return control_points
+    return interp_matrix(horizon, control_points.shape[-2]) @ control_points
 
 
 def fit_control_points(demo_actions: np.ndarray, m_points: int) -> np.ndarray:
@@ -74,11 +85,10 @@ class Proposal:
 
 @dataclass
 class SuccessBatch:
-    """Successful rollouts of one iteration: a trajectory table and, row
-    for row, the flat control-point vector each row's actions decode from."""
+    """Successful rollouts of one iteration, as a trajectory table whose
+    ``control_points`` are the draws its actions decode from."""
 
     table: np.ndarray
-    draws: np.ndarray           # (len(table), M d_a)
     n_sampled: int
 
     def __len__(self) -> int:
@@ -111,7 +121,7 @@ def sample_batch(q: Proposal, n: int, rng: np.random.Generator) -> np.ndarray:
 class Plans(NamedTuple):
     """n sampled plans, ready for one rollout batch."""
 
-    draws: np.ndarray           # (n, M d_a) flat control-point vectors
+    control_points: np.ndarray  # (n, M, d_a), the draws
     friction: np.ndarray        # (n,) friction scales
     s0s: np.ndarray             # (n, d_s)
     actions: np.ndarray         # (n, T, d_a)
@@ -121,12 +131,10 @@ def draw_plans(env: Environment, variant: Pose, q: Proposal, n: int,
                rng: np.random.Generator) -> Plans:
     """Sample n plans, each with a fresh friction scale drawn after all n
     plans, and decode them all with one stacked product."""
-    draws = sample_batch(q, n, rng)
+    points = sample_batch(q, n, rng).reshape(n, q.m_points, q.action_dim)
     friction = env.sample_friction(rng, n)
     s0s = np.tile(env.reset(variant), (n, 1))
-    actions = interp_matrix(env.horizon, q.m_points) @ draws.reshape(n, q.m_points,
-                                                                     q.action_dim)
-    return Plans(draws, friction, s0s, actions)
+    return Plans(points, friction, s0s, decode(points, env.horizon))
 
 
 def sample_successes(env: Environment, variant: Pose, q: Proposal, n: int,
@@ -138,8 +146,8 @@ def sample_successes(env: Environment, variant: Pose, q: Proposal, n: int,
     states, success = yield plans.s0s, plans.actions, plans.friction
     ok = np.flatnonzero(success)
     table = trajectory_table(states[ok], plans.actions[ok], True, plans.friction[ok],
-                             variant_index)
-    return SuccessBatch(table=table, draws=plans.draws[ok], n_sampled=n)
+                             variant_index, plans.control_points[ok])
+    return SuccessBatch(table=table, n_sampled=n)
 
 
 def generate_success_batch(env: Environment, variant: Pose, q: Proposal, n: int,

@@ -47,11 +47,11 @@ def _report(name, detail=""):
 # sha256 of every output file of the seed-7 default run (the ``generated``
 # fixture, equal to ``recovergen generate --seed 7 --jobs 1``)
 GOLDEN_DIGESTS = {
-    "manifest": "7b12dbdcb5974bb22200cd90672856765598179374032d8747832c1f69bcf437",
+    "manifest": "19dd5c440be4ccba3290eb464a2e34ded872cd3c4c02589c9e674030b5a73763",
     "records.npy": "bcfcba924b43d37b9a7dc24fd040645fa5a65f8f535273a588663d1e338feb07",
     "report.jsonl": "500d7c12a77a54cbbc86e647d4623156891c2d4eb6b888243b19f127f95d8f56",
     "report.txt": "7b22373813e7d8b110ab61897b0ce07b4351f68f8d0a5ac63a4d003e9f6eac1e",
-    "trajectories.npy": "bb4bf934ff63b0d71c62a497f6ee254f24d5270f048f11824e459e613e70f2b1",
+    "trajectories.npy": "38dbde621cecc700cf30cf7b6f5152fc790a4430a94e11fb19ea6e71da1f8991",
 }
 
 
@@ -85,11 +85,11 @@ def test_golden_digest_of_default_run(generated):
 
 # sha256 of every output file of ``recovergen baseline --seed 7``
 BASELINE_DIGESTS = {
-    "manifest": "3a43a74e7ff9ef50bab95f3a561801b68cdd15a00c7f21e1d009f18968159c27",
+    "manifest": "fb928272245646a47a326909679fca2e9160bee4f8e6e7b20ad841fcfe5da863",
     "records.npy": "7923825b0504c9d022f593c5e23f597027c451dd44b58894750807bebc1597df",
     "report.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "report.txt": "8dad72ffab282396621954eaf9f583808044cc7b67f9a6d6f33c7fd6592d9532",
-    "trajectories.npy": "1932685d9cbcda371a932202be78873cc9056c6e3ff9b712d237026c944cb93c",
+    "trajectories.npy": "b6d7d46c67e40cd423b61dfe2f0f5d7684b3714f05676f73c51501ead7a202d4",
 }
 
 
@@ -131,8 +131,8 @@ def test_rebuilt_records_encode_to_the_format_1_file(generated):
 # format 2, which stored them as json.dumps lines; since the planar
 # geometry, the oracle encoding of this run, as above, since format 4
 # without the ``mass`` key of each trajectory line, and since format 5
-# without its ``origin`` key.  Format 6 stores no states: they are the
-# ones ``load_trajectories`` rebuilds
+# without its ``origin`` key.  Format 7 stores no states and no actions:
+# they are the ones ``load_trajectories`` rebuilds
 FORMAT_2_DIGESTS = {
     "trajectories": "1ee790f92abff59a0901e533d18f296884bed1ae72517a65aab1fb2e80c74075",
     "records": "71359794f6832c52833a350c20dd0f258a1e15118cb63790d1f2a7879e5aee59",
@@ -140,9 +140,10 @@ FORMAT_2_DIGESTS = {
 
 
 def test_loaded_data_encodes_to_the_format_2_files(generated):
-    """Formats 3 to 6 store raw float64.  Encoded line by line with the
+    """Formats 3 to 7 store raw float64.  Encoded line by line with the
     ``json.dumps`` oracle, the trajectories and relabeled records it loads,
-    the states rebuilt from the start states, give the format-2 files byte
+    the actions decoded from the control points and the states rebuilt
+    from the start states, give the format-2 files byte
     for byte (less the trajectories' ``mass``, which format 4 dropped, and
     ``origin``, which format 5 dropped), so the changes of format lose
     nothing else."""
@@ -155,7 +156,7 @@ def test_loaded_data_encodes_to_the_format_2_files(generated):
             "records": oracle_rows_text(pairs.relabeled, "relabeled")}
     assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in text.items()} \
         == FORMAT_2_DIGESTS
-    _report("format 6 lossless", "trajectories and relabeled records encode to format 2")
+    _report("format 7 lossless", "trajectories and relabeled records encode to format 2")
 
 
 def test_bench_inspect_dataset_passes_on_the_golden_run(generated):

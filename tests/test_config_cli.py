@@ -364,8 +364,8 @@ def _copy_with_manifest_edit(src, dst, edit):
     (lambda text: text + "foo = 1\n", ["stats", "evaluate"]),
     (lambda text: re.sub(r"final_tubes = .*", "final_tubes = 5", text), ["stats", "evaluate"]),
     (lambda text: text.replace("env_config = {", 'env_config = {"bogus": 1, '), ["evaluate"]),
-    (lambda text: text.replace("format = 6\n", ""), ["stats", "evaluate"]),
-    (lambda text: text.replace("format = 6", "format = 2"), ["stats", "evaluate"]),
+    (lambda text: text.replace("format = 7\n", ""), ["stats", "evaluate"]),
+    (lambda text: text.replace("format = 7", "format = 2"), ["stats", "evaluate"]),
     (lambda text: text + "no equals sign\n", ["stats", "evaluate"]),
     (lambda text: text + "seed = 4\n", ["stats", "evaluate"]),
     (lambda text: re.sub(r"n_generated = .*", "n_generated = -5", text), ["stats", "evaluate"]),
@@ -385,22 +385,27 @@ def test_cli_manifest_faults_exit_4(small_dataset, tmp_path, capsys, edit, comma
         assert "i/o error" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("fmt", [3, 4, 5])
+@pytest.mark.parametrize("fmt", [3, 4, 5, 6])
 def test_cli_refuses_an_old_format_dataset(small_dataset, tmp_path, capsys, fmt):
-    # format 5 stored each trajectory's states (T+1, d_s) where format 6
-    # stores its start state; format 4 also stored its control points as
-    # ``origin``, after ``actions``; format 3 had them and a mass per
-    # trajectory, before ``friction_scale`` (and, for the block, a
-    # mass_range in env_config).  The reader reads format 6 only.
+    # format 6 stored each trajectory's start state and actions (T, d_a)
+    # where format 7 stores its start state and control points; format 5
+    # stored its states (T+1, d_s) in place of the start state; format 4
+    # also stored its control points as ``origin``, after ``actions``;
+    # format 3 had them and a mass per trajectory, before ``friction_scale``
+    # (and, for the block, a mass_range in env_config).  The reader reads
+    # format 7 only.
     old = _copy_with_manifest_edit(small_dataset, tmp_path / "old",
-                                   lambda text: text.replace("format = 6", f"format = {fmt}"))
-    table = load_trajectories(str(small_dataset))    # format 5's fields
+                                   lambda text: text.replace("format = 7", f"format = {fmt}"))
+    table = load_trajectories(str(small_dataset))
     m_points = read_manifest(str(small_dataset)).parameters["sampler.m_points"]
     columns = {}
-    for name in table.dtype.names:
+    for name in ("variant", "success", "friction_scale", "states", "actions"):
         if name == "friction_scale" and fmt == 3:
             columns["mass"] = np.ones(len(table))
-        columns[name] = table[name]
+        if name == "states" and fmt == 6:
+            columns["start"] = table["states"][:, 0]
+        else:
+            columns[name] = table[name]
     if fmt < 5:
         columns["origin"] = np.array([fit_control_points(actions, m_points).reshape(-1)
                                       for actions in table["actions"]])
@@ -414,7 +419,7 @@ def test_cli_refuses_an_old_format_dataset(small_dataset, tmp_path, capsys, fmt)
         assert main(argv) == EXIT_IO, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
-        assert (f"dataset format {fmt} is not supported (only format 6 is read)"
+        assert (f"dataset format {fmt} is not supported (only format 7 is read)"
                 in captured.err)
 
 

@@ -18,14 +18,16 @@ from recovergen.dataset_io import (DatasetFormatError, DatasetManifest, Pairs,
                                    dataset_stats, deserialize, export_pairs, format_stats,
                                    load_trajectories, open_dataset, read_manifest,
                                    serialize)
+from recovergen import envs
 from recovergen.envs import make_env, rollout_batch, trajectory_table
 from recovergen.pipeline import evaluate_replay
+from recovergen.sampler import decode
 
 D_S, D_A = 4, 2     # state and action sizes of point_reach, make_manifest's environment
 REACH = make_env("point_reach")
 
 
-def rolled_out(starts, actions, success, friction, variant=0):
+def rolled_out(starts, actions, success, friction, variant=0, control_points=None):
     """A trajectory table whose states ``rollout_batch`` rolls out from the
     start states ``starts`` (n, d_s) under ``actions`` and ``friction`` in
     make_manifest's environment, as in every table the package writes: the
@@ -33,15 +35,19 @@ def rolled_out(starts, actions, success, friction, variant=0):
     warning, as the readers rebuild them."""
     with np.errstate(all="ignore"):
         states = rollout_batch(REACH, starts, actions, friction)[0]
-    return trajectory_table(states, actions, success, friction, variant)
+    return trajectory_table(states, actions, success, friction, variant, control_points)
 
 
-def make_traj(horizon=10, seed=0, variant=0, start=None):
+def make_traj(horizon=10, seed=0, variant=0, start=None, m_points=None):
     """A one-row trajectory table, from a random start state (or ``start``)
-    under random actions."""
+    under random actions, or under the decode of ``m_points`` random
+    control points."""
     rng = np.random.default_rng(seed)
     starts = rng.standard_normal((1, D_S)) if start is None else np.array([start], float)
-    return rolled_out(starts, rng.standard_normal((1, horizon, D_A)), True, 0.97, variant)
+    if m_points is None:
+        return rolled_out(starts, rng.standard_normal((1, horizon, D_A)), True, 0.97, variant)
+    points = rng.standard_normal((1, m_points, D_A))
+    return rolled_out(starts, decode(points, horizon), True, 0.97, variant, points)
 
 
 def stack(trajs):
@@ -50,9 +56,16 @@ def stack(trajs):
     return np.concatenate(list(trajs) or [make_traj()[:0]]).view(np.recarray)
 
 
+def fitting_manifest(trajs, **kw):
+    """make_manifest, its horizon the length of the plans of ``trajs``."""
+    return make_manifest(env_config={"horizon": trajs.dtype["actions"].shape[0]}, **kw)
+
+
 def make_manifest(**kw):
+    """A point_reach manifest; its horizon, 10 unless ``env_config`` says
+    otherwise, is the length of make_traj's plans."""
     base = dict(env_name="point_reach", seed=3, n_generated=10,
-                n_successful=8, n_selected=6)
+                n_successful=8, n_selected=6, env_config={"horizon": 10})
     base.update(kw)
     return DatasetManifest(**base)
 
@@ -125,7 +138,7 @@ def test_round_trip_bitwise(tmp_path):
     curated = windows(trajs, chunk_len=4)
     manifest = make_manifest(final_tubes=[(0.1, 0.5)],
                              parameters={"sampler.m_points": 16},
-                             env_config={"horizon": 30}, chunk_len=4)
+                             env_config={"horizon": 10}, chunk_len=4)
     serialize(manifest, str(tmp_path), trajs, curated[:3])
     pairs, manifest2 = deserialize(str(tmp_path))
     assert len(pairs) == len(curated) + 3 == manifest2.n_records
@@ -147,7 +160,7 @@ def test_large_round_trip(tmp_path):
     trajs = stack(make_traj(horizon=40, seed=i) for i in range(30))
     curated = windows(trajs, chunk_len=5)
     assert len(curated) > 1000
-    serialize(make_manifest(chunk_len=5), str(tmp_path), trajs)
+    serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), trajs)
     pairs, manifest = deserialize(str(tmp_path))
     assert same_table(pairs.curated, curated)
     assert len(pairs) == len(curated) == manifest.n_records
@@ -165,9 +178,9 @@ def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
     start = edge[[0, 6, 1, 7]]          # the start state is stored, both NaNs too
     (traj,) = rolled_out(start[None], np.resize(edge, (1, 4, D_A)), False, nans[0], 3)
     relabeled = make_records([edge[::-1]], [edge.reshape(4, D_A)])
-    serialize(make_manifest(chunk_len=4), str(tmp_path), traj[None], relabeled)
+    serialize(fitting_manifest(traj[None], chunk_len=4), str(tmp_path), traj[None], relabeled)
     (got,) = load_trajectories(str(tmp_path))
-    for name in ("states", "actions"):
+    for name in ("states", "actions", "control_points"):
         assert bits(getattr(got, name)) == bits(traj[name]), name
     assert struct.pack("<d", got.friction_scale) == struct.pack("<d", nans[0])
     pairs = deserialize(str(tmp_path))[0]
@@ -210,7 +223,7 @@ def test_missing_manifest_keys_rejected(tmp_path, keep, missing):
     path = os.path.join(tmp_path, "manifest")
     if keep is None:
         with open(path, "w") as fh:
-            fh.write("format = 6\nseed = 1\n")
+            fh.write("format = 7\nseed = 1\n")
     else:
         _dataset(tmp_path)
         _rewrite(path, lambda lines: lines[:keep])
@@ -229,7 +242,7 @@ def test_missing_trajectory_dump_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# what formats 3 to 6 load keeps the bytes of the per-line json.dumps
+# what formats 3 to 7 load keeps the bytes of the per-line json.dumps
 # encoding of format 2, without its ``mass`` key, and since format 5
 # without its ``origin``
 
@@ -276,7 +289,8 @@ def assert_round_trip_keeps_oracle_text(trajectories, relabeled, chunk_len):
     """Every pair and trajectory read back encodes, with the json.dumps
     oracle, to the text of what was written."""
     with tempfile.TemporaryDirectory() as out:
-        serialize(make_manifest(chunk_len=chunk_len), out, trajectories, relabeled)
+        serialize(fitting_manifest(trajectories, chunk_len=chunk_len), out, trajectories,
+                  relabeled)
         assert oracle_traj_text(load_trajectories(out)) == oracle_traj_text(trajectories)
         want = (oracle_rows_text(windows(trajectories, chunk_len), "curated")
                 + oracle_rows_text(relabeled, "relabeled"))
@@ -297,15 +311,19 @@ def float_arrays(shape):
 @st.composite
 def datasets(draw):
     """(trajectory table, relabeled records table, chunk_len) as the
-    package builds them: one shape per field, each row's states rolled out
-    from its start state."""
-    horizon = draw(st.integers(1, 5))
+    package builds them: one shape per field, each row's actions decoded
+    from its 2 <= M <= T control points and its states rolled out from its
+    start state."""
+    horizon = draw(st.integers(2, 5))
     n = draw(st.integers(0, 4))
+    points = draw(float_arrays((n, draw(st.integers(2, horizon)), D_A)))
+    with np.errstate(all="ignore"):
+        actions = decode(points, horizon)
     trajectories = rolled_out(
-        draw(float_arrays((n, D_S))), draw(float_arrays((n, horizon, D_A))),
+        draw(float_arrays((n, D_S))), actions,
         draw(hnp.arrays(bool, n)),
         draw(float_arrays(n)),
-        draw(hnp.arrays(np.int64, n, elements=st.integers(0, 50))))
+        draw(hnp.arrays(np.int64, n, elements=st.integers(0, 50))), points)
     # each record's chunk fits in a stored plan: traj in [0, n), t in [0, T - H]
     chunk = draw(st.integers(1, horizon))
     rows = [(draw(st.integers(0, n - 1)), draw(st.integers(0, horizon - chunk)),
@@ -342,7 +360,7 @@ def test_writer_mixes_relabeled_and_curated_chunk_lengths(tmp_path):
     relabeled = make_records([np.arange(8.0) + i for i in range(3)],
                              [make_traj(horizon=7, seed=10 + i)["actions"][0] for i in range(3)],
                              np.arange(3), 2 * np.arange(3))
-    serialize(make_manifest(chunk_len=4), str(tmp_path), trajs, relabeled)
+    serialize(fitting_manifest(trajs, chunk_len=4), str(tmp_path), trajs, relabeled)
     pairs = deserialize(str(tmp_path))[0]
     assert (pairs.curated.dtype["chunk"].shape, pairs.relabeled.dtype["chunk"].shape) \
         == ((4, 2), (7, 2))
@@ -403,11 +421,11 @@ def fail_npy_write(monkeypatch, nth):
 def test_failed_write_keeps_previous_file_and_no_temp_file(tmp_path, monkeypatch):
     trajs = stack(make_traj(horizon=40, seed=i) for i in range(40))
     relabeled = windows(trajs, chunk_len=5)
-    serialize(make_manifest(chunk_len=5), str(tmp_path), trajs[:2], relabeled[:10])
+    serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), trajs[:2], relabeled[:10])
     before = (tmp_path / "records.npy").read_bytes()
     fail_npy_write(monkeypatch, 1)       # records.npy is written first
     with pytest.raises(OSError, match="No space"):
-        serialize(make_manifest(chunk_len=5), str(tmp_path), trajs, relabeled)
+        serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), trajs, relabeled)
     assert (tmp_path / "records.npy").read_bytes() == before
     assert not (tmp_path / "records.npy.tmp").exists()
 
@@ -424,17 +442,17 @@ def test_trajectory_variant_must_be_an_integer(tmp_path):
 def test_failed_records_write_keeps_previous_dataset_readable(tmp_path, monkeypatch):
     trajs = stack(make_traj(horizon=40, seed=i) for i in range(40))
     relabeled = windows(trajs, chunk_len=5)
-    serialize(make_manifest(chunk_len=5), str(tmp_path), trajs[:2], relabeled[:10])
+    serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), trajs[:2], relabeled[:10])
     before = {name: (tmp_path / name).read_bytes()
               for name in ("manifest", "records.npy", "trajectories.npy")}
     for nth in (1, 2):                   # records.npy fails, then trajectories.npy
         fail_npy_write(monkeypatch, nth)
         with pytest.raises(OSError):
-            serialize(make_manifest(chunk_len=5), str(tmp_path), trajs, relabeled)
+            serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), trajs, relabeled)
     monkeypatch.undo()
     narrow = _rebuild(trajs, variant=trajs["variant"].astype("<i4"))   # refused unwritten
     with pytest.raises(ValueError):
-        serialize(make_manifest(chunk_len=5), str(tmp_path), narrow, relabeled)
+        serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), narrow, relabeled)
     assert before == {name: (tmp_path / name).read_bytes() for name in before}
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
     assert len(deserialize(str(tmp_path))[0]) == 2 * 36 + 10
@@ -468,21 +486,22 @@ def oracle_states(start, actions, friction):
     return np.array(states)
 
 
-def oracle_deserialize(out_dir, chunk_len):
+def oracle_deserialize(out_dir, chunk_len, horizon):
     """The two tables of ``Pairs``: each stored trajectory's windows, its
-    states stepped one row and one step at a time, and the stored
-    relabeled rows."""
+    plan decoded one row at a time and its states stepped one row and one
+    step at a time, and the stored relabeled rows."""
     trajs = oracle_read_npy(os.path.join(out_dir, "trajectories.npy"))
-    (horizon, d_a), d_s = trajs.dtype["actions"].shape, trajs.dtype["start"].shape[0]
+    d_a, d_s = trajs.dtype["control_points"].shape[1], trajs.dtype["start"].shape[0]
     starts = [(i, t) for i in range(len(trajs)) for t in range(horizon - chunk_len + 1)]
     curated = np.empty(len(starts), [("traj", "<i8"), ("t", "<i8"), ("obs", "<f8", (2 * d_s,)),
                                      ("chunk", "<f8", (chunk_len, d_a))])
     for j, (i, t) in enumerate(starts):
-        states = oracle_states(*(trajs[name][i] for name in ("start", "actions",
-                                                             "friction_scale")))
+        with np.errstate(all="ignore"):
+            actions = decode(trajs["control_points"][i], horizon)
+        states = oracle_states(trajs["start"][i], actions, trajs["friction_scale"][i])
         curated["traj"][j], curated["t"][j] = i, t
         curated["obs"][j] = np.concatenate([states[t], states[0]])
-        curated["chunk"][j] = trajs["actions"][i, t:t + chunk_len]
+        curated["chunk"][j] = actions[t:t + chunk_len]
     return Pairs(curated, oracle_read_npy(os.path.join(out_dir, "records.npy")))
 
 
@@ -490,17 +509,20 @@ def oracle_deserialize(out_dir, chunk_len):
 
 def assert_reader_matches_oracle(trajectories, relabeled, chunk_len):
     with tempfile.TemporaryDirectory() as out:
-        serialize(make_manifest(chunk_len=chunk_len), out, trajectories, relabeled)
-        (got, manifest), want = deserialize(out), oracle_deserialize(out, chunk_len)
+        serialize(fitting_manifest(trajectories, chunk_len=chunk_len), out, trajectories,
+                  relabeled)
+        horizon = trajectories.dtype["actions"].shape[0]
+        (got, manifest), want = deserialize(out), oracle_deserialize(out, chunk_len, horizon)
         assert len(got) == len(want) == manifest.n_records \
             == len(windows(trajectories, chunk_len)) + len(relabeled)
         assert same_table(got.curated, want.curated)
         assert same_table(got.relabeled, want.relabeled)
         assert same_table(load_trajectories(out), trajectories)
         stored = oracle_read_npy(os.path.join(out, "trajectories.npy"))
-        assert stored.dtype.names == ("variant", "success", "friction_scale", "start", "actions")
+        assert stored.dtype.names == ("variant", "success", "friction_scale", "start",
+                                      "control_points")
         assert same_table(stored["start"], trajectories["states"][:, 0])
-        for name in ("variant", "success", "friction_scale", "actions"):
+        for name in ("variant", "success", "friction_scale", "control_points"):
             assert same_table(stored[name], trajectories[name])
 
 
@@ -510,10 +532,12 @@ def test_reader_equals_whole_file_oracle(dataset):
     assert_reader_matches_oracle(*dataset)
 
 
-def test_reader_equals_oracle_across_blocks_and_edge_values():
+def test_reader_equals_oracle_across_blocks_and_edge_values(monkeypatch):
+    # blocks of 7 rows, 6 control points per plan of 40 steps
+    monkeypatch.setattr(envs, "ROLLOUT_BLOCK", 7)
     edge = [-0.0, np.nan, np.inf, 5e-324]
-    trajs = stack(make_traj(horizon=40, seed=i, variant=i % 3, start=edge if i == 7 else None)
-                  for i in range(30))
+    trajs = stack(make_traj(horizon=40, seed=i, variant=i % 3, start=edge if i == 7 else None,
+                            m_points=6) for i in range(30))
     assert_reader_matches_oracle(trajs, windows(trajs, chunk_len=5), 5)
 
 
@@ -527,7 +551,7 @@ def _dataset(tmp_path):
 
 
 READERS = {"records": deserialize, "trajectories": load_trajectories}
-ARRAY_KEY = {"records": "chunk", "trajectories": "actions"}
+ARRAY_KEY = {"records": "chunk", "trajectories": "control_points"}
 SCALAR_KEY = {"records": "t", "trajectories": "variant"}
 
 
@@ -765,7 +789,7 @@ def test_every_reader_refuses_a_format_2_directory(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# format 6: curated windows rebuilt from trajectories, strict manifest
+# format 7: curated windows rebuilt from trajectories, strict manifest
 
 
 def _set_manifest_line(out, key, value=None):
@@ -787,7 +811,7 @@ def test_manifest_pins_format_and_chunk_len(tmp_path):
     out = _dataset(tmp_path)
     with open(os.path.join(out, "manifest")) as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == "format = 6" and "chunk_len = 4" in lines
+    assert lines[0] == "format = 7" and "chunk_len = 4" in lines
     assert read_manifest(out).chunk_len == 4
     assert len(np.load(os.path.join(out, "records.npy"), allow_pickle=False)) == 5
 
@@ -820,7 +844,7 @@ def test_manifest_keys_are_format_then_the_fields_in_order(tmp_path):
     assert keys == ["format"] + [f.name for f in dataclasses.fields(DatasetManifest)]
 
 
-@pytest.mark.parametrize("value", [None, "1", "2", "3", "4", "5"])
+@pytest.mark.parametrize("value", [None, "1", "2", "3", "4", "5", "6"])
 def test_any_format_but_3_is_rejected(tmp_path, value):
     out = _dataset(tmp_path)
     _set_manifest_line(out, "format", value)
@@ -916,20 +940,70 @@ def test_serialize_refuses_wrong_dtypes_and_misfit_targets(tmp_path):
 
 
 def test_serialize_refuses_trajectories_that_no_reader_accepts(tmp_path):
-    # point_reach needs (T+1, d_s) = (T+1, 4) states and (T, d_a) = (T, 2)
-    # actions; such a table was once written, and then refused by every reader
+    # point_reach of make_manifest's horizon 10 needs (11, 4) states,
+    # (10, 2) actions and (M, 2) control points with 2 <= M <= 10; such
+    # tables were once written, and then refused by every reader
     table = trajectory_table(np.zeros((1, 11, 5)), np.zeros((1, 10, D_A)), True, 1.0)
     trajs = stack(make_traj(seed=i) for i in range(2))
-    bad = [(table, "start (5,) and actions (10, 2) do not fit point_reach (d_s 4, d_a 2)"),
-           (_rebuild(trajs, actions=np.zeros((2, 10, D_A + 1))), "start (4,) and actions (10, 3) do not fit"),
+    wide = np.zeros((2, 10, D_A + 1))
+    plans = "are not plans of the environment's horizon 10"
+    bad = [(table, "start (5,) and control points (10, 2) do not fit point_reach "
+                   "(d_s 4, d_a 2, 2 <= M <= T 10)"),
+           (_rebuild(trajs, actions=wide, control_points=wide),
+            "start (4,) and control points (10, 3) do not fit"),
+           (_rebuild(trajs, control_points=np.zeros((2, 1, D_A))),
+            "start (4,) and control points (1, 2) do not fit"),
+           (_rebuild(trajs, control_points=np.zeros((2, 11, D_A))),
+            "start (4,) and control points (11, 2) do not fit"),
            (_rebuild(trajs, states=np.zeros((2, 12, D_S))),
-            "states (12, 4) are not one longer than actions (10, 2)")]
+            "states (12, 4) are not one longer than actions (10, 2)"),
+           (_rebuild(trajs, actions=wide), f"actions (10, 3) {plans} in the 2 dimensions"),
+           (stack(make_traj(horizon=12, seed=i) for i in range(2)), f"actions (12, 2) {plans}"),
+           (make_traj(horizon=12)[:0], f"actions (12, 2) {plans}")]
     for trajectories, message in bad:
         with pytest.raises(ValueError, match=re.escape(f"trajectories: {message}")):
             serialize(make_manifest(chunk_len=4), str(tmp_path / "out"), trajectories)
+    # a plan of one step has no two control points to store
+    one = make_traj(horizon=1)
+    with pytest.raises(ValueError, match=re.escape("control points (1, 2) do not fit")):
+        serialize(fitting_manifest(one), str(tmp_path / "out"), one)
     assert list(tmp_path.iterdir()) == []
     serialize(make_manifest(chunk_len=4), str(tmp_path / "out"), trajs)
     assert len(load_trajectories(str(tmp_path / "out"))) == 2
+
+
+def test_serialize_refuses_control_points_that_do_not_decode_to_the_actions(tmp_path,
+                                                                            monkeypatch):
+    # checked block by block, bitwise, before any file is written; the
+    # error names the first row whose actions are not its decoded points
+    monkeypatch.setattr(envs, "ROLLOUT_BLOCK", 4)
+    trajs = stack(make_traj(seed=i, m_points=4) for i in range(11))
+    serialize(make_manifest(), str(tmp_path / "ok"), trajs)
+    assert same_table(load_trajectories(str(tmp_path / "ok")), trajs)
+    for rows in ([9], [6, 9], [0, 5], [10]):
+        bad = trajs.copy()
+        for row in rows:        # one ulp off in one action
+            bad["actions"][row, 3, 1] = np.nextafter(bad["actions"][row, 3, 1], np.inf)
+        message = f"trajectories: row {rows[0]}: its actions are not its control points"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            serialize(make_manifest(), str(tmp_path / "bad"), bad)
+    # equal values are not enough: with M = T, the points are the actions,
+    # and 0.0 is not the bits of -0.0
+    bad = stack(make_traj(seed=i) for i in range(3))
+    bad["actions"][2, 0, 0], bad["control_points"][2, 0, 0] = 0.0, -0.0
+    with pytest.raises(ValueError, match=re.escape("trajectories: row 2: its actions")):
+        serialize(make_manifest(), str(tmp_path / "bad"), bad)
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("points", [(1, D_A), (11, D_A), (10, D_A + 1), (4, D_A - 1)])
+def test_every_reader_refuses_control_points_that_do_not_fit(tmp_path, capsys, points):
+    # M < 2, M > T = 10, or another d_a than point_reach's 2
+    out = _dataset(tmp_path)
+    path = os.path.join(out, "trajectories.npy")
+    _edit_table(path, lambda t: _rebuild(t, control_points=np.zeros((len(t), *points))))
+    assert_every_reader_refuses(out, capsys, path, f"control points {points} do not fit "
+                                                   f"point_reach (d_s 4, d_a 2, 2 <= M <= T 10)")
 
 
 def test_serialize_refuses_targets_that_no_reader_accepts(tmp_path):
@@ -981,7 +1055,7 @@ def test_omission_fraction():
 def test_dataset_stats_counts_and_render(tmp_path):
     trajs = make_traj(horizon=8)
     target = make_records([np.zeros(8)], [np.ones((3, 2))], 0, 1)
-    manifest = make_manifest(final_tubes=[(0.05, 0.2)], chunk_len=4)
+    manifest = fitting_manifest(trajs, final_tubes=[(0.05, 0.2)], chunk_len=4)
     serialize(manifest, str(tmp_path), trajs, target)
     stats = dataset_stats(read_manifest(str(tmp_path)))
     assert stats == dataset_stats(manifest)

@@ -163,9 +163,19 @@ def test_trajectory_length_mismatch_rejected():
             trajectory_table(np.zeros(states), np.zeros(actions), False, 1.0)
     with pytest.raises(ValueError):   # one friction scale, or one per row
         trajectory_table(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)), False, [0.9, 0.8, 0.7])
+    for points in ((2, 2), (1, 2, 1), (2, 2, 2)):   # (n, M, d_a) control points
+        with pytest.raises(ValueError):
+            trajectory_table(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)), False, 1.0,
+                             control_points=np.zeros(points))
     table = trajectory_table(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)), [True, False],
                              np.array([1.0, 2.0]), variant=[4, 5])
-    assert table.dtype.names == ("variant", "success", "friction_scale", "states", "actions")
+    assert table.dtype.names == ("variant", "success", "friction_scale", "states", "actions",
+                                 "control_points")
+    # by default the actions are their own control points, M = T
+    assert table["control_points"].tobytes() == table["actions"].tobytes()
+    points = trajectory_table(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)), False, 1.0,
+                              control_points=np.ones((2, 5, 1)))["control_points"]
+    assert points.shape == (2, 5, 1) and np.all(points == 1.0)
     assert table["variant"].tolist() == [4, 5]
     assert table["friction_scale"].tolist() == [1.0, 2.0]
     assert table["success"].tolist() == [True, False]

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from recovergen import pipeline
+from recovergen import envs, pipeline
 from recovergen.config import PipelineConfig
 from recovergen.curator import state_distances
 from recovergen.dataset_io import (DatasetFormatError, DatasetManifest, dataset_stats,
@@ -260,7 +260,7 @@ def test_evaluate_replay_deterministic(tmp_path):
 def test_evaluate_replay_missing_dump(tmp_path):
     os.makedirs(tmp_path / "empty")
     with open(tmp_path / "empty" / "manifest", "w") as fh:
-        fh.write("format = 6\nenv_name = point_reach\nseed = 0\nsource = generate\n"
+        fh.write("format = 7\nenv_name = point_reach\nseed = 0\nsource = generate\n"
                  "iterations = 0\nsamples_per_iteration = 0\nn_variants = 0\n"
                  "n_generated = 0\nn_successful = 0\nn_selected = 0\nn_relabeled = 0\n"
                  "n_records = 0\nn_trajectories = 0\nchunk_len = 1\nenv_config = {}\n"
@@ -331,7 +331,7 @@ def test_evaluate_replay_equals_the_one_batch_oracle_at_any_block(replay_dataset
     for n_trials in (0, n - 1, 3 * n, 2 * n + 1):
         want = replay_oracle(out, n_trials, seed=n_trials)
         for block in (1, 2, n - 1, n, n + 1, 2 * n + 1, 4096):
-            monkeypatch.setattr(pipeline, "_REPLAY_BLOCK", block)
+            monkeypatch.setattr(envs, "ROLLOUT_BLOCK", block)
             report = evaluate_replay(out, n_trials, seed=n_trials)
             assert {k: report[k] for k in want} == want, (n_trials, block)
             assert report["n_trajectories"] == n and report["fresh_trials"] == n_trials
@@ -343,19 +343,21 @@ def test_evaluate_replay_memory_is_the_replayed_columns_plus_one_block(tmp_path,
                                                                       monkeypatch):
     # from the first rollout on, the loaded tables are gone and no batch
     # holds more than one block: the peak stays below the replayed columns
-    # (start states, plans and friction scales) plus twice one block's
-    # states and plans, although every stored row and 3 passes are
-    # replayed.  The second block's worth (85 KB) covers what a block holds
-    # beside its states and plans: the step's working arrays, about 1 KB a
-    # row, and some 17 KB of small objects.  A batch of all 53 stored rows
-    # holds 283 KB of states and plans alone.
+    # (start states, control points and friction scales) plus twice one
+    # block's states and plans, although every stored row and 3 passes are
+    # replayed.  replay_dataset's plans are their own control points
+    # (M = T), so decode returns a block's gathered points as its plans.
+    # The second block's worth (85 KB) covers what a block holds beside its
+    # states and plans: the step's working arrays, about 1 KB a row, and
+    # some 17 KB of small objects.  A batch of all 53 stored rows holds
+    # 283 KB of states and plans alone.
     block, env = 16, PLANAR
     n = 3 * block + 5
     out = replay_dataset(tmp_path / "ds", n, n_records=0)
     columns = 8 * n * (env.state_dim + env.horizon * env.action_dim + 1)
     bound = columns + 2 * 8 * block * (
         (env.horizon + 1) * env.state_dim + env.horizon * env.action_dim)
-    monkeypatch.setattr(pipeline, "_REPLAY_BLOCK", block)
+    monkeypatch.setattr(envs, "ROLLOUT_BLOCK", block)
     calls = []
 
     def rollout_batch_resetting_the_peak(*args):
@@ -373,6 +375,32 @@ def test_evaluate_replay_memory_is_the_replayed_columns_plus_one_block(tmp_path,
         tracemalloc.stop()
     assert peak < bound, (peak, bound)
     assert max(calls) == block
+
+
+def test_load_trajectories_memory_is_the_table_plus_one_block(tmp_path, monkeypatch):
+    # the returned table is allocated once, the loaded rows are dropped once
+    # copied into it, and its plans and states are filled block by block:
+    # the peak stays below the returned table plus the loaded file's rows
+    # plus one block's control points, plans and states.  Building the
+    # table from a whole-table rollout, as format 6 did, holds every row's
+    # states twice
+    block, env = 16, PLANAR
+    out = str(tmp_path / "ds")
+    run_pgdg(PipelineConfig(out_dir=out, seed=7))
+    m_points = PipelineConfig().sampler.m_points
+    stored = os.path.getsize(os.path.join(out, "trajectories.npy"))
+    monkeypatch.setattr(envs, "ROLLOUT_BLOCK", block)
+    tracemalloc.start()
+    try:
+        table = load_trajectories(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) > 8 * block
+    bound = table.nbytes + stored + 8 * block * (
+        m_points * env.action_dim + env.horizon * env.action_dim
+        + (env.horizon + 1) * env.state_dim)
+    assert peak < bound, (peak, bound)
 
 
 def test_every_relabeled_record_replays_at_seeds_1_to_10(tmp_path):
@@ -402,31 +430,41 @@ def test_evaluate_replay_refuses_a_record_outside_its_plans(tmp_path):
 
 def test_trajectories_file_stores_each_start_state_not_the_states(tmp_path):
     # a row of trajectories.npy is variant, success and friction (17 bytes),
-    # the start state (d_s floats) and the plan (T x d_a floats)
-    env, n = PLANAR, 11
-    out = replay_dataset(tmp_path / "ds", n, n_records=7, seed=11)
-    path = os.path.join(out, "trajectories.npy")
-    table = np.load(path, allow_pickle=False)
-    assert table.dtype == np.dtype([
-        ("variant", "<i8"), ("success", "?"), ("friction_scale", "<f8"),
-        ("start", "<f8", (env.state_dim,)),
-        ("actions", "<f8", (env.horizon, env.action_dim))])
-    row = 17 + 8 * env.state_dim + 8 * env.horizon * env.action_dim
-    with open(path, "rb") as fh:
-        assert np.lib.format.read_magic(fh) == (1, 0)
-        np.lib.format.read_array_header_1_0(fh)
-        header = fh.tell()
-    assert table.dtype.itemsize == row == 1993
-    assert os.path.getsize(path) == header + n * row
-    assert np.array_equal(table["start"], load_trajectories(out)["states"][:, 0])
+    # the start state (d_s floats) and the control points (M x d_a floats):
+    # 585 bytes for a generated planar row (M = 16) and 1,993 for a
+    # baseline row, whose plan is its own M = T points
+    env = PLANAR
+    runs = {"generate": (run_pgdg, 16, 585), "baseline": (run_spatial_only, env.horizon, 1993)}
+    for source, (run, m_points, row) in runs.items():
+        out = str(tmp_path / source)
+        n = run(PipelineConfig(out_dir=out, seed=7)).manifest.n_trajectories
+        path = os.path.join(out, "trajectories.npy")
+        table = np.load(path, allow_pickle=False)
+        assert table.dtype == np.dtype([
+            ("variant", "<i8"), ("success", "?"), ("friction_scale", "<f8"),
+            ("start", "<f8", (env.state_dim,)),
+            ("control_points", "<f8", (m_points, env.action_dim))])
+        with open(path, "rb") as fh:
+            assert np.lib.format.read_magic(fh) == (1, 0)
+            np.lib.format.read_array_header_1_0(fh)
+            header = fh.tell()
+        assert table.dtype.itemsize == 17 + 8 * env.state_dim \
+            + 8 * m_points * env.action_dim == row
+        assert os.path.getsize(path) == header + n * row
+        loaded = load_trajectories(out)
+        assert np.array_equal(table["start"], loaded["states"][:, 0])
+        assert np.array_equal(table["control_points"], loaded["control_points"])
     # a record's replay reaches its trajectory's rebuilt state at t
+    out = replay_dataset(tmp_path / "ds", 11, n_records=7, seed=11)
     assert 0 < evaluate_replay(out, 30, seed=3)["relabeled_success_rate"] < 1
 
 
-@pytest.mark.parametrize("case", ["generate", "baseline", "point_reach", "empty"])
+@pytest.mark.parametrize("case", ["generate", "generate-jobs-2", "baseline", "point_reach",
+                                  "empty"])
 def test_readers_return_the_written_table_bit_for_bit(tmp_path, monkeypatch, case):
-    # the states are not stored: the readers rebuild them, and every table
-    # the package writes reads back with the bits it was written with
+    # the states and actions are not stored: the readers rebuild them, and
+    # every table the package writes reads back with the bits it was
+    # written with, also one whose variants ran in two worker processes
     out, written = str(tmp_path / "ds"), []
 
     def serialize_recording(manifest, out_dir, trajectories, records=None):
@@ -436,6 +474,8 @@ def test_readers_return_the_written_table_bit_for_bit(tmp_path, monkeypatch, cas
     monkeypatch.setattr(pipeline, "serialize", serialize_recording)
     if case == "generate":
         run_pgdg(PipelineConfig(out_dir=out, seed=7))
+    elif case == "generate-jobs-2":
+        run_pgdg(PipelineConfig(out_dir=out, seed=13, jobs=2, n_variants=8, samples=128))
     elif case == "baseline":     # under randomized friction, some rollouts fail
         run_spatial_only(PipelineConfig(out_dir=out, seed=7, n_variants=40))
     elif case == "point_reach":

@@ -18,7 +18,18 @@ from recovergen.sampler import (Proposal, decode, draw_plans, fit_control_points
 def test_decode_identity_when_m_equals_horizon():
     rng = np.random.default_rng(0)
     c = rng.standard_normal((7, 3))
-    assert np.allclose(decode(c, 7), c, atol=1e-12)
+    assert decode(c, 7).tobytes() == c.tobytes()
+
+
+def test_decode_with_m_equal_to_horizon_returns_the_input_bits():
+    # the identity product would turn -0.0 into 0.0 and spread an infinity
+    # or a NaN payload over its column; decode skips it
+    nan = np.array([0x7FF8_0000_DEAD_BEEF, 0xFFF0_0000_0000_0001], np.uint64).view(np.float64)
+    points = np.array([[-0.0, nan[0]], [np.inf, -np.inf], [nan[1], 2.5]])
+    for c in (points, np.stack([points, points[::-1]])):
+        out = decode(c, 3)
+        assert out.shape == c.shape
+        assert out.view(np.uint64).tolist() == c.view(np.uint64).tolist()
 
 
 def test_decode_linear_interpolation_endpoints():
@@ -39,6 +50,39 @@ def test_decode_exact_at_knots():
 def test_decode_rejects_single_control_point():
     with pytest.raises(ValueError):
         decode(np.zeros((1, 2)), 5)
+
+
+def test_decode_rejects_more_control_points_than_steps_and_no_matrix():
+    for shape in ((6, 2), (3, 6, 2), (4,)):
+        with pytest.raises(ValueError, match="2 <= M <= T = 5"):
+            decode(np.zeros(shape), 5)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_decode_is_row_independent_bit_for_bit(data):
+    # for 2 <= M <= T, decoding a row alone, a block of rows at any offset
+    # or gathered rows gives the bits of the batch decode, also from a
+    # field of a structured table (unaligned, after a 1-byte field), as the
+    # readers decode
+    horizon = data.draw(st.integers(2, 70), label="T")
+    m = data.draw(st.integers(2, horizon), label="M")
+    n = data.draw(st.integers(1, 40), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    points = rng.standard_normal((n, m, data.draw(st.integers(1, 4), label="d_a")))
+    points *= 10.0 ** rng.integers(-3, 4, (n, 1, 1))
+    bits = decode(points, horizon).view(np.uint64)
+    table = np.zeros(n, [("flag", "?"), ("points", "<f8", points.shape[1:])])
+    table["points"] = points
+    row = data.draw(st.integers(0, n - 1), label="row")
+    lo = data.draw(st.integers(0, n - 1), label="lo")
+    hi = data.draw(st.integers(lo + 1, n), label="hi")
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=60),
+                              label="rows"))
+    for source in (points, table["points"]):
+        assert np.array_equal(decode(source[row], horizon).view(np.uint64), bits[row])
+        assert np.array_equal(decode(source[lo:hi], horizon).view(np.uint64), bits[lo:hi])
+        assert np.array_equal(decode(source[rows], horizon).view(np.uint64), bits[rows])
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.integers(8, 30))
@@ -205,32 +249,31 @@ def test_success_batch_members_revalidate():
     table = batch.table
     assert table["success"].all() and np.all(table["variant"] == 0)
     assert env.success_batch(table["states"][:, -1]).all()  # re-evaluation agrees
-    # each row's draw is the control-point vector its actions decode from
-    assert batch.draws.shape == (len(batch), 12)
-    for c, actions in zip(batch.draws, table["actions"]):
-        assert np.array_equal(decode(c.reshape(6, 2), env.horizon), actions)
+    # each row's control points are the draw its actions decode from
+    assert table["control_points"].shape == (len(batch), 6, 2)
+    for c, actions in zip(table["control_points"], table["actions"]):
+        assert np.array_equal(decode(c, env.horizon), actions)
 
 
-def test_stored_actions_fix_the_draws():
-    # the dataset stores no control points, because the actions fix them:
-    # they decode from the draws bit for bit, and the interpolation matrix
-    # has full column rank, so least squares on the actions returns the draws
+def test_stored_control_points_fix_the_actions():
+    # the dataset stores the control points, not the actions, because the
+    # points fix them: the actions are their decode bit for bit, for the
+    # whole table and for each row alone, as a reader decodes them
     env = PlanarBlockRotate()
     demo = augmented_demo_actions(env, env.demo_object_pose(), l_blend=10)
     q = init_proposal(demo, 16, sigma0=0.003, variance_floor=1e-8)
     w = interp_matrix(env.horizon, 16)
-    assert np.linalg.matrix_rank(w) == 16
     rows = 0
     for seed in range(5):
-        batch = generate_success_batch(env, env.demo_object_pose(), q, 64,
-                                       np.random.default_rng(seed))
-        n, actions = len(batch), batch.table["actions"]
-        rows += n
-        assert (w @ batch.draws.reshape(n, 16, 4)).tobytes() == actions.tobytes()
-        fit, *_ = np.linalg.lstsq(w, actions.transpose(1, 0, 2).reshape(env.horizon, -1),
-                                  rcond=None)
-        fit = fit.reshape(16, n, 4).transpose(1, 0, 2).reshape(n, 64)
-        assert np.max(np.abs(fit - batch.draws), initial=0.0) <= 1e-12
+        table = generate_success_batch(env, env.demo_object_pose(), q, 64,
+                                       np.random.default_rng(seed)).table
+        points, actions = table["control_points"], table["actions"]
+        rows += len(table)
+        assert points.shape == (len(table), 16, 4)
+        assert (w @ points).tobytes() == actions.tobytes()
+        assert decode(points, env.horizon).tobytes() == actions.tobytes()
+        for c, plan in zip(points, actions):
+            assert decode(c, env.horizon).tobytes() == plan.tobytes()
     assert rows > 0
 
 
@@ -241,8 +284,8 @@ def test_draw_plans_decodes_each_draw_as_decode_does():
     q = init_proposal(demo, 16, sigma0=0.003, variance_floor=1e-8)
     for seed in range(20):
         plans = draw_plans(env, env.demo_object_pose(), q, 64, np.random.default_rng(seed))
-        per_draw = np.array([decode(c.reshape(16, 4), env.horizon) for c in plans.draws])
-        assert plans.draws.shape == (64, 64)
+        per_draw = np.array([decode(c, env.horizon) for c in plans.control_points])
+        assert plans.control_points.shape == (64, 16, 4)
         assert plans.actions.tobytes() == per_draw.tobytes()
 
 
@@ -255,4 +298,3 @@ def test_success_batch_deterministic():
                                np.random.default_rng(2))
     assert len(a) == len(b)
     assert a.table.dtype == b.table.dtype and a.table.tobytes() == b.table.tobytes()
-    assert a.draws.tobytes() == b.draws.tobytes()
