@@ -23,28 +23,31 @@ raw little-endian numbers, so every stored value reads back bit for bit, and
 
 A trajectory's plan is a pure function of its control points
 (``sampler.decode``), and its states of its start state, plan and friction
-scale, so neither is stored: ``deserialize`` and ``load_trajectories``
-rebuild the trajectory table, decoding the plans and rolling them out
-block by block.  Its actions are the writer's bit for bit, since the
-writer checks them; its states are the writer's when the writer's were
-rolled out by ``rollout_batch`` too, as in every table this package
-builds.  Both hold when the reader runs under the writer's numpy dispatch
-and OpenBLAS core.  A curated pair is the window
-``observe(states[t], states[0])``, ``actions[t:t + chunk_len]`` of a
-trajectory, so it is not stored either: ``deserialize`` returns ``Pairs``,
-the curated windows rebuilt from the trajectories by ``export_pairs`` and
-the loaded ``records.npy`` table, two tables with the fields of
-``records.npy``.
+scale, so neither is stored.  ``stored_rows`` turns a trajectory table into
+the stored rows, checking bit for bit that each row's actions are its
+decoded control points; a curated trajectory takes that form as soon as
+its batch is scored, and it is the form ``serialize`` writes.
+``rebuild_trajectories`` turns stored rows back into the trajectory table,
+decoding the plans and rolling them out block by block, for
+``deserialize``, ``load_trajectories`` and relabeling.  The rebuilt
+actions are the table's bit for bit, since ``stored_rows`` checks them;
+its states are the table's when those were rolled out by ``rollout_batch``
+too, as in every table this package builds.  Both hold when the rebuild
+runs under the numpy dispatch and OpenBLAS core of the table's build.  A
+curated pair is the window ``observe(states[t], states[0])``,
+``actions[t:t + chunk_len]`` of a trajectory, so it is not stored either:
+``deserialize`` returns ``Pairs``, the curated windows rebuilt from the
+trajectories by ``export_pairs`` and the loaded ``records.npy`` table, two
+tables with the fields of ``records.npy``.
 
 Files are written to temporary names and renamed once all are complete, the
 manifest last.  The writer and every reader check both stored arrays with
 one check: each array's fields and dtypes, and its shapes against the
 manifest's environment and ``chunk_len``, and each relabeled record's
 ``traj`` and ``t`` against the trajectories.  Readers also check each row
-count against the manifest.  The writer refuses a misfit, and a trajectory
-whose actions are not its decoded control points, with ValueError before it
-writes any file.  A truncated, foreign or pickled file, a misfit and a
-``format`` other than 7 raise DatasetFormatError; nothing is returned
+count against the manifest.  The writer refuses a misfit with ValueError
+before it writes any file.  A truncated, foreign or pickled file, a misfit
+and a ``format`` other than 7 raise DatasetFormatError; nothing is returned
 from a dataset that fails a check.  ``read_manifest`` alone reads no array.
 """
 from __future__ import annotations
@@ -271,13 +274,23 @@ def _fields_misfit(table, fields: Dict[str, Tuple[str, int]]) -> str:
     return ""
 
 
-def _stored(trajectories, horizon: int) -> np.ndarray:
+def stored_rows(trajectories, horizon: int) -> np.ndarray:
     """The rows of trajectories.npy of the trajectory table
-    ``trajectories``: its columns, with each row's start state in place of
-    its states and actions.  A table without the fields of
-    ``TRAJECTORY_FIELDS``, whose plans are not ``horizon`` steps of its
-    control points' d_a, or whose states are not one longer than its plans,
-    raises ValueError."""
+    ``trajectories``, the one form in which ``serialize`` takes
+    trajectories: its columns, with each row's start state in place of its
+    states and actions.  A table without the fields of
+    ``TRAJECTORY_FIELDS``, whose states are not one longer than its plans,
+    whose plans are not ``horizon`` steps in the d_a of its control points,
+    whose M control points are not 2 <= M <= ``horizon``, or, checked block
+    by block, with a row whose actions are not ``decode`` of its control
+    points bit for bit (the error names the first such row), raises
+    ValueError.
+
+    Precondition, not checked: each row's states are its ``rollout_batch``
+    from its start state, under its plan and friction scale, as in every
+    table that the sampler, the baseline and ``rollout`` build.  Readers
+    rebuild the states so (``rebuild_trajectories``); other states would
+    not read back."""
     misfit = _fields_misfit(trajectories, TRAJECTORY_FIELDS)
     if not misfit:
         states, actions, points = (trajectories.dtype[name].shape
@@ -287,8 +300,20 @@ def _stored(trajectories, horizon: int) -> np.ndarray:
         elif actions != (horizon, points[1]):
             misfit = (f"actions {actions} are not plans of the environment's horizon "
                       f"{horizon} in the {points[1]} dimensions of control points {points}")
+        elif not 2 <= points[0] <= horizon:
+            misfit = f"control points {points} are not 2 <= M <= T {horizon} points of a plan"
     if misfit:
         raise ValueError(f"trajectories: {misfit}")
+    for rows in blocks(len(trajectories)):
+        # a stored value may be infinite or NaN: decoding it is no fault
+        with np.errstate(all="ignore"):
+            plans = decode(trajectories["control_points"][rows], horizon)
+        actions = trajectories["actions"][rows]
+        wrong = np.flatnonzero(np.any(plans.view(np.uint64) != actions.view(np.uint64),
+                                      axis=(1, 2)))
+        if len(wrong):
+            raise ValueError(f"trajectories: row {rows.start + int(wrong[0])}: its actions "
+                             f"are not its control points decoded bit for bit")
     columns = {name: trajectories[name] for name in _STORED_FIELDS if name != "start"}
     columns["start"] = trajectories["states"][:, 0]
     table = np.empty(len(trajectories), _dtype(_STORED_FIELDS, {
@@ -298,25 +323,48 @@ def _stored(trajectories, horizon: int) -> np.ndarray:
     return table
 
 
+def _unpacked(stored: np.ndarray, env: Environment) -> np.ndarray:
+    """A trajectory table of the stored rows ``stored`` under ``env``, with
+    their columns, control points and start states; its plans and later
+    states are left for ``_rolled_out``."""
+    table = np.empty(len(stored), _dtype(TRAJECTORY_FIELDS, {
+        "variant": (), "success": (), "friction_scale": (),
+        "states": (env.horizon + 1, env.state_dim), "actions": (env.horizon, env.action_dim),
+        "control_points": stored.dtype["control_points"].shape}))
+    for name in ("variant", "success", "friction_scale", "control_points"):
+        table[name] = stored[name]
+    table["states"][:, 0] = stored["start"]
+    return table
+
+
+def _rolled_out(table: np.ndarray, env: Environment) -> np.ndarray:
+    """``table`` (``_unpacked``) with each row's plan decoded from its
+    control points and its states rolled out by ``rollout_batch`` from its
+    start state under that plan and its friction scale, in blocks of at
+    most ``envs.ROLLOUT_BLOCK`` rows, so memory is the table plus one
+    block's arrays."""
+    # a stored value may be infinite or NaN: its rollout is no fault of reading
+    with np.errstate(all="ignore"):
+        for rows in blocks(len(table)):
+            actions = table["actions"][rows] = decode(table["control_points"][rows],
+                                                      env.horizon)
+            table["states"][rows] = rollout_batch(env, table["states"][rows, 0], actions,
+                                                  table["friction_scale"][rows])[0]
+    return table
+
+
+def rebuild_trajectories(stored: np.ndarray, env: Environment) -> np.ndarray:
+    """The trajectory table that the stored rows ``stored`` were made of
+    (``stored_rows``), under ``env``: each row's plan decoded from its
+    control points and its states rebuilt by ``rollout_batch``, block by
+    block.  Rows are independent, so a row's plan and states have the bits
+    it had, in any block and among any rows."""
+    return _rolled_out(_unpacked(stored, env), env)
+
+
 def _n_windows(n: int, horizon: int, chunk_len: int) -> int:
     """Number of curated windows of n trajectories of ``horizon`` steps."""
     return n * _window_count(horizon, chunk_len) if n else 0
-
-
-def _misdecoded(trajectories: np.ndarray, horizon: int) -> int:
-    """The first row of the trajectory table ``trajectories`` whose actions
-    are not ``decode`` of its control points bit for bit, or -1; decoded
-    block by block."""
-    for rows in blocks(len(trajectories)):
-        # a stored value may be infinite or NaN: decoding it is no fault
-        with np.errstate(all="ignore"):
-            plans = decode(trajectories["control_points"][rows], horizon)
-        actions = trajectories["actions"][rows]
-        wrong = np.flatnonzero(np.any(plans.view(np.uint64) != actions.view(np.uint64),
-                                      axis=(1, 2)))
-        if len(wrong):
-            return rows.start + int(wrong[0])
-    return -1
 
 
 def _misfit(env: Environment, chunk_len: int, trajectories,
@@ -363,49 +411,38 @@ def _misfit(env: Environment, chunk_len: int, trajectories,
 
 def serialize(manifest: DatasetManifest, out_dir: str, trajectories: np.ndarray,
               records: Optional[np.ndarray] = None) -> None:
-    """Write a dataset: the trajectory table ``trajectories`` without its
-    states and actions, and the relabeled pairs ``records`` (none by
-    default), a table with the fields of ``records.npy`` such as
-    ``relabel_dataset`` returns, as they are.  The curated windows of length
-    ``manifest.chunk_len`` are not written either.  Sets the manifest's
-    ``n_trajectories``, ``n_relabeled`` and ``n_records`` (windows plus
-    relabeled pairs).
+    """Write a dataset: the stored trajectory rows ``trajectories``, as
+    ``stored_rows`` makes them of a trajectory table, and the relabeled
+    pairs ``records`` (none by default), a table with the fields of
+    ``records.npy`` such as ``relabel_dataset`` returns, both as they are.
+    The curated windows of length ``manifest.chunk_len`` are not written.
+    Sets the manifest's ``n_trajectories``, ``n_relabeled`` and
+    ``n_records`` (windows plus relabeled pairs).
 
-    Precondition, not checked: each row's states are its ``rollout_batch``
-    from its start state, under its plan and friction scale, as in every
-    table that the sampler, the baseline and ``rollout`` build.  Readers
-    rebuild the states so; other states would not read back.
-
-    Raises ValueError before any file is written when the trajectory table
-    does not have the fields and dtypes of ``TRAJECTORY_FIELDS``, when its
-    plans are not the manifest environment's horizon long, when either
-    table does not fit that environment, when ``chunk_len`` or a relabeled
-    record's chunk does not fit the trajectories, or, checked block by
-    block, when a row's actions are not ``decode`` of its control points
-    bit for bit (the error names the first such row).  Each file goes to a
+    Raises ValueError before any file is written when either table fails
+    the check every reader runs (``_misfit``): a table of another layout,
+    such as a trajectory table with its states and actions, shapes that do
+    not fit the manifest's environment, or a ``chunk_len`` or relabeled
+    record's chunk that does not fit the trajectories.  Each file goes to a
     temporary file first; they are renamed into place only once all are
     complete, the manifest last, since it pins the row counts of the
     others.  So a failure while writing any file leaves the previous
     dataset whole and readable."""
     records = _NO_RECORDS if records is None else records
     env = _manifest_env(manifest)
-    stored = _stored(trajectories, env.horizon)
-    name, misfit = _misfit(env, manifest.chunk_len, stored, records)
-    if not misfit and (row := _misdecoded(trajectories, env.horizon)) >= 0:
-        name, misfit = "trajectories", (f"row {row}: its actions are not its control points "
-                                        f"decoded bit for bit")
+    name, misfit = _misfit(env, manifest.chunk_len, trajectories, records)
     if misfit:
         raise ValueError(f"{name}: {misfit}")
     if not len(records):
         records = _NO_RECORDS
 
     os.makedirs(out_dir, exist_ok=True)
-    manifest.n_records = (_n_windows(len(stored), env.horizon, manifest.chunk_len)
+    manifest.n_records = (_n_windows(len(trajectories), env.horizon, manifest.chunk_len)
                           + len(records))
     manifest.n_relabeled = len(records)
-    manifest.n_trajectories = len(stored)
+    manifest.n_trajectories = len(trajectories)
     files = [("records.npy", "wb", _npy_writer(records)),
-             ("trajectories.npy", "wb", _npy_writer(stored)),
+             ("trajectories.npy", "wb", _npy_writer(trajectories)),
              ("manifest", "w", lambda fh: fh.write(_manifest_lines(manifest)))]
     temps: List[str] = []
     try:
@@ -463,31 +500,15 @@ def open_dataset(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray
 
 def _open_trajectories(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray,
                                                np.ndarray]:
-    """``open_dataset``, with the trajectory table the writer was given in
-    place of the stored one: each row's plan decoded from its control
-    points, and its states rebuilt by ``rollout_batch`` of its start
-    state, plan and friction scale.  The table is allocated once; the
-    loaded rows are dropped once copied into it, and its plans and states
-    are filled in blocks of at most ``envs.ROLLOUT_BLOCK`` rows, so memory
-    is the table plus the larger of the loaded rows and one block's
-    arrays."""
+    """``open_dataset``, with the trajectory table the stored rows were
+    made of (``rebuild_trajectories``) in place of the stored rows.  The
+    loaded rows are dropped once copied into the table, before its plans
+    and states are filled, so memory is the table plus the larger of the
+    loaded rows and one block's arrays."""
     manifest, env, stored, records = open_dataset(out_dir)
-    n, horizon = len(stored), env.horizon
-    table = np.empty(n, _dtype(TRAJECTORY_FIELDS, {
-        "variant": (), "success": (), "friction_scale": (),
-        "states": (horizon + 1, env.state_dim), "actions": (horizon, env.action_dim),
-        "control_points": stored.dtype["control_points"].shape}))
-    for name in ("variant", "success", "friction_scale", "control_points"):
-        table[name] = stored[name]
-    table["states"][:, 0] = stored["start"]
+    table = _unpacked(stored, env)
     del stored
-    # a stored value may be infinite or NaN: its rollout is no fault of reading
-    with np.errstate(all="ignore"):
-        for rows in blocks(n):
-            actions = table["actions"][rows] = decode(table["control_points"][rows], horizon)
-            table["states"][rows] = rollout_batch(env, table["states"][rows, 0], actions,
-                                                  table["friction_scale"][rows])[0]
-    return manifest, env, table, records
+    return manifest, env, _rolled_out(table, env), records
 
 
 def deserialize(out_dir: str) -> Tuple[Pairs, DatasetManifest]:

@@ -9,6 +9,12 @@ for any degree of parallelism.  Each variant's loop is a generator of
 rollout requests, and the variants of each worker run together on
 ``envs.lockstep``: one rollout batch per round carries every live
 variant's request, and no row's result depends on the batch it is in.
+
+A curated trajectory leaves its variant loop as a stored row
+(``dataset_io.stored_rows``), its start state and control points, not its
+states and actions: that is what a ``--jobs`` worker returns, what
+``run_pgdg`` concatenates, what relabeling rebuilds its chosen
+trajectories from and what ``serialize`` writes.
 """
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ from . import sampler as smp
 from .config import ConfigError, PipelineConfig, config_parameters
 from .curator import TubeBounds
 from .dataset_io import (DatasetManifest, open_dataset, read_manifest, serialize,
-                         _atomic_write)
+                         stored_rows, _atomic_write)
 from .envs import (Environment, Reply, Request, augmented_demo_actions, blocks, lockstep,
                    make_env, rollout_batch, trajectory_table)
 from .geometry import Pose, compose, sample_object_perturbation
@@ -56,8 +62,9 @@ class IterationStats:
 class VariantResult:
     index: int
     pose: Pose
-    # the selected rollouts as one trajectory table, and each one's
-    # distances to the expert at its T + 1 states; empty when skipped
+    # the selected rollouts as stored rows (``dataset_io.stored_rows``),
+    # and each one's distances to the expert at its T + 1 states; empty
+    # when skipped
     curated: np.ndarray = field(default_factory=lambda: np.empty(0))
     distances: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     expert_states: Optional[np.ndarray] = None
@@ -151,7 +158,7 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
         sel_w = cur.reward_to_weight(rewards[selected], cfg.curator.temperature)
         q = cur.update_proposal(q, table["control_points"][selected], sel_w,
                                 cfg.curator.eps_stab, cfg.curator.delta)
-        curated.append(table[selected])
+        curated.append(stored_rows(table[selected], env.horizon))
         distances.append(dists[selected])
         result.stats.append(IterationStats(index, k, batch.n_sampled, len(batch),
                                            len(selected), tube.r_min, tube.r_max,
@@ -237,6 +244,10 @@ def run_pgdg(cfg: PipelineConfig) -> RunReport:
 
     curated = np.concatenate([v.curated for v in active])
     distances = np.concatenate([v.distances for v in active])
+    # each variant keeps views of the concatenations, not a second copy
+    ends = np.cumsum([len(v.curated) for v in active]).tolist()
+    for v, lo, hi in zip(active, [0] + ends, ends):
+        v.curated, v.distances = curated[lo:hi], distances[lo:hi]
     experts = [v.expert_states for v in active for _ in range(len(v.curated))]
     tubes = [v.final_tube for v in active for _ in range(len(v.curated))]
 
@@ -278,7 +289,7 @@ def run_spatial_only(cfg: PipelineConfig) -> RunReport:
     manifest.n_generated = len(rollouts)
     manifest.n_successful = int(np.sum(success))
     manifest.n_selected = len(rollouts)      # every rollout is stored
-    serialize(manifest, cfg.out_dir, rollouts)
+    serialize(manifest, cfg.out_dir, stored_rows(rollouts, env.horizon))
 
     report = RunReport(variants=[VariantResult(index=i, pose=pose)
                                  for i, pose in enumerate(poses)], manifest=manifest)

@@ -1,8 +1,10 @@
 """Selective local relabeling: pick the riskiest states of the curated
 dataset and optimize short corrective action chunks with the
-cross-entropy method under a full-episode success check.  The risk of a
-state is its distance to the expert, one (n, T+1) array over the curated
-trajectories, as the variant loops computed it.
+cross-entropy method under a full-episode success check.  The curated
+trajectories come as stored rows (``dataset_io.stored_rows``), and the risk
+of a state is its distance to the expert, one (n, T+1) array over them, as
+the variant loops computed it; only the chosen points' trajectories are
+rebuilt (``dataset_io.rebuild_trajectories``), in one rollout batch.
 
 A corrective chunk is only emitted when its full continuation (chunk
 followed by the original plan's remainder) succeeded when it was scored,
@@ -22,7 +24,7 @@ import numpy as np
 
 from .config import RelabelConfig
 from .curator import TubeBounds, state_distances
-from .dataset_io import record_dtype
+from .dataset_io import rebuild_trajectories, record_dtype
 from .envs import Environment, Reply, Request, lockstep
 
 log = logging.getLogger(__name__)
@@ -168,12 +170,16 @@ def relabel_dataset(curated: np.ndarray, env: Environment,
                     rng: np.random.Generator, expert_states: Sequence[np.ndarray],
                     distances: np.ndarray) -> np.ndarray:
     """Select the ``cfg.k_rel`` riskiest states across the curated
-    trajectory table, at least ``cfg.min_sep`` steps apart (0: the
-    horizon), and optimize a corrective chunk at each; failed points are
-    dropped with a logged diagnostic.  ``tube[i]``, ``expert_states[i]``
-    and ``distances[i]``, the row of ``distances`` (n, T+1) that holds
-    ``state_distances`` of its states to that expert, belong to
-    ``curated[i]``.  Returns the emitted pairs as a table with the fields
+    trajectories, stored rows as ``dataset_io.stored_rows`` makes them, at
+    least ``cfg.min_sep`` steps apart (0: the horizon), and optimize a
+    corrective chunk at each; failed points are dropped with a logged
+    diagnostic.  ``tube[i]``, ``expert_states[i]`` and ``distances[i]``,
+    the row of ``distances`` (n, T+1) that holds ``state_distances`` of its
+    states to that expert, belong to ``curated[i]``.  The trajectories of
+    the chosen points, each once, are rebuilt with
+    ``rebuild_trajectories`` (at most ``k_rel`` rows, one rollout batch);
+    rows are independent, so each has the bits of the table its stored row
+    was made of.  Returns the emitted pairs as a table with the fields
     of ``records.npy``, in selection rank: a row holds its point's
     trajectory ``traj`` and step ``t``, the observation
     ``observe(states[t], states[0])`` and the (H, d_a) chunk."""
@@ -184,8 +190,11 @@ def relabel_dataset(curated: np.ndarray, env: Environment,
                          "array per trajectory")
     min_sep = cfg.min_sep if cfg.min_sep > 0 else cfg.horizon
     points = select_risky_states(distances, cfg.k_rel, min_sep, cfg.horizon)
-    context = [(curated[p.trajectory_id], p.t, tube[p.trajectory_id],
-                expert_states[p.trajectory_id]) for p in points]
+    ids, rows = np.unique(np.array([p.trajectory_id for p in points], dtype=int),
+                          return_inverse=True)
+    trajs = rebuild_trajectories(curated[ids], env)
+    context = [(trajs[r], p.t, tube[p.trajectory_id], expert_states[p.trajectory_id])
+               for p, r in zip(points, rows.tolist())]
     results = lockstep(env, [_cem_point(env, cfg, c, r)
                              for c, r in zip(context, rng.spawn(len(points)))])
     for point, (_, _, ok) in zip(points, results):
@@ -196,7 +205,6 @@ def relabel_dataset(curated: np.ndarray, env: Environment,
                                                (cfg.horizon, env.action_dim)))
     table["traj"] = [p.trajectory_id for p in points]
     table["t"] = [p.t for p in points]
-    table["obs"] = env.observe(curated["states"][table["traj"], table["t"]],
-                               curated["states"][table["traj"], 0])
+    table["obs"] = env.observe(trajs["states"][rows, table["t"]], trajs["states"][rows, 0])
     table["chunk"] = np.reshape([u for u, _, _ in results], table["chunk"].shape)
     return table[np.array([ok for _, _, ok in results], dtype=bool)]

@@ -17,7 +17,7 @@ from recovergen.cli import main as cli_main
 from recovergen.dataset_io import (DatasetFormatError, DatasetManifest, Pairs,
                                    dataset_stats, deserialize, export_pairs, format_stats,
                                    load_trajectories, open_dataset, read_manifest,
-                                   serialize)
+                                   serialize, stored_rows)
 from recovergen import envs
 from recovergen.envs import make_env, rollout_batch, trajectory_table
 from recovergen.pipeline import evaluate_replay
@@ -48,6 +48,12 @@ def make_traj(horizon=10, seed=0, variant=0, start=None, m_points=None):
         return rolled_out(starts, rng.standard_normal((1, horizon, D_A)), True, 0.97, variant)
     points = rng.standard_normal((1, m_points, D_A))
     return rolled_out(starts, decode(points, horizon), True, 0.97, variant, points)
+
+
+def to_stored(trajs):
+    """The stored rows of the trajectory table ``trajs``, whose plans set
+    the horizon."""
+    return stored_rows(trajs, trajs.dtype["actions"].shape[0])
 
 
 def stack(trajs):
@@ -139,7 +145,7 @@ def test_round_trip_bitwise(tmp_path):
     manifest = make_manifest(final_tubes=[(0.1, 0.5)],
                              parameters={"sampler.m_points": 16},
                              env_config={"horizon": 10}, chunk_len=4)
-    serialize(manifest, str(tmp_path), trajs, curated[:3])
+    serialize(manifest, str(tmp_path), to_stored(trajs), curated[:3])
     pairs, manifest2 = deserialize(str(tmp_path))
     assert len(pairs) == len(curated) + 3 == manifest2.n_records
     assert same_table(pairs.curated, curated)
@@ -151,7 +157,7 @@ def test_round_trip_bitwise(tmp_path):
 
 def test_empty_dataset_round_trip(tmp_path):
     serialize(make_manifest(n_generated=0, n_successful=0, n_selected=0), str(tmp_path),
-              stack([]))
+              to_stored(stack([])))
     pairs, manifest = deserialize(str(tmp_path))
     assert len(pairs) == len(pairs.curated) == len(pairs.relabeled) == manifest.n_records == 0
 
@@ -160,7 +166,7 @@ def test_large_round_trip(tmp_path):
     trajs = stack(make_traj(horizon=40, seed=i) for i in range(30))
     curated = windows(trajs, chunk_len=5)
     assert len(curated) > 1000
-    serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), trajs)
+    serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), to_stored(trajs))
     pairs, manifest = deserialize(str(tmp_path))
     assert same_table(pairs.curated, curated)
     assert len(pairs) == len(curated) == manifest.n_records
@@ -178,7 +184,8 @@ def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
     start = edge[[0, 6, 1, 7]]          # the start state is stored, both NaNs too
     (traj,) = rolled_out(start[None], np.resize(edge, (1, 4, D_A)), False, nans[0], 3)
     relabeled = make_records([edge[::-1]], [edge.reshape(4, D_A)])
-    serialize(fitting_manifest(traj[None], chunk_len=4), str(tmp_path), traj[None], relabeled)
+    serialize(fitting_manifest(traj[None], chunk_len=4), str(tmp_path), to_stored(traj[None]),
+              relabeled)
     (got,) = load_trajectories(str(tmp_path))
     for name in ("states", "actions", "control_points"):
         assert bits(getattr(got, name)) == bits(traj[name]), name
@@ -192,7 +199,8 @@ def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
 
 def test_truncated_records_detected(tmp_path):
     trajs = make_traj()
-    serialize(make_manifest(chunk_len=4), str(tmp_path), trajs, windows(trajs, chunk_len=4))
+    serialize(make_manifest(chunk_len=4), str(tmp_path), to_stored(trajs),
+              windows(trajs, chunk_len=4))
     path = os.path.join(tmp_path, "records.npy")
     _truncate(path)
     with _raises_naming(path, "not a readable .npy array"):
@@ -233,7 +241,7 @@ def test_missing_manifest_keys_rejected(tmp_path, keep, missing):
 
 
 def test_missing_trajectory_dump_rejected(tmp_path):
-    serialize(make_manifest(), str(tmp_path), stack([]))
+    serialize(make_manifest(), str(tmp_path), to_stored(stack([])))
     os.remove(tmp_path / "trajectories.npy")
     with pytest.raises(DatasetFormatError, match="missing"):
         load_trajectories(str(tmp_path))
@@ -289,8 +297,8 @@ def assert_round_trip_keeps_oracle_text(trajectories, relabeled, chunk_len):
     """Every pair and trajectory read back encodes, with the json.dumps
     oracle, to the text of what was written."""
     with tempfile.TemporaryDirectory() as out:
-        serialize(fitting_manifest(trajectories, chunk_len=chunk_len), out, trajectories,
-                  relabeled)
+        serialize(fitting_manifest(trajectories, chunk_len=chunk_len), out,
+                  to_stored(trajectories), relabeled)
         assert oracle_traj_text(load_trajectories(out)) == oracle_traj_text(trajectories)
         want = (oracle_rows_text(windows(trajectories, chunk_len), "curated")
                 + oracle_rows_text(relabeled, "relabeled"))
@@ -348,7 +356,7 @@ def test_writer_edge_values_keep_their_own_text(tmp_path):
                       [1e16, 1e-7], [4.0, -7.0], [0.0, 0.0], [-0.0, -0.0]])
     relabeled = make_records([obs if i % 2 else -obs for i in range(7)],
                              [chunk[i:i + 2] for i in range(7)], t=np.arange(7))
-    serialize(make_manifest(), str(tmp_path), make_traj(), relabeled)
+    serialize(make_manifest(), str(tmp_path), to_stored(make_traj()), relabeled)
     text = oracle_rows_text(deserialize(str(tmp_path))[0].relabeled, "relabeled")
     assert text == oracle_rows_text(relabeled, "relabeled")
     assert "[-0.0, 0.0]" in text and "[0.0, -0.0]" in text
@@ -360,7 +368,7 @@ def test_writer_mixes_relabeled_and_curated_chunk_lengths(tmp_path):
     relabeled = make_records([np.arange(8.0) + i for i in range(3)],
                              [make_traj(horizon=7, seed=10 + i)["actions"][0] for i in range(3)],
                              np.arange(3), 2 * np.arange(3))
-    serialize(fitting_manifest(trajs, chunk_len=4), str(tmp_path), trajs, relabeled)
+    serialize(fitting_manifest(trajs, chunk_len=4), str(tmp_path), to_stored(trajs), relabeled)
     pairs = deserialize(str(tmp_path))[0]
     assert (pairs.curated.dtype["chunk"].shape, pairs.relabeled.dtype["chunk"].shape) \
         == ((4, 2), (7, 2))
@@ -376,13 +384,13 @@ def test_writer_one_dimensional_and_scalar_arrays(tmp_path):
                                     (stack([]), cube_chunk, "records: .* wrong: chunk$"),
                                     (flat, None, "trajectories: .* wrong: states$")):
         with pytest.raises(ValueError, match=field):
-            serialize(make_manifest(), str(tmp_path), trajs, relabeled)
+            serialize(make_manifest(), str(tmp_path), to_stored(trajs), relabeled)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_writer_empty_record_list(tmp_path):
-    serialize(make_manifest(), str(tmp_path / "none"), stack([]))
-    serialize(make_manifest(chunk_len=4), str(tmp_path / "curated"), make_traj())
+    serialize(make_manifest(), str(tmp_path / "none"), to_stored(stack([])))
+    serialize(make_manifest(chunk_len=4), str(tmp_path / "curated"), to_stored(make_traj()))
     for name, n_curated in (("none", 0), ("curated", 7)):
         out = str(tmp_path / name)
         assert len(np.load(os.path.join(out, "records.npy"), allow_pickle=False)) == 0
@@ -391,13 +399,13 @@ def test_writer_empty_record_list(tmp_path):
 
 
 def test_writer_refuses_an_origin_column(tmp_path):
-    # format 4 stored each trajectory's control points as ``origin``; a
-    # trajectory table has one layout, and one with that column is refused
+    # format 4 stored each trajectory's control points as ``origin``; the
+    # stored rows have one layout, and rows with that column are refused
     # unwritten
-    trajs = stack(make_traj(seed=i, variant=i) for i in range(4))
+    rows = to_stored(stack(make_traj(seed=i, variant=i) for i in range(4)))
     for origin in (np.zeros((4, 12)), np.zeros(4)):
         with pytest.raises(ValueError, match=r"trajectories: fields \(.*'origin'\), expected"):
-            serialize(make_manifest(), str(tmp_path / "out"), _rebuild(trajs, origin=origin))
+            serialize(make_manifest(), str(tmp_path / "out"), _rebuild(rows, origin=origin))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -420,12 +428,12 @@ def fail_npy_write(monkeypatch, nth):
 
 def test_failed_write_keeps_previous_file_and_no_temp_file(tmp_path, monkeypatch):
     trajs = stack(make_traj(horizon=40, seed=i) for i in range(40))
-    relabeled = windows(trajs, chunk_len=5)
-    serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), trajs[:2], relabeled[:10])
+    relabeled, rows = windows(trajs, chunk_len=5), to_stored(trajs)
+    serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), rows[:2], relabeled[:10])
     before = (tmp_path / "records.npy").read_bytes()
     fail_npy_write(monkeypatch, 1)       # records.npy is written first
     with pytest.raises(OSError, match="No space"):
-        serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), trajs, relabeled)
+        serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), rows, relabeled)
     assert (tmp_path / "records.npy").read_bytes() == before
     assert not (tmp_path / "records.npy.tmp").exists()
 
@@ -433,7 +441,7 @@ def test_failed_write_keeps_previous_file_and_no_temp_file(tmp_path, monkeypatch
 def test_trajectory_variant_must_be_an_integer(tmp_path):
     trajs = stack([make_traj(seed=0), make_traj(seed=1, variant=np.int64(2)), make_traj(seed=2)])
     assert trajs.dtype["variant"] == np.dtype("<i8")
-    serialize(make_manifest(), str(tmp_path), trajs)
+    serialize(make_manifest(), str(tmp_path), to_stored(trajs))
     assert [t.variant for t in load_trajectories(str(tmp_path))] == [0, 2, 0]
     with pytest.raises(TypeError):
         make_traj(variant=1.5)
@@ -441,16 +449,16 @@ def test_trajectory_variant_must_be_an_integer(tmp_path):
 
 def test_failed_records_write_keeps_previous_dataset_readable(tmp_path, monkeypatch):
     trajs = stack(make_traj(horizon=40, seed=i) for i in range(40))
-    relabeled = windows(trajs, chunk_len=5)
-    serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), trajs[:2], relabeled[:10])
+    relabeled, rows = windows(trajs, chunk_len=5), to_stored(trajs)
+    serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), rows[:2], relabeled[:10])
     before = {name: (tmp_path / name).read_bytes()
               for name in ("manifest", "records.npy", "trajectories.npy")}
     for nth in (1, 2):                   # records.npy fails, then trajectories.npy
         fail_npy_write(monkeypatch, nth)
         with pytest.raises(OSError):
-            serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), trajs, relabeled)
+            serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), rows, relabeled)
     monkeypatch.undo()
-    narrow = _rebuild(trajs, variant=trajs["variant"].astype("<i4"))   # refused unwritten
+    narrow = _rebuild(rows, variant=rows["variant"].astype("<i4"))   # refused unwritten
     with pytest.raises(ValueError):
         serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), narrow, relabeled)
     assert before == {name: (tmp_path / name).read_bytes() for name in before}
@@ -509,8 +517,8 @@ def oracle_deserialize(out_dir, chunk_len, horizon):
 
 def assert_reader_matches_oracle(trajectories, relabeled, chunk_len):
     with tempfile.TemporaryDirectory() as out:
-        serialize(fitting_manifest(trajectories, chunk_len=chunk_len), out, trajectories,
-                  relabeled)
+        serialize(fitting_manifest(trajectories, chunk_len=chunk_len), out,
+                  to_stored(trajectories), relabeled)
         horizon = trajectories.dtype["actions"].shape[0]
         (got, manifest), want = deserialize(out), oracle_deserialize(out, chunk_len, horizon)
         assert len(got) == len(want) == manifest.n_records \
@@ -545,8 +553,8 @@ def _dataset(tmp_path):
     """3 trajectories of horizon 10 (3 x 7 windows of 4) and 5 relabeled
     pairs, under a point_reach of horizon 10, so replay runs too."""
     trajs = stack(make_traj(seed=i, variant=i) for i in range(3))
-    serialize(make_manifest(chunk_len=4, env_config={"horizon": 10}), str(tmp_path), trajs,
-              windows(trajs, chunk_len=4)[:5])
+    serialize(make_manifest(chunk_len=4, env_config={"horizon": 10}), str(tmp_path),
+              to_stored(trajs), windows(trajs, chunk_len=4)[:5])
     return str(tmp_path)
 
 
@@ -628,7 +636,8 @@ def test_reader_rejects_ragged_array(tmp_path, name):
     traj = make_traj(horizon=10)
     relabeled = [windows(traj, 4)[0], windows(traj, 5)[0]]
     with pytest.raises(ValueError, match="records: not a 1-D structured"):
-        serialize(make_manifest(chunk_len=4), str(tmp_path / "ragged"), traj, relabeled)
+        serialize(make_manifest(chunk_len=4), str(tmp_path / "ragged"), to_stored(traj),
+                  relabeled)
     assert not (tmp_path / "ragged").exists()
     path = os.path.join(out, name + ".npy")
     wide = {"records": {"chunk": np.zeros((5, 4, D_A + 1))},
@@ -828,7 +837,7 @@ def test_manifest_with_every_field_set_round_trips(tmp_path):
         n_selected=3, chunk_len=4, env_config={"horizon": 10, "goal": [0.25, 0.1]},
         parameters={"yaw_range": 0.3, "trans_range": [0.08, 0.08, 0.0], "name": "x"},
         final_tubes=[(0.01, 0.25), (0.0, 1e-300)])
-    serialize(manifest, str(tmp_path), trajs, windows(trajs, chunk_len=4)[:2])
+    serialize(manifest, str(tmp_path), to_stored(trajs), windows(trajs, chunk_len=4)[:2])
     # serialize sets the three row counts
     assert (manifest.n_trajectories, manifest.n_relabeled, manifest.n_records) == (3, 2, 23)
     unset = [f.name for f in dataclasses.fields(DatasetManifest)
@@ -935,26 +944,34 @@ def test_serialize_refuses_wrong_dtypes_and_misfit_targets(tmp_path):
            (trajs, relabeled, 0, "chunk_len")]
     for trajectories, records, k, message in bad:
         with pytest.raises(ValueError, match=message):
-            serialize(make_manifest(chunk_len=k), str(tmp_path), trajectories, records)
+            serialize(make_manifest(chunk_len=k), str(tmp_path), stored_rows(trajectories, 10),
+                      records)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_serialize_refuses_trajectories_that_no_reader_accepts(tmp_path):
     # point_reach of make_manifest's horizon 10 needs (11, 4) states,
     # (10, 2) actions and (M, 2) control points with 2 <= M <= 10; such
-    # tables were once written, and then refused by every reader
+    # tables were once written, and then refused by every reader.
+    # stored_rows refuses shapes that do not fit together or the horizon,
+    # and serialize stored rows that do not fit the environment
     table = trajectory_table(np.zeros((1, 11, 5)), np.zeros((1, 10, D_A)), True, 1.0)
     trajs = stack(make_traj(seed=i) for i in range(2))
     wide = np.zeros((2, 10, D_A + 1))
     plans = "are not plans of the environment's horizon 10"
+    points = "are not 2 <= M <= T 10 points of a plan"
     bad = [(table, "start (5,) and control points (10, 2) do not fit point_reach "
                    "(d_s 4, d_a 2, 2 <= M <= T 10)"),
            (_rebuild(trajs, actions=wide, control_points=wide),
-            "start (4,) and control points (10, 3) do not fit"),
-           (_rebuild(trajs, control_points=np.zeros((2, 1, D_A))),
-            "start (4,) and control points (1, 2) do not fit"),
+            "start (4,) and control points (10, 3) do not fit")]
+    for trajectories, message in bad:
+        rows = stored_rows(trajectories, 10)
+        with pytest.raises(ValueError, match=re.escape(f"trajectories: {message}")):
+            serialize(make_manifest(chunk_len=4), str(tmp_path / "out"), rows)
+    bad = [(_rebuild(trajs, control_points=np.zeros((2, 1, D_A))),
+            f"control points (1, 2) {points}"),
            (_rebuild(trajs, control_points=np.zeros((2, 11, D_A))),
-            "start (4,) and control points (11, 2) do not fit"),
+            f"control points (11, 2) {points}"),
            (_rebuild(trajs, states=np.zeros((2, 12, D_S))),
             "states (12, 4) are not one longer than actions (10, 2)"),
            (_rebuild(trajs, actions=wide), f"actions (10, 3) {plans} in the 2 dimensions"),
@@ -962,23 +979,45 @@ def test_serialize_refuses_trajectories_that_no_reader_accepts(tmp_path):
            (make_traj(horizon=12)[:0], f"actions (12, 2) {plans}")]
     for trajectories, message in bad:
         with pytest.raises(ValueError, match=re.escape(f"trajectories: {message}")):
-            serialize(make_manifest(chunk_len=4), str(tmp_path / "out"), trajectories)
+            stored_rows(trajectories, 10)
     # a plan of one step has no two control points to store
     one = make_traj(horizon=1)
-    with pytest.raises(ValueError, match=re.escape("control points (1, 2) do not fit")):
-        serialize(fitting_manifest(one), str(tmp_path / "out"), one)
+    with pytest.raises(ValueError, match=re.escape("control points (1, 2) are not 2 <= M <= T 1")):
+        stored_rows(one, 1)
     assert list(tmp_path.iterdir()) == []
-    serialize(make_manifest(chunk_len=4), str(tmp_path / "out"), trajs)
+    serialize(make_manifest(chunk_len=4), str(tmp_path / "out"), to_stored(trajs))
     assert len(load_trajectories(str(tmp_path / "out"))) == 2
 
 
-def test_serialize_refuses_control_points_that_do_not_decode_to_the_actions(tmp_path,
-                                                                            monkeypatch):
-    # checked block by block, bitwise, before any file is written; the
-    # error names the first row whose actions are not its decoded points
+def test_serialize_refuses_a_trajectory_table(tmp_path):
+    # serialize takes stored rows only: a trajectory table, with its
+    # states and actions, is refused before any file is written
+    trajs = stack(make_traj(seed=i) for i in range(2))
+    message = ("trajectories: fields ('variant', 'success', 'friction_scale', 'states', "
+               "'actions', 'control_points'), expected ('variant', 'success', "
+               "'friction_scale', 'start', 'control_points')")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        serialize(make_manifest(), str(tmp_path / "out"), trajs)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stored_rows_are_the_table_with_its_start_states():
+    trajs = stack(make_traj(seed=i, variant=i, m_points=4) for i in range(3))
+    rows = stored_rows(trajs, 10)
+    assert rows.dtype.names == ("variant", "success", "friction_scale", "start",
+                                "control_points")
+    assert same_table(rows["start"], trajs["states"][:, 0])
+    for name in ("variant", "success", "friction_scale", "control_points"):
+        assert same_table(rows[name], trajs[name])
+
+
+def test_stored_rows_refuses_control_points_that_do_not_decode_to_the_actions(tmp_path,
+                                                                              monkeypatch):
+    # checked block by block, bitwise; the error names the first row whose
+    # actions are not its decoded points
     monkeypatch.setattr(envs, "ROLLOUT_BLOCK", 4)
     trajs = stack(make_traj(seed=i, m_points=4) for i in range(11))
-    serialize(make_manifest(), str(tmp_path / "ok"), trajs)
+    serialize(make_manifest(), str(tmp_path / "ok"), stored_rows(trajs, 10))
     assert same_table(load_trajectories(str(tmp_path / "ok")), trajs)
     for rows in ([9], [6, 9], [0, 5], [10]):
         bad = trajs.copy()
@@ -986,14 +1025,13 @@ def test_serialize_refuses_control_points_that_do_not_decode_to_the_actions(tmp_
             bad["actions"][row, 3, 1] = np.nextafter(bad["actions"][row, 3, 1], np.inf)
         message = f"trajectories: row {rows[0]}: its actions are not its control points"
         with pytest.raises(ValueError, match=re.escape(message)):
-            serialize(make_manifest(), str(tmp_path / "bad"), bad)
+            stored_rows(bad, 10)
     # equal values are not enough: with M = T, the points are the actions,
     # and 0.0 is not the bits of -0.0
     bad = stack(make_traj(seed=i) for i in range(3))
     bad["actions"][2, 0, 0], bad["control_points"][2, 0, 0] = 0.0, -0.0
     with pytest.raises(ValueError, match=re.escape("trajectories: row 2: its actions")):
-        serialize(make_manifest(), str(tmp_path / "bad"), bad)
-    assert not (tmp_path / "bad").exists()
+        stored_rows(bad, 10)
 
 
 @pytest.mark.parametrize("points", [(1, D_A), (11, D_A), (10, D_A + 1), (4, D_A - 1)])
@@ -1015,9 +1053,9 @@ def test_serialize_refuses_targets_that_no_reader_accepts(tmp_path):
            _rebuild(target, chunk=np.zeros((1, 4, D_A + 1)))]
     for relabeled in bad:
         with pytest.raises(ValueError, match="records: .* do not fit point_reach"):
-            serialize(make_manifest(chunk_len=4), str(tmp_path), trajs, relabeled)
+            serialize(make_manifest(chunk_len=4), str(tmp_path), to_stored(trajs), relabeled)
     assert list(tmp_path.iterdir()) == []
-    serialize(make_manifest(chunk_len=4), str(tmp_path), trajs, target)
+    serialize(make_manifest(chunk_len=4), str(tmp_path), to_stored(trajs), target)
     assert len(deserialize(str(tmp_path))[0].relabeled) == 1
 
 
@@ -1026,12 +1064,12 @@ def test_every_reader_refuses_a_record_outside_its_plans(tmp_path, capsys, traj,
     # _dataset's records hold 4-step chunks for 3 plans of 10 steps:
     # traj must lie in [0, 3) and t in [0, 6]
     out = _dataset(tmp_path / "ds")
-    trajs, path = load_trajectories(out), os.path.join(out, "records.npy")
+    rows, path = open_dataset(out)[2], os.path.join(out, "records.npy")
     bad = np.load(path, allow_pickle=False)
     bad["traj"][1], bad["t"][1] = traj, t
     message = f"relabeled record 1 (traj {traj}, t {t}) leaves no room for its 4-step chunk"
     with pytest.raises(ValueError, match=re.escape(f"records: {message}")):
-        serialize(make_manifest(chunk_len=4), str(tmp_path / "unwritten"), trajs, bad)
+        serialize(make_manifest(chunk_len=4), str(tmp_path / "unwritten"), rows, bad)
     assert not os.path.exists(tmp_path / "unwritten")
     with open(path, "wb") as fh:
         np.lib.format.write_array(fh, bad, allow_pickle=False)
@@ -1056,7 +1094,7 @@ def test_dataset_stats_counts_and_render(tmp_path):
     trajs = make_traj(horizon=8)
     target = make_records([np.zeros(8)], [np.ones((3, 2))], 0, 1)
     manifest = fitting_manifest(trajs, final_tubes=[(0.05, 0.2)], chunk_len=4)
-    serialize(manifest, str(tmp_path), trajs, target)
+    serialize(manifest, str(tmp_path), to_stored(trajs), target)
     stats = dataset_stats(read_manifest(str(tmp_path)))
     assert stats == dataset_stats(manifest)
     assert stats["records_curated"] == 5

@@ -2,6 +2,7 @@
 accounting, starvation handling, baseline, and the replay harness."""
 import filecmp
 import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,8 @@ from recovergen.config import PipelineConfig
 from recovergen.curator import state_distances
 from recovergen.dataset_io import (DatasetFormatError, DatasetManifest, dataset_stats,
                                    deserialize, export_pairs, load_trajectories,
-                                   open_dataset, read_manifest, record_dtype, serialize)
+                                   open_dataset, read_manifest, rebuild_trajectories,
+                                   record_dtype, serialize, stored_rows)
 from recovergen.envs import (augmented_demo_actions, make_env, rollout, rollout_batch,
                              trajectory_table)
 from recovergen.geometry import Pose
@@ -140,11 +142,34 @@ def test_lockstep_variants_equal_one_at_a_time():
     for a, b in zip(together, alone):
         _assert_variant_results_equal(a, b)
     # relabeling reuses each curated trajectory's distances: they must be
-    # the bits a fresh computation gives
-    for v in together:
-        for traj, d in zip(v.curated, v.distances):
+    # the bits a fresh computation gives on its rebuilt states
+    for v in (v for v in together if not v.skipped):
+        for traj, d in zip(rebuild_trajectories(v.curated, env), v.distances):
             fresh = state_distances(traj["states"], v.expert_states, env.psi, env.psi_scales)
             assert _bits(d) == _bits(fresh)
+
+
+def test_workers_return_stored_rows():
+    # a --jobs worker sends back each curated trajectory as its stored row,
+    # 585 B for the planar block, and its distances, 8 (T + 1) B, not its
+    # states and actions (5,865 B a row with the row's control points); the
+    # rest of its pickle, each variant's expert states (3,416 B) and
+    # iteration stats among it, stays within 8 KiB a variant
+    cfg = PipelineConfig(seed=7, jobs=1)
+    env = make_env(cfg.env)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_variants + 2)
+    poses = sample_variant_poses(env, cfg, np.random.default_rng(seeds[0]))
+    group = list(zip(range(cfg.n_variants), poses, seeds[1:1 + cfg.n_variants]))
+    results = pipeline._group_task((env, cfg, group))
+    row = np.dtype([("variant", "<i8"), ("success", "?"), ("friction_scale", "<f8"),
+                    ("start", "<f8", (env.state_dim,)),
+                    ("control_points", "<f8", (cfg.sampler.m_points, env.action_dim))])
+    assert row.itemsize == 585
+    live = [v for v in results if not v.skipped]
+    assert len(live) == 3 and all(v.curated.dtype == row for v in live)
+    n = sum(len(v.curated) for v in results)
+    assert n == 146
+    assert len(pickle.dumps(results)) <= n * (585 + 8 * (env.horizon + 1)) + 8192 * len(results)
 
 
 def test_variant_loop_calls_state_distances_once_per_scored_batch(monkeypatch):
@@ -292,7 +317,8 @@ def replay_dataset(out_dir, n, n_records, seed=0):
     records["chunk"] = (actions[records["traj"][:, None], records["t"][:, None] + np.arange(H)]
                         + rng.normal(0.0, 0.01, records["chunk"].shape))
     serialize(DatasetManifest(env_name=env.name), str(out_dir),
-              trajectory_table(states, actions, success, friction), records)
+              stored_rows(trajectory_table(states, actions, success, friction), env.horizon),
+              records)
     return str(out_dir)
 
 
@@ -463,28 +489,44 @@ def test_trajectories_file_stores_each_start_state_not_the_states(tmp_path):
                                   "empty"])
 def test_readers_return_the_written_table_bit_for_bit(tmp_path, monkeypatch, case):
     # the states and actions are not stored: the readers rebuild them, and
-    # every table the package writes reads back with the bits it was
-    # written with, also one whose variants ran in two worker processes
-    out, written = str(tmp_path / "ds"), []
+    # every trajectory table the package turns into stored rows reads back
+    # with the bits it had, also when the variants ran in two worker
+    # processes
+    out, written, tables = str(tmp_path / "ds"), [], []
 
     def serialize_recording(manifest, out_dir, trajectories, records=None):
         written.append((manifest, trajectories, records))
         return serialize(manifest, out_dir, trajectories, records)
 
+    def stored_rows_recording(table, horizon):
+        tables.append(table)
+        return stored_rows(table, horizon)
+
     monkeypatch.setattr(pipeline, "serialize", serialize_recording)
+    monkeypatch.setattr(pipeline, "stored_rows", stored_rows_recording)
     if case == "generate":
         run_pgdg(PipelineConfig(out_dir=out, seed=7))
     elif case == "generate-jobs-2":
-        run_pgdg(PipelineConfig(out_dir=out, seed=13, jobs=2, n_variants=8, samples=128))
+        # the workers convert their tables in their own processes; a
+        # one-process run of the same configuration records the same tables
+        wide = dict(seed=13, n_variants=8, samples=128)
+        run_pgdg(PipelineConfig(out_dir=str(tmp_path / "jobs-1"), jobs=1, **wide))
+        written.clear()
+        run_pgdg(PipelineConfig(out_dir=out, jobs=2, **wide))
     elif case == "baseline":     # under randomized friction, some rollouts fail
         run_spatial_only(PipelineConfig(out_dir=out, seed=7, n_variants=40))
     elif case == "point_reach":
         run_pgdg(fast_cfg(out))
     else:
-        pipeline.serialize(DatasetManifest(env_name=PLANAR.name), out, trajectory_table(
-            np.empty((0, PLANAR.horizon + 1, PLANAR.state_dim)),
-            np.empty((0, PLANAR.horizon, PLANAR.action_dim)), [], 1.0))
-    ((manifest, table, records),) = written
+        pipeline.serialize(DatasetManifest(env_name=PLANAR.name), out, pipeline.stored_rows(
+            trajectory_table(np.empty((0, PLANAR.horizon + 1, PLANAR.state_dim)),
+                             np.empty((0, PLANAR.horizon, PLANAR.action_dim)), [], 1.0),
+            PLANAR.horizon))
+    ((manifest, rows, records),) = written
+    # the variant loops run in lockstep, so their batches interleave: the
+    # stored rows hold each variant's batches in turn
+    table = np.concatenate(sorted(tables, key=lambda t: t["variant"][:1].tolist()))
+    assert rows.tobytes() == stored_rows(table, table.dtype["actions"].shape[0]).tobytes()
     assert (len(table) > 0) == (case != "empty")
     assert bool(np.any(~table["success"])) == (case == "baseline")
     got = load_trajectories(out)

@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from recovergen import envs, pipeline, relabel
+from recovergen import dataset_io, envs, pipeline, relabel
 from recovergen.config import PipelineConfig, RelabelConfig
 from recovergen.curator import TubeBounds, state_distances
-from recovergen.dataset_io import deserialize
+from recovergen.dataset_io import deserialize, rebuild_trajectories, stored_rows
 from recovergen.envs import (PlanarBlockRotate, PointReach,
                              augmented_demo_actions, lockstep, rollout,
                              rollout_with_resume, trajectory_table)
@@ -21,6 +21,12 @@ def risks(curated, expert_states, psi=IDENT, scales=(1.0,)):
     keeps them for relabeling."""
     return [state_distances(traj.states, expert, psi, scales)
             for traj, expert in zip(curated, expert_states)]
+
+
+def stored(trajs, env):
+    """The trajectory table rows ``trajs`` as the stored rows that
+    ``relabel_dataset`` takes."""
+    return stored_rows(np.array(trajs), env.horizon)
 
 
 def line_traj(values, success=True):
@@ -364,7 +370,7 @@ def test_stopped_points_leave_the_batch_and_the_rest_run_as_alone(monkeypatch):
         return _rollout_batch(env, s0s, *args)
 
     monkeypatch.setattr(envs, "rollout_batch", counted)
-    targets = relabel_dataset(np.array([traj]), env, [tube], cfg, np.random.default_rng(3),
+    targets = relabel_dataset(stored([traj], env), env, [tube], cfg, np.random.default_rng(3),
                               [expert], dists)
     batched = rows[:]
     points = select_risky_states(dists, 3, cfg.horizon, cfg.horizon)
@@ -421,7 +427,8 @@ def seed_7_relabeling(tmp_path_factory):
             mp.setattr(pipeline, "relabel_dataset", recorded)
             pipeline.run_pgdg(PipelineConfig(out_dir=out, seed=7, jobs=1))
         [((curated, env, tubes, cfg, _, experts, _), table)] = calls
-        costs = [relabel_cost(r["chunk"], curated[r["traj"]], r["t"], tubes[r["traj"]], env,
+        trajs = rebuild_trajectories(curated, env)
+        costs = [relabel_cost(r["chunk"], trajs[r["traj"]], r["t"], tubes[r["traj"]], env,
                               cfg, experts[r["traj"]]) for r in table]
         runs[name] = (sum(rows), table, costs, out)
     return runs
@@ -486,7 +493,7 @@ def test_zero_init_std_and_min_sep_take_their_auto_values():
         tube = TubeBounds(0.0, 0.05)
         return [((r["traj"], r["t"]), r["chunk"].tobytes(),
                  relabel_cost(r["chunk"], traj, r["t"], tube, env, cfg, expert))
-                for r in relabel_dataset(np.array([traj]), env, [tube], cfg,
+                for r in relabel_dataset(stored([traj], env), env, [tube], cfg,
                                          np.random.default_rng(3), [expert], dists)]
 
     auto = targets()
@@ -520,18 +527,48 @@ def test_population_costs_equal_one_candidate_costs(horizon):
     assert any(c > 0 for costs, _ in batched for c in costs)
 
 
-def test_relabel_dataset_equals_points_optimized_one_at_a_time():
+def test_relabel_dataset_equals_points_optimized_one_at_a_time(monkeypatch):
+    # relabel_dataset takes stored rows and rebuilds the trajectories of
+    # the chosen points, each once, in one rollout batch of at most k_rel
+    # rows; its records are, bit for bit, those that cem_optimize gives on
+    # the rebuilt rows one point at a time
     env, traj, expert = _block_fixture()
-    cfg = RelabelConfig(k_rel=3, population=12, cem_iterations=3, init_std=0.005,
+    noise = np.random.default_rng(8).normal(0.0, 0.002, (2, *traj.actions.shape))
+    trajs = [traj] + [rollout(env, traj.states[0], traj.actions + e, traj.friction_scale)
+                      for e in noise]
+    curated = stored(trajs, env)
+    cfg = RelabelConfig(k_rel=5, population=12, cem_iterations=3, init_std=0.005,
                         horizon=15)
     tube = TubeBounds(0.0, 0.05)
-    dists = risks([traj], [expert], env.psi, env.psi_scales)
-    targets = relabel_dataset(np.array([traj]), env, [tube], cfg, np.random.default_rng(3),
-                              [expert], dists)
-    points = select_risky_states(dists, 3, cfg.horizon, cfg.horizon)
-    alone = [cem_optimize(point, traj, env, tube, cfg, rng, expert)
+    dists = risks(trajs, [expert] * 3, env.psi, env.psi_scales)
+    rebuilt_rows = []
+
+    def counted(env, s0s, *args, _rollout_batch=dataset_io.rollout_batch):
+        rebuilt_rows.append(len(s0s))
+        return _rollout_batch(env, s0s, *args)
+
+    monkeypatch.setattr(dataset_io, "rollout_batch", counted)
+    targets = relabel_dataset(curated, env, [tube] * 3, cfg, np.random.default_rng(3),
+                              [expert] * 3, dists)
+    monkeypatch.undo()
+    points = select_risky_states(dists, cfg.k_rel, cfg.horizon, cfg.horizon)
+    chosen = {p.trajectory_id for p in points}
+    assert rebuilt_rows == [len(chosen)] and 1 < len(chosen) < len(points) <= cfg.k_rel
+    rebuilt = rebuild_trajectories(curated, env)
+    assert rebuilt.tobytes() == np.array(trajs).tobytes()
+    alone = [cem_optimize(point, rebuilt[point.trajectory_id], env, tube, cfg, rng, expert)
              for point, rng in zip(points, np.random.default_rng(3).spawn(len(points)))]
-    assert_rows_are_the_points_alone(targets, points, alone, traj, env, tube, cfg, expert)
+    kept = [(p, a) for p, a in zip(points, alone) if a is not None]
+    want = np.empty(len(kept), targets.dtype)
+    want["traj"] = [p.trajectory_id for p, _ in kept]
+    want["t"] = [p.t for p, _ in kept]
+    want["obs"] = [env.observe(rebuilt["states"][p.trajectory_id, p.t],
+                               rebuilt["states"][p.trajectory_id, 0]) for p, _ in kept]
+    want["chunk"] = [chunk for _, (chunk, _) in kept]
+    assert len(targets) == len(kept) > 1 and targets.tobytes() == want.tobytes()
+    for row, (_, (_, cost)) in zip(targets, kept):
+        assert relabel_cost(row["chunk"], rebuilt[row["traj"]], row["t"], tube, env, cfg,
+                            expert) == cost
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +579,7 @@ def test_relabel_dataset_targets_validate_and_separate():
     env, traj, expert = _block_fixture()
     cfg = RelabelConfig(k_rel=4, population=16, cem_iterations=3, init_std=0.005,
                         horizon=15)
-    targets = relabel_dataset(np.array([traj]), env, [TubeBounds(0.0, 100.0)], cfg,
+    targets = relabel_dataset(stored([traj], env), env, [TubeBounds(0.0, 100.0)], cfg,
                               np.random.default_rng(3), [expert],
                               risks([traj], [expert], env.psi, env.psi_scales))
     assert 0 < len(targets) <= 4
@@ -586,7 +623,7 @@ def test_relabel_dataset_deterministic():
                         horizon=15)
     runs = []
     for _ in range(2):
-        tgts = relabel_dataset(np.array([traj]), env, [TubeBounds(0.0, 100.0)], cfg,
+        tgts = relabel_dataset(stored([traj], env), env, [TubeBounds(0.0, 100.0)], cfg,
                                np.random.default_rng(5), [expert],
                                risks([traj], [expert], env.psi, env.psi_scales))
         runs.append(tgts)
