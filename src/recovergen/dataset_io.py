@@ -23,18 +23,16 @@ raw little-endian numbers, so every stored value reads back bit for bit, and
 
 A trajectory's plan is a pure function of its control points
 (``sampler.decode``), and its states of its start state, plan and friction
-scale, so neither is stored.  ``stored_rows`` turns a trajectory table into
-the stored rows, checking bit for bit that each row's actions are its
-decoded control points; a curated trajectory takes that form as soon as
-its batch is scored, and it is the form ``serialize`` writes.
-``rebuild_trajectories`` turns stored rows back into the trajectory table,
+scale, so neither is stored.  ``stored_table`` builds the stored rows from
+those columns: the variant loops build them from their draws, whose actions
+are decoded from the control points, and the baseline from its plans, as
+M = T control points; it is the form ``serialize`` writes.
+``rebuild_trajectories`` turns stored rows into the trajectory table,
 decoding the plans and rolling them out block by block, for
-``deserialize``, ``load_trajectories`` and relabeling.  The rebuilt
-actions are the table's bit for bit, since ``stored_rows`` checks them;
-its states are the table's when those were rolled out by ``rollout_batch``
-too, as in every table this package builds.  Both hold when the rebuild
-runs under the numpy dispatch and OpenBLAS core of the table's build.  A
-curated pair is the window ``observe(states[t], states[0])``,
+``deserialize``, ``load_trajectories`` and relabeling.  Its plans and
+states are the ones the rows were rolled out with, bit for bit, when the
+rebuild runs under the numpy dispatch and OpenBLAS core of the run that
+wrote them.  A curated pair is the window ``observe(states[t], states[0])``,
 ``actions[t:t + chunk_len]`` of a trajectory, so it is not stored either:
 ``deserialize`` returns ``Pairs``, the curated windows rebuilt from the
 trajectories by ``export_pairs`` and the loaded ``records.npy`` table, two
@@ -274,51 +272,17 @@ def _fields_misfit(table, fields: Dict[str, Tuple[str, int]]) -> str:
     return ""
 
 
-def stored_rows(trajectories, horizon: int) -> np.ndarray:
-    """The rows of trajectories.npy of the trajectory table
-    ``trajectories``, the one form in which ``serialize`` takes
-    trajectories: its columns, with each row's start state in place of its
-    states and actions.  A table without the fields of
-    ``TRAJECTORY_FIELDS``, whose states are not one longer than its plans,
-    whose plans are not ``horizon`` steps in the d_a of its control points,
-    whose M control points are not 2 <= M <= ``horizon``, or, checked block
-    by block, with a row whose actions are not ``decode`` of its control
-    points bit for bit (the error names the first such row), raises
-    ValueError.
-
-    Precondition, not checked: each row's states are its ``rollout_batch``
-    from its start state, under its plan and friction scale, as in every
-    table that the sampler, the baseline and ``rollout`` build.  Readers
-    rebuild the states so (``rebuild_trajectories``); other states would
-    not read back."""
-    misfit = _fields_misfit(trajectories, TRAJECTORY_FIELDS)
-    if not misfit:
-        states, actions, points = (trajectories.dtype[name].shape
-                                   for name in ("states", "actions", "control_points"))
-        if states[0] != actions[0] + 1:
-            misfit = f"states {states} are not one longer than actions {actions}"
-        elif actions != (horizon, points[1]):
-            misfit = (f"actions {actions} are not plans of the environment's horizon "
-                      f"{horizon} in the {points[1]} dimensions of control points {points}")
-        elif not 2 <= points[0] <= horizon:
-            misfit = f"control points {points} are not 2 <= M <= T {horizon} points of a plan"
-    if misfit:
-        raise ValueError(f"trajectories: {misfit}")
-    for rows in blocks(len(trajectories)):
-        # a stored value may be infinite or NaN: decoding it is no fault
-        with np.errstate(all="ignore"):
-            plans = decode(trajectories["control_points"][rows], horizon)
-        actions = trajectories["actions"][rows]
-        wrong = np.flatnonzero(np.any(plans.view(np.uint64) != actions.view(np.uint64),
-                                      axis=(1, 2)))
-        if len(wrong):
-            raise ValueError(f"trajectories: row {rows.start + int(wrong[0])}: its actions "
-                             f"are not its control points decoded bit for bit")
-    columns = {name: trajectories[name] for name in _STORED_FIELDS if name != "start"}
-    columns["start"] = trajectories["states"][:, 0]
-    table = np.empty(len(trajectories), _dtype(_STORED_FIELDS, {
-        name: columns[name].shape[1:] for name in _STORED_FIELDS}))
-    for name, column in columns.items():
+def stored_table(variant, success, friction, start, control_points) -> np.ndarray:
+    """Rows of trajectories.npy with the given columns: the ``variant``
+    and ``success`` of each row or of all, and each row's friction scale,
+    start state ``start`` (n, d_s) and control points ``control_points``
+    (n, M, d_a), which fix the row's plan (``sampler.decode``) and states
+    (``rebuild_trajectories``)."""
+    table = np.empty(len(start), _dtype(_STORED_FIELDS, {
+        "variant": (), "success": (), "friction_scale": (), "start": start.shape[1:],
+        "control_points": control_points.shape[1:]}))
+    for name, column in zip(_STORED_FIELDS, (variant, success, friction, start,
+                                             control_points)):
         table[name] = column
     return table
 
@@ -354,11 +318,11 @@ def _rolled_out(table: np.ndarray, env: Environment) -> np.ndarray:
 
 
 def rebuild_trajectories(stored: np.ndarray, env: Environment) -> np.ndarray:
-    """The trajectory table that the stored rows ``stored`` were made of
-    (``stored_rows``), under ``env``: each row's plan decoded from its
-    control points and its states rebuilt by ``rollout_batch``, block by
-    block.  Rows are independent, so a row's plan and states have the bits
-    it had, in any block and among any rows."""
+    """The trajectory table of the stored rows ``stored`` under ``env``:
+    each row's plan decoded from its control points and its states rebuilt
+    by ``rollout_batch`` from its start state, block by block.  Rows are
+    independent, so a row's plan and states have the bits it was rolled
+    out with, in any block and among any rows."""
     return _rolled_out(_unpacked(stored, env), env)
 
 
@@ -412,9 +376,9 @@ def _misfit(env: Environment, chunk_len: int, trajectories,
 def serialize(manifest: DatasetManifest, out_dir: str, trajectories: np.ndarray,
               records: Optional[np.ndarray] = None) -> None:
     """Write a dataset: the stored trajectory rows ``trajectories``, as
-    ``stored_rows`` makes them of a trajectory table, and the relabeled
-    pairs ``records`` (none by default), a table with the fields of
-    ``records.npy`` such as ``relabel_dataset`` returns, both as they are.
+    ``stored_table`` builds them, and the relabeled pairs ``records`` (none
+    by default), a table with the fields of ``records.npy`` such as
+    ``relabel_dataset`` returns, both as they are.
     The curated windows of length ``manifest.chunk_len`` are not written.
     Sets the manifest's ``n_trajectories``, ``n_relabeled`` and
     ``n_records`` (windows plus relabeled pairs).

@@ -50,8 +50,8 @@ TRAJECTORY_FIELDS = {"variant": ("<i8", 0), "success": ("?", 0),
                      "friction_scale": ("<f8", 0), "states": ("<f8", 2),
                      "actions": ("<f8", 2), "control_points": ("<f8", 2)}
 
-# most rows per block when stored plans are checked, decoded or replayed: a
-# reader holds one block's control points, plans and states beside its
+# most rows per block when stored plans are decoded or replayed: a reader
+# holds one block's control points, plans and states beside its
 # tables (3.0 MB for 512 planar rows), for any dataset size; a smaller block
 # costs more rollout calls
 ROLLOUT_BLOCK = 512

@@ -10,11 +10,12 @@ rollout requests, and the variants of each worker run together on
 ``envs.lockstep``: one rollout batch per round carries every live
 variant's request, and no row's result depends on the batch it is in.
 
-A curated trajectory leaves its variant loop as a stored row
-(``dataset_io.stored_rows``), its start state and control points, not its
-states and actions: that is what a ``--jobs`` worker returns, what
-``run_pgdg`` concatenates, what relabeling rebuilds its chosen
-trajectories from and what ``serialize`` writes.
+A variant loop scores each success batch from its plans and states as
+plain arrays, and keeps the selected rows as stored rows
+(``dataset_io.stored_table``): the start state, control points and
+friction scale of each draw, not its states and actions.  That is what a
+``--jobs`` worker returns, what ``run_pgdg`` concatenates, what relabeling
+rebuilds its chosen trajectories from and what ``serialize`` writes.
 """
 from __future__ import annotations
 
@@ -32,9 +33,9 @@ from . import sampler as smp
 from .config import ConfigError, PipelineConfig, config_parameters
 from .curator import TubeBounds
 from .dataset_io import (DatasetManifest, open_dataset, read_manifest, serialize,
-                         stored_rows, _atomic_write)
+                         stored_table, _atomic_write)
 from .envs import (Environment, Reply, Request, augmented_demo_actions, blocks, lockstep,
-                   make_env, rollout_batch, trajectory_table)
+                   make_env, rollout_batch)
 from .geometry import Pose, compose, sample_object_perturbation
 from .relabel import relabel_dataset
 
@@ -62,9 +63,9 @@ class IterationStats:
 class VariantResult:
     index: int
     pose: Pose
-    # the selected rollouts as stored rows (``dataset_io.stored_rows``),
-    # and each one's distances to the expert at its T + 1 states; empty
-    # when skipped
+    # the selected rollouts as stored rows (``dataset_io.stored_table``),
+    # and each one's distances to the expert at its T + 1 states; no rows
+    # when starved
     curated: np.ndarray = field(default_factory=lambda: np.empty(0))
     distances: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     expert_states: Optional[np.ndarray] = None
@@ -119,24 +120,26 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
                           _default_sigma0(env, cfg.sampler.sigma0),
                           cfg.sampler.variance_floor)
     tube: Optional[TubeBounds] = None
-    curated: List[np.ndarray] = []
-    distances: List[np.ndarray] = []
+    # a starved variant returns no rows, of the run's layout all the same
+    curated = [stored_table(index, True, (), np.empty((0, env.state_dim)),
+                            np.empty((0, q.m_points, q.action_dim)))]
+    distances = [np.empty((0, env.horizon + 1))]
     for k in range(cfg.iterations):
-        batch = yield from smp.sample_successes(env, pose, q, cfg.samples, rng, index)
+        batch = yield from smp.sample_successes(env, pose, q, cfg.samples, rng)
         result.n_generated += batch.n_sampled
         if tube is None and len(batch) < cur.MIN_SUCCESSES_FOR_TUBE:
             # first-iteration starvation: widen once and resample
             q = smp.widen(q, 1.5)
-            batch = yield from smp.sample_successes(env, pose, q, cfg.samples, rng, index)
+            batch = yield from smp.sample_successes(env, pose, q, cfg.samples, rng)
             result.n_generated += batch.n_sampled
             if len(batch) < cur.MIN_SUCCESSES_FOR_TUBE:
                 log.warning("variant %d: starved of successes, skipping", index)
                 result.skipped = True
-                return result
+                break
         result.n_successful += len(batch)
 
-        table = batch.table
-        dists = cur.state_distances(table["states"], expert_states, env.psi, env.psi_scales)
+        plans, states = batch.plans, batch.states
+        dists = cur.state_distances(states, expert_states, env.psi, env.psi_scales)
         tube = cur.compute_tube(cur.peak_deviation(dists), cfg.curator.q_min,
                                 cfg.curator.q_max, previous=tube)
 
@@ -147,7 +150,7 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
             continue
 
         rewards = cur.tube_reward(dists, tube)
-        embeddings = cur.dct_embed(table["states"], table["actions"], env.psi, env.psi_scales,
+        embeddings = cur.dct_embed(states, plans.actions, env.psi, env.psi_scales,
                                    env.horizon, cfg.curator.k_dct)
         sigma_rbf = (cfg.curator.sigma_rbf if cfg.curator.sigma_rbf > 0
                      else cur.median_pairwise_distance(embeddings))
@@ -156,9 +159,10 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
         selected = cur.dpp_select_greedy(kernel, m, cfg.curator.eps_dpp)
 
         sel_w = cur.reward_to_weight(rewards[selected], cfg.curator.temperature)
-        q = cur.update_proposal(q, table["control_points"][selected], sel_w,
-                                cfg.curator.eps_stab, cfg.curator.delta)
-        curated.append(stored_rows(table[selected], env.horizon))
+        points = plans.control_points[selected]
+        q = cur.update_proposal(q, points, sel_w, cfg.curator.eps_stab, cfg.curator.delta)
+        curated.append(stored_table(index, True, plans.friction[selected],
+                                    plans.s0s[selected], points))
         distances.append(dists[selected])
         result.stats.append(IterationStats(index, k, batch.n_sampled, len(batch),
                                            len(selected), tube.r_min, tube.r_max,
@@ -281,15 +285,16 @@ def run_spatial_only(cfg: PipelineConfig) -> RunReport:
     friction = np.concatenate([env.sample_friction(np.random.default_rng(seed), 1)
                                for seed in seeds[1:1 + cfg.n_variants]])
     actions = np.array([augmented_demo_actions(env, pose, cfg.l_blend) for pose in poses])
-    states, success = rollout_batch(env, np.array([env.reset(pose) for pose in poses]),
-                                    actions, friction)
-    rollouts = trajectory_table(states, actions, success, friction, np.arange(len(poses)))
+    s0s = np.array([env.reset(pose) for pose in poses])
+    success = rollout_batch(env, s0s, actions, friction)[1]
 
     manifest = _manifest(cfg, env, "baseline")
-    manifest.n_generated = len(rollouts)
+    manifest.n_generated = len(poses)
     manifest.n_successful = int(np.sum(success))
-    manifest.n_selected = len(rollouts)      # every rollout is stored
-    serialize(manifest, cfg.out_dir, stored_rows(rollouts, env.horizon))
+    manifest.n_selected = len(poses)      # every rollout is stored
+    # each plan is stored as M = T control points: its actions
+    serialize(manifest, cfg.out_dir,
+              stored_table(np.arange(len(poses)), success, friction, s0s, actions))
 
     report = RunReport(variants=[VariantResult(index=i, pose=pose)
                                  for i, pose in enumerate(poses)], manifest=manifest)

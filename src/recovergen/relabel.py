@@ -1,7 +1,7 @@
 """Selective local relabeling: pick the riskiest states of the curated
 dataset and optimize short corrective action chunks with the
 cross-entropy method under a full-episode success check.  The curated
-trajectories come as stored rows (``dataset_io.stored_rows``), and the risk
+trajectories come as stored rows (``dataset_io.stored_table``), and the risk
 of a state is its distance to the expert, one (n, T+1) array over them, as
 the variant loops computed it; only the chosen points' trajectories are
 rebuilt (``dataset_io.rebuild_trajectories``), in one rollout batch.
@@ -170,7 +170,7 @@ def relabel_dataset(curated: np.ndarray, env: Environment,
                     rng: np.random.Generator, expert_states: Sequence[np.ndarray],
                     distances: np.ndarray) -> np.ndarray:
     """Select the ``cfg.k_rel`` riskiest states across the curated
-    trajectories, stored rows as ``dataset_io.stored_rows`` makes them, at
+    trajectories, stored rows as ``dataset_io.stored_table`` builds them, at
     least ``cfg.min_sep`` steps apart (0: the horizon), and optimize a
     corrective chunk at each; failed points are dropped with a logged
     diagnostic.  ``tube[i]``, ``expert_states[i]`` and ``distances[i]``,
@@ -178,11 +178,11 @@ def relabel_dataset(curated: np.ndarray, env: Environment,
     states to that expert, belong to ``curated[i]``.  The trajectories of
     the chosen points, each once, are rebuilt with
     ``rebuild_trajectories`` (at most ``k_rel`` rows, one rollout batch);
-    rows are independent, so each has the bits of the table its stored row
-    was made of.  Returns the emitted pairs as a table with the fields
-    of ``records.npy``, in selection rank: a row holds its point's
-    trajectory ``traj`` and step ``t``, the observation
-    ``observe(states[t], states[0])`` and the (H, d_a) chunk."""
+    rows are independent, so each has the bits it was rolled out with.
+    Returns the emitted pairs as a table with the fields of
+    ``records.npy``, in selection rank: a row holds its point's trajectory
+    ``traj`` and step ``t``, the observation ``observe(states[t],
+    states[0])`` and the (H, d_a) chunk."""
     if len(curated) == 0:
         raise ValueError("curated set must be non-empty")
     if not len(tube) == len(expert_states) == len(distances) == len(curated):

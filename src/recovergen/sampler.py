@@ -4,10 +4,12 @@ A nominal plan is M control points in action space, expanded to a full
 T-step action sequence by piecewise-linear interpolation on a uniform
 knot grid.  The proposal over the flattened control-point vector is a
 diagonal Gaussian that the curator refits between iterations, from the
-``control_points`` of the selected rows of a ``SuccessBatch``'s trajectory
-table.  The dataset stores the control points, not the actions: ``decode``
-expands them to the actions bit for bit, one row alone or among any rows,
-in M / T of the bytes.
+control points of the selected rows of a ``SuccessBatch``.  A batch is its
+successful rows' ``Plans`` and states as plain arrays, and each row's
+actions are ``decode`` of its control points by construction.  The dataset
+stores the control points, not the actions: ``decode`` expands them to the
+actions bit for bit, one row alone or among any rows, in M / T of the
+bytes.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Generator, NamedTuple
 
 import numpy as np
 
-from .envs import Environment, Reply, Request, lockstep, trajectory_table
+from .envs import Environment, Reply, Request, lockstep
 from .geometry import Pose
 
 
@@ -83,18 +85,6 @@ class Proposal:
     action_dim: int
 
 
-@dataclass
-class SuccessBatch:
-    """Successful rollouts of one iteration, as a trajectory table whose
-    ``control_points`` are the draws its actions decode from."""
-
-    table: np.ndarray
-    n_sampled: int
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-
 def init_proposal(demo_actions: np.ndarray, m_points: int, sigma0,
                   variance_floor: float) -> Proposal:
     """Proposal centered on the least-squares control-point fit of the
@@ -127,6 +117,19 @@ class Plans(NamedTuple):
     actions: np.ndarray         # (n, T, d_a)
 
 
+@dataclass
+class SuccessBatch:
+    """The successful rows of one iteration's n_sampled plans: their plans
+    and their rolled-out states (n, T+1, d_s)."""
+
+    plans: Plans
+    states: np.ndarray
+    n_sampled: int
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+
 def draw_plans(env: Environment, variant: Pose, q: Proposal, n: int,
                rng: np.random.Generator) -> Plans:
     """Sample n plans, each with a fresh friction scale drawn after all n
@@ -138,22 +141,19 @@ def draw_plans(env: Environment, variant: Pose, q: Proposal, n: int,
 
 
 def sample_successes(env: Environment, variant: Pose, q: Proposal, n: int,
-                     rng: np.random.Generator,
-                     variant_index: int = 0) -> Generator[Request, Reply, SuccessBatch]:
+                     rng: np.random.Generator) -> Generator[Request, Reply, SuccessBatch]:
     """Sample n plans, each under a fresh friction scale, request their
-    rollouts in one batch and return only the successful trajectories."""
+    rollouts in one batch and return only the successful rows."""
     plans = draw_plans(env, variant, q, n, rng)
     states, success = yield plans.s0s, plans.actions, plans.friction
     ok = np.flatnonzero(success)
-    table = trajectory_table(states[ok], plans.actions[ok], True, plans.friction[ok],
-                             variant_index, plans.control_points[ok])
-    return SuccessBatch(table=table, n_sampled=n)
+    return SuccessBatch(Plans._make(column[ok] for column in plans), states[ok], n)
 
 
 def generate_success_batch(env: Environment, variant: Pose, q: Proposal, n: int,
-                           rng: np.random.Generator, variant_index: int = 0) -> SuccessBatch:
+                           rng: np.random.Generator) -> SuccessBatch:
     """``sample_successes`` run on its own."""
-    return lockstep(env, [sample_successes(env, variant, q, n, rng, variant_index)])[0]
+    return lockstep(env, [sample_successes(env, variant, q, n, rng)])[0]
 
 
 def widen(q: Proposal, factor: float) -> Proposal:

@@ -17,11 +17,12 @@ from recovergen.curator import (TubeBounds, build_kernel, compute_tube,
 from recovergen.envs import (PlanarBlockRotate, PointReach,
                              augmented_demo_actions, make_env, rollout,
                              rollout_with_resume)
-from recovergen.dataset_io import deserialize, stored_rows
+from recovergen.dataset_io import deserialize
 from recovergen.pipeline import (compare_replay, run_pgdg, run_spatial_only)
 from recovergen.relabel import RelabelPoint, cem_optimize, relabel_dataset
 from recovergen.sampler import Proposal
 from test_curator import dpp_log_det
+from test_dataset import to_stored
 
 IDENT = lambda s: np.asarray(s, dtype=float)  # noqa: E731
 SEED = 7
@@ -456,7 +457,7 @@ def test_criterion_09_relabel_validation():
     cfg = RelabelConfig(k_rel=k_rel, population=16, cem_iterations=3, init_std=0.005,
                         horizon=15)
     curated = np.array([traj, traj])
-    targets = relabel_dataset(stored_rows(curated, env.horizon), env,
+    targets = relabel_dataset(to_stored(curated), env,
                               [TubeBounds(0.0, 100.0)] * 2, cfg,
                               np.random.default_rng(SEED), [traj.states] * 2,
                               [state_distances(traj.states, traj.states, env.psi,

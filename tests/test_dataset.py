@@ -17,7 +17,7 @@ from recovergen.cli import main as cli_main
 from recovergen.dataset_io import (DatasetFormatError, DatasetManifest, Pairs,
                                    dataset_stats, deserialize, export_pairs, format_stats,
                                    load_trajectories, open_dataset, read_manifest,
-                                   serialize, stored_rows)
+                                   serialize, stored_table)
 from recovergen import envs
 from recovergen.envs import make_env, rollout_batch, trajectory_table
 from recovergen.pipeline import evaluate_replay
@@ -51,9 +51,10 @@ def make_traj(horizon=10, seed=0, variant=0, start=None, m_points=None):
 
 
 def to_stored(trajs):
-    """The stored rows of the trajectory table ``trajs``, whose plans set
-    the horizon."""
-    return stored_rows(trajs, trajs.dtype["actions"].shape[0])
+    """The stored rows of the trajectory table ``trajs``: its columns, with
+    each row's start state in place of its states and actions."""
+    return stored_table(trajs["variant"], trajs["success"], trajs["friction_scale"],
+                        trajs["states"][:, 0], trajs["control_points"])
 
 
 def stack(trajs):
@@ -379,12 +380,13 @@ def test_writer_one_dimensional_and_scalar_arrays(tmp_path):
     # each field keeps its number of axes; anything else is refused unwritten
     scalar_obs = make_records([2.5], [np.ones((2, 2))])
     cube_chunk = make_records([np.zeros(8)], [np.ones((2, 2, 3))], 1, 4)
-    flat = _rebuild(make_traj(), states=make_traj()["states"].reshape(1, -1))
-    for trajs, relabeled, field in ((stack([]), scalar_obs, "records: .* wrong: obs$"),
-                                    (stack([]), cube_chunk, "records: .* wrong: chunk$"),
-                                    (flat, None, "trajectories: .* wrong: states$")):
+    flat = _rebuild(to_stored(make_traj()), start=np.zeros(1))   # a scalar start state
+    none = to_stored(stack([]))
+    for rows, relabeled, field in ((none, scalar_obs, "records: .* wrong: obs$"),
+                                   (none, cube_chunk, "records: .* wrong: chunk$"),
+                                   (flat, None, "trajectories: .* wrong: start$")):
         with pytest.raises(ValueError, match=field):
-            serialize(make_manifest(), str(tmp_path), to_stored(trajs), relabeled)
+            serialize(make_manifest(), str(tmp_path), rows, relabeled)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -933,6 +935,7 @@ def test_serialize_refuses_wrong_dtypes_and_misfit_targets(tmp_path):
     trajs = stack(make_traj(seed=i) for i in range(2))
     relabeled = windows(trajs, chunk_len=4)[:2]
     long_obs = _rebuild(relabeled, obs=np.zeros((2, 9)))
+    trajs = to_stored(trajs)
     bad = [(list(trajs), None, 4, "not a 1-D structured"),  # rows, not a table
            (_rebuild(trajs, variant=None), None, 4, "expected"),  # a field missing
            (_rebuild(trajs, success=np.ones(2, "<i8")), None, 4, "not of the types"),
@@ -944,46 +947,34 @@ def test_serialize_refuses_wrong_dtypes_and_misfit_targets(tmp_path):
            (trajs, relabeled, 0, "chunk_len")]
     for trajectories, records, k, message in bad:
         with pytest.raises(ValueError, match=message):
-            serialize(make_manifest(chunk_len=k), str(tmp_path), stored_rows(trajectories, 10),
-                      records)
+            serialize(make_manifest(chunk_len=k), str(tmp_path), trajectories, records)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_serialize_refuses_trajectories_that_no_reader_accepts(tmp_path):
-    # point_reach of make_manifest's horizon 10 needs (11, 4) states,
-    # (10, 2) actions and (M, 2) control points with 2 <= M <= 10; such
-    # tables were once written, and then refused by every reader.
-    # stored_rows refuses shapes that do not fit together or the horizon,
-    # and serialize stored rows that do not fit the environment
+    # point_reach of make_manifest's horizon 10 needs (4,) start states and
+    # (M, 2) control points with 2 <= M <= 10; such rows were once written,
+    # and then refused by every reader
     table = trajectory_table(np.zeros((1, 11, 5)), np.zeros((1, 10, D_A)), True, 1.0)
     trajs = stack(make_traj(seed=i) for i in range(2))
     wide = np.zeros((2, 10, D_A + 1))
-    plans = "are not plans of the environment's horizon 10"
-    points = "are not 2 <= M <= T 10 points of a plan"
-    bad = [(table, "start (5,) and control points (10, 2) do not fit point_reach "
-                   "(d_s 4, d_a 2, 2 <= M <= T 10)"),
+    fit = "do not fit point_reach (d_s 4, d_a 2, 2 <= M <= T 10)"
+    bad = [(table, f"start (5,) and control points (10, 2) {fit}"),
            (_rebuild(trajs, actions=wide, control_points=wide),
-            "start (4,) and control points (10, 3) do not fit")]
-    for trajectories, message in bad:
-        rows = stored_rows(trajectories, 10)
-        with pytest.raises(ValueError, match=re.escape(f"trajectories: {message}")):
-            serialize(make_manifest(chunk_len=4), str(tmp_path / "out"), rows)
-    bad = [(_rebuild(trajs, control_points=np.zeros((2, 1, D_A))),
-            f"control points (1, 2) {points}"),
+            f"start (4,) and control points (10, 3) {fit}"),
+           (_rebuild(trajs, control_points=np.zeros((2, 1, D_A))),
+            f"start (4,) and control points (1, 2) {fit}"),
            (_rebuild(trajs, control_points=np.zeros((2, 11, D_A))),
-            f"control points (11, 2) {points}"),
-           (_rebuild(trajs, states=np.zeros((2, 12, D_S))),
-            "states (12, 4) are not one longer than actions (10, 2)"),
-           (_rebuild(trajs, actions=wide), f"actions (10, 3) {plans} in the 2 dimensions"),
-           (stack(make_traj(horizon=12, seed=i) for i in range(2)), f"actions (12, 2) {plans}"),
-           (make_traj(horizon=12)[:0], f"actions (12, 2) {plans}")]
+            f"start (4,) and control points (11, 2) {fit}")]
     for trajectories, message in bad:
         with pytest.raises(ValueError, match=re.escape(f"trajectories: {message}")):
-            stored_rows(trajectories, 10)
+            serialize(make_manifest(chunk_len=4), str(tmp_path / "out"),
+                      to_stored(trajectories))
     # a plan of one step has no two control points to store
     one = make_traj(horizon=1)
-    with pytest.raises(ValueError, match=re.escape("control points (1, 2) are not 2 <= M <= T 1")):
-        stored_rows(one, 1)
+    message = "control points (1, 2) do not fit point_reach (d_s 4, d_a 2, 2 <= M <= T 1)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        serialize(fitting_manifest(one), str(tmp_path / "out"), to_stored(one))
     assert list(tmp_path.iterdir()) == []
     serialize(make_manifest(chunk_len=4), str(tmp_path / "out"), to_stored(trajs))
     assert len(load_trajectories(str(tmp_path / "out"))) == 2
@@ -1001,37 +992,21 @@ def test_serialize_refuses_a_trajectory_table(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_stored_rows_are_the_table_with_its_start_states():
+def test_stored_table_holds_the_columns_it_is_given():
     trajs = stack(make_traj(seed=i, variant=i, m_points=4) for i in range(3))
-    rows = stored_rows(trajs, 10)
+    rows = stored_table(trajs["variant"], trajs["success"], trajs["friction_scale"],
+                        trajs["states"][:, 0], trajs["control_points"])
     assert rows.dtype.names == ("variant", "success", "friction_scale", "start",
                                 "control_points")
     assert same_table(rows["start"], trajs["states"][:, 0])
     for name in ("variant", "success", "friction_scale", "control_points"):
         assert same_table(rows[name], trajs[name])
-
-
-def test_stored_rows_refuses_control_points_that_do_not_decode_to_the_actions(tmp_path,
-                                                                              monkeypatch):
-    # checked block by block, bitwise; the error names the first row whose
-    # actions are not its decoded points
-    monkeypatch.setattr(envs, "ROLLOUT_BLOCK", 4)
-    trajs = stack(make_traj(seed=i, m_points=4) for i in range(11))
-    serialize(make_manifest(), str(tmp_path / "ok"), stored_rows(trajs, 10))
-    assert same_table(load_trajectories(str(tmp_path / "ok")), trajs)
-    for rows in ([9], [6, 9], [0, 5], [10]):
-        bad = trajs.copy()
-        for row in rows:        # one ulp off in one action
-            bad["actions"][row, 3, 1] = np.nextafter(bad["actions"][row, 3, 1], np.inf)
-        message = f"trajectories: row {rows[0]}: its actions are not its control points"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            stored_rows(bad, 10)
-    # equal values are not enough: with M = T, the points are the actions,
-    # and 0.0 is not the bits of -0.0
-    bad = stack(make_traj(seed=i) for i in range(3))
-    bad["actions"][2, 0, 0], bad["control_points"][2, 0, 0] = 0.0, -0.0
-    with pytest.raises(ValueError, match=re.escape("trajectories: row 2: its actions")):
-        stored_rows(bad, 10)
+    # one variant and one success for every row, and no rows at all
+    rows = stored_table(5, False, trajs["friction_scale"], trajs["states"][:, 0],
+                        trajs["control_points"])
+    assert rows["variant"].tolist() == [5] * 3 and not rows["success"].any()
+    none = stored_table(5, True, (), np.empty((0, D_S)), np.empty((0, 4, D_A)))
+    assert none.dtype == rows.dtype and len(none) == 0
 
 
 @pytest.mark.parametrize("points", [(1, D_A), (11, D_A), (10, D_A + 1), (4, D_A - 1)])

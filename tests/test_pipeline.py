@@ -8,19 +8,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from recovergen import envs, pipeline
+from recovergen import envs, pipeline, sampler
+from recovergen.cli import main as cli_main
 from recovergen.config import PipelineConfig
 from recovergen.curator import state_distances
 from recovergen.dataset_io import (DatasetFormatError, DatasetManifest, dataset_stats,
                                    deserialize, export_pairs, load_trajectories,
                                    open_dataset, read_manifest, rebuild_trajectories,
-                                   record_dtype, serialize, stored_rows)
+                                   record_dtype, serialize, stored_table)
 from recovergen.envs import (augmented_demo_actions, make_env, rollout, rollout_batch,
                              trajectory_table)
 from recovergen.geometry import Pose
 from recovergen.pipeline import (PipelineError, _run_variants, compare_replay,
                                  evaluate_replay, run_pgdg, run_spatial_only,
                                  run_variant, sample_variant_poses)
+from test_dataset import to_stored
 
 
 def fast_cfg(out_dir, **kw):
@@ -143,10 +145,26 @@ def test_lockstep_variants_equal_one_at_a_time():
         _assert_variant_results_equal(a, b)
     # relabeling reuses each curated trajectory's distances: they must be
     # the bits a fresh computation gives on its rebuilt states
-    for v in (v for v in together if not v.skipped):
+    for v in together:
         for traj, d in zip(rebuild_trajectories(v.curated, env), v.distances):
             fresh = state_distances(traj["states"], v.expert_states, env.psi, env.psi_scales)
             assert _bits(d) == _bits(fresh)
+
+
+def test_a_starved_variant_returns_no_stored_rows():
+    # seed 7 at the defaults: variant 2 starves, and its curated rows are a
+    # table of no rows in the layout of the others, which rebuilds to none
+    cfg = PipelineConfig(seed=7, jobs=1)
+    env = make_env(cfg.env)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_variants + 2)
+    poses = sample_variant_poses(env, cfg, np.random.default_rng(seeds[0]))
+    variants = _run_variants(env, cfg, poses, seeds[1:1 + cfg.n_variants])
+    assert [v.skipped for v in variants] == [False, False, True, False]
+    rebuilt = [rebuild_trajectories(v.curated, env) for v in variants]
+    assert [len(t) for t in rebuilt] == [len(v.curated) for v in variants]
+    assert len(rebuilt[2]) == len(variants[2].distances) == 0
+    assert len({v.curated.dtype for v in variants}) == 1
+    assert all(v.distances.shape[1:] == (env.horizon + 1,) for v in variants)
 
 
 def test_workers_return_stored_rows():
@@ -166,7 +184,7 @@ def test_workers_return_stored_rows():
                     ("control_points", "<f8", (cfg.sampler.m_points, env.action_dim))])
     assert row.itemsize == 585
     live = [v for v in results if not v.skipped]
-    assert len(live) == 3 and all(v.curated.dtype == row for v in live)
+    assert len(live) == 3 and all(v.curated.dtype == row for v in results)
     n = sum(len(v.curated) for v in results)
     assert n == 146
     assert len(pickle.dumps(results)) <= n * (585 + 8 * (env.horizon + 1)) + 8192 * len(results)
@@ -307,8 +325,8 @@ def replay_dataset(out_dir, n, n_records, seed=0):
     actions = (augmented_demo_actions(env, Pose(), 10)
                + rng.normal(0.0, 0.002, (n, env.horizon, env.action_dim)))
     friction = env.sample_friction(rng, n)
-    states, success = rollout_batch(env, np.repeat(env.reset(Pose())[None], n, axis=0),
-                                    actions, friction)
+    s0s = np.repeat(env.reset(Pose())[None], n, axis=0)
+    states, success = rollout_batch(env, s0s, actions, friction)
     records = np.empty(n_records, record_dtype(2 * env.state_dim, (H, env.action_dim)))
     records["traj"] = rng.integers(0, n, n_records)
     records["t"] = rng.integers(0, env.horizon - H + 1, n_records) // 5 * 5
@@ -317,8 +335,7 @@ def replay_dataset(out_dir, n, n_records, seed=0):
     records["chunk"] = (actions[records["traj"][:, None], records["t"][:, None] + np.arange(H)]
                         + rng.normal(0.0, 0.01, records["chunk"].shape))
     serialize(DatasetManifest(env_name=env.name), str(out_dir),
-              stored_rows(trajectory_table(states, actions, success, friction), env.horizon),
-              records)
+              stored_table(0, success, friction, s0s, actions), records)
     return str(out_dir)
 
 
@@ -489,47 +506,73 @@ def test_trajectories_file_stores_each_start_state_not_the_states(tmp_path):
                                   "empty"])
 def test_readers_return_the_written_table_bit_for_bit(tmp_path, monkeypatch, case):
     # the states and actions are not stored: the readers rebuild them, and
-    # every trajectory table the package turns into stored rows reads back
-    # with the bits it had, also when the variants ran in two worker
-    # processes
-    out, written, tables = str(tmp_path / "ds"), [], []
+    # every row that the sampler or the baseline rolled out and the run
+    # stored reads back with the plan and states it was rolled out with,
+    # also when the variants ran in two worker processes
+    out, written, rolled = str(tmp_path / "ds"), [], []
 
     def serialize_recording(manifest, out_dir, trajectories, records=None):
         written.append((manifest, trajectories, records))
         return serialize(manifest, out_dir, trajectories, records)
 
-    def stored_rows_recording(table, horizon):
-        tables.append(table)
-        return stored_rows(table, horizon)
+    def sample_recording(env, pose, *args, _real=sampler.sample_successes):
+        batch = yield from _real(env, pose, *args)
+        rolled.append((pose, batch))
+        return batch
+
+    def rollout_recording(env, s0s, actions, friction):
+        states, success = rollout_batch(env, s0s, actions, friction)
+        rolled.append(trajectory_table(states, actions, success, friction,
+                                       np.arange(len(s0s))))
+        return states, success
 
     monkeypatch.setattr(pipeline, "serialize", serialize_recording)
-    monkeypatch.setattr(pipeline, "stored_rows", stored_rows_recording)
+    monkeypatch.setattr(sampler, "sample_successes", sample_recording)
+    monkeypatch.setattr(pipeline, "rollout_batch", rollout_recording)
+    report = None
     if case == "generate":
-        run_pgdg(PipelineConfig(out_dir=out, seed=7))
+        report = run_pgdg(PipelineConfig(out_dir=out, seed=7))
     elif case == "generate-jobs-2":
-        # the workers convert their tables in their own processes; a
-        # one-process run of the same configuration records the same tables
+        # the workers sample in their own processes; a one-process run of
+        # the same configuration records the same batches
         wide = dict(seed=13, n_variants=8, samples=128)
-        run_pgdg(PipelineConfig(out_dir=str(tmp_path / "jobs-1"), jobs=1, **wide))
+        report = run_pgdg(PipelineConfig(out_dir=str(tmp_path / "jobs-1"), jobs=1, **wide))
         written.clear()
         run_pgdg(PipelineConfig(out_dir=out, jobs=2, **wide))
     elif case == "baseline":     # under randomized friction, some rollouts fail
         run_spatial_only(PipelineConfig(out_dir=out, seed=7, n_variants=40))
     elif case == "point_reach":
-        run_pgdg(fast_cfg(out))
+        report = run_pgdg(fast_cfg(out))
     else:
-        pipeline.serialize(DatasetManifest(env_name=PLANAR.name), out, pipeline.stored_rows(
-            trajectory_table(np.empty((0, PLANAR.horizon + 1, PLANAR.state_dim)),
-                             np.empty((0, PLANAR.horizon, PLANAR.action_dim)), [], 1.0),
-            PLANAR.horizon))
+        pipeline.serialize(DatasetManifest(env_name=PLANAR.name), out, stored_table(
+            0, True, (), np.empty((0, PLANAR.state_dim)),
+            np.empty((0, PLANAR.horizon, PLANAR.action_dim))))
+        # what was rolled out: no rows
+        rolled.append(trajectory_table(np.empty((0, PLANAR.horizon + 1, PLANAR.state_dim)),
+                                       np.empty((0, PLANAR.horizon, PLANAR.action_dim)), [],
+                                       1.0))
     ((manifest, rows, records),) = written
-    # the variant loops run in lockstep, so their batches interleave: the
-    # stored rows hold each variant's batches in turn
-    table = np.concatenate(sorted(tables, key=lambda t: t["variant"][:1].tolist()))
-    assert rows.tobytes() == stored_rows(table, table.dtype["actions"].shape[0]).tobytes()
+    got = load_trajectories(out)
+    if report is None:
+        (table,) = rolled
+    else:
+        # each stored row is one sampled success, found by its control
+        # points; the variants' rows are stored in variant order
+        poses = [v.pose for v in report.variants]
+        drawn = {points.tobytes(): (poses.index(pose), batch, i) for pose, batch in rolled
+                 for i, points in enumerate(batch.plans.control_points)}
+        hits = [drawn[points.tobytes()] for points in got["control_points"]]
+        assert len({points.tobytes() for points in got["control_points"]}) == len(got)
+        assert len(got) == manifest.n_selected and np.all(np.diff(got["variant"]) >= 0)
+        table = trajectory_table(
+            np.array([batch.states[i] for _, batch, i in hits]),
+            np.array([batch.plans.actions[i] for _, batch, i in hits]), True,
+            np.array([batch.plans.friction[i] for _, batch, i in hits]),
+            np.array([v for v, _, _ in hits]),
+            np.array([batch.plans.control_points[i] for _, batch, i in hits]))
+    assert rows.tobytes() == to_stored(table).tobytes()
     assert (len(table) > 0) == (case != "empty")
     assert bool(np.any(~table["success"])) == (case == "baseline")
-    got = load_trajectories(out)
     assert got.dtype == table.dtype and got.tobytes() == table.tobytes()
     pairs, _ = deserialize(out)
     curated = export_pairs(table["states"], table["actions"], manifest.chunk_len,
@@ -541,6 +584,27 @@ def test_readers_return_the_written_table_bit_for_bit(tmp_path, monkeypatch, cas
     else:
         assert pairs.relabeled.dtype == records.dtype
         assert pairs.relabeled.tobytes() == records.tobytes()
+
+
+def test_every_stored_row_is_one_draw(tmp_path, monkeypatch):
+    # each row of trajectories.npy holds the control points, friction scale
+    # and start state of one draw of the sampler, bit for bit
+    draws = {}
+
+    def draw_recording(*args, _real=sampler.draw_plans):
+        plans = _real(*args)
+        for points, friction, s0 in zip(plans.control_points, plans.friction, plans.s0s):
+            draws[points.tobytes()] = (friction.tobytes(), s0.tobytes())
+        return plans
+
+    monkeypatch.setattr(sampler, "draw_plans", draw_recording)
+    assert cli_main(["generate", "--seed", "7", "--out", str(tmp_path)]) == 0
+    rows = np.load(tmp_path / "trajectories.npy", allow_pickle=False)
+    assert len(rows) == read_manifest(str(tmp_path)).n_selected == 146
+    assert len(draws) == read_manifest(str(tmp_path)).n_generated
+    for row in rows:
+        assert draws[row["control_points"].tobytes()] == (row["friction_scale"].tobytes(),
+                                                          row["start"].tobytes())
 
 
 def test_compare_replay_gap(tmp_path):

@@ -5,13 +5,14 @@ import pytest
 from recovergen import dataset_io, envs, pipeline, relabel
 from recovergen.config import PipelineConfig, RelabelConfig
 from recovergen.curator import TubeBounds, state_distances
-from recovergen.dataset_io import deserialize, rebuild_trajectories, stored_rows
+from recovergen.dataset_io import deserialize, rebuild_trajectories
 from recovergen.envs import (PlanarBlockRotate, PointReach,
                              augmented_demo_actions, lockstep, rollout,
                              rollout_with_resume, trajectory_table)
 from recovergen.geometry import Pose
 from recovergen.relabel import (RelabelPoint, _score, cem_optimize, relabel_cost,
                                 relabel_dataset, select_risky_states)
+from test_dataset import to_stored
 
 IDENT = lambda s: np.asarray(s, dtype=float)  # noqa: E731
 
@@ -21,12 +22,6 @@ def risks(curated, expert_states, psi=IDENT, scales=(1.0,)):
     keeps them for relabeling."""
     return [state_distances(traj.states, expert, psi, scales)
             for traj, expert in zip(curated, expert_states)]
-
-
-def stored(trajs, env):
-    """The trajectory table rows ``trajs`` as the stored rows that
-    ``relabel_dataset`` takes."""
-    return stored_rows(np.array(trajs), env.horizon)
 
 
 def line_traj(values, success=True):
@@ -370,8 +365,8 @@ def test_stopped_points_leave_the_batch_and_the_rest_run_as_alone(monkeypatch):
         return _rollout_batch(env, s0s, *args)
 
     monkeypatch.setattr(envs, "rollout_batch", counted)
-    targets = relabel_dataset(stored([traj], env), env, [tube], cfg, np.random.default_rng(3),
-                              [expert], dists)
+    targets = relabel_dataset(to_stored(np.array([traj])), env, [tube], cfg,
+                              np.random.default_rng(3), [expert], dists)
     batched = rows[:]
     points = select_risky_states(dists, 3, cfg.horizon, cfg.horizon)
     alone, iterations = [], []
@@ -493,7 +488,7 @@ def test_zero_init_std_and_min_sep_take_their_auto_values():
         tube = TubeBounds(0.0, 0.05)
         return [((r["traj"], r["t"]), r["chunk"].tobytes(),
                  relabel_cost(r["chunk"], traj, r["t"], tube, env, cfg, expert))
-                for r in relabel_dataset(stored([traj], env), env, [tube], cfg,
+                for r in relabel_dataset(to_stored(np.array([traj])), env, [tube], cfg,
                                          np.random.default_rng(3), [expert], dists)]
 
     auto = targets()
@@ -536,7 +531,7 @@ def test_relabel_dataset_equals_points_optimized_one_at_a_time(monkeypatch):
     noise = np.random.default_rng(8).normal(0.0, 0.002, (2, *traj.actions.shape))
     trajs = [traj] + [rollout(env, traj.states[0], traj.actions + e, traj.friction_scale)
                       for e in noise]
-    curated = stored(trajs, env)
+    curated = to_stored(np.array(trajs))
     cfg = RelabelConfig(k_rel=5, population=12, cem_iterations=3, init_std=0.005,
                         horizon=15)
     tube = TubeBounds(0.0, 0.05)
@@ -579,7 +574,7 @@ def test_relabel_dataset_targets_validate_and_separate():
     env, traj, expert = _block_fixture()
     cfg = RelabelConfig(k_rel=4, population=16, cem_iterations=3, init_std=0.005,
                         horizon=15)
-    targets = relabel_dataset(stored([traj], env), env, [TubeBounds(0.0, 100.0)], cfg,
+    targets = relabel_dataset(to_stored(np.array([traj])), env, [TubeBounds(0.0, 100.0)], cfg,
                               np.random.default_rng(3), [expert],
                               risks([traj], [expert], env.psi, env.psi_scales))
     assert 0 < len(targets) <= 4
@@ -623,7 +618,7 @@ def test_relabel_dataset_deterministic():
                         horizon=15)
     runs = []
     for _ in range(2):
-        tgts = relabel_dataset(stored([traj], env), env, [TubeBounds(0.0, 100.0)], cfg,
+        tgts = relabel_dataset(to_stored(np.array([traj])), env, [TubeBounds(0.0, 100.0)], cfg,
                                np.random.default_rng(5), [expert],
                                risks([traj], [expert], env.psi, env.psi_scales))
         runs.append(tgts)

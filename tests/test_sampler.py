@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recovergen.envs import PlanarBlockRotate, PointReach, augmented_demo_actions
+from recovergen.envs import (PlanarBlockRotate, PointReach, augmented_demo_actions,
+                             rollout_batch)
 from recovergen.geometry import Pose
 from recovergen.sampler import (Proposal, decode, draw_plans, fit_control_points,
                                 generate_success_batch, init_proposal,
@@ -246,12 +247,18 @@ def test_success_batch_members_revalidate():
     batch = generate_success_batch(env, env.demo_object_pose(), q, 30,
                                    np.random.default_rng(1))
     assert 0 < len(batch) <= 30
-    table = batch.table
-    assert table["success"].all() and np.all(table["variant"] == 0)
-    assert env.success_batch(table["states"][:, -1]).all()  # re-evaluation agrees
+    plans, states = batch.plans, batch.states
+    assert all(len(column) == len(batch) for column in plans)
+    assert env.success_batch(states[:, -1]).all()  # re-evaluation agrees
+    assert np.array_equal(states[:, 0], plans.s0s)
+    # the rows are the draws whose rollouts succeed, in draw order
+    drawn = draw_plans(env, env.demo_object_pose(), q, 30, np.random.default_rng(1))
+    ok = rollout_batch(env, drawn.s0s, drawn.actions, drawn.friction)[1]
+    for column, kept in zip(drawn, plans):
+        assert column[ok].tobytes() == kept.tobytes()
     # each row's control points are the draw its actions decode from
-    assert table["control_points"].shape == (len(batch), 6, 2)
-    for c, actions in zip(table["control_points"], table["actions"]):
+    assert plans.control_points.shape == (len(batch), 6, 2)
+    for c, actions in zip(plans.control_points, plans.actions):
         assert np.array_equal(decode(c, env.horizon), actions)
 
 
@@ -265,11 +272,11 @@ def test_stored_control_points_fix_the_actions():
     w = interp_matrix(env.horizon, 16)
     rows = 0
     for seed in range(5):
-        table = generate_success_batch(env, env.demo_object_pose(), q, 64,
-                                       np.random.default_rng(seed)).table
-        points, actions = table["control_points"], table["actions"]
-        rows += len(table)
-        assert points.shape == (len(table), 16, 4)
+        plans = generate_success_batch(env, env.demo_object_pose(), q, 64,
+                                       np.random.default_rng(seed)).plans
+        points, actions = plans.control_points, plans.actions
+        rows += len(points)
+        assert points.shape == (len(actions), 16, 4)
         assert (w @ points).tobytes() == actions.tobytes()
         assert decode(points, env.horizon).tobytes() == actions.tobytes()
         for c, plan in zip(points, actions):
@@ -296,5 +303,6 @@ def test_success_batch_deterministic():
                                np.random.default_rng(2))
     b = generate_success_batch(env, env.demo_object_pose(), q, 20,
                                np.random.default_rng(2))
-    assert len(a) == len(b)
-    assert a.table.dtype == b.table.dtype and a.table.tobytes() == b.table.tobytes()
+    assert len(a) == len(b) and a.n_sampled == b.n_sampled
+    for x, y in zip((*a.plans, a.states), (*b.plans, b.states)):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
