@@ -8,10 +8,10 @@ Layout under the output directory (dataset format 7):
   counts of the arrays
 * ``trajectories.npy``  -- one row per curated trajectory, with the fields
   ``variant`` ``<i8``, ``success`` ``?``, ``friction_scale`` ``<f8``,
-  ``start`` ``<f8 (d_s,)`` and ``control_points`` ``<f8 (M, d_a)``: a
-  trajectory table's columns, with its start state in place of its states
-  and actions; M is read from the dtype, 2 <= M <= T, and T is the
-  ``horizon`` of the manifest's environment
+  ``start`` ``<f8 (d_s,)`` and ``control_points`` ``<f8 (M, d_a)``: the
+  stored rows, each trajectory's start state and the control points of its
+  plan in place of its states and actions; M is read from the dtype,
+  2 <= M <= T, and T is the ``horizon`` of the manifest's environment
 * ``records.npy``       -- one row per relabeled supervision pair, with the
   fields ``traj`` ``<i8``, ``t`` ``<i8``, ``obs`` ``<f8 (2 d_s,)`` and
   ``chunk`` ``<f8 (H, d_a)``; the table ``relabel_dataset`` returns, written
@@ -26,13 +26,14 @@ A trajectory's plan is a pure function of its control points
 scale, so neither is stored.  ``stored_table`` builds the stored rows from
 those columns: the variant loops build them from their draws, whose actions
 are decoded from the control points, and the baseline from its plans, as
-M = T control points; it is the form ``serialize`` writes.
-``rebuild_trajectories`` turns stored rows into the trajectory table,
+M = T control points; it is the form ``serialize`` writes and
+``load_trajectories`` returns.  ``rebuild_trajectories`` turns stored rows
+into plain arrays, their plans (n, T, d_a) and states (n, T+1, d_s),
 decoding the plans and rolling them out block by block, for
-``deserialize``, ``load_trajectories`` and relabeling.  Its plans and
-states are the ones the rows were rolled out with, bit for bit, when the
-rebuild runs under the numpy dispatch and OpenBLAS core of the run that
-wrote them.  A curated pair is the window ``observe(states[t], states[0])``,
+``deserialize`` and relabeling.  The plans and states are the ones the
+rows were rolled out with, bit for bit, when the rebuild runs under the
+numpy dispatch and OpenBLAS core of the run that wrote them.  A curated
+pair is the window ``observe(states[t], states[0])``,
 ``actions[t:t + chunk_len]`` of a trajectory, so it is not stored either:
 ``deserialize`` returns ``Pairs``, the curated windows rebuilt from the
 trajectories by ``export_pairs`` and the loaded ``records.npy`` table, two
@@ -61,14 +62,14 @@ from typing import (IO, Callable, Dict, Iterable, List, Optional, Tuple, get_ori
 import numpy as np
 
 from .config import key_value_lines
-from .envs import TRAJECTORY_FIELDS, Environment, blocks, make_env, rollout_batch
+from .envs import Environment, blocks, make_env, rollout_batch
 from .sampler import decode
 
 
 FORMAT = 7   # the one dataset format this module writes and reads
 
-# the fields of trajectories.npy and of records.npy, as ``TRAJECTORY_FIELDS``:
-# field -> (dtype, axes per row), in file order
+# the fields of trajectories.npy and of records.npy: field -> (dtype, axes
+# per row), in file order
 _STORED_FIELDS = {"variant": ("<i8", 0), "success": ("?", 0),
                   "friction_scale": ("<f8", 0), "start": ("<f8", 1),
                   "control_points": ("<f8", 2)}
@@ -287,43 +288,25 @@ def stored_table(variant, success, friction, start, control_points) -> np.ndarra
     return table
 
 
-def _unpacked(stored: np.ndarray, env: Environment) -> np.ndarray:
-    """A trajectory table of the stored rows ``stored`` under ``env``, with
-    their columns, control points and start states; its plans and later
-    states are left for ``_rolled_out``."""
-    table = np.empty(len(stored), _dtype(TRAJECTORY_FIELDS, {
-        "variant": (), "success": (), "friction_scale": (),
-        "states": (env.horizon + 1, env.state_dim), "actions": (env.horizon, env.action_dim),
-        "control_points": stored.dtype["control_points"].shape}))
-    for name in ("variant", "success", "friction_scale", "control_points"):
-        table[name] = stored[name]
-    table["states"][:, 0] = stored["start"]
-    return table
-
-
-def _rolled_out(table: np.ndarray, env: Environment) -> np.ndarray:
-    """``table`` (``_unpacked``) with each row's plan decoded from its
-    control points and its states rolled out by ``rollout_batch`` from its
-    start state under that plan and its friction scale, in blocks of at
-    most ``envs.ROLLOUT_BLOCK`` rows, so memory is the table plus one
-    block's arrays."""
+def rebuild_trajectories(stored: np.ndarray, env: Environment
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+    """The plans (n, T, d_a) and states (n, T+1, d_s) of the stored rows
+    ``stored`` under ``env``: each row's plan decoded from its control
+    points and its states rolled out by ``rollout_batch`` from its start
+    state under that plan and its friction scale, in blocks of at most
+    ``envs.ROLLOUT_BLOCK`` rows, so memory is the two arrays plus one
+    block's.  Rows are independent, so a row's plan and states have the
+    bits it was rolled out with, in any block and among any rows."""
+    n, horizon = len(stored), env.horizon
+    actions = np.empty((n, horizon, env.action_dim))
+    states = np.empty((n, horizon + 1, env.state_dim))
     # a stored value may be infinite or NaN: its rollout is no fault of reading
     with np.errstate(all="ignore"):
-        for rows in blocks(len(table)):
-            actions = table["actions"][rows] = decode(table["control_points"][rows],
-                                                      env.horizon)
-            table["states"][rows] = rollout_batch(env, table["states"][rows, 0], actions,
-                                                  table["friction_scale"][rows])[0]
-    return table
-
-
-def rebuild_trajectories(stored: np.ndarray, env: Environment) -> np.ndarray:
-    """The trajectory table of the stored rows ``stored`` under ``env``:
-    each row's plan decoded from its control points and its states rebuilt
-    by ``rollout_batch`` from its start state, block by block.  Rows are
-    independent, so a row's plan and states have the bits it was rolled
-    out with, in any block and among any rows."""
-    return _rolled_out(_unpacked(stored, env), env)
+        for rows in blocks(n):
+            actions[rows] = decode(stored["control_points"][rows], horizon)
+            states[rows] = rollout_batch(env, stored["start"][rows], actions[rows],
+                                         stored["friction_scale"][rows])[0]
+    return actions, states
 
 
 def _n_windows(n: int, horizon: int, chunk_len: int) -> int:
@@ -385,12 +368,12 @@ def serialize(manifest: DatasetManifest, out_dir: str, trajectories: np.ndarray,
 
     Raises ValueError before any file is written when either table fails
     the check every reader runs (``_misfit``): a table of another layout,
-    such as a trajectory table with its states and actions, shapes that do
-    not fit the manifest's environment, or a ``chunk_len`` or relabeled
-    record's chunk that does not fit the trajectories.  Each file goes to a
-    temporary file first; they are renamed into place only once all are
-    complete, the manifest last, since it pins the row counts of the
-    others.  So a failure while writing any file leaves the previous
+    such as one with states and actions in place of start states, shapes
+    that do not fit the manifest's environment, or a ``chunk_len`` or
+    relabeled record's chunk that does not fit the trajectories.  Each file
+    goes to a temporary file first; they are renamed into place only once
+    all are complete, the manifest last, since it pins the row counts of
+    the others.  So a failure while writing any file leaves the previous
     dataset whole and readable."""
     records = _NO_RECORDS if records is None else records
     env = _manifest_env(manifest)
@@ -462,33 +445,20 @@ def open_dataset(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray
     return manifest, env, trajectories, records
 
 
-def _open_trajectories(out_dir: str) -> Tuple[DatasetManifest, Environment, np.ndarray,
-                                               np.ndarray]:
-    """``open_dataset``, with the trajectory table the stored rows were
-    made of (``rebuild_trajectories``) in place of the stored rows.  The
-    loaded rows are dropped once copied into the table, before its plans
-    and states are filled, so memory is the table plus the larger of the
-    loaded rows and one block's arrays."""
-    manifest, env, stored, records = open_dataset(out_dir)
-    table = _unpacked(stored, env)
-    del stored
-    return manifest, env, _rolled_out(table, env), records
-
-
 def deserialize(out_dir: str) -> Tuple[Pairs, DatasetManifest]:
     """Every supervision pair: the curated windows rebuilt from the
     trajectories by ``export_pairs``, and the ``records.npy`` table."""
-    manifest, env, trajectories, relabeled = _open_trajectories(out_dir)
-    curated = export_pairs(trajectories["states"], trajectories["actions"],
-                           manifest.chunk_len, env.observe)
+    manifest, env, stored, relabeled = open_dataset(out_dir)
+    actions, states = rebuild_trajectories(stored, env)
+    curated = export_pairs(states, actions, manifest.chunk_len, env.observe)
     return Pairs(curated, relabeled), manifest
 
 
 def load_trajectories(out_dir: str) -> np.recarray:
-    """The trajectory table, its actions and states rebuilt, checked as
-    ``open_dataset`` checks the dataset, as a record array: its rows'
-    fields read as attributes."""
-    return _open_trajectories(out_dir)[2].view(np.recarray)
+    """The stored trajectory rows, checked as ``open_dataset`` checks the
+    dataset, as a record array: its rows' fields read as attributes.  Their
+    plans and states are ``rebuild_trajectories`` of them."""
+    return open_dataset(out_dir)[2].view(np.recarray)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,8 @@ pure function of its inputs; ``friction`` is one float for every row or an
 ``rollout_batch`` runs open-loop plans for many rows, each for its own
 number of steps, longest first, and ``success_batch`` evaluates the
 success predicate on final states.  ``rollout`` and
-``rollout_with_resume`` are its one-row forms; each returns its rollout as
-a row of a trajectory table (``trajectory_table``, with the fields
-``TRAJECTORY_FIELDS``: the variant, success, friction scale, states,
-actions and control points of each rollout).
+``rollout_with_resume`` are its one-row forms; each returns its one row's
+states (L+1, d_s) and success.
 ``lockstep`` runs generators of rollout requests (the variant loops, the
 CEM relabel points) together, with one ``rollout_batch`` call per round
 for all the live ones, their requests ordered longest plan first.
@@ -44,11 +42,6 @@ import numpy as np
 
 from .geometry import Pose, reanchor_trajectory
 
-
-# the row format of a trajectory table: field -> (dtype, axes per row)
-TRAJECTORY_FIELDS = {"variant": ("<i8", 0), "success": ("?", 0),
-                     "friction_scale": ("<f8", 0), "states": ("<f8", 2),
-                     "actions": ("<f8", 2), "control_points": ("<f8", 2)}
 
 # most rows per block when stored plans are decoded or replayed: a reader
 # holds one block's control points, plans and states beside its
@@ -83,35 +76,6 @@ def _rows(friction, n: int) -> np.ndarray:
         raise ValueError(f"expected one friction scale or one per row ({n}), "
                          f"got shape {friction.shape}")
     return np.broadcast_to(friction, (n,))
-
-
-def trajectory_table(states, actions, success, friction, variant=0,
-                     control_points=None) -> np.ndarray:
-    """A trajectory table, one row per full-episode rollout, with the
-    fields of ``TRAJECTORY_FIELDS``: states (n, T+1, d_s), actions
-    (n, T, d_a), success and an integer variant per row or for all, the
-    friction scale as ``rollout_batch`` takes it, and the control points
-    (n, M, d_a) that each row's actions decode from (``sampler.decode``);
-    by default the actions themselves, as M = T points.  Shapes that do not
-    fit together raise ValueError, a variant that is not an integer
-    TypeError."""
-    states, actions = np.asarray(states, dtype=float), np.asarray(actions, dtype=float)
-    points = actions if control_points is None else np.asarray(control_points, dtype=float)
-    n = len(states)
-    columns = {"variant": np.asarray(variant).astype("<i8", casting="safe"),
-               "success": success, "friction_scale": _rows(friction, n),
-               "states": states, "actions": actions, "control_points": points}
-    if states.ndim != 3 or actions.ndim != 3 or points.ndim != 3 \
-            or len(actions) != n or len(points) != n \
-            or states.shape[1] != actions.shape[1] + 1 or points.shape[2] != actions.shape[2]:
-        raise ValueError(f"need states (n, T+1, d_s), actions (n, T, d_a) and control "
-                         f"points (n, M, d_a), got {states.shape}, {actions.shape} and "
-                         f"{points.shape}")
-    table = np.empty(n, [(name, dtype, columns[name].shape[1:] if axes else ())
-                         for name, (dtype, axes) in TRAJECTORY_FIELDS.items()])
-    for name, col in columns.items():
-        table[name] = col
-    return table
 
 
 class Environment:
@@ -289,9 +253,9 @@ def lockstep(env: Environment, loops: Sequence[Generator[Request, Reply, Any]]) 
 
 
 def rollout(env: Environment, s0: np.ndarray, actions: np.ndarray,
-            friction: float) -> np.record:
+            friction: float) -> Tuple[np.ndarray, bool]:
     """Execute a full-episode open-loop plan and evaluate success; returns
-    its trajectory table row as a record, whose fields read as attributes."""
+    its states (T+1, d_s) and success, ``rollout_batch``'s one row."""
     actions = np.asarray(actions, dtype=float)
     if actions.shape != (env.horizon, env.action_dim):
         raise ValueError(
@@ -300,7 +264,8 @@ def rollout(env: Environment, s0: np.ndarray, actions: np.ndarray,
 
 
 def rollout_with_resume(env: Environment, s_t: np.ndarray, prefix: np.ndarray,
-                        reference_suffix: np.ndarray, friction: float) -> np.record:
+                        reference_suffix: np.ndarray, friction: float
+                        ) -> Tuple[np.ndarray, bool]:
     """Apply a corrective prefix from s_t, then resume the reference plan;
     success is evaluated on the full continuation, returned as
     ``rollout`` returns it."""
@@ -312,12 +277,13 @@ def rollout_with_resume(env: Environment, s_t: np.ndarray, prefix: np.ndarray,
     return _rollout_row(env, s_t, np.concatenate([prefix, suffix], axis=0), friction)
 
 
-def _rollout_row(env: Environment, s0, actions: np.ndarray, friction: float) -> np.record:
+def _rollout_row(env: Environment, s0, actions: np.ndarray,
+                 friction: float) -> Tuple[np.ndarray, bool]:
     # the one-row forms share this tail rather than call each other, so a
     # traced run counts each of their rollouts once
     states, success = rollout_batch(env, np.asarray(s0, dtype=float)[None], actions[None],
                                     friction)
-    return trajectory_table(states, actions[None], success, friction).view(np.recarray)[0]
+    return states[0], bool(success[0])
 
 
 @dataclass(frozen=True)

@@ -293,10 +293,11 @@ def run_spatial_only(cfg: PipelineConfig) -> RunReport:
     manifest.n_successful = int(np.sum(success))
     manifest.n_selected = len(poses)      # every rollout is stored
     # each plan is stored as M = T control points: its actions
-    serialize(manifest, cfg.out_dir,
-              stored_table(np.arange(len(poses)), success, friction, s0s, actions))
+    curated = stored_table(np.arange(len(poses)), success, friction, s0s, actions)
+    serialize(manifest, cfg.out_dir, curated)
 
-    report = RunReport(variants=[VariantResult(index=i, pose=pose)
+    # each variant keeps a view of its one stored row
+    report = RunReport(variants=[VariantResult(index=i, pose=pose, curated=curated[i:i + 1])
                                  for i, pose in enumerate(poses)], manifest=manifest)
     _write_report(cfg.out_dir, report)
     report.wall_time_s = time.perf_counter() - t0

@@ -4,7 +4,8 @@ cross-entropy method under a full-episode success check.  The curated
 trajectories come as stored rows (``dataset_io.stored_table``), and the risk
 of a state is its distance to the expert, one (n, T+1) array over them, as
 the variant loops computed it; only the chosen points' trajectories are
-rebuilt (``dataset_io.rebuild_trajectories``), in one rollout batch.
+rebuilt (``dataset_io.rebuild_trajectories``), in one rollout batch, as
+plain plan (T, d_a) and state (T+1, d_s) arrays.
 
 A corrective chunk is only emitted when its full continuation (chunk
 followed by the original plan's remainder) succeeded when it was scored,
@@ -77,9 +78,9 @@ def select_risky_states(distances: np.ndarray, k_rel: int, min_sep: int,
     return chosen
 
 
-# one relabel point's fixed context: (its trajectory's table row, timestep,
-# tube, expert states)
-_Point = Tuple[np.void, int, TubeBounds, np.ndarray]
+# one relabel point's fixed context: (its trajectory's plan (T, d_a), states
+# (T+1, d_s) and friction scale, timestep, tube, expert states)
+_Point = Tuple[np.ndarray, np.ndarray, float, int, TubeBounds, np.ndarray]
 
 
 def _score(env: Environment, cfg: RelabelConfig, point: _Point,
@@ -88,29 +89,31 @@ def _score(env: Environment, cfg: RelabelConfig, point: _Point,
     candidate chunks u (m, H * d_a) of one point: requests their
     continuations, each chunk from the risky state and then the reference
     plan's remainder, under the trajectory's stored friction."""
-    traj, t, tube, expert = point
+    plan, states, friction, t, tube, expert = point
     h = cfg.horizon
-    actions = np.repeat(traj["actions"][None, t:], len(u), axis=0)
+    actions = np.repeat(plan[None, t:], len(u), axis=0)
     actions[:, :h] = u.reshape(len(u), h, -1)
-    states, success = yield (np.repeat(traj["states"][None, t], len(u), axis=0), actions,
-                             traj["friction_scale"])
-    cost = cfg.w_ref * np.sum((u - traj["actions"][t:t + h].reshape(-1)) ** 2, axis=1)
+    rolled, success = yield np.repeat(states[None, t], len(u), axis=0), actions, friction
+    cost = cfg.w_ref * np.sum((u - plan[t:t + h].reshape(-1)) ** 2, axis=1)
     if cfg.w_fail > 0:
         cost = np.where(success, cost, cost + cfg.w_fail)
     if cfg.w_tube > 0:
-        d = state_distances(states[:, 1:h + 1], expert, env.psi, env.psi_scales)
+        d = state_distances(rolled[:, 1:h + 1], expert, env.psi, env.psi_scales)
         excess = np.maximum(d - tube.r_max, 0.0)
         cost = cost + cfg.w_tube * np.sum(excess ** 2, axis=1)
     return cost, success
 
 
-def relabel_cost(u: np.ndarray, traj: np.void, t: int, tube: TubeBounds,
-                 env: Environment, cfg: RelabelConfig, expert_states) -> float:
+def relabel_cost(u: np.ndarray, plan: np.ndarray, states: np.ndarray, friction: float,
+                 t: int, tube: TubeBounds, env: Environment, cfg: RelabelConfig,
+                 expert_states) -> float:
     """J = w_fail [continuation fails] + w_tube sum relu(d - r_max)^2 over
-    the corrected span + w_ref ||u - u_ref||^2, for the trajectory table
-    row ``traj``."""
+    the corrected span + w_ref ||u - u_ref||^2, for the trajectory of plan
+    ``plan`` (T, d_a), states ``states`` (T+1, d_s) and friction scale
+    ``friction``."""
     u = np.asarray(u, dtype=float).reshape(1, cfg.horizon * env.action_dim)
-    [(cost, _)] = lockstep(env, [_score(env, cfg, (traj, t, tube, expert_states), u)])
+    point = (plan, states, friction, t, tube, expert_states)
+    [(cost, _)] = lockstep(env, [_score(env, cfg, point, u)])
     return float(cost[0])
 
 
@@ -125,11 +128,11 @@ def _cem_point(env: Environment, cfg: RelabelConfig, point: _Point, rng: np.rand
     starts the spread at 0.25 x the action range.  Returns the best
     candidate (H * d_a,), its cost and whether its continuation
     succeeded."""
-    traj, t, _, _ = point
-    if t < 0 or t + cfg.horizon > len(traj["actions"]):
+    plan, _, _, t, _, _ = point
+    if t < 0 or t + cfg.horizon > len(plan):
         raise ValueError("relabel point does not leave room for a full chunk")
     dim = cfg.horizon * env.action_dim
-    mean = traj["actions"][t:t + cfg.horizon].reshape(-1)
+    mean = plan[t:t + cfg.horizon].reshape(-1)
     std = np.full(dim, cfg.init_std if cfg.init_std > 0 else 0.25 * (2.0 * env.a_max))
     n_elites = max(1, int(round(cfg.population * cfg.elite_frac)))
     best_u = mean.copy()
@@ -153,14 +156,17 @@ def _cem_point(env: Environment, cfg: RelabelConfig, point: _Point, rng: np.rand
     return best_u, best_cost, best_ok
 
 
-def cem_optimize(point: RelabelPoint, traj: np.void, env: Environment,
-                 tube: TubeBounds, cfg: RelabelConfig, rng: np.random.Generator,
+def cem_optimize(point: RelabelPoint, plan: np.ndarray, states: np.ndarray,
+                 friction: float, env: Environment, tube: TubeBounds, cfg: RelabelConfig,
+                 rng: np.random.Generator,
                  expert_states) -> Optional[Tuple[np.ndarray, float]]:
     """Cross-entropy search for a corrective chunk around the reference
-    segment of the trajectory table row ``traj``.  Keeps the best
-    candidate ever seen; returns it as an (H, d_a) chunk with its cost
-    only if its full continuation succeeds."""
-    search = _cem_point(env, cfg, (traj, point.t, tube, expert_states), rng)
+    segment of the trajectory of plan ``plan`` (T, d_a), states ``states``
+    (T+1, d_s) and friction scale ``friction``.  Keeps the best candidate
+    ever seen; returns it as an (H, d_a) chunk with its cost only if its
+    full continuation succeeds."""
+    search = _cem_point(env, cfg, (plan, states, friction, point.t, tube, expert_states),
+                        rng)
     [(u, cost, ok)] = lockstep(env, [search])
     return (u.reshape(cfg.horizon, env.action_dim), cost) if ok else None
 
@@ -192,9 +198,10 @@ def relabel_dataset(curated: np.ndarray, env: Environment,
     points = select_risky_states(distances, cfg.k_rel, min_sep, cfg.horizon)
     ids, rows = np.unique(np.array([p.trajectory_id for p in points], dtype=int),
                           return_inverse=True)
-    trajs = rebuild_trajectories(curated[ids], env)
-    context = [(trajs[r], p.t, tube[p.trajectory_id], expert_states[p.trajectory_id])
-               for p, r in zip(points, rows.tolist())]
+    plans, states = rebuild_trajectories(curated[ids], env)
+    friction = curated["friction_scale"][ids]
+    context = [(plans[r], states[r], friction[r], p.t, tube[p.trajectory_id],
+                expert_states[p.trajectory_id]) for p, r in zip(points, rows.tolist())]
     results = lockstep(env, [_cem_point(env, cfg, c, r)
                              for c, r in zip(context, rng.spawn(len(points)))])
     for point, (_, _, ok) in zip(points, results):
@@ -205,6 +212,6 @@ def relabel_dataset(curated: np.ndarray, env: Environment,
                                                (cfg.horizon, env.action_dim)))
     table["traj"] = [p.trajectory_id for p in points]
     table["t"] = [p.t for p in points]
-    table["obs"] = env.observe(trajs["states"][rows, table["t"]], trajs["states"][rows, 0])
+    table["obs"] = env.observe(states[rows, table["t"]], states[rows, 0])
     table["chunk"] = np.reshape([u for u, _, _ in results], table["chunk"].shape)
     return table[np.array([ok for _, _, ok in results], dtype=bool)]

@@ -17,12 +17,11 @@ from recovergen.curator import (TubeBounds, build_kernel, compute_tube,
 from recovergen.envs import (PlanarBlockRotate, PointReach,
                              augmented_demo_actions, make_env, rollout,
                              rollout_with_resume)
-from recovergen.dataset_io import deserialize
+from recovergen.dataset_io import deserialize, stored_table
 from recovergen.pipeline import (compare_replay, run_pgdg, run_spatial_only)
 from recovergen.relabel import RelabelPoint, cem_optimize, relabel_dataset
 from recovergen.sampler import Proposal
 from test_curator import dpp_log_det
-from test_dataset import to_stored
 
 IDENT = lambda s: np.asarray(s, dtype=float)  # noqa: E731
 SEED = 7
@@ -133,7 +132,7 @@ def test_rebuilt_records_encode_to_the_format_1_file(generated):
 # geometry, the oracle encoding of this run, as above, since format 4
 # without the ``mass`` key of each trajectory line, and since format 5
 # without its ``origin`` key.  Format 7 stores no states and no actions:
-# they are the ones ``load_trajectories`` rebuilds
+# they are the ones ``rebuild_trajectories`` rebuilds from the stored rows
 FORMAT_2_DIGESTS = {
     "trajectories": "1ee790f92abff59a0901e533d18f296884bed1ae72517a65aab1fb2e80c74075",
     "records": "71359794f6832c52833a350c20dd0f258a1e15118cb63790d1f2a7879e5aee59",
@@ -148,12 +147,10 @@ def test_loaded_data_encodes_to_the_format_2_files(generated):
     for byte (less the trajectories' ``mass``, which format 4 dropped, and
     ``origin``, which format 5 dropped), so the changes of format lose
     nothing else."""
-    from recovergen.dataset_io import load_trajectories
-    from test_dataset import oracle_rows_text, oracle_traj_line
+    from test_dataset import oracle_rows_text, oracle_traj_text, read_back
     cfg, pairs, _, _ = generated
     assert len(pairs.relabeled) == 10
-    text = {"trajectories": "".join(oracle_traj_line(i, t) + "\n" for i, t in
-                                    enumerate(load_trajectories(cfg.out_dir))),
+    text = {"trajectories": oracle_traj_text(read_back(cfg.out_dir)),
             "records": oracle_rows_text(pairs.relabeled, "relabeled")}
     assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in text.items()} \
         == FORMAT_2_DIGESTS
@@ -275,12 +272,12 @@ def test_src_imports_only_stdlib_numpy_and_the_package():
 def test_criterion_01_success_purity_and_runtime(generated):
     cfg, _, report, elapsed = generated
     env = make_env(cfg.env)
-    from recovergen.dataset_io import load_trajectories
+    from recovergen.dataset_io import load_trajectories, rebuild_trajectories
     trajs = load_trajectories(cfg.out_dir)
     assert len(trajs) > 0
-    for traj in trajs:
-        replay = rollout(env, traj.states[0], traj.actions, traj.friction_scale)
-        assert replay.success, "curated trajectory failed re-validation"
+    for traj, plan in zip(trajs, rebuild_trajectories(trajs, env)[0]):
+        assert rollout(env, traj.start, plan, traj.friction_scale)[1], \
+            "curated trajectory failed re-validation"
     assert elapsed < 60.0, f"runtime budget exceeded: {elapsed:.1f}s"
     _report("1 success purity",
             f"{len(trajs)} curated trajectories re-validate, {elapsed:.1f}s")
@@ -430,16 +427,16 @@ def test_criterion_08_cem_quadratic_convergence():
     pose = env.demo_object_pose()
     friction = env.nominal_friction()
     actions = augmented_demo_actions(env, pose, l_blend=1)
-    traj = rollout(env, env.reset(pose), actions, friction)
-    assert traj.success
+    states, success = rollout(env, env.reset(pose), actions, friction)
+    assert success
     cfg = RelabelConfig(population=64, elite_frac=0.125, cem_iterations=50,
                         init_std=0.0075, w_fail=0.0, w_tube=0.0, w_ref=1.0,
                         horizon=15)
     point = RelabelPoint(trajectory_id=0, t=4, risk=0.0)
-    u_ref = traj.actions[4:19]
+    u_ref = actions[4:19]
     for seed in range(20):
-        out = cem_optimize(point, traj, env, TubeBounds(0.0, 100.0), cfg,
-                           np.random.default_rng(seed), traj.states)
+        out = cem_optimize(point, actions, states, friction, env, TubeBounds(0.0, 100.0),
+                           cfg, np.random.default_rng(seed), states)
         assert out is not None
         chunk, _ = out
         assert np.all(np.abs(chunk - u_ref) < 1e-2), f"seed {seed}"
@@ -451,25 +448,25 @@ def test_criterion_09_relabel_validation():
     pose = env.demo_object_pose()
     friction = env.nominal_friction()
     actions = augmented_demo_actions(env, pose, l_blend=10)
-    traj = rollout(env, env.reset(pose), actions, friction)
-    assert traj.success
+    states, success = rollout(env, env.reset(pose), actions, friction)
+    assert success
     k_rel = 10
     cfg = RelabelConfig(k_rel=k_rel, population=16, cem_iterations=3, init_std=0.005,
                         horizon=15)
-    curated = np.array([traj, traj])
-    targets = relabel_dataset(to_stored(curated), env,
+    # the same trajectory twice, its plan stored as its own M = T points
+    curated = stored_table(0, True, friction, np.array([states[0]] * 2),
+                           np.array([actions] * 2))
+    targets = relabel_dataset(curated, env,
                               [TubeBounds(0.0, 100.0)] * 2, cfg,
-                              np.random.default_rng(SEED), [traj.states] * 2,
-                              [state_distances(traj.states, traj.states, env.psi,
+                              np.random.default_rng(SEED), [states] * 2,
+                              [state_distances(states, states, env.psi,
                                                env.psi_scales)] * 2)
     assert 0 < len(targets) <= k_rel
     per_traj = {}
     for row in targets:
-        src = curated[row["traj"]]
-        cont = rollout_with_resume(env, src["states"][row["t"]], row["chunk"],
-                                   src["actions"][row["t"] + cfg.horizon:],
-                                   src["friction_scale"])
-        assert cont.success, "emitted target failed independent re-check"
+        ok = rollout_with_resume(env, states[row["t"]], row["chunk"],
+                                 actions[row["t"] + cfg.horizon:], friction)[1]
+        assert ok, "emitted target failed independent re-check"
         per_traj.setdefault(row["traj"], []).append(row["t"])
     for ts in per_traj.values():
         ts = sorted(ts)

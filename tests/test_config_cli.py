@@ -14,7 +14,8 @@ import recovergen
 from recovergen.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NO_DATA, EXIT_OK, main)
 from recovergen.config import (ConfigError, PipelineConfig, apply_option,
                                config_parameters, load_config)
-from recovergen.dataset_io import load_trajectories, read_manifest
+from recovergen.dataset_io import (load_trajectories, open_dataset, read_manifest,
+                                   rebuild_trajectories)
 from recovergen.sampler import fit_control_points
 
 
@@ -398,17 +399,20 @@ def test_cli_refuses_an_old_format_dataset(small_dataset, tmp_path, capsys, fmt)
                                    lambda text: text.replace("format = 7", f"format = {fmt}"))
     table = load_trajectories(str(small_dataset))
     m_points = read_manifest(str(small_dataset)).parameters["sampler.m_points"]
+    actions, states = rebuild_trajectories(table, open_dataset(str(small_dataset))[1])
     columns = {}
-    for name in ("variant", "success", "friction_scale", "states", "actions"):
+    for name, column in (("variant", table["variant"]), ("success", table["success"]),
+                         ("friction_scale", table["friction_scale"]), ("states", states),
+                         ("actions", actions)):
         if name == "friction_scale" and fmt == 3:
             columns["mass"] = np.ones(len(table))
         if name == "states" and fmt == 6:
-            columns["start"] = table["states"][:, 0]
+            columns["start"] = table["start"]
         else:
-            columns[name] = table[name]
+            columns[name] = column
     if fmt < 5:
-        columns["origin"] = np.array([fit_control_points(actions, m_points).reshape(-1)
-                                      for actions in table["actions"]])
+        columns["origin"] = np.array([fit_control_points(plan, m_points).reshape(-1)
+                                      for plan in actions])
     stored = np.empty(len(table), [(n, c.dtype, c.shape[1:]) for n, c in columns.items()])
     for name, column in columns.items():
         stored[name] = column

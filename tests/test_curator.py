@@ -18,7 +18,7 @@ from recovergen.curator import (MIN_SUCCESSES_FOR_TUBE, TubeBounds,
                                 dpp_select_greedy, median_pairwise_distance,
                                 peak_deviation, quantile, reward_to_weight,
                                 state_distances, tube_reward, update_proposal)
-from recovergen.envs import make_env, trajectory_table
+from recovergen.envs import make_env
 from recovergen.pipeline import run_variant, sample_variant_poses
 from recovergen.sampler import Proposal
 
@@ -38,15 +38,6 @@ def dpp_log_det(kernel, subset, eps=1e-6) -> float:
     sub = np.asarray(kernel)[np.ix_(subset, subset)] + eps * np.eye(len(subset))
     sign, val = np.linalg.slogdet(sub)
     return float(val) if sign > 0 else -np.inf
-
-
-def make_traj(states, actions=None):
-    """One trajectory table row, as a record."""
-    states = np.asarray(states, dtype=float)
-    if actions is None:
-        actions = np.zeros((len(states) - 1, 1))
-    return trajectory_table(states[None], np.asarray(actions, dtype=float)[None], True,
-                            1.0).view(np.recarray)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -96,24 +87,21 @@ def test_distance_rejects_empty_experts():
 
 def test_peak_deviation_replay_is_zero():
     experts = np.array([[0.0], [0.5], [1.0]])
-    traj = make_traj(experts)
-    assert peak_deviation(state_distances(traj.states, experts, IDENT, [1.0])) == 0.0
+    assert peak_deviation(state_distances(experts, experts, IDENT, [1.0])) == 0.0
 
 
 def test_peak_deviation_single_spike():
     experts = np.array([[0.0], [1.0]])
-    traj = make_traj([[0.0], [0.5], [1.0]])
-    assert np.isclose(peak_deviation(state_distances(traj.states, experts, IDENT, [1.0])), 0.5)
+    states = np.array([[0.0], [0.5], [1.0]])
+    assert np.isclose(peak_deviation(state_distances(states, experts, IDENT, [1.0])), 0.5)
 
 
 def test_peak_deviation_matches_bruteforce_max():
     rng = np.random.default_rng(2)
     experts = rng.standard_normal((20, 2))
-    traj = make_traj(rng.standard_normal((12, 2)),
-                     actions=np.zeros((11, 1)))
-    oracle = max(manifold_distance(s, experts, IDENT, [1.0, 1.0])
-                 for s in traj.states)
-    d = state_distances(traj.states, experts, IDENT, [1.0, 1.0])
+    states = rng.standard_normal((12, 2))
+    oracle = max(manifold_distance(s, experts, IDENT, [1.0, 1.0]) for s in states)
+    d = state_distances(states, experts, IDENT, [1.0, 1.0])
     assert np.isclose(peak_deviation(d), oracle, atol=1e-12)
 
 
@@ -202,23 +190,23 @@ def test_tube_bounds_validation():
 
 def test_tube_reward_all_in_band():
     experts = np.array([[0.0]])
-    traj = make_traj([[0.2], [0.3], [0.25]])
-    r = tube_reward(state_distances(traj.states, experts, IDENT, [1.0]), TubeBounds(0.1, 0.5))
+    states = np.array([[0.2], [0.3], [0.25]])
+    r = tube_reward(state_distances(states, experts, IDENT, [1.0]), TubeBounds(0.1, 0.5))
     assert np.isclose(r, 1.0, atol=1e-12)
 
 
 def test_tube_reward_uniform_outer_violation():
     experts = np.array([[0.0]])
     g = 0.3
-    traj = make_traj([[0.5 + g]] * 4)
-    r = tube_reward(state_distances(traj.states, experts, IDENT, [1.0]), TubeBounds(0.1, 0.5))
+    states = np.full((4, 1), 0.5 + g)
+    r = tube_reward(state_distances(states, experts, IDENT, [1.0]), TubeBounds(0.1, 0.5))
     assert np.isclose(r, 1.0 - g, atol=1e-12)
 
 
 def test_tube_reward_uniform_inner_violation():
     experts = np.array([[0.0]])
-    traj = make_traj([[0.1]] * 3)  # d = 0.1, r_min = 0.6 -> hinge 0.5
-    r = tube_reward(state_distances(traj.states, experts, IDENT, [1.0]), TubeBounds(0.6, 0.8))
+    states = np.full((3, 1), 0.1)  # d = 0.1, r_min = 0.6 -> hinge 0.5
+    r = tube_reward(state_distances(states, experts, IDENT, [1.0]), TubeBounds(0.6, 0.8))
     assert np.isclose(r, 0.5, atol=1e-12)
 
 
@@ -226,8 +214,7 @@ def test_tube_reward_never_exceeds_one():
     rng = np.random.default_rng(3)
     experts = rng.standard_normal((10, 1))
     for _ in range(20):
-        traj = make_traj(rng.standard_normal((8, 1)))
-        d = state_distances(traj.states, experts, IDENT, [1.0])
+        d = state_distances(rng.standard_normal((8, 1)), experts, IDENT, [1.0])
         r = tube_reward(d, TubeBounds(0.1, 0.4))
         assert r <= 1.0 + 1e-12
 
@@ -251,9 +238,8 @@ def test_dct2_matrix_is_shared_and_read_only():
 
 
 def test_dct_embed_constant_sequence_is_zero():
-    traj = make_traj(np.full((13, 2), 0.7), actions=np.full((12, 1), -0.2))
-    (phi,) = dct_embed(traj.states[None], traj.actions[None], IDENT, [1.0, 1.0],
-                       t_tilde=12, k_dct=5)
+    (phi,) = dct_embed(np.full((1, 13, 2), 0.7), np.full((1, 12, 1), -0.2), IDENT,
+                       [1.0, 1.0], t_tilde=12, k_dct=5)
     assert np.allclose(phi, 0.0, atol=1e-10)
     assert phi.shape == (5 * 3,)  # k_dct rows x (psi dim + action dim)
 
@@ -263,8 +249,7 @@ def test_dct_embed_single_frequency_single_coefficient():
     t = np.arange(t_tilde)
     signal = np.cos(np.pi * (2 * t + 1) * 1 / (2 * t_tilde))
     states = np.concatenate([signal, [0.0]])[:, None]  # extra terminal state
-    traj = make_traj(states, actions=np.zeros((t_tilde, 1)))
-    (phi,) = dct_embed(traj.states[None], traj.actions[None], IDENT, [1.0],
+    (phi,) = dct_embed(states[None], np.zeros((1, t_tilde, 1)), IDENT, [1.0],
                        t_tilde=t_tilde, k_dct=4)
     # feature column 0 is the signal: frequency-1 coefficient only
     col = phi[:4]
@@ -278,7 +263,6 @@ def test_dct_embed_matches_direct_matrix_transform():
     t_tilde, k_dct = 14, 6
     states = rng.standard_normal((t_tilde + 1, 2))
     actions = rng.standard_normal((t_tilde, 1))
-    traj = make_traj(states, actions)
     scales = np.array([0.5, 2.0])
     x = np.concatenate([states[:-1] / scales, actions], axis=1)
     # explicit cosine sum: sqrt(2/n) sum_t x_t cos(pi (2t+1) k / 2n), k >= 1
@@ -286,20 +270,18 @@ def test_dct_embed_matches_direct_matrix_transform():
               * sum(x[t, col] * math.cos(math.pi * (2 * t + 1) * k / (2 * t_tilde))
                     for t in range(t_tilde))
               for col in range(x.shape[1]) for k in range(1, k_dct + 1)]
-    (phi,) = dct_embed(traj.states[None], traj.actions[None], IDENT, scales,
+    (phi,) = dct_embed(states[None], actions[None], IDENT, scales,
                        t_tilde=t_tilde, k_dct=k_dct)
     assert np.allclose(phi, oracle, atol=1e-10)
 
 
 def test_dct_embed_padding_repeats_final_feature():
     # two trajectories equal on their common span, one padded: identical phi
-    states = np.array([[0.1], [0.4], [0.4]])
-    short = make_traj(states, actions=np.array([[0.3], [0.0]]))
-    padded_states = np.array([[0.1], [0.4], [0.4], [0.4], [0.4]])
-    long = make_traj(padded_states,
-                     actions=np.array([[0.3], [0.0], [0.0], [0.0]]))
-    (a,) = dct_embed(short.states[None], short.actions[None], IDENT, [1.0], t_tilde=8, k_dct=3)
-    (b,) = dct_embed(long.states[None], long.actions[None], IDENT, [1.0], t_tilde=8, k_dct=3)
+    short = np.array([[[0.1], [0.4], [0.4]]]), np.array([[[0.3], [0.0]]])
+    long = (np.array([[[0.1], [0.4], [0.4], [0.4], [0.4]]]),
+            np.array([[[0.3], [0.0], [0.0], [0.0]]]))
+    (a,) = dct_embed(*short, IDENT, [1.0], t_tilde=8, k_dct=3)
+    (b,) = dct_embed(*long, IDENT, [1.0], t_tilde=8, k_dct=3)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -314,9 +296,8 @@ def test_dct_embed_energy_conservation_with_all_coefficients():
 
 
 def test_dct_embed_rejects_too_many_frequencies():
-    traj = make_traj(np.zeros((5, 1)))
     with pytest.raises(ValueError):
-        dct_embed(traj.states[None], traj.actions[None], IDENT, [1.0], t_tilde=4, k_dct=4)
+        dct_embed(np.zeros((1, 5, 1)), np.zeros((1, 4, 1)), IDENT, [1.0], t_tilde=4, k_dct=4)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import re
 import struct
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from recovergen.cli import main as cli_main
 from recovergen.dataset_io import (DatasetFormatError, DatasetManifest, Pairs,
                                    dataset_stats, deserialize, export_pairs, format_stats,
                                    load_trajectories, open_dataset, read_manifest,
-                                   serialize, stored_table)
+                                   rebuild_trajectories, serialize, stored_table)
 from recovergen import envs
-from recovergen.envs import make_env, rollout_batch, trajectory_table
+from recovergen.envs import make_env, rollout_batch
 from recovergen.pipeline import evaluate_replay
 from recovergen.sampler import decode
 
@@ -27,21 +28,34 @@ D_S, D_A = 4, 2     # state and action sizes of point_reach, make_manifest's env
 REACH = make_env("point_reach")
 
 
+class Trajs(NamedTuple):
+    """Trajectories as the package holds them: their stored rows
+    (``stored_table``), and the plans (n, T, d_a) and states (n, T+1, d_s)
+    that ``rebuild_trajectories`` returns for those rows."""
+
+    rows: np.ndarray
+    actions: np.ndarray
+    states: np.ndarray
+
+
 def rolled_out(starts, actions, success, friction, variant=0, control_points=None):
-    """A trajectory table whose states ``rollout_batch`` rolls out from the
-    start states ``starts`` (n, d_s) under ``actions`` and ``friction`` in
-    make_manifest's environment, as in every table the package writes: the
-    states that the readers rebuild.  Edge values roll out without a
-    warning, as the readers rebuild them."""
+    """Trajectories whose states ``rollout_batch`` rolls out from the start
+    states ``starts`` (n, d_s) under ``actions`` and ``friction`` in
+    make_manifest's environment, as in every dataset the package writes:
+    the states that the readers rebuild.  Their stored rows hold the
+    control points ``control_points`` (n, M, d_a) that ``actions`` decode
+    from, by default the actions themselves, as M = T points.  Edge values
+    roll out without a warning, as the readers rebuild them."""
     with np.errstate(all="ignore"):
         states = rollout_batch(REACH, starts, actions, friction)[0]
-    return trajectory_table(states, actions, success, friction, variant, control_points)
+    points = actions if control_points is None else control_points
+    return Trajs(stored_table(variant, success, friction, starts, points), actions, states)
 
 
 def make_traj(horizon=10, seed=0, variant=0, start=None, m_points=None):
-    """A one-row trajectory table, from a random start state (or ``start``)
-    under random actions, or under the decode of ``m_points`` random
-    control points."""
+    """One trajectory, from a random start state (or ``start``) under
+    random actions, or under the decode of ``m_points`` random control
+    points."""
     rng = np.random.default_rng(seed)
     starts = rng.standard_normal((1, D_S)) if start is None else np.array([start], float)
     if m_points is None:
@@ -50,22 +64,24 @@ def make_traj(horizon=10, seed=0, variant=0, start=None, m_points=None):
     return rolled_out(starts, decode(points, horizon), True, 0.97, variant, points)
 
 
-def to_stored(trajs):
-    """The stored rows of the trajectory table ``trajs``: its columns, with
-    each row's start state in place of its states and actions."""
-    return stored_table(trajs["variant"], trajs["success"], trajs["friction_scale"],
-                        trajs["states"][:, 0], trajs["control_points"])
-
-
 def stack(trajs):
-    """The one-row tables ``trajs`` as one trajectory table, a record
-    array (an empty one of horizon 10 when there are none)."""
-    return np.concatenate(list(trajs) or [make_traj()[:0]]).view(np.recarray)
+    """The ``Trajs`` ``trajs`` as one (none of horizon 10 when there are
+    none)."""
+    trajs = list(trajs) or [Trajs(*(part[:0] for part in make_traj()))]
+    return Trajs(*map(np.concatenate, zip(*trajs)))
+
+
+def read_back(out_dir):
+    """The trajectories of the dataset ``out_dir`` as the readers give
+    them: the stored rows that ``load_trajectories`` returns, and their
+    plans and states rebuilt under the manifest's environment."""
+    rows = load_trajectories(out_dir)
+    return Trajs(rows, *rebuild_trajectories(rows, open_dataset(out_dir)[1]))
 
 
 def fitting_manifest(trajs, **kw):
     """make_manifest, its horizon the length of the plans of ``trajs``."""
-    return make_manifest(env_config={"horizon": trajs.dtype["actions"].shape[0]}, **kw)
+    return make_manifest(env_config={"horizon": trajs.actions.shape[1]}, **kw)
 
 
 def make_manifest(**kw):
@@ -81,9 +97,9 @@ OBSERVE = make_env("point_reach").observe
 
 
 def windows(trajs, chunk_len):
-    """The curated windows of the trajectory table ``trajs``, as
+    """The curated windows of the trajectories ``trajs``, as
     ``export_pairs`` makes them."""
-    return export_pairs(trajs["states"], trajs["actions"], chunk_len, OBSERVE)
+    return export_pairs(trajs.states, trajs.actions, chunk_len, OBSERVE)
 
 
 def make_records(obs, chunk, traj=0, t=0):
@@ -126,9 +142,9 @@ def test_export_chunks_match_source_slices():
     assert table["traj"].tolist() == [i for i in range(3) for _ in range(8)]
     assert table["t"].tolist() == list(range(8)) * 3
     for row in table:
-        traj = trajs[row["traj"]]
-        assert bits(row["chunk"]) == bits(traj.actions[row["t"]:row["t"] + 5])
-        assert bits(row["obs"]) == bits(OBSERVE(traj.states[row["t"]], traj.states[0]))
+        i, t = row["traj"], row["t"]
+        assert bits(row["chunk"]) == bits(trajs.actions[i, t:t + 5])
+        assert bits(row["obs"]) == bits(OBSERVE(trajs.states[i, t], trajs.states[i, 0]))
 
 
 def test_export_rejects_overlong_chunk():
@@ -146,19 +162,19 @@ def test_round_trip_bitwise(tmp_path):
     manifest = make_manifest(final_tubes=[(0.1, 0.5)],
                              parameters={"sampler.m_points": 16},
                              env_config={"horizon": 10}, chunk_len=4)
-    serialize(manifest, str(tmp_path), to_stored(trajs), curated[:3])
+    serialize(manifest, str(tmp_path), trajs.rows, curated[:3])
     pairs, manifest2 = deserialize(str(tmp_path))
     assert len(pairs) == len(curated) + 3 == manifest2.n_records
     assert same_table(pairs.curated, curated)
     assert same_table(pairs.relabeled, curated[:3])
     assert manifest2 == manifest
 
-    assert same_table(load_trajectories(str(tmp_path)), trajs)
+    assert same_table(load_trajectories(str(tmp_path)), trajs.rows)
 
 
 def test_empty_dataset_round_trip(tmp_path):
     serialize(make_manifest(n_generated=0, n_successful=0, n_selected=0), str(tmp_path),
-              to_stored(stack([])))
+              stack([]).rows)
     pairs, manifest = deserialize(str(tmp_path))
     assert len(pairs) == len(pairs.curated) == len(pairs.relabeled) == manifest.n_records == 0
 
@@ -167,7 +183,7 @@ def test_large_round_trip(tmp_path):
     trajs = stack(make_traj(horizon=40, seed=i) for i in range(30))
     curated = windows(trajs, chunk_len=5)
     assert len(curated) > 1000
-    serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), to_stored(trajs))
+    serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), trajs.rows)
     pairs, manifest = deserialize(str(tmp_path))
     assert same_table(pairs.curated, curated)
     assert len(pairs) == len(curated) == manifest.n_records
@@ -183,14 +199,14 @@ def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
     edge = np.concatenate([[-0.0, np.inf, -np.inf, 5e-324, 1e16, -5e-324], nans])
     # horizon 4, so that the 4-step chunk fits; chunk_len 4 gives one window
     start = edge[[0, 6, 1, 7]]          # the start state is stored, both NaNs too
-    (traj,) = rolled_out(start[None], np.resize(edge, (1, 4, D_A)), False, nans[0], 3)
+    traj = rolled_out(start[None], np.resize(edge, (1, 4, D_A)), False, nans[0], 3)
     relabeled = make_records([edge[::-1]], [edge.reshape(4, D_A)])
-    serialize(fitting_manifest(traj[None], chunk_len=4), str(tmp_path), to_stored(traj[None]),
-              relabeled)
-    (got,) = load_trajectories(str(tmp_path))
-    for name in ("states", "actions", "control_points"):
-        assert bits(getattr(got, name)) == bits(traj[name]), name
-    assert struct.pack("<d", got.friction_scale) == struct.pack("<d", nans[0])
+    serialize(fitting_manifest(traj, chunk_len=4), str(tmp_path), traj.rows, relabeled)
+    got = read_back(str(tmp_path))
+    for name in ("states", "actions"):
+        assert bits(getattr(got, name)) == bits(getattr(traj, name)), name
+    assert bits(got.rows.control_points) == bits(traj.rows["control_points"])
+    assert struct.pack("<d", got.rows.friction_scale[0]) == struct.pack("<d", nans[0])
     pairs = deserialize(str(tmp_path))[0]
     (curated,), (stored,) = pairs.curated, pairs.relabeled
     assert bits(curated["obs"]) == bits(np.concatenate([start, start]))
@@ -200,7 +216,7 @@ def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
 
 def test_truncated_records_detected(tmp_path):
     trajs = make_traj()
-    serialize(make_manifest(chunk_len=4), str(tmp_path), to_stored(trajs),
+    serialize(make_manifest(chunk_len=4), str(tmp_path), trajs.rows,
               windows(trajs, chunk_len=4))
     path = os.path.join(tmp_path, "records.npy")
     _truncate(path)
@@ -242,7 +258,7 @@ def test_missing_manifest_keys_rejected(tmp_path, keep, missing):
 
 
 def test_missing_trajectory_dump_rejected(tmp_path):
-    serialize(make_manifest(), str(tmp_path), to_stored(stack([])))
+    serialize(make_manifest(), str(tmp_path), stack([]).rows)
     os.remove(tmp_path / "trajectories.npy")
     with pytest.raises(DatasetFormatError, match="missing"):
         load_trajectories(str(tmp_path))
@@ -266,16 +282,17 @@ def oracle_record_line(traj, t, source, obs, chunk):
     })
 
 
-def oracle_traj_line(i, row):
-    """Format 2's line of the trajectory table row ``row``, without the
-    ``mass`` and ``origin`` that format 2 also stored."""
+def oracle_traj_line(i, row, actions, states):
+    """Format 2's line of the trajectory of stored row ``row``, plan
+    ``actions`` and states ``states``, without the ``mass`` and ``origin``
+    that format 2 also stored."""
     return json.dumps({
         "id": i,
         "variant": int(row["variant"]),
         "success": bool(row["success"]),
         "friction_scale": float(row["friction_scale"]),
-        "states": row["states"].tolist(),
-        "actions": row["actions"].tolist(),
+        "states": states.tolist(),
+        "actions": actions.tolist(),
     })
 
 
@@ -291,7 +308,7 @@ def oracle_text(pairs):
 
 
 def oracle_traj_text(trajectories):
-    return "".join(oracle_traj_line(i, t) + "\n" for i, t in enumerate(trajectories))
+    return "".join(oracle_traj_line(i, *t) + "\n" for i, t in enumerate(zip(*trajectories)))
 
 
 def assert_round_trip_keeps_oracle_text(trajectories, relabeled, chunk_len):
@@ -299,8 +316,8 @@ def assert_round_trip_keeps_oracle_text(trajectories, relabeled, chunk_len):
     oracle, to the text of what was written."""
     with tempfile.TemporaryDirectory() as out:
         serialize(fitting_manifest(trajectories, chunk_len=chunk_len), out,
-                  to_stored(trajectories), relabeled)
-        assert oracle_traj_text(load_trajectories(out)) == oracle_traj_text(trajectories)
+                  trajectories.rows, relabeled)
+        assert oracle_traj_text(read_back(out)) == oracle_traj_text(trajectories)
         want = (oracle_rows_text(windows(trajectories, chunk_len), "curated")
                 + oracle_rows_text(relabeled, "relabeled"))
         assert oracle_text(deserialize(out)[0]) == want
@@ -319,8 +336,8 @@ def float_arrays(shape):
 
 @st.composite
 def datasets(draw):
-    """(trajectory table, relabeled records table, chunk_len) as the
-    package builds them: one shape per field, each row's actions decoded
+    """(``Trajs``, relabeled records table, chunk_len) as the package
+    builds them: one shape per field, each row's actions decoded
     from its 2 <= M <= T control points and its states rolled out from its
     start state."""
     horizon = draw(st.integers(2, 5))
@@ -357,7 +374,7 @@ def test_writer_edge_values_keep_their_own_text(tmp_path):
                       [1e16, 1e-7], [4.0, -7.0], [0.0, 0.0], [-0.0, -0.0]])
     relabeled = make_records([obs if i % 2 else -obs for i in range(7)],
                              [chunk[i:i + 2] for i in range(7)], t=np.arange(7))
-    serialize(make_manifest(), str(tmp_path), to_stored(make_traj()), relabeled)
+    serialize(make_manifest(), str(tmp_path), make_traj().rows, relabeled)
     text = oracle_rows_text(deserialize(str(tmp_path))[0].relabeled, "relabeled")
     assert text == oracle_rows_text(relabeled, "relabeled")
     assert "[-0.0, 0.0]" in text and "[0.0, -0.0]" in text
@@ -367,9 +384,9 @@ def test_writer_edge_values_keep_their_own_text(tmp_path):
 def test_writer_mixes_relabeled_and_curated_chunk_lengths(tmp_path):
     trajs = stack(make_traj(horizon=12, seed=i) for i in range(3))
     relabeled = make_records([np.arange(8.0) + i for i in range(3)],
-                             [make_traj(horizon=7, seed=10 + i)["actions"][0] for i in range(3)],
+                             [make_traj(horizon=7, seed=10 + i).actions[0] for i in range(3)],
                              np.arange(3), 2 * np.arange(3))
-    serialize(fitting_manifest(trajs, chunk_len=4), str(tmp_path), to_stored(trajs), relabeled)
+    serialize(fitting_manifest(trajs, chunk_len=4), str(tmp_path), trajs.rows, relabeled)
     pairs = deserialize(str(tmp_path))[0]
     assert (pairs.curated.dtype["chunk"].shape, pairs.relabeled.dtype["chunk"].shape) \
         == ((4, 2), (7, 2))
@@ -380,8 +397,8 @@ def test_writer_one_dimensional_and_scalar_arrays(tmp_path):
     # each field keeps its number of axes; anything else is refused unwritten
     scalar_obs = make_records([2.5], [np.ones((2, 2))])
     cube_chunk = make_records([np.zeros(8)], [np.ones((2, 2, 3))], 1, 4)
-    flat = _rebuild(to_stored(make_traj()), start=np.zeros(1))   # a scalar start state
-    none = to_stored(stack([]))
+    flat = _rebuild(make_traj().rows, start=np.zeros(1))   # a scalar start state
+    none = stack([]).rows
     for rows, relabeled, field in ((none, scalar_obs, "records: .* wrong: obs$"),
                                    (none, cube_chunk, "records: .* wrong: chunk$"),
                                    (flat, None, "trajectories: .* wrong: start$")):
@@ -391,8 +408,8 @@ def test_writer_one_dimensional_and_scalar_arrays(tmp_path):
 
 
 def test_writer_empty_record_list(tmp_path):
-    serialize(make_manifest(), str(tmp_path / "none"), to_stored(stack([])))
-    serialize(make_manifest(chunk_len=4), str(tmp_path / "curated"), to_stored(make_traj()))
+    serialize(make_manifest(), str(tmp_path / "none"), stack([]).rows)
+    serialize(make_manifest(chunk_len=4), str(tmp_path / "curated"), make_traj().rows)
     for name, n_curated in (("none", 0), ("curated", 7)):
         out = str(tmp_path / name)
         assert len(np.load(os.path.join(out, "records.npy"), allow_pickle=False)) == 0
@@ -404,7 +421,7 @@ def test_writer_refuses_an_origin_column(tmp_path):
     # format 4 stored each trajectory's control points as ``origin``; the
     # stored rows have one layout, and rows with that column are refused
     # unwritten
-    rows = to_stored(stack(make_traj(seed=i, variant=i) for i in range(4)))
+    rows = stack(make_traj(seed=i, variant=i) for i in range(4)).rows
     for origin in (np.zeros((4, 12)), np.zeros(4)):
         with pytest.raises(ValueError, match=r"trajectories: fields \(.*'origin'\), expected"):
             serialize(make_manifest(), str(tmp_path / "out"), _rebuild(rows, origin=origin))
@@ -430,7 +447,7 @@ def fail_npy_write(monkeypatch, nth):
 
 def test_failed_write_keeps_previous_file_and_no_temp_file(tmp_path, monkeypatch):
     trajs = stack(make_traj(horizon=40, seed=i) for i in range(40))
-    relabeled, rows = windows(trajs, chunk_len=5), to_stored(trajs)
+    relabeled, rows = windows(trajs, chunk_len=5), trajs.rows
     serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), rows[:2], relabeled[:10])
     before = (tmp_path / "records.npy").read_bytes()
     fail_npy_write(monkeypatch, 1)       # records.npy is written first
@@ -442,16 +459,17 @@ def test_failed_write_keeps_previous_file_and_no_temp_file(tmp_path, monkeypatch
 
 def test_trajectory_variant_must_be_an_integer(tmp_path):
     trajs = stack([make_traj(seed=0), make_traj(seed=1, variant=np.int64(2)), make_traj(seed=2)])
-    assert trajs.dtype["variant"] == np.dtype("<i8")
-    serialize(make_manifest(), str(tmp_path), to_stored(trajs))
+    assert trajs.rows.dtype["variant"] == np.dtype("<i8")
+    serialize(make_manifest(), str(tmp_path), trajs.rows)
     assert [t.variant for t in load_trajectories(str(tmp_path))] == [0, 2, 0]
-    with pytest.raises(TypeError):
-        make_traj(variant=1.5)
+    with pytest.raises(ValueError, match="wrong: variant$"):
+        serialize(make_manifest(), str(tmp_path / "out"),
+                  _rebuild(trajs.rows, variant=[0.0, 1.5, 0.0]))
 
 
 def test_failed_records_write_keeps_previous_dataset_readable(tmp_path, monkeypatch):
     trajs = stack(make_traj(horizon=40, seed=i) for i in range(40))
-    relabeled, rows = windows(trajs, chunk_len=5), to_stored(trajs)
+    relabeled, rows = windows(trajs, chunk_len=5), trajs.rows
     serialize(fitting_manifest(trajs, chunk_len=5), str(tmp_path), rows[:2], relabeled[:10])
     before = {name: (tmp_path / name).read_bytes()
               for name in ("manifest", "records.npy", "trajectories.npy")}
@@ -520,20 +538,20 @@ def oracle_deserialize(out_dir, chunk_len, horizon):
 def assert_reader_matches_oracle(trajectories, relabeled, chunk_len):
     with tempfile.TemporaryDirectory() as out:
         serialize(fitting_manifest(trajectories, chunk_len=chunk_len), out,
-                  to_stored(trajectories), relabeled)
-        horizon = trajectories.dtype["actions"].shape[0]
+                  trajectories.rows, relabeled)
+        horizon = trajectories.actions.shape[1]
         (got, manifest), want = deserialize(out), oracle_deserialize(out, chunk_len, horizon)
         assert len(got) == len(want) == manifest.n_records \
             == len(windows(trajectories, chunk_len)) + len(relabeled)
         assert same_table(got.curated, want.curated)
         assert same_table(got.relabeled, want.relabeled)
-        assert same_table(load_trajectories(out), trajectories)
+        for name, part in zip(Trajs._fields, read_back(out)):
+            assert same_table(part, getattr(trajectories, name)), name
         stored = oracle_read_npy(os.path.join(out, "trajectories.npy"))
         assert stored.dtype.names == ("variant", "success", "friction_scale", "start",
                                       "control_points")
-        assert same_table(stored["start"], trajectories["states"][:, 0])
-        for name in ("variant", "success", "friction_scale", "control_points"):
-            assert same_table(stored[name], trajectories[name])
+        assert same_table(stored["start"], trajectories.states[:, 0])
+        assert same_table(stored, trajectories.rows)
 
 
 @given(datasets())
@@ -556,7 +574,7 @@ def _dataset(tmp_path):
     pairs, under a point_reach of horizon 10, so replay runs too."""
     trajs = stack(make_traj(seed=i, variant=i) for i in range(3))
     serialize(make_manifest(chunk_len=4, env_config={"horizon": 10}), str(tmp_path),
-              to_stored(trajs), windows(trajs, chunk_len=4)[:5])
+              trajs.rows, windows(trajs, chunk_len=4)[:5])
     return str(tmp_path)
 
 
@@ -638,7 +656,7 @@ def test_reader_rejects_ragged_array(tmp_path, name):
     traj = make_traj(horizon=10)
     relabeled = [windows(traj, 4)[0], windows(traj, 5)[0]]
     with pytest.raises(ValueError, match="records: not a 1-D structured"):
-        serialize(make_manifest(chunk_len=4), str(tmp_path / "ragged"), to_stored(traj),
+        serialize(make_manifest(chunk_len=4), str(tmp_path / "ragged"), traj.rows,
                   relabeled)
     assert not (tmp_path / "ragged").exists()
     path = os.path.join(out, name + ".npy")
@@ -689,7 +707,7 @@ def test_reader_skips_blank_lines_without_counting_them(tmp_path, name):
         assert same_table(got.relabeled, want.relabeled)
     assert len(got) == len(want)
     if name == "trajectories":
-        assert all(np.array_equal(a.actions, b.actions) for a, b in zip(got, want))
+        assert same_table(got, want)
     first = _manifest_lineno(out, "seed")
     _rewrite(path, lambda lines: lines + ["seed = 4\n"])
     with _raises_naming(path, f"line {first + 16}: duplicate key 'seed', "
@@ -786,7 +804,7 @@ def test_every_reader_refuses_a_faulty_array(tmp_path, capsys, fault, name):
 def test_every_reader_refuses_a_format_2_directory(tmp_path, capsys):
     # format 2 stored the same data as JSON lines
     out = _dataset(tmp_path)
-    trajs = load_trajectories(out)
+    trajs = read_back(out)
     relabeled = deserialize(out)[0].relabeled
     for name in READERS:
         os.remove(os.path.join(out, name + ".npy"))
@@ -839,7 +857,7 @@ def test_manifest_with_every_field_set_round_trips(tmp_path):
         n_selected=3, chunk_len=4, env_config={"horizon": 10, "goal": [0.25, 0.1]},
         parameters={"yaw_range": 0.3, "trans_range": [0.08, 0.08, 0.0], "name": "x"},
         final_tubes=[(0.01, 0.25), (0.0, 1e-300)])
-    serialize(manifest, str(tmp_path), to_stored(trajs), windows(trajs, chunk_len=4)[:2])
+    serialize(manifest, str(tmp_path), trajs.rows, windows(trajs, chunk_len=4)[:2])
     # serialize sets the three row counts
     assert (manifest.n_trajectories, manifest.n_relabeled, manifest.n_records) == (3, 2, 23)
     unset = [f.name for f in dataclasses.fields(DatasetManifest)
@@ -935,7 +953,7 @@ def test_serialize_refuses_wrong_dtypes_and_misfit_targets(tmp_path):
     trajs = stack(make_traj(seed=i) for i in range(2))
     relabeled = windows(trajs, chunk_len=4)[:2]
     long_obs = _rebuild(relabeled, obs=np.zeros((2, 9)))
-    trajs = to_stored(trajs)
+    trajs = trajs.rows
     bad = [(list(trajs), None, 4, "not a 1-D structured"),  # rows, not a table
            (_rebuild(trajs, variant=None), None, 4, "expected"),  # a field missing
            (_rebuild(trajs, success=np.ones(2, "<i8")), None, 4, "not of the types"),
@@ -955,12 +973,11 @@ def test_serialize_refuses_trajectories_that_no_reader_accepts(tmp_path):
     # point_reach of make_manifest's horizon 10 needs (4,) start states and
     # (M, 2) control points with 2 <= M <= 10; such rows were once written,
     # and then refused by every reader
-    table = trajectory_table(np.zeros((1, 11, 5)), np.zeros((1, 10, D_A)), True, 1.0)
-    trajs = stack(make_traj(seed=i) for i in range(2))
-    wide = np.zeros((2, 10, D_A + 1))
+    table = stored_table(0, True, 1.0, np.zeros((1, 5)), np.zeros((1, 10, D_A)))
+    trajs = stack(make_traj(seed=i) for i in range(2)).rows
     fit = "do not fit point_reach (d_s 4, d_a 2, 2 <= M <= T 10)"
     bad = [(table, f"start (5,) and control points (10, 2) {fit}"),
-           (_rebuild(trajs, actions=wide, control_points=wide),
+           (_rebuild(trajs, control_points=np.zeros((2, 10, D_A + 1))),
             f"start (4,) and control points (10, 3) {fit}"),
            (_rebuild(trajs, control_points=np.zeros((2, 1, D_A))),
             f"start (4,) and control points (1, 2) {fit}"),
@@ -968,22 +985,23 @@ def test_serialize_refuses_trajectories_that_no_reader_accepts(tmp_path):
             f"start (4,) and control points (11, 2) {fit}")]
     for trajectories, message in bad:
         with pytest.raises(ValueError, match=re.escape(f"trajectories: {message}")):
-            serialize(make_manifest(chunk_len=4), str(tmp_path / "out"),
-                      to_stored(trajectories))
+            serialize(make_manifest(chunk_len=4), str(tmp_path / "out"), trajectories)
     # a plan of one step has no two control points to store
     one = make_traj(horizon=1)
     message = "control points (1, 2) do not fit point_reach (d_s 4, d_a 2, 2 <= M <= T 1)"
     with pytest.raises(ValueError, match=re.escape(message)):
-        serialize(fitting_manifest(one), str(tmp_path / "out"), to_stored(one))
+        serialize(fitting_manifest(one), str(tmp_path / "out"), one.rows)
     assert list(tmp_path.iterdir()) == []
-    serialize(make_manifest(chunk_len=4), str(tmp_path / "out"), to_stored(trajs))
+    serialize(make_manifest(chunk_len=4), str(tmp_path / "out"), trajs)
     assert len(load_trajectories(str(tmp_path / "out"))) == 2
 
 
 def test_serialize_refuses_a_trajectory_table(tmp_path):
-    # serialize takes stored rows only: a trajectory table, with its
-    # states and actions, is refused before any file is written
-    trajs = stack(make_traj(seed=i) for i in range(2))
+    # serialize takes stored rows only: a table of whole trajectories, with
+    # their states and actions, is refused before any file is written
+    trajs = np.zeros(2, [("variant", "<i8"), ("success", "?"), ("friction_scale", "<f8"),
+                         ("states", "<f8", (11, D_S)), ("actions", "<f8", (10, D_A)),
+                         ("control_points", "<f8", (10, D_A))])
     message = ("trajectories: fields ('variant', 'success', 'friction_scale', 'states', "
                "'actions', 'control_points'), expected ('variant', 'success', "
                "'friction_scale', 'start', 'control_points')")
@@ -993,17 +1011,17 @@ def test_serialize_refuses_a_trajectory_table(tmp_path):
 
 
 def test_stored_table_holds_the_columns_it_is_given():
-    trajs = stack(make_traj(seed=i, variant=i, m_points=4) for i in range(3))
-    rows = stored_table(trajs["variant"], trajs["success"], trajs["friction_scale"],
-                        trajs["states"][:, 0], trajs["control_points"])
-    assert rows.dtype.names == ("variant", "success", "friction_scale", "start",
-                                "control_points")
-    assert same_table(rows["start"], trajs["states"][:, 0])
-    for name in ("variant", "success", "friction_scale", "control_points"):
-        assert same_table(rows[name], trajs[name])
+    rng = np.random.default_rng(0)
+    columns = (np.arange(3), np.array([True, False, True]), rng.random(3),
+               rng.standard_normal((3, D_S)), rng.standard_normal((3, 4, D_A)))
+    rows = stored_table(*columns)
+    assert rows.dtype == np.dtype([("variant", "<i8"), ("success", "?"),
+                                   ("friction_scale", "<f8"), ("start", "<f8", (D_S,)),
+                                   ("control_points", "<f8", (4, D_A))])
+    for name, column in zip(rows.dtype.names, columns):
+        assert same_table(rows[name], column.astype(rows.dtype[name].base)), name
     # one variant and one success for every row, and no rows at all
-    rows = stored_table(5, False, trajs["friction_scale"], trajs["states"][:, 0],
-                        trajs["control_points"])
+    rows = stored_table(5, False, *columns[2:])
     assert rows["variant"].tolist() == [5] * 3 and not rows["success"].any()
     none = stored_table(5, True, (), np.empty((0, D_S)), np.empty((0, 4, D_A)))
     assert none.dtype == rows.dtype and len(none) == 0
@@ -1028,9 +1046,9 @@ def test_serialize_refuses_targets_that_no_reader_accepts(tmp_path):
            _rebuild(target, chunk=np.zeros((1, 4, D_A + 1)))]
     for relabeled in bad:
         with pytest.raises(ValueError, match="records: .* do not fit point_reach"):
-            serialize(make_manifest(chunk_len=4), str(tmp_path), to_stored(trajs), relabeled)
+            serialize(make_manifest(chunk_len=4), str(tmp_path), trajs.rows, relabeled)
     assert list(tmp_path.iterdir()) == []
-    serialize(make_manifest(chunk_len=4), str(tmp_path), to_stored(trajs), target)
+    serialize(make_manifest(chunk_len=4), str(tmp_path), trajs.rows, target)
     assert len(deserialize(str(tmp_path))[0].relabeled) == 1
 
 
@@ -1069,7 +1087,7 @@ def test_dataset_stats_counts_and_render(tmp_path):
     trajs = make_traj(horizon=8)
     target = make_records([np.zeros(8)], [np.ones((3, 2))], 0, 1)
     manifest = fitting_manifest(trajs, final_tubes=[(0.05, 0.2)], chunk_len=4)
-    serialize(manifest, str(tmp_path), to_stored(trajs), target)
+    serialize(manifest, str(tmp_path), trajs.rows, target)
     stats = dataset_stats(read_manifest(str(tmp_path)))
     assert stats == dataset_stats(manifest)
     assert stats["records_curated"] == 5

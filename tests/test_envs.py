@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from recovergen.envs import (PlanarBlockRotate, PointReach,
                              augmented_demo_actions, make_env,
-                             rollout, rollout_with_resume, trajectory_table,
-                             wrap_angle)
+                             rollout, rollout_with_resume, wrap_angle)
 from recovergen.geometry import Pose, sample_object_perturbation
 
 
@@ -119,9 +118,9 @@ def test_sample_friction_equals_the_former_mass_then_friction_draws(env, mass_ra
 def test_rollout_shape_and_dimension_check(reach_env):
     s0 = reach_env.reset(reach_env.demo_object_pose())
     actions = np.zeros((reach_env.horizon, reach_env.action_dim))
-    traj = rollout(reach_env, s0, actions, nominal(reach_env))
-    assert traj.states.shape == (reach_env.horizon + 1, reach_env.state_dim)
-    assert traj.actions.shape == (reach_env.horizon, reach_env.action_dim)
+    states, success = rollout(reach_env, s0, actions, nominal(reach_env))
+    assert states.shape == (reach_env.horizon + 1, reach_env.state_dim)
+    assert type(success) is bool
     with pytest.raises(ValueError):
         rollout(reach_env, s0, np.zeros((5, 2)), nominal(reach_env))
 
@@ -132,87 +131,57 @@ def test_rollout_bitwise_deterministic(block_env):
     s0 = block_env.reset(pose)
     rng = np.random.default_rng(0)
     actions = rng.uniform(-0.03, 0.03, size=(block_env.horizon, block_env.action_dim))
-    t1 = rollout(block_env, s0, actions, friction)
-    t2 = rollout(block_env, s0, actions, friction)
-    assert np.array_equal(t1.states, t2.states)
-    assert t1.success == t2.success
+    states1, success1 = rollout(block_env, s0, actions, friction)
+    states2, success2 = rollout(block_env, s0, actions, friction)
+    assert np.array_equal(states1, states2)
+    assert success1 == success2
 
 
 def test_pointreach_straight_line_succeeds(reach_env):
     friction = nominal(reach_env)
     s0 = reach_env.reset(reach_env.demo_object_pose())
     actions = augmented_demo_actions(reach_env, reach_env.demo_object_pose(), l_blend=1)
-    traj = rollout(reach_env, s0, actions, friction)
-    assert traj.success
+    assert rollout(reach_env, s0, actions, friction)[1]
 
 
 def test_block_zero_actions_fail(block_env):
     friction = nominal(block_env)
     s0 = block_env.reset(Pose())
-    traj = rollout(block_env, s0,
-                   np.zeros((block_env.horizon, block_env.action_dim)), friction)
-    assert not traj.success
-
-
-def test_trajectory_length_mismatch_rejected():
-    # T + 1 states per T actions and one row count
-    for states, actions in (((1, 3, 2), (1, 3, 1)),
-                            ((1, 3, 2), (2, 2, 1)),
-                            ((3, 2), (2, 1))):
-        with pytest.raises(ValueError):
-            trajectory_table(np.zeros(states), np.zeros(actions), False, 1.0)
-    with pytest.raises(ValueError):   # one friction scale, or one per row
-        trajectory_table(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)), False, [0.9, 0.8, 0.7])
-    for points in ((2, 2), (1, 2, 1), (2, 2, 2)):   # (n, M, d_a) control points
-        with pytest.raises(ValueError):
-            trajectory_table(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)), False, 1.0,
-                             control_points=np.zeros(points))
-    table = trajectory_table(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)), [True, False],
-                             np.array([1.0, 2.0]), variant=[4, 5])
-    assert table.dtype.names == ("variant", "success", "friction_scale", "states", "actions",
-                                 "control_points")
-    # by default the actions are their own control points, M = T
-    assert table["control_points"].tobytes() == table["actions"].tobytes()
-    points = trajectory_table(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)), False, 1.0,
-                              control_points=np.ones((2, 5, 1)))["control_points"]
-    assert points.shape == (2, 5, 1) and np.all(points == 1.0)
-    assert table["variant"].tolist() == [4, 5]
-    assert table["friction_scale"].tolist() == [1.0, 2.0]
-    assert table["success"].tolist() == [True, False]
+    assert not rollout(block_env, s0,
+                       np.zeros((block_env.horizon, block_env.action_dim)), friction)[1]
 
 
 def test_rollout_with_resume_identity_relabel(block_env):
     friction = nominal(block_env)
     pose = Pose()
     actions = augmented_demo_actions(block_env, pose, l_blend=10)
-    src = rollout(block_env, block_env.reset(pose), actions, friction)
+    states, success = rollout(block_env, block_env.reset(pose), actions, friction)
     t = 20
-    cont = rollout_with_resume(block_env, src.states[t], actions[t:t + 15],
-                               actions[t + 15:], friction)
-    assert np.allclose(cont.states[-1], src.states[-1], atol=1e-12)
-    assert cont.success == src.success
+    cont, cont_success = rollout_with_resume(block_env, states[t], actions[t:t + 15],
+                                             actions[t + 15:], friction)
+    assert np.allclose(cont[-1], states[-1], atol=1e-12)
+    assert cont_success == success
 
 
 def test_rollout_with_resume_empty_prefix(block_env):
     friction = nominal(block_env)
     pose = Pose()
     actions = augmented_demo_actions(block_env, pose, l_blend=10)
-    src = rollout(block_env, block_env.reset(pose), actions, friction)
-    cont = rollout_with_resume(block_env, src.states[0],
-                               np.zeros((0, block_env.action_dim)), actions, friction)
-    assert np.allclose(cont.states, src.states)
+    states, _ = rollout(block_env, block_env.reset(pose), actions, friction)
+    cont, _ = rollout_with_resume(block_env, states[0],
+                                  np.zeros((0, block_env.action_dim)), actions, friction)
+    assert np.allclose(cont, states)
 
 
 def test_rollout_with_resume_adversarial_prefix_fails(block_env):
     friction = nominal(block_env)
     pose = Pose()
     actions = augmented_demo_actions(block_env, pose, l_blend=10)
-    src = rollout(block_env, block_env.reset(pose), actions, friction)
-    assert src.success
+    states, success = rollout(block_env, block_env.reset(pose), actions, friction)
+    assert success
     # drive both effectors away from the block for 15 steps, then resume
     away = np.tile([-0.03, -0.03, 0.03, 0.03], (15, 1))
-    cont = rollout_with_resume(block_env, src.states[20], away, actions[35:], friction)
-    assert not cont.success
+    assert not rollout_with_resume(block_env, states[20], away, actions[35:], friction)[1]
 
 
 def test_rollout_with_resume_rejects_overlong_span(block_env):
@@ -297,9 +266,9 @@ def test_block_demo_replay_succeeds(block_env):
     friction = nominal(block_env)
     pose = block_env.demo_object_pose()
     actions = augmented_demo_actions(block_env, pose, l_blend=10)
-    traj = rollout(block_env, block_env.reset(pose), actions, friction)
-    assert traj.success
-    assert abs(wrap_angle(traj.states[-1, 2] - block_env.theta_des)) < 1e-6
+    states, success = rollout(block_env, block_env.reset(pose), actions, friction)
+    assert success
+    assert abs(wrap_angle(states[-1, 2] - block_env.theta_des)) < 1e-6
 
 
 def test_block_demo_respects_action_bounds(block_env):
@@ -334,8 +303,7 @@ def test_augmented_demo_small_perturbation_succeeds(block_env):
     friction = nominal(block_env)
     pose = Pose(0.03, -0.02, 0.0)
     actions = augmented_demo_actions(block_env, pose, l_blend=10)
-    traj = rollout(block_env, block_env.reset(pose), actions, friction)
-    assert traj.success
+    assert rollout(block_env, block_env.reset(pose), actions, friction)[1]
 
 
 def test_augmented_demo_success_degrades_with_perturbation(block_env):
@@ -351,8 +319,7 @@ def test_augmented_demo_success_degrades_with_perturbation(block_env):
             pose = Pose(dx, dy, yaw)
             friction = block_env.sample_friction(rng, 1)[0]
             actions = augmented_demo_actions(block_env, pose, 10)
-            ok += rollout(block_env, block_env.reset(pose),
-                          actions, friction).success
+            ok += rollout(block_env, block_env.reset(pose), actions, friction)[1]
         rates.append(ok / 20)
     assert rates[0] >= rates[2]
     assert rates[2] < 1.0

@@ -16,13 +16,11 @@ from recovergen.dataset_io import (DatasetFormatError, DatasetManifest, dataset_
                                    deserialize, export_pairs, load_trajectories,
                                    open_dataset, read_manifest, rebuild_trajectories,
                                    record_dtype, serialize, stored_table)
-from recovergen.envs import (augmented_demo_actions, make_env, rollout, rollout_batch,
-                             trajectory_table)
+from recovergen.envs import augmented_demo_actions, make_env, rollout, rollout_batch
 from recovergen.geometry import Pose
 from recovergen.pipeline import (PipelineError, _run_variants, compare_replay,
                                  evaluate_replay, run_pgdg, run_spatial_only,
                                  run_variant, sample_variant_poses)
-from test_dataset import to_stored
 
 
 def fast_cfg(out_dir, **kw):
@@ -73,11 +71,11 @@ def test_run_pgdg_curated_trajectories_revalidate(tmp_path):
     cfg = fast_cfg(tmp_path / "ds")
     run_pgdg(cfg)
     env = make_env(cfg.env)
-    for traj in load_trajectories(str(tmp_path / "ds")):
-        replay = rollout(env, traj.states[0], traj.actions,
-                         traj.friction_scale)
-        assert replay.success
-        assert np.array_equal(replay.states, traj.states)
+    rows = load_trajectories(str(tmp_path / "ds"))
+    for row, plan, states in zip(rows, *rebuild_trajectories(rows, env)):
+        replay, success = rollout(env, row.start, plan, row.friction_scale)
+        assert success
+        assert np.array_equal(replay, states)
 
 
 def test_run_pgdg_manifest_counts_match(tmp_path):
@@ -90,6 +88,23 @@ def test_run_pgdg_manifest_counts_match(tmp_path):
     assert manifest.seed == cfg.seed
     assert 0.0 <= manifest.omission_fraction <= 1.0
     assert len(manifest.final_tubes) >= 1
+
+
+def test_every_report_keeps_its_stored_rows_by_variant(tmp_path):
+    # the variants of a baseline and of a generate run each keep their
+    # stored rows: together they are the rows written, n_selected of them,
+    # and each variant's rows rebuild under the run's environment
+    env = make_env(PipelineConfig().env)
+    for run in (run_spatial_only, run_pgdg):
+        out = str(tmp_path / run.__name__)
+        report = run(PipelineConfig(out_dir=out, seed=7))
+        assert sum(len(v.curated) for v in report.variants) == report.manifest.n_selected > 0
+        rows = np.concatenate([v.curated for v in report.variants])
+        written = np.load(os.path.join(out, "trajectories.npy"), allow_pickle=False)
+        assert rows.dtype == written.dtype and rows.tobytes() == written.tobytes()
+        for v in report.variants:
+            actions, states = rebuild_trajectories(v.curated, env)
+            assert len(actions) == len(states) == len(v.curated)
 
 
 def test_run_pgdg_deterministic_across_jobs(tmp_path):
@@ -146,8 +161,8 @@ def test_lockstep_variants_equal_one_at_a_time():
     # relabeling reuses each curated trajectory's distances: they must be
     # the bits a fresh computation gives on its rebuilt states
     for v in together:
-        for traj, d in zip(rebuild_trajectories(v.curated, env), v.distances):
-            fresh = state_distances(traj["states"], v.expert_states, env.psi, env.psi_scales)
+        for states, d in zip(rebuild_trajectories(v.curated, env)[1], v.distances):
+            fresh = state_distances(states, v.expert_states, env.psi, env.psi_scales)
             assert _bits(d) == _bits(fresh)
 
 
@@ -160,7 +175,7 @@ def test_a_starved_variant_returns_no_stored_rows():
     poses = sample_variant_poses(env, cfg, np.random.default_rng(seeds[0]))
     variants = _run_variants(env, cfg, poses, seeds[1:1 + cfg.n_variants])
     assert [v.skipped for v in variants] == [False, False, True, False]
-    rebuilt = [rebuild_trajectories(v.curated, env) for v in variants]
+    rebuilt = [rebuild_trajectories(v.curated, env)[1] for v in variants]
     assert [len(t) for t in rebuilt] == [len(v.curated) for v in variants]
     assert len(rebuilt[2]) == len(variants[2].distances) == 0
     assert len({v.curated.dtype for v in variants}) == 1
@@ -346,7 +361,8 @@ def replay_oracle(out_dir, n_trials, seed):
     trajectory's state at t."""
     _, env, _, records = open_dataset(out_dir)
     table = load_trajectories(out_dir)
-    n, s0s, actions = len(table), table["states"][:, 0], table["actions"]
+    actions, states = rebuild_trajectories(table, env)
+    n, s0s = len(table), table["start"]
     stored = rollout_batch(env, s0s, actions, table["friction_scale"])[1]
     rows = np.arange(n_trials) % n
     fresh = rollout_batch(env, s0s[rows], actions[rows],
@@ -354,7 +370,7 @@ def replay_oracle(out_dir, n_trials, seed):
     relabeled = 0
     for i, t, chunk in zip(records["traj"], records["t"], records["chunk"]):
         plan = np.concatenate([chunk, actions[i, t + len(chunk):]])
-        relabeled += int(rollout_batch(env, table["states"][i, t][None], plan[None],
+        relabeled += int(rollout_batch(env, states[i, t][None], plan[None],
                                        table["friction_scale"][i])[1][0])
     return {"stored_success_rate": int(stored.sum()) / n,
             "relabeled_success_rate": relabeled / len(records) if len(records) else None,
@@ -420,27 +436,25 @@ def test_evaluate_replay_memory_is_the_replayed_columns_plus_one_block(tmp_path,
     assert max(calls) == block
 
 
-def test_load_trajectories_memory_is_the_table_plus_one_block(tmp_path, monkeypatch):
-    # the returned table is allocated once, the loaded rows are dropped once
-    # copied into it, and its plans and states are filled block by block:
-    # the peak stays below the returned table plus the loaded file's rows
-    # plus one block's control points, plans and states.  Building the
-    # table from a whole-table rollout, as format 6 did, holds every row's
-    # states twice
+def test_rebuild_trajectories_memory_is_the_arrays_plus_one_block(tmp_path, monkeypatch):
+    # the returned plans and states are allocated once and filled block by
+    # block: the peak stays below them plus one block's control points,
+    # plans and states.  Rebuilding them by a whole-table rollout, as
+    # format 6 did, holds every row's states twice
     block, env = 16, PLANAR
     out = str(tmp_path / "ds")
     run_pgdg(PipelineConfig(out_dir=out, seed=7))
     m_points = PipelineConfig().sampler.m_points
-    stored = os.path.getsize(os.path.join(out, "trajectories.npy"))
+    rows = load_trajectories(out)
     monkeypatch.setattr(envs, "ROLLOUT_BLOCK", block)
     tracemalloc.start()
     try:
-        table = load_trajectories(out)
+        actions, states = rebuild_trajectories(rows, env)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(table) > 8 * block
-    bound = table.nbytes + stored + 8 * block * (
+    assert len(rows) > 8 * block
+    bound = actions.nbytes + states.nbytes + 8 * block * (
         m_points * env.action_dim + env.horizon * env.action_dim
         + (env.horizon + 1) * env.state_dim)
     assert peak < bound, (peak, bound)
@@ -495,8 +509,8 @@ def test_trajectories_file_stores_each_start_state_not_the_states(tmp_path):
             + 8 * m_points * env.action_dim == row
         assert os.path.getsize(path) == header + n * row
         loaded = load_trajectories(out)
-        assert np.array_equal(table["start"], loaded["states"][:, 0])
-        assert np.array_equal(table["control_points"], loaded["control_points"])
+        assert loaded.dtype == table.dtype and loaded.tobytes() == table.tobytes()
+        assert np.array_equal(table["start"], rebuild_trajectories(loaded, env)[1][:, 0])
     # a record's replay reaches its trajectory's rebuilt state at t
     out = replay_dataset(tmp_path / "ds", 11, n_records=7, seed=11)
     assert 0 < evaluate_replay(out, 30, seed=3)["relabeled_success_rate"] < 1
@@ -522,8 +536,8 @@ def test_readers_return_the_written_table_bit_for_bit(tmp_path, monkeypatch, cas
 
     def rollout_recording(env, s0s, actions, friction):
         states, success = rollout_batch(env, s0s, actions, friction)
-        rolled.append(trajectory_table(states, actions, success, friction,
-                                       np.arange(len(s0s))))
+        rolled.append((stored_table(np.arange(len(s0s)), success, friction, states[:, 0],
+                                    actions), actions, states))
         return states, success
 
     monkeypatch.setattr(pipeline, "serialize", serialize_recording)
@@ -548,13 +562,14 @@ def test_readers_return_the_written_table_bit_for_bit(tmp_path, monkeypatch, cas
             0, True, (), np.empty((0, PLANAR.state_dim)),
             np.empty((0, PLANAR.horizon, PLANAR.action_dim))))
         # what was rolled out: no rows
-        rolled.append(trajectory_table(np.empty((0, PLANAR.horizon + 1, PLANAR.state_dim)),
-                                       np.empty((0, PLANAR.horizon, PLANAR.action_dim)), [],
-                                       1.0))
+        rolled.append((stored_table(0, True, (), np.empty((0, PLANAR.state_dim)),
+                                    np.empty((0, PLANAR.horizon, PLANAR.action_dim))),
+                       np.empty((0, PLANAR.horizon, PLANAR.action_dim)),
+                       np.empty((0, PLANAR.horizon + 1, PLANAR.state_dim))))
     ((manifest, rows, records),) = written
     got = load_trajectories(out)
     if report is None:
-        (table,) = rolled
+        ((table, actions, states),) = rolled
     else:
         # each stored row is one sampled success, found by its control
         # points; the variants' rows are stored in variant order
@@ -564,19 +579,21 @@ def test_readers_return_the_written_table_bit_for_bit(tmp_path, monkeypatch, cas
         hits = [drawn[points.tobytes()] for points in got["control_points"]]
         assert len({points.tobytes() for points in got["control_points"]}) == len(got)
         assert len(got) == manifest.n_selected and np.all(np.diff(got["variant"]) >= 0)
-        table = trajectory_table(
-            np.array([batch.states[i] for _, batch, i in hits]),
-            np.array([batch.plans.actions[i] for _, batch, i in hits]), True,
-            np.array([batch.plans.friction[i] for _, batch, i in hits]),
-            np.array([v for v, _, _ in hits]),
-            np.array([batch.plans.control_points[i] for _, batch, i in hits]))
-    assert rows.tobytes() == to_stored(table).tobytes()
+        actions = np.array([batch.plans.actions[i] for _, batch, i in hits])
+        states = np.array([batch.states[i] for _, batch, i in hits])
+        table = stored_table(np.array([v for v, _, _ in hits]), True,
+                             np.array([batch.plans.friction[i] for _, batch, i in hits]),
+                             states[:, 0],
+                             np.array([batch.plans.control_points[i] for _, batch, i in hits]))
+    assert rows.tobytes() == table.tobytes()
     assert (len(table) > 0) == (case != "empty")
     assert bool(np.any(~table["success"])) == (case == "baseline")
     assert got.dtype == table.dtype and got.tobytes() == table.tobytes()
+    env = open_dataset(out)[1]
+    for rebuilt, want in zip(rebuild_trajectories(got, env), (actions, states)):
+        assert rebuilt.shape == want.shape and rebuilt.tobytes() == want.tobytes()
     pairs, _ = deserialize(out)
-    curated = export_pairs(table["states"], table["actions"], manifest.chunk_len,
-                           make_env(manifest.env_name).observe)
+    curated = export_pairs(states, actions, manifest.chunk_len, env.observe)
     assert pairs.curated.dtype == curated.dtype
     assert pairs.curated.tobytes() == curated.tobytes()
     if records is None:

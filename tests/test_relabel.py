@@ -1,33 +1,54 @@
 """Risky-state selection and cross-entropy relabeling."""
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from recovergen import dataset_io, envs, pipeline, relabel
 from recovergen.config import PipelineConfig, RelabelConfig
 from recovergen.curator import TubeBounds, state_distances
-from recovergen.dataset_io import deserialize, rebuild_trajectories
+from recovergen.dataset_io import deserialize, rebuild_trajectories, stored_table
 from recovergen.envs import (PlanarBlockRotate, PointReach,
                              augmented_demo_actions, lockstep, rollout,
-                             rollout_with_resume, trajectory_table)
+                             rollout_with_resume)
 from recovergen.geometry import Pose
 from recovergen.relabel import (RelabelPoint, _score, cem_optimize, relabel_cost,
                                 relabel_dataset, select_risky_states)
-from test_dataset import to_stored
 
 IDENT = lambda s: np.asarray(s, dtype=float)  # noqa: E731
 
 
-def risks(curated, expert_states, psi=IDENT, scales=(1.0,)):
-    """Each trajectory's distances to its own expert, as the pipeline
-    keeps them for relabeling."""
-    return [state_distances(traj.states, expert, psi, scales)
-            for traj, expert in zip(curated, expert_states)]
+class Traj(NamedTuple):
+    """One trajectory as ``relabel_cost`` and ``cem_optimize`` take it."""
+
+    plan: np.ndarray        # (T, d_a)
+    states: np.ndarray      # (T+1, d_s)
+    friction: float
 
 
-def line_traj(values, success=True):
-    states = np.asarray(values, dtype=float)[None, :, None]
-    return trajectory_table(states, np.zeros((1, states.shape[1] - 1, 1)), success,
-                            1.0).view(np.recarray)[0]
+def rolled_out(env, s0, plan, friction):
+    """The trajectory of ``plan`` from ``s0``, and whether it succeeded."""
+    states, success = rollout(env, s0, plan, friction)
+    return Traj(plan, states, friction), success
+
+
+def stored(trajs):
+    """The stored rows of ``trajs``, each plan as its own M = T control
+    points, as the baseline stores its plans."""
+    return stored_table(0, True, [t.friction for t in trajs],
+                        np.array([t.states[0] for t in trajs]),
+                        np.array([t.plan for t in trajs]))
+
+
+def risks(states, expert_states, psi=IDENT, scales=(1.0,)):
+    """Each trajectory's distances to its own expert, from its states
+    (T+1, d_s), as the pipeline keeps them for relabeling."""
+    return [state_distances(s, expert, psi, scales) for s, expert in zip(states, expert_states)]
+
+
+def line_traj(values):
+    """The states (T+1, 1) of a trajectory along one axis."""
+    return np.asarray(values, dtype=float)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +90,7 @@ def test_select_clips_timestep_for_full_chunk():
     vals = [0.0] * 25 + [1.0]  # riskiest state is the terminal one
     traj = line_traj(vals)
     pts = select_risky_states(risks([traj], [experts]), 1, 5, horizon_h=10)
-    assert pts[0].t == len(traj.actions) - 10
+    assert pts[0].t == len(traj) - 1 - 10
 
 
 def test_select_returns_fewer_when_not_enough_points():
@@ -93,11 +114,11 @@ def _tuple_sort_select(curated, expert_states, psi, scales, k_rel, min_sep, hori
     """Reference selection: one (risk, trajectory, t) tuple per state,
     sorted by descending risk, then trajectory, then timestep."""
     candidates = []
-    for i, traj in enumerate(curated):
-        t_hi = len(traj.actions) - horizon_h
+    for i, states in enumerate(curated):
+        t_hi = len(states) - 1 - horizon_h
         if t_hi < 0:
             continue
-        d = state_distances(traj.states, expert_states[i], psi, scales)
+        d = state_distances(states, expert_states[i], psi, scales)
         for t in range(len(d)):
             candidates.append((float(d[t]), i, min(t, t_hi)))
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
@@ -158,27 +179,26 @@ def _block_fixture():
     pose = Pose()
     friction = env.nominal_friction()
     actions = augmented_demo_actions(env, pose, l_blend=10)
-    traj = rollout(env, env.reset(pose), actions, friction)
-    assert traj.success
-    expert = traj.states
-    return env, traj, expert
+    traj, success = rolled_out(env, env.reset(pose), actions, friction)
+    assert success
+    return env, traj, traj.states
 
 
 def test_cost_zero_for_reference_on_successful_in_tube_trajectory():
     env, traj, expert = _block_fixture()
     cfg = RelabelConfig(horizon=15)
     tube = TubeBounds(0.0, 100.0)  # everything inside
-    u = traj.actions[20:35]
-    assert relabel_cost(u, traj, 20, tube, env, cfg, expert) == 0.0
+    u = traj.plan[20:35]
+    assert relabel_cost(u, *traj, 20, tube, env, cfg, expert) == 0.0
 
 
 def test_cost_reference_term_isolated():
     env, traj, expert = _block_fixture()
     cfg = RelabelConfig(horizon=15, w_fail=0.0, w_tube=0.0, w_ref=2.0)
     tube = TubeBounds(0.0, 100.0)
-    u = traj.actions[20:35] + 0.001
+    u = traj.plan[20:35] + 0.001
     expected = 2.0 * 15 * 4 * 0.001 ** 2
-    assert np.isclose(relabel_cost(u, traj, 20, tube, env, cfg, expert),
+    assert np.isclose(relabel_cost(u, *traj, 20, tube, env, cfg, expert),
                       expected, atol=1e-12)
 
 
@@ -188,23 +208,19 @@ def test_cost_failure_indicator_term():
     cfg = RelabelConfig(horizon=15, w_fail=1e3, w_tube=0.0, w_ref=0.0)
     # pull the effectors apart: contact lost, continuation fails
     u = np.tile([-0.03, -0.03, 0.03, 0.03], (15, 1))
-    cont = rollout_with_resume(env, traj.states[20], u, traj.actions[35:],
-                               traj.friction_scale)
-    assert not cont.success
-    assert relabel_cost(u, traj, 20, tube, env, cfg, expert) == 1e3
+    assert not rollout_with_resume(env, traj.states[20], u, traj.plan[35:], traj.friction)[1]
+    assert relabel_cost(u, *traj, 20, tube, env, cfg, expert) == 1e3
 
 
 def test_cost_tube_term_quadratic_hinge():
     env, traj, expert = _block_fixture()
     cfg = RelabelConfig(horizon=15, w_fail=0.0, w_tube=10.0, w_ref=0.0)
     tight = TubeBounds(0.0, 0.0)  # any deviation is a violation
-    u = traj.actions[20:35]
-    cont = rollout_with_resume(env, traj.states[20], u, traj.actions[35:],
-                               traj.friction_scale)
-    from recovergen.curator import state_distances
-    d = state_distances(cont.states[1:16], expert, env.psi, env.psi_scales)
+    u = traj.plan[20:35]
+    cont, _ = rollout_with_resume(env, traj.states[20], u, traj.plan[35:], traj.friction)
+    d = state_distances(cont[1:16], expert, env.psi, env.psi_scales)
     expected = 10.0 * float(np.sum(np.maximum(d - 0.0, 0.0) ** 2))
-    assert np.isclose(relabel_cost(u, traj, 20, tight, env, cfg, expert),
+    assert np.isclose(relabel_cost(u, *traj, 20, tight, env, cfg, expert),
                       expected, atol=1e-10)
 
 
@@ -217,8 +233,8 @@ def _reach_fixture():
     pose = env.demo_object_pose()
     friction = env.nominal_friction()
     actions = augmented_demo_actions(env, pose, l_blend=1)
-    traj = rollout(env, env.reset(pose), actions, friction)
-    assert traj.success
+    traj, success = rolled_out(env, env.reset(pose), actions, friction)
+    assert success
     return env, traj, traj.states
 
 
@@ -228,11 +244,11 @@ def test_cem_quadratic_only_converges_to_reference():
                         init_std=0.01, w_fail=0.0, w_tube=0.0, w_ref=1.0,
                         horizon=15)
     point = RelabelPoint(trajectory_id=0, t=5, risk=0.0)
-    out = cem_optimize(point, traj, env, TubeBounds(0.0, 100.0), cfg,
+    out = cem_optimize(point, *traj, env, TubeBounds(0.0, 100.0), cfg,
                        np.random.default_rng(0), expert)
     assert out is not None
     chunk, _ = out
-    assert np.all(np.abs(chunk - traj.actions[5:20]) < 1e-2)
+    assert np.all(np.abs(chunk - traj.plan[5:20]) < 1e-2)
 
 
 def test_cem_best_ever_never_regresses():
@@ -240,9 +256,9 @@ def test_cem_best_ever_never_regresses():
     cfg = RelabelConfig(population=16, cem_iterations=5, init_std=0.02, horizon=10)
     point = RelabelPoint(trajectory_id=0, t=0, risk=0.0)
     tube = TubeBounds(0.0, 100.0)
-    out = cem_optimize(point, traj, env, tube, cfg,
+    out = cem_optimize(point, *traj, env, tube, cfg,
                        np.random.default_rng(1), expert)
-    ref_cost = relabel_cost(traj.actions[0:10], traj, 0, tube, env, cfg, expert)
+    ref_cost = relabel_cost(traj.plan[0:10], *traj, 0, tube, env, cfg, expert)
     assert out is not None
     chunk, cost = out
     assert chunk.shape == (10, env.action_dim)
@@ -253,9 +269,9 @@ def test_cem_deterministic_given_seed():
     env, traj, expert = _reach_fixture()
     cfg = RelabelConfig(population=16, cem_iterations=3, init_std=0.02, horizon=10)
     point = RelabelPoint(trajectory_id=0, t=2, risk=0.0)
-    a = cem_optimize(point, traj, env, TubeBounds(0.0, 100.0), cfg,
+    a = cem_optimize(point, *traj, env, TubeBounds(0.0, 100.0), cfg,
                      np.random.default_rng(7), expert)
-    b = cem_optimize(point, traj, env, TubeBounds(0.0, 100.0), cfg,
+    b = cem_optimize(point, *traj, env, TubeBounds(0.0, 100.0), cfg,
                      np.random.default_rng(7), expert)
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
@@ -264,7 +280,7 @@ def test_cem_rejects_point_without_room():
     env, traj, expert = _reach_fixture()
     cfg = RelabelConfig(horizon=15)
     with pytest.raises(ValueError):
-        cem_optimize(RelabelPoint(0, len(traj.actions) - 5, 0.0), traj, env,
+        cem_optimize(RelabelPoint(0, len(traj.plan) - 5, 0.0), *traj, env,
                      TubeBounds(0.0, 100.0), cfg, np.random.default_rng(0),
                      expert)
 
@@ -274,10 +290,10 @@ def test_cem_unreachable_goal_emits_nothing():
     friction = env.nominal_friction()
     # goal far beyond what the remaining steps can cover: every candidate fails
     s0 = np.array([0.0, 0.0, 50.0, 50.0])
-    traj = rollout(env, s0, np.zeros((env.horizon, 2)), friction)
-    assert not traj.success
+    traj, success = rolled_out(env, s0, np.zeros((env.horizon, 2)), friction)
+    assert not success
     cfg = RelabelConfig(population=8, cem_iterations=2, init_std=0.01, horizon=10)
-    out = cem_optimize(RelabelPoint(0, 0, 0.0), traj, env,
+    out = cem_optimize(RelabelPoint(0, 0, 0.0), *traj, env,
                        TubeBounds(0.0, 100.0), cfg, np.random.default_rng(0),
                        traj.states)
     assert out is None
@@ -298,7 +314,7 @@ def test_cem_mean_moves_to_the_elite_mean(monkeypatch, population, elite_frac, n
     monkeypatch.setattr(relabel, "_score", recorded)
     cfg = RelabelConfig(population=population, elite_frac=elite_frac, cem_iterations=2,
                         init_std=0.01, horizon=10)
-    cem_optimize(RelabelPoint(0, 2, 0.0), traj, env, TubeBounds(0.0, 100.0), cfg,
+    cem_optimize(RelabelPoint(0, 2, 0.0), *traj, env, TubeBounds(0.0, 100.0), cfg,
                  np.random.default_rng(0), expert)
     (_, _), (pop, costs), (next_pop, _) = calls
     elites = pop[np.argsort(costs, kind="stable")[:n_elites]]
@@ -321,7 +337,7 @@ def test_converged_point_stops_after_w_flat_iterations(monkeypatch, drop_until, 
 
     monkeypatch.setattr(relabel, "_score", flat)
     cfg = RelabelConfig(population=8, cem_iterations=30, init_std=0.01, horizon=10)
-    out = cem_optimize(RelabelPoint(0, 2, 0.0), traj, env, TubeBounds(0.0, 100.0), cfg,
+    out = cem_optimize(RelabelPoint(0, 2, 0.0), *traj, env, TubeBounds(0.0, 100.0), cfg,
                        np.random.default_rng(0), expert)
     assert len(calls) == 1 + iterations
     assert out is not None and out[1] == 1.0 - 0.1 * drop_until
@@ -331,7 +347,7 @@ def test_point_whose_candidates_all_fail_runs_every_iteration(monkeypatch):
     # its best cost is flat from the start, but no candidate succeeds
     env = PointReach()
     s0 = np.array([0.0, 0.0, 50.0, 50.0])
-    traj = rollout(env, s0, np.zeros((env.horizon, 2)), env.nominal_friction())
+    traj, _ = rolled_out(env, s0, np.zeros((env.horizon, 2)), env.nominal_friction())
     calls = []
 
     def recorded(env, cfg, point, u):
@@ -341,7 +357,7 @@ def test_point_whose_candidates_all_fail_runs_every_iteration(monkeypatch):
 
     monkeypatch.setattr(relabel, "_score", recorded)
     cfg = RelabelConfig(population=8, cem_iterations=12, init_std=0.01, horizon=10)
-    out = cem_optimize(RelabelPoint(0, 0, 0.0), traj, env, TubeBounds(0.0, 100.0), cfg,
+    out = cem_optimize(RelabelPoint(0, 0, 0.0), *traj, env, TubeBounds(0.0, 100.0), cfg,
                        np.random.default_rng(0), traj.states)
     assert out is None
     assert len(calls) == 1 + cfg.cem_iterations
@@ -357,7 +373,7 @@ def test_stopped_points_leave_the_batch_and_the_rest_run_as_alone(monkeypatch):
     cfg = RelabelConfig(k_rel=3, population=12, cem_iterations=30, init_std=0.005,
                         horizon=15)
     tube = TubeBounds(0.0, 0.05)
-    dists = risks([traj], [expert], env.psi, env.psi_scales)
+    dists = risks([traj.states], [expert], env.psi, env.psi_scales)
     rows = []
 
     def counted(env, s0s, *args, _rollout_batch=envs.rollout_batch):
@@ -365,14 +381,14 @@ def test_stopped_points_leave_the_batch_and_the_rest_run_as_alone(monkeypatch):
         return _rollout_batch(env, s0s, *args)
 
     monkeypatch.setattr(envs, "rollout_batch", counted)
-    targets = relabel_dataset(to_stored(np.array([traj])), env, [tube], cfg,
+    targets = relabel_dataset(stored([traj]), env, [tube], cfg,
                               np.random.default_rng(3), [expert], dists)
     batched = rows[:]
     points = select_risky_states(dists, 3, cfg.horizon, cfg.horizon)
     alone, iterations = [], []
     for point, rng in zip(points, np.random.default_rng(3).spawn(len(points))):
         rows.clear()
-        alone.append(cem_optimize(point, traj, env, tube, cfg, rng, expert))
+        alone.append(cem_optimize(point, *traj, env, tube, cfg, rng, expert))
         iterations.append(len(rows) - 1)
     assert len(set(iterations)) > 1 and max(iterations) < cfg.cem_iterations
     # round 0 scores each point's reference chunk; round k carries the
@@ -391,7 +407,7 @@ def assert_rows_are_the_points_alone(table, points, alone, traj, env, tube, cfg,
     for (point, (chunk, cost)), row in zip(kept, table):
         assert (point.trajectory_id, point.t) == (row["traj"], row["t"])
         assert np.array_equal(chunk, row["chunk"])
-        assert relabel_cost(row["chunk"], traj, row["t"], tube, env, cfg, expert) == cost
+        assert relabel_cost(row["chunk"], *traj, row["t"], tube, env, cfg, expert) == cost
         assert np.array_equal(row["obs"], env.observe(traj.states[point.t], traj.states[0]))
 
 
@@ -422,9 +438,10 @@ def seed_7_relabeling(tmp_path_factory):
             mp.setattr(pipeline, "relabel_dataset", recorded)
             pipeline.run_pgdg(PipelineConfig(out_dir=out, seed=7, jobs=1))
         [((curated, env, tubes, cfg, _, experts, _), table)] = calls
-        trajs = rebuild_trajectories(curated, env)
-        costs = [relabel_cost(r["chunk"], trajs[r["traj"]], r["t"], tubes[r["traj"]], env,
-                              cfg, experts[r["traj"]]) for r in table]
+        plans, states = rebuild_trajectories(curated, env)
+        friction = curated["friction_scale"]
+        costs = [relabel_cost(r["chunk"], plans[i], states[i], friction[i], r["t"], tubes[i],
+                              env, cfg, experts[i]) for i, r in zip(table["traj"], table)]
         runs[name] = (sum(rows), table, costs, out)
     return runs
 
@@ -481,14 +498,14 @@ def test_zero_init_std_and_min_sep_take_their_auto_values():
     # init_std 0 is 0.25 x the action range (2 a_max); min_sep 0 is the horizon
     env, traj, expert = _block_fixture()
     expert = expert + [0.02, 0, 0, 0, 0, 0, 0]   # the reference leaves the tube
-    dists = risks([traj], [expert], env.psi, env.psi_scales)
+    dists = risks([traj.states], [expert], env.psi, env.psi_scales)
 
     def targets(**kw):
         cfg = RelabelConfig(k_rel=3, population=16, cem_iterations=3, horizon=15, **kw)
         tube = TubeBounds(0.0, 0.05)
         return [((r["traj"], r["t"]), r["chunk"].tobytes(),
-                 relabel_cost(r["chunk"], traj, r["t"], tube, env, cfg, expert))
-                for r in relabel_dataset(to_stored(np.array([traj])), env, [tube], cfg,
+                 relabel_cost(r["chunk"], *traj, r["t"], tube, env, cfg, expert))
+                for r in relabel_dataset(stored([traj]), env, [tube], cfg,
                                          np.random.default_rng(3), [expert], dists)]
 
     auto = targets()
@@ -507,17 +524,17 @@ def test_population_costs_equal_one_candidate_costs(horizon):
     cfg = RelabelConfig(horizon=horizon)
     tube = TubeBounds(0.0, 0.05)
     rng = np.random.default_rng(4)
-    points = [(traj, t, tube, expert) for t in (3, 20, len(traj.actions) - horizon)]
-    chunks = [traj.actions[t:t + horizon].reshape(-1)
+    points = [(*traj, t, tube, expert) for t in (3, 20, len(traj.plan) - horizon)]
+    chunks = [traj.plan[t:t + horizon].reshape(-1)
               + 0.01 * rng.standard_normal((9, horizon * env.action_dim))
-              for _, t, _, _ in points]
+              for _, _, _, t, _, _ in points]
     batched = lockstep(env, [_score(env, cfg, p, u) for p, u in zip(points, chunks)])
-    for (_, t, _, _), pop, (costs, ok) in zip(points, chunks, batched):
-        one_by_one = [relabel_cost(u, traj, t, tube, env, cfg, expert) for u in pop]
+    for (_, _, _, t, _, _), pop, (costs, ok) in zip(points, chunks, batched):
+        one_by_one = [relabel_cost(u, *traj, t, tube, env, cfg, expert) for u in pop]
         assert costs.tolist() == one_by_one
         # each flag is the candidate's own continuation, rolled out alone
-        alone = [rollout_with_resume(env, traj.states[t], u, traj.actions[t + horizon:],
-                                     traj.friction_scale).success for u in pop]
+        alone = [rollout_with_resume(env, traj.states[t], u, traj.plan[t + horizon:],
+                                     traj.friction)[1] for u in pop]
         assert ok.tolist() == alone
     assert any(c > 0 for costs, _ in batched for c in costs)
 
@@ -528,14 +545,14 @@ def test_relabel_dataset_equals_points_optimized_one_at_a_time(monkeypatch):
     # rows; its records are, bit for bit, those that cem_optimize gives on
     # the rebuilt rows one point at a time
     env, traj, expert = _block_fixture()
-    noise = np.random.default_rng(8).normal(0.0, 0.002, (2, *traj.actions.shape))
-    trajs = [traj] + [rollout(env, traj.states[0], traj.actions + e, traj.friction_scale)
+    noise = np.random.default_rng(8).normal(0.0, 0.002, (2, *traj.plan.shape))
+    trajs = [traj] + [rolled_out(env, traj.states[0], traj.plan + e, traj.friction)[0]
                       for e in noise]
-    curated = to_stored(np.array(trajs))
+    curated = stored(trajs)
     cfg = RelabelConfig(k_rel=5, population=12, cem_iterations=3, init_std=0.005,
                         horizon=15)
     tube = TubeBounds(0.0, 0.05)
-    dists = risks(trajs, [expert] * 3, env.psi, env.psi_scales)
+    dists = risks([t.states for t in trajs], [expert] * 3, env.psi, env.psi_scales)
     rebuilt_rows = []
 
     def counted(env, s0s, *args, _rollout_batch=dataset_io.rollout_batch):
@@ -549,20 +566,22 @@ def test_relabel_dataset_equals_points_optimized_one_at_a_time(monkeypatch):
     points = select_risky_states(dists, cfg.k_rel, cfg.horizon, cfg.horizon)
     chosen = {p.trajectory_id for p in points}
     assert rebuilt_rows == [len(chosen)] and 1 < len(chosen) < len(points) <= cfg.k_rel
-    rebuilt = rebuild_trajectories(curated, env)
-    assert rebuilt.tobytes() == np.array(trajs).tobytes()
-    alone = [cem_optimize(point, rebuilt[point.trajectory_id], env, tube, cfg, rng, expert)
+    plans, states = rebuild_trajectories(curated, env)
+    assert plans.tobytes() == np.array([t.plan for t in trajs]).tobytes()
+    assert states.tobytes() == np.array([t.states for t in trajs]).tobytes()
+    rebuilt = [Traj(*row) for row in zip(plans, states, curated["friction_scale"])]
+    alone = [cem_optimize(point, *rebuilt[point.trajectory_id], env, tube, cfg, rng, expert)
              for point, rng in zip(points, np.random.default_rng(3).spawn(len(points)))]
     kept = [(p, a) for p, a in zip(points, alone) if a is not None]
     want = np.empty(len(kept), targets.dtype)
     want["traj"] = [p.trajectory_id for p, _ in kept]
     want["t"] = [p.t for p, _ in kept]
-    want["obs"] = [env.observe(rebuilt["states"][p.trajectory_id, p.t],
-                               rebuilt["states"][p.trajectory_id, 0]) for p, _ in kept]
+    want["obs"] = [env.observe(states[p.trajectory_id, p.t], states[p.trajectory_id, 0])
+                   for p, _ in kept]
     want["chunk"] = [chunk for _, (chunk, _) in kept]
     assert len(targets) == len(kept) > 1 and targets.tobytes() == want.tobytes()
     for row, (_, (_, cost)) in zip(targets, kept):
-        assert relabel_cost(row["chunk"], rebuilt[row["traj"]], row["t"], tube, env, cfg,
+        assert relabel_cost(row["chunk"], *rebuilt[row["traj"]], row["t"], tube, env, cfg,
                             expert) == cost
 
 
@@ -574,18 +593,16 @@ def test_relabel_dataset_targets_validate_and_separate():
     env, traj, expert = _block_fixture()
     cfg = RelabelConfig(k_rel=4, population=16, cem_iterations=3, init_std=0.005,
                         horizon=15)
-    targets = relabel_dataset(to_stored(np.array([traj])), env, [TubeBounds(0.0, 100.0)], cfg,
+    targets = relabel_dataset(stored([traj]), env, [TubeBounds(0.0, 100.0)], cfg,
                               np.random.default_rng(3), [expert],
-                              risks([traj], [expert], env.psi, env.psi_scales))
+                              risks([traj.states], [expert], env.psi, env.psi_scales))
     assert 0 < len(targets) <= 4
     assert targets.dtype["chunk"].shape == (15, env.action_dim)
     seen = {}
     for row in targets:
         src = [traj][row["traj"]]
-        cont = rollout_with_resume(env, src.states[row["t"]], row["chunk"],
-                                   src.actions[row["t"] + 15:],
-                                   src.friction_scale)
-        assert cont.success
+        assert rollout_with_resume(env, src.states[row["t"]], row["chunk"],
+                                   src.plan[row["t"] + 15:], src.friction)[1]
         seen.setdefault(row["traj"], []).append(row["t"])
     for ts in seen.values():
         ts = sorted(ts)
@@ -603,12 +620,12 @@ def test_relabel_dataset_needs_one_tube_and_expert_per_trajectory():
     env, traj, expert = _block_fixture()
     cfg = RelabelConfig(population=4, cem_iterations=1, horizon=15)
     tube = TubeBounds(0.0, 100.0)
-    dists = risks([traj], [expert], env.psi, env.psi_scales)
+    dists = risks([traj.states], [expert], env.psi, env.psi_scales)
     for tubes, experts, d in (([tube], [expert] * 2, dists * 2),
                               ([tube] * 2, [expert], dists * 2),
                               ([tube] * 2, [expert] * 2, dists)):
         with pytest.raises(ValueError, match="per trajectory"):
-            relabel_dataset([traj, traj], env, tubes, cfg, np.random.default_rng(0),
+            relabel_dataset(stored([traj, traj]), env, tubes, cfg, np.random.default_rng(0),
                             experts, d)
 
 
@@ -618,9 +635,9 @@ def test_relabel_dataset_deterministic():
                         horizon=15)
     runs = []
     for _ in range(2):
-        tgts = relabel_dataset(to_stored(np.array([traj])), env, [TubeBounds(0.0, 100.0)], cfg,
+        tgts = relabel_dataset(stored([traj]), env, [TubeBounds(0.0, 100.0)], cfg,
                                np.random.default_rng(5), [expert],
-                               risks([traj], [expert], env.psi, env.psi_scales))
+                               risks([traj.states], [expert], env.psi, env.psi_scales))
         runs.append(tgts)
     assert len(runs[0]) == len(runs[1])
     for a, b in zip(*runs):

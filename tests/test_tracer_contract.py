@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import recovergen
@@ -104,3 +105,35 @@ def test_traced_generate_calls_into_each_layer(dataset, metric):
     # never calls (a name the program no longer looks up) reads 0, not absent
     _, values, _ = _layer_values(dataset, "generate")
     assert values[metric] > 0
+
+
+def test_result_counters_read_the_results_no_command_returns():
+    # no command calls sampler.generate_success_batch or pipeline.run_variant,
+    # so no traced run applies their result counters; each counter's reader
+    # is applied here to a tiny call's result, so that a changed return
+    # type fails a test and not only a benchmark that reads 0
+    from recovergen import pipeline, sampler
+    from recovergen.config import PipelineConfig
+    from recovergen.envs import augmented_demo_actions, make_env
+
+    cfg = PipelineConfig(env="point_reach", iterations=1, samples=8, l_blend=2)
+    cfg.sampler.sigma0 = 0.001
+    env = make_env(cfg.env)
+    pose = env.demo_object_pose()
+    q = sampler.init_proposal(augmented_demo_actions(env, pose, cfg.l_blend),
+                              cfg.sampler.m_points, cfg.sampler.sigma0,
+                              cfg.sampler.variance_floor)
+    results = {
+        "sampler.generate_success_batch": sampler.generate_success_batch(
+            env, pose, q, cfg.samples, np.random.default_rng(0)),
+        "pipeline.run_variant": pipeline.run_variant(env, cfg, 0, pose,
+                                                     np.random.SeedSequence(0)),
+    }
+    assert set(results) < set(tracer.RESULT_COUNTERS)
+    for name, result in results.items():
+        for key, read in tracer.RESULT_COUNTERS[name]:
+            value = read(result)
+            assert isinstance(value, int) and value >= 0, (name, key, value)
+    batch, variant = results.values()
+    assert 0 < len(batch) <= batch.n_sampled == cfg.samples
+    assert not variant.skipped and len(variant.curated) > 0
