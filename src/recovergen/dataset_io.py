@@ -278,12 +278,14 @@ def stored_table(variant, success, friction, start, control_points) -> np.ndarra
     and ``success`` of each row or of all, and each row's friction scale,
     start state ``start`` (n, d_s) and control points ``control_points``
     (n, M, d_a), which fix the row's plan (``sampler.decode``) and states
-    (``rebuild_trajectories``)."""
+    (``rebuild_trajectories``).  A variant that is not of an integer type
+    or a success that is not boolean raises TypeError."""
     table = np.empty(len(start), _dtype(_STORED_FIELDS, {
         "variant": (), "success": (), "friction_scale": (), "start": start.shape[1:],
         "control_points": control_points.shape[1:]}))
-    for name, column in zip(_STORED_FIELDS, (variant, success, friction, start,
-                                             control_points)):
+    columns = (np.asarray(variant).astype("<i8", casting="safe"),
+               np.asarray(success).astype("?", casting="safe"), friction, start, control_points)
+    for name, column in zip(_STORED_FIELDS, columns):
         table[name] = column
     return table
 

@@ -11,17 +11,17 @@ Two desk-scale environments are provided:
 Both environments are immutable descriptions.  The one randomized physical
 parameter is a friction scale: ``sample_friction`` draws one per row, and
 ``nominal_friction`` is the middle of ``friction_range``.  ``step(states
-(n, d_s), actions (n, d_a), friction)`` advances many rows at once and is a
-pure function of its inputs; ``friction`` is one float for every row or an
-(n,) array, one per row, and a 1-D state gives a 1-D result.
-``rollout_batch`` runs open-loop plans for many rows, each for its own
-number of steps, longest first, and ``success_batch`` evaluates the
-success predicate on final states.  ``rollout`` and
-``rollout_with_resume`` are its one-row forms; each returns its one row's
-states (L+1, d_s) and success.
-``lockstep`` runs generators of rollout requests (the variant loops, the
-CEM relabel points) together, with one ``rollout_batch`` call per round
-for all the live ones, their requests ordered longest plan first.
+(n, d_s), actions (n, d_a), friction (n,))`` advances many rows at once,
+each under its own friction scale, and is a pure function of its inputs.
+``rollout_batch`` checks the shapes once and runs open-loop plans for
+many rows, each for its own number of steps, longest first, and
+``success_batch`` evaluates the success predicate on final states.
+``rollout`` and ``rollout_with_resume`` are its one-row forms, from one
+start state under one friction scale; each returns its one row's states
+(L+1, d_s) and success.  ``lockstep`` runs generators of rollout
+requests (the variant loops, the CEM relabel points) together, with one
+``rollout_batch`` call per round for all the live ones, their requests
+ordered longest plan first.
 
 Rows are independent: a row's result has the same bits alone and at any
 position in a batch of any size, so how rows are batched (and ``--jobs``)
@@ -56,26 +56,16 @@ def blocks(n: int):
     return (slice(lo, min(lo + ROLLOUT_BLOCK, n)) for lo in range(0, n, ROLLOUT_BLOCK))
 
 
-def wrap_angle(theta):
-    """Wrap to (-pi, pi]; elementwise over an array."""
-    out = np.fmod(np.asarray(theta, dtype=float) + math.pi, 2.0 * math.pi)
-    out = np.where(out <= 0.0, out + 2.0 * math.pi, out) - math.pi
-    return out if out.ndim else float(out)
+def wrap_angle(theta: np.ndarray) -> np.ndarray:
+    """Wrap the angles ``theta`` to (-pi, pi], elementwise."""
+    out = np.fmod(theta + math.pi, 2.0 * math.pi)
+    return np.where(out <= 0.0, out + 2.0 * math.pi, out) - math.pi
 
 
 def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Elementwise min(max(x, lo), hi) with Python's tie and NaN rules."""
     x = np.where(lo > x, lo, x)
     return np.where(hi < x, hi, x)
-
-
-def _rows(friction, n: int) -> np.ndarray:
-    """``friction``, one float for every row or one per row, as (n,)."""
-    friction = np.asarray(friction, dtype=float)
-    if friction.shape not in ((), (n,)):
-        raise ValueError(f"expected one friction scale or one per row ({n}), "
-                         f"got shape {friction.shape}")
-    return np.broadcast_to(friction, (n,))
 
 
 class Environment:
@@ -128,9 +118,10 @@ class Environment:
     def reset(self, variant: Pose) -> np.ndarray:
         raise NotImplementedError
 
-    def step(self, state: np.ndarray, action: np.ndarray, friction) -> np.ndarray:
-        """Advance states (n, d_s) by actions (n, d_a) under one friction
-        scale or one per row; a 1-D state gives a 1-D result."""
+    def step(self, states: np.ndarray, actions: np.ndarray,
+             friction: np.ndarray) -> np.ndarray:
+        """Advance states (n, d_s) by actions (n, d_a) under the friction
+        scales (n,), one per row."""
         raise NotImplementedError
 
     def success_batch(self, final_states: np.ndarray) -> np.ndarray:
@@ -176,23 +167,24 @@ def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
                   friction, lengths=None) -> Tuple[np.ndarray, np.ndarray]:
     """Execute open-loop plans for n rows at once.
 
-    ``s0s`` is (n, d_s) and ``actions`` (n, L, d_a); ``friction`` is one
-    float for every row or an (n,) array, one per row.  Row i takes
-    ``lengths[i]`` steps (L by default, each in [1, L]) and then holds its
-    final state.  Returns the states (n, L + 1, d_s) and each row's success
-    (n,).
+    ``s0s`` is (n, d_s), ``actions`` (n, L, d_a) and ``friction`` (n,),
+    one friction scale per row.  Row i takes ``lengths[i]`` steps (L by
+    default, each in [1, L]) and then holds its final state.  Returns the
+    states (n, L + 1, d_s) and each row's success (n,).
 
     The rows come longest first (``lockstep`` orders them so), and each
     step advances only the prefix of rows still running, so the env work
     is sum(lengths) steps.  Lengths that are not non-increasing raise
-    ValueError.
+    ValueError, as do arrays of other shapes, before the first step.
     """
     s0s = np.asarray(s0s, dtype=float)
     actions = np.asarray(actions, dtype=float)
+    friction = np.asarray(friction, dtype=float)
     if actions.ndim != 3 or actions.shape[1] < 1 or actions.shape[2] != env.action_dim \
-            or s0s.shape != (len(actions), env.state_dim):
-        raise ValueError(f"expected s0s (n, {env.state_dim}) and actions (n, L >= 1, "
-                         f"{env.action_dim}), got {s0s.shape} and {actions.shape}")
+            or s0s.shape != (len(actions), env.state_dim) or friction.shape != (len(actions),):
+        raise ValueError(f"expected s0s (n, {env.state_dim}), actions (n, L >= 1, "
+                         f"{env.action_dim}) and friction (n,), got {s0s.shape}, "
+                         f"{actions.shape} and {friction.shape}")
     n, horizon = actions.shape[:2]
     lengths = np.full(n, horizon) if lengths is None else np.asarray(lengths)
     if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > horizon) \
@@ -200,7 +192,6 @@ def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
         raise ValueError(f"lengths must give each of the {n} rows 1..{horizon} steps, "
                          f"longest first")
     running = (lengths[:, None] > np.arange(horizon)).sum(axis=0)
-    friction = _rows(friction, n)
     s = s0s.copy()
     out = np.empty((n, horizon + 1, env.state_dim))
     out[:, 0] = s
@@ -211,9 +202,9 @@ def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
     return out, env.success_batch(out[:, -1])
 
 
-# A rollout request, (s0s (n, d_s), actions (n, L, d_a), friction), with the
-# friction as ``rollout_batch`` takes it, and its reply, (states
-# (n, L + 1, d_s), success (n,)).
+# A rollout request, (s0s (n, d_s), actions (n, L, d_a), friction (n,)), as
+# ``rollout_batch`` takes it, and its reply, (states (n, L + 1, d_s),
+# success (n,)).
 Request = Tuple[np.ndarray, np.ndarray, np.ndarray]
 Reply = Tuple[np.ndarray, np.ndarray]
 
@@ -234,14 +225,15 @@ def lockstep(env: Environment, loops: Sequence[Generator[Request, Reply, Any]]) 
         order = sorted(pending, key=lambda j: -pending[j][1].shape[1])
         s0s, actions, friction = zip(*map(pending.get, order))
         n = [len(s) for s in s0s]
+        if [np.shape(f) for f in friction] != [(k,) for k in n]:
+            raise ValueError(f"expected each request's friction (n,), one per row, for n = {n}")
         rows = [slice(end - k, end) for end, k in zip(np.cumsum(n).tolist(), n)]
         lengths = np.repeat([a.shape[1] for a in actions], n)
         plans = np.zeros((len(lengths), lengths.max(), env.action_dim))
         for r, a in zip(rows, actions):
             plans[r, :a.shape[1]] = a
-        states, success = rollout_batch(
-            env, np.concatenate(s0s), plans,
-            np.concatenate([_rows(f, k) for f, k in zip(friction, n)]), lengths)
+        states, success = rollout_batch(env, np.concatenate(s0s), plans,
+                                        np.concatenate(friction), lengths)
         for j, r, a in sorted(zip(order, rows, actions), key=lambda reply: reply[0]):
             try:
                 pending[j] = loops[j].send((states[r, :a.shape[1] + 1], success[r]))
@@ -282,7 +274,7 @@ def _rollout_row(env: Environment, s0, actions: np.ndarray,
     # the one-row forms share this tail rather than call each other, so a
     # traced run counts each of their rollouts once
     states, success = rollout_batch(env, np.asarray(s0, dtype=float)[None], actions[None],
-                                    friction)
+                                    [friction])
     return states[0], bool(success[0])
 
 
@@ -345,12 +337,10 @@ class PlanarBlockRotate(Environment):
         gap_y = np.maximum(np.abs(py) - self.half_extents[1], 0.0)
         return (np.hypot(gap_x, gap_y) <= self.contact_margin).all(axis=0)
 
-    def step(self, state, action, friction):
-        state = np.asarray(state, dtype=float)
-        cols = np.atleast_2d(state).T.copy()   # (7, n): one contiguous array per variable
+    def step(self, states, actions, friction):
+        cols = states.T.copy()   # (7, n): one contiguous array per variable
         out = cols.copy()
-        out[3:] += _clamp(np.atleast_2d(np.asarray(action, dtype=float)).T,
-                          -self.a_max, self.a_max)
+        out[3:] += _clamp(actions.T, -self.a_max, self.a_max)
         i = np.flatnonzero(self._both_in_contact(cols))
         if len(i):
             # two-point rigid planar fit: old (l, r) -> new (l, r)
@@ -363,7 +353,7 @@ class PlanarBlockRotate(Environment):
             ux, uy = rx - lx, ry - ly
             vx, vy = nrx - nlx, nry - nly
             dth = np.arctan2(ux * vy - uy * vx, ux * vx + uy * vy)
-            slip = _clamp(_rows(friction, cols.shape[1])[i], 0.0, 1.0)
+            slip = _clamp(friction[i], 0.0, 1.0)
             sth = slip * dth
             c = np.cos(sth)
             s = np.sin(sth)
@@ -373,12 +363,10 @@ class PlanarBlockRotate(Environment):
             out[0, i] = c * relx - s * rely + cox + slip * (cnx - cox)
             out[1, i] = s * relx + c * rely + coy + slip * (cny - coy)
             out[2, i] = wrap_angle(bth + sth)
-        out = out.T.copy()
-        return out if state.ndim == 2 else out[0]
+        return out.T.copy()
 
     def success_batch(self, final_states: np.ndarray) -> np.ndarray:
-        theta = np.asarray(final_states, dtype=float)[:, 2]
-        return np.abs(wrap_angle(theta - self.theta_des)) < self.eps_theta
+        return np.abs(wrap_angle(final_states[:, 2] - self.theta_des)) < self.eps_theta
 
     def psi(self, states):
         return np.asarray(states, dtype=float)
@@ -427,14 +415,13 @@ class PointReach(Environment):
     def reset(self, variant: Pose) -> np.ndarray:
         return np.array([self.start[0], self.start[1], variant.x, variant.y])
 
-    def step(self, state, action, friction):
-        state = np.asarray(state, dtype=float)
-        out = np.atleast_2d(state).copy()
-        out[:, :2] += _clamp(np.asarray(action, dtype=float), -self.a_max, self.a_max)
-        return out if state.ndim == 2 else out[0]
+    def step(self, states, actions, friction):
+        out = states.copy()
+        out[:, :2] += _clamp(actions, -self.a_max, self.a_max)
+        return out
 
     def success_batch(self, final_states: np.ndarray) -> np.ndarray:
-        x, y, gx, gy = np.asarray(final_states, dtype=float).T
+        x, y, gx, gy = final_states.T
         return np.hypot(x - gx, y - gy) < self.eps_p
 
     def psi(self, states):

@@ -113,7 +113,7 @@ def _variant_loop(env: Environment, cfg: PipelineConfig, index: int, pose: Pose,
     result = VariantResult(index=index, pose=pose)
 
     demo_actions = augmented_demo_actions(env, pose, cfg.l_blend)
-    states, _ = yield env.reset(pose)[None], demo_actions[None], env.nominal_friction()
+    states, _ = yield env.reset(pose)[None], demo_actions[None], [env.nominal_friction()]
     expert_states = result.expert_states = states[0].copy()
 
     q = smp.init_proposal(demo_actions, cfg.sampler.m_points,

@@ -93,7 +93,8 @@ def _score(env: Environment, cfg: RelabelConfig, point: _Point,
     h = cfg.horizon
     actions = np.repeat(plan[None, t:], len(u), axis=0)
     actions[:, :h] = u.reshape(len(u), h, -1)
-    rolled, success = yield np.repeat(states[None, t], len(u), axis=0), actions, friction
+    rolled, success = yield (np.repeat(states[None, t], len(u), axis=0), actions,
+                             np.full(len(u), friction))
     cost = cfg.w_ref * np.sum((u - plan[t:t + h].reshape(-1)) ** 2, axis=1)
     if cfg.w_fail > 0:
         cost = np.where(success, cost, cost + cfg.w_fail)

@@ -17,7 +17,7 @@ from recovergen.curator import (TubeBounds, build_kernel, compute_tube,
 from recovergen.envs import (PlanarBlockRotate, PointReach,
                              augmented_demo_actions, make_env, rollout,
                              rollout_with_resume)
-from recovergen.dataset_io import deserialize, stored_table
+from recovergen.dataset_io import deserialize, read_manifest, stored_table
 from recovergen.pipeline import (compare_replay, run_pgdg, run_spatial_only)
 from recovergen.relabel import RelabelPoint, cem_optimize, relabel_dataset
 from recovergen.sampler import Proposal
@@ -53,6 +53,9 @@ GOLDEN_DIGESTS = {
     "report.txt": "7b22373813e7d8b110ab61897b0ce07b4351f68f8d0a5ac63a4d003e9f6eac1e",
     "trajectories.npy": "38dbde621cecc700cf30cf7b6f5152fc790a4430a94e11fb19ea6e71da1f8991",
 }
+# the same run's manifest counts
+GOLDEN_COUNTS = {"generated": 1088, "successful": 174, "selected": 146, "relabeled": 10,
+                 "records": 4536}
 
 
 def test_golden_digest_of_default_run(generated):
@@ -73,12 +76,21 @@ def test_golden_digest_of_default_run(generated):
     numpy's runtime dispatch and the CPU model before the tests, and the
     digests are re-recorded there from a known-good commit.  An
     intentional change to the output bytes re-records them and says so in
-    CHANGES.md."""
+    CHANGES.md.
+
+    The manifest's counts and ``report.txt``, which prints them with
+    4-digit tubes and sigmas, were the same under every dispatch and core
+    tried on the recording host, so they are checked first: a failure
+    there is a change of behaviour, and a failure of only the full
+    comparison is one of last bits."""
     cfg, _, _, _ = generated
+    manifest = read_manifest(cfg.out_dir)
+    assert {name: getattr(manifest, f"n_{name}") for name in GOLDEN_COUNTS} == GOLDEN_COUNTS
     got = {}
     for name in GOLDEN_DIGESTS:
         with open(f"{cfg.out_dir}/{name}", "rb") as fh:
             got[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert got["report.txt"] == GOLDEN_DIGESTS["report.txt"]
     assert got == GOLDEN_DIGESTS
     _report("golden digest", "5 output files byte-identical")
 

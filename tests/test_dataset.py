@@ -40,12 +40,13 @@ class Trajs(NamedTuple):
 
 def rolled_out(starts, actions, success, friction, variant=0, control_points=None):
     """Trajectories whose states ``rollout_batch`` rolls out from the start
-    states ``starts`` (n, d_s) under ``actions`` and ``friction`` in
-    make_manifest's environment, as in every dataset the package writes:
-    the states that the readers rebuild.  Their stored rows hold the
-    control points ``control_points`` (n, M, d_a) that ``actions`` decode
-    from, by default the actions themselves, as M = T points.  Edge values
-    roll out without a warning, as the readers rebuild them."""
+    states ``starts`` (n, d_s) under ``actions`` and the friction scales
+    ``friction`` (n,) in make_manifest's environment, as in every dataset
+    the package writes: the states that the readers rebuild.  Their stored
+    rows hold the control points ``control_points`` (n, M, d_a) that
+    ``actions`` decode from, by default the actions themselves, as M = T
+    points.  Edge values roll out without a warning, as the readers
+    rebuild them."""
     with np.errstate(all="ignore"):
         states = rollout_batch(REACH, starts, actions, friction)[0]
     points = actions if control_points is None else control_points
@@ -59,9 +60,10 @@ def make_traj(horizon=10, seed=0, variant=0, start=None, m_points=None):
     rng = np.random.default_rng(seed)
     starts = rng.standard_normal((1, D_S)) if start is None else np.array([start], float)
     if m_points is None:
-        return rolled_out(starts, rng.standard_normal((1, horizon, D_A)), True, 0.97, variant)
+        return rolled_out(starts, rng.standard_normal((1, horizon, D_A)), True, [0.97],
+                          variant)
     points = rng.standard_normal((1, m_points, D_A))
-    return rolled_out(starts, decode(points, horizon), True, 0.97, variant, points)
+    return rolled_out(starts, decode(points, horizon), True, [0.97], variant, points)
 
 
 def stack(trajs):
@@ -199,7 +201,7 @@ def test_round_trip_keeps_every_bit_of_edge_values(tmp_path):
     edge = np.concatenate([[-0.0, np.inf, -np.inf, 5e-324, 1e16, -5e-324], nans])
     # horizon 4, so that the 4-step chunk fits; chunk_len 4 gives one window
     start = edge[[0, 6, 1, 7]]          # the start state is stored, both NaNs too
-    traj = rolled_out(start[None], np.resize(edge, (1, 4, D_A)), False, nans[0], 3)
+    traj = rolled_out(start[None], np.resize(edge, (1, 4, D_A)), False, nans[:1], 3)
     relabeled = make_records([edge[::-1]], [edge.reshape(4, D_A)])
     serialize(fitting_manifest(traj, chunk_len=4), str(tmp_path), traj.rows, relabeled)
     got = read_back(str(tmp_path))
@@ -506,12 +508,12 @@ def oracle_read_npy(path):
 
 def oracle_states(start, actions, friction):
     """The states (T+1, d_s) of one stored row of make_manifest's
-    environment, one 1-D ``step`` at a time."""
-    states = [start]
+    environment, one ``step`` of that one row at a time."""
+    states = [start[None]]
     with np.errstate(all="ignore"):
         for action in actions:
-            states.append(REACH.step(states[-1], action, friction))
-    return np.array(states)
+            states.append(REACH.step(states[-1], action[None], np.array([friction])))
+    return np.concatenate(states)
 
 
 def oracle_deserialize(out_dir, chunk_len, horizon):
@@ -1025,6 +1027,14 @@ def test_stored_table_holds_the_columns_it_is_given():
     assert rows["variant"].tolist() == [5] * 3 and not rows["success"].any()
     none = stored_table(5, True, (), np.empty((0, D_S)), np.empty((0, 4, D_A)))
     assert none.dtype == rows.dtype and len(none) == 0
+
+
+@pytest.mark.parametrize("variant, success", [(1.5, True), (np.array([0.0, 1.0]), True),
+                                              (2, 2), (2, np.array([0.5, 1.0])), (1.5, 2)])
+def test_stored_table_refuses_a_variant_or_success_of_another_type(variant, success):
+    # a float variant would store as its integer part, an integer success as True
+    with pytest.raises(TypeError):
+        stored_table(variant, success, np.ones(2), np.zeros((2, D_S)), np.zeros((2, 4, D_A)))
 
 
 @pytest.mark.parametrize("points", [(1, D_A), (11, D_A), (10, D_A + 1), (4, D_A - 1)])

@@ -28,6 +28,12 @@ def nominal(env):
     return env.nominal_friction()
 
 
+def step_row(env, state, action, friction):
+    """``env.step`` of the one row ``state`` (d_s,) under ``action`` (d_a,)
+    and the friction scale ``friction``, as (d_s,)."""
+    return env.step(state[None], action[None], np.array([friction]))[0]
+
+
 # ---------------------------------------------------------------------------
 # angle utilities and the success predicate
 
@@ -35,7 +41,7 @@ def nominal(env):
 @given(st.floats(min_value=-50.0, max_value=50.0))
 @settings(max_examples=200, deadline=None)
 def test_wrap_angle_range_and_equivalence(theta):
-    w = wrap_angle(theta)
+    [w] = wrap_angle(np.array([theta]))
     assert -math.pi < w <= math.pi
     assert math.isclose(math.cos(w), math.cos(theta), abs_tol=1e-9)
     assert math.isclose(math.sin(w), math.sin(theta), abs_tol=1e-9)
@@ -200,7 +206,7 @@ def test_rollout_with_resume_rejects_overlong_span(block_env):
 def test_block_frozen_without_contact(block_env):
     friction = nominal(block_env)
     s = block_env.reset(Pose())  # effectors far from block
-    s2 = block_env.step(s, np.array([0.01, 0.01, -0.01, 0.02]), friction)
+    s2 = step_row(block_env, s, np.array([0.01, 0.01, -0.01, 0.02]), friction)
     assert np.allclose(s2[:3], s[:3])  # block pose unchanged
     assert np.allclose(s2[3:], s[3:] + [0.01, 0.01, -0.01, 0.02])
 
@@ -208,7 +214,7 @@ def test_block_frozen_without_contact(block_env):
 def test_block_frozen_with_single_contact(block_env):
     # left effector grasping, right effector far away
     s = np.array([0.0, 0.0, 0.0, -0.08, 0.0, 0.5, 0.0])
-    s2 = block_env.step(s, np.array([0.0, 0.02, 0.0, 0.02]), nominal(block_env))
+    s2 = step_row(block_env, s, np.array([0.0, 0.02, 0.0, 0.02]), nominal(block_env))
     assert np.allclose(s2[:3], s[:3])
 
 
@@ -216,7 +222,7 @@ def test_block_follows_common_translation(block_env):
     # both effectors grasping: a common displacement translates the block
     s = np.array([0.0, 0.0, 0.0, -0.08, 0.0, 0.08, 0.0])
     d = np.array([0.01, 0.005, 0.01, 0.005])
-    s2 = block_env.step(s, d, 1.0)
+    s2 = step_row(block_env, s, d, 1.0)
     assert np.allclose(s2[:3], [0.01, 0.005, 0.0], atol=1e-12)
 
 
@@ -228,7 +234,7 @@ def test_block_rigid_attachment_rotation(block_env):
     s = np.array([0.0, 0.0, 0.0, -r, 0.0, r, 0.0])
     c, sn = math.cos(phi), math.sin(phi)
     d = np.array([-c * r - (-r), -sn * r - 0.0, c * r - r, sn * r - 0.0])
-    s2 = block_env.step(s, d, 1.0)
+    s2 = step_row(block_env, s, d, 1.0)
     assert np.allclose(s2[:3], [0.0, 0.0, phi], atol=1e-6)
 
 
@@ -238,7 +244,7 @@ def test_block_slip_attenuates_rotation(block_env):
     s = np.array([0.0, 0.0, 0.0, -r, 0.0, r, 0.0])
     c, sn = math.cos(phi), math.sin(phi)
     d = np.array([-c * r - (-r), -sn * r, c * r - r, sn * r])
-    s2 = block_env.step(s, d, 0.8)
+    s2 = step_row(block_env, s, d, 0.8)
     assert np.isclose(s2[2], 0.8 * phi, atol=1e-9)
 
 
@@ -248,13 +254,13 @@ def test_high_friction_slip_clamped_to_one(block_env):
     s = np.array([0.0, 0.0, 0.0, -r, 0.0, r, 0.0])
     c, sn = math.cos(phi), math.sin(phi)
     d = np.array([-c * r - (-r), -sn * r, c * r - r, sn * r])
-    s2 = block_env.step(s, d, 1.2)
+    s2 = step_row(block_env, s, d, 1.2)
     assert np.isclose(s2[2], phi, atol=1e-9)  # never overshoots
 
 
 def test_action_clamped_to_a_max(block_env):
     s = block_env.reset(Pose())
-    s2 = block_env.step(s, np.array([10.0, -10.0, 10.0, -10.0]), nominal(block_env))
+    s2 = step_row(block_env, s, np.array([10.0, -10.0, 10.0, -10.0]), nominal(block_env))
     assert np.allclose(s2[3:] - s[3:], [0.03, -0.03, 0.03, -0.03])
 
 
@@ -268,7 +274,7 @@ def test_block_demo_replay_succeeds(block_env):
     actions = augmented_demo_actions(block_env, pose, l_blend=10)
     states, success = rollout(block_env, block_env.reset(pose), actions, friction)
     assert success
-    assert abs(wrap_angle(states[-1, 2] - block_env.theta_des)) < 1e-6
+    assert abs(wrap_angle(states[-1:, 2] - block_env.theta_des)[0]) < 1e-6
 
 
 def test_block_demo_respects_action_bounds(block_env):

@@ -183,7 +183,7 @@ def test_block_step_uniform_contact_batches(block_rows, touching):
     friction = 0.85
     ref = _reference(env, scalar_block_step, rows[idx], actions[idx],
                      np.full(len(idx), friction))
-    assert _bitwise_equal(env.step(rows[idx], actions[idx], friction), ref)
+    assert _bitwise_equal(env.step(rows[idx], actions[idx], np.full(len(idx), friction)), ref)
 
 
 def test_block_step_one_params_for_all_rows(block_rows):
@@ -191,15 +191,7 @@ def test_block_step_one_params_for_all_rows(block_rows):
     friction = 0.85
     ref = _reference(env, scalar_block_step, rows, actions,
                      np.full(len(rows), friction))
-    assert _bitwise_equal(env.step(rows, actions, friction), ref)
-
-
-def test_block_step_single_row_keeps_shape(block_rows):
-    env, rows, actions, frictions = block_rows
-    friction = float(frictions[0])
-    out = env.step(rows[0], actions[0], friction)
-    assert out.shape == (7,)
-    assert _bitwise_equal(out, scalar_block_step(env, rows[0], actions[0], friction))
+    assert _bitwise_equal(env.step(rows, actions, np.full(len(rows), friction)), ref)
 
 
 def test_reach_step_bitwise_equals_scalar_reference():
@@ -208,8 +200,8 @@ def test_reach_step_bitwise_equals_scalar_reference():
     rows = rng.uniform(-0.5, 0.5, (500, 4))
     actions = rng.uniform(-3.0, 3.0, (500, 2)) * env.a_max
     ref = _reference(env, scalar_reach_step, rows, actions, np.ones(500))
-    assert _bitwise_equal(env.step(rows, actions, 1.0), ref)
-    assert _bitwise_equal(env.step(rows[7], actions[7], 1.0), ref[7])
+    assert _bitwise_equal(env.step(rows, actions, np.ones(500)), ref)
+    assert _bitwise_equal(env.step(rows[7:8], actions[7:8], np.ones(1)), ref[7:8])
 
 
 @pytest.mark.parametrize("size", [*range(1, 10), 15, 16, 17, 31, 32, 33, 63, 64, 65,
@@ -265,7 +257,7 @@ def test_rollout_batch_full_horizon_equals_explicit_lengths(params_per_row):
     rows[:, 3:5] = rows[:, 0:2] + [[-0.08, 0.0]]
     rows[:, 5:7] = rows[:, 0:2] + [[0.08, 0.0]]
     actions = rng.uniform(-1.5, 1.5, (n, env.horizon, 4)) * env.a_max
-    friction = frictions if params_per_row else 0.9
+    friction = frictions if params_per_row else np.full(n, 0.9)
     before = rows.copy()
     states, success = rollout_batch(env, rows, actions, friction)
     ref_states, ref_success = rollout_batch(env, rows, actions, friction,
@@ -283,7 +275,26 @@ def test_rollout_batch_rejects_bad_lengths():
     actions = np.zeros((2, 5, 2))
     for bad in ([0, 3], [1, 6], [1, 2, 3], [3, 5]):
         with pytest.raises(ValueError):
-            rollout_batch(env, s0s, actions, 1.0, lengths=bad)
+            rollout_batch(env, s0s, actions, np.ones(2), lengths=bad)
+
+
+def test_rollout_batch_and_lockstep_refuse_friction_not_one_per_row():
+    env = PointReach()
+    s0s = np.zeros((2, 4))
+    actions = np.zeros((2, 5, 2))
+
+    def loop(request):
+        yield request
+
+    for bad in (1.0, np.ones(()), np.ones(1), np.ones(3), np.ones((2, 1))):
+        with pytest.raises(ValueError, match="friction"):
+            rollout_batch(env, s0s, actions, bad)
+        with pytest.raises(ValueError, match="friction"):
+            lockstep(env, [loop((s0s, actions, bad))])
+    # two requests whose frictions have the right total but not each its own rows
+    with pytest.raises(ValueError, match="friction"):
+        lockstep(env, [loop((s0s[:1], actions[:1], np.ones(2))),
+                       loop((s0s, actions, np.ones(1)))])
 
 
 def test_lockstep_gives_each_loop_the_rows_it_gets_alone(monkeypatch):
@@ -299,7 +310,7 @@ def test_lockstep_gives_each_loop_the_rows_it_gets_alone(monkeypatch):
         rows[:, 3:5] = rows[:, 0:2] + [[-0.08, 0.0]]
         rows[:, 5:7] = rows[:, 0:2] + [[0.08, 0.0]]
         actions = rng.uniform(-1.5, 1.5, (n, steps, 4)) * env.a_max
-        requests.append((rows, actions, 0.9 if n == 2 else frictions))
+        requests.append((rows, actions, np.full(n, 0.9) if n == 2 else frictions))
 
     def loop(own):
         replies = []

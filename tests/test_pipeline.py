@@ -371,7 +371,7 @@ def replay_oracle(out_dir, n_trials, seed):
     for i, t, chunk in zip(records["traj"], records["t"], records["chunk"]):
         plan = np.concatenate([chunk, actions[i, t + len(chunk):]])
         relabeled += int(rollout_batch(env, states[i, t][None], plan[None],
-                                       table["friction_scale"][i])[1][0])
+                                       table["friction_scale"][i, None])[1][0])
     return {"stored_success_rate": int(stored.sum()) / n,
             "relabeled_success_rate": relabeled / len(records) if len(records) else None,
             "fresh_success_rate": int(fresh.sum()) / n_trials if n_trials else 0.0}
