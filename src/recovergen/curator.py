@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence
 
-import numpy as np
+from . import _np as np
 
 from .sampler import Proposal
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from typing import (IO, Callable, Dict, Iterable, List, Optional, Tuple, get_origin,
                     get_type_hints)
 
-import numpy as np
+from . import _np as np
 
 from .config import key_value_lines
 from .envs import Environment, blocks, make_env, rollout_batch
@@ -149,8 +149,9 @@ def record_dtype(obs_dim: int, chunk_shape: Tuple[int, int]) -> np.dtype:
                                    "chunk": chunk_shape})
 
 
-# what records.npy holds when nothing was relabeled
-_NO_RECORDS = np.empty(0, record_dtype(0, (0, 0)))
+def _no_records() -> np.ndarray:
+    """What records.npy holds when nothing was relabeled."""
+    return np.empty(0, record_dtype(0, (0, 0)))
 
 
 def export_pairs(states: np.ndarray, actions: np.ndarray, chunk_len: int,
@@ -377,13 +378,13 @@ def serialize(manifest: DatasetManifest, out_dir: str, trajectories: np.ndarray,
     all are complete, the manifest last, since it pins the row counts of
     the others.  So a failure while writing any file leaves the previous
     dataset whole and readable."""
-    records = _NO_RECORDS if records is None else records
+    records = _no_records() if records is None else records
     env = _manifest_env(manifest)
     name, misfit = _misfit(env, manifest.chunk_len, trajectories, records)
     if misfit:
         raise ValueError(f"{name}: {misfit}")
     if not len(records):
-        records = _NO_RECORDS
+        records = _no_records()
 
     os.makedirs(out_dir, exist_ok=True)
     manifest.n_records = (_n_windows(len(trajectories), env.horizon, manifest.chunk_len)

@@ -38,7 +38,7 @@ import numbers
 from dataclasses import dataclass, fields
 from typing import Any, Generator, Sequence, Tuple
 
-import numpy as np
+from . import _np as np
 
 from .geometry import Pose, reanchor_trajectory
 
@@ -205,8 +205,8 @@ def rollout_batch(env: Environment, s0s: np.ndarray, actions: np.ndarray,
 # A rollout request, (s0s (n, d_s), actions (n, L, d_a), friction (n,)), as
 # ``rollout_batch`` takes it, and its reply, (states (n, L + 1, d_s),
 # success (n,)).
-Request = Tuple[np.ndarray, np.ndarray, np.ndarray]
-Reply = Tuple[np.ndarray, np.ndarray]
+Request = Tuple["np.ndarray", "np.ndarray", "np.ndarray"]
+Reply = Tuple["np.ndarray", "np.ndarray"]
 
 
 def lockstep(env: Environment, loops: Sequence[Generator[Request, Reply, Any]]) -> list:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from . import _np as np
 
 
 def _rotate(yaw: float, x, y):

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
-import numpy as np
+from . import _np as np
 
 from . import curator as cur
 from . import sampler as smp

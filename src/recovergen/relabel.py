@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence, Tuple
 
-import numpy as np
+from . import _np as np
 
 from .config import RelabelConfig
 from .curator import TubeBounds, state_distances
@@ -80,7 +80,7 @@ def select_risky_states(distances: np.ndarray, k_rel: int, min_sep: int,
 
 # one relabel point's fixed context: (its trajectory's plan (T, d_a), states
 # (T+1, d_s) and friction scale, timestep, tube, expert states)
-_Point = Tuple[np.ndarray, np.ndarray, float, int, TubeBounds, np.ndarray]
+_Point = Tuple["np.ndarray", "np.ndarray", float, int, TubeBounds, "np.ndarray"]
 
 
 def _score(env: Environment, cfg: RelabelConfig, point: _Point,

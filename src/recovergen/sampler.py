@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Generator, NamedTuple
 
-import numpy as np
+from . import _np as np
 
 from .envs import Environment, Reply, Request, lockstep
 from .geometry import Pose

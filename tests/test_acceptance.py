@@ -201,7 +201,11 @@ def test_bench_inspect_dataset_passes_on_the_golden_run(generated):
 # recovergen is numpy-only: no command may import scipy.  The fresh process
 # makes every scipy import fail, and generate must still give the golden bytes.
 # No command loads numpy.ma either (np.median imports it for its NaN check),
-# which costs every process its import time and memory
+# which costs every process its import time and memory.  numpy itself loads
+# on first use, so neither the import nor stats, which reads only the
+# manifest, loads it; baseline does, which shows that the probe sees a load.
+# The probe tests a key of sys.modules: reading any attribute of the lazy
+# numpy module loads it
 NO_SCIPY_SCRIPT = """
 import sys
 
@@ -221,11 +225,15 @@ steps = [("import", None),
          ("baseline", ["baseline", "--seed", "7", "--set", "n_variants=4", "--out", base]),
          ("evaluate", ["evaluate", dataset, "--compare", base, "--trials", "20"]),
          ("generate", ["generate", "--seed", "7", "--jobs", "1", "--out", out])]
+numpy_loaded = {"import": False, "stats": False, "baseline": True}
 for step, argv in steps:
     if argv is not None:
         assert main(argv) == 0, step
     assert "scipy" not in sys.modules, f"scipy imported by {step}"
     assert "numpy.ma" not in sys.modules, f"numpy.ma imported by {step}"
+    if step in numpy_loaded:
+        assert ("numpy._core" in sys.modules) == numpy_loaded[step], \
+            f"numpy loaded after {step}: {not numpy_loaded[step]}"
 """
 
 
@@ -247,14 +255,62 @@ def test_no_command_imports_scipy(generated, tmp_path):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in GOLDEN_DIGESTS}
     assert got == GOLDEN_DIGESTS
-    _report("numpy-only", "no command imports scipy or numpy.ma; generate golden "
-            "in a fresh process")
+    _report("numpy-only", "no command imports scipy or numpy.ma, stats loads no "
+            "numpy; generate golden in a fresh process")
+
+
+# importlib.util.find_spec("numpy") is None when numpy is not installed: the
+# fresh process wraps every finder of sys.meta_path so that none finds numpy
+NO_NUMPY_SCRIPT = """
+import sys
+
+
+class NoNumpy:
+    def __init__(self, finders):
+        self.finders = finders
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            return None
+        for finder in self.finders:
+            spec = finder.find_spec(name, path, target)
+            if spec is not None:
+                return spec
+        return None
+
+
+sys.meta_path[:] = [NoNumpy(list(sys.meta_path))]
+try:
+    import recovergen
+except ModuleNotFoundError as exc:
+    assert exc.name == "numpy" and str(exc) == "No module named 'numpy'", repr(exc)
+else:
+    raise AssertionError("recovergen imported without numpy")
+"""
+
+
+def test_import_without_numpy_names_numpy():
+    import os
+    import subprocess
+    import sys
+
+    import recovergen
+    src = os.path.dirname(os.path.dirname(recovergen.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    _report("numpy missing", "import recovergen raises ModuleNotFoundError naming numpy")
 
 
 def test_src_imports_only_stdlib_numpy_and_the_package():
     # the static side of "numpy-only": every import statement of the
-    # package, those inside functions included, names the standard library,
-    # numpy or the package itself
+    # package, those inside functions included, and every find_spec of a
+    # named module, as the lazy numpy of __init__.py is found, names the
+    # standard library, numpy or the package itself.  No module but
+    # __init__.py holds an import statement of numpy: one would load numpy
+    # at import, as the lazy module's first attribute read
     import ast
     import pathlib
     import sys
@@ -262,19 +318,29 @@ def test_src_imports_only_stdlib_numpy_and_the_package():
     import recovergen
     allowed = set(sys.stdlib_module_names) | {"numpy", "recovergen"}
     paths = sorted(pathlib.Path(recovergen.__file__).parent.glob("*.py"))
-    found = {}
+    found, numpy_statements = {}, []
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = ["recovergen" if node.level else node.module]
+            elif isinstance(node, ast.Call) \
+                    and getattr(node.func, "attr", getattr(node.func, "id", None)) == "find_spec" \
+                    and node.args and isinstance(node.args[0], ast.Constant) \
+                    and isinstance(node.args[0].value, str):
+                names = [node.args[0].value]
             else:
                 continue
             for name in names:
-                found.setdefault(name.partition(".")[0], []).append(f"{path.name}:{node.lineno}")
+                top, where = name.partition(".")[0], f"{path.name}:{node.lineno}"
+                found.setdefault(top, []).append(where)
+                if top == "numpy" and not isinstance(node, ast.Call) \
+                        and path.name != "__init__.py":
+                    numpy_statements.append(where)
     assert len(paths) >= 10 and {"numpy", "recovergen", "json"} <= set(found)
     assert {top: where for top, where in found.items() if top not in allowed} == {}
+    assert numpy_statements == []
     _report("numpy-only imports", f"{len(paths)} modules import only {sorted(found)}")
 
 
