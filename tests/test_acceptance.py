@@ -233,7 +233,7 @@ for step, argv in steps:
     assert "numpy.ma" not in sys.modules, f"numpy.ma imported by {step}"
     if step in numpy_loaded:
         assert ("numpy._core" in sys.modules) == numpy_loaded[step], \
-            f"numpy loaded after {step}: {not numpy_loaded[step]}"
+            f"numpy loaded after {step} is not {numpy_loaded[step]}"
 """
 
 
